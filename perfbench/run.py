@@ -8,13 +8,14 @@ Workloads: static-nl14, validate-lin30, daily-nl14 (see perfbench/README.md).
 
 With ``--trace 0`` the run measures the end-to-end metrics with tracing off:
 ``setup_s`` (median over fresh interpreters of imports, case parse, seeded
-inputs and base power flow), ``scenario_s`` (median seconds of one timed
+input and base power flow), ``scenario_s`` (median seconds of one timed
 call, after one untimed warm-up call) and ``peak_rss_mb``. With
 ``--trace 1`` it wraps the public functions of each voltctrl layer, times
-traced and untraced calls of the first input variant, and reports the
-per-layer counts and self times. Every result is checked from outside the
-program. The last line of standard output is one JSON object:
-``{"correct", "attempted", "failed", "metrics"}``.
+traced and untraced calls, and reports the per-layer counts and self times.
+Every result is checked from outside the program. The last line of standard
+output is one JSON object: ``{"correct", "attempted", "failed", "metrics"}``.
+``failed`` counts calls that raised or returned a result failing its check;
+``correct`` is false when a returned result fails its check.
 
 BLAS is pinned to one thread in this process and in every process it starts.
 """
@@ -39,9 +40,6 @@ ROOT = HERE.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SETUP_PROBES = 5  # fresh interpreters per run; setup_s is their median
 MIN_TRACED = 2  # traced calls per traced run; their counts must agree
-# a call running longer is stopped and counted as failed, so a run that meets
-# a non-settling input still ends well inside its 180 s budget
-CALL_LIMIT_S = 30.0
 
 
 def metric_units(section: str) -> dict[str, str]:
@@ -63,7 +61,7 @@ def _import_path() -> None:
 
 
 def setup_probe(name: str, seed: int) -> float:
-    """Seconds for imports, case parse, seeded inputs and base power flow."""
+    """Seconds for imports, case parse, seeded input and base power flow."""
     start = time.perf_counter()
     import workloads
 
@@ -105,15 +103,15 @@ class CallTimeout(Exception):
 
 
 def _stop_call(signum, frame):
-    raise CallTimeout(f"call ran longer than {CALL_LIMIT_S:g} s")
+    raise CallTimeout("call ran past the workload's call limit")
 
 
-def timed_call(op, inp):
-    """(seconds, result or None, error text or None) of one call."""
+def timed_call(w, inp):
+    """(seconds, result or None, error text or None) of one call of w."""
     start = time.perf_counter()
-    signal.setitimer(signal.ITIMER_REAL, CALL_LIMIT_S)
+    signal.setitimer(signal.ITIMER_REAL, w.call_limit_s)
     try:
-        result = op(inp)
+        result = w.operation(inp)
     except Exception:  # a failed call is counted, not fatal
         return time.perf_counter() - start, None, traceback.format_exc(limit=3)
     finally:
@@ -122,7 +120,11 @@ def timed_call(op, inp):
 
 
 class Checker:
-    """Counts failed calls; a call fails if it raised or failed its check."""
+    """Judges calls: a call fails if it raised or its result failed its check.
+
+    ``wrong`` counts the results that failed their check; a raised error
+    leaves no result to be wrong, so it counts as failed only.
+    """
 
     def __init__(self, workload):
         import checks
@@ -130,44 +132,43 @@ class Checker:
         self.workload = workload
         self.reference = checks.load_reference(ROOT)
         self.failures: list[str] = []
+        self.wrong = 0
 
     def judge(self, label: str, inp, result, error) -> bool:
-        problems = [error.strip().splitlines()[-1]] if error else self.workload.check(
-            self.reference, inp, result
-        )
+        if error:
+            problems = [error.strip().splitlines()[-1]]
+        else:
+            problems = self.workload.check(self.reference, inp, result)
+            self.wrong += bool(problems)
         for p in problems:
             self.failures.append(f"{label}: {p}")
         return not problems
 
 
-def run_untraced(w, inputs, seconds: float, seed: int) -> dict:
+def run_untraced(w, inp, seconds: float, seed: int) -> dict:
     setup = measure_setup(w.name, seed)
-    warm = timed_call(w.operation, inputs[0])
+    warm = timed_call(w, inp)
     # read before timed results pile up for checking, so the figure does not
     # grow with the number of calls that fit in the run
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    calls = []  # (variant, seconds, result, error)
+    calls = []  # (seconds, result, error)
     start = time.perf_counter()
-    i = 0
-    while i < len(inputs) or time.perf_counter() - start < seconds:
-        variant = i % len(inputs)
-        calls.append((variant, *timed_call(w.operation, inputs[variant])))
-        i += 1
+    while not calls or time.perf_counter() - start < seconds:
+        calls.append(timed_call(w, inp))
 
     checker = Checker(w)
-    warm_ok = checker.judge("warm-up", inputs[0], warm[1], warm[2])
-    ok = [checker.judge(f"call {k} (variant {v})", inputs[v], res, err)
-          for k, (v, _, res, err) in enumerate(calls)]
-    good_times = [dt for (_, dt, _, _), good in zip(calls, ok) if good]
-    times = good_times or [dt for _, dt, _, _ in calls]
+    checker.judge("warm-up", inp, warm[1], warm[2])
+    ok = [checker.judge(f"call {k}", inp, res, err) for k, (_, res, err) in enumerate(calls)]
+    good_times = [dt for (dt, _, _), good in zip(calls, ok) if good]
+    times = good_times or [dt for dt, _, _ in calls]
     metrics = {
         "scenario_s": statistics.median(times),
         "setup_s": statistics.median(setup),
         "peak_rss_mb": peak_rss_mb,
     }
     notes = [
-        f"scenario_s: median of {len(times)} timed calls over {len(inputs)} input variants "
-        f"after 1 untimed warm-up; calls (s): {', '.join(f'{dt:.3f}' for _, dt, _, _ in calls)}",
+        f"scenario_s: median of {len(times)} timed calls after 1 untimed warm-up; "
+        f"calls (s): {', '.join(f'{dt:.3f}' for dt, _, _ in calls)}",
         f"setup_s: median of {len(setup)} fresh interpreters (s): "
         + ", ".join(f"{s:.3f}" for s in setup),
     ]
@@ -175,7 +176,7 @@ def run_untraced(w, inputs, seconds: float, seed: int) -> dict:
         "metrics": metrics,
         "attempted": len(calls),
         "failed": ok.count(False),
-        "correct": warm_ok and all(ok),
+        "correct": checker.wrong == 0,
         "failures": checker.failures,
         "notes": notes,
     }
@@ -205,31 +206,30 @@ def per_layer_metrics(names, counts: dict, self_s: dict, q_err: float, overhead_
     return out
 
 
-def run_traced(w, inputs, seconds: float, seed: int, names) -> dict:
+def run_traced(w, inp, seconds: float, seed: int, names) -> dict:
     import checks
     import workloads
     from tracer import Tracer
 
-    inp = inputs[0]
-    reference_run = timed_call(w.operation, inp)  # untimed warm-up, bitwise reference
+    reference_run = timed_call(w, inp)  # untimed warm-up, bitwise reference
     plain, traced = [], []  # (seconds, result, error), (seconds, result, error, tracer)
     start = time.perf_counter()
     while len(traced) < MIN_TRACED or time.perf_counter() - start < seconds:
-        plain.append(timed_call(w.operation, inp))
+        plain.append(timed_call(w, inp))
         tracer = Tracer()
         with tracer.installed():
-            traced.append((*timed_call(w.operation, inp), tracer))
+            traced.append((*timed_call(w, inp), tracer))
 
     checker = Checker(w)
-    correct = checker.judge("warm-up", inp, reference_run[1], reference_run[2])
+    clean = checker.judge("warm-up", inp, reference_run[1], reference_run[2])
     failed = 0
     for k, (_, res, err) in enumerate(plain):
         failed += not checker.judge(f"untraced call {k}", inp, res, err)
     for k, (_, res, err, _) in enumerate(traced):
         failed += not checker.judge(f"traced call {k}", inp, res, err)
-    correct = correct and failed == 0
+    correct = checker.wrong == 0
 
-    if correct:
+    if clean and failed == 0:
         ref_print = fingerprint(reference_run[1])
         for k, (_, res, _, _) in enumerate(traced):
             if fingerprint(res) != ref_print:
@@ -258,7 +258,7 @@ def run_traced(w, inputs, seconds: float, seed: int, names) -> dict:
     tracer.write(spans_path)
     notes = [
         f"traced {len(traced)} calls (median {traced_s:.3f} s) and untraced {len(plain)} "
-        f"(median {plain_s:.3f} s) on input variant 0",
+        f"(median {plain_s:.3f} s)",
         f"{len(tracer.spans)} spans of the last traced call written to "
         f"{spans_path.relative_to(ROOT)}",
         "all counts: " + json.dumps(dict(sorted(counts[-1].items()))),
@@ -302,12 +302,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--workload must be one of {', '.join(workloads.WORKLOADS)}")
     signal.signal(signal.SIGALRM, _stop_call)
     w = workloads.WORKLOADS[args.workload]
-    inputs = w.prepare(args.seed)
+    inp = w.prepare(args.seed)
     units = metric_units("per_layer" if args.trace else "end_to_end")
     if args.trace:
-        out = run_traced(w, inputs, args.seconds, args.seed, list(units))
+        out = run_traced(w, inp, args.seconds, args.seed, list(units))
     else:
-        out = run_untraced(w, inputs, args.seconds, args.seed)
+        out = run_untraced(w, inp, args.seconds, args.seed)
 
     print(f"workload {args.workload}  seed {args.seed}  trace {args.trace}  "
           f"BLAS threads: " + " ".join(f"{v}={os.environ[v]}" for v in BLAS_THREAD_VARS))

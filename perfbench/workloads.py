@@ -1,15 +1,16 @@
 """The three benchmark workloads: seeded inputs and the operation each one times.
 
 A workload's ``prepare`` step imports the voltctrl modules it uses, parses
-the bundled case once, builds its seeded input variants and solves the
-uncontrolled base power flow of each. Its ``operation`` is the user-facing
-call being timed, and ``check`` judges one result from outside the program.
+the bundled case, builds the seeded input and solves its uncontrolled base
+power flow. Its ``operation`` is the user-facing call being timed, and
+``check`` judges one result from outside the program.
 
-Seed 0 is the nominal input, so all of its variants are the same. Any other
-seed gives each variant its own small random reduction of the loads, drawn
-from (seed, variant), except on static-nl14 (see the note on BUS_NOISE).
-One run times every variant at least once, so a run's median does not rest
-on a single input. The program only ever sees the generated inputs.
+Seed 0 is the nominal input. Any other seed applies a small seeded random
+change to the loads: each PQ bus of static-nl14 and validate-lin30 gets its
+own factor in [1 - BUS_NOISE, 1 + BUS_NOISE], each hour of daily-nl14 its
+own factor in [1 - HOUR_NOISE, 1 + HOUR_NOISE]. Some of these inputs make
+the program fail or leave a daily hour unsettled (perfbench/README.md,
+"Seed noise"); the run counts that, it does not avoid it.
 
 voltctrl functions are looked up through their module at call time, so a
 tracer that replaces module-global names sees every call.
@@ -25,31 +26,23 @@ import numpy as np
 
 import checks
 
-# Seeded load changes only ever lighten the load: each PQ bus of
-# validate-lin30 gets its own factor in [1 - BUS_NOISE, 1], each hour of
-# daily-nl14 its own factor in [1 - HOUR_NOISE, 1]. static-nl14 runs its
-# nominal input on every seed: near x3.1 a few percent of perturbed inputs
-# fail in the program, and the daily run's work is far more sensitive to its
-# inputs than the static runs' (perfbench/README.md, "Seed noise").
 BUS_NOISE = 0.02
-HOUR_NOISE = 0.005
-VARIANTS = 4  # input variants per seed; a run times each at least once
+HOUR_NOISE = 0.05
 
 
-def _noise(seed: int, variant: int, n: int, amplitude: float) -> np.ndarray:
-    """Per-entry load factors in [1 - amplitude, 1]; exactly ones on seed 0."""
+def _noise(seed: int, n: int, amplitude: float) -> np.ndarray:
+    """Per-entry load factors in [1 - amplitude, 1 + amplitude]; ones on seed 0."""
     if seed == 0:
         return np.ones(n)
-    rng = np.random.default_rng([seed, variant])
-    return 1.0 - amplitude * rng.uniform(0.0, 1.0, n)
+    return 1.0 + amplitude * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
 
 
-def _per_bus_scaled(vc, case, base_factor: float, seed: int, variant: int):
+def _per_bus_scaled(vc, case, base_factor: float, seed: int):
     """Scale every PQ-bus load by base_factor times its own seeded factor."""
     if seed == 0:
         return vc.netcase.scale_loads(case, base_factor)
     pq_ids = [b.id for b in case.buses if b.kind is vc.netcase.BusKind.PQ]
-    factors = base_factor * _noise(seed, variant, len(pq_ids), BUS_NOISE)
+    factors = base_factor * _noise(seed, len(pq_ids), BUS_NOISE)
     return vc.netcase.scale_loads(case, {i: float(f) for i, f in zip(pq_ids, factors)})
 
 
@@ -64,7 +57,7 @@ class _Modules:
 
 @dataclass(frozen=True)
 class Inputs:
-    """One input variant: the case the program sees plus operation options."""
+    """One seeded input: the case the program sees plus operation options."""
 
     vc: _Modules
     case: Any
@@ -76,29 +69,29 @@ class Workload:
     name: str
     case_name: str
     modules: tuple[str, ...]
-    build: Callable[..., Inputs]  # (vc, parsed case, seed, variant) -> Inputs
+    build: Callable[..., Inputs]  # (vc, parsed case, seed) -> Inputs
     operation: Callable[[Inputs], Any]
     check: Callable[..., list[str]]  # (reference module, inputs, result) -> failures
+    # a call running longer is stopped and counted as failed: several times
+    # the slowest correct call seen, yet short enough that an untraced run
+    # meeting a non-settling input still ends inside 180 s
+    call_limit_s: float = 30.0
 
-    def prepare(self, seed: int) -> list[Inputs]:
-        """Imports, case parse, seeded input variants and their base solves."""
+    def prepare(self, seed: int) -> Inputs:
+        """Imports, case parse, the seeded input and its base power flow."""
         vc = _Modules(self.modules)
-        parsed = vc.voltctrl.load_case(self.case_name)
-        out = []
-        for variant in range(VARIANTS):
-            inp = self.build(vc, parsed, seed, variant)
-            pf = vc.powerflow
-            base = pf.solve_power_flow(inp.case, pf.nominal_injections(inp.case), max_iter=30)
-            if not base.converged:
-                raise RuntimeError(f"{self.name}: uncontrolled base power flow did not converge")
-            out.append(inp)
-        return out
+        inp = self.build(vc, vc.voltctrl.load_case(self.case_name), seed)
+        pf = vc.powerflow
+        base = pf.solve_power_flow(inp.case, pf.nominal_injections(inp.case), max_iter=30)
+        if not base.converged:
+            raise RuntimeError(f"{self.name}: uncontrolled base power flow did not converge")
+        return inp
 
 
 # -- static-nl14: run_static, case14, loads x3.1, nonlinear plant -------------
 
-def _build_static_nl14(vc, parsed, seed, variant):
-    return Inputs(vc, vc.netcase.scale_loads(parsed, 3.1), {})
+def _build_static_nl14(vc, parsed, seed):
+    return Inputs(vc, _per_bus_scaled(vc, parsed, 3.1, seed), {})
 
 
 def _op_static_nl14(inp: Inputs):
@@ -112,8 +105,8 @@ def _check_static_nl14(reference, inp: Inputs, res) -> list[str]:
 
 # -- validate-lin30: the steps of `voltctrl validate`, case30, loads x0.25 -----
 
-def _build_validate_lin30(vc, parsed, seed, variant):
-    return Inputs(vc, _per_bus_scaled(vc, parsed, 0.25, seed, variant), {})
+def _build_validate_lin30(vc, parsed, seed):
+    return Inputs(vc, _per_bus_scaled(vc, parsed, 0.25, seed), {})
 
 
 @dataclass(frozen=True)
@@ -150,9 +143,9 @@ def _check_validate_lin30(reference, inp: Inputs, res) -> list[str]:
 
 # -- daily-nl14: run_daily, case14, loads x2.5, default profile ----------------
 
-def _build_daily_nl14(vc, parsed, seed, variant):
+def _build_daily_nl14(vc, parsed, seed):
     case = vc.netcase.scale_loads(parsed, 2.5)
-    profile = vc.simulate.default_daily_profile() * _noise(seed, variant, 24, HOUR_NOISE)
+    profile = vc.simulate.default_daily_profile() * _noise(seed, 24, HOUR_NOISE)
     return Inputs(vc, case, {"profile": profile})
 
 
@@ -174,7 +167,7 @@ WORKLOADS = {
         Workload("validate-lin30", "case30", _SIM + ("oracle",), _build_validate_lin30,
                  _op_validate_lin30, _check_validate_lin30),
         Workload("daily-nl14", "case14", _SIM, _build_daily_nl14, _op_daily_nl14,
-                 _check_daily_nl14),
+                 _check_daily_nl14, call_limit_s=60.0),
     )
 }
 
