@@ -2,14 +2,18 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload static-nl14 --seed 0 --seconds 45 --trace 0
+    python3 perfbench/run.py --workload static-nl14 --seed 0 --seconds 40 --trace 0
 
 Workloads: static-nl14, validate-lin30, daily-nl14 (see perfbench/README.md).
 
 With ``--trace 0`` the run measures the end-to-end metrics with tracing off:
 ``setup_s`` (median over fresh interpreters of imports, case parse, seeded
-input and base power flow), ``scenario_s`` (median seconds of one timed
-call, after one untimed warm-up call) and ``peak_rss_mb``. With
+input and base power flow), ``scenario_s`` (mean seconds of one timed
+call, after one untimed warm-up call) and ``peak_rss_mb``. Both times are
+scaled to the reference host's speed by a calibration kernel timed between
+the calls (``calibration_s``), because a shared host's speed can drift by
+up to 2x within minutes. ``--seconds`` sets the number of timed calls through the
+workload's typical call time, so the count never depends on the host. With
 ``--trace 1`` it wraps the public functions of each voltctrl layer, times
 traced and untraced calls, and reports the per-layer counts and self times.
 Every result is checked from outside the program. The last line of standard
@@ -40,6 +44,9 @@ ROOT = HERE.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SETUP_PROBES = 5  # fresh interpreters per run; setup_s is their median
 MIN_TRACED = 2  # traced calls per traced run; their counts must agree
+CAL_ROUNDS = 60_000  # rounds of the calibration kernel, about 0.25 s
+CAL_REF_S = 0.25  # kernel seconds on the reference host (2 vCPU Xeon, OpenBLAS, 1 thread)
+MAX_CALL_S = 75.0  # host seconds; a failing input's warm-up and call still end inside 180 s
 
 
 def metric_units(section: str) -> dict[str, str]:
@@ -60,26 +67,51 @@ def _import_path() -> None:
             sys.path.insert(0, path)
 
 
-def setup_probe(name: str, seed: int) -> float:
-    """Seconds for imports, case parse, seeded input and base power flow."""
+def calibration_s() -> float:
+    """Seconds of a fixed kernel of small matrix products and interpreter work.
+
+    The kernel does the kind of work voltctrl's inner loop does and none of
+    voltctrl's code, so its time follows the host's speed and nothing else.
+    """
+    import numpy as np
+
+    a = np.eye(14) * 2.0
+    acc = 0.0
+    start = time.perf_counter()
+    for _ in range(CAL_ROUNDS):
+        acc += float((a @ a)[0, 0])
+        _ = [j * j for j in range(10)]
+    return time.perf_counter() - start
+
+
+def scaled(seconds: float, cal: float) -> float:
+    """Host seconds scaled to the reference host, given the kernel's time ``cal``."""
+    return seconds * CAL_REF_S / cal
+
+
+def setup_probe(name: str, seed: int) -> tuple[float, float]:
+    """Seconds for imports, case parse, seeded input and base power flow,
+    then the calibration kernel's seconds in the same interpreter."""
     start = time.perf_counter()
     import workloads
 
     workloads.WORKLOADS[name].prepare(seed)
-    return time.perf_counter() - start
+    return time.perf_counter() - start, calibration_s()
 
 
-def measure_setup(name: str, seed: int) -> list[float]:
+def measure_setup(name: str, seed: int) -> tuple[list[float], list[float]]:
     """Run the setup probe in fresh interpreters, one after another."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
            "--workload", name, "--seed", str(seed)]
-    out = []
+    setup, cal = [], []
     for _ in range(SETUP_PROBES):
         proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
         if proc.returncode != 0:
             raise RuntimeError(f"setup probe failed:\n{proc.stderr}")
-        out.append(float(proc.stdout.strip().splitlines()[-1]))
-    return out
+        s, c = proc.stdout.strip().splitlines()[-1].split()
+        setup.append(float(s))
+        cal.append(float(c))
+    return setup, cal
 
 
 def fingerprint(result) -> str:
@@ -106,10 +138,16 @@ def _stop_call(signum, frame):
     raise CallTimeout("call ran past the workload's call limit")
 
 
-def timed_call(w, inp):
+def call_limit(w, cal: float) -> float:
+    """Host seconds a call may run: the workload's limit at the host speed a
+    kernel time ``cal`` shows, so that limit reads the same in scaled seconds."""
+    return min(w.call_limit_s * cal / CAL_REF_S, MAX_CALL_S)
+
+
+def timed_call(w, inp, limit_s: float):
     """(seconds, result or None, error text or None) of one call of w."""
     start = time.perf_counter()
-    signal.setitimer(signal.ITIMER_REAL, w.call_limit_s)
+    signal.setitimer(signal.ITIMER_REAL, limit_s)
     try:
         result = w.operation(inp)
     except Exception:  # a failed call is counted, not fatal
@@ -146,31 +184,37 @@ class Checker:
 
 
 def run_untraced(w, inp, seconds: float, seed: int) -> dict:
-    setup = measure_setup(w.name, seed)
-    warm = timed_call(w, inp)
-    # read before timed results pile up for checking, so the figure does not
-    # grow with the number of calls that fit in the run
+    setup, setup_cal = measure_setup(w.name, seed)
+    cal = [calibration_s()]
+    warm = timed_call(w, inp, call_limit(w, cal[-1]))
+    # read before the checks load their reference code and before timed
+    # results pile up for checking, so the figure is the workload's own
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    calls = []  # (seconds, result, error)
-    start = time.perf_counter()
-    while not calls or time.perf_counter() - start < seconds:
-        calls.append(timed_call(w, inp))
-
     checker = Checker(w)
-    checker.judge("warm-up", inp, warm[1], warm[2])
+    # the program is deterministic: when the warm-up fails, every call on
+    # this input fails the same way, so the run makes one timed call and stops
+    n_calls = w.calls_for(seconds) if checker.judge("warm-up", inp, warm[1], warm[2]) else 1
+    calls = []  # (seconds, result, error)
+    for _ in range(n_calls):
+        calls.append(timed_call(w, inp, call_limit(w, cal[-1])))
+        cal.append(calibration_s())
     ok = [checker.judge(f"call {k}", inp, res, err) for k, (_, res, err) in enumerate(calls)]
     good_times = [dt for (dt, _, _), good in zip(calls, ok) if good]
     times = good_times or [dt for dt, _, _ in calls]
+    # the host's speed changes from call to call; the mean call time over the
+    # mean kernel time follows it more closely than a ratio of medians
     metrics = {
-        "scenario_s": statistics.median(times),
-        "setup_s": statistics.median(setup),
+        "scenario_s": scaled(statistics.fmean(times), statistics.fmean(cal)),
+        "setup_s": statistics.median(map(scaled, setup, setup_cal)),
         "peak_rss_mb": peak_rss_mb,
     }
     notes = [
-        f"scenario_s: median of {len(times)} timed calls after 1 untimed warm-up; "
-        f"calls (s): {', '.join(f'{dt:.3f}' for dt, _, _ in calls)}",
-        f"setup_s: median of {len(setup)} fresh interpreters (s): "
-        + ", ".join(f"{s:.3f}" for s in setup),
+        f"scenario_s: mean of {len(times)} timed calls after 1 untimed warm-up, "
+        f"{statistics.fmean(times):.4f} host s, scaled by {CAL_REF_S} s / mean kernel "
+        f"{statistics.fmean(cal):.4f} s; calls (s): {', '.join(f'{dt:.3f}' for dt, _, _ in calls)}",
+        f"setup_s: median of {len(setup)} fresh interpreters, each scaled by its own kernel "
+        "time; setup (s): " + ", ".join(f"{s:.3f}" for s in setup)
+        + "; kernel (s): " + ", ".join(f"{c:.3f}" for c in setup_cal),
     ]
     return {
         "metrics": metrics,
@@ -211,17 +255,21 @@ def run_traced(w, inp, seconds: float, seed: int, names) -> dict:
     import workloads
     from tracer import Tracer
 
-    reference_run = timed_call(w, inp)  # untimed warm-up, bitwise reference
+    checker = Checker(w)
+    limit_s = call_limit(w, calibration_s())
+    reference_run = timed_call(w, inp, limit_s)  # untimed warm-up, bitwise reference
+    clean = checker.judge("warm-up", inp, reference_run[1], reference_run[2])
+    # pairs of one untraced and one traced call; one traced call alone when
+    # the warm-up failed, since every call on this input fails the same way
+    pairs = max(MIN_TRACED, round(w.calls_for(seconds) / 2)) if clean else 0
     plain, traced = [], []  # (seconds, result, error), (seconds, result, error, tracer)
-    start = time.perf_counter()
-    while len(traced) < MIN_TRACED or time.perf_counter() - start < seconds:
-        plain.append(timed_call(w, inp))
+    for _ in range(max(pairs, 1)):
+        if clean:
+            plain.append(timed_call(w, inp, limit_s))
         tracer = Tracer()
         with tracer.installed():
-            traced.append((*timed_call(w, inp), tracer))
+            traced.append((*timed_call(w, inp, limit_s), tracer))
 
-    checker = Checker(w)
-    clean = checker.judge("warm-up", inp, reference_run[1], reference_run[2])
     failed = 0
     for k, (_, res, err) in enumerate(plain):
         failed += not checker.judge(f"untraced call {k}", inp, res, err)
@@ -248,7 +296,7 @@ def run_traced(w, inp, seconds: float, seed: int, names) -> dict:
     q_err = (checks.oracle_gap(last.sim, last.qp)
              if isinstance(last, workloads.ValidateResult) else 0.0)
     traced_s = statistics.median(dt for dt, *_ in traced)
-    plain_s = statistics.median(dt for dt, *_ in plain)
+    plain_s = statistics.median(dt for dt, *_ in plain) if plain else reference_run[0]
     metrics = per_layer_metrics(
         names, counts[-1], {k: statistics.median(v) for k, v in self_s.items()}, q_err, traced_s - plain_s
     )
@@ -277,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=45.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -293,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     _import_path()
 
     if args.setup_probe:
-        print(repr(setup_probe(args.workload, args.seed)))
+        print(*map(repr, setup_probe(args.workload, args.seed)))
         return 0
 
     import workloads

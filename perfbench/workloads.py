@@ -72,10 +72,18 @@ class Workload:
     build: Callable[..., Inputs]  # (vc, parsed case, seed) -> Inputs
     operation: Callable[[Inputs], Any]
     check: Callable[..., list[str]]  # (reference module, inputs, result) -> failures
+    # seconds of one call when the host is in its slow state; a run of
+    # --seconds makes round(seconds / call_s) timed calls, so the number of
+    # calls depends on the command line only, never on the host's speed
+    call_s: float
     # a call running longer is stopped and counted as failed: several times
-    # the slowest correct call seen, yet short enough that an untraced run
-    # meeting a non-settling input still ends inside 180 s
+    # the slowest correct call seen, yet short enough that a run meeting a
+    # non-settling input (warm-up plus one call) still ends inside 180 s
     call_limit_s: float = 30.0
+
+    def calls_for(self, seconds: float) -> int:
+        """Timed calls in a run of ``seconds``: at least one."""
+        return max(1, round(seconds / self.call_s))
 
     def prepare(self, seed: int) -> Inputs:
         """Imports, case parse, the seeded input and its base power flow."""
@@ -163,11 +171,11 @@ WORKLOADS = {
     w.name: w
     for w in (
         Workload("static-nl14", "case14", _SIM, _build_static_nl14, _op_static_nl14,
-                 _check_static_nl14),
+                 _check_static_nl14, call_s=6.0),
         Workload("validate-lin30", "case30", _SIM + ("oracle",), _build_validate_lin30,
-                 _op_validate_lin30, _check_validate_lin30),
+                 _op_validate_lin30, _check_validate_lin30, call_s=4.0),
         Workload("daily-nl14", "case14", _SIM, _build_daily_nl14, _op_daily_nl14,
-                 _check_daily_nl14, call_limit_s=60.0),
+                 _check_daily_nl14, call_s=8.0, call_limit_s=60.0),
     )
 }
 
