@@ -3,8 +3,9 @@
 The package models a transmission network, solves its AC power flow, and
 closes the loop with per-bus reactive-power controllers driven by
 primal-dual gradient dynamics. A centralized quadratic-program solver is
-included to certify that the distributed controller settles at the true
-constrained optimum.
+included to certify where the distributed controller settles: a KKT point
+of the measured-voltage problem, with stationarity taken through the
+constant sensitivity matrix X.
 """
 
 from __future__ import annotations

@@ -156,19 +156,6 @@ def lagrangian(state: ControllerState, v: np.ndarray, lim: Limits) -> float:
     )
 
 
-def positive_projection(rate: float, multiplier: float) -> float:
-    """Projected ascent rate that keeps a multiplier from going negative.
-
-    Passes the rate through in the interior, floors it at zero on the
-    boundary. A negative multiplier is not a valid state.
-    """
-    if multiplier < 0:
-        raise ValueError(f"multiplier must be nonnegative, got {multiplier}")
-    if multiplier > 0:
-        return rate
-    return max(rate, 0.0)
-
-
 def _project(rates: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
     return np.where(multipliers > 0, rates, np.maximum(rates, 0.0))
 

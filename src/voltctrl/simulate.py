@@ -9,14 +9,17 @@ rates kink where multipliers reach zero; steps that would drive a
 multiplier negative are cut back to land on the crossing, so trajectories
 never leave the nonnegative orthant by more than the solver tolerance.
 
-Three scenario families mirror the intended use: a static load held to
-equilibrium, a line trip during operation, and a 24-hour load profile with
-hourly base refresh.
+``integrate`` runs one window: one case, from a start state at t = 0 to a
+horizon or to equilibrium. Three scenario families mirror the intended use:
+a static load held to equilibrium (one window), a line trip during
+operation (an intact window, then a tripped one from its last state), and a
+24-hour load profile (one window per hour, warm-started hour to hour).
+Multi-window runs are joined into one trajectory by ``_join``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,7 +28,6 @@ from .controller import (
     ControllerState,
     Gains,
     Limits,
-    StateRates,
     dynamics_rhs,
     objective,
     unpack_state,
@@ -34,7 +36,6 @@ from .errors import ConfigError, PlantDivergenceError, StepSizeUnderflowError
 from .netcase import NetworkCase, build_admittance, scale_loads, trip_branch
 from .powerflow import InjectionSet, PowerFlowSolution, nominal_injections, solve_power_flow
 from .sensitivity import (
-    SensitivityMatrix,
     partition_buses,
     predict_voltage,
     rebased,
@@ -47,30 +48,15 @@ class PlantMode(Enum):
     LINEAR = "linear"
 
 
-@dataclass(frozen=True)
-class TripBranch:
-    from_bus: int
-    to_bus: int
-
-
-@dataclass(frozen=True)
-class SetLoadScale:
-    """Set the absolute load scale relative to the scenario's original case."""
-
-    factor: float
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One closed-loop run: case, plant flavor, limits, events, horizon."""
+    """One closed-loop window: case, plant flavor, limits, start state, horizon."""
 
     case: NetworkCase
     plant_mode: PlantMode = PlantMode.NONLINEAR
     limits: Limits | None = None
     gains: Gains = Gains()
-    events: tuple = ()
     horizon: float = 2e5
-    controller_period: float = 0.0
     initial_state: ControllerState | None = None
     rtol: float = 1e-6
     atol: float = 1e-8
@@ -79,13 +65,6 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.horizon <= 0:
             raise ConfigError("horizon must be positive")
-        if self.controller_period < 0:
-            raise ConfigError("controller_period must be nonnegative")
-        times = [t for t, _ in self.events]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ConfigError("event times must be strictly increasing")
-        if any(t <= 0 or t >= self.horizon for t in times):
-            raise ConfigError("event times must lie strictly inside the horizon")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,17 +109,17 @@ class SimulationResult:
 
 @dataclass(frozen=True, eq=False)
 class FaultResult(SimulationResult):
-    pre_cost: float = 0.0
-    post_cost: float = 0.0
-    cost_ratio: float = 0.0
-    pre_q: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    pre_cost: float
+    post_cost: float
+    cost_ratio: float
+    pre_q: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class DailyResult(SimulationResult):
-    hourly_final_q: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    hourly_final_v: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    uncontrolled_v: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    hourly_final_q: np.ndarray
+    hourly_final_v: np.ndarray
+    uncontrolled_v: np.ndarray
 
 
 class _Plant:
@@ -304,9 +283,6 @@ class _Recorder:
         self.min_multiplier = 0.0
 
     def add(self, t: float, state: ControllerState, v: np.ndarray, raw_min_mult: float):
-        # boundary samples (events, segment starts) may collide in time
-        if self.t and t <= self.t[-1]:
-            t = self.t[-1] + 1e-9
         self.t.append(t)
         self.states.append(state)
         self.v.append(v.copy())
@@ -341,42 +317,36 @@ def _snap(y: np.ndarray, c: int) -> np.ndarray:
     return out
 
 
-def _integrate_window(
-    stepper: _Stepper,
-    recorder: _Recorder,
-    y: np.ndarray,
-    t0: float,
-    t1: float,
-    rtol: float,
-    atol: float,
-    equilibrium_tol: float | None,
-    fixed_step: float | None,
-    record_start: bool,
-):
-    """Advance the state from t0 to t1 (or to equilibrium). Returns (y, t, residual, hit)."""
+def integrate(scenario: Scenario) -> SimulationResult:
+    """Run one window from the start state at t = 0 to the horizon or equilibrium.
+
+    The plant is linearized at the start state's output. Multi-window runs
+    chain calls, each starting from the previous window's last state, and
+    join the results with ``_join``.
+    """
+    part = partition_buses(scenario.case)
+    lim = scenario.limits if scenario.limits is not None else Limits.box(
+        part.n_load, part.n_controlled
+    )
+    plant = _Plant(scenario.case, scenario.plant_mode)
+    state0 = (
+        scenario.initial_state
+        if scenario.initial_state is not None
+        else ControllerState.zeros(part.n_load, part.n_controlled)
+    )
+    plant.rebase(state0.q)
+    stepper = _Stepper(plant, lim, scenario.gains)
+    recorder = _Recorder(lim)
     c = stepper.c
+    t1, rtol, atol, tol = scenario.horizon, scenario.rtol, scenario.atol, scenario.equilibrium_tol
+
+    y = state0.packed()
     f, v, state = stepper.eval(y)
-    if record_start:
-        recorder.add(t0, state, v, float(np.min(y[c:])))
+    recorder.add(0.0, state, v, float(np.min(y[c:])))
     residual = float(np.max(np.abs(f)))
-    if equilibrium_tol is not None and residual < equilibrium_tol:
-        return y, t0, residual, True
-    t = t0
-    h = fixed_step if fixed_step else min(0.1, t1 - t0)
-    while t < t1 - 1e-9 * max(1.0, t1):
-        if fixed_step:
-            h_try = min(fixed_step, t1 - t)
-            try:
-                y_new = stepper._implicit(y, f, h_try)
-            except _TrialFailure as exc:
-                raise StepSizeUnderflowError(f"fixed step {h_try} failed: {exc}") from exc
-            raw_min = float(np.min(y_new[c:]))
-            y = _snap(y_new, c)
-            t += h_try
-            f, v, state = stepper.eval(y)
-            recorder.add(t, state, v, raw_min)
-            residual = float(np.max(np.abs(f)))
-            continue
+    t = 0.0
+    h = min(0.1, t1)
+    while not (tol is not None and residual < tol) and t < t1 - 1e-9 * max(1.0, t1):
         h_try = min(h, t1 - t)
         if h_try < 1e-13 * max(1.0, t):
             raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
@@ -392,7 +362,7 @@ def _integrate_window(
             # projected rates hold it there, then retry the same step
             y = y.copy()
             y[c:][tiny] = 0.0
-            f, v, state = stepper.eval(y)
+            f, _, _ = stepper.eval(y)
             continue
         frac = _multiplier_crossing_fraction(y, y_two, c)
         if frac < 1.0 and h_try * frac > 1e-10:
@@ -410,115 +380,48 @@ def _integrate_window(
         f, v, state = stepper.eval(y)
         recorder.add(t, state, v, raw_min)
         residual = float(np.max(np.abs(f)))
-        if equilibrium_tol is not None and residual < equilibrium_tol:
-            return y, t, residual, True
         growth = min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0 else 5.0
         h = h_try * growth
-    return y, t, residual, False
 
-
-def _shift_after(prev_last: float, times: np.ndarray, offset: float) -> np.ndarray:
-    """Offset a segment's times, nudging the first sample past prev_last."""
-    out = times + offset
-    if len(out) and out[0] <= prev_last:
-        out = out.copy()
-        out[0] = prev_last + 1e-9
-    return out
-
-
-def _apply_events(case: NetworkCase, trips: list[TripBranch], scale: float | None) -> NetworkCase:
-    out = case
-    if scale is not None:
-        out = scale_loads(out, scale)
-    for trip in trips:
-        out = trip_branch(out, trip.from_bus, trip.to_bus)
-    return out
-
-
-def integrate(scenario: Scenario, fixed_step: float | None = None) -> SimulationResult:
-    """Run one scenario to its horizon, equilibrium, or failure.
-
-    Events rebuild the plant and sensitivity and relinearize at the current
-    controller output. ``fixed_step`` disables the error control and takes
-    plain trapezoid steps (diagnostics only).
-    """
-    part = partition_buses(scenario.case)
-    lim = scenario.limits if scenario.limits is not None else Limits.box(
-        part.n_load, part.n_controlled
-    )
-    plant = _Plant(scenario.case, scenario.plant_mode)
-    state0 = (
-        scenario.initial_state
-        if scenario.initial_state is not None
-        else ControllerState.zeros(part.n_load, part.n_controlled)
-    )
-    plant.rebase(state0.q)
-    stepper = _Stepper(plant, lim, scenario.gains)
-    recorder = _Recorder(lim)
-    y = state0.packed()
-
-    mark_map: dict[float, object] = {}
-    if scenario.controller_period > 0:
-        k = 1
-        while k * scenario.controller_period < scenario.horizon:
-            mark_map[k * scenario.controller_period] = None
-            k += 1
-    for t_ev, event in scenario.events:
-        if not isinstance(event, (TripBranch, SetLoadScale)):
-            raise ConfigError(f"unsupported event type: {type(event).__name__}")
-        mark_map[float(t_ev)] = event
-    mark_map[scenario.horizon] = None
-    marks = sorted(mark_map.items())
-
-    trips: list[TripBranch] = []
-    load_scale: float | None = None
-    t = 0.0
-    residual = np.inf
-    record_start = True
-    for t_mark, event in marks:
-        y, t_end, residual, hit = _integrate_window(
-            stepper,
-            recorder,
-            y,
-            t,
-            t_mark,
-            scenario.rtol,
-            scenario.atol,
-            scenario.equilibrium_tol,
-            fixed_step,
-            record_start=record_start,
-        )
-        record_start = False
-        if t_mark == scenario.horizon:
-            t = t_end
-            break
-        t = t_mark
-        if isinstance(event, TripBranch):
-            trips.append(event)
-            plant = _Plant(_apply_events(scenario.case, trips, load_scale), plant.mode)
-            stepper = _Stepper(plant, lim, scenario.gains)
-            record_start = True
-        elif isinstance(event, SetLoadScale):
-            load_scale = event.factor
-            plant = _Plant(_apply_events(scenario.case, trips, load_scale), plant.mode)
-            stepper = _Stepper(plant, lim, scenario.gains)
-            record_start = True
-        # refresh the linearization point at the current output
-        state = unpack_state(_snap(y, stepper.c), stepper.m, stepper.c)
-        plant.rebase(state.q)
-
-    state = unpack_state(_snap(y, stepper.c), stepper.m, stepper.c)
-    converged = bool(
-        scenario.equilibrium_tol is not None and residual < scenario.equilibrium_tol
-    )
+    state = unpack_state(_snap(y, c), stepper.m, c)
     return SimulationResult(
         trajectory=recorder.build(),
         final_v=plant.report_voltage(state.q),
         final_q=state.q.copy(),
-        converged=converged,
-        final_residual=float(residual),
+        converged=bool(tol is not None and residual < tol),
+        final_residual=residual,
         violations=recorder.summary(),
     )
+
+
+def _join(windows: list[tuple[float, SimulationResult]]) -> tuple[Trajectory, ViolationSummary]:
+    """Chain window results, each started at the given time, into one record.
+
+    A window's first sample that would not come after the previous window's
+    last is nudged 1e-9 past it. Violations keep the worst of all windows.
+    """
+    times: list[np.ndarray] = []
+    for start, res in windows:
+        t = res.trajectory.t + start
+        if times and t[0] <= times[-1][-1]:
+            t[0] = times[-1][-1] + 1e-9
+        times.append(t)
+    results = [res for _, res in windows]
+    trajectory = Trajectory(
+        t=np.concatenate(times),
+        states=tuple(s for res in results for s in res.trajectory.states),
+        v=np.vstack([res.trajectory.v for res in results]),
+        cost=np.concatenate([res.trajectory.cost for res in results]),
+    )
+    worst = [res.violations for res in results]
+    violations = ViolationSummary(
+        max_v_below=max(w.max_v_below for w in worst),
+        max_v_above=max(w.max_v_above for w in worst),
+        max_q_below=max(w.max_q_below for w in worst),
+        max_q_above=max(w.max_q_above for w in worst),
+        min_multiplier=min(w.min_multiplier for w in worst),
+    )
+    return trajectory, violations
 
 
 def run_static(
@@ -555,66 +458,34 @@ def run_fault(
 ) -> FaultResult:
     """Trip a branch mid-run and settle again; report both costs.
 
-    With ``t_trip`` unset the pre-trip phase runs to equilibrium first, so
-    the reported costs are the two equilibrium costs. With an explicit
-    ``t_trip`` the line drops at that instant whether or not the controller
-    has settled, and the pre cost is read off the last pre-trip sample.
+    The intact case runs first, then the tripped case from its last state
+    for up to ``horizon`` seconds. With ``t_trip`` unset the intact window
+    runs to equilibrium, so the reported costs are the two equilibrium
+    costs. With an explicit ``t_trip`` the line drops at that instant
+    whether or not the controller has settled, and the pre cost is read off
+    the last pre-trip sample.
     """
-    if t_trip is not None:
-        scenario = Scenario(
-            case=case,
-            plant_mode=plant_mode,
-            limits=limits,
-            gains=gains,
-            events=((t_trip, TripBranch(trip[0], trip[1])),),
-            horizon=t_trip + horizon,
-            equilibrium_tol=tol,
-        )
-        res = integrate(scenario)
-        pre_mask = res.trajectory.t <= t_trip
-        pre_idx = int(np.max(np.nonzero(pre_mask)[0]))
-        pre_cost = float(res.trajectory.cost[pre_idx])
-        post_cost = float(res.trajectory.cost[-1])
-        return FaultResult(
-            trajectory=res.trajectory,
-            final_v=res.final_v,
-            final_q=res.final_q,
-            converged=res.converged,
-            final_residual=res.final_residual,
-            violations=res.violations,
-            pre_cost=pre_cost,
-            post_cost=post_cost,
-            cost_ratio=post_cost / pre_cost if pre_cost > 0 else float("inf"),
-            pre_q=res.trajectory.states[pre_idx].q.copy(),
-        )
-    pre = run_static(case, limits, gains, tol, plant_mode, horizon)
-    t_at_trip = float(pre.trajectory.t[-1])
-    tripped = trip_branch(case, trip[0], trip[1])
-    last_state = pre.trajectory.states[-1]
+    if t_trip is not None and t_trip <= 0:
+        raise ConfigError("trip time must be positive")
+    pre = run_static(case, limits, gains, tol, plant_mode, horizon if t_trip is None else t_trip)
     post = run_static(
-        tripped, limits, gains, tol, plant_mode, horizon, initial_state=last_state
+        trip_branch(case, trip[0], trip[1]),
+        limits,
+        gains,
+        tol,
+        plant_mode,
+        horizon,
+        initial_state=pre.trajectory.states[-1],
     )
-    shift = _shift_after(t_at_trip, post.trajectory.t, t_at_trip)
-    joined = Trajectory(
-        t=np.concatenate([pre.trajectory.t, shift]),
-        states=pre.trajectory.states + post.trajectory.states,
-        v=np.vstack([pre.trajectory.v, post.trajectory.v]),
-        cost=np.concatenate([pre.trajectory.cost, post.trajectory.cost]),
-    )
-    violations = ViolationSummary(
-        max_v_below=max(pre.violations.max_v_below, post.violations.max_v_below),
-        max_v_above=max(pre.violations.max_v_above, post.violations.max_v_above),
-        max_q_below=max(pre.violations.max_q_below, post.violations.max_q_below),
-        max_q_above=max(pre.violations.max_q_above, post.violations.max_q_above),
-        min_multiplier=min(pre.violations.min_multiplier, post.violations.min_multiplier),
-    )
+    t_at_trip = float(pre.trajectory.t[-1]) if t_trip is None else t_trip
+    trajectory, violations = _join([(0.0, pre), (t_at_trip, post)])
     pre_cost = float(pre.trajectory.cost[-1])
     post_cost = float(post.trajectory.cost[-1])
     return FaultResult(
-        trajectory=joined,
+        trajectory=trajectory,
         final_v=post.final_v,
         final_q=post.final_q,
-        converged=pre.converged and post.converged,
+        converged=post.converged and (pre.converged or t_trip is not None),
         final_residual=post.final_residual,
         violations=violations,
         pre_cost=pre_cost,
@@ -651,12 +522,8 @@ def run_daily(
     part = partition_buses(case)
     lim = limits if limits is not None else Limits.box(part.n_load, part.n_controlled)
     state = ControllerState.zeros(part.n_load, part.n_controlled)
-    times, states, volts, costs = [], [], [], []
-    hourly_q, hourly_v, bare_v = [], [], []
-    worst = ViolationSummary(0.0, 0.0, 0.0, 0.0, 0.0)
-    converged_all = True
-    residual = np.inf
-    final_v = np.ones(case.n_buses)
+    windows: list[tuple[float, SimulationResult]] = []
+    bare_v = []
     for hour, factor in enumerate(profile):
         hourly_case = scale_loads(case, float(factor))
         bare = solve_power_flow(hourly_case, nominal_injections(hourly_case))
@@ -680,40 +547,19 @@ def run_daily(
             horizon=hour_seconds,
             initial_state=state,
         )
-        offset = hour * hour_seconds
-        prev_last = times[-1][-1] if times else -1.0
-        times.append(_shift_after(prev_last, res.trajectory.t, offset))
-        states.extend(res.trajectory.states)
-        volts.append(res.trajectory.v)
-        costs.append(res.trajectory.cost)
-        hourly_q.append(res.final_q.copy())
-        hourly_v.append(res.trajectory.v[-1].copy())
+        windows.append((hour * hour_seconds, res))
         state = res.trajectory.states[-1]
-        converged_all = converged_all and res.converged
-        residual = res.final_residual
-        final_v = res.final_v
-        worst = ViolationSummary(
-            max_v_below=max(worst.max_v_below, res.violations.max_v_below),
-            max_v_above=max(worst.max_v_above, res.violations.max_v_above),
-            max_q_below=max(worst.max_q_below, res.violations.max_q_below),
-            max_q_above=max(worst.max_q_above, res.violations.max_q_above),
-            min_multiplier=min(worst.min_multiplier, res.violations.min_multiplier),
-        )
-    trajectory = Trajectory(
-        t=np.concatenate(times),
-        states=tuple(states),
-        v=np.vstack(volts),
-        cost=np.concatenate(costs),
-    )
+    trajectory, violations = _join(windows)
+    results = [res for _, res in windows]
     return DailyResult(
         trajectory=trajectory,
-        final_v=final_v,
-        final_q=hourly_q[-1],
-        converged=converged_all,
-        final_residual=float(residual),
-        violations=worst,
-        hourly_final_q=np.array(hourly_q),
-        hourly_final_v=np.array(hourly_v),
+        final_v=results[-1].final_v,
+        final_q=results[-1].final_q,
+        converged=all(res.converged for res in results),
+        final_residual=results[-1].final_residual,
+        violations=violations,
+        hourly_final_q=np.array([res.final_q for res in results]),
+        hourly_final_v=np.array([res.trajectory.v[-1] for res in results]),
         uncontrolled_v=np.array(bare_v),
     )
 

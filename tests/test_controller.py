@@ -10,12 +10,12 @@ from voltctrl.controller import (
     Gains,
     Limits,
     StateRates,
+    _project,
     dynamics_rhs,
     equilibrium_residual,
     lagrangian,
     objective,
     objective_gradient,
-    positive_projection,
     primal_rate_bracket,
     unpack_state,
 )
@@ -107,12 +107,10 @@ def test_lagrangian_single_bus_value():
 
 
 def test_positive_projection():
-    assert positive_projection(-3.0, 0.0) == 0.0
-    assert positive_projection(-3.0, 0.5) == -3.0
-    assert positive_projection(3.0, 0.0) == 3.0
-    assert positive_projection(0.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        positive_projection(1.0, -1e-3)
+    # rates pass through in the interior and are floored at zero on the boundary
+    rates = np.array([-3.0, -3.0, 3.0, 0.0])
+    multipliers = np.array([0.0, 0.5, 0.0, 0.0])
+    assert _project(rates, multipliers).tolist() == [0.0, -3.0, 3.0, 0.0]
 
 
 def test_interior_zero_state_is_equilibrium():

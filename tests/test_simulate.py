@@ -1,4 +1,4 @@
-"""Closed-loop behavior: equilibria, events, integrator quality, daily runs."""
+"""Closed-loop behavior: equilibria, faults, integrator quality, daily runs."""
 
 from __future__ import annotations
 
@@ -20,9 +20,9 @@ from voltctrl.sensitivity import partition_buses, rebased, voltage_sensitivity
 from voltctrl.simulate import (
     PlantMode,
     Scenario,
-    SetLoadScale,
     Trajectory,
-    TripBranch,
+    _Plant,
+    _Stepper,
     default_daily_profile,
     integrate,
     run_daily,
@@ -246,31 +246,19 @@ def test_far_trip_barely_moves_optimal_cost(light30):
     assert rel < 0.05
 
 
-def test_load_scale_event_reaches_new_optimum(case14, heavy_oracle):
+def test_load_step_reaches_new_optimum(case14, heavy_oracle):
+    # one light hour, then the heavy load carried over from its state
     qp, _, _, _ = heavy_oracle
-    base = scale_loads(case14, 1.6)
-    scenario = Scenario(
-        case=base,
-        plant_mode=PlantMode.LINEAR,
-        events=((10.0, SetLoadScale(3.1 / 1.6)),),
-        horizon=2e5,
-        equilibrium_tol=1e-6,
+    res = run_daily(
+        case14, profile=[1.6] + [3.1] * 23, plant_mode=PlantMode.LINEAR, hour_seconds=2e5
     )
-    res = integrate(scenario)
     assert res.converged
-    assert np.max(np.abs(res.final_q - qp.q_star)) < 1e-4
+    assert np.max(np.abs(res.hourly_final_q[1] - qp.q_star)) < 1e-4
 
 
-def test_event_runs_are_bit_identical(heavy14):
-    scenario = Scenario(
-        case=heavy14,
-        plant_mode=PlantMode.NONLINEAR,
-        events=((50.0, TripBranch(4, 5)),),
-        horizon=300.0,
-        equilibrium_tol=1e-6,
-    )
-    a = integrate(scenario)
-    b = integrate(scenario)
+def test_timed_fault_runs_are_bit_identical(heavy14):
+    a = run_fault(heavy14, t_trip=50.0, horizon=250.0)
+    b = run_fault(heavy14, t_trip=50.0, horizon=250.0)
     assert a.trajectory.t.tobytes() == b.trajectory.t.tobytes()
     assert a.trajectory.v.tobytes() == b.trajectory.v.tobytes()
     assert a.trajectory.cost.tobytes() == b.trajectory.cost.tobytes()
@@ -306,18 +294,16 @@ def test_fixed_step_is_second_order(toy2, toy_limits):
         mu_lo=np.zeros(1),
     )
     exact = 0.3 * np.exp(-2.0)
+    plant = _Plant(relaxed, PlantMode.LINEAR)
+    plant.rebase(start.q)
+    stepper = _Stepper(plant, toy_limits, Gains())
     errors = []
     for h in (0.05, 0.025, 0.0125):
-        scenario = Scenario(
-            case=relaxed,
-            plant_mode=PlantMode.LINEAR,
-            limits=toy_limits,
-            horizon=1.0,
-            equilibrium_tol=None,
-            initial_state=start,
-        )
-        res = integrate(scenario, fixed_step=h)
-        errors.append(abs(res.final_q[0] - exact))
+        y = start.packed()
+        for _ in range(round(1.0 / h)):
+            f, _, _ = stepper.eval(y)
+            y = stepper._implicit(y, f, h)
+        errors.append(abs(y[0] - exact))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     for r in ratios:
         assert 3.2 < r < 4.8, f"error ratios {ratios} not consistent with order 2"
@@ -420,12 +406,9 @@ def test_scenario_validation():
     case = load_case("case14")
     with pytest.raises(ConfigError):
         Scenario(case=case, horizon=-1.0)
-    with pytest.raises(ConfigError):
-        Scenario(case=case, events=((5.0, TripBranch(4, 5)), (5.0, TripBranch(2, 3))), horizon=10.0)
-    with pytest.raises(ConfigError):
-        Scenario(case=case, events=((20.0, TripBranch(4, 5)),), horizon=10.0)
-    with pytest.raises(ConfigError):
-        integrate(Scenario(case=case, events=((1.0, "boom"),), horizon=10.0))
+    for t_trip in (0.0, -5.0):
+        with pytest.raises(ConfigError):
+            run_fault(case, t_trip=t_trip)
 
 
 def test_trajectory_validation():
