@@ -443,11 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--scale", type=float, help="uniform load scale factor")
     common.add_argument("--trip", help="branch trip spec a:b or a:b@t")
-    common.add_argument(
-        "--seedless",
-        action="store_true",
-        help="accepted for CI symmetry; runs are deterministic by construction",
-    )
     run_p = sub.add_parser("run", parents=[common], help="run a closed-loop scenario")
     run_p.add_argument(
         "--scenario", choices=["static", "fault", "daily"], help="scenario family"

@@ -13,6 +13,13 @@ the sensitivity matrix, which is what makes the scheme distributed.
 
 Q is never clipped to its box; the mu dynamics enforce the box at
 equilibrium and transient excursions are allowed through.
+
+The flow itself, ``packed_flow``, works on one packed vector
+[q, lam_hi, lam_lo, mu_hi, mu_lo] and returns the rates together with the
+mask of rows the projection leaves active; ``flow_jacobian`` is the
+constant unprojected Jacobian, so the Jacobian of the projected flow is its
+active rows. This module is the only one that knows the packed layout.
+``dynamics_rhs`` is the validating wrapper over ``ControllerState``.
 """
 
 from __future__ import annotations
@@ -125,17 +132,18 @@ class StateRates:
         return np.concatenate([self.q, self.lam_hi, self.lam_lo, self.mu_hi, self.mu_lo])
 
 
+def _split(vec: np.ndarray, n_load: int, n_controlled: int) -> list[np.ndarray]:
+    """Views of the five blocks q, lam_hi, lam_lo, mu_hi, mu_lo of a packed vector."""
+    m, c = n_load, n_controlled
+    bounds = (0, c, c + m, c + 2 * m, 2 * c + 2 * m, None)
+    return [vec[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def unpack_state(vec: np.ndarray, n_load: int, n_controlled: int) -> ControllerState:
     m, c = n_load, n_controlled
     if len(vec) != 3 * c + 2 * m:
         raise ValueError(f"state vector length {len(vec)} does not match M={m}, C={c}")
-    return ControllerState(
-        q=vec[:c],
-        lam_hi=vec[c : c + m],
-        lam_lo=vec[c + m : c + 2 * m],
-        mu_hi=vec[c + 2 * m : 2 * c + 2 * m],
-        mu_lo=vec[2 * c + 2 * m :],
-    )
+    return ControllerState(*_split(vec, m, c))
 
 
 def objective(q: np.ndarray) -> float:
@@ -156,15 +164,56 @@ def lagrangian(state: ControllerState, v: np.ndarray, lim: Limits) -> float:
     )
 
 
-def _project(rates: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-    return np.where(multipliers > 0, rates, np.maximum(rates, 0.0))
+def _gradient(q, lam_hi, lam_lo, mu_hi, mu_lo, xc: np.ndarray) -> np.ndarray:
+    return objective_gradient(q) + xc.T @ (lam_hi - lam_lo) + mu_hi - mu_lo
 
 
 def primal_rate_bracket(state: ControllerState, sens) -> np.ndarray:
     """The gradient of L in q: 2q_i + sum_j X[j][i] (lam_hi - lam_lo)_j + mu_hi_i - mu_lo_i."""
-    cpos = sens.partition.controlled_in_pq()
-    coupling = sens.x[:, cpos].T @ (state.lam_hi - state.lam_lo)
-    return objective_gradient(state.q) + coupling + state.mu_hi - state.mu_lo
+    xc = sens.x[:, sens.partition.controlled_in_pq()]
+    return _gradient(state.q, state.lam_hi, state.lam_lo, state.mu_hi, state.mu_lo, xc)
+
+
+def packed_flow(
+    y: np.ndarray, v: np.ndarray, xc: np.ndarray, lim: Limits, gains: Gains
+) -> tuple[np.ndarray, np.ndarray]:
+    """Saddle-point flow at a packed state and its measured voltages.
+
+    ``xc`` holds the sensitivity columns of the controlled buses (M x C).
+    Returns the rates and the active-row mask: all q rows, and each
+    multiplier row whose multiplier is positive or whose constraint is
+    violated. Inactive multiplier rows are projected to a zero rate. No
+    input is validated; ``dynamics_rhs`` is the checked entry point.
+    """
+    m, c = xc.shape
+    q, lam_hi, lam_lo, mu_hi, mu_lo = _split(y, m, c)
+    raw = np.concatenate([v - lim.v_hi, lim.v_lo - v, q - lim.q_hi, lim.q_lo - q])
+    on = (y[c:] > 0) | (raw > 0)
+    ascent = np.where(on, raw, 0.0)
+    rates = np.concatenate(
+        [
+            -gains.k_q * _gradient(q, lam_hi, lam_lo, mu_hi, mu_lo, xc),
+            gains.k_lam * ascent[: 2 * m],
+            gains.k_mu * ascent[2 * m :],
+        ]
+    )
+    return rates, np.concatenate([np.ones(c, dtype=bool), on])
+
+
+def flow_jacobian(xc: np.ndarray, gains: Gains) -> np.ndarray:
+    """Jacobian of ``packed_flow``'s rates with every row active.
+
+    The flow is piecewise linear in the packed state when v = base + xc q,
+    so the Jacobian at any state is this matrix with its inactive rows
+    zeroed: ``flow_jacobian(xc, gains) * active[:, None]``.
+    """
+    m, c = xc.shape
+    k_q, k_lam, k_mu = gains.k_q, gains.k_lam, gains.k_mu
+    eye = np.eye(c)
+    jac = np.zeros((3 * c + 2 * m, 3 * c + 2 * m))
+    jac[:c] = np.hstack([-2.0 * k_q * eye, -k_q * xc.T, k_q * xc.T, -k_q * eye, k_q * eye])
+    jac[c:, :c] = np.vstack([k_lam * xc, -k_lam * xc, k_mu * eye, -k_mu * eye])
+    return jac
 
 
 def dynamics_rhs(
@@ -184,13 +233,9 @@ def dynamics_rhs(
         raise ValueError("measured voltage length must match the load-bus count")
     if not np.all(np.isfinite(v_measured)):
         raise ValueError("measured voltages contain non-finite values")
-    return StateRates(
-        q=-gains.k_q * primal_rate_bracket(state, sens),
-        lam_hi=gains.k_lam * _project(v_measured - lim.v_hi, state.lam_hi),
-        lam_lo=gains.k_lam * _project(lim.v_lo - v_measured, state.lam_lo),
-        mu_hi=gains.k_mu * _project(state.q - lim.q_hi, state.mu_hi),
-        mu_lo=gains.k_mu * _project(lim.q_lo - state.q, state.mu_lo),
-    )
+    xc = sens.x[:, sens.partition.controlled_in_pq()]
+    rates, _ = packed_flow(state.packed(), v_measured, xc, lim, gains)
+    return StateRates(*_split(rates, *xc.shape))
 
 
 def equilibrium_residual(

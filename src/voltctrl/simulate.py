@@ -15,6 +15,11 @@ a static load held to equilibrium (one window), a line trip during
 operation (an intact window, then a tripped one from its last state), and a
 24-hour load profile (one window per hour, warm-started hour to hour).
 Multi-window runs are joined into one trajectory by ``_join``.
+
+Inside a window the engine works on packed state vectors only: one loop
+object per window holds the plant and the controller's packed flow with its
+constant Jacobian, and ``ControllerState`` objects are built once, for the
+returned trajectory.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from .controller import (
     ControllerState,
     Gains,
     Limits,
-    dynamics_rhs,
+    flow_jacobian,
     objective,
+    packed_flow,
     unpack_state,
 )
 from .errors import ConfigError, PlantDivergenceError, StepSizeUnderflowError
@@ -122,24 +128,39 @@ class DailyResult(SimulationResult):
     uncontrolled_v: np.ndarray
 
 
-class _Plant:
-    """Algebraic plant: voltage at load buses as a function of controller q.
+class _TrialFailure(Exception):
+    """Internal: this step attempt must be retried with a smaller h."""
 
-    Owns the case-derived matrices and, in nonlinear mode, the warm-start
-    solution reused across evaluations.
+
+class _ClosedLoop:
+    """One window's compiled loop: plant, packed flow and implicit trapezoid.
+
+    Built once per window from the case, plant flavor, limits and gains. It
+    holds the partition, the controlled positions ``cpos`` within the load
+    buses, their sensitivity columns ``xc`` with the flow's constant
+    Jacobian, the nominal injections, the sensitivity with its base point,
+    and in nonlinear mode the warm-start solution reused across
+    evaluations. States are packed vectors whose first C entries are q and
+    whose remaining entries are multipliers.
     """
 
-    def __init__(self, case: NetworkCase, mode: PlantMode):
+    def __init__(self, scenario: Scenario):
+        case = scenario.case
         self.case = case
-        self.mode = mode
+        self.mode = scenario.plant_mode
         self.part = partition_buses(case)
+        self.m, self.c = self.part.n_load, self.part.n_controlled
+        self.lim = scenario.limits if scenario.limits is not None else Limits.box(self.m, self.c)
+        self.gains = scenario.gains
         self.inj = nominal_injections(case)
         self.cpos = self.part.controlled_in_pq()
         self.sens = voltage_sensitivity(build_admittance(case), self.part)
+        self.xc = self.sens.x[:, self.cpos]
+        self.jac = flow_jacobian(self.xc, self.gains)
         self.last: PowerFlowSolution | None = None
 
     def embed(self, q: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.part.n_load)
+        full = np.zeros(self.m)
         full[self.cpos] = q
         return full
 
@@ -174,70 +195,26 @@ class _Plant:
             full[self.part.pq] = predict_voltage(self.sens, self.embed(q))
         return full
 
-
-def _mask_jacobian(plant: _Plant, lim: Limits, gains: Gains, state: ControllerState, v):
-    """Piecewise-constant Jacobian of the projected rates at one state."""
-    xc = plant.sens.x[:, plant.cpos]
-    m, c = xc.shape
-    n = 3 * c + 2 * m
-    jac = np.zeros((n, n))
-    sl_q = slice(0, c)
-    sl_lh = slice(c, c + m)
-    sl_ll = slice(c + m, c + 2 * m)
-    sl_mh = slice(c + 2 * m, 2 * c + 2 * m)
-    sl_ml = slice(2 * c + 2 * m, n)
-    jac[sl_q, sl_q] = -2.0 * gains.k_q * np.eye(c)
-    jac[sl_q, sl_lh] = -gains.k_q * xc.T
-    jac[sl_q, sl_ll] = gains.k_q * xc.T
-    jac[sl_q, sl_mh] = -gains.k_q * np.eye(c)
-    jac[sl_q, sl_ml] = gains.k_q * np.eye(c)
-    on_lh = (state.lam_hi > 0) | (v - lim.v_hi > 0)
-    on_ll = (state.lam_lo > 0) | (lim.v_lo - v > 0)
-    on_mh = (state.mu_hi > 0) | (state.q - lim.q_hi > 0)
-    on_ml = (state.mu_lo > 0) | (lim.q_lo - state.q > 0)
-    jac[sl_lh, sl_q] = gains.k_lam * (on_lh[:, None] * xc)
-    jac[sl_ll, sl_q] = -gains.k_lam * (on_ll[:, None] * xc)
-    jac[sl_mh, sl_q] = gains.k_mu * np.diag(on_mh.astype(float))
-    jac[sl_ml, sl_q] = -gains.k_mu * np.diag(on_ml.astype(float))
-    return jac
-
-
-class _TrialFailure(Exception):
-    """Internal: this step attempt must be retried with a smaller h."""
-
-
-class _Stepper:
-    """Implicit trapezoid with simplified Newton on the projected dynamics."""
-
-    def __init__(self, plant: _Plant, lim: Limits, gains: Gains):
-        self.plant = plant
-        self.lim = lim
-        self.gains = gains
-        m, c = plant.part.n_load, len(plant.cpos)
-        self.m, self.c = m, c
-
     def eval(self, y: np.ndarray):
-        """Rates and measured voltage at a packed state (multipliers floored)."""
+        """Floored state, rates, active rows and measured voltage at a packed state."""
         y = y.copy()
         y[self.c :] = np.maximum(y[self.c :], 0.0)
-        state = unpack_state(y, self.m, self.c)
-        v = self.plant.voltage(state.q)
-        rates = dynamics_rhs(state, v, self.plant.sens, self.lim, self.gains)
-        return rates.packed(), v, state
+        v = self.voltage(y[: self.c])
+        rates, active = packed_flow(y, v, self.xc, self.lim, self.gains)
+        return y, rates, active, v
 
     def _implicit(self, y0: np.ndarray, f0: np.ndarray, h: float) -> np.ndarray:
         """Solve z = y0 + h/2 (f0 + g(z)) by mask-aware simplified Newton."""
         z = y0 + h * f0
         for _ in range(15):
             try:
-                g, v, state = self.eval(z)
+                _, g, active, _ = self.eval(z)
             except PlantDivergenceError as exc:
                 raise _TrialFailure(str(exc)) from exc
             resid = z - y0 - 0.5 * h * (f0 + g)
             if np.max(np.abs(resid)) < 1e-11 * max(1.0, float(np.max(np.abs(z)))):
                 return z
-            jac = _mask_jacobian(self.plant, self.lim, self.gains, state, v)
-            lhs = np.eye(len(y0)) - 0.5 * h * jac
+            lhs = np.eye(len(y0)) - 0.5 * h * (self.jac * active[:, None])
             try:
                 dz = np.linalg.solve(lhs, resid)
             except np.linalg.LinAlgError as exc:
@@ -252,69 +229,11 @@ class _Stepper:
         y_full = self._implicit(y0, f0, h)
         y_half = self._implicit(y0, f0, h / 2)
         try:
-            f_half, _, _ = self.eval(y_half)
+            _, f_half, _, _ = self.eval(y_half)
         except PlantDivergenceError as exc:
             raise _TrialFailure(str(exc)) from exc
         y_two = self._implicit(y_half, f_half, h / 2)
         return y_full, y_two
-
-
-def _multiplier_crossing_fraction(y0: np.ndarray, y1: np.ndarray, c: int) -> float:
-    """Largest fraction of the step that keeps all multipliers >= 0."""
-    frac = 1.0
-    m0, m1 = y0[c:], y1[c:]
-    for a, b in zip(m0, m1):
-        if b < -1e-12 and a > 0:
-            frac = min(frac, a / (a - b))
-    return frac
-
-
-class _Recorder:
-    def __init__(self, lim: Limits):
-        self.lim = lim
-        self.t: list[float] = []
-        self.states: list[ControllerState] = []
-        self.v: list[np.ndarray] = []
-        self.cost: list[float] = []
-        self.max_v_below = 0.0
-        self.max_v_above = 0.0
-        self.max_q_below = 0.0
-        self.max_q_above = 0.0
-        self.min_multiplier = 0.0
-
-    def add(self, t: float, state: ControllerState, v: np.ndarray, raw_min_mult: float):
-        self.t.append(t)
-        self.states.append(state)
-        self.v.append(v.copy())
-        self.cost.append(objective(state.q))
-        self.max_v_below = max(self.max_v_below, float(np.max(self.lim.v_lo - v)))
-        self.max_v_above = max(self.max_v_above, float(np.max(v - self.lim.v_hi)))
-        self.max_q_below = max(self.max_q_below, float(np.max(self.lim.q_lo - state.q)))
-        self.max_q_above = max(self.max_q_above, float(np.max(state.q - self.lim.q_hi)))
-        self.min_multiplier = min(self.min_multiplier, raw_min_mult)
-
-    def build(self) -> Trajectory:
-        return Trajectory(
-            t=np.array(self.t),
-            states=tuple(self.states),
-            v=np.array(self.v),
-            cost=np.array(self.cost),
-        )
-
-    def summary(self) -> ViolationSummary:
-        return ViolationSummary(
-            max_v_below=self.max_v_below,
-            max_v_above=self.max_v_above,
-            max_q_below=self.max_q_below,
-            max_q_above=self.max_q_above,
-            min_multiplier=self.min_multiplier,
-        )
-
-
-def _snap(y: np.ndarray, c: int) -> np.ndarray:
-    out = y.copy()
-    out[c:] = np.maximum(out[c:], 0.0)
-    return out
 
 
 def integrate(scenario: Scenario) -> SimulationResult:
@@ -324,25 +243,21 @@ def integrate(scenario: Scenario) -> SimulationResult:
     chain calls, each starting from the previous window's last state, and
     join the results with ``_join``.
     """
-    part = partition_buses(scenario.case)
-    lim = scenario.limits if scenario.limits is not None else Limits.box(
-        part.n_load, part.n_controlled
-    )
-    plant = _Plant(scenario.case, scenario.plant_mode)
-    state0 = (
-        scenario.initial_state
-        if scenario.initial_state is not None
-        else ControllerState.zeros(part.n_load, part.n_controlled)
-    )
-    plant.rebase(state0.q)
-    stepper = _Stepper(plant, lim, scenario.gains)
-    recorder = _Recorder(lim)
-    c = stepper.c
+    loop = _ClosedLoop(scenario)
+    m, c, lim = loop.m, loop.c, loop.lim
+    state0 = scenario.initial_state
+    if state0 is None:
+        state0 = ControllerState.zeros(m, c)
+    elif state0.lam_hi.shape != (m,) or state0.q.shape != (c,):
+        raise ConfigError(
+            f"initial state has M={state0.lam_hi.size}, C={state0.q.size}; "
+            f"the case needs M={m}, C={c}"
+        )
+    loop.rebase(state0.q)
     t1, rtol, atol, tol = scenario.horizon, scenario.rtol, scenario.atol, scenario.equilibrium_tol
 
-    y = state0.packed()
-    f, v, state = stepper.eval(y)
-    recorder.add(0.0, state, v, float(np.min(y[c:])))
+    y, f, _, v = loop.eval(state0.packed())
+    times, rows, volts, raw_mins = [0.0], [y], [v], [float(np.min(y[c:]))]
     residual = float(np.max(np.abs(f)))
     t = 0.0
     h = min(0.1, t1)
@@ -351,20 +266,22 @@ def integrate(scenario: Scenario) -> SimulationResult:
         if h_try < 1e-13 * max(1.0, t):
             raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
         try:
-            y_full, y_two = stepper.attempt(y, f, h_try)
+            y_full, y_two = loop.attempt(y, f, h_try)
         except _TrialFailure:
             h = 0.5 * h_try
             continue
-        crossing = (y_two[c:] < -1e-12) & (y[c:] > 0)
-        tiny = crossing & (y[c:] <= 1e-9)
+        a, b = y[c:], y_two[c:]
+        crossing = (b < -1e-12) & (a > 0)
+        tiny = crossing & (a <= 1e-9)
         if np.any(tiny):
             # a residual-level dual is decaying through zero: clamp it so the
             # projected rates hold it there, then retry the same step
             y = y.copy()
             y[c:][tiny] = 0.0
-            f, _, _ = stepper.eval(y)
+            y, f, _, _ = loop.eval(y)
             continue
-        frac = _multiplier_crossing_fraction(y, y_two, c)
+        # largest fraction of the step that keeps all multipliers >= 0
+        frac = float(np.min(a[crossing] / (a[crossing] - b[crossing]), initial=1.0))
         if frac < 1.0 and h_try * frac > 1e-10:
             # land on the multiplier zero crossing instead of overshooting
             h = max(h_try * frac, 1e-10)
@@ -374,23 +291,36 @@ def integrate(scenario: Scenario) -> SimulationResult:
         if err > 1.0:
             h = h_try * max(0.2, 0.9 * err ** (-1.0 / 3.0))
             continue
-        raw_min = float(np.min(y_two[c:]))
-        y = _snap(y_two, c)
         t += h_try
-        f, v, state = stepper.eval(y)
-        recorder.add(t, state, v, raw_min)
+        y, f, _, v = loop.eval(y_two)
+        times.append(t)
+        rows.append(y)
+        volts.append(v)
+        raw_mins.append(float(np.min(b)))
         residual = float(np.max(np.abs(f)))
         growth = min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0 else 5.0
         h = h_try * growth
 
-    state = unpack_state(_snap(y, c), stepper.m, c)
+    states = tuple(unpack_state(row, m, c) for row in rows)
+    v_all, q_all = np.array(volts), np.array([s.q for s in states])
     return SimulationResult(
-        trajectory=recorder.build(),
-        final_v=plant.report_voltage(state.q),
-        final_q=state.q.copy(),
+        trajectory=Trajectory(
+            t=np.array(times),
+            states=states,
+            v=v_all,
+            cost=np.array([objective(s.q) for s in states]),
+        ),
+        final_v=loop.report_voltage(states[-1].q),
+        final_q=states[-1].q.copy(),
         converged=bool(tol is not None and residual < tol),
         final_residual=residual,
-        violations=recorder.summary(),
+        violations=ViolationSummary(
+            max_v_below=max(0.0, float(np.max(lim.v_lo - v_all))),
+            max_v_above=max(0.0, float(np.max(v_all - lim.v_hi))),
+            max_q_below=max(0.0, float(np.max(lim.q_lo - q_all))),
+            max_q_above=max(0.0, float(np.max(q_all - lim.q_hi))),
+            min_multiplier=min(0.0, min(raw_mins)),
+        ),
     )
 
 
@@ -398,13 +328,15 @@ def _join(windows: list[tuple[float, SimulationResult]]) -> tuple[Trajectory, Vi
     """Chain window results, each started at the given time, into one record.
 
     A window's first sample that would not come after the previous window's
-    last is nudged 1e-9 past it. Violations keep the worst of all windows.
+    last is nudged 1e-9 past it, or one float spacing where that is larger
+    (past 2**24 s). Violations keep the worst of all windows.
     """
     times: list[np.ndarray] = []
     for start, res in windows:
         t = res.trajectory.t + start
         if times and t[0] <= times[-1][-1]:
-            t[0] = times[-1][-1] + 1e-9
+            prev = times[-1][-1]
+            t[0] = max(prev + 1e-9, np.nextafter(prev, np.inf))
         times.append(t)
     results = [res for _, res in windows]
     trajectory = Trajectory(

@@ -56,3 +56,15 @@ def test_scenarios_reach_the_traced_engine(toy2, case14):
     assert counts["simulate.integrate.calls"] == 27
     assert counts["simulate.run_daily.calls"] == 1
     assert counts.get("simulate.plant_calls", 0) > 0
+
+
+def test_nonlinear_plant_calls_are_counted(toy2):
+    # the engine's evaluations no longer pass through a traced controller
+    # function, so plant calls are the benchmark's per-step evaluation count
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        simulate.run_static(toy2, limits=Limits.box(1, 1, q_lo=-0.5, q_hi=0.5))
+    counts = tracer.counts()
+    assert counts.get("sensitivity.predict_voltage.calls", 0) == 0
+    assert counts["simulate.plant_calls"] == counts["powerflow.solve_power_flow.calls"]
+    assert counts["simulate.plant_calls"] > counts["simulate.samples"] > 1

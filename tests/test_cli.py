@@ -314,11 +314,6 @@ def test_validate_command_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_seedless_flag_is_accepted(capsys):
-    code = main(["powerflow", "--case", "case14", "--seedless"])
-    assert code == EXIT_OK
-
-
 def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

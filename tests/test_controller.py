@@ -10,12 +10,13 @@ from voltctrl.controller import (
     Gains,
     Limits,
     StateRates,
-    _project,
     dynamics_rhs,
     equilibrium_residual,
+    flow_jacobian,
     lagrangian,
     objective,
     objective_gradient,
+    packed_flow,
     primal_rate_bracket,
     unpack_state,
 )
@@ -107,10 +108,49 @@ def test_lagrangian_single_bus_value():
 
 
 def test_positive_projection():
-    # rates pass through in the interior and are floored at zero on the boundary
-    rates = np.array([-3.0, -3.0, 3.0, 0.0])
-    multipliers = np.array([0.0, 0.5, 0.0, 0.0])
-    assert _project(rates, multipliers).tolist() == [0.0, -3.0, 3.0, 0.0]
+    # rates pass through in the interior and are floored at zero on the
+    # boundary; v_hi = 0 makes the lam_hi rows' raw rates equal to v
+    lim = Limits(v_lo=np.full(4, -10.0), v_hi=np.zeros(4), q_lo=-np.ones(1), q_hi=np.ones(1))
+    y = np.zeros(1 + 2 * 4 + 2)
+    y[1:5] = [0.0, 0.5, 0.0, 0.0]
+    rates, active = packed_flow(y, np.array([-3.0, -3.0, 3.0, 0.0]), np.ones((4, 1)), lim, Gains())
+    assert rates[1:5].tolist() == [0.0, -3.0, 3.0, 0.0]
+    assert active.tolist() == [True] + [False, True, True, False] + [False] * 6
+
+
+def test_flow_jacobian_matches_finite_difference(case14):
+    # with v = base + xc q the flow is linear between kinks, so central
+    # differences at states away from the kinks give the active rows of J
+    part = partition_buses(case14)
+    xc = voltage_sensitivity(build_admittance(case14), part).x[:, part.controlled_in_pq()]
+    m, c = xc.shape
+    lim = Limits.box(m, c)
+    gains = Gains(k_q=0.7, k_lam=1.3, k_mu=2.1)
+    rng = np.random.RandomState(7)
+    h = 1e-7
+    masked = 0
+    for _ in range(10):
+        q = rng.uniform(-0.3, 0.3, c)
+        base = rng.uniform(0.9, 1.1, m)
+        v = base + xc @ q
+        raw = np.concatenate([v - lim.v_hi, lim.v_lo - v, q - lim.q_hi, lim.q_lo - q])
+        if np.min(np.abs(raw)) < 1e-3:
+            continue
+        mult = rng.uniform(0.1, 2.0, 2 * m + 2 * c) * (rng.rand(2 * m + 2 * c) < 0.5)
+        y = np.concatenate([q, mult])
+
+        def rates(y):
+            return packed_flow(y, base + xc @ y[:c], xc, lim, gains)[0]
+
+        _, active = packed_flow(y, v, xc, lim, gains)
+        expected = flow_jacobian(xc, gains) * active[:, None]
+        masked += int(np.sum(~active))
+        # a zero multiplier sits on the kink of its own row, so its column is skipped
+        for j in np.concatenate([np.arange(c), c + np.flatnonzero(mult > 0)]):
+            e = np.zeros(len(y))
+            e[j] = h
+            assert_allclose((rates(y + e) - rates(y - e)) / (2 * h), expected[:, j], atol=1e-6)
+    assert masked > 0
 
 
 def test_interior_zero_state_is_equilibrium():

@@ -21,8 +21,10 @@ from voltctrl.simulate import (
     PlantMode,
     Scenario,
     Trajectory,
-    _Plant,
-    _Stepper,
+    SimulationResult,
+    ViolationSummary,
+    _ClosedLoop,
+    _join,
     default_daily_profile,
     integrate,
     run_daily,
@@ -294,15 +296,14 @@ def test_fixed_step_is_second_order(toy2, toy_limits):
         mu_lo=np.zeros(1),
     )
     exact = 0.3 * np.exp(-2.0)
-    plant = _Plant(relaxed, PlantMode.LINEAR)
-    plant.rebase(start.q)
-    stepper = _Stepper(plant, toy_limits, Gains())
+    loop = _ClosedLoop(Scenario(case=relaxed, plant_mode=PlantMode.LINEAR, limits=toy_limits))
+    loop.rebase(start.q)
     errors = []
     for h in (0.05, 0.025, 0.0125):
         y = start.packed()
         for _ in range(round(1.0 / h)):
-            f, _, _ = stepper.eval(y)
-            y = stepper._implicit(y, f, h)
+            _, f, _, _ = loop.eval(y)
+            y = loop._implicit(y, f, h)
         errors.append(abs(y[0] - exact))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     for r in ratios:
@@ -427,6 +428,36 @@ def test_trajectory_validation():
             v=np.zeros((2, 1)),
             cost=np.zeros(2),
         )
+
+
+def test_initial_state_must_match_case(case14, case30):
+    part30 = partition_buses(case30)
+    with pytest.raises(ConfigError, match="needs M=9, C=9"):
+        run_static(case14, initial_state=ControllerState.zeros(part30.n_load, part30.n_controlled))
+    wrong_m = ControllerState(
+        q=np.zeros(9), lam_hi=np.zeros(8), lam_lo=np.zeros(8), mu_hi=np.zeros(9), mu_lo=np.zeros(9)
+    )
+    with pytest.raises(ConfigError, match="has M=8, C=9"):
+        run_static(case14, initial_state=wrong_m)
+
+
+def _window(t_end: float) -> SimulationResult:
+    """A two-sample window from t = 0 to t_end, enough for ``_join``."""
+    state = ControllerState.zeros(1, 1)
+    no_excursion = ViolationSummary(0.0, 0.0, 0.0, 0.0, 0.0)
+    trajectory = Trajectory(
+        t=np.array([0.0, t_end]), states=(state, state), v=np.ones((2, 1)), cost=np.zeros(2)
+    )
+    return SimulationResult(trajectory, np.ones(1), np.zeros(1), True, 0.0, no_excursion)
+
+
+@pytest.mark.parametrize("boundary", [1e7, 2e7])
+def test_join_nudges_a_shared_boundary_forward(boundary):
+    # past 2**24 s an absolute 1e-9 s is below half the float spacing
+    trajectory, _ = _join([(0.0, _window(boundary)), (boundary, _window(5.0))])
+    assert trajectory.t[2] > trajectory.t[1] == boundary
+    if boundary < 2.0**24:
+        assert trajectory.t[2] == boundary + 1e-9
 
 
 def test_unsolvable_plant_raises(case14):
