@@ -33,7 +33,7 @@ from .simulate import (
     run_static,
 )
 
-SCENARIO_KINDS = ("static", "fault", "daily", "powerflow", "sensitivity", "validate")
+SCENARIO_KINDS = ("static", "fault", "daily")
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
@@ -118,9 +118,49 @@ def _parse_float(raw: str, where: str) -> float:
     return value
 
 
+def _parse_setting(key: str, value: str, where: str) -> tuple[str, object]:
+    """Parse one config key's raw value into its ``RunConfig`` field and value."""
+    if key == "case":
+        return "case_path", value
+    if key == "scenario":
+        if value not in SCENARIO_KINDS:
+            raise ConfigError(f"{where}: scenario must be one of {', '.join(SCENARIO_KINDS)}")
+        return "scenario", value
+    if key == "plant":
+        try:
+            return "plant", PlantMode(value)
+        except ValueError:
+            raise ConfigError(f"{where}: plant must be 'nonlinear' or 'linear'") from None
+    if key in ("v_lo", "v_hi", "q_lo", "q_hi", "k_q", "k_lam", "k_mu"):
+        return key, _parse_float(value, where)
+    if key == "load_scale":
+        scale = _parse_float(value, where)
+        if scale < 0:
+            raise ConfigError(f"{where}: load_scale must be nonnegative")
+        return "load_scale", scale
+    if key == "trip":
+        return "trip", parse_trip(value, where)
+    if key == "profile":
+        parts = [p for p in value.split(",") if p.strip()]
+        if len(parts) != 24:
+            raise ConfigError(
+                f"{where}: profile needs 24 comma-separated factors, got {len(parts)}"
+            )
+        return "profile", tuple(_parse_float(p, where) for p in parts)
+    if key == "out":
+        return "out_dir", value
+    if key in ("tol", "horizon", "hour_seconds"):
+        number = _parse_float(value, where)
+        if number <= 0:
+            raise ConfigError(f"{where}: {key} must be positive")
+        return key, number
+    if key == "reset_multipliers":
+        return key, _parse_bool(value, where)
+    raise ConfigError(f"{where}: unknown key {key!r}")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse the plain key = value config format; unknown keys are errors."""
-    cfg = RunConfig()
     fields: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -129,62 +169,9 @@ def parse_config(text: str) -> RunConfig:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        key = key.strip()
-        value = value.strip()
-        where = f"line {lineno}"
-        if key == "case":
-            fields["case_path"] = value
-        elif key == "scenario":
-            if value not in SCENARIO_KINDS:
-                raise ConfigError(
-                    f"{where}: scenario must be one of {', '.join(SCENARIO_KINDS)}"
-                )
-            fields["scenario"] = value
-        elif key == "plant":
-            try:
-                fields["plant"] = PlantMode(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{where}: plant must be 'nonlinear' or 'linear'"
-                ) from None
-        elif key in ("v_lo", "v_hi", "q_lo", "q_hi", "k_q", "k_lam", "k_mu"):
-            fields[key] = _parse_float(value, where)
-        elif key == "load_scale":
-            scale = _parse_float(value, where)
-            if scale < 0:
-                raise ConfigError(f"{where}: load_scale must be nonnegative")
-            fields["load_scale"] = scale
-        elif key == "trip":
-            fields["trip"] = parse_trip(value, where)
-        elif key == "profile":
-            parts = [p for p in value.split(",") if p.strip()]
-            if len(parts) != 24:
-                raise ConfigError(
-                    f"{where}: profile needs 24 comma-separated factors, got {len(parts)}"
-                )
-            fields["profile"] = tuple(_parse_float(p, where) for p in parts)
-        elif key == "out":
-            fields["out_dir"] = value
-        elif key == "tol":
-            tol = _parse_float(value, where)
-            if tol <= 0:
-                raise ConfigError(f"{where}: tol must be positive")
-            fields["tol"] = tol
-        elif key == "horizon":
-            horizon = _parse_float(value, where)
-            if horizon <= 0:
-                raise ConfigError(f"{where}: horizon must be positive")
-            fields["horizon"] = horizon
-        elif key == "hour_seconds":
-            hs = _parse_float(value, where)
-            if hs <= 0:
-                raise ConfigError(f"{where}: hour_seconds must be positive")
-            fields["hour_seconds"] = hs
-        elif key == "reset_multipliers":
-            fields["reset_multipliers"] = _parse_bool(value, where)
-        else:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-    cfg = replace(cfg, **fields)
+        field, parsed = _parse_setting(key.strip(), value.strip(), f"line {lineno}")
+        fields[field] = parsed
+    cfg = replace(RunConfig(), **fields)
     if cfg.v_lo >= cfg.v_hi:
         raise ConfigError("v_lo must be below v_hi")
     if cfg.q_lo >= cfg.q_hi:
@@ -212,8 +199,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def emit_report(result: SimulationResult, case: NetworkCase, out_dir) -> list[Path]:
-    """Write trajectory.csv, voltages_before_after.txt, and summary.txt."""
+def emit_report(
+    result: SimulationResult, case: NetworkCase, limits: Limits, out_dir
+) -> list[Path]:
+    """Write trajectory.csv, voltages_before_after.txt, and summary.txt.
+
+    A daily run's out-of-band hours are counted against ``limits``, the band
+    the run used.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     part = partition_buses(case)
@@ -288,13 +281,14 @@ def emit_report(result: SimulationResult, case: NetworkCase, out_dir) -> list[Pa
             f"cost ratio: {result.cost_ratio:.4f}",
         ]
     if isinstance(result, DailyResult):
+        lo, hi = limits.v_lo, limits.v_hi
         unc = result.uncontrolled_v
         out_unc = int(
-            np.sum((unc < 0.95 - 1e-9).any(axis=1) | (unc > 1.05 + 1e-9).any(axis=1))
+            np.sum((unc < lo - 1e-9).any(axis=1) | (unc > hi + 1e-9).any(axis=1))
         )
         ctl = result.hourly_final_v
         out_ctl = int(
-            np.sum((ctl < 0.95 - 1e-3).any(axis=1) | (ctl > 1.05 + 1e-3).any(axis=1))
+            np.sum((ctl < lo - 1e-3).any(axis=1) | (ctl > hi + 1e-3).any(axis=1))
         )
         summary += [
             f"hours out of band uncontrolled: {out_unc}",
@@ -330,7 +324,7 @@ def _cmd_run(cfg: RunConfig) -> int:
             plant_mode=cfg.plant,
             horizon=cfg.horizon,
         )
-    elif cfg.scenario == "daily":
+    else:
         profile = (
             np.array(cfg.profile) if cfg.profile is not None else default_daily_profile()
         )
@@ -344,9 +338,7 @@ def _cmd_run(cfg: RunConfig) -> int:
             hour_seconds=cfg.hour_seconds,
             reset_multipliers=cfg.reset_multipliers,
         )
-    else:
-        raise ConfigError(f"scenario {cfg.scenario!r} is not runnable via 'run'")
-    paths = emit_report(result, case, cfg.out_dir)
+    paths = emit_report(result, case, limits, cfg.out_dir)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     print(
         f"converged: {'yes' if result.converged else 'no'}  "
@@ -439,36 +431,36 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--case", help="bundled case name or case file path")
     common.add_argument("--out", help="output directory for reports")
     common.add_argument(
-        "--plant", choices=["nonlinear", "linear"], help="plant model for the loop"
+        "--plant", choices=[mode.value for mode in PlantMode], help="plant model for the loop"
     )
-    common.add_argument("--scale", type=float, help="uniform load scale factor")
+    common.add_argument("--scale", help="uniform load scale factor")
     common.add_argument("--trip", help="branch trip spec a:b or a:b@t")
     run_p = sub.add_parser("run", parents=[common], help="run a closed-loop scenario")
-    run_p.add_argument(
-        "--scenario", choices=["static", "fault", "daily"], help="scenario family"
-    )
+    run_p.add_argument("--scenario", choices=SCENARIO_KINDS, help="scenario family")
     sub.add_parser("powerflow", parents=[common], help="solve and print a power flow")
     sub.add_parser("sensitivity", parents=[common], help="print sensitivity matrix info")
     sub.add_parser("validate", parents=[common], help="compare dynamics to the QP oracle")
     return parser
 
 
+_FLAG_KEYS = {
+    "case": "case",
+    "out": "out",
+    "plant": "plant",
+    "scale": "load_scale",
+    "trip": "trip",
+    "scenario": "scenario",
+}
+
+
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """Override config values with flags, each parsed as its config key."""
     updates: dict[str, object] = {}
-    if args.case is not None:
-        updates["case_path"] = args.case
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.plant is not None:
-        updates["plant"] = PlantMode(args.plant)
-    if args.scale is not None:
-        if args.scale < 0:
-            raise ConfigError("--scale must be nonnegative")
-        updates["load_scale"] = args.scale
-    if args.trip is not None:
-        updates["trip"] = parse_trip(args.trip, "--trip")
-    if getattr(args, "scenario", None) is not None:
-        updates["scenario"] = args.scenario
+    for flag, key in _FLAG_KEYS.items():
+        raw = getattr(args, flag, None)
+        if raw is not None:
+            field, value = _parse_setting(key, raw, f"--{flag}")
+            updates[field] = value
     return replace(cfg, **updates)
 
 

@@ -210,39 +210,29 @@ def _collect_matrices(text: str):
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        if current is not None:
-            body, closed = line, False
-            if "]" in line:
-                body = line[: line.index("]")]
-                closed = True
-            for chunk in body.split(";"):
-                if chunk.strip():
-                    matrices[current].append(_parse_row(chunk, lineno))
-            if closed:
-                current = None
-            continue
-        if line.startswith("function"):
-            continue
-        m = _ASSIGN_RE.match(line)
-        if m is None:
-            raise CaseFormatError(f"line {lineno}: expected an assignment, got {raw.strip()!r}")
-        key, rest = m.group(1), m.group(2).strip()
-        if rest.startswith("["):
+        if current is None:
+            if line.startswith("function"):
+                continue
+            m = _ASSIGN_RE.match(line)
+            if m is None:
+                raise CaseFormatError(f"line {lineno}: expected an assignment, got {raw.strip()!r}")
+            key, rest = m.group(1), m.group(2).strip()
+            if not rest.startswith("["):
+                rest = rest.rstrip(";").strip().strip("'\"")
+                try:
+                    scalars[key] = float(rest)
+                except ValueError:
+                    scalars[key] = np.nan  # version strings and similar, ignored
+                continue
+            current, line = key, rest[1:]
             matrices[key] = []
-            body = rest[1:]
-            if "]" in body:
-                body, _ = body[: body.index("]")], None
-            else:
-                current = key
-            for chunk in body.split(";"):
-                if chunk.strip():
-                    matrices[key].append(_parse_row(chunk, lineno))
-        else:
-            rest = rest.rstrip(";").strip().strip("'\"")
-            try:
-                scalars[key] = float(rest)
-            except ValueError:
-                scalars[key] = np.nan  # version strings and similar, ignored
+        # rows of the open matrix, from its '[' line or any later line
+        body, closed, _ = line.partition("]")
+        for chunk in body.split(";"):
+            if chunk.strip():
+                matrices[current].append(_parse_row(chunk, lineno))
+        if closed:
+            current = None
     if current is not None:
         raise CaseFormatError(f"matrix {current!r} is not closed with ']'")
     return scalars, matrices

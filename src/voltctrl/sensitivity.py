@@ -9,8 +9,9 @@ magnitude changes there:
     delta_v = X @ delta_q,   X = -(G_LA B_AA^-1 G_AL + B_LL)^-1
 
 with A the non-slack buses and L the PQ buses. X is built once per topology
-and reused; the linearization point (base_v, base_q) is refreshed from the
-plant solution whenever a scenario starts or the topology changes.
+and reused. ``voltage_sensitivity`` returns it at the flat base point
+(v = 1, q = 0); ``rebased`` moves the linearization point (base_v, base_q)
+to a plant solution, as each closed-loop window does at its start.
 """
 
 from __future__ import annotations
@@ -82,18 +83,12 @@ def partition_buses(case: NetworkCase) -> BusPartition:
     )
 
 
-def voltage_sensitivity(
-    adm: AdmittanceMatrices,
-    part: BusPartition,
-    base_v: np.ndarray | None = None,
-    base_q: np.ndarray | None = None,
-) -> SensitivityMatrix:
-    """Build X by angle elimination over non-slack buses.
+def voltage_sensitivity(adm: AdmittanceMatrices, part: BusPartition) -> SensitivityMatrix:
+    """Build X by angle elimination over non-slack buses, at the flat base point.
 
-    The base point defaults to a flat profile (v = 1, q = 0) and is normally
-    supplied from a solved power flow. Raises :class:`SingularModelError`
-    when a reduced block cannot be inverted, which signals a disconnected
-    or degenerate network.
+    The base point is v = 1, q = 0; ``rebased`` moves it to a solved power
+    flow. Raises :class:`SingularModelError` when a reduced block cannot be
+    inverted, which signals a disconnected or degenerate network.
     """
     a_set = np.sort(np.concatenate([part.pv, part.pq]))
     l_set = part.pq
@@ -107,13 +102,7 @@ def voltage_sensitivity(
     except np.linalg.LinAlgError as exc:
         raise SingularModelError(f"voltage sensitivity is not defined: {exc}") from exc
     m = part.n_load
-    if base_v is None:
-        base_v = np.ones(m)
-    if base_q is None:
-        base_q = np.zeros(m)
-    return SensitivityMatrix(
-        x=x, partition=part, base_v=np.asarray(base_v, dtype=float), base_q=np.asarray(base_q, dtype=float)
-    )
+    return SensitivityMatrix(x=x, partition=part, base_v=np.ones(m), base_q=np.zeros(m))
 
 
 def predict_voltage(sens: SensitivityMatrix, q: np.ndarray) -> np.ndarray:
@@ -129,28 +118,3 @@ def rebased(sens: SensitivityMatrix, base_v: np.ndarray, base_q: np.ndarray) -> 
     return replace(
         sens, base_v=np.asarray(base_v, dtype=float), base_q=np.asarray(base_q, dtype=float)
     )
-
-
-def neighbor_truncated(
-    sens: SensitivityMatrix, case: NetworkCase, hops: int = 1
-) -> SensitivityMatrix:
-    """Zero out X entries between load buses farther than ``hops`` apart.
-
-    Experimental: restricts the simulated communication to the electrical
-    neighborhood instead of the full dense coupling. Truncation changes the
-    dynamics and, in general, the equilibrium; nothing here claims otherwise.
-    """
-    if hops < 0:
-        raise ValueError("hops must be nonnegative")
-    n = case.n_buses
-    index = case.bus_index()
-    adj = np.eye(n, dtype=bool)
-    for br in case.branches:
-        if br.in_service:
-            f, t = index[br.from_bus], index[br.to_bus]
-            adj[f, t] = adj[t, f] = True
-    reach = np.eye(n, dtype=bool)
-    for _ in range(hops):
-        reach = reach @ adj
-    mask = reach[np.ix_(sens.partition.pq, sens.partition.pq)]
-    return replace(sens, x=np.where(mask, sens.x, 0.0))

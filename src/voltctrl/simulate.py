@@ -24,7 +24,7 @@ returned trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -253,6 +253,11 @@ def integrate(scenario: Scenario) -> SimulationResult:
             f"initial state has M={state0.lam_hi.size}, C={state0.q.size}; "
             f"the case needs M={m}, C={c}"
         )
+    if lim.v_lo.shape != (m,) or lim.q_lo.shape != (c,):
+        raise ConfigError(
+            f"limits have M={lim.v_lo.size}, C={lim.q_lo.size}; "
+            f"the case needs M={m}, C={c}"
+        )
     loop.rebase(state0.q)
     t1, rtol, atol, tol = scenario.horizon, scenario.rtol, scenario.atol, scenario.equilibrium_tol
 
@@ -463,13 +468,7 @@ def run_daily(
             raise PlantDivergenceError(f"uncontrolled power flow failed at hour {hour}")
         bare_v.append(bare.v[part.pq].copy())
         if reset_multipliers:
-            state = ControllerState(
-                q=state.q,
-                lam_hi=np.zeros(part.n_load),
-                lam_lo=np.zeros(part.n_load),
-                mu_hi=np.zeros(part.n_controlled),
-                mu_lo=np.zeros(part.n_controlled),
-            )
+            state = replace(ControllerState.zeros(part.n_load, part.n_controlled), q=state.q)
         res = run_static(
             hourly_case,
             lim,

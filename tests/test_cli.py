@@ -81,6 +81,8 @@ def test_parse_config_rejects_malformed_lines():
         parse_config("v_lo = high\n")
     with pytest.raises(ConfigError, match="scenario"):
         parse_config("scenario = sideways\n")
+    with pytest.raises(ConfigError, match="scenario must be one of static, fault, daily"):
+        parse_config("scenario = validate\n")
     with pytest.raises(ConfigError, match="plant"):
         parse_config("plant = quadratic\n")
     with pytest.raises(ConfigError, match="tol"):
@@ -256,6 +258,16 @@ def test_daily_summary_counts_band_hours(tmp_path):
     assert "hours out of band controlled: 0" in summary
 
 
+def test_daily_summary_counts_hours_against_configured_band(tmp_path):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("case = case14\nscenario = daily\nplant = linear\nv_lo = 0.93\nv_hi = 1.07\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "hours out of band uncontrolled: 0" in summary
+    assert "hours out of band controlled: 0" in summary
+
+
 def test_exit_code_not_converged(tmp_path):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("case = case14\nload_scale = 3.1\nplant = linear\nhorizon = 1.0\n")
@@ -320,9 +332,12 @@ def test_missing_subcommand_exits_with_usage_error():
     assert exc.value.code == EXIT_CONFIG
 
 
-def test_scale_flag_rejects_negative(capsys):
-    code = main(["powerflow", "--case", "case14", "--scale", "-1"])
+@pytest.mark.parametrize("scale", ["-1", "nan", "inf"])
+def test_scale_flag_rejects_negative(capsys, scale):
+    # the flag goes through the load_scale key's checks: sign and finiteness
+    code = main(["powerflow", "--case", "case14", "--scale", scale])
     assert code == EXIT_CONFIG
+    assert "config error: --scale: " in capsys.readouterr().err
 
 
 def test_runconfig_limits_match_case():

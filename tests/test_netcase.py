@@ -64,6 +64,30 @@ def test_minimal_two_bus(toy2):
     assert toy2.bus(2).q_load == pytest.approx(0.736)
 
 
+# toy2's matrices, as written in TOY2_TEXT
+_TOY2_ROWS = {
+    "bus": ["1 3 0 0 0 0 1 1 0 0 1 1.1 0.9", "2 1 0 73.6 0 0 1 1 0 0 1 1.1 0.9"],
+    "gen": ["1 0 0 0 0 1.0 100 1 0 0"],
+    "branch": ["1 2 0 0.1 0 0 0 0 0 0 1 -360 360"],
+}
+
+
+@pytest.mark.parametrize("layout", ["row_per_line", "first_row_on_bracket", "one_line"])
+def test_matrix_layouts_parse_alike(toy2, layout):
+    lines = ["function mpc = toy2", "mpc.baseMVA = 100;"]
+    for name, rows in _TOY2_ROWS.items():
+        if layout == "row_per_line":
+            lines += [f"mpc.{name} = [", *(f"{r};" for r in rows), "];"]
+        elif layout == "first_row_on_bracket":
+            lines += [f"mpc.{name} = [{rows[0]};", *(f"{r};" for r in rows[1:]), "];"]
+        else:
+            lines.append(f"mpc.{name} = [{'; '.join(rows)}];")
+    text = "\n".join(lines) + "\n"
+    assert parse_case(text, name="toy2") == toy2
+    with pytest.raises(CaseFormatError, match="matrix 'branch' is not closed"):
+        parse_case(text[: text.rindex("]")])
+
+
 def test_dangling_branch_endpoint():
     bad = TOY2_TEXT.replace("\t1\t2\t0\t0.1", "\t1\t99\t0\t0.1")
     with pytest.raises(CaseDataError, match="99"):

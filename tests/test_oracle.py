@@ -13,6 +13,7 @@ from voltctrl.sensitivity import (
     BusPartition,
     SensitivityMatrix,
     partition_buses,
+    rebased,
     voltage_sensitivity,
 )
 
@@ -143,8 +144,10 @@ def heavy_case14_problem(case14):
     part = partition_buses(heavy)
     sol = solve_power_flow(heavy, nominal_injections(heavy), max_iter=30)
     assert sol.converged
-    sens = voltage_sensitivity(
-        build_admittance(heavy), part, base_v=sol.v[part.pq], base_q=np.zeros(9)
+    sens = rebased(
+        voltage_sensitivity(build_admittance(heavy), part),
+        base_v=sol.v[part.pq],
+        base_q=np.zeros(9),
     )
     return heavy, sens, Limits.box(9, 9)
 

@@ -11,7 +11,6 @@ from voltctrl.errors import SingularModelError
 from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flow
 from voltctrl.sensitivity import (
     BusPartition,
-    neighbor_truncated,
     partition_buses,
     predict_voltage,
     rebased,
@@ -154,25 +153,6 @@ def test_trip_changes_local_rows(case14):
     for bus in (4, 5):
         row = ids.index(bus)
         assert np.max(np.abs(after[row] - before[row])) > 1e-4
-
-
-def test_neighbor_truncation(case14):
-    part = partition_buses(case14)
-    sens = voltage_sensitivity(build_admittance(case14), part)
-    wide = neighbor_truncated(sens, case14, hops=14)
-    assert_allclose(wide.x, sens.x)
-    near = neighbor_truncated(sens, case14, hops=1)
-    ids = pq_ids(case14)
-    linked = {(br.from_bus, br.to_bus) for br in case14.branches}
-    linked |= {(b, a) for a, b in linked}
-    for i, bi in enumerate(ids):
-        for j, bj in enumerate(ids):
-            if i == j or (bi, bj) in linked:
-                assert near.x[i, j] == sens.x[i, j]
-            else:
-                assert near.x[i, j] == 0.0
-    with pytest.raises(ValueError):
-        neighbor_truncated(sens, case14, hops=-1)
 
 
 def test_singular_model_rejected(toy2):

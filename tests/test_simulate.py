@@ -441,6 +441,13 @@ def test_initial_state_must_match_case(case14, case30):
         run_static(case14, initial_state=wrong_m)
 
 
+@pytest.mark.parametrize("size", [2, 1])
+def test_limits_must_match_case(case14, size):
+    # a size-1 box would broadcast over all nine buses without this check
+    with pytest.raises(ConfigError, match=f"limits have M={size}, C={size}; the case needs M=9, C=9"):
+        run_static(case14, limits=Limits.box(size, size), plant_mode=PlantMode.LINEAR)
+
+
 def _window(t_end: float) -> SimulationResult:
     """A two-sample window from t = 0 to t_end, enough for ``_join``."""
     state = ControllerState.zeros(1, 1)
