@@ -18,7 +18,7 @@ import numpy as np
 from . import BUNDLED_CASES, load_case
 from .controller import Gains, Limits
 from .errors import ConfigError, VoltCtrlError
-from .netcase import NetworkCase, build_admittance, parse_case, scale_loads
+from .netcase import NetworkCase, parse_case, scale_loads
 from .oracle import solve_centralized
 from .powerflow import nominal_injections, solve_power_flow
 from .sensitivity import partition_buses, rebased, voltage_sensitivity
@@ -366,7 +366,7 @@ def _cmd_powerflow(cfg: RunConfig) -> int:
 def _cmd_sensitivity(cfg: RunConfig) -> int:
     case = load_network(cfg)
     part = partition_buses(case)
-    sens = voltage_sensitivity(build_admittance(case), part)
+    sens = voltage_sensitivity(case.topology.adm, part)
     x = sens.x
     sym = float(np.max(np.abs(x - x.T)))
     eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (x + x.T))))
@@ -388,7 +388,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         raise VoltCtrlError("power flow did not converge at the base point")
     part = partition_buses(case)
     sens = rebased(
-        voltage_sensitivity(build_admittance(case), part),
+        voltage_sensitivity(case.topology.adm, part),
         base_v=sol.v[part.pq],
         base_q=np.zeros(part.n_load),
     )

@@ -18,7 +18,10 @@ The flow itself, ``packed_flow``, works on one packed vector
 [q, lam_hi, lam_lo, mu_hi, mu_lo] and returns the rates together with the
 mask of rows the projection leaves active; ``flow_jacobian`` is the
 constant unprojected Jacobian, so the Jacobian of the projected flow is its
-active rows. This module is the only one that knows the packed layout.
+active rows. ``flow_newton_step`` solves the implicit trapezoid's Newton
+system with that Jacobian through its C x C Schur complement in q, which is
+symmetric positive definite; ``flow_jacobian`` stays as its documented
+reference. This module is the only one that knows the packed layout.
 ``dynamics_rhs`` is the validating wrapper over ``ControllerState``.
 """
 
@@ -214,6 +217,38 @@ def flow_jacobian(xc: np.ndarray, gains: Gains) -> np.ndarray:
     jac[:c] = np.hstack([-2.0 * k_q * eye, -k_q * xc.T, k_q * xc.T, -k_q * eye, k_q * eye])
     jac[c:, :c] = np.vstack([k_lam * xc, -k_lam * xc, k_mu * eye, -k_mu * eye])
     return jac
+
+
+def flow_newton_step(
+    xc: np.ndarray, gains: Gains, h: float, active: np.ndarray, resid: np.ndarray
+) -> np.ndarray:
+    """Solve (I - h/2 (J * active[:, None])) dz = resid, J = ``flow_jacobian``.
+
+    The multiplier rows of J depend only on the q columns, so the system
+    reduces exactly to the C x C symmetric positive definite one
+
+        S dq = r_q + (h/2) J_qm r_m,
+        S = (1 + h k_q) I + (h^2/4) k_q (k_lam xc' D_lam xc + k_mu D_mu),
+
+    where D_lam counts the active lam_hi and lam_lo rows of each load bus
+    and D_mu the active mu rows of each controller; then
+    dm = r_m + (h/2) active_m (J_mq dq). S >= (1 + h k_q) I, so the solve
+    cannot be singular.
+    """
+    m, c = xc.shape
+    k_q, k_lam, k_mu = gains.k_q, gains.k_lam, gains.k_mu
+    r_q, r_lhi, r_llo, r_mhi, r_mlo = _split(resid, m, c)
+    _, a_lhi, a_llo, a_mhi, a_mlo = _split(active, m, c)
+    d_lam = np.add(a_lhi, a_llo, dtype=float)
+    d_mu = np.add(a_mhi, a_mlo, dtype=float)
+    s = (0.25 * h * h * k_q * k_lam) * (xc.T @ (d_lam[:, None] * xc))
+    s[np.diag_indices(c)] += 1.0 + h * k_q + (0.25 * h * h * k_q * k_mu) * d_mu
+    rhs = r_q - (0.5 * h * k_q) * (xc.T @ (r_lhi - r_llo) + r_mhi - r_mlo)
+    dq = np.linalg.solve(s, rhs)
+    xdq = (0.5 * h * k_lam) * (xc @ dq)
+    udq = (0.5 * h * k_mu) * dq
+    dm = resid[c:] + active[c:] * np.concatenate([xdq, -xdq, udq, -udq])
+    return np.concatenate([dq, dm])
 
 
 def dynamics_rhs(

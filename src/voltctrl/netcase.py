@@ -15,6 +15,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,15 @@ class NetworkCase:
     def controlled_bus_ids(self) -> list[int]:
         return [b.id for b in self.buses if b.has_controller]
 
+    @cached_property
+    def topology(self) -> "Topology":
+        """The per-topology constants of this case, built on first use.
+
+        The case is immutable and every edit returns a new case, so the
+        cached object can never describe another network.
+        """
+        return Topology.of(self)
+
     def with_controllers(self, bus_ids) -> "NetworkCase":
         """Return a copy with controllers only at the given PQ bus ids."""
         wanted = set(bus_ids)
@@ -140,6 +150,49 @@ class AdmittanceMatrices:
     @property
     def n(self) -> int:
         return self.g.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Topology:
+    """What every power-flow solve of one case reuses.
+
+    ``y`` is the complex admittance matrix G + jB of ``adm``. ``non_slack``
+    and ``pq`` are positional bus indices: the angle unknowns and the
+    magnitude unknowns, in case order. ``v_start`` holds the flat-start
+    magnitudes (the setpoints at slack and PV buses, 1 elsewhere). The four
+    ``ix_*`` grids select the Jacobian blocks (P or Q rows, angle or
+    magnitude columns) from full n x n derivative matrices.
+    """
+
+    adm: AdmittanceMatrices
+    y: np.ndarray
+    non_slack: np.ndarray
+    pq: np.ndarray
+    v_start: np.ndarray
+    ix_p_delta: tuple
+    ix_p_vm: tuple
+    ix_q_delta: tuple
+    ix_q_vm: tuple
+
+    @classmethod
+    def of(cls, case: NetworkCase) -> "Topology":
+        adm = build_admittance(case)
+        non_slack = np.array([i for i, b in enumerate(case.buses) if b.kind is not BusKind.SLACK])
+        pq = case.indices_of(BusKind.PQ)
+        v_start = np.array(
+            [b.v_setpoint if b.kind in (BusKind.SLACK, BusKind.PV) else 1.0 for b in case.buses]
+        )
+        return cls(
+            adm=adm,
+            y=adm.g + 1j * adm.b,
+            non_slack=non_slack,
+            pq=pq,
+            v_start=v_start,
+            ix_p_delta=np.ix_(non_slack, non_slack),
+            ix_p_vm=np.ix_(non_slack, pq),
+            ix_q_delta=np.ix_(pq, non_slack),
+            ix_q_vm=np.ix_(pq, pq),
+        )
 
 
 def _validate(case: NetworkCase) -> None:

@@ -10,6 +10,11 @@ equations
 with d_kn = delta_k - delta_n. Angles are solved at every non-slack bus and
 magnitudes at every PQ bus; slack and PV magnitudes stay at their setpoints
 (no reactive-limit switching).
+
+Everything that depends only on the network, the complex admittance matrix,
+the index sets of the unknowns and the flat-start magnitudes, comes from the
+case's cached ``topology`` and is built once per case; a solve assembles its
+Jacobian from it by broadcasting.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularModelError
-from .netcase import BusKind, NetworkCase, build_admittance
+from .netcase import BusKind, NetworkCase
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +89,13 @@ def solve_power_flow(
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1")
-    adm = build_admittance(case)
-    y_bus = adm.g + 1j * adm.b
-    n = case.n_buses
-    non_slack = np.array([i for i, b in enumerate(case.buses) if b.kind is not BusKind.SLACK])
-    pq = case.indices_of(BusKind.PQ)
+    top = case.topology
+    y_bus, non_slack, pq = top.y, top.non_slack, top.pq
     n_a, n_l = len(non_slack), len(pq)
+    diag = np.diag_indices(case.n_buses)
 
-    v = np.ones(n)
-    delta = np.zeros(n)
-    for i, b in enumerate(case.buses):
-        if b.kind in (BusKind.SLACK, BusKind.PV):
-            v[i] = b.v_setpoint
+    v = top.v_start.copy()
+    delta = np.zeros(case.n_buses)
     if warm_start is not None:
         v[pq] = warm_start.v[pq]
         delta[non_slack] = warm_start.delta[non_slack]
@@ -113,16 +113,20 @@ def solve_power_flow(
     converged = worst < tol
     while not converged and iterations < max_iter:
         u = v * np.exp(1j * delta)
-        i_bus = y_bus @ u
-        du = np.diag(u)
-        # complex-form partial derivatives of S = diag(U) conj(Y U)
-        ds_ddelta = 1j * du @ np.conj(np.diag(i_bus) - y_bus @ du)
-        ds_dvm = np.diag(u / v) @ np.conj(np.diag(i_bus)) + du @ np.conj(y_bus @ np.diag(u / v))
+        s_bus = u * np.conj(y_bus @ u)
+        # complex-form partial derivatives of S = diag(U) conj(Y U), with
+        # A[k, n] = U_k conj(Y_kn U_n):
+        #   dS/d delta = j (diag(S) - A),  dS/d|V| = (diag(S) + A) / |V_n|
+        a = u[:, None] * np.conj(y_bus * u[None, :])
+        ds_ddelta = -1j * a
+        ds_ddelta[diag] += 1j * s_bus
+        ds_dvm = a / v[None, :]
+        ds_dvm[diag] += s_bus / v
         jac = np.empty((n_a + n_l, n_a + n_l))
-        jac[:n_a, :n_a] = ds_ddelta.real[np.ix_(non_slack, non_slack)]
-        jac[:n_a, n_a:] = ds_dvm.real[np.ix_(non_slack, pq)]
-        jac[n_a:, :n_a] = ds_ddelta.imag[np.ix_(pq, non_slack)]
-        jac[n_a:, n_a:] = ds_dvm.imag[np.ix_(pq, pq)]
+        jac[:n_a, :n_a] = ds_ddelta.real[top.ix_p_delta]
+        jac[:n_a, n_a:] = ds_dvm.real[top.ix_p_vm]
+        jac[n_a:, :n_a] = ds_ddelta.imag[top.ix_q_delta]
+        jac[n_a:, n_a:] = ds_dvm.imag[top.ix_q_vm]
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:
@@ -151,15 +155,15 @@ def mismatch(
     Returns (delta_p over non-slack buses, delta_q over PQ buses), both in
     case bus order.
     """
-    adm = build_admittance(case)
-    s = _complex_power(adm.g + 1j * adm.b, sol.v, sol.delta)
-    non_slack = np.array([i for i, b in enumerate(case.buses) if b.kind is not BusKind.SLACK])
-    pq = case.indices_of(BusKind.PQ)
-    return inj.p_injection[non_slack] - s.real[non_slack], inj.q_injection - s.imag[pq]
+    top = case.topology
+    s = _complex_power(top.y, sol.v, sol.delta)
+    return (
+        inj.p_injection[top.non_slack] - s.real[top.non_slack],
+        inj.q_injection - s.imag[top.pq],
+    )
 
 
 def bus_power(case: NetworkCase, sol: PowerFlowSolution) -> tuple[np.ndarray, np.ndarray]:
     """Actual per-bus active and reactive network injections at a solution."""
-    adm = build_admittance(case)
-    s = _complex_power(adm.g + 1j * adm.b, sol.v, sol.delta)
+    s = _complex_power(case.topology.y, sol.v, sol.delta)
     return s.real, s.imag

@@ -17,9 +17,10 @@ operation (an intact window, then a tripped one from its last state), and a
 Multi-window runs are joined into one trajectory by ``_join``.
 
 Inside a window the engine works on packed state vectors only: one loop
-object per window holds the plant and the controller's packed flow with its
-constant Jacobian, and ``ControllerState`` objects are built once, for the
-returned trajectory.
+object per window holds the plant and the controller's packed flow, each
+implicit-Newton correction is one ``controller.flow_newton_step`` (the engine
+knows only that the first C entries are q and the rest multipliers), and
+``ControllerState`` objects are built once, for the returned trajectory.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from .controller import (
     ControllerState,
     Gains,
     Limits,
-    flow_jacobian,
+    flow_newton_step,
     objective,
     packed_flow,
     unpack_state,
 )
 from .errors import ConfigError, PlantDivergenceError, StepSizeUnderflowError
-from .netcase import NetworkCase, build_admittance, scale_loads, trip_branch
+from .netcase import NetworkCase, scale_loads, trip_branch
 from .powerflow import InjectionSet, PowerFlowSolution, nominal_injections, solve_power_flow
 from .sensitivity import (
     partition_buses,
@@ -137,8 +138,8 @@ class _ClosedLoop:
 
     Built once per window from the case, plant flavor, limits and gains. It
     holds the partition, the controlled positions ``cpos`` within the load
-    buses, their sensitivity columns ``xc`` with the flow's constant
-    Jacobian, the nominal injections, the sensitivity with its base point,
+    buses, their sensitivity columns ``xc``, the nominal injections, the
+    sensitivity (from the case's cached admittance) with its base point,
     and in nonlinear mode the warm-start solution reused across
     evaluations. States are packed vectors whose first C entries are q and
     whose remaining entries are multipliers.
@@ -154,9 +155,8 @@ class _ClosedLoop:
         self.gains = scenario.gains
         self.inj = nominal_injections(case)
         self.cpos = self.part.controlled_in_pq()
-        self.sens = voltage_sensitivity(build_admittance(case), self.part)
+        self.sens = voltage_sensitivity(case.topology.adm, self.part)
         self.xc = self.sens.x[:, self.cpos]
-        self.jac = flow_jacobian(self.xc, self.gains)
         self.last: PowerFlowSolution | None = None
 
     def embed(self, q: np.ndarray) -> np.ndarray:
@@ -214,12 +214,7 @@ class _ClosedLoop:
             resid = z - y0 - 0.5 * h * (f0 + g)
             if np.max(np.abs(resid)) < 1e-11 * max(1.0, float(np.max(np.abs(z)))):
                 return z
-            lhs = np.eye(len(y0)) - 0.5 * h * (self.jac * active[:, None])
-            try:
-                dz = np.linalg.solve(lhs, resid)
-            except np.linalg.LinAlgError as exc:
-                raise _TrialFailure(f"implicit solve singular: {exc}") from exc
-            z = z - dz
+            z = z - flow_newton_step(self.xc, self.gains, h, active, resid)
             if not np.all(np.isfinite(z)):
                 raise _TrialFailure("implicit iteration diverged")
         raise _TrialFailure("implicit iteration did not converge")

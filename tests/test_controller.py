@@ -13,6 +13,7 @@ from voltctrl.controller import (
     dynamics_rhs,
     equilibrium_residual,
     flow_jacobian,
+    flow_newton_step,
     lagrangian,
     objective,
     objective_gradient,
@@ -151,6 +152,29 @@ def test_flow_jacobian_matches_finite_difference(case14):
             e[j] = h
             assert_allclose((rates(y + e) - rates(y - e)) / (2 * h), expected[:, j], atol=1e-6)
     assert masked > 0
+
+
+@pytest.mark.parametrize("name", ["case14", "case30"])
+def test_flow_newton_step_matches_dense_solve(name, request):
+    # the reduced C x C solve against the full Newton system it replaces,
+    # over gains, step sizes from 1e-4 to 1e3 and random active masks
+    case = request.getfixturevalue(name)
+    part = partition_buses(case)
+    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    m, c = xc.shape
+    n = 3 * c + 2 * m
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(200):
+        gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
+        h = 10.0 ** rng.uniform(-4.0, 3.0)
+        active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
+        resid = rng.standard_normal(n)
+        lhs = np.eye(n) - 0.5 * h * (flow_jacobian(xc, gains) * active[:, None])
+        expected = np.linalg.solve(lhs, resid)
+        got = flow_newton_step(xc, gains, h, active, resid)
+        worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
+    assert worst <= 1e-12
 
 
 def test_interior_zero_state_is_equilibrium():

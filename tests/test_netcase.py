@@ -265,6 +265,23 @@ def test_trip_matches_branch_removed_from_text(case14):
     assert_allclose(a.b, b.b, atol=1e-15)
 
 
+def test_cached_topology_follows_edits(case14):
+    # an edit returns a new case, so it can never see its parent's cached Y,
+    # even when the parent's cache is already filled
+    case14.topology
+    edited = [
+        trip_branch(case14, 4, 5),
+        scale_loads(case14, 3.1),
+        case14.with_controllers([4, 9, 14]),
+    ]
+    for case in [case14, *edited]:
+        fresh = build_admittance(case)
+        assert np.array_equal(case.topology.y, fresh.g + 1j * fresh.b)
+        assert np.array_equal(case.topology.adm.g, fresh.g)
+        assert np.array_equal(case.topology.adm.b, fresh.b)
+    assert not np.array_equal(edited[0].topology.y, case14.topology.y)
+
+
 def test_trip_missing_branch(case14):
     with pytest.raises(CaseDataError, match="no in-service branch"):
         trip_branch(case14, 1, 14)
