@@ -11,6 +11,7 @@ file boundary.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass, replace
@@ -196,8 +197,15 @@ class Topology:
 
 
 def _validate(case: NetworkCase) -> None:
-    if case.base_mva <= 0:
-        raise CaseDataError(f"base MVA must be positive, got {case.base_mva}")
+    if not 0 < case.base_mva < np.inf:
+        raise CaseDataError(f"base MVA must be positive and finite, got {case.base_mva}")
+    labelled = [(f"bus {b.id}", b) for b in case.buses]
+    labelled += [(f"branch {br.from_bus}-{br.to_bus}", br) for br in case.branches]
+    labelled += [(f"generator at bus {g.bus}", g) for g in case.generators]
+    for label, item in labelled:
+        for field, value in vars(item).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise CaseDataError(f"{label}: {field} is {value}, not a finite number")
     ids = [b.id for b in case.buses]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -252,6 +260,13 @@ def _parse_row(text: str, lineno: int) -> list[float]:
         except ValueError:
             raise CaseFormatError(f"line {lineno}: not a number: {tok!r}") from None
     return row
+
+
+def _integral(value: float, what: str) -> int:
+    """A case number that must be a whole number (ids, types, statuses)."""
+    if not value.is_integer():
+        raise CaseDataError(f"{what} must be an integer, got {value}")
+    return int(value)
 
 
 def _collect_matrices(text: str):
@@ -315,10 +330,10 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
     for row in gen_rows:
         if len(row) < _GEN_COLS:
             raise CaseFormatError(f"gen row has {len(row)} columns, need at least {_GEN_COLS}")
-        status = row[7] if len(row) > 7 else 1.0
+        status = _integral(row[7], "gen status") if len(row) > 7 else 1
         if status <= 0:
             continue
-        bus_id, pg, vg = int(row[0]), row[1] / base, row[5]
+        bus_id, pg, vg = _integral(row[0], "gen bus"), row[1] / base, row[5]
         if bus_id in setpoint and abs(setpoint[bus_id] - vg) > 1e-12:
             raise CaseDataError(f"conflicting voltage setpoints at bus {bus_id}")
         setpoint[bus_id] = vg
@@ -329,7 +344,7 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
     for row in matrices["bus"]:
         if len(row) < _BUS_COLS:
             raise CaseFormatError(f"bus row has {len(row)} columns, need at least {_BUS_COLS}")
-        bus_id, kind_code = int(row[0]), int(row[1])
+        bus_id, kind_code = _integral(row[0], "bus id"), _integral(row[1], "bus type")
         if kind_code not in kind_map:
             raise CaseDataError(f"bus {bus_id}: unsupported bus type {kind_code}")
         kind = kind_map[kind_code]
@@ -352,19 +367,20 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
     for row in matrices["branch"]:
         if len(row) < _BRANCH_COLS:
             raise CaseFormatError(f"branch row has {len(row)} columns, need at least {_BRANCH_COLS}")
+        ends = _integral(row[0], "branch from bus"), _integral(row[1], "branch to bus")
         if row[9] != 0.0:
             raise CaseDataError(
-                f"branch {int(row[0])}-{int(row[1])}: phase-shifting transformers are not supported"
+                f"branch {ends[0]}-{ends[1]}: phase-shifting transformers are not supported"
             )
         branches.append(
             Branch(
-                from_bus=int(row[0]),
-                to_bus=int(row[1]),
+                from_bus=ends[0],
+                to_bus=ends[1],
                 r=row[2],
                 x=row[3],
                 b_charging=row[4],
                 tap_ratio=row[8] if row[8] != 0.0 else 1.0,
-                in_service=row[10] > 0,
+                in_service=_integral(row[10], f"branch {ends[0]}-{ends[1]} status") > 0,
             )
         )
 

@@ -68,9 +68,10 @@ def nominal_injections(case: NetworkCase) -> InjectionSet:
     return InjectionSet(p_injection=p_gen - p_load, q_injection=-q_load[pq])
 
 
-def _complex_power(y_bus: np.ndarray, v: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def _complex_power(y_bus: np.ndarray, v: np.ndarray, delta: np.ndarray):
+    """Complex bus voltages U and bus powers S = diag(U) conj(Y U)."""
     u = v * np.exp(1j * delta)
-    return u * np.conj(y_bus @ u)
+    return u, u * np.conj(y_bus @ u)
 
 
 def solve_power_flow(
@@ -104,16 +105,14 @@ def solve_power_flow(
     q_spec = inj.q_injection
 
     def residual(v, delta):
-        s = _complex_power(y_bus, v, delta)
-        return np.concatenate([p_spec - s.real[non_slack], q_spec - s.imag[pq]])
+        u, s = _complex_power(y_bus, v, delta)
+        return np.concatenate([p_spec - s.real[non_slack], q_spec - s.imag[pq]]), u, s
 
-    f = residual(v, delta)
+    f, u, s_bus = residual(v, delta)
     worst = float(np.max(np.abs(f)))
     iterations = 0
     converged = worst < tol
     while not converged and iterations < max_iter:
-        u = v * np.exp(1j * delta)
-        s_bus = u * np.conj(y_bus @ u)
         # complex-form partial derivatives of S = diag(U) conj(Y U), with
         # A[k, n] = U_k conj(Y_kn U_n):
         #   dS/d delta = j (diag(S) - A),  dS/d|V| = (diag(S) + A) / |V_n|
@@ -139,7 +138,7 @@ def solve_power_flow(
         if not (np.all(np.isfinite(v)) and np.all(v > 0) and np.all(np.isfinite(delta))):
             worst = float("inf")
             break
-        f = residual(v, delta)
+        f, u, s_bus = residual(v, delta)
         worst = float(np.max(np.abs(f)))
         converged = worst < tol
     return PowerFlowSolution(
@@ -156,7 +155,7 @@ def mismatch(
     case bus order.
     """
     top = case.topology
-    s = _complex_power(top.y, sol.v, sol.delta)
+    _, s = _complex_power(top.y, sol.v, sol.delta)
     return (
         inj.p_injection[top.non_slack] - s.real[top.non_slack],
         inj.q_injection - s.imag[top.pq],
@@ -165,5 +164,5 @@ def mismatch(
 
 def bus_power(case: NetworkCase, sol: PowerFlowSolution) -> tuple[np.ndarray, np.ndarray]:
     """Actual per-bus active and reactive network injections at a solution."""
-    s = _complex_power(case.topology.y, sol.v, sol.delta)
+    _, s = _complex_power(case.topology.y, sol.v, sol.delta)
     return s.real, s.imag

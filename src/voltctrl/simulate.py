@@ -10,7 +10,8 @@ multiplier negative are cut back to land on the crossing, so trajectories
 never leave the nonnegative orthant by more than the solver tolerance.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
-horizon or to equilibrium. Three scenario families mirror the intended use:
+horizon or to equilibrium; it takes ``run_static``'s parameters plus the
+error tolerances. Three scenario families mirror the intended use:
 a static load held to equilibrium (one window), a line trip during
 operation (an intact window, then a tripped one from its last state), and a
 24-hour load profile (one window per hour, warm-started hour to hour).
@@ -21,6 +22,9 @@ object per window holds the plant and the controller's packed flow, each
 implicit-Newton correction is one ``controller.flow_newton_step`` (the engine
 knows only that the first C entries are q and the rest multipliers), and
 ``ControllerState`` objects are built once, for the returned trajectory.
+Every evaluation is a plant call, so each state is evaluated once: an
+implicit solve hands back the evaluation it ended on, and an accepted step
+reuses it.
 """
 
 from __future__ import annotations
@@ -53,25 +57,6 @@ from .sensitivity import (
 class PlantMode(Enum):
     NONLINEAR = "nonlinear"
     LINEAR = "linear"
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """One closed-loop window: case, plant flavor, limits, start state, horizon."""
-
-    case: NetworkCase
-    plant_mode: PlantMode = PlantMode.NONLINEAR
-    limits: Limits | None = None
-    gains: Gains = Gains()
-    horizon: float = 2e5
-    initial_state: ControllerState | None = None
-    rtol: float = 1e-6
-    atol: float = 1e-8
-    equilibrium_tol: float | None = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +130,15 @@ class _ClosedLoop:
     whose remaining entries are multipliers.
     """
 
-    def __init__(self, scenario: Scenario):
-        case = scenario.case
+    def __init__(
+        self, case: NetworkCase, plant_mode: PlantMode, limits: Limits | None, gains: Gains
+    ):
         self.case = case
-        self.mode = scenario.plant_mode
+        self.mode = plant_mode
         self.part = partition_buses(case)
         self.m, self.c = self.part.n_load, self.part.n_controlled
-        self.lim = scenario.limits if scenario.limits is not None else Limits.box(self.m, self.c)
-        self.gains = scenario.gains
+        self.lim = limits if limits is not None else Limits.box(self.m, self.c)
+        self.gains = gains
         self.inj = nominal_injections(case)
         self.cpos = self.part.controlled_in_pq()
         self.sens = voltage_sensitivity(case.topology.adm, self.part)
@@ -188,8 +174,6 @@ class _ClosedLoop:
 
     def report_voltage(self, q: np.ndarray) -> np.ndarray:
         """All-bus magnitudes for reporting; regulated buses from the base solve."""
-        if self.last is None:
-            raise PlantDivergenceError("no plant solution available")
         full = self.last.v.copy()
         if self.mode is PlantMode.LINEAR:
             full[self.part.pq] = predict_voltage(self.sens, self.embed(q))
@@ -203,47 +187,58 @@ class _ClosedLoop:
         rates, active = packed_flow(y, v, self.xc, self.lim, self.gains)
         return y, rates, active, v
 
-    def _implicit(self, y0: np.ndarray, f0: np.ndarray, h: float) -> np.ndarray:
-        """Solve z = y0 + h/2 (f0 + g(z)) by mask-aware simplified Newton."""
+    def _implicit(self, y0: np.ndarray, f0: np.ndarray, h: float):
+        """Solve z = y0 + h/2 (f0 + g(z)) by mask-aware simplified Newton.
+
+        Returns z with the evaluation the iteration ended on: the floored z,
+        its rates g(z) and its measured voltage.
+        """
         z = y0 + h * f0
         for _ in range(15):
             try:
-                _, g, active, _ = self.eval(z)
+                y, g, active, v = self.eval(z)
             except PlantDivergenceError as exc:
                 raise _TrialFailure(str(exc)) from exc
             resid = z - y0 - 0.5 * h * (f0 + g)
             if np.max(np.abs(resid)) < 1e-11 * max(1.0, float(np.max(np.abs(z)))):
-                return z
+                return z, y, g, v
             z = z - flow_newton_step(self.xc, self.gains, h, active, resid)
             if not np.all(np.isfinite(z)):
                 raise _TrialFailure("implicit iteration diverged")
         raise _TrialFailure("implicit iteration did not converge")
 
     def attempt(self, y0: np.ndarray, f0: np.ndarray, h: float):
-        """One error-controlled trapezoid step (step-doubling estimate)."""
-        y_full = self._implicit(y0, f0, h)
-        y_half = self._implicit(y0, f0, h / 2)
-        try:
-            _, f_half, _, _ = self.eval(y_half)
-        except PlantDivergenceError as exc:
-            raise _TrialFailure(str(exc)) from exc
-        y_two = self._implicit(y_half, f_half, h / 2)
-        return y_full, y_two
+        """One step-doubling trapezoid attempt: y_full, y_two and the evaluation at y_two."""
+        y_full, *_ = self._implicit(y0, f0, h)
+        y_half, _, f_half, _ = self._implicit(y0, f0, h / 2)
+        y_two, *at_two = self._implicit(y_half, f_half, h / 2)
+        return y_full, y_two, at_two
 
 
-def integrate(scenario: Scenario) -> SimulationResult:
+def integrate(
+    case: NetworkCase,
+    limits: Limits | None = None,
+    gains: Gains = Gains(),
+    tol: float | None = 1e-6,
+    plant_mode: PlantMode = PlantMode.NONLINEAR,
+    horizon: float = 2e5,
+    initial_state: ControllerState | None = None,
+    rtol: float = 1e-6,
+    atol: float = 1e-8,
+) -> SimulationResult:
     """Run one window from the start state at t = 0 to the horizon or equilibrium.
 
-    The plant is linearized at the start state's output. Multi-window runs
-    chain calls, each starting from the previous window's last state, and
-    join the results with ``_join``.
+    Equilibrium is every rate below ``tol`` in magnitude; ``tol=None`` runs
+    to the horizon. Unset limits are the default box, an unset start state
+    zeros. The plant is linearized at the start state's output. Multi-window
+    runs chain calls from the previous window's last state and ``_join`` them.
     """
-    loop = _ClosedLoop(scenario)
+    if horizon <= 0:
+        raise ConfigError("horizon must be positive")
+    loop = _ClosedLoop(case, plant_mode, limits, gains)
     m, c, lim = loop.m, loop.c, loop.lim
-    state0 = scenario.initial_state
-    if state0 is None:
-        state0 = ControllerState.zeros(m, c)
-    elif state0.lam_hi.shape != (m,) or state0.q.shape != (c,):
+    state0 = ControllerState.zeros(m, c) if initial_state is None else initial_state
+    if state0.lam_hi.shape != (m,) or state0.q.shape != (c,):
         raise ConfigError(
             f"initial state has M={state0.lam_hi.size}, C={state0.q.size}; "
             f"the case needs M={m}, C={c}"
@@ -254,19 +249,18 @@ def integrate(scenario: Scenario) -> SimulationResult:
             f"the case needs M={m}, C={c}"
         )
     loop.rebase(state0.q)
-    t1, rtol, atol, tol = scenario.horizon, scenario.rtol, scenario.atol, scenario.equilibrium_tol
 
     y, f, _, v = loop.eval(state0.packed())
     times, rows, volts, raw_mins = [0.0], [y], [v], [float(np.min(y[c:]))]
     residual = float(np.max(np.abs(f)))
     t = 0.0
-    h = min(0.1, t1)
-    while not (tol is not None and residual < tol) and t < t1 - 1e-9 * max(1.0, t1):
-        h_try = min(h, t1 - t)
+    h = min(0.1, horizon)
+    while not (tol is not None and residual < tol) and t < horizon - 1e-9 * max(1.0, horizon):
+        h_try = min(h, horizon - t)
         if h_try < 1e-13 * max(1.0, t):
             raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
         try:
-            y_full, y_two = loop.attempt(y, f, h_try)
+            y_full, y_two, at_two = loop.attempt(y, f, h_try)
         except _TrialFailure:
             h = 0.5 * h_try
             continue
@@ -292,7 +286,7 @@ def integrate(scenario: Scenario) -> SimulationResult:
             h = h_try * max(0.2, 0.9 * err ** (-1.0 / 3.0))
             continue
         t += h_try
-        y, f, _, v = loop.eval(y_two)
+        y, f, v = at_two
         times.append(t)
         rows.append(y)
         volts.append(v)
@@ -366,16 +360,7 @@ def run_static(
     initial_state: ControllerState | None = None,
 ) -> SimulationResult:
     """Hold the load constant and integrate until the dynamics settle."""
-    scenario = Scenario(
-        case=case,
-        plant_mode=plant_mode,
-        limits=limits,
-        gains=gains,
-        horizon=horizon,
-        equilibrium_tol=tol,
-        initial_state=initial_state,
-    )
-    return integrate(scenario)
+    return integrate(case, limits, gains, tol, plant_mode, horizon, initial_state)
 
 
 def run_fault(
@@ -451,9 +436,7 @@ def run_daily(
         raise ConfigError("daily profile needs exactly 24 load factors")
     if np.any(profile < 0):
         raise ConfigError("load factors must be nonnegative")
-    part = partition_buses(case)
-    lim = limits if limits is not None else Limits.box(part.n_load, part.n_controlled)
-    state = ControllerState.zeros(part.n_load, part.n_controlled)
+    state = None
     windows: list[tuple[float, SimulationResult]] = []
     bare_v = []
     for hour, factor in enumerate(profile):
@@ -461,12 +444,12 @@ def run_daily(
         bare = solve_power_flow(hourly_case, nominal_injections(hourly_case))
         if not bare.converged:
             raise PlantDivergenceError(f"uncontrolled power flow failed at hour {hour}")
-        bare_v.append(bare.v[part.pq].copy())
-        if reset_multipliers:
-            state = replace(ControllerState.zeros(part.n_load, part.n_controlled), q=state.q)
+        bare_v.append(bare.v[hourly_case.topology.pq].copy())
+        if reset_multipliers and state is not None:
+            state = replace(ControllerState.zeros(state.lam_hi.size, state.q.size), q=state.q)
         res = run_static(
             hourly_case,
-            lim,
+            limits,
             gains,
             tol,
             plant_mode,

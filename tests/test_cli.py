@@ -292,6 +292,17 @@ def test_exit_code_runtime_failure(tmp_path):
     assert code == EXIT_RUNTIME
 
 
+def test_non_finite_case_number_is_runtime_failure(tmp_path, capsys):
+    from importlib import resources
+
+    text = resources.files("voltctrl").joinpath("data", "case14.m").read_text()
+    path = tmp_path / "grid.m"
+    path.write_text(text.replace("\t47.8\t", "\tNaN\t"))
+    code = main(["powerflow", "--case", str(path)])
+    assert code == EXIT_RUNTIME
+    assert "runtime failure: bus 4: p_load is nan" in capsys.readouterr().err
+
+
 def test_missing_case_file_is_config_error(capsys):
     code = main(["powerflow", "--case", "/nonexistent/grid.m"])
     assert code == EXIT_CONFIG

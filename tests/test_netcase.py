@@ -133,6 +133,40 @@ def test_phase_shifter_rejected():
         parse_case(bad)
 
 
+def _case14_with(matrix: str, row: int, col: int, token: str) -> str:
+    """The bundled case14 text with one number of one matrix row replaced."""
+    from importlib import resources
+
+    lines = resources.files("voltctrl").joinpath("data", "case14.m").read_text().splitlines()
+    at = lines.index(f"mpc.{matrix} = [") + 1 + row
+    cells = lines[at].rstrip(";").split()
+    cells[col] = token
+    lines[at] = "\t" + "\t".join(cells) + ";"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "matrix, row, col, token, message",
+    [
+        ("bus", 3, 0, "NaN", "bus id must be an integer, got nan"),
+        ("bus", 3, 0, "Inf", "bus id must be an integer, got inf"),
+        ("bus", 3, 2, "NaN", "bus 4: p_load is nan"),
+        ("branch", 0, 3, "Inf", "branch 1-2: x is inf"),
+        ("gen", 1, 5, "NaN", "bus 2: v_setpoint is nan"),
+    ],
+    ids=["bus_id_nan", "bus_id_inf", "pd_nan", "branch_x_inf", "gen_vg_nan"],
+)
+def test_non_finite_case_numbers_rejected(matrix, row, col, token, message):
+    with pytest.raises(CaseDataError, match=message):
+        parse_case(_case14_with(matrix, row, col, token))
+
+
+def test_unread_columns_may_hold_inf(case14):
+    # MATPOWER files often carry Inf reactive limits; the parser ignores them
+    for col, token in ((3, "Inf"), (4, "-Inf")):
+        assert parse_case(_case14_with("gen", 1, col, token), name="case14") == case14
+
+
 def test_out_of_service_generator_ignored():
     text = TOY2_TEXT.replace(
         "mpc.gen = [", "mpc.gen = [\n\t2\t0\t0\t0\t0\t1.05\t100\t0\t0\t0;"
@@ -330,6 +364,11 @@ def test_scale_loads_rejects_negative(case14):
         scale_loads(case14, -0.1)
     with pytest.raises(CaseDataError):
         scale_loads(case14, {9: -1.0})
+    for factor in (float("nan"), float("inf")):
+        with pytest.raises(CaseDataError, match="not a finite number"):
+            scale_loads(case14, factor)
+        with pytest.raises(CaseDataError, match="bus 9: p_load"):
+            scale_loads(case14, {9: factor})
 
 
 def test_scale_loads_rejects_pv_key(case14):

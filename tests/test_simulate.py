@@ -21,7 +21,6 @@ from voltctrl.powerflow import nominal_injections, solve_power_flow
 from voltctrl.sensitivity import partition_buses, rebased, voltage_sensitivity
 from voltctrl.simulate import (
     PlantMode,
-    Scenario,
     Trajectory,
     SimulationResult,
     ViolationSummary,
@@ -298,14 +297,14 @@ def test_fixed_step_is_second_order(toy2, toy_limits):
         mu_lo=np.zeros(1),
     )
     exact = 0.3 * np.exp(-2.0)
-    loop = _ClosedLoop(Scenario(case=relaxed, plant_mode=PlantMode.LINEAR, limits=toy_limits))
+    loop = _ClosedLoop(relaxed, PlantMode.LINEAR, toy_limits, Gains())
     loop.rebase(start.q)
     errors = []
     for h in (0.05, 0.025, 0.0125):
         y = start.packed()
+        _, f, _, _ = loop.eval(y)
         for _ in range(round(1.0 / h)):
-            _, f, _, _ = loop.eval(y)
-            y = loop._implicit(y, f, h)
+            y, _, f, _ = loop._implicit(y, f, h)
         errors.append(abs(y[0] - exact))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     for r in ratios:
@@ -324,19 +323,41 @@ def test_halving_tolerance_reduces_error(toy2, toy_limits):
     exact = 0.3 * np.exp(-2.0)
     errors = []
     for rtol in (1e-4, 5e-5, 2.5e-5, 1.25e-5):
-        scenario = Scenario(
-            case=relaxed,
-            plant_mode=PlantMode.LINEAR,
+        res = integrate(
+            relaxed,
             limits=toy_limits,
+            tol=None,
+            plant_mode=PlantMode.LINEAR,
             horizon=1.0,
-            equilibrium_tol=None,
+            initial_state=start,
             rtol=rtol,
             atol=rtol * 1e-2,
-            initial_state=start,
         )
-        errors.append(abs(integrate(scenario).final_q[0] - exact))
+        errors.append(abs(res.final_q[0] - exact))
     for coarse, fine in zip(errors, errors[1:]):
         assert fine < coarse * 1.05
+
+
+@pytest.mark.parametrize(
+    "case_name, mode", [("heavy14", PlantMode.LINEAR), ("toy2", PlantMode.NONLINEAR)]
+)
+def test_no_state_is_evaluated_twice_in_a_row(request, monkeypatch, toy_limits, case_name, mode):
+    # each evaluation is a plant call (a Newton solve on the nonlinear plant),
+    # so the one an implicit solve ends on is reused, not repeated; states
+    # are compared after flooring, bit for bit
+    seen = []
+    evaluate = _ClosedLoop.eval
+
+    def recording(self, y):
+        out = evaluate(self, y)
+        seen.append(out[0].tobytes())
+        return out
+
+    monkeypatch.setattr(_ClosedLoop, "eval", recording)
+    limits = toy_limits if case_name == "toy2" else None
+    res = run_static(request.getfixturevalue(case_name), limits=limits, plant_mode=mode)
+    assert res.converged and len(seen) > len(res.trajectory) > 1
+    assert sum(a == b for a, b in zip(seen, seen[1:])) == 0
 
 
 def test_daily_flat_profile_matches_static(case14):
@@ -434,7 +455,7 @@ def test_scenario_validation():
 
     case = load_case("case14")
     with pytest.raises(ConfigError):
-        Scenario(case=case, horizon=-1.0)
+        integrate(case, horizon=-1.0)
     for t_trip in (0.0, -5.0):
         with pytest.raises(ConfigError):
             run_fault(case, t_trip=t_trip)
