@@ -178,20 +178,22 @@ def primal_rate_bracket(state: ControllerState, sens) -> np.ndarray:
 
 
 def packed_flow(
-    y: np.ndarray, v: np.ndarray, xc: np.ndarray, lim: Limits, gains: Gains
+    y: np.ndarray, v: np.ndarray, xc: np.ndarray, lim: Limits, gains: Gains, held=False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Saddle-point flow at a packed state and its measured voltages.
 
     ``xc`` holds the sensitivity columns of the controlled buses (M x C).
     Returns the rates and the active-row mask: all q rows, and each
-    multiplier row whose multiplier is positive or whose constraint is
-    violated. Inactive multiplier rows are projected to a zero rate. No
-    input is validated; ``dynamics_rhs`` is the checked entry point.
+    multiplier row whose multiplier is positive, whose constraint is
+    violated, or which ``held`` marks (a mask over the multiplier rows that
+    keeps them on one smooth piece of the flow). Inactive multiplier rows
+    are projected to a zero rate. No input is validated; ``dynamics_rhs``
+    is the checked entry point.
     """
     m, c = xc.shape
     q, lam_hi, lam_lo, mu_hi, mu_lo = _split(y, m, c)
     raw = np.concatenate([v - lim.v_hi, lim.v_lo - v, q - lim.q_hi, lim.q_lo - q])
-    on = (y[c:] > 0) | (raw > 0)
+    on = (y[c:] > 0) | (raw > 0) | held
     ascent = np.where(on, raw, 0.0)
     rates = np.concatenate(
         [

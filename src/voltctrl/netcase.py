@@ -368,6 +368,8 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
         if len(row) < _BRANCH_COLS:
             raise CaseFormatError(f"branch row has {len(row)} columns, need at least {_BRANCH_COLS}")
         ends = _integral(row[0], "branch from bus"), _integral(row[1], "branch to bus")
+        if not math.isfinite(row[9]):
+            raise CaseDataError(f"branch {ends[0]}-{ends[1]}: angle is {row[9]}, not a finite number")
         if row[9] != 0.0:
             raise CaseDataError(
                 f"branch {ends[0]}-{ends[1]}: phase-shifting transformers are not supported"

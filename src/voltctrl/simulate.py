@@ -5,9 +5,15 @@ measures comes from an algebraic plant solved at the current injections:
 either the full Newton power flow or the constant linear model. Integration
 uses an adaptive implicit trapezoidal scheme with step-doubling error
 control, which suits the moderately stiff projected dynamics. The projected
-rates kink where multipliers reach zero; steps that would drive a
-multiplier negative are cut back to land on the crossing, so trajectories
-never leave the nonnegative orthant by more than the solver tolerance.
+rates kink where multipliers reach zero, so each implicit solve stays on the
+smooth piece its step starts on: multipliers positive there stay active and
+unfloored, which keeps the trapezoid equation solvable where one decays
+through zero. Steps that would drive a multiplier negative are cut back to
+land on the crossing, so trajectories never leave the nonnegative orthant by
+more than the solver tolerance. Inside a step the nonlinear plant is solved
+to a power mismatch small enough that the voltage error it leaves moves the
+implicit residual by less than its stop test (1e-13 to 1e-8, tighter for
+longer steps); ``solve_power_flow`` keeps its 1e-8 default everywhere else.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes ``run_static``'s parameters plus the
@@ -23,8 +29,9 @@ implicit-Newton correction is one ``controller.flow_newton_step`` (the engine
 knows only that the first C entries are q and the rest multipliers), and
 ``ControllerState`` objects are built once, for the returned trajectory.
 Every evaluation is a plant call, so each state is evaluated once: an
-implicit solve hands back the evaluation it ended on, and an accepted step
-reuses it.
+implicit solve hands back the projected rates at its answer from the
+voltage it ended on, an accepted step reuses them, and rates at a state
+whose injections have not moved reuse its voltage.
 """
 
 from __future__ import annotations
@@ -144,6 +151,7 @@ class _ClosedLoop:
         self.sens = voltage_sensitivity(case.topology.adm, self.part)
         self.xc = self.sens.x[:, self.cpos]
         self.last: PowerFlowSolution | None = None
+        self.tol = 1e-8
 
     def embed(self, q: np.ndarray) -> np.ndarray:
         full = np.zeros(self.m)
@@ -154,7 +162,7 @@ class _ClosedLoop:
         inj = InjectionSet(
             self.inj.p_injection, self.inj.q_injection + self.embed(q)
         )
-        sol = solve_power_flow(self.case, inj, warm_start=self.last)
+        sol = solve_power_flow(self.case, inj, tol=self.tol, warm_start=self.last)
         if not sol.converged:
             raise PlantDivergenceError(
                 f"power flow lost convergence (mismatch {sol.max_mismatch:.3e})"
@@ -179,29 +187,42 @@ class _ClosedLoop:
             full[self.part.pq] = predict_voltage(self.sens, self.embed(q))
         return full
 
-    def eval(self, y: np.ndarray):
-        """Floored state, rates, active rows and measured voltage at a packed state."""
+    def eval(self, y: np.ndarray, held=False):
+        """State on its piece, rates, active rows and measured voltage at a packed state.
+
+        Multiplier rows in ``held`` keep their value and stay active; the
+        others are floored at zero and projected.
+        """
         y = y.copy()
-        y[self.c :] = np.maximum(y[self.c :], 0.0)
+        y[self.c :] = np.where(held, y[self.c :], np.maximum(y[self.c :], 0.0))
         v = self.voltage(y[: self.c])
-        rates, active = packed_flow(y, v, self.xc, self.lim, self.gains)
-        return y, rates, active, v
+        return (y, *packed_flow(y, v, self.xc, self.lim, self.gains, held), v)
 
     def _implicit(self, y0: np.ndarray, f0: np.ndarray, h: float):
-        """Solve z = y0 + h/2 (f0 + g(z)) by mask-aware simplified Newton.
+        """Solve z = y0 + h/2 (f0 + g(z)) on the smooth piece y0 lies on, by Newton.
 
-        Returns z with the evaluation the iteration ended on: the floored z,
-        its rates g(z) and its measured voltage.
+        Multiplier rows positive at y0 stay active and unfloored throughout,
+        so the equation has a solution where a row decays through zero; a
+        row that ends below zero is a crossing for ``integrate`` to land on.
+        The lam rows of the residual carry h/2 k_lam times the plant's
+        voltage error, so the plant is solved to a power mismatch of
+        1e-11 max(1, |y0|) / (h k_lam), kept within [1e-13, 1e-8], below
+        the stop test. Returns z with the projected evaluation at z: the
+        floored z, its rates and its measured voltage.
         """
+        held = y0[self.c :] > 0
+        tol = 1e-11 * max(1.0, float(np.max(np.abs(y0)))) / (h * self.gains.k_lam)
+        self.tol = min(max(tol, 1e-13), 1e-8)
         z = y0 + h * f0
         for _ in range(15):
             try:
-                y, g, active, v = self.eval(z)
+                _, g, active, v = self.eval(z, held)
             except PlantDivergenceError as exc:
                 raise _TrialFailure(str(exc)) from exc
             resid = z - y0 - 0.5 * h * (f0 + g)
             if np.max(np.abs(resid)) < 1e-11 * max(1.0, float(np.max(np.abs(z)))):
-                return z, y, g, v
+                y = np.concatenate([z[: self.c], np.maximum(z[self.c :], 0.0)])
+                return z, y, packed_flow(y, v, self.xc, self.lim, self.gains)[0], v
             z = z - flow_newton_step(self.xc, self.gains, h, active, resid)
             if not np.all(np.isfinite(z)):
                 raise _TrialFailure("implicit iteration diverged")
@@ -272,7 +293,7 @@ def integrate(
             # projected rates hold it there, then retry the same step
             y = y.copy()
             y[c:][tiny] = 0.0
-            y, f, _, _ = loop.eval(y)
+            f, _ = packed_flow(y, v, loop.xc, lim, gains)
             continue
         # largest fraction of the step that keeps all multipliers >= 0
         frac = float(np.min(a[crossing] / (a[crossing] - b[crossing]), initial=1.0))

@@ -1,5 +1,12 @@
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, as the benchmark runs, so the suite computes the same
+# trajectories; it only takes effect if set before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from voltctrl import load_case, parse_case

@@ -153,8 +153,14 @@ def _case14_with(matrix: str, row: int, col: int, token: str) -> str:
         ("bus", 3, 2, "NaN", "bus 4: p_load is nan"),
         ("branch", 0, 3, "Inf", "branch 1-2: x is inf"),
         ("gen", 1, 5, "NaN", "bus 2: v_setpoint is nan"),
+        # the angle is read before the phase-shifter check, not after it
+        ("branch", 0, 9, "NaN", "branch 1-2: angle is nan, not a finite number"),
+        ("branch", 0, 9, "-Inf", "branch 1-2: angle is -inf, not a finite number"),
     ],
-    ids=["bus_id_nan", "bus_id_inf", "pd_nan", "branch_x_inf", "gen_vg_nan"],
+    ids=[
+        "bus_id_nan", "bus_id_inf", "pd_nan", "branch_x_inf", "gen_vg_nan",
+        "branch_angle_nan", "branch_angle_inf",
+    ],
 )
 def test_non_finite_case_numbers_rejected(matrix, row, col, token, message):
     with pytest.raises(CaseDataError, match=message):

@@ -25,6 +25,7 @@ from voltctrl.simulate import (
     SimulationResult,
     ViolationSummary,
     _ClosedLoop,
+    _TrialFailure,
     _join,
     default_daily_profile,
     integrate,
@@ -344,12 +345,12 @@ def test_halving_tolerance_reduces_error(toy2, toy_limits):
 def test_no_state_is_evaluated_twice_in_a_row(request, monkeypatch, toy_limits, case_name, mode):
     # each evaluation is a plant call (a Newton solve on the nonlinear plant),
     # so the one an implicit solve ends on is reused, not repeated; states
-    # are compared after flooring, bit for bit
+    # are compared as evaluated, on the piece a step holds, bit for bit
     seen = []
     evaluate = _ClosedLoop.eval
 
-    def recording(self, y):
-        out = evaluate(self, y)
+    def recording(self, y, *held):
+        out = evaluate(self, y, *held)
         seen.append(out[0].tobytes())
         return out
 
@@ -358,6 +359,58 @@ def test_no_state_is_evaluated_twice_in_a_row(request, monkeypatch, toy_limits, 
     res = run_static(request.getfixturevalue(case_name), limits=limits, plant_mode=mode)
     assert res.converged and len(seen) > len(res.trajectory) > 1
     assert sum(a == b for a, b in zip(seen, seen[1:])) == 0
+
+
+@pytest.mark.parametrize(
+    "case_name, mode",
+    [("heavy14", PlantMode.LINEAR), ("light30", PlantMode.LINEAR), ("heavy14", PlantMode.NONLINEAR)],
+)
+def test_no_implicit_solve_hits_its_cap(request, monkeypatch, case_name, mode):
+    # every implicit solve has a solution on the piece its step starts on, and
+    # the plant answers finely enough for the stop test to be met
+    reasons = []
+    solve = _ClosedLoop._implicit
+
+    def recording(self, *args):
+        try:
+            return solve(self, *args)
+        except _TrialFailure as exc:
+            reasons.append(str(exc))
+            raise
+
+    monkeypatch.setattr(_ClosedLoop, "_implicit", recording)
+    res = run_static(request.getfixturevalue(case_name), plant_mode=mode)
+    assert res.converged
+    assert reasons.count("implicit iteration did not converge") == 0
+
+
+def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
+    # lam_lo = 1e-3 decays at 0.05 /s while its constraint is slack (v = 1),
+    # and h = 0.02 is the step that lands it on zero. Projected afresh at each
+    # iterate this step has no solution: the active row ends just below zero,
+    # the inactive one at y0 + h/2 f0 = 5e-4, and Newton flips between the two
+    # until its cap. Held on the piece it starts on, it is one affine solve.
+    relaxed = scale_loads(toy2, 0.0)
+    start = ControllerState(
+        q=np.zeros(1),
+        lam_hi=np.zeros(1),
+        lam_lo=np.array([1e-3]),
+        mu_hi=np.zeros(1),
+        mu_lo=np.zeros(1),
+    )
+    loop = _ClosedLoop(relaxed, PlantMode.LINEAR, toy_limits, Gains())
+    loop.rebase(start.q)
+    y0, f0, _, _ = loop.eval(start.packed())
+    assert f0[2] == pytest.approx(-0.05)
+    calls = []
+    evaluate = loop.eval
+    loop.eval = lambda *args: calls.append(args) or evaluate(*args)
+    z, y, g, _ = loop._implicit(y0, f0, 1e-3 / 0.05)
+    assert len(calls) <= 3
+    # the row ends a hair past zero, a crossing for integrate to land on;
+    # the evaluation handed back is the projected one
+    assert -1e-8 < z[2] < 0.0
+    assert y[2] == 0.0 and g[2] == 0.0
 
 
 def test_daily_flat_profile_matches_static(case14):
