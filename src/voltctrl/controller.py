@@ -18,7 +18,7 @@ The flow itself, ``packed_flow``, works on one packed vector
 [q, lam_hi, lam_lo, mu_hi, mu_lo] and returns the rates together with the
 mask of rows the projection leaves active; ``flow_jacobian`` is the
 constant unprojected Jacobian, so the Jacobian of the projected flow is its
-active rows. ``flow_newton_step`` solves the implicit trapezoid's Newton
+active rows. ``flow_newton_step`` solves an implicit stage's Newton
 system with that Jacobian through its C x C Schur complement in q, which is
 symmetric positive definite; ``flow_jacobian`` stays as its documented
 reference. This module is the only one that knows the packed layout.

@@ -3,17 +3,21 @@
 The controller state follows its saddle-point dynamics while the voltage it
 measures comes from an algebraic plant solved at the current injections:
 either the full Newton power flow or the constant linear model. Integration
-uses an adaptive implicit trapezoidal scheme with step-doubling error
-control, which suits the moderately stiff projected dynamics. The projected
-rates kink where multipliers reach zero, so each implicit solve stays on the
-smooth piece its step starts on: multipliers positive there stay active and
-unfloored, which keeps the trapezoid equation solvable where one decays
-through zero. Steps that would drive a multiplier negative are cut back to
-land on the crossing, so trajectories never leave the nonnegative orthant by
-more than the solver tolerance. Inside a step the nonlinear plant is solved
-to a power mismatch small enough that the voltage error it leaves moves the
-implicit residual by less than its stop test (1e-13 to 1e-8, tighter for
-longer steps); ``solve_power_flow`` keeps its 1e-8 default everywhere else.
+uses adaptive TR-BDF2 (Bank et al. 1985; Hosea & Shampine 1996): a
+trapezoid stage to t + gamma h, gamma = 2 - sqrt 2, then a BDF2 stage to
+t + h, with the step controlled by the method's embedded error estimate.
+It is L-stable, which suits the moderately stiff projected dynamics, and
+both stages solve z = c + (gamma h / 2) g(z), one Newton matrix. The
+projected rates kink where multipliers reach zero, so both stages stay on
+the smooth piece their step starts on: multipliers positive there stay
+active and unfloored, which keeps each stage equation solvable where one
+decays through zero. Steps that would drive a multiplier negative at either
+stage are cut back to land on the crossing, so trajectories never leave the
+nonnegative orthant by more than the solver tolerance. Inside a step the
+nonlinear plant is solved to a power mismatch small enough that the voltage
+error it leaves moves the stage residual by less than its stop test (1e-13
+to 1e-8, tighter for longer steps); ``solve_power_flow`` keeps its 1e-8
+default everywhere else.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes ``run_static``'s parameters plus the
@@ -28,10 +32,12 @@ object per window holds the plant and the controller's packed flow, each
 implicit-Newton correction is one ``controller.flow_newton_step`` (the engine
 knows only that the first C entries are q and the rest multipliers), and
 ``ControllerState`` objects are built once, for the returned trajectory.
-Every evaluation is a plant call, so each state is evaluated once: an
-implicit solve hands back the projected rates at its answer from the
-voltage it ended on, an accepted step reuses them, and rates at a state
-whose injections have not moved reuse its voltage.
+Every evaluation is a plant call, so each state is evaluated once: each
+stage's first Newton step starts where the rates are already known (the
+step's start, then the first stage's answer), a stage hands back the
+rates at its answer from the voltage it ended on, an accepted step reuses
+them, and rates at a state whose injections have not moved, the window's
+start among them, reuse its voltage.
 """
 
 from __future__ import annotations
@@ -121,12 +127,19 @@ class DailyResult(SimulationResult):
     uncontrolled_v: np.ndarray
 
 
+# TR-BDF2's first stage ends at t + gamma h; this gamma gives both stages
+# the one coefficient gamma h / 2
+_GAMMA = 2.0 - np.sqrt(2.0)
+# coefficient of TR-BDF2's embedded local error estimate (Hosea & Shampine)
+_EST = (-3.0 * _GAMMA**2 + 4.0 * _GAMMA - 2.0) / (6.0 * (2.0 - _GAMMA))
+
+
 class _TrialFailure(Exception):
     """Internal: this step attempt must be retried with a smaller h."""
 
 
 class _ClosedLoop:
-    """One window's compiled loop: plant, packed flow and implicit trapezoid.
+    """One window's compiled loop: plant, packed flow and the TR-BDF2 step.
 
     Built once per window from the case, plant flavor, limits and gains. It
     holds the partition, the controlled positions ``cpos`` within the load
@@ -170,10 +183,14 @@ class _ClosedLoop:
         self.last = sol
         return sol
 
-    def rebase(self, q: np.ndarray) -> None:
-        """Re-solve at the given controller output and relinearize there."""
-        sol = self._solve(q)
-        self.sens = rebased(self.sens, base_v=sol.v[self.part.pq], base_q=self.embed(q))
+    def rebase(self, q: np.ndarray) -> np.ndarray:
+        """Re-solve at the given controller output and relinearize there.
+
+        Returns the load-bus voltage there, which both plants measure at q.
+        """
+        v = self._solve(q).v[self.part.pq]
+        self.sens = rebased(self.sens, base_v=v, base_q=self.embed(q))
+        return v
 
     def voltage(self, q: np.ndarray) -> np.ndarray:
         if self.mode is PlantMode.LINEAR:
@@ -198,42 +215,54 @@ class _ClosedLoop:
         v = self.voltage(y[: self.c])
         return (y, *packed_flow(y, v, self.xc, self.lim, self.gains, held), v)
 
-    def _implicit(self, y0: np.ndarray, f0: np.ndarray, h: float):
-        """Solve z = y0 + h/2 (f0 + g(z)) on the smooth piece y0 lies on, by Newton.
+    def _implicit(self, c, z, g, active, held, gh: float):
+        """Solve z = c + (gh/2) g(z) on the held piece by Newton from a known start.
 
-        Multiplier rows positive at y0 stay active and unfloored throughout,
-        so the equation has a solution where a row decays through zero; a
-        row that ends below zero is a crossing for ``integrate`` to land on.
-        The lam rows of the residual carry h/2 k_lam times the plant's
-        voltage error, so the plant is solved to a power mismatch of
-        1e-11 max(1, |y0|) / (h k_lam), kept within [1e-13, 1e-8], below
-        the stop test. Returns z with the projected evaluation at z: the
-        floored z, its rates and its measured voltage.
+        ``g`` and ``active`` are the held-piece rates and active rows at the
+        start ``z``, so the first Newton step makes no plant call. Rows in
+        ``held`` stay active and unfloored throughout, so the equation has a
+        solution where a multiplier decays through zero; a row that ends
+        below zero is a crossing for ``integrate`` to land on. Returns z
+        with the held-piece rates, active rows and measured voltage at z.
         """
-        held = y0[self.c :] > 0
-        tol = 1e-11 * max(1.0, float(np.max(np.abs(y0)))) / (h * self.gains.k_lam)
-        self.tol = min(max(tol, 1e-13), 1e-8)
-        z = y0 + h * f0
+        resid = z - c - 0.5 * gh * g
         for _ in range(15):
+            z = z - flow_newton_step(self.xc, self.gains, gh, active, resid)
+            if not np.all(np.isfinite(z)):
+                raise _TrialFailure("implicit iteration diverged")
             try:
                 _, g, active, v = self.eval(z, held)
             except PlantDivergenceError as exc:
                 raise _TrialFailure(str(exc)) from exc
-            resid = z - y0 - 0.5 * h * (f0 + g)
+            resid = z - c - 0.5 * gh * g
             if np.max(np.abs(resid)) < 1e-11 * max(1.0, float(np.max(np.abs(z)))):
-                y = np.concatenate([z[: self.c], np.maximum(z[self.c :], 0.0)])
-                return z, y, packed_flow(y, v, self.xc, self.lim, self.gains)[0], v
-            z = z - flow_newton_step(self.xc, self.gains, h, active, resid)
-            if not np.all(np.isfinite(z)):
-                raise _TrialFailure("implicit iteration diverged")
+                return z, g, active, v
         raise _TrialFailure("implicit iteration did not converge")
 
-    def attempt(self, y0: np.ndarray, f0: np.ndarray, h: float):
-        """One step-doubling trapezoid attempt: y_full, y_two and the evaluation at y_two."""
-        y_full, *_ = self._implicit(y0, f0, h)
-        y_half, _, f_half, _ = self._implicit(y0, f0, h / 2)
-        y_two, *at_two = self._implicit(y_half, f_half, h / 2)
-        return y_full, y_two, at_two
+    def attempt(self, y0: np.ndarray, f0: np.ndarray, active0: np.ndarray, h: float):
+        """One TR-BDF2 step of size h from y0, whose projected rates and active rows are known.
+
+        Stage 1 is a trapezoid step to t + gamma h, stage 2 BDF2 to t + h,
+        both on the piece y0 lies on (multiplier rows positive at y0 held);
+        there the rates at y0 are f0, so stage 1 starts from y0 and stage 2
+        from stage 1's answer with no plant call. The lam rows of a stage
+        residual carry gamma h/2 k_lam times the plant's voltage error, so
+        the plant is solved to a power mismatch of 1e-11 max(1, |y0|) /
+        (gamma h k_lam), kept within [1e-13, 1e-8], below the stop test.
+        Returns both stage answers unfloored, the embedded estimate of the
+        local error, and the projected evaluation at the step's end: the
+        floored state, its rates, active rows and measured voltage.
+        """
+        held = y0[self.c :] > 0
+        gh = _GAMMA * h
+        tol = 1e-11 * max(1.0, float(np.max(np.abs(y0)))) / (gh * self.gains.k_lam)
+        self.tol = min(max(tol, 1e-13), 1e-8)
+        z_g, f_g, active_g, _ = self._implicit(y0 + 0.5 * gh * f0, y0, f0, active0, held, gh)
+        c1 = (z_g - (1.0 - _GAMMA) ** 2 * y0) / (_GAMMA * (2.0 - _GAMMA))
+        z1, f1, _, v = self._implicit(c1, z_g, f_g, active_g, held, gh)
+        est = _EST * h * (f0 / _GAMMA - f_g / (_GAMMA * (1.0 - _GAMMA)) + f1 / (1.0 - _GAMMA))
+        y = np.concatenate([z1[: self.c], np.maximum(z1[self.c :], 0.0)])
+        return z_g, z1, est, (y, *packed_flow(y, v, self.xc, self.lim, self.gains), v)
 
 
 def integrate(
@@ -269,9 +298,9 @@ def integrate(
             f"limits have M={lim.v_lo.size}, C={lim.q_lo.size}; "
             f"the case needs M={m}, C={c}"
         )
-    loop.rebase(state0.q)
-
-    y, f, _, v = loop.eval(state0.packed())
+    y = state0.packed()
+    v = loop.rebase(state0.q)
+    f, active = packed_flow(y, v, loop.xc, lim, gains)
     times, rows, volts, raw_mins = [0.0], [y], [v], [float(np.min(y[c:]))]
     residual = float(np.max(np.abs(f)))
     t = 0.0
@@ -281,37 +310,41 @@ def integrate(
         if h_try < 1e-13 * max(1.0, t):
             raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
         try:
-            y_full, y_two, at_two = loop.attempt(y, f, h_try)
+            z_g, z1, est, at_end = loop.attempt(y, f, active, h_try)
         except _TrialFailure:
             h = 0.5 * h_try
             continue
-        a, b = y[c:], y_two[c:]
-        crossing = (b < -1e-12) & (a > 0)
+        a = y[c:]
+        crossing = ((z_g[c:] < -1e-12) | (z1[c:] < -1e-12)) & (a > 0)
         tiny = crossing & (a <= 1e-9)
         if np.any(tiny):
             # a residual-level dual is decaying through zero: clamp it so the
             # projected rates hold it there, then retry the same step
             y = y.copy()
             y[c:][tiny] = 0.0
-            f, _ = packed_flow(y, v, loop.xc, lim, gains)
+            f, active = packed_flow(y, v, loop.xc, lim, gains)
             continue
-        # largest fraction of the step that keeps all multipliers >= 0
-        frac = float(np.min(a[crossing] / (a[crossing] - b[crossing]), initial=1.0))
+        # largest fraction of the step that keeps all multipliers >= 0 at
+        # both stages, the first of which ends at the fraction gamma
+        frac = 1.0
+        for share, b in ((_GAMMA, z_g[c:]), (1.0, z1[c:])):
+            x = (b < -1e-12) & (a > 0)
+            frac = min(frac, float(np.min(share * a[x] / (a[x] - b[x]), initial=1.0)))
         if frac < 1.0 and h_try * frac > 1e-10:
             # land on the multiplier zero crossing instead of overshooting
             h = max(h_try * frac, 1e-10)
             continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_two))
-        err = float(np.max(np.abs(y_two - y_full) / (3.0 * scale)))
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(z1))
+        err = float(np.max(np.abs(est) / scale))
         if err > 1.0:
             h = h_try * max(0.2, 0.9 * err ** (-1.0 / 3.0))
             continue
         t += h_try
-        y, f, v = at_two
+        y, f, active, v = at_end
         times.append(t)
         rows.append(y)
         volts.append(v)
-        raw_mins.append(float(np.min(b)))
+        raw_mins.append(float(np.min(z1[c:])))
         residual = float(np.max(np.abs(f)))
         growth = min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0 else 5.0
         h = h_try * growth

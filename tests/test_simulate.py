@@ -7,6 +7,7 @@ import signal
 import numpy as np
 import pytest
 
+from voltctrl import simulate
 from voltctrl.controller import (
     ControllerState,
     Gains,
@@ -302,14 +303,33 @@ def test_fixed_step_is_second_order(toy2, toy_limits):
     loop.rebase(start.q)
     errors = []
     for h in (0.05, 0.025, 0.0125):
-        y = start.packed()
-        _, f, _, _ = loop.eval(y)
+        y, f, active, _ = loop.eval(start.packed())
         for _ in range(round(1.0 / h)):
-            y, _, f, _ = loop._implicit(y, f, h)
+            *_, (y, f, active, _) = loop.attempt(y, f, active, h)
         errors.append(abs(y[0] - exact))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     for r in ratios:
         assert 3.2 < r < 4.8, f"error ratios {ratios} not consistent with order 2"
+
+
+@pytest.mark.parametrize("h", [0.01, 0.02, 0.04])
+def test_embedded_estimate_tracks_the_local_error(toy2, toy_limits, h):
+    # q decays freely from 0.3 with rate -2q, so one step's local error is
+    # known exactly; the step size is controlled by the estimate of it
+    relaxed = scale_loads(toy2, 0.0)
+    start = ControllerState(
+        q=np.array([0.3]),
+        lam_hi=np.zeros(1),
+        lam_lo=np.zeros(1),
+        mu_hi=np.zeros(1),
+        mu_lo=np.zeros(1),
+    )
+    loop = _ClosedLoop(relaxed, PlantMode.LINEAR, toy_limits, Gains())
+    loop.rebase(start.q)
+    y0, f0, active0, _ = loop.eval(start.packed())
+    _, z1, est, _ = loop.attempt(y0, f0, active0, h)
+    local = abs(z1[0] - 0.3 * np.exp(-2.0 * h))
+    assert 0.5 < abs(est[0]) / local < 2.0
 
 
 def test_halving_tolerance_reduces_error(toy2, toy_limits):
@@ -384,12 +404,57 @@ def test_no_implicit_solve_hits_its_cap(request, monkeypatch, case_name, mode):
     assert reasons.count("implicit iteration did not converge") == 0
 
 
+def test_linear_stage_solves_take_one_evaluation(monkeypatch, light30):
+    # on the piece a step holds the linear-plant flow is affine, so the first
+    # Newton step, taken from rates already known, is the stage's answer and
+    # its one evaluation is the stop test's check
+    per_solve = []
+    solve, evaluate = _ClosedLoop._implicit, _ClosedLoop.eval
+
+    def counting_solve(self, *args):
+        per_solve.append(0)
+        return solve(self, *args)
+
+    def counting_eval(self, *args):
+        per_solve[-1] += 1
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(_ClosedLoop, "_implicit", counting_solve)
+    monkeypatch.setattr(_ClosedLoop, "eval", counting_eval)
+    res = run_static(light30, plant_mode=PlantMode.LINEAR)
+    assert res.converged and len(per_solve) > len(res.trajectory)
+    assert set(per_solve) == {1}
+
+
+def test_window_start_reuses_the_rebase_solve(monkeypatch, heavy14):
+    # each window's rebase solves the plant at its start output; the start
+    # state's rates read that solve's voltage instead of solving it again
+    seen = []
+    solve = simulate.solve_power_flow
+
+    def recording(case, inj, *args, **kwargs):
+        seen.append((case, inj.q_injection.tobytes()))
+        return solve(case, inj, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "solve_power_flow", recording)
+    res = run_fault(heavy14, trip=(4, 5), t_trip=20.0, plant_mode=PlantMode.NONLINEAR)
+    assert res.converged
+    windows = {}
+    for case, q in seen:
+        windows.setdefault(id(case), []).append(q)
+    assert len(windows) == 2
+    for solved in windows.values():
+        assert solved.count(solved[0]) == 1
+
+
 def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
     # lam_lo = 1e-3 decays at 0.05 /s while its constraint is slack (v = 1),
     # and h = 0.02 is the step that lands it on zero. Projected afresh at each
     # iterate this step has no solution: the active row ends just below zero,
     # the inactive one at y0 + h/2 f0 = 5e-4, and Newton flips between the two
-    # until its cap. Held on the piece it starts on, it is one affine solve.
+    # until its cap. Held on the piece it starts on, each stage is one affine
+    # solve whose first Newton step starts from rates already known, so the
+    # step costs one evaluation per stage.
     relaxed = scale_loads(toy2, 0.0)
     start = ControllerState(
         q=np.zeros(1),
@@ -400,13 +465,13 @@ def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
     )
     loop = _ClosedLoop(relaxed, PlantMode.LINEAR, toy_limits, Gains())
     loop.rebase(start.q)
-    y0, f0, _, _ = loop.eval(start.packed())
+    y0, f0, active0, _ = loop.eval(start.packed())
     assert f0[2] == pytest.approx(-0.05)
     calls = []
     evaluate = loop.eval
     loop.eval = lambda *args: calls.append(args) or evaluate(*args)
-    z, y, g, _ = loop._implicit(y0, f0, 1e-3 / 0.05)
-    assert len(calls) <= 3
+    _, z, _, (y, g, _, _) = loop.attempt(y0, f0, active0, 1e-3 / 0.05)
+    assert len(calls) <= 2
     # the row ends a hair past zero, a crossing for integrate to land on;
     # the evaluation handed back is the projected one
     assert -1e-8 < z[2] < 0.0
