@@ -131,7 +131,7 @@ def _parse_setting(key: str, value: str, where: str) -> tuple[str, object]:
             return "plant", PlantMode(value)
         except ValueError:
             raise ConfigError(f"{where}: plant must be 'nonlinear' or 'linear'") from None
-    if key in ("v_lo", "v_hi", "q_lo", "q_hi", "k_q", "k_lam", "k_mu"):
+    if key in ("v_lo", "v_hi", "q_lo", "q_hi"):
         return key, _parse_float(value, where)
     if key == "load_scale":
         scale = _parse_float(value, where)
@@ -149,7 +149,7 @@ def _parse_setting(key: str, value: str, where: str) -> tuple[str, object]:
         return "profile", tuple(_parse_float(p, where) for p in parts)
     if key == "out":
         return "out_dir", value
-    if key in ("tol", "horizon", "hour_seconds"):
+    if key in ("k_q", "k_lam", "k_mu", "tol", "horizon", "hour_seconds"):
         number = _parse_float(value, where)
         if number <= 0:
             raise ConfigError(f"{where}: {key} must be positive")

@@ -17,12 +17,13 @@ equilibrium and transient excursions are allowed through.
 The flow itself, ``packed_flow``, works on one packed vector
 [q, lam_hi, lam_lo, mu_hi, mu_lo] and returns the rates together with the
 mask of rows the projection leaves active; ``flow_jacobian`` is the
-constant unprojected Jacobian, so the Jacobian of the projected flow is its
-active rows. ``flow_newton_step`` solves an implicit stage's Newton
-system with that Jacobian through its C x C Schur complement in q, which is
-symmetric positive definite; ``flow_jacobian`` stays as its documented
-reference. This module is the only one that knows the packed layout.
-``dynamics_rhs`` is the validating wrapper over ``ControllerState``.
+constant unprojected Jacobian under the linear plant, so the Jacobian of
+the projected flow is its active rows. ``flow_newton_step`` solves an
+implicit stage's Newton system through its C x C Schur complement in q,
+with the plant's own voltage sensitivity in the lam rows' q block (the
+nonlinear plant's dv/dq is not X); ``flow_jacobian`` stays as its
+documented reference. This module is the only one that knows the packed
+layout. ``dynamics_rhs`` is the validating wrapper over ``ControllerState``.
 """
 
 from __future__ import annotations
@@ -222,20 +223,29 @@ def flow_jacobian(xc: np.ndarray, gains: Gains) -> np.ndarray:
 
 
 def flow_newton_step(
-    xc: np.ndarray, gains: Gains, h: float, active: np.ndarray, resid: np.ndarray
+    xc: np.ndarray,
+    gx: np.ndarray,
+    gains: Gains,
+    h: float,
+    active: np.ndarray,
+    resid: np.ndarray,
 ) -> np.ndarray:
-    """Solve (I - h/2 (J * active[:, None])) dz = resid, J = ``flow_jacobian``.
+    """Solve (I - h/2 (J * active[:, None])) dz = resid for the closed loop's J.
 
-    The multiplier rows of J depend only on the q columns, so the system
-    reduces exactly to the C x C symmetric positive definite one
+    J is ``flow_jacobian`` with the plant's own voltage sensitivity ``gx``
+    (M x C, dv/dq at the controlled buses) in the lam rows' q columns:
+    +k_lam gx for lam_hi, -k_lam gx for lam_lo. The q rows are the
+    controller's own dynamics and keep ``xc``; with ``gx = xc`` J is
+    ``flow_jacobian`` itself. The multiplier rows of J depend only on the q
+    columns, so the system reduces exactly to the C x C one
 
         S dq = r_q + (h/2) J_qm r_m,
-        S = (1 + h k_q) I + (h^2/4) k_q (k_lam xc' D_lam xc + k_mu D_mu),
+        S = (1 + h k_q) I + (h^2/4) k_q (k_lam xc' D_lam gx + k_mu D_mu),
 
     where D_lam counts the active lam_hi and lam_lo rows of each load bus
     and D_mu the active mu rows of each controller; then
-    dm = r_m + (h/2) active_m (J_mq dq). S >= (1 + h k_q) I, so the solve
-    cannot be singular.
+    dm = r_m + (h/2) active_m (J_mq dq). S is not symmetric when gx differs
+    from xc, and a singular S raises ``numpy.linalg.LinAlgError``.
     """
     m, c = xc.shape
     k_q, k_lam, k_mu = gains.k_q, gains.k_lam, gains.k_mu
@@ -243,11 +253,11 @@ def flow_newton_step(
     _, a_lhi, a_llo, a_mhi, a_mlo = _split(active, m, c)
     d_lam = np.add(a_lhi, a_llo, dtype=float)
     d_mu = np.add(a_mhi, a_mlo, dtype=float)
-    s = (0.25 * h * h * k_q * k_lam) * (xc.T @ (d_lam[:, None] * xc))
+    s = (0.25 * h * h * k_q * k_lam) * (xc.T @ (d_lam[:, None] * gx))
     s[np.diag_indices(c)] += 1.0 + h * k_q + (0.25 * h * h * k_q * k_mu) * d_mu
     rhs = r_q - (0.5 * h * k_q) * (xc.T @ (r_lhi - r_llo) + r_mhi - r_mlo)
     dq = np.linalg.solve(s, rhs)
-    xdq = (0.5 * h * k_lam) * (xc @ dq)
+    xdq = (0.5 * h * k_lam) * (gx @ dq)
     udq = (0.5 * h * k_mu) * dq
     dm = resid[c:] + active[c:] * np.concatenate([xdq, -xdq, udq, -udq])
     return np.concatenate([dq, dm])

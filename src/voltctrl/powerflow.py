@@ -14,7 +14,9 @@ magnitudes at every PQ bus; slack and PV magnitudes stay at their setpoints
 Everything that depends only on the network, the complex admittance matrix,
 the index sets of the unknowns and the flat-start magnitudes, comes from the
 case's cached ``topology`` and is built once per case; a solve assembles its
-Jacobian from it by broadcasting.
+Jacobian from it by broadcasting. ``magnitude_sensitivity`` reuses that
+Jacobian at a solved point for the exact d|V|/dQ the closed loop's implicit
+stages linearize with.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularModelError
-from .netcase import BusKind, NetworkCase
+from .netcase import BusKind, NetworkCase, Topology
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +76,28 @@ def _complex_power(y_bus: np.ndarray, v: np.ndarray, delta: np.ndarray):
     return u, u * np.conj(y_bus @ u)
 
 
+def _jacobian(top: Topology, v: np.ndarray, u: np.ndarray, s_bus: np.ndarray) -> np.ndarray:
+    """Jacobian of the computed [P over non-slack; Q over PQ] in [delta; |V_pq|].
+
+    Complex-form partial derivatives of S = diag(U) conj(Y U), with
+    A[k, n] = U_k conj(Y_kn U_n):
+    dS/d delta = j (diag(S) - A),  dS/d|V| = (diag(S) + A) / |V_n|.
+    """
+    n_a, n_l = len(top.non_slack), len(top.pq)
+    diag = np.diag_indices(len(v))
+    a = u[:, None] * np.conj(top.y * u[None, :])
+    ds_ddelta = -1j * a
+    ds_ddelta[diag] += 1j * s_bus
+    ds_dvm = a / v[None, :]
+    ds_dvm[diag] += s_bus / v
+    jac = np.empty((n_a + n_l, n_a + n_l))
+    jac[:n_a, :n_a] = ds_ddelta.real[top.ix_p_delta]
+    jac[:n_a, n_a:] = ds_dvm.real[top.ix_p_vm]
+    jac[n_a:, :n_a] = ds_ddelta.imag[top.ix_q_delta]
+    jac[n_a:, n_a:] = ds_dvm.imag[top.ix_q_vm]
+    return jac
+
+
 def solve_power_flow(
     case: NetworkCase,
     inj: InjectionSet,
@@ -92,8 +116,7 @@ def solve_power_flow(
         raise ValueError("tol must be positive and max_iter at least 1")
     top = case.topology
     y_bus, non_slack, pq = top.y, top.non_slack, top.pq
-    n_a, n_l = len(non_slack), len(pq)
-    diag = np.diag_indices(case.n_buses)
+    n_a = len(non_slack)
 
     v = top.v_start.copy()
     delta = np.zeros(case.n_buses)
@@ -113,19 +136,7 @@ def solve_power_flow(
     iterations = 0
     converged = worst < tol
     while not converged and iterations < max_iter:
-        # complex-form partial derivatives of S = diag(U) conj(Y U), with
-        # A[k, n] = U_k conj(Y_kn U_n):
-        #   dS/d delta = j (diag(S) - A),  dS/d|V| = (diag(S) + A) / |V_n|
-        a = u[:, None] * np.conj(y_bus * u[None, :])
-        ds_ddelta = -1j * a
-        ds_ddelta[diag] += 1j * s_bus
-        ds_dvm = a / v[None, :]
-        ds_dvm[diag] += s_bus / v
-        jac = np.empty((n_a + n_l, n_a + n_l))
-        jac[:n_a, :n_a] = ds_ddelta.real[top.ix_p_delta]
-        jac[:n_a, n_a:] = ds_dvm.real[top.ix_p_vm]
-        jac[n_a:, :n_a] = ds_ddelta.imag[top.ix_q_delta]
-        jac[n_a:, n_a:] = ds_dvm.imag[top.ix_q_vm]
+        jac = _jacobian(top, v, u, s_bus)
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:
@@ -144,6 +155,29 @@ def solve_power_flow(
     return PowerFlowSolution(
         v=v, delta=delta, converged=converged, iterations=iterations, max_mismatch=worst
     )
+
+
+def magnitude_sensitivity(
+    case: NetworkCase, sol: PowerFlowSolution, columns: np.ndarray
+) -> np.ndarray:
+    """d|V_pq|/dQ at a solved point for the PQ injections at positions ``columns``.
+
+    Differentiates the solved equations with respect to the specified
+    reactive injections: one solve of the power-flow Jacobian at ``sol``
+    against a unit right-hand side per column, keeping the magnitude rows.
+    Returns an M x len(columns) matrix; a singular Jacobian raises
+    :class:`SingularModelError`.
+    """
+    top = case.topology
+    n_a = len(top.non_slack)
+    u, s_bus = _complex_power(top.y, sol.v, sol.delta)
+    jac = _jacobian(top, sol.v, u, s_bus)
+    unit = np.zeros((len(jac), len(columns)))
+    unit[n_a + np.asarray(columns), np.arange(len(columns))] = 1.0
+    try:
+        return np.linalg.solve(jac, unit)[n_a:]
+    except np.linalg.LinAlgError as exc:
+        raise SingularModelError(f"power flow Jacobian is singular: {exc}") from exc
 
 
 def mismatch(

@@ -32,6 +32,12 @@ object per window holds the plant and the controller's packed flow, each
 implicit-Newton correction is one ``controller.flow_newton_step`` (the engine
 knows only that the first C entries are q and the rest multipliers), and
 ``ControllerState`` objects are built once, for the returned trajectory.
+That correction linearizes the plant with its own dv/dq at the controlled
+buses: X for the linear plant; for the nonlinear one the power flow's exact
+sensitivity at the step's start state, taken from the solve already made
+there (the window's relinearization, then each accepted step's last stage)
+and reused across that step's retries. A singular Newton matrix halves the
+step.
 Every evaluation is a plant call, so each state is evaluated once: each
 stage's first Newton step starts where the rates are already known (the
 step's start, then the first stage's answer), a stage hands back the
@@ -58,7 +64,13 @@ from .controller import (
 )
 from .errors import ConfigError, PlantDivergenceError, StepSizeUnderflowError
 from .netcase import NetworkCase, scale_loads, trip_branch
-from .powerflow import InjectionSet, PowerFlowSolution, nominal_injections, solve_power_flow
+from .powerflow import (
+    InjectionSet,
+    PowerFlowSolution,
+    magnitude_sensitivity,
+    nominal_injections,
+    solve_power_flow,
+)
 from .sensitivity import (
     partition_buses,
     predict_voltage,
@@ -145,9 +157,10 @@ class _ClosedLoop:
     holds the partition, the controlled positions ``cpos`` within the load
     buses, their sensitivity columns ``xc``, the nominal injections, the
     sensitivity (from the case's cached admittance) with its base point,
-    and in nonlinear mode the warm-start solution reused across
-    evaluations. States are packed vectors whose first C entries are q and
-    whose remaining entries are multipliers.
+    the plant's dv/dq at the controlled buses ``gx`` that the implicit
+    Newton steps use, and in nonlinear mode the warm-start solution reused
+    across evaluations. States are packed vectors whose first C entries
+    are q and whose remaining entries are multipliers.
     """
 
     def __init__(
@@ -163,6 +176,7 @@ class _ClosedLoop:
         self.cpos = self.part.controlled_in_pq()
         self.sens = voltage_sensitivity(case.topology.adm, self.part)
         self.xc = self.sens.x[:, self.cpos]
+        self.gx = self.xc
         self.last: PowerFlowSolution | None = None
         self.tol = 1e-8
 
@@ -190,7 +204,17 @@ class _ClosedLoop:
         """
         v = self._solve(q).v[self.part.pq]
         self.sens = rebased(self.sens, base_v=v, base_q=self.embed(q))
+        self.refresh_gx()
         return v
+
+    def refresh_gx(self) -> None:
+        """Take the nonlinear plant's dv/dq from its last solve, made at the current state.
+
+        Called at a window's start and at each accepted state; the retries
+        of the step from there reuse it. The linear plant's dv/dq is ``xc``.
+        """
+        if self.mode is PlantMode.NONLINEAR:
+            self.gx = magnitude_sensitivity(self.case, self.last, self.cpos)
 
     def voltage(self, q: np.ndarray) -> np.ndarray:
         if self.mode is PlantMode.LINEAR:
@@ -227,7 +251,10 @@ class _ClosedLoop:
         """
         resid = z - c - 0.5 * gh * g
         for _ in range(15):
-            z = z - flow_newton_step(self.xc, self.gains, gh, active, resid)
+            try:
+                z = z - flow_newton_step(self.xc, self.gx, self.gains, gh, active, resid)
+            except np.linalg.LinAlgError as exc:
+                raise _TrialFailure("implicit Newton matrix is singular") from exc
             if not np.all(np.isfinite(z)):
                 raise _TrialFailure("implicit iteration diverged")
             try:
@@ -341,6 +368,7 @@ def integrate(
             continue
         t += h_try
         y, f, active, v = at_end
+        loop.refresh_gx()
         times.append(t)
         rows.append(y)
         volts.append(v)

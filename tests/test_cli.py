@@ -93,6 +93,18 @@ def test_parse_config_rejects_malformed_lines():
         parse_config("v_lo = 1.10\nv_hi = 1.05\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-1.5"])
+@pytest.mark.parametrize("key", ["k_q", "k_lam", "k_mu"])
+def test_nonpositive_gain_is_a_config_error(tmp_path, capsys, key, value):
+    # exit 1 means "ran but did not converge"; a gain the controller cannot
+    # take is a configuration error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = case14\n{key} = {value}\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert f"config error: line 2: {key} must be positive" in capsys.readouterr().err
+
+
 def test_parse_config_profile_roundtrip():
     values = ", ".join(str(0.7 + 0.01 * h) for h in range(24))
     cfg = parse_config(f"profile = {values}\n")

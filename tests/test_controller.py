@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from voltctrl import build_admittance
+from voltctrl import build_admittance, scale_loads
 from voltctrl.controller import (
     ControllerState,
     Gains,
@@ -21,6 +21,7 @@ from voltctrl.controller import (
     primal_rate_bracket,
     unpack_state,
 )
+from voltctrl.powerflow import magnitude_sensitivity, nominal_injections, solve_power_flow
 from voltctrl.sensitivity import (
     BusPartition,
     SensitivityMatrix,
@@ -157,23 +158,38 @@ def test_flow_jacobian_matches_finite_difference(case14):
 @pytest.mark.parametrize("name", ["case14", "case30"])
 def test_flow_newton_step_matches_dense_solve(name, request):
     # the reduced C x C solve against the full Newton system it replaces,
-    # over gains, step sizes from 1e-4 to 1e3 and random active masks
+    # over gains, step sizes from 1e-4 to 1e3 and random active masks. The
+    # lam rows' q block carries the plant's dv/dq: X itself for the linear
+    # plant, and for the nonlinear one the power-flow sensitivity (case14 at
+    # x3.1 load, case30 at its own, where x3.1 has no power-flow solution),
+    # perturbed at random so that no structure of it is relied on
     case = request.getfixturevalue(name)
     part = partition_buses(case)
-    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    cpos = part.controlled_in_pq()
+    xc = voltage_sensitivity(build_admittance(case), part).x[:, cpos]
     m, c = xc.shape
     n = 3 * c + 2 * m
     rng = np.random.default_rng(11)
+    loaded = scale_loads(case, {"case14": 3.1, "case30": 1.0}[name])
+    sol = solve_power_flow(loaded, nominal_injections(loaded), tol=1e-12, max_iter=30)
+    assert sol.converged
+    plant = magnitude_sensitivity(loaded, sol, cpos)
+    plant = plant * (1.0 + 0.1 * np.random.default_rng(12).standard_normal(plant.shape))
+    assert np.max(np.abs(plant - xc)) > 0.1 * np.max(np.abs(xc))
     worst = 0.0
-    for _ in range(200):
-        gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
-        h = 10.0 ** rng.uniform(-4.0, 3.0)
-        active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
-        resid = rng.standard_normal(n)
-        lhs = np.eye(n) - 0.5 * h * (flow_jacobian(xc, gains) * active[:, None])
-        expected = np.linalg.solve(lhs, resid)
-        got = flow_newton_step(xc, gains, h, active, resid)
-        worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
+    for gx in (xc, plant):
+        for _ in range(200):
+            gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
+            h = 10.0 ** rng.uniform(-4.0, 3.0)
+            active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
+            resid = rng.standard_normal(n)
+            jac = flow_jacobian(xc, gains)
+            jac[c : c + m, :c] = gains.k_lam * gx
+            jac[c + m : c + 2 * m, :c] = -gains.k_lam * gx
+            lhs = np.eye(n) - 0.5 * h * (jac * active[:, None])
+            expected = np.linalg.solve(lhs, resid)
+            got = flow_newton_step(xc, gx, gains, h, active, resid)
+            worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
     assert worst <= 1e-12
 
 

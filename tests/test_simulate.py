@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +428,37 @@ def test_linear_stage_solves_take_one_evaluation(monkeypatch, light30):
     res = run_static(light30, plant_mode=PlantMode.LINEAR)
     assert res.converged and len(per_solve) > len(res.trajectory)
     assert set(per_solve) == {1}
+
+
+def test_nonlinear_stage_solves_average_two_evaluations(monkeypatch, heavy14):
+    # the stage Newton step uses the plant's own dv/dq at the step's start,
+    # so at x3.1 load a stage converges in about two evaluations; with the
+    # flat-start X in its place it took 3.2 on average
+    per_solve = []
+    solve, evaluate = _ClosedLoop._implicit, _ClosedLoop.eval
+
+    def counting_solve(self, *args):
+        per_solve.append(0)
+        return solve(self, *args)
+
+    def counting_eval(self, *args):
+        per_solve[-1] += 1
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(_ClosedLoop, "_implicit", counting_solve)
+    monkeypatch.setattr(_ClosedLoop, "eval", counting_eval)
+    res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
+    assert res.converged and len(per_solve) > len(res.trajectory)
+    assert sum(per_solve) / len(per_solve) <= 2.0
+
+
+def test_simulate_import_leaves_scipy_unloaded():
+    # importing scipy.linalg alone costs more than a static run's whole
+    # set-up, so the loop's linear algebra stays on numpy
+    code = "import sys, voltctrl.simulate; sys.exit('scipy' in sys.modules)"
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_window_start_reuses_the_rebase_solve(monkeypatch, heavy14):
