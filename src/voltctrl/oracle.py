@@ -4,13 +4,15 @@ Solves min ||q||^2 subject to the linear voltage band and the injection box,
 
     v_lo <= base_v + X (q - base_q) <= v_hi,    q_lo <= q <= q_hi,
 
-with a primal active-set iteration on the stacked constraint rows: start
-feasible, walk toward the equality-constrained minimizer of the current
-working set, add the first blocking row, drop rows whose multiplier turns
-negative. Feasibility itself is certified up front by a small linear
-program. The result carries the multipliers in the same four-vector layout
-the dynamics use, so a converged trajectory can be checked against the true
-optimum and its KKT certificate directly.
+with the dual active-set method of Goldfarb & Idnani (Math. Programming 27,
+1983) on the stacked rows A q <= b. It starts at the unconstrained minimizer
+q = 0 and adds the most violated row, raising that row's multiplier while
+the rows already in the working set stay tight and dropping any whose
+multiplier reaches zero first. No feasible start is needed: a violated row
+that admits neither step proves the constraints infeasible. The result
+carries the multipliers in the same four-vector layout the dynamics use, so
+a converged trajectory can be checked against the true optimum and its KKT
+certificate directly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .controller import Limits
 from .errors import InfeasibleProblemError
@@ -55,22 +56,6 @@ def _constraint_rows(sens: SensitivityMatrix, lim: Limits):
     a = np.vstack([xc, -xc, eye, -eye])
     b = np.concatenate([lim.v_hi - r, r - lim.v_lo, lim.q_hi, -lim.q_lo])
     return a, b, m, c
-
-
-def _feasible_point(a: np.ndarray, b: np.ndarray, c: int, tol: float) -> np.ndarray:
-    """Min-violation LP: min t s.t. A q - b <= t. Certifies emptiness."""
-    n_rows = len(b)
-    a_ub = np.hstack([a, -np.ones((n_rows, 1))])
-    cost = np.zeros(c + 1)
-    cost[-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b, bounds=[(None, None)] * (c + 1), method="highs")
-    if not res.success:
-        raise InfeasibleProblemError(f"feasibility subproblem failed: {res.message}")
-    if res.x[-1] > tol:
-        raise InfeasibleProblemError(
-            f"constraints admit no solution (best achievable violation {res.x[-1]:.3e})"
-        )
-    return res.x[:c]
 
 
 def _equality_solve(a_w: np.ndarray, b_w: np.ndarray, c: int):
@@ -116,49 +101,51 @@ def _pack_solution(
 def solve_centralized(
     sens: SensitivityMatrix, lim: Limits, tol: float = 1e-10, max_iter: int = 2000
 ) -> QPSolution:
-    """Two-phase active-set solve of the strictly convex certification QP.
+    """Dual active-set solve of the strictly convex certification QP.
+
+    ``tol`` is the largest row violation ``A q - b`` accepted as feasible.
+    A row joins the working set only when it lies outside the span of the
+    rows already there, so the working rows always have full rank.
 
     Raises :class:`InfeasibleProblemError` when the voltage band cannot be
-    met inside the injection box (certified by the phase-one program).
+    met inside the injection box: a violated row lies in the span of the
+    working rows, and none of their multipliers can give way to it.
     """
     a, b, m, c = _constraint_rows(sens, lim)
-    q = _feasible_point(a, b, c, tol=1e-9)
-    # clean up LP roundoff so the walk starts strictly inside tolerance
-    working = [int(i) for i in np.nonzero(a @ q - b >= -1e-12)[0]]
-    working = _independent_subset(a, working)
+    q, u, working, p = np.zeros(c), np.zeros(0), [], None
     for _ in range(max_iter):
-        q_eq, duals = _equality_solve(a[working], b[working], c)
-        if np.max(np.abs(q_eq - q)) <= tol:
-            if len(working) == 0 or np.min(duals) >= -tol:
-                return _pack_solution(q_eq, duals, working, sens, lim, m, c)
-            working.pop(int(np.argmin(duals)))
-            continue
-        d = q_eq - q
-        gain = a @ d
-        slack = b - a @ q
-        blockers = [i for i in range(len(b)) if i not in set(working) and gain[i] > 1e-14]
-        step = 1.0
-        hit = None
-        for i in blockers:
-            ratio = max(slack[i], 0.0) / gain[i]
-            if ratio < step - 1e-15:
-                step = ratio
-                hit = i
-        q = q + step * d
-        if hit is not None:
-            working.append(hit)
-            working = _independent_subset(a, working)
+        if p is None:
+            violation = a @ q - b
+            p = int(np.argmax(violation))
+            if violation[p] <= tol:
+                q, duals = _equality_solve(a[working], b[working], c)
+                return _pack_solution(q, duals, working, sens, lim, m, c)
+            t_p = 0.0
+        # keep 2 q + A_w' u + t_p a_p = 0 with the working rows tight: per
+        # unit of t_p, u moves by -r and q by -d / 2, where d is the part
+        # of a_p outside the working rows' span (taken as none when it is
+        # below 1e-10 of |a_p|)
+        a_w = a[working]
+        r = np.linalg.lstsq(a_w.T, a[p], rcond=None)[0]
+        d = a[p] - a_w.T @ r
+        in_span = d @ d <= 1e-20 * (a[p] @ a[p])
+        # step 0 makes row p tight; step j + 1 zeroes working multiplier j
+        full = np.inf if in_span else 2.0 * (a[p] @ q - b[p]) / (d @ d)
+        steps = np.append(full, np.divide(u, r, out=np.full(len(u), np.inf), where=r > 0))
+        k = int(np.argmin(steps))
+        if steps[k] == np.inf:
+            raise InfeasibleProblemError(
+                "constraints are infeasible: the dual step on a violated row is unbounded"
+            )
+        q = q - 0.5 * steps[k] * d
+        u = np.maximum(u - steps[k] * r, 0.0)
+        t_p += steps[k]
+        if k == 0:
+            working, u, p = working + [p], np.append(u, t_p), None
+        else:
+            working.pop(k - 1)
+            u = np.delete(u, k - 1)
     raise InfeasibleProblemError(f"active-set method did not settle in {max_iter} iterations")
-
-
-def _independent_subset(a: np.ndarray, rows: list[int]) -> list[int]:
-    """Greedily keep rows that stay linearly independent (latest first kept)."""
-    kept: list[int] = []
-    for i in reversed(rows):
-        trial = kept + [i]
-        if np.linalg.matrix_rank(a[trial]) == len(trial):
-            kept = trial
-    return kept
 
 
 def enumerate_active_sets(sens: SensitivityMatrix, lim: Limits, tol: float = 1e-9) -> QPSolution:

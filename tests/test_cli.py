@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from voltctrl import cli
 from voltctrl.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
@@ -347,6 +353,21 @@ def test_validate_command_passes(capsys):
     assert code == EXIT_OK
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+def test_validate_runs_without_scipy():
+    # a None entry in sys.modules makes any later `import scipy` fail, so
+    # this also catches an import hidden inside a function
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from voltctrl.cli import main\n"
+        "sys.exit(main(['validate', '--case', 'case14', '--scale', '3.1']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout.count("PASS") == 4
 
 
 def test_missing_subcommand_exits_with_usage_error():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from voltctrl import build_admittance, scale_loads
+from voltctrl import build_admittance, scale_loads, trip_branch
 from voltctrl.controller import Limits
 from voltctrl.errors import InfeasibleProblemError
 from voltctrl.oracle import enumerate_active_sets, kkt_residual, solve_centralized
@@ -82,18 +82,40 @@ def test_positive_box_floor_binds():
 
 
 def test_infeasible_band_is_reported():
-    # lifting 0.5 pu to 0.95 with X = 0.1 needs q = 4.5, far past the box
-    sens = make_sens([[0.1]], [0.5])
-    lim = Limits.box(1, 1, q_lo=-0.5, q_hi=0.5)
-    with pytest.raises(InfeasibleProblemError):
-        solve_centralized(sens, lim)
-    with pytest.raises(InfeasibleProblemError):
-        enumerate_active_sets(sens, lim)
+    cases = [
+        # lifting 0.5 pu to 0.95 with X = 0.1 needs q = 4.5, far past the box
+        ([0.5], 0.5),
+        # the floor needs q = 0.5, and the box stops 1e-8 short of it: the
+        # band is missed by 1e-9, ten times the default feasibility tol
+        ([0.90], 0.5 - 1e-8),
+    ]
+    for base_v, q_hi in cases:
+        sens = make_sens([[0.1]], base_v)
+        lim = Limits.box(1, 1, q_lo=-0.5, q_hi=q_hi)
+        with pytest.raises(InfeasibleProblemError, match="constraints are infeasible"):
+            solve_centralized(sens, lim)
+        with pytest.raises(InfeasibleProblemError):
+            enumerate_active_sets(sens, lim)
 
 
-def random_instance(rng, c):
-    a = rng.uniform(0.05, 0.3, (c, c))
-    x = a @ a.T + 0.05 * np.eye(c)
+def test_degenerate_floors_meet_at_one_point():
+    # the voltage floor and the box floor both bind at q = 0.2 and are
+    # parallel rows, so the multipliers are not unique: compare q only
+    sens = make_sens([[0.1]], [0.93])
+    lim = Limits.box(1, 1, q_lo=0.2, q_hi=0.5)
+    qp = solve_centralized(sens, lim)
+    assert qp.q_star[0] == pytest.approx(0.2, abs=1e-12)
+    assert qp.kkt_residual <= 1e-10
+    assert_allclose(qp.q_star, enumerate_active_sets(sens, lim).q_star, atol=1e-12)
+
+
+def random_instance(rng, c, diagonal=False):
+    if diagonal:
+        # each voltage row is parallel to its controller's box row
+        x = np.diag(rng.uniform(0.05, 0.3, c))
+    else:
+        a = rng.uniform(0.05, 0.3, (c, c))
+        x = a @ a.T + 0.05 * np.eye(c)
     base_v = rng.uniform(0.9, 1.1, c)
     lim = Limits.box(c, c, q_lo=-0.3, q_hi=0.3)
     return make_sens(x, base_v), lim
@@ -103,9 +125,9 @@ def test_enumeration_matches_active_set_on_random_toys():
     rng = np.random.RandomState(42)
     feasible_seen = 0
     infeasible_seen = 0
-    for trial in range(60):
-        c = 2 if trial % 2 == 0 else 3
-        sens, lim = random_instance(rng, c)
+    for trial in range(90):
+        c = 1 + trial % 3
+        sens, lim = random_instance(rng, c, diagonal=trial % 2 == 1)
         try:
             qp = solve_centralized(sens, lim)
         except InfeasibleProblemError:
@@ -139,36 +161,65 @@ def test_solution_respects_all_constraints():
             assert np.all(vec >= 0)
 
 
-def heavy_case14_problem(case14):
-    heavy = scale_loads(case14, 3.1)
-    part = partition_buses(heavy)
-    sol = solve_power_flow(heavy, nominal_injections(heavy), max_iter=30)
+def reference_problem(case, scale, trip=None, box=0.2):
+    """Oracle input at the case's uncontrolled power flow, loads scaled."""
+    case = scale_loads(case, scale)
+    if trip is not None:
+        case = trip_branch(case, *trip)
+    part = partition_buses(case)
+    sol = solve_power_flow(case, nominal_injections(case), max_iter=30)
     assert sol.converged
     sens = rebased(
-        voltage_sensitivity(build_admittance(heavy), part),
+        voltage_sensitivity(build_admittance(case), part),
         base_v=sol.v[part.pq],
-        base_q=np.zeros(9),
+        base_q=np.zeros(part.n_load),
     )
-    return heavy, sens, Limits.box(9, 9)
+    return case, sens, Limits.box(part.n_load, part.n_controlled, q_lo=-box, q_hi=box)
 
 
-def test_heavy_case14_active_pattern(case14):
+# active sets by PQ position on the inputs C3-C5 and `voltctrl validate` read;
+# None marks the input whose box cannot hold the voltage band
+REFERENCE_ACTIVE_SETS = [
+    ("case14", 3.099, None, 0.2, {"v_lo": (0, 8), "q_hi": (8,)}),
+    ("case14", 3.1, None, 0.2, {"v_lo": (0, 8), "q_hi": (8,)}),
+    ("case14", 3.1, (4, 5), 0.2, {"v_lo": (0, 8), "q_hi": (0,)}),
+    ("case30", 0.25, None, 0.2, {"v_hi": (4, 6)}),
+    ("case14", 3.1, None, 0.01, None),
+]
+
+
+def test_heavy_case14_active_pattern(case14, case30):
     # under ~3.1x uniform loading the floor binds at buses 4 and 14 and the
     # bus-14 source saturates; the optimizer leaves bus 12 well under its
     # ceiling because the voltage-controlled bus 6 shields that corner
-    heavy, sens, lim = heavy_case14_problem(case14)
+    heavy, sens, lim = reference_problem(case14, 3.1)
     qp = solve_centralized(sens, lim)
     ids = [heavy.buses[i].id for i in sens.partition.pq]
     binding_lo = {ids[i] for i in qp.active_sets["v_lo"]}
     assert binding_lo == {4, 14}
     assert {ids[i] for i in qp.active_sets["q_hi"]} == {14}
-    assert qp.kkt_residual < 1e-9
+    assert qp.kkt_residual <= 1e-10
     v = sens.base_v + sens.x @ qp.q_star
     assert v[ids.index(4)] == pytest.approx(0.95, abs=1e-9)
     assert v[ids.index(14)] == pytest.approx(0.95, abs=1e-9)
     assert qp.q_star[ids.index(14)] == pytest.approx(0.2, abs=1e-9)
     assert np.all(qp.q_star <= 0.2 + 1e-9)
     assert qp.objective_value == pytest.approx(0.0693, abs=2e-4)
+
+    cases = {"case14": case14, "case30": case30}
+    for name, scale, trip, box, expected in REFERENCE_ACTIVE_SETS:
+        _, sens, lim = reference_problem(cases[name], scale, trip, box)
+        if expected is None:
+            with pytest.raises(InfeasibleProblemError):
+                solve_centralized(sens, lim)
+            continue
+        qp = solve_centralized(sens, lim)
+        active = {family: rows for family, rows in qp.active_sets.items() if rows}
+        assert active == expected, (name, scale, trip)
+        assert qp.kkt_residual <= 1e-10
+        v = sens.base_v + sens.x[:, sens.partition.controlled_in_pq()] @ qp.q_star
+        assert np.all(v <= lim.v_hi + 1e-10) and np.all(v >= lim.v_lo - 1e-10)
+        assert np.all(qp.q_star <= lim.q_hi + 1e-10) and np.all(qp.q_star >= lim.q_lo - 1e-10)
 
 
 def test_kkt_residual_flags_broken_complementarity():

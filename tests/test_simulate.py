@@ -452,10 +452,12 @@ def test_nonlinear_stage_solves_average_two_evaluations(monkeypatch, heavy14):
     assert sum(per_solve) / len(per_solve) <= 2.0
 
 
-def test_simulate_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize("module", ["voltctrl.simulate", "voltctrl.oracle", "voltctrl.cli"])
+def test_simulate_import_leaves_scipy_unloaded(module):
     # importing scipy.linalg alone costs more than a static run's whole
-    # set-up, so the loop's linear algebra stays on numpy
-    code = "import sys, voltctrl.simulate; sys.exit('scipy' in sys.modules)"
+    # set-up, so the loop's linear algebra and the oracle stay on numpy,
+    # and so does every command the CLI runs
+    code = f"import sys, {module}; sys.exit('scipy' in sys.modules)"
     src = str(Path(simulate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
