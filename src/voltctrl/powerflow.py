@@ -14,9 +14,11 @@ magnitudes at every PQ bus; slack and PV magnitudes stay at their setpoints
 Everything that depends only on the network, the complex admittance matrix,
 the index sets of the unknowns and the flat-start magnitudes, comes from the
 case's cached ``topology`` and is built once per case; a solve assembles its
-Jacobian from it by broadcasting. ``magnitude_sensitivity`` reuses that
-Jacobian at a solved point for the exact d|V|/dQ the closed loop's implicit
-stages linearize with.
+Jacobian from it by broadcasting. ``jacobian_inverse`` inverts that
+Jacobian at a solved point. The closed loop takes one per accepted step: its
+plant solves inside the step run chord (simplified Newton) iterations with
+it (Stott, Proc. IEEE 67(2), 1979), and its block of magnitude rows and
+reactive columns is the exact d|V|/dQ the implicit stages linearize with.
 """
 
 from __future__ import annotations
@@ -104,12 +106,21 @@ def solve_power_flow(
     tol: float = 1e-8,
     max_iter: int = 20,
     warm_start: PowerFlowSolution | None = None,
+    inverse: np.ndarray | None = None,
 ) -> PowerFlowSolution:
     """Newton-Raphson solve of the polar power flow equations.
 
     Starts flat (v = 1, delta = 0 at the unknowns) unless ``warm_start``
-    supplies a previous solution. Non-convergence within ``max_iter`` is
-    reported through ``converged=False``, not an exception; a singular
+    supplies a previous solution. Given ``inverse``, the inverse Jacobian
+    at a nearby solution (``jacobian_inverse``), each step is a chord
+    (simplified Newton) step with it: one residual and one matrix-vector
+    product. A chord step that does not halve the mismatch, or leaves the
+    domain (a magnitude at or below zero, or a non-finite mismatch), drops
+    the inverse, and the solve goes on by full Newton from the last iterate
+    it accepted. ``iterations`` counts every step tried against
+    ``max_iter``; a full Newton step that leaves the domain ends the solve.
+    Non-convergence is reported through ``converged=False``, with the last
+    accepted iterate and its mismatch, not an exception; a singular
     Jacobian raises :class:`SingularModelError`.
     """
     if tol <= 0 or max_iter < 1:
@@ -124,58 +135,61 @@ def solve_power_flow(
         v[pq] = warm_start.v[pq]
         delta[non_slack] = warm_start.delta[non_slack]
 
-    p_spec = inj.p_injection[non_slack]
-    q_spec = inj.q_injection
+    spec = np.concatenate([inj.p_injection[non_slack], inj.q_injection])
+    # P at the non-slack buses and Q at the PQ buses, as positions in the
+    # bus powers' interleaved (real, imaginary) float view
+    rows = np.concatenate([2 * non_slack, 2 * pq + 1])
 
     def residual(v, delta):
         u, s = _complex_power(y_bus, v, delta)
-        return np.concatenate([p_spec - s.real[non_slack], q_spec - s.imag[pq]]), u, s
+        f = spec - s.view(float)[rows]
+        return f, float(np.abs(f).max()), u, s
 
-    f, u, s_bus = residual(v, delta)
-    worst = float(np.max(np.abs(f)))
+    f, worst, u, s_bus = residual(v, delta)
     iterations = 0
-    converged = worst < tol
-    while not converged and iterations < max_iter:
-        jac = _jacobian(top, v, u, s_bus)
-        try:
-            step = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError as exc:
-            raise SingularModelError(f"power flow Jacobian is singular: {exc}") from exc
-        delta = delta.copy()
-        v = v.copy()
-        delta[non_slack] += step[:n_a]
-        v[pq] += step[n_a:]
+    while worst >= tol and iterations < max_iter:
+        if inverse is None:
+            try:
+                step = np.linalg.solve(_jacobian(top, v, u, s_bus), f)
+            except np.linalg.LinAlgError as exc:
+                raise SingularModelError(f"power flow Jacobian is singular: {exc}") from exc
+        else:
+            step = inverse @ f
         iterations += 1
-        if not (np.all(np.isfinite(v)) and np.all(v > 0) and np.all(np.isfinite(delta))):
-            worst = float("inf")
+        trial_v, trial_delta = v.copy(), delta.copy()
+        trial_delta[non_slack] += step[:n_a]
+        trial_v[pq] += step[n_a:]
+        # an accepted step keeps magnitudes positive and the mismatch finite;
+        # a chord step must also halve it
+        limit = np.inf if inverse is None else 0.5 * worst
+        trial = residual(trial_v, trial_delta) if trial_v.min() > 0 else None
+        if trial is not None and trial[1] < limit:
+            v, delta = trial_v, trial_delta
+            f, worst, u, s_bus = trial
+        elif inverse is None:
             break
-        f, u, s_bus = residual(v, delta)
-        worst = float(np.max(np.abs(f)))
-        converged = worst < tol
+        else:
+            inverse = None
     return PowerFlowSolution(
-        v=v, delta=delta, converged=converged, iterations=iterations, max_mismatch=worst
+        v=v, delta=delta, converged=worst < tol, iterations=iterations, max_mismatch=worst
     )
 
 
-def magnitude_sensitivity(
-    case: NetworkCase, sol: PowerFlowSolution, columns: np.ndarray
-) -> np.ndarray:
-    """d|V_pq|/dQ at a solved point for the PQ injections at positions ``columns``.
+def jacobian_inverse(case: NetworkCase, sol: PowerFlowSolution) -> np.ndarray:
+    """Inverse of the power-flow Jacobian at a solved point.
 
-    Differentiates the solved equations with respect to the specified
-    reactive injections: one solve of the power-flow Jacobian at ``sol``
-    against a unit right-hand side per column, keeping the magnitude rows.
-    Returns an M x len(columns) matrix; a singular Jacobian raises
+    Rows and columns run over [delta at non-slack buses; |V| at PQ buses]
+    and [P at non-slack buses; Q at PQ buses]. It is the fixed matrix of
+    ``solve_power_flow``'s chord steps near ``sol``, and, since the solved
+    equations balance the specified injections, its block
+    ``[n_a:, n_a + j]`` (n_a non-slack buses) is the exact d|V_pq|/dQ for
+    the j-th PQ injection. A singular Jacobian raises
     :class:`SingularModelError`.
     """
     top = case.topology
-    n_a = len(top.non_slack)
     u, s_bus = _complex_power(top.y, sol.v, sol.delta)
-    jac = _jacobian(top, sol.v, u, s_bus)
-    unit = np.zeros((len(jac), len(columns)))
-    unit[n_a + np.asarray(columns), np.arange(len(columns))] = 1.0
     try:
-        return np.linalg.solve(jac, unit)[n_a:]
+        return np.linalg.inv(_jacobian(top, sol.v, u, s_bus))
     except np.linalg.LinAlgError as exc:
         raise SingularModelError(f"power flow Jacobian is singular: {exc}") from exc
 

@@ -2,7 +2,7 @@
 
 The controller state follows its saddle-point dynamics while the voltage it
 measures comes from an algebraic plant solved at the current injections:
-either the full Newton power flow or the constant linear model. Integration
+either the AC power flow or the constant linear model. Integration
 uses adaptive TR-BDF2 (Bank et al. 1985; Hosea & Shampine 1996): a
 trapezoid stage to t + gamma h, gamma = 2 - sqrt 2, then a BDF2 stage to
 t + h, with the step controlled by the method's embedded error estimate.
@@ -17,7 +17,12 @@ nonnegative orthant by more than the solver tolerance. Inside a step the
 nonlinear plant is solved to a power mismatch small enough that the voltage
 error it leaves moves the stage residual by less than its stop test (1e-13
 to 1e-8, tighter for longer steps); ``solve_power_flow`` keeps its 1e-8
-default everywhere else.
+default everywhere else. Those solves are chord iterations: the power-flow
+Jacobian is formed and inverted once at the window's start (whose own
+solve is full Newton) and at each accepted state, and every solve in the
+step from there, retries included, starts at the last solution and steps
+with that inverse, falling back to full Newton only when a step fails to
+halve the mismatch.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes ``run_static``'s parameters plus the
@@ -34,10 +39,10 @@ knows only that the first C entries are q and the rest multipliers), and
 ``ControllerState`` objects are built once, for the returned trajectory.
 That correction linearizes the plant with its own dv/dq at the controlled
 buses: X for the linear plant; for the nonlinear one the power flow's exact
-sensitivity at the step's start state, taken from the solve already made
-there (the window's relinearization, then each accepted step's last stage)
-and reused across that step's retries. A singular Newton matrix halves the
-step.
+sensitivity at the step's start state, a block of the same inverse Jacobian
+the chord solves use, taken at the solve already made there (the window's
+relinearization, then each accepted step's last stage) and reused across
+that step's retries. A singular Newton matrix halves the step.
 Every evaluation is a plant call, so each state is evaluated once: each
 stage's first Newton step starts where the rates are already known (the
 step's start, then the first stage's answer), a stage hands back the
@@ -67,7 +72,7 @@ from .netcase import NetworkCase, scale_loads, trip_branch
 from .powerflow import (
     InjectionSet,
     PowerFlowSolution,
-    magnitude_sensitivity,
+    jacobian_inverse,
     nominal_injections,
     solve_power_flow,
 )
@@ -159,8 +164,9 @@ class _ClosedLoop:
     sensitivity (from the case's cached admittance) with its base point,
     the plant's dv/dq at the controlled buses ``gx`` that the implicit
     Newton steps use, and in nonlinear mode the warm-start solution reused
-    across evaluations. States are packed vectors whose first C entries
-    are q and whose remaining entries are multipliers.
+    across evaluations and the inverse Jacobian its chord solves step with.
+    States are packed vectors whose first C entries are q and whose
+    remaining entries are multipliers.
     """
 
     def __init__(
@@ -178,6 +184,7 @@ class _ClosedLoop:
         self.xc = self.sens.x[:, self.cpos]
         self.gx = self.xc
         self.last: PowerFlowSolution | None = None
+        self.inverse: np.ndarray | None = None
         self.tol = 1e-8
 
     def embed(self, q: np.ndarray) -> np.ndarray:
@@ -189,7 +196,9 @@ class _ClosedLoop:
         inj = InjectionSet(
             self.inj.p_injection, self.inj.q_injection + self.embed(q)
         )
-        sol = solve_power_flow(self.case, inj, tol=self.tol, warm_start=self.last)
+        sol = solve_power_flow(
+            self.case, inj, tol=self.tol, warm_start=self.last, inverse=self.inverse
+        )
         if not sol.converged:
             raise PlantDivergenceError(
                 f"power flow lost convergence (mismatch {sol.max_mismatch:.3e})"
@@ -204,17 +213,21 @@ class _ClosedLoop:
         """
         v = self._solve(q).v[self.part.pq]
         self.sens = rebased(self.sens, base_v=v, base_q=self.embed(q))
-        self.refresh_gx()
+        self.refresh_inverse()
         return v
 
-    def refresh_gx(self) -> None:
-        """Take the nonlinear plant's dv/dq from its last solve, made at the current state.
+    def refresh_inverse(self) -> None:
+        """Invert the nonlinear plant's Jacobian at its last solve, made at the current state.
 
-        Called at a window's start and at each accepted state; the retries
-        of the step from there reuse it. The linear plant's dv/dq is ``xc``.
+        Called at a window's start and at each accepted state; the step
+        from there, retries included, solves the plant by chord iterations
+        with this inverse and takes dv/dq at the controlled buses from its
+        magnitude rows. The linear plant's dv/dq is ``xc``.
         """
         if self.mode is PlantMode.NONLINEAR:
-            self.gx = magnitude_sensitivity(self.case, self.last, self.cpos)
+            self.inverse = jacobian_inverse(self.case, self.last)
+            n_a = len(self.case.topology.non_slack)
+            self.gx = self.inverse[n_a:, n_a + self.cpos]
 
     def voltage(self, q: np.ndarray) -> np.ndarray:
         if self.mode is PlantMode.LINEAR:
@@ -368,7 +381,7 @@ def integrate(
             continue
         t += h_try
         y, f, active, v = at_end
-        loop.refresh_gx()
+        loop.refresh_inverse()
         times.append(t)
         rows.append(y)
         volts.append(v)

@@ -9,7 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import pytest
 
-from voltctrl import load_case, parse_case
+from voltctrl import load_case, parse_case, powerflow
 
 # Two-bus network with a closed-form solution, used as the hand-checked
 # oracle throughout the suite: slack at 1.0 pu feeding a 0.736 pu reactive
@@ -44,6 +44,20 @@ def case14():
 @pytest.fixture(scope="session")
 def case30():
     return load_case("case30")
+
+
+@pytest.fixture
+def jacobian_builds(monkeypatch):
+    """A one-entry list counting the power-flow Jacobians built from here on."""
+    calls = [0]
+    build = powerflow._jacobian
+
+    def counting(*args):
+        calls[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(powerflow, "_jacobian", counting)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -11,7 +11,7 @@ from voltctrl.netcase import parse_case
 from voltctrl.powerflow import (
     InjectionSet,
     bus_power,
-    magnitude_sensitivity,
+    jacobian_inverse,
     mismatch,
     nominal_injections,
     solve_power_flow,
@@ -193,19 +193,19 @@ def test_added_reactive_injection_raises_local_voltage(case14, case30):
 
 @pytest.mark.parametrize("name, load", [("case14", 3.1), ("case30", 1.0)])
 def test_magnitude_sensitivity_matches_finite_differences(request, name, load):
-    # every PQ injection column against central differences, at a 1e-6
-    # step, of solves held to a 1e-13 mismatch: within 1e-6 of the largest
-    # entry
+    # the inverse Jacobian's magnitude rows and reactive columns, for every
+    # PQ injection, against central differences, at a 1e-6 step, of solves
+    # held to a 1e-13 mismatch: within 1e-6 of the largest entry
     case = scale_loads(request.getfixturevalue(name), load)
     inj = nominal_injections(case)
     sol = solve_power_flow(case, inj, tol=1e-13, max_iter=30)
     assert sol.converged
     pq = case.topology.pq
-    columns = np.arange(len(pq))
-    got = magnitude_sensitivity(case, sol, columns)
+    n_a = len(case.topology.non_slack)
+    got = jacobian_inverse(case, sol)[n_a:, n_a:]
     step = 1e-6
     expected = np.empty_like(got)
-    for j in columns:
+    for j in range(len(pq)):
         v = []
         for sign in (1.0, -1.0):
             q = inj.q_injection.copy()
@@ -217,8 +217,91 @@ def test_magnitude_sensitivity_matches_finite_differences(request, name, load):
             v.append(moved.v[pq])
         expected[:, j] = (v[0] - v[1]) / (2 * step)
     assert np.max(np.abs(got - expected)) <= 1e-6 * np.max(np.abs(expected))
-    # a subset of columns is the same subset of the matrix
-    assert_allclose(magnitude_sensitivity(case, sol, columns[::2]), got[:, ::2], rtol=1e-12)
+
+
+def _moved_heavy14(case14):
+    """case14 at x3.1, its solution, the inverse Jacobian there, and moved injections."""
+    heavy = scale_loads(case14, 3.1)
+    inj = nominal_injections(heavy)
+    old = solve_power_flow(heavy, inj, tol=1e-12)
+    q = inj.q_injection.copy()
+    q[[0, 4, 8]] += [0.05, -0.03, 0.04]
+    return heavy, old, jacobian_inverse(heavy, old), InjectionSet(inj.p_injection, q)
+
+
+def test_chord_solve_matches_full_newton(jacobian_builds, case14):
+    # a warm solve at moved injections, stepping with the inverse Jacobian
+    # of the old point, builds no Jacobian and lands where full Newton does
+    heavy, old, inverse, moved = _moved_heavy14(case14)
+    full = solve_power_flow(heavy, moved, tol=1e-10, warm_start=old)
+    built = jacobian_builds[0]
+    chord = solve_power_flow(heavy, moved, tol=1e-10, warm_start=old, inverse=inverse)
+    assert jacobian_builds[0] == built
+    assert full.converged and chord.converged and chord.max_mismatch < 1e-10
+    assert chord.iterations > full.iterations
+    # both within 1e-10 of zero mismatch, so within a few 1e-10 of each other
+    assert_allclose(chord.v, full.v, atol=1e-9)
+    assert_allclose(chord.delta, full.delta, atol=1e-9)
+
+
+def test_chord_iterations_count_chord_steps(case14):
+    # the same chord, stepped by hand: x <- x + inverse f(x) until the
+    # mismatch clears tol
+    heavy, old, inverse, moved = _moved_heavy14(case14)
+    top = heavy.topology
+    n_a = len(top.non_slack)
+    x, steps = old, 0
+    while True:
+        f = np.concatenate(mismatch(heavy, moved, x))
+        if np.max(np.abs(f)) < 1e-10:
+            break
+        step = inverse @ f
+        v, delta = x.v.copy(), x.delta.copy()
+        delta[top.non_slack] += step[:n_a]
+        v[top.pq] += step[n_a:]
+        x, steps = dataclasses.replace(x, v=v, delta=delta), steps + 1
+    chord = solve_power_flow(heavy, moved, tol=1e-10, warm_start=old, inverse=inverse)
+    assert steps >= 2
+    assert chord.iterations == steps
+    assert_allclose(chord.v, x.v, rtol=0, atol=1e-14)
+
+
+def test_stale_inverse_falls_back_to_full_newton(jacobian_builds, case14):
+    # an inverse taken at x3.1 load, used at nominal load from a flat start,
+    # fails to halve the mismatch; the solve drops it and converges by full
+    # Newton to the point a full solve finds. Taken at nominal load and used
+    # at x3.1 the chord still contracts (by about 0.39 a step), so it keeps
+    # the inverse and reaches the same point on the chord alone.
+    nominal = nominal_injections(case14)
+    heavy = scale_loads(case14, 3.1)
+    loaded = nominal_injections(heavy)
+    light_inverse = jacobian_inverse(case14, solve_power_flow(case14, nominal, tol=1e-12))
+    heavy_inverse = jacobian_inverse(heavy, solve_power_flow(heavy, loaded, tol=1e-12))
+    for case, inj, inverse, falls_back in (
+        (case14, nominal, heavy_inverse, True),
+        (heavy, loaded, light_inverse, False),
+    ):
+        full = solve_power_flow(case, inj)
+        built = jacobian_builds[0]
+        sol = solve_power_flow(case, inj, inverse=inverse)
+        assert (jacobian_builds[0] > built) == falls_back
+        assert sol.converged and full.converged
+        assert_allclose(sol.v, full.v, atol=1e-7)
+        assert_allclose(sol.delta, full.delta, atol=1e-7)
+
+
+def test_diverged_solve_returns_its_last_valid_iterate(case14):
+    # at x5 Newton steps a magnitude through zero; the solve stops there
+    # and reports the iterate before that step, with that iterate's mismatch
+    hopeless = scale_loads(case14, 5.0)
+    inj = nominal_injections(hopeless)
+    sol = solve_power_flow(hopeless, inj, max_iter=30)
+    assert not sol.converged
+    assert np.all(sol.v > 0)
+    assert np.all(np.isfinite(sol.delta))
+    dp, dq = mismatch(hopeless, inj, sol)
+    assert sol.max_mismatch == pytest.approx(max(np.max(np.abs(dp)), np.max(np.abs(dq))))
+    assert np.isfinite(sol.max_mismatch) and sol.max_mismatch > 1e-8
 
 
 def test_nonconvergence_reports_false(case14):

@@ -452,6 +452,17 @@ def test_nonlinear_stage_solves_average_two_evaluations(monkeypatch, heavy14):
     assert sum(per_solve) / len(per_solve) <= 2.0
 
 
+def test_nonlinear_run_forms_one_jacobian_per_accepted_step(jacobian_builds, heavy14):
+    # the plant's Jacobian is formed and inverted once per accepted state;
+    # every solve inside the step runs chord iterations with that inverse,
+    # and the stage Newton's dv/dq is a block of it. Only the window's
+    # cold rebase solve and a chord that falls back form more. Each solve
+    # once formed its own Jacobians: 2,551 on this run.
+    res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
+    assert res.converged
+    assert jacobian_builds[0] <= len(res.trajectory) + 10
+
+
 @pytest.mark.parametrize("module", ["voltctrl.simulate", "voltctrl.oracle", "voltctrl.cli"])
 def test_simulate_import_leaves_scipy_unloaded(module):
     # importing scipy.linalg alone costs more than a static run's whole
