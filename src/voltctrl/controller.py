@@ -14,16 +14,18 @@ the sensitivity matrix, which is what makes the scheme distributed.
 Q is never clipped to its box; the mu dynamics enforce the box at
 equilibrium and transient excursions are allowed through.
 
-The flow itself, ``packed_flow``, works on one packed vector
-[q, lam_hi, lam_lo, mu_hi, mu_lo] and returns the rates together with the
-mask of rows the projection leaves active; ``flow_jacobian`` is the
+The flow itself is ``PackedFlow``, compiled once for a sensitivity,
+limits and gains. It works on one packed vector [q, lam_hi, lam_lo, mu_hi,
+mu_lo]: ``rates`` returns the rates together with the mask of rows the
+projection leaves active, and ``newton_step`` solves an implicit stage's
+Newton system through its C x C Schur complement in q, with the plant's own
+voltage sensitivity in the lam rows' q block (the nonlinear plant's dv/dq
+is not X; ``set_plant_sensitivity`` stores it). ``flow_jacobian`` is the
 constant unprojected Jacobian under the linear plant, so the Jacobian of
-the projected flow is its active rows. ``flow_newton_step`` solves an
-implicit stage's Newton system through its C x C Schur complement in q,
-with the plant's own voltage sensitivity in the lam rows' q block (the
-nonlinear plant's dv/dq is not X); ``flow_jacobian`` stays as its
-documented reference. This module is the only one that knows the packed
-layout. ``dynamics_rhs`` is the validating wrapper over ``ControllerState``.
+the projected flow is its active rows; it stays as the documented
+reference. This module is the only one that knows the packed layout.
+``dynamics_rhs`` is the validating wrapper over ``ControllerState``, and
+``trajectory_states`` checks a whole trajectory's packed rows at once.
 """
 
 from __future__ import annotations
@@ -150,6 +152,30 @@ def unpack_state(vec: np.ndarray, n_load: int, n_controlled: int) -> ControllerS
     return ControllerState(*_split(vec, m, c))
 
 
+def trajectory_states(
+    rows: np.ndarray, n_load: int, n_controlled: int
+) -> tuple[ControllerState, ...]:
+    """One state per row of a 2-D array of packed states, checked once as one array.
+
+    Every entry must be finite and every multiplier nonnegative, which is
+    what ``ControllerState`` checks one state at a time, so the states are
+    built without repeating it. Their arrays are views of ``rows``.
+    """
+    m, c = n_load, n_controlled
+    if rows.ndim != 2 or rows.shape[1] != 3 * c + 2 * m:
+        raise ValueError(f"state rows of shape {rows.shape} do not match M={m}, C={c}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("state rows contain non-finite values")
+    if np.any(rows[:, c:] < 0):
+        raise ValueError("multipliers must be nonnegative")
+    states = []
+    for row in rows:
+        state = object.__new__(ControllerState)
+        vars(state).update(zip(("q", "lam_hi", "lam_lo", "mu_hi", "mu_lo"), _split(row, m, c)))
+        states.append(state)
+    return tuple(states)
+
+
 def objective(q: np.ndarray) -> float:
     return float(np.dot(q, q))
 
@@ -168,46 +194,15 @@ def lagrangian(state: ControllerState, v: np.ndarray, lim: Limits) -> float:
     )
 
 
-def _gradient(q, lam_hi, lam_lo, mu_hi, mu_lo, xc: np.ndarray) -> np.ndarray:
-    return objective_gradient(q) + xc.T @ (lam_hi - lam_lo) + mu_hi - mu_lo
-
-
 def primal_rate_bracket(state: ControllerState, sens) -> np.ndarray:
     """The gradient of L in q: 2q_i + sum_j X[j][i] (lam_hi - lam_lo)_j + mu_hi_i - mu_lo_i."""
     xc = sens.x[:, sens.partition.controlled_in_pq()]
-    return _gradient(state.q, state.lam_hi, state.lam_lo, state.mu_hi, state.mu_lo, xc)
-
-
-def packed_flow(
-    y: np.ndarray, v: np.ndarray, xc: np.ndarray, lim: Limits, gains: Gains, held=False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Saddle-point flow at a packed state and its measured voltages.
-
-    ``xc`` holds the sensitivity columns of the controlled buses (M x C).
-    Returns the rates and the active-row mask: all q rows, and each
-    multiplier row whose multiplier is positive, whose constraint is
-    violated, or which ``held`` marks (a mask over the multiplier rows that
-    keeps them on one smooth piece of the flow). Inactive multiplier rows
-    are projected to a zero rate. No input is validated; ``dynamics_rhs``
-    is the checked entry point.
-    """
-    m, c = xc.shape
-    q, lam_hi, lam_lo, mu_hi, mu_lo = _split(y, m, c)
-    raw = np.concatenate([v - lim.v_hi, lim.v_lo - v, q - lim.q_hi, lim.q_lo - q])
-    on = (y[c:] > 0) | (raw > 0) | held
-    ascent = np.where(on, raw, 0.0)
-    rates = np.concatenate(
-        [
-            -gains.k_q * _gradient(q, lam_hi, lam_lo, mu_hi, mu_lo, xc),
-            gains.k_lam * ascent[: 2 * m],
-            gains.k_mu * ascent[2 * m :],
-        ]
-    )
-    return rates, np.concatenate([np.ones(c, dtype=bool), on])
+    lam = state.lam_hi - state.lam_lo
+    return objective_gradient(state.q) + xc.T @ lam + state.mu_hi - state.mu_lo
 
 
 def flow_jacobian(xc: np.ndarray, gains: Gains) -> np.ndarray:
-    """Jacobian of ``packed_flow``'s rates with every row active.
+    """Jacobian of the packed flow's rates with every row active, under the linear plant.
 
     The flow is piecewise linear in the packed state when v = base + xc q,
     so the Jacobian at any state is this matrix with its inactive rows
@@ -222,45 +217,89 @@ def flow_jacobian(xc: np.ndarray, gains: Gains) -> np.ndarray:
     return jac
 
 
-def flow_newton_step(
-    xc: np.ndarray,
-    gx: np.ndarray,
-    gains: Gains,
-    h: float,
-    active: np.ndarray,
-    resid: np.ndarray,
-) -> np.ndarray:
-    """Solve (I - h/2 (J * active[:, None])) dz = resid for the closed loop's J.
+class PackedFlow:
+    """The saddle-point flow compiled for one sensitivity, limits and gains.
 
-    J is ``flow_jacobian`` with the plant's own voltage sensitivity ``gx``
-    (M x C, dv/dq at the controlled buses) in the lam rows' q columns:
-    +k_lam gx for lam_hi, -k_lam gx for lam_lo. The q rows are the
-    controller's own dynamics and keep ``xc``; with ``gx = xc`` J is
-    ``flow_jacobian`` itself. The multiplier rows of J depend only on the q
-    columns, so the system reduces exactly to the C x C one
-
-        S dq = r_q + (h/2) J_qm r_m,
-        S = (1 + h k_q) I + (h^2/4) k_q (k_lam xc' D_lam gx + k_mu D_mu),
-
-    where D_lam counts the active lam_hi and lam_lo rows of each load bus
-    and D_mu the active mu rows of each controller; then
-    dm = r_m + (h/2) active_m (J_mq dq). S is not symmetric when gx differs
-    from xc, and a singular S raises ``numpy.linalg.LinAlgError``.
+    States are packed vectors [q, lam_hi, lam_lo, mu_hi, mu_lo]; ``xc``
+    holds the sensitivity columns of the controlled buses (M x C). Before
+    projection the rates are affine in the state and the measured voltages:
+    the q rows are -k_q times the Lagrangian's gradient in q, and each
+    multiplier row is its gain times its constraint's violation
+    (v - v_hi, v_lo - v, q - q_hi, q_lo - q). The map is built once, with
+    the violations in place of the multiplier rates, so the projection
+    tests the violations themselves and the gains scale what it keeps. No
+    input is validated; ``dynamics_rhs`` is the checked entry point.
     """
-    m, c = xc.shape
-    k_q, k_lam, k_mu = gains.k_q, gains.k_lam, gains.k_mu
-    r_q, r_lhi, r_llo, r_mhi, r_mlo = _split(resid, m, c)
-    _, a_lhi, a_llo, a_mhi, a_mlo = _split(active, m, c)
-    d_lam = np.add(a_lhi, a_llo, dtype=float)
-    d_mu = np.add(a_mhi, a_mlo, dtype=float)
-    s = (0.25 * h * h * k_q * k_lam) * (xc.T @ (d_lam[:, None] * gx))
-    s[np.diag_indices(c)] += 1.0 + h * k_q + (0.25 * h * h * k_q * k_mu) * d_mu
-    rhs = r_q - (0.5 * h * k_q) * (xc.T @ (r_lhi - r_llo) + r_mhi - r_mlo)
-    dq = np.linalg.solve(s, rhs)
-    xdq = (0.5 * h * k_lam) * (gx @ dq)
-    udq = (0.5 * h * k_mu) * dq
-    dm = resid[c:] + active[c:] * np.concatenate([xdq, -xdq, udq, -udq])
-    return np.concatenate([dq, dm])
+
+    def __init__(self, xc: np.ndarray, lim: Limits, gains: Gains):
+        m, c = xc.shape
+        self.c, self.k_q, self.k_lam = c, gains.k_q, gains.k_lam
+        jac = flow_jacobian(xc, gains)
+        # q rates, then violations: the lam rows read v, the mu rows q
+        self._of_y = np.zeros_like(jac)
+        self._of_y[:c] = jac[:c]
+        self._of_y[c + 2 * m :, :c] = np.vstack([np.eye(c), -np.eye(c)])
+        self._of_v = np.vstack([np.zeros((c, m)), np.eye(m), -np.eye(m), np.zeros((2 * c, m))])
+        self._offset = np.concatenate([np.zeros(c), -lim.v_hi, lim.v_lo, -lim.q_hi, lim.q_lo])
+        self._gain = np.repeat([gains.k_lam, gains.k_mu], [2 * m, 2 * c])
+        self._q_rows = np.ones(c, dtype=bool)
+        # the Jacobian's coupling blocks: q rows by multiplier columns, and
+        # multiplier rows by q columns, whose lam rows hold the plant's dv/dq
+        self._j_qm = jac[:c, c:].copy()
+        self._j_mq = jac[c:, :c].copy()
+
+    def set_plant_sensitivity(self, gx: np.ndarray) -> None:
+        """Put the plant's own dv/dq at the controlled buses (M x C) in the lam rows' q block.
+
+        That block is +k_lam gx for lam_hi and -k_lam gx for lam_lo; it is
+        ``xc``'s, the linear plant's dv/dq, until this is called. The q rows
+        are the controller's own dynamics and keep ``xc``.
+        """
+        m = len(gx)
+        self._j_mq[:m] = self.k_lam * gx
+        self._j_mq[m : 2 * m] = -self.k_lam * gx
+
+    def rates(self, y: np.ndarray, v: np.ndarray, held=False) -> tuple[np.ndarray, np.ndarray]:
+        """Rates at a packed state and its measured voltages, with the active-row mask.
+
+        Active rows are all q rows, and each multiplier row whose multiplier
+        is positive, whose constraint is violated, or which ``held`` marks
+        (a mask over the multiplier rows that keeps them on one smooth piece
+        of the flow). Inactive multiplier rows are projected to a zero rate.
+        """
+        c = self.c
+        rates = self._of_y @ y + self._of_v @ v + self._offset
+        violation = rates[c:]
+        on = (y[c:] > 0) | (violation > 0) | held
+        violation[~on] = 0.0
+        violation *= self._gain
+        return rates, np.concatenate((self._q_rows, on))
+
+    def newton_step(self, h: float, active: np.ndarray, resid: np.ndarray) -> np.ndarray:
+        """Solve (I - h/2 (J * active[:, None])) dz = resid for the closed loop's J.
+
+        J is ``flow_jacobian`` with the plant's dv/dq in the lam rows' q
+        block (``set_plant_sensitivity``). Its multiplier rows depend only
+        on the q columns, so with J_qm its q rows' multiplier columns, J_mq
+        its multiplier rows' q columns and D the active multiplier rows the
+        system reduces exactly to the C x C one
+
+            S dq = r_q + (h/2) J_qm r_m,   S = (1 + h k_q) I - (h^2/4) J_qm D J_mq,
+
+        then dm = r_m + (h/2) D J_mq dq. S is not symmetric when the
+        plant's dv/dq differs from ``xc``, and a singular S raises
+        ``numpy.linalg.LinAlgError``.
+        """
+        c = self.c
+        on, r_m = active[c:], resid[c:]
+        s = self._j_qm[:, on] @ self._j_mq[on]
+        s *= -0.25 * h * h
+        s.flat[:: c + 1] += 1.0 + h * self.k_q
+        dq = np.linalg.solve(s, resid[:c] + (0.5 * h) * (self._j_qm @ r_m))
+        dm = (0.5 * h) * (self._j_mq @ dq)
+        dm[~on] = 0.0
+        dm += r_m
+        return np.concatenate((dq, dm))
 
 
 def dynamics_rhs(
@@ -281,7 +320,7 @@ def dynamics_rhs(
     if not np.all(np.isfinite(v_measured)):
         raise ValueError("measured voltages contain non-finite values")
     xc = sens.x[:, sens.partition.controlled_in_pq()]
-    rates, _ = packed_flow(state.packed(), v_measured, xc, lim, gains)
+    rates, _ = PackedFlow(xc, lim, gains).rates(state.packed(), v_measured)
     return StateRates(*_split(rates, *xc.shape))
 
 

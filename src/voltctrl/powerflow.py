@@ -117,7 +117,9 @@ def solve_power_flow(
     product. A chord step that does not halve the mismatch, or leaves the
     domain (a magnitude at or below zero, or a non-finite mismatch), drops
     the inverse, and the solve goes on by full Newton from the last iterate
-    it accepted. ``iterations`` counts every step tried against
+    it accepted. So does a chord step that halves it, but at a rate that
+    would not reach ``tol`` within the steps left; the solve accepts that
+    step first. ``iterations`` counts every step tried against
     ``max_iter``; a full Newton step that leaves the domain ends the solve.
     Non-convergence is reported through ``converged=False``, with the last
     accepted iterate and its mismatch, not an exception; a singular
@@ -164,6 +166,11 @@ def solve_power_flow(
         limit = np.inf if inverse is None else 0.5 * worst
         trial = residual(trial_v, trial_delta) if trial_v.min() > 0 else None
         if trial is not None and trial[1] < limit:
+            # a chord contracting too slowly to reach tol in the steps left
+            # hands over to full Newton from its answer
+            rate = trial[1] / worst
+            if inverse is not None and trial[1] * rate ** (max_iter - iterations) >= tol:
+                inverse = None
             v, delta = trial_v, trial_delta
             f, worst, u, s_bus = trial
         elif inverse is None:

@@ -22,7 +22,7 @@ Jacobian is formed and inverted once at the window's start (whose own
 solve is full Newton) and at each accepted state, and every solve in the
 step from there, retries included, starts at the last solution and steps
 with that inverse, falling back to full Newton only when a step fails to
-halve the mismatch.
+halve the mismatch or contracts too slowly to reach the tolerance in time.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes ``run_static``'s parameters plus the
@@ -33,16 +33,19 @@ operation (an intact window, then a tripped one from its last state), and a
 Multi-window runs are joined into one trajectory by ``_join``.
 
 Inside a window the engine works on packed state vectors only: one loop
-object per window holds the plant and the controller's packed flow, each
-implicit-Newton correction is one ``controller.flow_newton_step`` (the engine
-knows only that the first C entries are q and the rest multipliers), and
-``ControllerState`` objects are built once, for the returned trajectory.
-That correction linearizes the plant with its own dv/dq at the controlled
-buses: X for the linear plant; for the nonlinear one the power flow's exact
-sensitivity at the step's start state, a block of the same inverse Jacobian
-the chord solves use, taken at the solve already made there (the window's
-relinearization, then each accepted step's last stage) and reused across
-that step's retries. A singular Newton matrix halves the step.
+object per window holds the plant and the controller's flow, compiled once
+for the window (``controller.PackedFlow``). Every evaluation is its
+``rates`` and each implicit-Newton correction its ``newton_step`` (the
+engine knows only that the first C entries are q and the rest
+multipliers). The accepted rows are checked once, as one array, and
+``ControllerState`` objects are built from them once, for the returned
+trajectory. The correction linearizes the plant with its own dv/dq at the
+controlled buses: X for the linear plant; for the nonlinear one the power
+flow's exact sensitivity at the step's start state, a block of the same
+inverse Jacobian the chord solves use, taken at the solve already made
+there (the window's relinearization, then each accepted step's last stage),
+handed to the flow once and reused across that step's retries. A singular
+Newton matrix halves the step.
 Every evaluation is a plant call, so each state is evaluated once: each
 stage's first Newton step starts where the rates are already known (the
 step's start, then the first stage's answer), a stage hands back the
@@ -58,15 +61,7 @@ from enum import Enum
 
 import numpy as np
 
-from .controller import (
-    ControllerState,
-    Gains,
-    Limits,
-    flow_newton_step,
-    objective,
-    packed_flow,
-    unpack_state,
-)
+from .controller import ControllerState, Gains, Limits, PackedFlow, objective, trajectory_states
 from .errors import ConfigError, PlantDivergenceError, StepSizeUnderflowError
 from .netcase import NetworkCase, scale_loads, trip_branch
 from .powerflow import (
@@ -160,11 +155,11 @@ class _ClosedLoop:
 
     Built once per window from the case, plant flavor, limits and gains. It
     holds the partition, the controlled positions ``cpos`` within the load
-    buses, their sensitivity columns ``xc``, the nominal injections, the
-    sensitivity (from the case's cached admittance) with its base point,
-    the plant's dv/dq at the controlled buses ``gx`` that the implicit
-    Newton steps use, and in nonlinear mode the warm-start solution reused
-    across evaluations and the inverse Jacobian its chord solves step with.
+    buses, the nominal injections, the sensitivity (from the case's cached
+    admittance) with its base point, the controller's ``flow`` compiled
+    from the sensitivity's controlled columns, and in nonlinear mode the
+    warm-start solution reused across evaluations and the inverse Jacobian
+    its chord solves step with, whose dv/dq block the flow's Newton steps use.
     States are packed vectors whose first C entries are q and whose
     remaining entries are multipliers.
     """
@@ -181,8 +176,7 @@ class _ClosedLoop:
         self.inj = nominal_injections(case)
         self.cpos = self.part.controlled_in_pq()
         self.sens = voltage_sensitivity(case.topology.adm, self.part)
-        self.xc = self.sens.x[:, self.cpos]
-        self.gx = self.xc
+        self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, gains)
         self.last: PowerFlowSolution | None = None
         self.inverse: np.ndarray | None = None
         self.tol = 1e-8
@@ -222,12 +216,13 @@ class _ClosedLoop:
         Called at a window's start and at each accepted state; the step
         from there, retries included, solves the plant by chord iterations
         with this inverse and takes dv/dq at the controlled buses from its
-        magnitude rows. The linear plant's dv/dq is ``xc``.
+        magnitude rows, which it hands to the flow. The linear plant's dv/dq
+        is X's controlled columns, the flow's own.
         """
         if self.mode is PlantMode.NONLINEAR:
             self.inverse = jacobian_inverse(self.case, self.last)
             n_a = len(self.case.topology.non_slack)
-            self.gx = self.inverse[n_a:, n_a + self.cpos]
+            self.flow.set_plant_sensitivity(self.inverse[n_a:, n_a + self.cpos])
 
     def voltage(self, q: np.ndarray) -> np.ndarray:
         if self.mode is PlantMode.LINEAR:
@@ -250,7 +245,7 @@ class _ClosedLoop:
         y = y.copy()
         y[self.c :] = np.where(held, y[self.c :], np.maximum(y[self.c :], 0.0))
         v = self.voltage(y[: self.c])
-        return (y, *packed_flow(y, v, self.xc, self.lim, self.gains, held), v)
+        return (y, *self.flow.rates(y, v, held), v)
 
     def _implicit(self, c, z, g, active, held, gh: float):
         """Solve z = c + (gh/2) g(z) on the held piece by Newton from a known start.
@@ -265,7 +260,7 @@ class _ClosedLoop:
         resid = z - c - 0.5 * gh * g
         for _ in range(15):
             try:
-                z = z - flow_newton_step(self.xc, self.gx, self.gains, gh, active, resid)
+                z = z - self.flow.newton_step(gh, active, resid)
             except np.linalg.LinAlgError as exc:
                 raise _TrialFailure("implicit Newton matrix is singular") from exc
             if not np.all(np.isfinite(z)):
@@ -302,7 +297,7 @@ class _ClosedLoop:
         z1, f1, _, v = self._implicit(c1, z_g, f_g, active_g, held, gh)
         est = _EST * h * (f0 / _GAMMA - f_g / (_GAMMA * (1.0 - _GAMMA)) + f1 / (1.0 - _GAMMA))
         y = np.concatenate([z1[: self.c], np.maximum(z1[self.c :], 0.0)])
-        return z_g, z1, est, (y, *packed_flow(y, v, self.xc, self.lim, self.gains), v)
+        return z_g, z1, est, (y, *self.flow.rates(y, v), v)
 
 
 def integrate(
@@ -340,7 +335,7 @@ def integrate(
         )
     y = state0.packed()
     v = loop.rebase(state0.q)
-    f, active = packed_flow(y, v, loop.xc, lim, gains)
+    f, active = loop.flow.rates(y, v)
     times, rows, volts, raw_mins = [0.0], [y], [v], [float(np.min(y[c:]))]
     residual = float(np.max(np.abs(f)))
     t = 0.0
@@ -362,7 +357,7 @@ def integrate(
             # projected rates hold it there, then retry the same step
             y = y.copy()
             y[c:][tiny] = 0.0
-            f, active = packed_flow(y, v, loop.xc, lim, gains)
+            f, active = loop.flow.rates(y, v)
             continue
         # largest fraction of the step that keeps all multipliers >= 0 at
         # both stages, the first of which ends at the fraction gamma
@@ -390,8 +385,9 @@ def integrate(
         growth = min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0 else 5.0
         h = h_try * growth
 
-    states = tuple(unpack_state(row, m, c) for row in rows)
-    v_all, q_all = np.array(volts), np.array([s.q for s in states])
+    packed = np.array(rows)
+    states = trajectory_states(packed, m, c)
+    v_all, q_all = np.array(volts), packed[:, :c]
     return SimulationResult(
         trajectory=Trajectory(
             t=np.array(times),

@@ -9,16 +9,16 @@ from voltctrl.controller import (
     ControllerState,
     Gains,
     Limits,
+    PackedFlow,
     StateRates,
     dynamics_rhs,
     equilibrium_residual,
     flow_jacobian,
-    flow_newton_step,
     lagrangian,
     objective,
     objective_gradient,
-    packed_flow,
     primal_rate_bracket,
+    trajectory_states,
     unpack_state,
 )
 from voltctrl.powerflow import jacobian_inverse, nominal_injections, solve_power_flow
@@ -115,7 +115,8 @@ def test_positive_projection():
     lim = Limits(v_lo=np.full(4, -10.0), v_hi=np.zeros(4), q_lo=-np.ones(1), q_hi=np.ones(1))
     y = np.zeros(1 + 2 * 4 + 2)
     y[1:5] = [0.0, 0.5, 0.0, 0.0]
-    rates, active = packed_flow(y, np.array([-3.0, -3.0, 3.0, 0.0]), np.ones((4, 1)), lim, Gains())
+    flow = PackedFlow(np.ones((4, 1)), lim, Gains())
+    rates, active = flow.rates(y, np.array([-3.0, -3.0, 3.0, 0.0]))
     assert rates[1:5].tolist() == [0.0, -3.0, 3.0, 0.0]
     assert active.tolist() == [True] + [False, True, True, False] + [False] * 6
 
@@ -128,6 +129,7 @@ def test_flow_jacobian_matches_finite_difference(case14):
     m, c = xc.shape
     lim = Limits.box(m, c)
     gains = Gains(k_q=0.7, k_lam=1.3, k_mu=2.1)
+    flow = PackedFlow(xc, lim, gains)
     rng = np.random.RandomState(7)
     h = 1e-7
     masked = 0
@@ -142,9 +144,9 @@ def test_flow_jacobian_matches_finite_difference(case14):
         y = np.concatenate([q, mult])
 
         def rates(y):
-            return packed_flow(y, base + xc @ y[:c], xc, lim, gains)[0]
+            return flow.rates(y, base + xc @ y[:c])[0]
 
-        _, active = packed_flow(y, v, xc, lim, gains)
+        _, active = flow.rates(y, v)
         expected = flow_jacobian(xc, gains) * active[:, None]
         masked += int(np.sum(~active))
         # a zero multiplier sits on the kink of its own row, so its column is skipped
@@ -189,9 +191,72 @@ def test_flow_newton_step_matches_dense_solve(name, request):
             jac[c + m : c + 2 * m, :c] = -gains.k_lam * gx
             lhs = np.eye(n) - 0.5 * h * (jac * active[:, None])
             expected = np.linalg.solve(lhs, resid)
-            got = flow_newton_step(xc, gx, gains, h, active, resid)
+            # the flow starts with xc's block, the linear plant's dv/dq
+            flow = PackedFlow(xc, Limits.box(m, c), gains)
+            if gx is not xc:
+                flow.set_plant_sensitivity(gx)
+            got = flow.newton_step(h, active, resid)
             worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
     assert worst <= 1e-12
+
+
+def _written_out_rates(y, v, xc, lim, gains, held):
+    """The Lagrangian's flow entry by entry: descent in q, projected ascent in each multiplier."""
+    m, c = xc.shape
+    q, lam_hi, lam_lo, mu_hi, mu_lo = np.split(y, np.cumsum([c, m, m, c]))
+    rates, active = [], []
+    for i in range(c):
+        grad = 2.0 * q[i] + mu_hi[i] - mu_lo[i]
+        for j in range(m):
+            grad += xc[j, i] * (lam_hi[j] - lam_lo[j])
+        rates.append(-gains.k_q * grad)
+        active.append(True)
+    rows = (
+        [(gains.k_lam, lam_hi[j], v[j] - lim.v_hi[j]) for j in range(m)]
+        + [(gains.k_lam, lam_lo[j], lim.v_lo[j] - v[j]) for j in range(m)]
+        + [(gains.k_mu, mu_hi[i], q[i] - lim.q_hi[i]) for i in range(c)]
+        + [(gains.k_mu, mu_lo[i], lim.q_lo[i] - q[i]) for i in range(c)]
+    )
+    for (gain, mult, violation), hold in zip(rows, held):
+        on = bool(mult > 0 or violation > 0 or hold)
+        rates.append(gain * violation if on else 0.0)
+        active.append(on)
+    return np.array(rates), np.array(active)
+
+
+def test_rates_match_the_lagrangian():
+    # random networks, limits, gains, states, held rows and measured
+    # voltages; about half the multipliers are zero, so many rows are
+    # active only because they are violated or held. With a gain of 1e-300
+    # and violations of order 1e-30 the gain-scaled rate underflows to
+    # zero, so only a test that reads the violation itself keeps those
+    # rows active.
+    rng = np.random.default_rng(17)
+    tiny = 0
+    for trial in range(300):
+        m, c = rng.integers(1, 6, 2)
+        scale = 1e-30 if trial % 3 == 0 else 1.0
+        gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
+        if trial % 3 == 0:
+            gains = Gains(k_q=gains.k_q, k_lam=1e-300, k_mu=1e-300)
+        xc = rng.uniform(0.0, 0.2, (m, c))
+        half_band = scale * rng.uniform(0.1, 1.0, m)
+        half_box = scale * rng.uniform(0.1, 1.0, c)
+        lim = Limits(v_lo=-half_band, v_hi=half_band, q_lo=-half_box, q_hi=half_box)
+        mult = rng.uniform(0.0, 2.0, 2 * m + 2 * c) * (rng.random(2 * m + 2 * c) < 0.5)
+        y = np.concatenate([scale * rng.uniform(-2.0, 2.0, c), mult])
+        v = scale * rng.uniform(-2.0, 2.0, m)
+        held = rng.random(2 * m + 2 * c) < 0.2
+        flow = PackedFlow(xc, lim, gains)
+        for hold in (held, np.zeros(2 * m + 2 * c, dtype=bool)):
+            rates, active = flow.rates(y, v, hold)
+            expected, expected_active = _written_out_rates(y, v, xc, lim, gains, hold)
+            assert active.tolist() == expected_active.tolist()
+            assert_allclose(rates[:c], expected[:c], rtol=1e-12, atol=1e-13)
+            assert_allclose(rates[c:], expected[c:], rtol=1e-12, atol=0.0)
+            if scale < 1.0:
+                tiny += int(np.sum(active[c:] & (rates[c:] == 0.0) & (y[c:] == 0.0) & ~hold))
+    assert tiny > 0
 
 
 def test_interior_zero_state_is_equilibrium():
@@ -350,6 +415,47 @@ def test_state_validation():
         )
 
 
+_BAD_ENTRIES = [
+    (name, bad)
+    for name in ("q", "lam_hi", "lam_lo", "mu_hi", "mu_lo")
+    for bad in (np.nan, np.inf, -np.inf)
+] + [(name, -0.1) for name in ("lam_hi", "lam_lo", "mu_hi", "mu_lo")]
+
+
+@pytest.mark.parametrize("name, bad", _BAD_ENTRIES)
+def test_state_rejects_bad_entries(name, bad):
+    fields = {field: np.zeros(2) for field in ("q", "lam_hi", "lam_lo", "mu_hi", "mu_lo")}
+    fields[name][1] = bad
+    with pytest.raises(ValueError):
+        ControllerState(**fields)
+    with pytest.raises(ValueError):
+        unpack_state(np.concatenate(list(fields.values())), 2, 2)
+    with pytest.raises(ValueError):
+        trajectory_states(np.vstack([np.zeros(10), np.concatenate(list(fields.values()))]), 2, 2)
+
+
+@pytest.mark.parametrize("length", [9, 11])
+def test_unpack_rejects_a_wrong_length(length):
+    with pytest.raises(ValueError, match="length"):
+        unpack_state(np.zeros(length), 2, 2)
+    with pytest.raises(ValueError, match="shape"):
+        trajectory_states(np.zeros((3, length)), 2, 2)
+
+
+def test_trajectory_states_match_unpacked_rows():
+    rng = np.random.default_rng(4)
+    rows = np.hstack([rng.uniform(-1, 1, (6, 3)), rng.uniform(0, 1, (6, 16))])
+    rows[:, 5] = 0.0
+    states = trajectory_states(rows, 5, 3)
+    assert len(states) == 6
+    for state, row in zip(states, rows):
+        assert isinstance(state, ControllerState)
+        assert state.packed().tobytes() == row.tobytes()
+        again = unpack_state(row, 5, 3)
+        for name in ("q", "lam_hi", "lam_lo", "mu_hi", "mu_lo"):
+            assert_allclose(getattr(state, name), getattr(again, name), rtol=0, atol=0)
+
+
 def test_limits_validation():
     with pytest.raises(ValueError):
         Limits.box(2, 2, v_lo=1.05, v_hi=0.95)
@@ -368,8 +474,9 @@ def test_rhs_input_validation():
     state = ControllerState.zeros(1, 1)
     with pytest.raises(ValueError):
         dynamics_rhs(state, np.array([1.0, 1.0]), sens, lim)
-    with pytest.raises(ValueError):
-        dynamics_rhs(state, np.array([np.nan]), sens, lim)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            dynamics_rhs(state, np.array([bad]), sens, lim)
 
 
 def test_rates_packed_layout():

@@ -290,6 +290,26 @@ def test_stale_inverse_falls_back_to_full_newton(jacobian_builds, case14):
         assert_allclose(sol.delta, full.delta, atol=1e-7)
 
 
+def test_slowly_contracting_chord_hands_over_to_full_newton(jacobian_builds, case14):
+    # the inverse at nominal load, used at x3.1 from the nominal solution,
+    # contracts by about 0.39 a step, so at tol 1e-12 twenty chord steps
+    # would stop at a mismatch of 1.6e-9. Once the observed rate cannot reach
+    # tol in the steps left, the solve goes on by full Newton and converges
+    nominal = nominal_injections(case14)
+    light = solve_power_flow(case14, nominal, tol=1e-12)
+    heavy = scale_loads(case14, 3.1)
+    loaded = nominal_injections(heavy)
+    inverse = jacobian_inverse(case14, light)
+    full = solve_power_flow(heavy, loaded, tol=1e-12, warm_start=light)
+    built = jacobian_builds[0]
+    sol = solve_power_flow(heavy, loaded, tol=1e-12, warm_start=light, inverse=inverse)
+    assert jacobian_builds[0] > built
+    assert full.converged and sol.converged and sol.max_mismatch < 1e-12
+    assert sol.iterations < 20
+    assert_allclose(sol.v, full.v, atol=1e-10)
+    assert_allclose(sol.delta, full.delta, atol=1e-10)
+
+
 def test_diverged_solve_returns_its_last_valid_iterate(case14):
     # at x5 Newton steps a magnitude through zero; the solve stops there
     # and reports the iterate before that step, with that iterate's mismatch

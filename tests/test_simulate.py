@@ -16,6 +16,7 @@ from voltctrl.controller import (
     ControllerState,
     Gains,
     Limits,
+    PackedFlow,
     equilibrium_residual,
     objective,
 )
@@ -461,6 +462,59 @@ def test_nonlinear_run_forms_one_jacobian_per_accepted_step(jacobian_builds, hea
     res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
     assert res.converged
     assert jacobian_builds[0] <= len(res.trajectory) + 10
+
+
+@pytest.mark.parametrize("mode", [PlantMode.LINEAR, PlantMode.NONLINEAR])
+def test_trajectory_states_are_the_accepted_rows(monkeypatch, heavy14, mode):
+    # integrate checks its accepted rows once, as one array, and builds the
+    # states from them without checking each again; each state must still be
+    # the row the loop accepted, which is the end of the attempt just before
+    # the loop refreshes its plant at the new state
+    ends, accepted = [], []
+    attempt, refresh = _ClosedLoop.attempt, _ClosedLoop.refresh_inverse
+
+    def recording_attempt(self, *args):
+        out = attempt(self, *args)
+        ends.append(out[-1][0].copy())
+        return out
+
+    def recording_refresh(self):
+        if ends:
+            accepted.append(ends[-1])
+        refresh(self)
+
+    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
+    monkeypatch.setattr(_ClosedLoop, "refresh_inverse", recording_refresh)
+    res = run_static(heavy14, plant_mode=mode)
+    assert res.converged
+    rows = [ControllerState.zeros(9, 9).packed()] + accepted
+    assert len(rows) == len(res.trajectory) > 100
+    for state, row in zip(res.trajectory.states, rows):
+        assert state.packed().tobytes() == row.tobytes()
+
+
+def test_flow_is_compiled_once_per_window(monkeypatch, toy2, toy_limits, case14):
+    # the controller's flow, with its rate map and Newton blocks, is built
+    # when a window starts, never per step or per evaluation
+    built = []
+    init = PackedFlow.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(PackedFlow, "__init__", counting)
+    linear = PlantMode.LINEAR
+    runs = (
+        (lambda: run_static(toy2, limits=toy_limits), 1),
+        (lambda: run_fault(case14, plant_mode=linear), 2),
+        (lambda: run_daily(toy2, toy_limits, profile=np.ones(24), plant_mode=linear), 24),
+    )
+    for run, windows in runs:
+        built.clear()
+        res = run()
+        assert res.converged and len(res.trajectory) > windows
+        assert len(built) == windows
 
 
 @pytest.mark.parametrize("module", ["voltctrl.simulate", "voltctrl.oracle", "voltctrl.cli"])
