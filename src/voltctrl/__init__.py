@@ -24,7 +24,6 @@ from .errors import (
     VoltCtrlError,
 )
 from .netcase import (
-    AdmittanceMatrices,
     Branch,
     Bus,
     BusKind,
@@ -51,7 +50,6 @@ def load_case(name: str) -> NetworkCase:
 
 
 __all__ = [
-    "AdmittanceMatrices",
     "Branch",
     "Bus",
     "BusKind",

@@ -366,7 +366,7 @@ def _cmd_powerflow(cfg: RunConfig) -> int:
 def _cmd_sensitivity(cfg: RunConfig) -> int:
     case = load_network(cfg)
     part = partition_buses(case)
-    sens = voltage_sensitivity(case.topology.adm, part)
+    sens = voltage_sensitivity(case.topology.y, part)
     x = sens.x
     sym = float(np.max(np.abs(x - x.T)))
     eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (x + x.T))))
@@ -388,7 +388,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         raise VoltCtrlError("power flow did not converge at the base point")
     part = partition_buses(case)
     sens = rebased(
-        voltage_sensitivity(case.topology.adm, part),
+        voltage_sensitivity(case.topology.y, part),
         base_v=sol.v[part.pq],
         base_q=np.zeros(part.n_load),
     )

@@ -44,8 +44,9 @@ class Gains:
     k_mu: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.k_q, self.k_lam, self.k_mu) <= 0:
-            raise ValueError("gains must be positive")
+        for name, value in vars(self).items():
+            if not 0 < value < np.inf:
+                raise ValueError(f"gain {name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +61,9 @@ class Limits:
     def __post_init__(self) -> None:
         if self.v_lo.shape != self.v_hi.shape or self.q_lo.shape != self.q_hi.shape:
             raise ValueError("limit vectors must come in equal-shaped pairs")
+        for name in ("v_lo", "v_hi", "q_lo", "q_hi"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"limit {name} must be finite")
         if not np.all(self.v_lo < self.v_hi):
             raise ValueError("v_lo must be below v_hi")
         if not np.all(self.q_lo < self.q_hi):

@@ -7,6 +7,12 @@ a scalar ``mpc.baseMVA`` assignment and the ``mpc.bus``, ``mpc.gen`` and
 and any other assignments are parsed and ignored. All quantities are converted
 to per-unit on the system MVA base at parse time; MW/MVar appear only at the
 file boundary.
+
+Each network fact is stored once. A slack or PV bus's regulated magnitude is
+its ``Bus.v_setpoint``; the generators there carry only their active output,
+and a gen row's Vg is read into, and written from, its bus. The admittance is
+one complex matrix (``build_admittance``), and the bus index sets are one
+``BusPartition``; both are built once per case, on its cached ``topology``.
 """
 
 from __future__ import annotations
@@ -68,11 +74,10 @@ class Branch:
 
 @dataclass(frozen=True)
 class Generator:
-    """A machine regulating voltage at a slack or PV bus."""
+    """A machine at a slack or PV bus; it regulates its bus's ``v_setpoint``."""
 
     bus: int
     p_gen: float
-    v_setpoint: float
 
 
 @dataclass(frozen=True)
@@ -105,10 +110,6 @@ class NetworkCase:
     def indices_of(self, kind: BusKind) -> np.ndarray:
         return np.array([i for i, b in enumerate(self.buses) if b.kind is kind], dtype=int)
 
-    @property
-    def slack_index(self) -> int:
-        return int(self.indices_of(BusKind.SLACK)[0])
-
     def controlled_bus_ids(self) -> list[int]:
         return [b.id for b in self.buses if b.has_controller]
 
@@ -135,59 +136,78 @@ class NetworkCase:
         return replace(self, buses=buses)
 
 
-@dataclass(frozen=True)
-class AdmittanceMatrices:
-    """Dense nodal conductance and susceptance matrices in per-unit.
+@dataclass(frozen=True, eq=False)
+class BusPartition:
+    """Positional bus-index sets for one case ordering.
 
-    Off-diagonal entry (k, n) is minus the series admittance of the branch(es)
-    joining buses k and n; diagonals collect series terms, half line charging
-    per terminal and any bus shunt.
+    ``pq`` has M entries (load buses), ``controlled`` the C <= M buses that
+    host a reactive source. All values index into the case's bus sequence.
     """
 
-    g: np.ndarray
-    b: np.ndarray
-    bus_index: dict[int, int]
+    slack: int
+    pv: np.ndarray
+    pq: np.ndarray
+    controlled: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not set(self.controlled) <= set(self.pq):
+            raise ValueError("controlled buses must be load buses")
 
     @property
-    def n(self) -> int:
-        return self.g.shape[0]
+    def n_load(self) -> int:
+        return len(self.pq)
+
+    @property
+    def n_controlled(self) -> int:
+        return len(self.controlled)
+
+    def controlled_in_pq(self) -> np.ndarray:
+        """Positions of the controlled buses within the pq ordering."""
+        where = {int(b): i for i, b in enumerate(self.pq)}
+        return np.array([where[int(b)] for b in self.controlled], dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """What every power-flow solve of one case reuses.
+    """What every power-flow solve and sensitivity build of one case reuses.
 
-    ``y`` is the complex admittance matrix G + jB of ``adm``. ``non_slack``
-    and ``pq`` are positional bus indices: the angle unknowns and the
+    ``y`` is the complex admittance matrix G + jB and ``partition`` the bus
+    index sets. ``non_slack`` and ``pq`` are the angle unknowns and the
     magnitude unknowns, in case order. ``v_start`` holds the flat-start
     magnitudes (the setpoints at slack and PV buses, 1 elsewhere). The four
     ``ix_*`` grids select the Jacobian blocks (P or Q rows, angle or
     magnitude columns) from full n x n derivative matrices.
     """
 
-    adm: AdmittanceMatrices
     y: np.ndarray
+    partition: BusPartition
     non_slack: np.ndarray
-    pq: np.ndarray
     v_start: np.ndarray
     ix_p_delta: tuple
     ix_p_vm: tuple
     ix_q_delta: tuple
     ix_q_vm: tuple
 
+    @property
+    def pq(self) -> np.ndarray:
+        return self.partition.pq
+
     @classmethod
     def of(cls, case: NetworkCase) -> "Topology":
-        adm = build_admittance(case)
-        non_slack = np.array([i for i, b in enumerate(case.buses) if b.kind is not BusKind.SLACK])
-        pq = case.indices_of(BusKind.PQ)
+        part = BusPartition(
+            slack=int(case.indices_of(BusKind.SLACK)[0]),
+            pv=case.indices_of(BusKind.PV),
+            pq=case.indices_of(BusKind.PQ),
+            controlled=np.flatnonzero([b.has_controller for b in case.buses]),
+        )
+        non_slack, pq = np.sort(np.concatenate([part.pv, part.pq])), part.pq
         v_start = np.array(
             [b.v_setpoint if b.kind in (BusKind.SLACK, BusKind.PV) else 1.0 for b in case.buses]
         )
         return cls(
-            adm=adm,
-            y=adm.g + 1j * adm.b,
+            y=build_admittance(case),
+            partition=part,
             non_slack=non_slack,
-            pq=pq,
             v_start=v_start,
             ix_p_delta=np.ix_(non_slack, non_slack),
             ix_p_vm=np.ix_(non_slack, pq),
@@ -325,7 +345,6 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
     kind_map = {1: BusKind.PQ, 2: BusKind.PV, 3: BusKind.SLACK}
     gen_rows = matrices.get("gen", [])
     setpoint: dict[int, float] = {}
-    p_gen: dict[int, float] = {}
     generators: list[Generator] = []
     for row in gen_rows:
         if len(row) < _GEN_COLS:
@@ -337,8 +356,7 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
         if bus_id in setpoint and abs(setpoint[bus_id] - vg) > 1e-12:
             raise CaseDataError(f"conflicting voltage setpoints at bus {bus_id}")
         setpoint[bus_id] = vg
-        p_gen[bus_id] = p_gen.get(bus_id, 0.0) + pg
-        generators.append(Generator(bus=bus_id, p_gen=pg, v_setpoint=vg))
+        generators.append(Generator(bus=bus_id, p_gen=pg))
 
     buses: list[Bus] = []
     for row in matrices["bus"]:
@@ -398,10 +416,16 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
 def serialize_case(case: NetworkCase) -> str:
     """Render a case back to the supported text format.
 
-    Reparsing the result yields a structurally equal :class:`NetworkCase`
-    (floats are printed with full round-trip precision).
+    Reparsing the result, with the same ``name``, gives back the base MVA,
+    every id, kind, service status and generator bus, each bus's
+    ``v_setpoint`` (written as Vg in each of its gen rows) and each branch's
+    r, x, b and tap ratio exactly. Per-unit loads, shunts and ``p_gen`` are
+    written in MW/MVar and come back within a few ulp (one multiply and one
+    divide by the base). Controller placement is not kept: the format has no
+    column for it, and the parser puts a controller at every PQ bus.
     """
     base = case.base_mva
+    v_set = {b.id: b.v_setpoint for b in case.buses}
     out = [f"function mpc = {case.name}", "mpc.version = '2';", f"mpc.baseMVA = {base!r};"]
     out.append("mpc.bus = [")
     for b in case.buses:
@@ -412,7 +436,7 @@ def serialize_case(case: NetworkCase) -> str:
     out.append("];")
     out.append("mpc.gen = [")
     for g in case.generators:
-        out.append(f"\t{g.bus}\t{g.p_gen * base!r}\t0\t0\t0\t{g.v_setpoint!r}\t{base!r}\t1\t0\t0;")
+        out.append(f"\t{g.bus}\t{g.p_gen * base!r}\t0\t0\t0\t{v_set[g.bus]!r}\t{base!r}\t1\t0\t0;")
     out.append("];")
     out.append("mpc.branch = [")
     for br in case.branches:
@@ -428,11 +452,13 @@ def serialize_case(case: NetworkCase) -> str:
 # Admittance assembly and edits
 # ---------------------------------------------------------------------------
 
-def build_admittance(case: NetworkCase) -> AdmittanceMatrices:
-    """Assemble the nodal admittance matrix Y = G + jB from in-service branches.
+def build_admittance(case: NetworkCase) -> np.ndarray:
+    """Assemble the complex nodal admittance matrix Y = G + jB, per-unit.
 
-    Series admittance y = 1/(r + jx) per branch, half the line charging on
-    each terminal's diagonal, tap handling on the from side.
+    Off-diagonal entry (k, n) is minus the series admittance y = 1/(r + jx)
+    of the in-service branch(es) joining buses k and n; diagonals collect the
+    series terms, half the line charging per terminal and any bus shunt, with
+    tap handling on the from side. Rows and columns follow case bus order.
     """
     index = case.bus_index()
     n = case.n_buses
@@ -451,7 +477,7 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrices:
     for b in case.buses:
         k = index[b.id]
         y_bus[k, k] += complex(b.g_shunt, b.b_shunt)
-    return AdmittanceMatrices(g=y_bus.real.copy(), b=y_bus.imag.copy(), bus_index=index)
+    return y_bus
 
 
 def _is_connected(case: NetworkCase) -> bool:

@@ -8,10 +8,14 @@ magnitude changes there:
 
     delta_v = X @ delta_q,   X = -(G_LA B_AA^-1 G_AL + B_LL)^-1
 
-with A the non-slack buses and L the PQ buses. X is built once per topology
-and reused. ``voltage_sensitivity`` returns it at the flat base point
-(v = 1, q = 0); ``rebased`` moves the linearization point (base_v, base_q)
-to a plant solution, as each closed-loop window does at its start.
+with A the non-slack buses and L the PQ buses, G and B the real and
+imaginary parts of the complex admittance matrix Y. X is built once per
+topology and reused. ``voltage_sensitivity(y, part)`` returns it at the flat
+base point (v = 1, q = 0); ``rebased`` moves the linearization point
+(base_v, base_q) to a plant solution, as each closed-loop window does at its
+start. The bus sets come from ``partition_buses``, which returns the
+partition the case's topology built once; ``BusPartition`` lives in
+``netcase`` and is importable from here.
 """
 
 from __future__ import annotations
@@ -21,38 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SingularModelError
-from .netcase import AdmittanceMatrices, BusKind, NetworkCase
-
-
-@dataclass(frozen=True, eq=False)
-class BusPartition:
-    """Positional bus-index sets for one case ordering.
-
-    ``pq`` has M entries (load buses), ``controlled`` the C <= M buses that
-    host a reactive source. All values index into the case's bus sequence.
-    """
-
-    slack: int
-    pv: np.ndarray
-    pq: np.ndarray
-    controlled: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not set(self.controlled) <= set(self.pq):
-            raise ValueError("controlled buses must be load buses")
-
-    @property
-    def n_load(self) -> int:
-        return len(self.pq)
-
-    @property
-    def n_controlled(self) -> int:
-        return len(self.controlled)
-
-    def controlled_in_pq(self) -> np.ndarray:
-        """Positions of the controlled buses within the pq ordering."""
-        where = {int(b): i for i, b in enumerate(self.pq)}
-        return np.array([where[int(b)] for b in self.controlled], dtype=int)
+from .netcase import BusPartition, NetworkCase
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,19 +44,14 @@ class SensitivityMatrix:
 
 
 def partition_buses(case: NetworkCase) -> BusPartition:
-    """Classify buses by kind; controlled = PQ buses hosting a reactive source."""
-    controlled = np.array(
-        [i for i, b in enumerate(case.buses) if b.has_controller], dtype=int
-    )
-    return BusPartition(
-        slack=case.slack_index,
-        pv=case.indices_of(BusKind.PV),
-        pq=case.indices_of(BusKind.PQ),
-        controlled=controlled,
-    )
+    """The case's bus sets by kind; controlled = PQ buses hosting a reactive source.
+
+    Built once per case, with its topology; every call returns that object.
+    """
+    return case.topology.partition
 
 
-def voltage_sensitivity(adm: AdmittanceMatrices, part: BusPartition) -> SensitivityMatrix:
+def voltage_sensitivity(y: np.ndarray, part: BusPartition) -> SensitivityMatrix:
     """Build X by angle elimination over non-slack buses, at the flat base point.
 
     The base point is v = 1, q = 0; ``rebased`` moves it to a solved power
@@ -92,10 +60,11 @@ def voltage_sensitivity(adm: AdmittanceMatrices, part: BusPartition) -> Sensitiv
     """
     a_set = np.sort(np.concatenate([part.pv, part.pq]))
     l_set = part.pq
-    b_aa = adm.b[np.ix_(a_set, a_set)]
-    g_al = adm.g[np.ix_(a_set, l_set)]
-    g_la = adm.g[np.ix_(l_set, a_set)]
-    b_ll = adm.b[np.ix_(l_set, l_set)]
+    g, b = y.real, y.imag
+    b_aa = b[np.ix_(a_set, a_set)]
+    g_al = g[np.ix_(a_set, l_set)]
+    g_la = g[np.ix_(l_set, a_set)]
+    b_ll = b[np.ix_(l_set, l_set)]
     try:
         core = g_la @ np.linalg.solve(b_aa, g_al) + b_ll
         x = np.linalg.inv(-core)

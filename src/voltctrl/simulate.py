@@ -175,7 +175,7 @@ class _ClosedLoop:
         self.gains = gains
         self.inj = nominal_injections(case)
         self.cpos = self.part.controlled_in_pq()
-        self.sens = voltage_sensitivity(case.topology.adm, self.part)
+        self.sens = voltage_sensitivity(case.topology.y, self.part)
         self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, gains)
         self.last: PowerFlowSolution | None = None
         self.inverse: np.ndarray | None = None
@@ -228,13 +228,6 @@ class _ClosedLoop:
         if self.mode is PlantMode.LINEAR:
             return predict_voltage(self.sens, self.embed(q))
         return self._solve(q).v[self.part.pq]
-
-    def report_voltage(self, q: np.ndarray) -> np.ndarray:
-        """All-bus magnitudes for reporting; regulated buses from the base solve."""
-        full = self.last.v.copy()
-        if self.mode is PlantMode.LINEAR:
-            full[self.part.pq] = predict_voltage(self.sens, self.embed(q))
-        return full
 
     def eval(self, y: np.ndarray, held=False):
         """State on its piece, rates, active rows and measured voltage at a packed state.
@@ -318,8 +311,8 @@ def integrate(
     zeros. The plant is linearized at the start state's output. Multi-window
     runs chain calls from the previous window's last state and ``_join`` them.
     """
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
     loop = _ClosedLoop(case, plant_mode, limits, gains)
     m, c, lim = loop.m, loop.c, loop.lim
     state0 = ControllerState.zeros(m, c) if initial_state is None else initial_state
@@ -388,6 +381,9 @@ def integrate(
     packed = np.array(rows)
     states = trajectory_states(packed, m, c)
     v_all, q_all = np.array(volts), packed[:, :c]
+    # regulated buses from the last solve, load buses as the last sample measured
+    final_v = loop.last.v.copy()
+    final_v[loop.part.pq] = v_all[-1]
     return SimulationResult(
         trajectory=Trajectory(
             t=np.array(times),
@@ -395,7 +391,7 @@ def integrate(
             v=v_all,
             cost=np.array([objective(s.q) for s in states]),
         ),
-        final_v=loop.report_voltage(states[-1].q),
+        final_v=final_v,
         final_q=states[-1].q.copy(),
         converged=bool(tol is not None and residual < tol),
         final_residual=residual,
@@ -473,8 +469,8 @@ def run_fault(
     whether or not the controller has settled, and the pre cost is read off
     the last pre-trip sample.
     """
-    if t_trip is not None and t_trip <= 0:
-        raise ConfigError("trip time must be positive")
+    if t_trip is not None and not 0 < t_trip < np.inf:
+        raise ConfigError(f"trip time must be positive and finite, got {t_trip}")
     pre = run_static(case, limits, gains, tol, plant_mode, horizon if t_trip is None else t_trip)
     post = run_static(
         trip_branch(case, trip[0], trip[1]),

@@ -1,10 +1,12 @@
-"""What the benchmark's tracer needs from the program.
+"""What the benchmark's tracer and workloads need from the program.
 
 ``perfbench/tracer.py`` wraps the functions named in its ``TRACED`` table by
 looking them up on the voltctrl modules, and counts plant calls only while
-``simulate.integrate`` is running. A renamed function, or a scenario that
-calls the engine without going through the module global, would otherwise
-break the benchmark only when it runs.
+``simulate.integrate`` is running. ``perfbench/workloads.py`` calls the
+public API directly (validate-lin30 builds the sensitivity from
+``build_admittance``). A renamed function, a changed return type, or a
+scenario that calls the engine without going through the module global,
+would otherwise break the benchmark only when it runs.
 """
 
 from __future__ import annotations
@@ -22,18 +24,31 @@ from voltctrl.controller import Limits
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer():
-    """Import perfbench/tracer.py by path without writing bytecode next to it."""
+def _load_perfbench(name: str):
+    """Import perfbench/<name>.py by path without writing bytecode next to it.
+
+    perfbench's modules import one another by bare name (``import checks``),
+    so its directory is on ``sys.path`` while one loads. The module is
+    registered in ``sys.modules``, which its dataclasses need, and stays
+    there for the rest of the session, as what it imports does.
+    """
     spec = importlib.util.spec_from_file_location(
-        "_perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+        f"_perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         spec.loader.exec_module(module)
     finally:
+        sys.path.remove(str(ROOT / "perfbench"))
         sys.dont_write_bytecode = saved
     return module
+
+
+def _load_tracer():
+    return _load_perfbench("tracer")
 
 
 def test_traced_functions_resolve():
@@ -68,3 +83,14 @@ def test_nonlinear_plant_calls_are_counted(toy2):
     assert counts.get("sensitivity.predict_voltage.calls", 0) == 0
     assert counts["simulate.plant_calls"] == counts["powerflow.solve_power_flow.calls"]
     assert counts["simulate.plant_calls"] > counts["simulate.samples"] > 1
+
+
+def test_validate_workload_chain_passes_its_check():
+    # the steps the benchmark times for validate-lin30, judged by its own check
+    workloads = _load_perfbench("workloads")
+    reference = sys.modules["checks"].load_reference(ROOT)
+    workload = workloads.WORKLOADS["validate-lin30"]
+    inp = workload.prepare(0)
+    result = workload.operation(inp)
+    assert workload.check(reference, inp, result) == []
+    assert workloads.simulation(result).converged

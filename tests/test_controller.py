@@ -463,9 +463,26 @@ def test_limits_validation():
         Limits.box(2, 2, q_lo=0.2, q_hi=-0.2)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("v_hi", np.nan), ("v_lo", -np.inf), ("q_lo", -np.inf), ("q_hi", np.inf)]
+)
+def test_limits_reject_non_finite(field, value):
+    # a NaN v_hi used to be reported as "v_lo must be below v_hi", and an
+    # infinite box gave an oracle KKT residual of 0.0 from NaN products
+    with pytest.raises(ValueError, match=f"limit {field} must be finite"):
+        Limits.box(2, 2, **{field: value})
+
+
 def test_gains_validation():
     with pytest.raises(ValueError):
         Gains(k_q=0.0)
+
+
+@pytest.mark.parametrize("field, value", [("k_q", np.nan), ("k_lam", np.inf), ("k_mu", -np.inf)])
+def test_gains_reject_non_finite(field, value):
+    # these used to pass the positivity test and end in step underflow at t = 0
+    with pytest.raises(ValueError, match=f"gain {field} must be positive and finite"):
+        Gains(**{field: value})
 
 
 def test_rhs_input_validation():

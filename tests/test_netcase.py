@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_max_ulp
 
 from voltctrl import (
     BusKind,
@@ -16,6 +20,8 @@ from voltctrl import (
     serialize_case,
     trip_branch,
 )
+from voltctrl.powerflow import nominal_injections, solve_power_flow
+from voltctrl.sensitivity import partition_buses
 from conftest import TOY2_TEXT
 
 
@@ -45,7 +51,7 @@ def test_per_unit_conversion(case14):
     assert case14.bus(9).b_shunt == pytest.approx(0.19)
     gen1 = [g for g in case14.generators if g.bus == 1][0]
     assert gen1.p_gen == pytest.approx(2.324)
-    assert gen1.v_setpoint == pytest.approx(1.06)
+    assert case14.bus(gen1.bus).v_setpoint == pytest.approx(1.06)
 
 
 def test_setpoints_attached_to_buses(case14):
@@ -194,40 +200,94 @@ def test_serialize_round_trip(case14, case30, toy2):
         assert again == case
 
 
+def test_edited_pv_setpoint_round_trips(case14):
+    # the bus holds the regulated magnitude; the gen rows are written from it
+    buses = tuple(replace(b, v_setpoint=1.06) if b.id == 2 else b for b in case14.buses)
+    again = parse_case(serialize_case(replace(case14, buses=buses)), name="case14")
+    assert again.bus(2).v_setpoint == 1.06
+    sol = solve_power_flow(again, nominal_injections(again))
+    assert sol.converged and sol.v[again.bus_index()[2]] == 1.06
+
+
+def _exact_facts(case):
+    return (
+        case.base_mva,
+        [(b.id, b.kind, b.v_setpoint) for b in case.buses],
+        [g.bus for g in case.generators],
+        [(br.from_bus, br.to_bus, br.r, br.x, br.b_charging, br.tap_ratio, br.in_service)
+         for br in case.branches],
+    )
+
+
+def _per_unit(case):
+    rows = [(b.p_load, b.q_load, b.g_shunt, b.b_shunt) for b in case.buses]
+    return np.array(rows).ravel(), np.array([g.p_gen for g in case.generators])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_round_trip_keeps_edits(case14, case30, data):
+    case = data.draw(st.sampled_from([case14, case30]), label="case")
+    pq = [b.id for b in case.buses if b.kind is BusKind.PQ]
+    factors = data.draw(st.lists(st.floats(0.0, 4.0), min_size=len(pq), max_size=len(pq)))
+    case = scale_loads(case, dict(zip(pq, factors)))
+    n_reg, n_br = len(case.buses) - len(pq), len(case.branches)
+    setpoints = iter(data.draw(st.lists(st.floats(0.9, 1.1), min_size=n_reg, max_size=n_reg)))
+    out = data.draw(st.lists(st.booleans(), min_size=n_br, max_size=n_br), label="out of service")
+    tap = st.one_of(st.just(1.0), st.floats(0.85, 1.15))
+    taps = data.draw(st.lists(tap, min_size=n_br, max_size=n_br), label="taps")
+    edited = replace(
+        case,
+        buses=tuple(
+            b if b.kind is BusKind.PQ else replace(b, v_setpoint=next(setpoints))
+            for b in case.buses
+        ),
+        branches=tuple(
+            replace(br, in_service=br.in_service and not o, tap_ratio=t)
+            for br, o, t in zip(case.branches, out, taps)
+        ),
+    )
+    again = parse_case(serialize_case(edited), name=edited.name)
+    assert _exact_facts(again) == _exact_facts(edited)
+    # per-unit values pass through MW/MVar: one multiply and one divide by the base
+    for got, want in zip(_per_unit(again), _per_unit(edited)):
+        assert_array_max_ulp(got, want, maxulp=2)
+
+
 def test_admittance_lossless_two_bus(toy2):
-    adm = build_admittance(toy2)
-    assert_allclose(adm.g, np.zeros((2, 2)), atol=1e-15)
-    assert_allclose(adm.b, [[-10.0, 10.0], [10.0, -10.0]], atol=1e-12)
+    y = build_admittance(toy2)
+    assert_allclose(y.real, np.zeros((2, 2)), atol=1e-15)
+    assert_allclose(y.imag, [[-10.0, 10.0], [10.0, -10.0]], atol=1e-12)
 
 
 def test_admittance_lossy_two_bus():
     text = TOY2_TEXT.replace("\t1\t2\t0\t0.1", "\t1\t2\t0.01\t0.1")
-    adm = build_admittance(parse_case(text))
+    y = build_admittance(parse_case(text))
     # 1/(0.01 + j0.1) = 0.990099... - j9.90099...
-    assert adm.g[0, 1] == pytest.approx(-0.9900990099009901)
-    assert adm.b[0, 1] == pytest.approx(9.900990099009901)
-    assert adm.g[0, 0] == pytest.approx(0.9900990099009901)
+    assert y.real[0, 1] == pytest.approx(-0.9900990099009901)
+    assert y.imag[0, 1] == pytest.approx(9.900990099009901)
+    assert y.real[0, 0] == pytest.approx(0.9900990099009901)
 
 
 def test_admittance_sparsity_matches_topology(case14):
-    adm = build_admittance(case14)
-    index = adm.bus_index
+    y = build_admittance(case14)
+    index = case14.bus_index()
     linked = np.zeros((14, 14), dtype=bool)
     for br in case14.branches:
         if br.in_service:
             f, t = index[br.from_bus], index[br.to_bus]
             linked[f, t] = linked[t, f] = True
     off = ~np.eye(14, dtype=bool)
-    nonzero = (np.abs(adm.g) > 1e-14) | (np.abs(adm.b) > 1e-14)
+    nonzero = (np.abs(y.real) > 1e-14) | (np.abs(y.imag) > 1e-14)
     assert np.array_equal(nonzero & off, linked)
 
 
 def test_admittance_symmetric(case14, case30, toy2):
     # no phase shifters in scope, so Y stays symmetric even with off-nominal taps
     for case in (case14, case30, toy2):
-        adm = build_admittance(case)
-        assert_allclose(adm.g, adm.g.T, atol=1e-12)
-        assert_allclose(adm.b, adm.b.T, atol=1e-12)
+        y = build_admittance(case)
+        assert_allclose(y.real, y.real.T, atol=1e-12)
+        assert_allclose(y.imag, y.imag.T, atol=1e-12)
 
 
 def _expected_row_sums(case):
@@ -255,16 +315,16 @@ def _expected_row_sums(case):
 
 def test_admittance_row_sums(case14, case30, toy2):
     for case in (case14, case30, toy2):
-        adm = build_admittance(case)
+        y = build_admittance(case)
         want = _expected_row_sums(case)
-        assert_allclose(adm.g.sum(axis=1), want.real, atol=1e-12)
-        assert_allclose(adm.b.sum(axis=1), want.imag, atol=1e-12)
+        assert_allclose(y.real.sum(axis=1), want.real, atol=1e-12)
+        assert_allclose(y.imag.sum(axis=1), want.imag, atol=1e-12)
 
 
 def test_row_sum_is_shunt_on_tapless_buses(case14):
     # away from transformer terminals the row sum is exactly the bus shunt
     # plus half the charging of each incident line
-    adm = build_admittance(case14)
+    y = build_admittance(case14)
     index = case14.bus_index()
     tap_buses = set()
     shunt = {b.id: b.b_shunt for b in case14.buses}
@@ -278,17 +338,17 @@ def test_row_sum_is_shunt_on_tapless_buses(case14):
     for bus_id, k in index.items():
         if bus_id in tap_buses:
             continue
-        assert adm.b[k].sum() == pytest.approx(shunt[bus_id], abs=1e-12)
+        assert y.imag[k].sum() == pytest.approx(shunt[bus_id], abs=1e-12)
         checked += 1
     assert checked >= 8
 
 
 def test_trip_branch(case14):
     tripped = trip_branch(case14, 4, 5)
-    adm = build_admittance(tripped)
-    index = adm.bus_index
-    assert adm.b[index[4], index[5]] == 0.0
-    assert adm.g[index[4], index[5]] == 0.0
+    y = build_admittance(tripped)
+    index = tripped.bus_index()
+    assert y.imag[index[4], index[5]] == 0.0
+    assert y.real[index[4], index[5]] == 0.0
     # original case untouched
     assert all(br.in_service for br in case14.branches)
 
@@ -301,8 +361,8 @@ def test_trip_matches_branch_removed_from_text(case14):
     pruned = parse_case("\n".join(kept))
     a = build_admittance(trip_branch(case14, 4, 5))
     b = build_admittance(pruned)
-    assert_allclose(a.g, b.g, atol=1e-15)
-    assert_allclose(a.b, b.b, atol=1e-15)
+    assert_allclose(a.real, b.real, atol=1e-15)
+    assert_allclose(a.imag, b.imag, atol=1e-15)
 
 
 def test_cached_topology_follows_edits(case14):
@@ -316,9 +376,10 @@ def test_cached_topology_follows_edits(case14):
     ]
     for case in [case14, *edited]:
         fresh = build_admittance(case)
-        assert np.array_equal(case.topology.y, fresh.g + 1j * fresh.b)
-        assert np.array_equal(case.topology.adm.g, fresh.g)
-        assert np.array_equal(case.topology.adm.b, fresh.b)
+        assert np.array_equal(case.topology.y, fresh)
+        assert partition_buses(case) is partition_buses(case) is case.topology.partition
+    ids = [edited[2].buses[i].id for i in partition_buses(edited[2]).controlled]
+    assert ids == [4, 9, 14]
     assert not np.array_equal(edited[0].topology.y, case14.topology.y)
 
 

@@ -67,10 +67,10 @@ def test_lossless_case_reduces_to_susceptance_inverse(case14):
         case14,
         branches=tuple(dataclasses.replace(br, r=0.0) for br in case14.branches),
     )
-    adm = build_admittance(lossless)
+    y = build_admittance(lossless)
     part = partition_buses(lossless)
-    sens = voltage_sensitivity(adm, part)
-    want = -np.linalg.inv(adm.b[np.ix_(part.pq, part.pq)])
+    sens = voltage_sensitivity(y, part)
+    want = -np.linalg.inv(y.imag[np.ix_(part.pq, part.pq)])
     assert_allclose(sens.x, want, atol=1e-12)
     eig = np.linalg.eigvalsh(sens.x)
     assert np.all(eig > 0)
@@ -156,7 +156,6 @@ def test_trip_changes_local_rows(case14):
 
 
 def test_singular_model_rejected(toy2):
-    adm = build_admittance(toy2)
-    dead = dataclasses.replace(adm, g=np.zeros((2, 2)), b=np.zeros((2, 2)))
+    dead = np.zeros((2, 2), dtype=complex)
     with pytest.raises(SingularModelError):
         voltage_sensitivity(dead, partition_buses(toy2))

@@ -681,6 +681,36 @@ def test_scenario_validation():
             run_fault(case, t_trip=t_trip)
 
 
+@pytest.mark.parametrize("horizon", [np.inf, np.nan])
+def test_non_finite_horizon_is_rejected(heavy14, horizon):
+    # either used to return the start state alone, unconverged, with no error
+    with pytest.raises(ConfigError, match=f"horizon must be positive and finite, got {horizon}"):
+        run_static(heavy14, plant_mode=PlantMode.LINEAR, horizon=horizon)
+
+
+@pytest.mark.parametrize("t_trip", [np.inf, np.nan])
+def test_non_finite_trip_time_is_rejected(heavy14, t_trip):
+    # either used to end in an untyped ValueError about trajectory times
+    with pytest.raises(ConfigError, match=f"trip time must be positive and finite, got {t_trip}"):
+        run_fault(heavy14, t_trip=t_trip, plant_mode=PlantMode.LINEAR)
+
+
+def test_non_finite_hour_is_rejected(heavy14):
+    with pytest.raises(ConfigError, match="horizon must be positive and finite, got inf"):
+        run_daily(heavy14, hour_seconds=np.inf, plant_mode=PlantMode.LINEAR)
+
+
+def test_final_v_is_last_sample_at_load_buses(heavy14, heavy_lin, heavy_nl):
+    # one rule for both plants: regulated buses keep their setpoints, load
+    # buses read what the last sample measured
+    part = partition_buses(heavy14)
+    regulated = np.setdiff1d(np.arange(heavy14.n_buses), part.pq)
+    setpoints = np.array([b.v_setpoint for b in heavy14.buses])[regulated]
+    for res in (heavy_lin, heavy_nl):
+        assert np.array_equal(res.final_v[part.pq], res.trajectory.v[-1])
+        assert np.array_equal(res.final_v[regulated], setpoints)
+
+
 def test_trajectory_validation():
     state = ControllerState.zeros(1, 1)
     with pytest.raises(ValueError):
