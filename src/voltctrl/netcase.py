@@ -174,19 +174,17 @@ class Topology:
     ``y`` is the complex admittance matrix G + jB and ``partition`` the bus
     index sets. ``non_slack`` and ``pq`` are the angle unknowns and the
     magnitude unknowns, in case order. ``v_start`` holds the flat-start
-    magnitudes (the setpoints at slack and PV buses, 1 elsewhere). The four
-    ``ix_*`` grids select the Jacobian blocks (P or Q rows, angle or
-    magnitude columns) from full n x n derivative matrices.
+    magnitudes (the setpoints at slack and PV buses, 1 elsewhere). ``rows``
+    are the solved equations, P at ``non_slack`` then Q at ``pq``, as
+    positions in the interleaved (real, imaginary) float view of a complex
+    bus vector.
     """
 
     y: np.ndarray
     partition: BusPartition
     non_slack: np.ndarray
     v_start: np.ndarray
-    ix_p_delta: tuple
-    ix_p_vm: tuple
-    ix_q_delta: tuple
-    ix_q_vm: tuple
+    rows: np.ndarray
 
     @property
     def pq(self) -> np.ndarray:
@@ -209,10 +207,7 @@ class Topology:
             partition=part,
             non_slack=non_slack,
             v_start=v_start,
-            ix_p_delta=np.ix_(non_slack, non_slack),
-            ix_p_vm=np.ix_(non_slack, pq),
-            ix_q_delta=np.ix_(pq, non_slack),
-            ix_q_vm=np.ix_(pq, pq),
+            rows=np.concatenate([2 * non_slack, 2 * pq + 1]),
         )
 
 

@@ -12,13 +12,15 @@ magnitudes at every PQ bus; slack and PV magnitudes stay at their setpoints
 (no reactive-limit switching).
 
 Everything that depends only on the network, the complex admittance matrix,
-the index sets of the unknowns and the flat-start magnitudes, comes from the
-case's cached ``topology`` and is built once per case; a solve assembles its
-Jacobian from it by broadcasting. ``jacobian_inverse`` inverts that
-Jacobian at a solved point. The closed loop takes one per accepted step: its
-plant solves inside the step run chord (simplified Newton) iterations with
-it (Stott, Proc. IEEE 67(2), 1979), and its block of magnitude rows and
-reactive columns is the exact d|V|/dQ the implicit stages linearize with.
+the index sets of the unknowns and equations and the flat-start magnitudes,
+comes from the case's cached ``topology`` and is built once per case; a
+solve assembles its Jacobian from it by broadcasting. ``jacobian_inverse``
+inverts that Jacobian at a solved point. The closed loop takes one per
+accepted step: its plant solves inside the step run chord (simplified
+Newton) iterations with it (Stott, Proc. IEEE 67(2), 1979), each of which
+must halve the mismatch or end the solve unconverged, and its block of
+magnitude rows and reactive columns is the exact d|V|/dQ the implicit
+stages linearize with.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularModelError
-from .netcase import BusKind, NetworkCase, Topology
+from .netcase import NetworkCase, Topology
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +70,7 @@ def nominal_injections(case: NetworkCase) -> InjectionSet:
         p_gen[index[g.bus]] += g.p_gen
     p_load = np.array([b.p_load for b in case.buses])
     q_load = np.array([b.q_load for b in case.buses])
-    pq = case.indices_of(BusKind.PQ)
-    return InjectionSet(p_injection=p_gen - p_load, q_injection=-q_load[pq])
+    return InjectionSet(p_injection=p_gen - p_load, q_injection=-q_load[case.topology.pq])
 
 
 def _complex_power(y_bus: np.ndarray, v: np.ndarray, delta: np.ndarray):
@@ -84,20 +85,15 @@ def _jacobian(top: Topology, v: np.ndarray, u: np.ndarray, s_bus: np.ndarray) ->
     Complex-form partial derivatives of S = diag(U) conj(Y U), with
     A[k, n] = U_k conj(Y_kn U_n):
     dS/d delta = j (diag(S) - A),  dS/d|V| = (diag(S) + A) / |V_n|.
+    Only the unknowns' columns are formed, one per row of ``d``; the
+    equations are ``top.rows`` of their interleaved float view.
     """
-    n_a, n_l = len(top.non_slack), len(top.pq)
-    diag = np.diag_indices(len(v))
-    a = u[:, None] * np.conj(top.y * u[None, :])
-    ds_ddelta = -1j * a
-    ds_ddelta[diag] += 1j * s_bus
-    ds_dvm = a / v[None, :]
-    ds_dvm[diag] += s_bus / v
-    jac = np.empty((n_a + n_l, n_a + n_l))
-    jac[:n_a, :n_a] = ds_ddelta.real[top.ix_p_delta]
-    jac[:n_a, n_a:] = ds_dvm.real[top.ix_p_vm]
-    jac[n_a:, :n_a] = ds_ddelta.imag[top.ix_q_delta]
-    jac[n_a:, n_a:] = ds_dvm.imag[top.ix_q_vm]
-    return jac
+    non_slack, pq = top.non_slack, top.pq
+    n_a, cols = len(non_slack), np.concatenate([non_slack, pq])
+    a = u[None, :] * np.conj(top.y[:, cols].T * u[cols, None])
+    d = np.concatenate([-1j * a[:n_a], a[n_a:] / v[pq, None]])
+    d[np.arange(len(cols)), cols] += np.concatenate([1j * s_bus[non_slack], s_bus[pq] / v[pq]])
+    return d.view(float)[:, top.rows].T
 
 
 def solve_power_flow(
@@ -112,15 +108,12 @@ def solve_power_flow(
 
     Starts flat (v = 1, delta = 0 at the unknowns) unless ``warm_start``
     supplies a previous solution. Given ``inverse``, the inverse Jacobian
-    at a nearby solution (``jacobian_inverse``), each step is a chord
+    at a nearby solution (``jacobian_inverse``), every step is a chord
     (simplified Newton) step with it: one residual and one matrix-vector
-    product. A chord step that does not halve the mismatch, or leaves the
-    domain (a magnitude at or below zero, or a non-finite mismatch), drops
-    the inverse, and the solve goes on by full Newton from the last iterate
-    it accepted. So does a chord step that halves it, but at a rate that
-    would not reach ``tol`` within the steps left; the solve accepts that
-    step first. ``iterations`` counts every step tried against
-    ``max_iter``; a full Newton step that leaves the domain ends the solve.
+    product, and no Jacobian is built. A step that leaves the domain (a
+    magnitude at or below zero, or a non-finite mismatch) ends the solve,
+    and so does a chord step that does not halve the mismatch.
+    ``iterations`` counts every step tried against ``max_iter``.
     Non-convergence is reported through ``converged=False``, with the last
     accepted iterate and its mismatch, not an exception; a singular
     Jacobian raises :class:`SingularModelError`.
@@ -128,7 +121,7 @@ def solve_power_flow(
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1")
     top = case.topology
-    y_bus, non_slack, pq = top.y, top.non_slack, top.pq
+    y_bus, non_slack, pq, rows = top.y, top.non_slack, top.pq, top.rows
     n_a = len(non_slack)
 
     v = top.v_start.copy()
@@ -138,9 +131,6 @@ def solve_power_flow(
         delta[non_slack] = warm_start.delta[non_slack]
 
     spec = np.concatenate([inj.p_injection[non_slack], inj.q_injection])
-    # P at the non-slack buses and Q at the PQ buses, as positions in the
-    # bus powers' interleaved (real, imaginary) float view
-    rows = np.concatenate([2 * non_slack, 2 * pq + 1])
 
     def residual(v, delta):
         u, s = _complex_power(y_bus, v, delta)
@@ -165,18 +155,10 @@ def solve_power_flow(
         # a chord step must also halve it
         limit = np.inf if inverse is None else 0.5 * worst
         trial = residual(trial_v, trial_delta) if trial_v.min() > 0 else None
-        if trial is not None and trial[1] < limit:
-            # a chord contracting too slowly to reach tol in the steps left
-            # hands over to full Newton from its answer
-            rate = trial[1] / worst
-            if inverse is not None and trial[1] * rate ** (max_iter - iterations) >= tol:
-                inverse = None
-            v, delta = trial_v, trial_delta
-            f, worst, u, s_bus = trial
-        elif inverse is None:
+        if trial is None or not trial[1] < limit:
             break
-        else:
-            inverse = None
+        v, delta = trial_v, trial_delta
+        f, worst, u, s_bus = trial
     return PowerFlowSolution(
         v=v, delta=delta, converged=worst < tol, iterations=iterations, max_mismatch=worst
     )

@@ -21,8 +21,9 @@ default everywhere else. Those solves are chord iterations: the power-flow
 Jacobian is formed and inverted once at the window's start (whose own
 solve is full Newton) and at each accepted state, and every solve in the
 step from there, retries included, starts at the last solution and steps
-with that inverse, falling back to full Newton only when a step fails to
-halve the mismatch or contracts too slowly to reach the tolerance in time.
+with that inverse. A chord solve whose step does not halve the mismatch
+ends unconverged; the stage fails with it and the step is retried at half
+the size, nearer the point where the inverse was taken.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes ``run_static``'s parameters plus the
@@ -62,7 +63,7 @@ from enum import Enum
 import numpy as np
 
 from .controller import ControllerState, Gains, Limits, PackedFlow, objective, trajectory_states
-from .errors import ConfigError, PlantDivergenceError, StepSizeUnderflowError
+from .errors import CaseDataError, ConfigError, PlantDivergenceError, StepSizeUnderflowError
 from .netcase import NetworkCase, scale_loads, trip_branch
 from .powerflow import (
     InjectionSet,
@@ -160,8 +161,10 @@ class _ClosedLoop:
     from the sensitivity's controlled columns, and in nonlinear mode the
     warm-start solution reused across evaluations and the inverse Jacobian
     its chord solves step with, whose dv/dq block the flow's Newton steps use.
-    States are packed vectors whose first C entries are q and whose
-    remaining entries are multipliers.
+    A plant solve that does not converge raises
+    :class:`PlantDivergenceError`, which fails the step attempt. States are
+    packed vectors whose first C entries are q and whose remaining entries
+    are multipliers.
     """
 
     def __init__(
@@ -310,11 +313,17 @@ def integrate(
     to the horizon. Unset limits are the default box, an unset start state
     zeros. The plant is linearized at the start state's output. Multi-window
     runs chain calls from the previous window's last state and ``_join`` them.
+    ``horizon``, ``rtol``, ``atol`` and a set ``tol`` must be positive and
+    finite, and the case must have a controlled bus; otherwise
+    :class:`ConfigError`.
     """
-    if not 0 < horizon < np.inf:
-        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
+    for name, value in (("horizon", horizon), ("tol", tol), ("rtol", rtol), ("atol", atol)):
+        if not ((name == "tol" and value is None) or 0 < value < np.inf):
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
     loop = _ClosedLoop(case, plant_mode, limits, gains)
     m, c, lim = loop.m, loop.c, loop.lim
+    if c == 0:
+        raise ConfigError(f"case {case.name} has no controlled bus")
     state0 = ControllerState.zeros(m, c) if initial_state is None else initial_state
     if state0.lam_hi.shape != (m,) or state0.q.shape != (c,):
         raise ConfigError(
@@ -592,6 +601,9 @@ def calibrate_load_scale(
     """
     index = case.bus_index()
     bus_ids = sorted(target_v)
+    unknown = [b for b in bus_ids if b not in index]
+    if unknown:
+        raise CaseDataError(f"target voltages name unknown bus ids {unknown}")
     want = np.array([target_v[b] for b in bus_ids])
     rows = [index[b] for b in bus_ids]
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from voltctrl import simulate
 from voltctrl.controller import Limits
@@ -85,11 +87,15 @@ def test_nonlinear_plant_calls_are_counted(toy2):
     assert counts["simulate.plant_calls"] > counts["simulate.samples"] > 1
 
 
-def test_validate_workload_chain_passes_its_check():
-    # the steps the benchmark times for validate-lin30, judged by its own check
+@pytest.mark.parametrize(
+    "name", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+)
+def test_workload_chain_passes_its_check(name):
+    # the steps the benchmark times for each declared workload, judged by its
+    # own check
     workloads = _load_perfbench("workloads")
     reference = sys.modules["checks"].load_reference(ROOT)
-    workload = workloads.WORKLOADS["validate-lin30"]
+    workload = workloads.WORKLOADS[name]
     inp = workload.prepare(0)
     result = workload.operation(inp)
     assert workload.check(reference, inp, result) == []

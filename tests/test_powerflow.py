@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from voltctrl import BusKind, scale_loads
+from voltctrl import BusKind, powerflow, scale_loads
 from voltctrl.netcase import parse_case
 from voltctrl.powerflow import (
     InjectionSet,
@@ -266,48 +266,76 @@ def test_chord_iterations_count_chord_steps(case14):
     assert_allclose(chord.v, x.v, rtol=0, atol=1e-14)
 
 
-def test_stale_inverse_falls_back_to_full_newton(jacobian_builds, case14):
+def test_stale_inverse_ends_unconverged(jacobian_builds, case14):
     # an inverse taken at x3.1 load, used at nominal load from a flat start,
-    # fails to halve the mismatch; the solve drops it and converges by full
-    # Newton to the point a full solve finds. Taken at nominal load and used
-    # at x3.1 the chord still contracts (by about 0.39 a step), so it keeps
-    # the inverse and reaches the same point on the chord alone.
+    # fails to halve the mismatch; the solve ends there, building no
+    # Jacobian, and reports its last accepted iterate unconverged. Its
+    # caller, the closed loop, retries from closer in; full Newton converges
+    nominal = nominal_injections(case14)
+    heavy = scale_loads(case14, 3.1)
+    heavy_inverse = jacobian_inverse(heavy, solve_power_flow(heavy, nominal_injections(heavy)))
+    built = jacobian_builds[0]
+    sol = solve_power_flow(case14, nominal, inverse=heavy_inverse)
+    assert jacobian_builds[0] == built
+    assert not sol.converged and sol.iterations <= 20
+    assert np.all(sol.v > 0) and np.all(np.isfinite(sol.v)) and np.all(np.isfinite(sol.delta))
+    dp, dq = mismatch(case14, nominal, sol)
+    assert sol.max_mismatch == max(np.max(np.abs(dp)), np.max(np.abs(dq)))
+    assert solve_power_flow(case14, nominal).converged
+
+
+def test_far_inverse_reaches_the_loaded_point_by_chord_steps(jacobian_builds, case14):
+    # the inverse at nominal load, used at x3.1 from a flat start, contracts
+    # by about 0.39 a step: it reaches the point full Newton finds on chord
+    # steps alone. At tol 1e-12 twenty such steps stop short, unconverged
     nominal = nominal_injections(case14)
     heavy = scale_loads(case14, 3.1)
     loaded = nominal_injections(heavy)
     light_inverse = jacobian_inverse(case14, solve_power_flow(case14, nominal, tol=1e-12))
-    heavy_inverse = jacobian_inverse(heavy, solve_power_flow(heavy, loaded, tol=1e-12))
-    for case, inj, inverse, falls_back in (
-        (case14, nominal, heavy_inverse, True),
-        (heavy, loaded, light_inverse, False),
-    ):
-        full = solve_power_flow(case, inj)
-        built = jacobian_builds[0]
-        sol = solve_power_flow(case, inj, inverse=inverse)
-        assert (jacobian_builds[0] > built) == falls_back
-        assert sol.converged and full.converged
-        assert_allclose(sol.v, full.v, atol=1e-7)
-        assert_allclose(sol.delta, full.delta, atol=1e-7)
-
-
-def test_slowly_contracting_chord_hands_over_to_full_newton(jacobian_builds, case14):
-    # the inverse at nominal load, used at x3.1 from the nominal solution,
-    # contracts by about 0.39 a step, so at tol 1e-12 twenty chord steps
-    # would stop at a mismatch of 1.6e-9. Once the observed rate cannot reach
-    # tol in the steps left, the solve goes on by full Newton and converges
-    nominal = nominal_injections(case14)
-    light = solve_power_flow(case14, nominal, tol=1e-12)
-    heavy = scale_loads(case14, 3.1)
-    loaded = nominal_injections(heavy)
-    inverse = jacobian_inverse(case14, light)
-    full = solve_power_flow(heavy, loaded, tol=1e-12, warm_start=light)
+    full = solve_power_flow(heavy, loaded)
     built = jacobian_builds[0]
-    sol = solve_power_flow(heavy, loaded, tol=1e-12, warm_start=light, inverse=inverse)
-    assert jacobian_builds[0] > built
-    assert full.converged and sol.converged and sol.max_mismatch < 1e-12
-    assert sol.iterations < 20
-    assert_allclose(sol.v, full.v, atol=1e-10)
-    assert_allclose(sol.delta, full.delta, atol=1e-10)
+    sol = solve_power_flow(heavy, loaded, inverse=light_inverse)
+    short = solve_power_flow(heavy, loaded, tol=1e-12, inverse=light_inverse)
+    assert jacobian_builds[0] == built
+    assert sol.converged and full.converged
+    assert_allclose(sol.v, full.v, atol=1e-7)
+    assert_allclose(sol.delta, full.delta, atol=1e-7)
+    assert not short.converged and short.iterations == 20
+    assert 1e-12 < short.max_mismatch < 1e-8
+
+
+def _equations(case, v, delta):
+    """[P at non-slack buses; Q at PQ buses] computed straight from Y."""
+    top = case.topology
+    u = v * np.exp(1j * delta)
+    s = u * np.conj(top.y @ u)
+    return np.concatenate([s.real[top.non_slack], s.imag[top.pq]])
+
+
+@pytest.mark.parametrize("which", ["case14 x3.1", "case30 x1.0", "case14 x3.1 rotated"])
+def test_jacobian_matches_central_differences(case14, case30, which):
+    # all four blocks, at solved points, one with the slack bus not first
+    case = scale_loads(case30, 1.0) if which == "case30 x1.0" else scale_loads(case14, 3.1)
+    if which.endswith("rotated"):
+        case = dataclasses.replace(case, buses=case.buses[5:] + case.buses[:5])
+    sol = solve_power_flow(case, nominal_injections(case), tol=1e-12)
+    assert sol.converged
+    top = case.topology
+    u, s_bus = powerflow._complex_power(top.y, sol.v, sol.delta)
+    jac = powerflow._jacobian(top, sol.v, u, s_bus)
+    n_a, step = len(top.non_slack), 1e-6
+    want = np.empty_like(jac)
+    for j, (target, bus) in enumerate(
+        [("delta", b) for b in top.non_slack] + [("v", b) for b in top.pq]
+    ):
+        moved = []
+        for sign in (1, -1):
+            v, delta = sol.v.copy(), sol.delta.copy()
+            (delta if target == "delta" else v)[bus] += sign * step
+            moved.append(_equations(case, v, delta))
+        want[:, j] = (moved[0] - moved[1]) / (2 * step)
+    assert jac.shape == (n_a + len(top.pq),) * 2
+    assert np.max(np.abs(jac - want)) <= 1e-7 * np.max(np.abs(want))
 
 
 def test_diverged_solve_returns_its_last_valid_iterate(case14):

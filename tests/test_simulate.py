@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -20,7 +21,7 @@ from voltctrl.controller import (
     equilibrium_residual,
     objective,
 )
-from voltctrl.errors import ConfigError, PlantDivergenceError
+from voltctrl.errors import CaseDataError, ConfigError, PlantDivergenceError
 from voltctrl.netcase import BusKind, build_admittance, scale_loads, trip_branch
 from voltctrl.oracle import solve_centralized
 from voltctrl.powerflow import nominal_injections, solve_power_flow
@@ -33,6 +34,7 @@ from voltctrl.simulate import (
     _ClosedLoop,
     _TrialFailure,
     _join,
+    calibrate_load_scale,
     default_daily_profile,
     integrate,
     run_daily,
@@ -698,6 +700,63 @@ def test_non_finite_trip_time_is_rejected(heavy14, t_trip):
 def test_non_finite_hour_is_rejected(heavy14):
     with pytest.raises(ConfigError, match="horizon must be positive and finite, got inf"):
         run_daily(heavy14, hour_seconds=np.inf, plant_mode=PlantMode.LINEAR)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("tol", np.inf), ("tol", 0.0), ("tol", -1.0), ("tol", np.nan),
+     ("rtol", np.nan), ("rtol", 0.0), ("atol", -1.0), ("atol", 0.0)],
+)
+def test_invalid_tolerances_are_rejected(heavy14, name, value):
+    # each used to end as a false convergence at t = 0, a silent grind to the
+    # horizon, an error test that never rejects, or a division by zero
+    with pytest.raises(ConfigError, match=f"{name} must be positive and finite, got {value}"):
+        integrate(heavy14, plant_mode=PlantMode.LINEAR, **{name: value})
+
+
+def test_case_without_controllers_is_rejected(case14):
+    # used to run the whole window, then fail on an empty reduction
+    with pytest.raises(ConfigError, match="no controlled bus"):
+        run_static(case14.with_controllers([]))
+
+
+def test_calibration_rejects_unknown_bus_ids(case14):
+    with pytest.raises(CaseDataError, match=r"unknown bus ids \[99\]"):
+        calibrate_load_scale(case14, {99: 1.0, 12: 0.95})
+
+
+def test_failed_plant_solve_retries_the_step_at_half_size(monkeypatch, heavy14):
+    # one chord plant solve inside a step reports converged=False: that
+    # attempt fails, the loop retries the same step from the same state at
+    # half the size, and the run settles
+    solve, attempt = simulate.solve_power_flow, _ClosedLoop.attempt
+    chord_solves, tries = [0], []
+
+    def failing_once(case, inj, **kwargs):
+        sol = solve(case, inj, **kwargs)
+        if kwargs.get("inverse") is not None:
+            chord_solves[0] += 1
+            if chord_solves[0] == 40:
+                return dataclasses.replace(sol, converged=False)
+        return sol
+
+    def recording(self, y0, f0, active0, h):
+        try:
+            out = attempt(self, y0, f0, active0, h)
+        except _TrialFailure:
+            tries.append((y0.copy(), h, False))
+            raise
+        tries.append((y0.copy(), h, True))
+        return out
+
+    monkeypatch.setattr(simulate, "solve_power_flow", failing_once)
+    monkeypatch.setattr(_ClosedLoop, "attempt", recording)
+    res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
+    failed = [i for i, (_, _, ok) in enumerate(tries) if not ok]
+    assert chord_solves[0] > 40 and len(failed) == 1
+    (y_fail, h_fail, _), (y_next, h_next, ok) = tries[failed[0]], tries[failed[0] + 1]
+    assert ok and h_next == 0.5 * h_fail and np.array_equal(y_next, y_fail)
+    assert res.converged
 
 
 def test_final_v_is_last_sample_at_load_buses(heavy14, heavy_lin, heavy_nl):
