@@ -18,6 +18,7 @@ from .errors import (
     ConfigError,
     InfeasibleProblemError,
     IslandingError,
+    NotContractingError,
     PlantDivergenceError,
     SingularModelError,
     StepSizeUnderflowError,
@@ -61,6 +62,7 @@ __all__ = [
     "InfeasibleProblemError",
     "IslandingError",
     "NetworkCase",
+    "NotContractingError",
     "PlantDivergenceError",
     "SingularModelError",
     "StepSizeUnderflowError",

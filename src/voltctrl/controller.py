@@ -17,19 +17,24 @@ equilibrium and transient excursions are allowed through.
 The flow itself is ``PackedFlow``, compiled once for a sensitivity,
 limits and gains. It works on one packed vector [q, lam_hi, lam_lo, mu_hi,
 mu_lo]: ``rates`` returns the rates together with the mask of rows the
-projection leaves active, and ``newton_step`` solves an implicit stage's
-Newton system through its C x C Schur complement in q, with the plant's own
-voltage sensitivity in the lam rows' q block (the nonlinear plant's dv/dq
-is not X; ``set_plant_sensitivity`` stores it). ``flow_jacobian`` is the
-constant unprojected Jacobian under the linear plant, so the Jacobian of
-the projected flow is its active rows; it stays as the documented
-reference. This module is the only one that knows the packed layout.
-``dynamics_rhs`` is the validating wrapper over ``ControllerState``, and
-``trajectory_states`` checks a whole trajectory's packed rows at once.
+projection leaves active, and ``phi`` the phi-function products an
+exponential integrator steps with, phi_k(hJ) r for the Jacobian J of one
+piece of the flow. J has the plant's own voltage sensitivity in the lam
+rows' q block (the nonlinear plant's dv/dq is not X;
+``set_plant_sensitivity`` stores it), and its multiplier rows depend on q
+only, so every product comes from a 2C-square exponential instead of the
+(3C + 2M)-square one; ``expm`` is that exponential, numpy only.
+``flow_jacobian`` is the constant unprojected Jacobian under the linear
+plant, so the Jacobian of the projected flow is its active rows; it stays
+as the documented reference. This module is the only one that knows the
+packed layout. ``dynamics_rhs`` is the validating wrapper over
+``ControllerState``, and ``trajectory_states`` checks a whole trajectory's
+packed rows at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,31 +284,77 @@ class PackedFlow:
         violation *= self._gain
         return rates, np.concatenate((self._q_rows, on))
 
-    def newton_step(self, h: float, active: np.ndarray, resid: np.ndarray) -> np.ndarray:
-        """Solve (I - h/2 (J * active[:, None])) dz = resid for the closed loop's J.
+    def violation(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The multiplier rows' constraint violations at a packed state and its voltages."""
+        return self._of_y[self.c :] @ y + self._of_v[self.c :] @ v + self._offset[self.c :]
+
+    def jacobian_product(self, active: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """J z for the closed loop's J with its inactive rows zeroed (see ``phi``)."""
+        c = self.c
+        dm = self._j_mq @ z[:c]
+        dm[~active[c:]] = 0.0
+        return np.concatenate((-2.0 * self.k_q * z[:c] + self._j_qm @ z[c:], dm))
+
+    def phi(self, k: int, h: float, active: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """phi_k(hJ) r, with J the closed loop's Jacobian on the active rows.
 
         J is ``flow_jacobian`` with the plant's dv/dq in the lam rows' q
-        block (``set_plant_sensitivity``). Its multiplier rows depend only
-        on the q columns, so with J_qm its q rows' multiplier columns, J_mq
-        its multiplier rows' q columns and D the active multiplier rows the
-        system reduces exactly to the C x C one
+        block (``set_plant_sensitivity``) and its inactive rows zeroed, and
+        phi_k(z) = sum_j z^j / (j + k)!. Its multiplier rows depend only on
+        q, so with J_qm its q rows' multiplier columns, J_mq its multiplier
+        rows' q columns and D the active multiplier rows, (q, J_qm m)
+        follows the 2C x 2C matrix
 
-            S dq = r_q + (h/2) J_qm r_m,   S = (1 + h k_q) I - (h^2/4) J_qm D J_mq,
+            B = [[-2 k_q I, I], [J_qm D J_mq, 0]],
 
-        then dm = r_m + (h/2) D J_mq dq. S is not symmetric when the
-        plant's dv/dq differs from ``xc``, and a singular S raises
-        ``numpy.linalg.LinAlgError``.
+        and phi_k(hJ) r = (P_k, h D J_mq P_{k+1} + r_m / k!), where
+        P_j = phi_j(hB) (r_q, J_qm r_m) restricted to its q entries. Both
+        come from one exponential of B augmented with the vector and a unit
+        chain (Sidje, ACM TOMS 24(1), 1998), of size 2C + k + 1.
         """
         c = self.c
-        on, r_m = active[c:], resid[c:]
-        s = self._j_qm[:, on] @ self._j_mq[on]
-        s *= -0.25 * h * h
-        s.flat[:: c + 1] += 1.0 + h * self.k_q
-        dq = np.linalg.solve(s, resid[:c] + (0.5 * h) * (self._j_qm @ r_m))
-        dm = (0.5 * h) * (self._j_mq @ dq)
-        dm[~on] = 0.0
-        dm += r_m
-        return np.concatenate((dq, dm))
+        j_mq = self._j_mq * active[c:, None]
+        n = 2 * c + k + 1
+        aug = np.zeros((n, n))
+        eye = np.eye(c)
+        aug[:c, :c] = (-2.0 * h * self.k_q) * eye
+        aug[:c, c : 2 * c] = h * eye
+        aug[c : 2 * c, :c] = h * (self._j_qm @ j_mq)
+        aug[:c, 2 * c] = r[:c]
+        aug[c : 2 * c, 2 * c] = self._j_qm @ r[c:]
+        aug[np.arange(2 * c, n - 1), np.arange(2 * c + 1, n)] = 1.0
+        top = expm(aug)[:c, n - 2 :]
+        return np.concatenate((top[:, 0], h * (j_mq @ top[:, 1]) + r[c:] / math.factorial(k)))
+
+
+# Pade-13 numerator coefficients and the 1-norm up to which the approximant
+# is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005)."""
+    norm = float(np.linalg.norm(a, 1))
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    eye = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    e = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 def dynamics_rhs(

@@ -25,6 +25,10 @@ class InfeasibleProblemError(VoltCtrlError):
     """The constrained dispatch problem has no feasible point."""
 
 
+class NotContractingError(VoltCtrlError):
+    """A fixed-point iteration did not contract to its tolerance."""
+
+
 class PlantDivergenceError(VoltCtrlError):
     """The power-flow plant failed to converge during a simulation."""
 

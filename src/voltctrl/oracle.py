@@ -23,8 +23,10 @@ from itertools import combinations
 import numpy as np
 
 from .controller import Limits
-from .errors import InfeasibleProblemError
-from .sensitivity import SensitivityMatrix
+from .errors import InfeasibleProblemError, NotContractingError, PlantDivergenceError
+from .netcase import NetworkCase
+from .powerflow import InjectionSet, nominal_injections, solve_power_flow
+from .sensitivity import SensitivityMatrix, rebased, voltage_sensitivity
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +148,49 @@ def solve_centralized(
             working.pop(k - 1)
             u = np.delete(u, k - 1)
     raise InfeasibleProblemError(f"active-set method did not settle in {max_iter} iterations")
+
+
+def plant_equilibrium(
+    case: NetworkCase, limits: Limits, tol: float = 1e-10, max_iter: int = 50
+) -> tuple[QPSolution, int]:
+    """The nonlinear plant's equilibrium: the fixed point of the oracle on its own linearization.
+
+    Iterates q <- ``solve_centralized(rebased(sens, base_v=v(q), base_q=q), limits).q_star``
+    from q = 0, with v(q) the full-Newton power flow at q solved to 1e-12.
+    At the fixed point the linear voltage the oracle reads is the plant's,
+    so its KKT conditions are the closed loop's equilibrium conditions with
+    the measured voltages. Returns the last QP solution, once its q moved
+    by less than ``tol`` in max norm, and the number of QPs solved.
+    Contraction is not guaranteed; a run that has not met ``tol`` after
+    ``max_iter`` QPs raises :class:`NotContractingError` with its last step
+    and rate. Limits infeasible at an iterate's linearization raise
+    :class:`InfeasibleProblemError`, and a power flow that does not
+    converge :class:`PlantDivergenceError`. Both judge the iteration, not
+    the plant: far from the band (case14 at x3.5 load, case30 at x3.0) the
+    first linearization can fail while the closed loop still settles.
+    """
+    part = case.topology.partition
+    cpos = part.controlled_in_pq()
+    sens = voltage_sensitivity(case.topology.y, part)
+    inj = nominal_injections(case)
+    q, sol, step, rate = np.zeros(len(cpos)), None, np.inf, np.nan
+    for iteration in range(1, max_iter + 1):
+        full = np.zeros(part.n_load)
+        full[cpos] = q
+        moved = InjectionSet(inj.p_injection, inj.q_injection + full)
+        sol = solve_power_flow(case, moved, tol=1e-12, max_iter=30, warm_start=sol)
+        if not sol.converged:
+            raise PlantDivergenceError(f"power flow did not converge at iterate {iteration}")
+        qp = solve_centralized(rebased(sens, base_v=sol.v[part.pq], base_q=full), limits)
+        moved_by = float(np.max(np.abs(qp.q_star - q)))
+        step, rate = moved_by, moved_by / step
+        if step < tol:
+            return qp, iteration
+        q = qp.q_star
+    raise NotContractingError(
+        f"fixed-point iteration did not contract below {tol:g} in {max_iter} iterations: "
+        f"last step {step:.3e}, rate {rate:.3g}"
+    )
 
 
 def enumerate_active_sets(sens: SensitivityMatrix, lim: Limits, tol: float = 1e-9) -> QPSolution:

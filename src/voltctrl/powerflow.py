@@ -19,8 +19,8 @@ inverts that Jacobian at a solved point. The closed loop takes one per
 accepted step: its plant solves inside the step run chord (simplified
 Newton) iterations with it (Stott, Proc. IEEE 67(2), 1979), each of which
 must halve the mismatch or end the solve unconverged, and its block of
-magnitude rows and reactive columns is the exact d|V|/dQ the implicit
-stages linearize with.
+magnitude rows and reactive columns is the exact d|V|/dQ in the Jacobian
+of the loop's exponential steps.
 """
 
 from __future__ import annotations
@@ -116,10 +116,11 @@ def solve_power_flow(
     ``iterations`` counts every step tried against ``max_iter``.
     Non-convergence is reported through ``converged=False``, with the last
     accepted iterate and its mismatch, not an exception; a singular
-    Jacobian raises :class:`SingularModelError`.
+    Jacobian raises :class:`SingularModelError`. A ``tol`` that is not
+    positive and finite, or a ``max_iter`` below 1, raises ``ValueError``.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
+    if not 0 < tol < np.inf or max_iter < 1:
+        raise ValueError("tol must be positive and finite, and max_iter at least 1")
     top = case.topology
     y_bus, non_slack, pq, rows = top.y, top.non_slack, top.pq, top.rows
     n_a = len(non_slack)

@@ -2,28 +2,43 @@
 
 The controller state follows its saddle-point dynamics while the voltage it
 measures comes from an algebraic plant solved at the current injections:
-either the AC power flow or the constant linear model. Integration
-uses adaptive TR-BDF2 (Bank et al. 1985; Hosea & Shampine 1996): a
-trapezoid stage to t + gamma h, gamma = 2 - sqrt 2, then a BDF2 stage to
-t + h, with the step controlled by the method's embedded error estimate.
-It is L-stable, which suits the moderately stiff projected dynamics, and
-both stages solve z = c + (gamma h / 2) g(z), one Newton matrix. The
-projected rates kink where multipliers reach zero, so both stages stay on
-the smooth piece their step starts on: multipliers positive there stay
-active and unfloored, which keeps each stage equation solvable where one
-decays through zero. Steps that would drive a multiplier negative at either
-stage are cut back to land on the crossing, so trajectories never leave the
-nonnegative orthant by more than the solver tolerance. Inside a step the
-nonlinear plant is solved to a power mismatch small enough that the voltage
-error it leaves moves the stage residual by less than its stop test (1e-13
-to 1e-8, tighter for longer steps); ``solve_power_flow`` keeps its 1e-8
-default everywhere else. Those solves are chord iterations: the power-flow
-Jacobian is formed and inverted once at the window's start (whose own
-solve is full Newton) and at each accepted state, and every solve in the
-step from there, retries included, starts at the last solution and steps
-with that inverse. A chord solve whose step does not halve the mismatch
-ends unconverged; the stage fails with it and the step is retried at half
-the size, nearer the point where the inverse was taken.
+either the AC power flow or the constant linear model. Integration uses
+the adaptive exponential Rosenbrock method exprb32 (Hochbruck, Ostermann &
+Schweitzer, SIAM J. Numer. Anal. 47(1), 2009). The projected rates kink
+where multipliers reach zero or constraints turn violated, so each step
+holds the smooth piece of the flow it starts on: rows active there stay
+active and unfloored, the others keep a zero rate. On a piece the flow is
+affine for the linear plant and nearly so for the nonlinear one, whose
+curvature enters only the lam rows through the measured voltage. With J
+the piece's Jacobian at the step's start, the plant's own dv/dq in its lam
+rows, a step of size h is
+
+    U2 = y0 + h phi1(hJ) F0,
+    y1 = U2 + 2h phi3(hJ) D2,   D2 = F(U2) - F0 - J (U2 - y0),
+
+where F is the piece's rate. The correction is the embedded estimate of
+U2's local error and sets the step size. On the linear plant, and on the
+nonlinear one while no lam row is active, D2 is zero: the step is exact on
+its piece and makes one plant call, at its end; otherwise it makes two, at
+U2 and at y1, and no Newton iteration. A step that would drive a
+multiplier negative, or end where a row off its piece has its constraint
+violated, is cut back to land on that event by linear interpolation, so
+trajectories never leave the nonnegative orthant by more than the solver
+tolerance. A multiplier within 1e-9 of zero that would cross is clamped
+to zero instead, and a row within 1e-9 of its constraint that would enter
+joins the piece; both retry the step.
+
+Every plant solve of the loop is taken to a power mismatch of 1e-10, far
+below the local errors the step control reads; ``solve_power_flow`` keeps
+its 1e-8 default everywhere else. Those solves are chord iterations: the
+power-flow Jacobian is formed and inverted once at the window's start
+(whose own solve is full Newton) and at each accepted state, and every
+solve in the step from there, retries included, starts at the last
+solution and steps with that inverse. Its block of magnitude rows and
+reactive columns is the plant's dv/dq in J. A chord solve whose step does
+not halve the mismatch ends unconverged; the attempt fails with it and the
+step is retried at half the size, nearer the point where the inverse was
+taken.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes ``run_static``'s parameters plus the
@@ -36,23 +51,14 @@ Multi-window runs are joined into one trajectory by ``_join``.
 Inside a window the engine works on packed state vectors only: one loop
 object per window holds the plant and the controller's flow, compiled once
 for the window (``controller.PackedFlow``). Every evaluation is its
-``rates`` and each implicit-Newton correction its ``newton_step`` (the
+``rates`` and every phi-product its ``phi``, a 2C-square exponential (the
 engine knows only that the first C entries are q and the rest
 multipliers). The accepted rows are checked once, as one array, and
 ``ControllerState`` objects are built from them once, for the returned
-trajectory. The correction linearizes the plant with its own dv/dq at the
-controlled buses: X for the linear plant; for the nonlinear one the power
-flow's exact sensitivity at the step's start state, a block of the same
-inverse Jacobian the chord solves use, taken at the solve already made
-there (the window's relinearization, then each accepted step's last stage),
-handed to the flow once and reused across that step's retries. A singular
-Newton matrix halves the step.
-Every evaluation is a plant call, so each state is evaluated once: each
-stage's first Newton step starts where the rates are already known (the
-step's start, then the first stage's answer), a stage hands back the
-rates at its answer from the voltage it ended on, an accepted step reuses
-them, and rates at a state whose injections have not moved, the window's
-start among them, reuse its voltage.
+trajectory. Every plant call is made at a new output: an accepted step
+hands its end's rates and voltage to the next step, a step whose end has
+its stage's q reuses the stage's voltage, and a window's start reads the
+voltage of the power flow its relinearization solved.
 """
 
 from __future__ import annotations
@@ -140,19 +146,13 @@ class DailyResult(SimulationResult):
     uncontrolled_v: np.ndarray
 
 
-# TR-BDF2's first stage ends at t + gamma h; this gamma gives both stages
-# the one coefficient gamma h / 2
-_GAMMA = 2.0 - np.sqrt(2.0)
-# coefficient of TR-BDF2's embedded local error estimate (Hosea & Shampine)
-_EST = (-3.0 * _GAMMA**2 + 4.0 * _GAMMA - 2.0) / (6.0 * (2.0 - _GAMMA))
-
-
-class _TrialFailure(Exception):
-    """Internal: this step attempt must be retried with a smaller h."""
+# power mismatch every plant solve of the loop is taken to: far below the
+# local errors the step control reads, so its estimate stays above plant noise
+_PLANT_TOL = 1e-10
 
 
 class _ClosedLoop:
-    """One window's compiled loop: plant, packed flow and the TR-BDF2 step.
+    """One window's compiled loop: plant, packed flow and the exprb32 step.
 
     Built once per window from the case, plant flavor, limits and gains. It
     holds the partition, the controlled positions ``cpos`` within the load
@@ -160,7 +160,7 @@ class _ClosedLoop:
     admittance) with its base point, the controller's ``flow`` compiled
     from the sensitivity's controlled columns, and in nonlinear mode the
     warm-start solution reused across evaluations and the inverse Jacobian
-    its chord solves step with, whose dv/dq block the flow's Newton steps use.
+    its chord solves step with, whose dv/dq block the flow's Jacobian uses.
     A plant solve that does not converge raises
     :class:`PlantDivergenceError`, which fails the step attempt. States are
     packed vectors whose first C entries are q and whose remaining entries
@@ -175,14 +175,12 @@ class _ClosedLoop:
         self.part = partition_buses(case)
         self.m, self.c = self.part.n_load, self.part.n_controlled
         self.lim = limits if limits is not None else Limits.box(self.m, self.c)
-        self.gains = gains
         self.inj = nominal_injections(case)
         self.cpos = self.part.controlled_in_pq()
         self.sens = voltage_sensitivity(case.topology.y, self.part)
         self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, gains)
         self.last: PowerFlowSolution | None = None
         self.inverse: np.ndarray | None = None
-        self.tol = 1e-8
 
     def embed(self, q: np.ndarray) -> np.ndarray:
         full = np.zeros(self.m)
@@ -194,7 +192,7 @@ class _ClosedLoop:
             self.inj.p_injection, self.inj.q_injection + self.embed(q)
         )
         sol = solve_power_flow(
-            self.case, inj, tol=self.tol, warm_start=self.last, inverse=self.inverse
+            self.case, inj, tol=_PLANT_TOL, warm_start=self.last, inverse=self.inverse
         )
         if not sol.converged:
             raise PlantDivergenceError(
@@ -228,72 +226,51 @@ class _ClosedLoop:
             self.flow.set_plant_sensitivity(self.inverse[n_a:, n_a + self.cpos])
 
     def voltage(self, q: np.ndarray) -> np.ndarray:
+        """The plant call: load-bus voltages measured at controller output q."""
         if self.mode is PlantMode.LINEAR:
             return predict_voltage(self.sens, self.embed(q))
         return self._solve(q).v[self.part.pq]
 
-    def eval(self, y: np.ndarray, held=False):
-        """State on its piece, rates, active rows and measured voltage at a packed state.
+    def eval(self, y: np.ndarray, v: np.ndarray | None = None):
+        """Floored state, projected rates, active rows and measured voltage at a packed state.
 
-        Multiplier rows in ``held`` keep their value and stay active; the
-        others are floored at zero and projected.
+        ``v`` is the voltage at y's q where it is already known.
         """
-        y = y.copy()
-        y[self.c :] = np.where(held, y[self.c :], np.maximum(y[self.c :], 0.0))
-        v = self.voltage(y[: self.c])
-        return (y, *self.flow.rates(y, v, held), v)
-
-    def _implicit(self, c, z, g, active, held, gh: float):
-        """Solve z = c + (gh/2) g(z) on the held piece by Newton from a known start.
-
-        ``g`` and ``active`` are the held-piece rates and active rows at the
-        start ``z``, so the first Newton step makes no plant call. Rows in
-        ``held`` stay active and unfloored throughout, so the equation has a
-        solution where a multiplier decays through zero; a row that ends
-        below zero is a crossing for ``integrate`` to land on. Returns z
-        with the held-piece rates, active rows and measured voltage at z.
-        """
-        resid = z - c - 0.5 * gh * g
-        for _ in range(15):
-            try:
-                z = z - self.flow.newton_step(gh, active, resid)
-            except np.linalg.LinAlgError as exc:
-                raise _TrialFailure("implicit Newton matrix is singular") from exc
-            if not np.all(np.isfinite(z)):
-                raise _TrialFailure("implicit iteration diverged")
-            try:
-                _, g, active, v = self.eval(z, held)
-            except PlantDivergenceError as exc:
-                raise _TrialFailure(str(exc)) from exc
-            resid = z - c - 0.5 * gh * g
-            if np.max(np.abs(resid)) < 1e-11 * max(1.0, float(np.max(np.abs(z)))):
-                return z, g, active, v
-        raise _TrialFailure("implicit iteration did not converge")
+        y = np.concatenate((y[: self.c], np.maximum(y[self.c :], 0.0)))
+        if v is None:
+            v = self.voltage(y[: self.c])
+        return (y, *self.flow.rates(y, v), v)
 
     def attempt(self, y0: np.ndarray, f0: np.ndarray, active0: np.ndarray, h: float):
-        """One TR-BDF2 step of size h from y0, whose projected rates and active rows are known.
+        """One exprb32 step of size h from y0, whose rates and active rows are known.
 
-        Stage 1 is a trapezoid step to t + gamma h, stage 2 BDF2 to t + h,
-        both on the piece y0 lies on (multiplier rows positive at y0 held);
-        there the rates at y0 are f0, so stage 1 starts from y0 and stage 2
-        from stage 1's answer with no plant call. The lam rows of a stage
-        residual carry gamma h/2 k_lam times the plant's voltage error, so
-        the plant is solved to a power mismatch of 1e-11 max(1, |y0|) /
-        (gamma h k_lam), kept within [1e-13, 1e-8], below the stop test.
-        Returns both stage answers unfloored, the embedded estimate of the
-        local error, and the projected evaluation at the step's end: the
-        floored state, its rates, active rows and measured voltage.
+        The step holds the piece of the flow y0 lies on: rows in ``active0``
+        stay active, and the others keep a zero rate. On it the stage is
+        U2 = y0 + h phi1(hJ) f0, with J the piece's Jacobian (``flow.phi``).
+        The linear plant's flow is affine on the piece, so U2 is exact and
+        ends the step; so does the nonlinear plant's while no lam row is
+        active, since only those rows read the voltage. Otherwise the plant
+        is solved at U2, and with D2 = F(U2) - f0 - J (U2 - y0), the piece's
+        rates' departure from their linearization, the step ends at
+        y1 = U2 + est with est = 2h phi3(hJ) D2, the embedded estimate of
+        U2's local error. Returns y1 unfloored, est, and the projected
+        evaluation at y1: the floored state, its rates, active rows and
+        measured voltage. An end whose q is U2's reuses U2's voltage. A plant
+        solve that does not converge raises :class:`PlantDivergenceError`.
         """
-        held = y0[self.c :] > 0
-        gh = _GAMMA * h
-        tol = 1e-11 * max(1.0, float(np.max(np.abs(y0)))) / (gh * self.gains.k_lam)
-        self.tol = min(max(tol, 1e-13), 1e-8)
-        z_g, f_g, active_g, _ = self._implicit(y0 + 0.5 * gh * f0, y0, f0, active0, held, gh)
-        c1 = (z_g - (1.0 - _GAMMA) ** 2 * y0) / (_GAMMA * (2.0 - _GAMMA))
-        z1, f1, _, v = self._implicit(c1, z_g, f_g, active_g, held, gh)
-        est = _EST * h * (f0 / _GAMMA - f_g / (_GAMMA * (1.0 - _GAMMA)) + f1 / (1.0 - _GAMMA))
-        y = np.concatenate([z1[: self.c], np.maximum(z1[self.c :], 0.0)])
-        return z_g, z1, est, (y, *self.flow.rates(y, v), v)
+        c, flow = self.c, self.flow
+        u2 = y0 + h * flow.phi(1, h, active0, f0)
+        est = np.zeros_like(y0)
+        v2 = None
+        if self.mode is PlantMode.NONLINEAR and np.any(active0[c : c + 2 * self.m]):
+            v2 = self.voltage(u2[:c])
+            f2, _ = flow.rates(u2, v2, active0[c:])
+            d2 = np.where(active0, f2, 0.0) - f0 - flow.jacobian_product(active0, u2 - y0)
+            est = 2.0 * h * flow.phi(3, h, active0, d2)
+        y1 = u2 + est
+        if v2 is not None and not np.array_equal(y1[:c], u2[:c]):
+            v2 = None
+        return y1, est, self.eval(y1, v2)
 
 
 def integrate(
@@ -347,12 +324,12 @@ def integrate(
         if h_try < 1e-13 * max(1.0, t):
             raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
         try:
-            z_g, z1, est, at_end = loop.attempt(y, f, active, h_try)
-        except _TrialFailure:
+            y1, est, at_end = loop.attempt(y, f, active, h_try)
+        except PlantDivergenceError:
             h = 0.5 * h_try
             continue
-        a = y[c:]
-        crossing = ((z_g[c:] < -1e-12) | (z1[c:] < -1e-12)) & (a > 0)
+        a, b = y[c:], y1[c:]
+        crossing = (b < -1e-12) & (a > 0)
         tiny = crossing & (a <= 1e-9)
         if np.any(tiny):
             # a residual-level dual is decaying through zero: clamp it so the
@@ -361,19 +338,31 @@ def integrate(
             y[c:][tiny] = 0.0
             f, active = loop.flow.rates(y, v)
             continue
-        # largest fraction of the step that keeps all multipliers >= 0 at
-        # both stages, the first of which ends at the fraction gamma
-        frac = 1.0
-        for share, b in ((_GAMMA, z_g[c:]), (1.0, z1[c:])):
-            x = (b < -1e-12) & (a > 0)
-            frac = min(frac, float(np.min(share * a[x] / (a[x] - b[x]), initial=1.0)))
+        # rows off the piece whose constraint is violated at the step's end
+        entering = np.flatnonzero(at_end[2][c:] & ~active[c:])
+        viol0 = loop.flow.violation(y, v)[entering]
+        near = viol0 >= -1e-9
+        if np.any(near):
+            # a row on the edge of its constraint: take it onto the piece
+            # and retry the same step
+            held = active[c:].copy()
+            held[entering[near]] = True
+            f, active = loop.flow.rates(y, v, held)
+            continue
+        # largest fraction of the step that keeps all multipliers >= 0 and
+        # ends where the first entering row's constraint becomes violated
+        viol1 = loop.flow.violation(at_end[0], at_end[3])[entering]
+        frac = min(
+            float(np.min(a[crossing] / (a[crossing] - b[crossing]), initial=1.0)),
+            float(np.min(viol0 / (viol0 - viol1), initial=1.0)),
+        )
         if frac < 1.0 and h_try * frac > 1e-10:
-            # land on the multiplier zero crossing instead of overshooting
+            # land on the event instead of stepping past it
             h = max(h_try * frac, 1e-10)
             continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(z1))
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
         err = float(np.max(np.abs(est) / scale))
-        if err > 1.0:
+        if not err <= 1.0:
             h = h_try * max(0.2, 0.9 * err ** (-1.0 / 3.0))
             continue
         t += h_try
@@ -382,7 +371,7 @@ def integrate(
         times.append(t)
         rows.append(y)
         volts.append(v)
-        raw_mins.append(float(np.min(z1[c:])))
+        raw_mins.append(float(np.min(b)))
         residual = float(np.max(np.abs(f)))
         growth = min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0 else 5.0
         h = h_try * growth
@@ -597,8 +586,12 @@ def calibrate_load_scale(
 
     Minimizes the max-abs voltage error against ``target_v`` (bus id ->
     magnitude) over [lo, hi] by coarse grid plus golden-section refinement.
-    ``achieved`` reports whether the best error clears ``threshold``.
+    ``achieved`` reports whether the best error clears ``threshold``. An
+    empty map, or one naming a bus the case lacks, raises
+    :class:`CaseDataError`.
     """
+    if not target_v:
+        raise CaseDataError("the target voltage map is empty")
     index = case.bus_index()
     bus_ids = sorted(target_v)
     unknown = [b for b in bus_ids if b not in index]

@@ -1,11 +1,13 @@
-"""Independent power-flow implementation used only as a test oracle.
+"""Independent power-flow and controller-flow implementations used only as test oracles.
 
 Everything here is deliberately written in a different form from the
 package: admittance accumulated in explicit loops, power equations in real
 trigonometric form (the package works in complex rectangular form), a
 scalar double-sum variant for spot checks, and the root find delegated to
-scipy's hybrid Powell method with a numerical Jacobian. Agreement between
-the two paths is the point.
+scipy's hybrid Powell method with a numerical Jacobian. The controller's
+flow and its Jacobian on a piece are written out entry by entry from the
+Lagrangian, where the package compiles them into matrices. Agreement
+between the two paths is the point.
 """
 
 from __future__ import annotations
@@ -98,3 +100,52 @@ def reference_solve(case: NetworkCase, p_injection, q_injection, tol=1e-10):
         raise RuntimeError(f"reference power flow failed: {sol.message}")
     v, delta = unpack(sol.x)
     return v, delta
+
+
+def written_out_rates(y, v, xc, lim, gains, held):
+    """The Lagrangian's flow entry by entry: descent in q, projected ascent in each multiplier."""
+    m, c = xc.shape
+    q, lam_hi, lam_lo, mu_hi, mu_lo = np.split(y, np.cumsum([c, m, m, c]))
+    rates, active = [], []
+    for i in range(c):
+        grad = 2.0 * q[i] + mu_hi[i] - mu_lo[i]
+        for j in range(m):
+            grad += xc[j, i] * (lam_hi[j] - lam_lo[j])
+        rates.append(-gains.k_q * grad)
+        active.append(True)
+    rows = (
+        [(gains.k_lam, lam_hi[j], v[j] - lim.v_hi[j]) for j in range(m)]
+        + [(gains.k_lam, lam_lo[j], lim.v_lo[j] - v[j]) for j in range(m)]
+        + [(gains.k_mu, mu_hi[i], q[i] - lim.q_hi[i]) for i in range(c)]
+        + [(gains.k_mu, mu_lo[i], lim.q_lo[i] - q[i]) for i in range(c)]
+    )
+    for (gain, mult, violation), hold in zip(rows, held):
+        on = bool(mult > 0 or violation > 0 or hold)
+        rates.append(gain * violation if on else 0.0)
+        active.append(on)
+    return np.array(rates), np.array(active)
+
+
+def written_out_jacobian(xc, gains, active):
+    """Jacobian of ``written_out_rates`` in the packed state on one piece, with dv/dq = xc.
+
+    ``active`` marks the rows the piece keeps; the others have zero rate.
+    """
+    m, c = xc.shape
+    n = 3 * c + 2 * m
+    jac = np.zeros((n, n))
+    for i in range(c):
+        jac[i, i] = -2.0 * gains.k_q
+        for j in range(m):
+            jac[i, c + j] = -gains.k_q * xc[j, i]
+            jac[i, c + m + j] = gains.k_q * xc[j, i]
+        jac[i, c + 2 * m + i] = -gains.k_q
+        jac[i, 2 * c + 2 * m + i] = gains.k_q
+    for j in range(m):
+        for i in range(c):
+            jac[c + j, i] = gains.k_lam * xc[j, i] if active[c + j] else 0.0
+            jac[c + m + j, i] = -gains.k_lam * xc[j, i] if active[c + m + j] else 0.0
+    for i in range(c):
+        jac[c + 2 * m + i, i] = gains.k_mu if active[c + 2 * m + i] else 0.0
+        jac[2 * c + 2 * m + i, i] = -gains.k_mu if active[2 * c + 2 * m + i] else 0.0
+    return jac

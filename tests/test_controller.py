@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+from _reference import written_out_rates
 from voltctrl import build_admittance, scale_loads
 from voltctrl.controller import (
     ControllerState,
@@ -13,6 +15,7 @@ from voltctrl.controller import (
     StateRates,
     dynamics_rhs,
     equilibrium_residual,
+    expm,
     flow_jacobian,
     lagrangian,
     objective,
@@ -157,71 +160,68 @@ def test_flow_jacobian_matches_finite_difference(case14):
     assert masked > 0
 
 
-@pytest.mark.parametrize("name", ["case14", "case30"])
-def test_flow_newton_step_matches_dense_solve(name, request):
-    # the reduced C x C solve against the full Newton system it replaces,
-    # over gains, step sizes from 1e-4 to 1e3 and random active masks. The
-    # lam rows' q block carries the plant's dv/dq: X itself for the linear
-    # plant, and for the nonlinear one the power-flow sensitivity (case14 at
-    # x3.1 load, case30 at its own, where x3.1 has no power-flow solution),
-    # perturbed at random so that no structure of it is relied on
-    case = request.getfixturevalue(name)
+def _full_phi(k: int, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """phi_k(a) r from scipy's exponential of a augmented with r and a unit chain."""
+    n = len(a)
+    aug = np.zeros((n + k, n + k))
+    aug[:n, :n] = a
+    aug[:n, n] = r
+    aug[np.arange(n, n + k - 1), np.arange(n + 1, n + k)] = 1.0
+    return scipy.linalg.expm(aug)[:n, -1]
+
+
+@pytest.mark.parametrize("name, factor", [("case14", 3.1), ("case30", 0.25)], ids=["case14", "case30"])
+def test_flow_phi_product_matches_full_exponential(name, factor, request):
+    # the 2C-square reduced phi-products against the exponential of the
+    # full (3C + 2M)-square Jacobian, over random pieces, gains, vectors and
+    # step sizes from 1e-2 to 1e3. The lam rows' q block carries the plant's
+    # dv/dq: on case14 at x3.1 load the nonlinear plant's, from the power
+    # flow, and on case30 at x0.25 the linear plant's, X itself
+    case = scale_loads(request.getfixturevalue(name), factor)
     part = partition_buses(case)
     cpos = part.controlled_in_pq()
     xc = voltage_sensitivity(build_admittance(case), part).x[:, cpos]
     m, c = xc.shape
     n = 3 * c + 2 * m
+    gx = xc
+    if name == "case14":
+        sol = solve_power_flow(case, nominal_injections(case), tol=1e-12, max_iter=30)
+        assert sol.converged
+        n_a = len(case.topology.non_slack)
+        gx = jacobian_inverse(case, sol)[n_a:, n_a + cpos]
+        assert np.max(np.abs(gx - xc)) > 0.1 * np.max(np.abs(xc))
     rng = np.random.default_rng(11)
-    loaded = scale_loads(case, {"case14": 3.1, "case30": 1.0}[name])
-    sol = solve_power_flow(loaded, nominal_injections(loaded), tol=1e-12, max_iter=30)
-    assert sol.converged
-    n_a = len(loaded.topology.non_slack)
-    plant = jacobian_inverse(loaded, sol)[n_a:, n_a + cpos]
-    plant = plant * (1.0 + 0.1 * np.random.default_rng(12).standard_normal(plant.shape))
-    assert np.max(np.abs(plant - xc)) > 0.1 * np.max(np.abs(xc))
     worst = 0.0
-    for gx in (xc, plant):
-        for _ in range(200):
-            gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
-            h = 10.0 ** rng.uniform(-4.0, 3.0)
-            active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
-            resid = rng.standard_normal(n)
-            jac = flow_jacobian(xc, gains)
-            jac[c : c + m, :c] = gains.k_lam * gx
-            jac[c + m : c + 2 * m, :c] = -gains.k_lam * gx
-            lhs = np.eye(n) - 0.5 * h * (jac * active[:, None])
-            expected = np.linalg.solve(lhs, resid)
-            # the flow starts with xc's block, the linear plant's dv/dq
-            flow = PackedFlow(xc, Limits.box(m, c), gains)
-            if gx is not xc:
-                flow.set_plant_sensitivity(gx)
-            got = flow.newton_step(h, active, resid)
+    for _ in range(100):
+        gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
+        h = 10.0 ** rng.uniform(-2.0, 3.0)
+        active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
+        r = rng.standard_normal(n)
+        jac = flow_jacobian(xc, gains)
+        jac[c : c + m, :c] = gains.k_lam * gx
+        jac[c + m : c + 2 * m, :c] = -gains.k_lam * gx
+        jac *= active[:, None]
+        # the flow starts with xc's block, the linear plant's dv/dq
+        flow = PackedFlow(xc, Limits.box(m, c), gains)
+        flow.set_plant_sensitivity(gx)
+        for k in (1, 3):
+            expected = _full_phi(k, h * jac, r)
+            got = flow.phi(k, h, active, r)
             worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
-    assert worst <= 1e-12
+    assert worst <= 1e-11
 
 
-def _written_out_rates(y, v, xc, lim, gains, held):
-    """The Lagrangian's flow entry by entry: descent in q, projected ascent in each multiplier."""
-    m, c = xc.shape
-    q, lam_hi, lam_lo, mu_hi, mu_lo = np.split(y, np.cumsum([c, m, m, c]))
-    rates, active = [], []
-    for i in range(c):
-        grad = 2.0 * q[i] + mu_hi[i] - mu_lo[i]
-        for j in range(m):
-            grad += xc[j, i] * (lam_hi[j] - lam_lo[j])
-        rates.append(-gains.k_q * grad)
-        active.append(True)
-    rows = (
-        [(gains.k_lam, lam_hi[j], v[j] - lim.v_hi[j]) for j in range(m)]
-        + [(gains.k_lam, lam_lo[j], lim.v_lo[j] - v[j]) for j in range(m)]
-        + [(gains.k_mu, mu_hi[i], q[i] - lim.q_hi[i]) for i in range(c)]
-        + [(gains.k_mu, mu_lo[i], lim.q_lo[i] - q[i]) for i in range(c)]
-    )
-    for (gain, mult, violation), hold in zip(rows, held):
-        on = bool(mult > 0 or violation > 0 or hold)
-        rates.append(gain * violation if on else 0.0)
-        active.append(on)
-    return np.array(rates), np.array(active)
+@pytest.mark.parametrize("size", [20, 50])
+def test_expm_matches_scipy(size):
+    # damped rotations, so that the exponential neither overflows nor
+    # vanishes, at 1-norms from 0.1 to 1e4 (at most 2.8e-13 measured)
+    rng = np.random.default_rng(5)
+    for norm in (0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
+        g = rng.standard_normal((size, size))
+        a = g - g.T - np.diag(rng.uniform(0.0, 1.0, size))
+        a *= norm / np.linalg.norm(a, 1)
+        expected = scipy.linalg.expm(a)
+        assert np.linalg.norm(expm(a) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_rates_match_the_lagrangian():
@@ -250,7 +250,7 @@ def test_rates_match_the_lagrangian():
         flow = PackedFlow(xc, lim, gains)
         for hold in (held, np.zeros(2 * m + 2 * c, dtype=bool)):
             rates, active = flow.rates(y, v, hold)
-            expected, expected_active = _written_out_rates(y, v, xc, lim, gains, hold)
+            expected, expected_active = written_out_rates(y, v, xc, lim, gains, hold)
             assert active.tolist() == expected_active.tolist()
             assert_allclose(rates[:c], expected[:c], rtol=1e-12, atol=1e-13)
             assert_allclose(rates[c:], expected[c:], rtol=1e-12, atol=0.0)

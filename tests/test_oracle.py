@@ -5,10 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from voltctrl import build_admittance, scale_loads, trip_branch
-from voltctrl.controller import Limits
-from voltctrl.errors import InfeasibleProblemError
-from voltctrl.oracle import enumerate_active_sets, kkt_residual, solve_centralized
-from voltctrl.powerflow import nominal_injections, solve_power_flow
+from voltctrl.controller import ControllerState, Limits, equilibrium_residual
+from voltctrl.errors import InfeasibleProblemError, NotContractingError
+from voltctrl.netcase import BusKind
+from voltctrl.oracle import (
+    enumerate_active_sets,
+    kkt_residual,
+    plant_equilibrium,
+    solve_centralized,
+)
+from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flow
 from voltctrl.sensitivity import (
     BusPartition,
     SensitivityMatrix,
@@ -16,6 +22,7 @@ from voltctrl.sensitivity import (
     rebased,
     voltage_sensitivity,
 )
+from voltctrl.simulate import PlantMode, run_static
 
 
 def make_sens(x, base_v, base_q=None):
@@ -246,3 +253,56 @@ def test_kkt_residual_flags_negative_dual():
         qp.q_star, (qp.lam_hi - 0.5, qp.lam_lo, qp.mu_hi, qp.mu_lo), sens, lim
     )
     assert residual >= 0.5 - 1e-9
+
+
+def _perturbed_heavy14(case14, seed):
+    """case14 at x3.1 load, each PQ load scaled by (1 + 0.02 u), u uniform in [-1, 1]."""
+    if seed == 0:
+        return scale_loads(case14, 3.1)
+    pq = [b.id for b in case14.buses if b.kind is BusKind.PQ]
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, len(pq))
+    return scale_loads(case14, {i: float(f) for i, f in zip(pq, 3.1 * (1.0 + 0.02 * u))})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 28, 35])
+def test_nonlinear_loop_settles_on_the_plant_equilibrium(case14, seed):
+    # the closed loop at tol=1e-10 against the fixed point of the oracle on
+    # its own linearization (9.1e-10 worst over seeds 0-41, measured)
+    case = _perturbed_heavy14(case14, seed)
+    lim = Limits.box(9, 9)
+    qp, iterations = plant_equilibrium(case, lim)
+    assert iterations <= 20
+    res = run_static(case, lim, tol=1e-10, plant_mode=PlantMode.NONLINEAR)
+    assert res.converged
+    assert np.max(np.abs(res.final_q - qp.q_star)) < 2e-9
+
+
+def test_loop_rates_vanish_at_the_plant_equilibrium(case14):
+    # at the fixed point the oracle's multipliers and the plant's own
+    # voltage there are an equilibrium of the loop's projected flow
+    case = scale_loads(case14, 3.1)
+    lim = Limits.box(9, 9)
+    qp, _ = plant_equilibrium(case, lim)
+    part = partition_buses(case)
+    inj = nominal_injections(case)
+    q_full = np.zeros(part.n_load)
+    q_full[part.controlled_in_pq()] = qp.q_star
+    moved = InjectionSet(inj.p_injection, inj.q_injection + q_full)
+    sol = solve_power_flow(case, moved, tol=1e-12, max_iter=30)
+    assert sol.converged
+    state = ControllerState(qp.q_star, qp.lam_hi, qp.lam_lo, qp.mu_hi, qp.mu_lo)
+    assert np.max(qp.lam_lo) > 0
+    sens = voltage_sensitivity(build_admittance(case), part)
+    assert equilibrium_residual(state, sol.v[part.pq], sens, lim) <= 1e-10
+
+
+def test_plant_equilibrium_reports_infeasible_limits(case14):
+    with pytest.raises(InfeasibleProblemError):
+        plant_equilibrium(scale_loads(case14, 3.1), Limits.box(9, 9, q_lo=-0.01, q_hi=0.01))
+
+
+def test_plant_equilibrium_that_does_not_contract_raises(case14):
+    # two iterations are too few for the x3.1 fixed point; the error gives
+    # the last step and the contraction rate
+    with pytest.raises(NotContractingError, match=r"last step \S+, rate 0\.\d+"):
+        plant_equilibrium(scale_loads(case14, 3.1), Limits.box(9, 9), max_iter=2)

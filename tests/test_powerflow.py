@@ -365,3 +365,11 @@ def test_bad_arguments(toy2):
         solve_power_flow(toy2, inj, tol=0.0)
     with pytest.raises(ValueError):
         solve_power_flow(toy2, inj, max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan])
+def test_non_finite_tolerance_is_rejected(case14, tol):
+    # inf used to report converged=True at the flat start (mismatch 0.92),
+    # and nan converged=False after no iteration, with no reason given
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_power_flow(case14, nominal_injections(case14), tol=tol)
