@@ -3,7 +3,8 @@
 Configuration is a plain-text key = value format (documented in the README);
 command-line flags override config values. Exit codes are a stable contract:
 0 success and converged, 1 ran but not converged (or validation failed),
-2 usage or config error, 3 runtime failure.
+2 usage or config error (an unreadable case, config or output path among
+them), 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -179,6 +180,19 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file named on the command line or in a config.
+
+    A missing, unreadable or undecodable file is a :class:`ConfigError`.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def load_network(cfg: RunConfig) -> NetworkCase:
     """Resolve the configured case: bundled name or file path, then scale."""
     if cfg.case_path is None:
@@ -186,10 +200,7 @@ def load_network(cfg: RunConfig) -> NetworkCase:
     if cfg.case_path in BUNDLED_CASES:
         case = load_case(cfg.case_path)
     else:
-        path = Path(cfg.case_path)
-        if not path.exists():
-            raise ConfigError(f"case file not found: {cfg.case_path}")
-        case = parse_case(path.read_text(), name=path.stem)
+        case = parse_case(_read_text(cfg.case_path, "case file"), name=Path(cfg.case_path).stem)
     if cfg.load_scale != 1.0:
         case = scale_loads(case, cfg.load_scale)
     return case
@@ -301,6 +312,10 @@ def emit_report(
 
 def _cmd_run(cfg: RunConfig) -> int:
     case = load_network(cfg)
+    try:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {cfg.out_dir}: {exc}") from None
     limits = cfg.limits_for(case)
     gains = cfg.gains()
     if cfg.scenario == "static":
@@ -468,13 +483,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        cfg = RunConfig()
         if args.config is not None:
-            path = Path(args.config)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {args.config}")
-            cfg = parse_config(path.read_text())
-        else:
-            cfg = RunConfig()
+            cfg = parse_config(_read_text(args.config, "config file"))
         cfg = _merge_flags(cfg, args)
         if args.command == "run":
             return _cmd_run(cfg)

@@ -15,19 +15,18 @@ Q is never clipped to its box; the mu dynamics enforce the box at
 equilibrium and transient excursions are allowed through.
 
 The flow itself is ``PackedFlow``, compiled once for a sensitivity,
-limits and gains. It works on one packed vector [q, lam_hi, lam_lo, mu_hi,
-mu_lo]: ``rates`` returns the rates together with the mask of rows the
-projection leaves active, and ``phi`` the phi-function products an
-exponential integrator steps with, phi_k(hJ) r for the Jacobian J of one
-piece of the flow. J has the plant's own voltage sensitivity in the lam
-rows' q block (the nonlinear plant's dv/dq is not X;
-``set_plant_sensitivity`` stores it), and its multiplier rows depend on q
-only, so every product comes from a 2C-square exponential instead of the
-(3C + 2M)-square one; ``expm`` is that exponential, numpy only.
-``flow_jacobian`` is the constant unprojected Jacobian under the linear
-plant, so the Jacobian of the projected flow is its active rows; it stays
-as the documented reference. This module is the only one that knows the
-packed layout. ``dynamics_rhs`` is the validating wrapper over
+limits and gains from the flow's two coupling blocks: the q rows, whose
+multiplier columns are J_qm, and the multiplier rows' q columns J_mq. It
+works on one packed vector [q, lam_hi, lam_lo, mu_hi, mu_lo]: ``rates``
+returns the rates together with the mask of rows the projection leaves
+active, and ``phi`` the phi-function products an exponential integrator
+steps with, phi_k(hJ) r for the Jacobian J of one piece of the flow. J has
+the plant's own voltage sensitivity in J_mq's lam rows (the nonlinear
+plant's dv/dq is not X; ``set_plant_sensitivity`` stores it), and its
+multiplier rows depend on q only, so every product comes from a 2C-square
+exponential instead of the (3C + 2M)-square one; ``expm`` is that
+exponential, numpy only. This module is the only one that knows the packed
+layout. ``dynamics_rhs`` is the validating wrapper over
 ``ControllerState``, and ``trajectory_states`` checks a whole trajectory's
 packed rows at once.
 """
@@ -210,22 +209,6 @@ def primal_rate_bracket(state: ControllerState, sens) -> np.ndarray:
     return objective_gradient(state.q) + xc.T @ lam + state.mu_hi - state.mu_lo
 
 
-def flow_jacobian(xc: np.ndarray, gains: Gains) -> np.ndarray:
-    """Jacobian of the packed flow's rates with every row active, under the linear plant.
-
-    The flow is piecewise linear in the packed state when v = base + xc q,
-    so the Jacobian at any state is this matrix with its inactive rows
-    zeroed: ``flow_jacobian(xc, gains) * active[:, None]``.
-    """
-    m, c = xc.shape
-    k_q, k_lam, k_mu = gains.k_q, gains.k_lam, gains.k_mu
-    eye = np.eye(c)
-    jac = np.zeros((3 * c + 2 * m, 3 * c + 2 * m))
-    jac[:c] = np.hstack([-2.0 * k_q * eye, -k_q * xc.T, k_q * xc.T, -k_q * eye, k_q * eye])
-    jac[c:, :c] = np.vstack([k_lam * xc, -k_lam * xc, k_mu * eye, -k_mu * eye])
-    return jac
-
-
 class PackedFlow:
     """The saddle-point flow compiled for one sensitivity, limits and gains.
 
@@ -234,28 +217,23 @@ class PackedFlow:
     projection the rates are affine in the state and the measured voltages:
     the q rows are -k_q times the Lagrangian's gradient in q, and each
     multiplier row is its gain times its constraint's violation
-    (v - v_hi, v_lo - v, q - q_hi, q_lo - q). The map is built once, with
-    the violations in place of the multiplier rates, so the projection
-    tests the violations themselves and the gains scale what it keeps. No
-    input is validated; ``dynamics_rhs`` is the checked entry point.
+    (v - v_hi, v_lo - v, q - q_hi, q_lo - q). Stored are the q rows, the
+    multiplier rows' q columns J_mq, the limits and the gains; the
+    projection tests the violations themselves and the gains scale what it
+    keeps. No input is validated; ``dynamics_rhs`` is the checked entry point.
     """
 
     def __init__(self, xc: np.ndarray, lim: Limits, gains: Gains):
         m, c = xc.shape
-        self.c, self.k_q, self.k_lam = c, gains.k_q, gains.k_lam
-        jac = flow_jacobian(xc, gains)
-        # q rates, then violations: the lam rows read v, the mu rows q
-        self._of_y = np.zeros_like(jac)
-        self._of_y[:c] = jac[:c]
-        self._of_y[c + 2 * m :, :c] = np.vstack([np.eye(c), -np.eye(c)])
-        self._of_v = np.vstack([np.zeros((c, m)), np.eye(m), -np.eye(m), np.zeros((2 * c, m))])
-        self._offset = np.concatenate([np.zeros(c), -lim.v_hi, lim.v_lo, -lim.q_hi, lim.q_lo])
+        self.m, self.c = m, c
+        eye = np.eye(c)
+        # the q rows of J, whose multiplier columns are J_qm
+        self._q_rows = gains.k_q * np.hstack([-2.0 * eye, -xc.T, xc.T, -eye, eye])
+        self._j_qm = self._q_rows[:, c:]
+        self._offset = np.concatenate([-lim.v_hi, lim.v_lo, -lim.q_hi, lim.q_lo])
         self._gain = np.repeat([gains.k_lam, gains.k_mu], [2 * m, 2 * c])
-        self._q_rows = np.ones(c, dtype=bool)
-        # the Jacobian's coupling blocks: q rows by multiplier columns, and
-        # multiplier rows by q columns, whose lam rows hold the plant's dv/dq
-        self._j_qm = jac[:c, c:].copy()
-        self._j_mq = jac[c:, :c].copy()
+        # J_mq: each multiplier row's gain times its violation's derivative in q
+        self._j_mq = self._gain[:, None] * np.vstack([xc, -xc, eye, -eye])
 
     def set_plant_sensitivity(self, gx: np.ndarray) -> None:
         """Put the plant's own dv/dq at the controlled buses (M x C) in the lam rows' q block.
@@ -264,9 +242,12 @@ class PackedFlow:
         ``xc``'s, the linear plant's dv/dq, until this is called. The q rows
         are the controller's own dynamics and keep ``xc``.
         """
-        m = len(gx)
-        self._j_mq[:m] = self.k_lam * gx
-        self._j_mq[m : 2 * m] = -self.k_lam * gx
+        lam = slice(0, 2 * self.m)
+        self._j_mq[lam] = self._gain[lam, None] * np.vstack([gx, -gx])
+
+    def reads_voltage(self, active: np.ndarray) -> bool:
+        """Whether the piece with these active rows reads the measured voltage: a lam row is on."""
+        return bool(np.any(active[self.c : self.c + 2 * self.m]))
 
     def rates(self, y: np.ndarray, v: np.ndarray, held=False) -> tuple[np.ndarray, np.ndarray]:
         """Rates at a packed state and its measured voltages, with the active-row mask.
@@ -277,33 +258,33 @@ class PackedFlow:
         of the flow). Inactive multiplier rows are projected to a zero rate.
         """
         c = self.c
-        rates = self._of_y @ y + self._of_v @ v + self._offset
-        violation = rates[c:]
+        violation = self.violation(y, v)
         on = (y[c:] > 0) | (violation > 0) | held
         violation[~on] = 0.0
         violation *= self._gain
-        return rates, np.concatenate((self._q_rows, on))
+        rates = np.concatenate((self._q_rows @ y, violation))
+        return rates, np.concatenate((np.ones(c, dtype=bool), on))
 
     def violation(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The multiplier rows' constraint violations at a packed state and its voltages."""
-        return self._of_y[self.c :] @ y + self._of_v[self.c :] @ v + self._offset[self.c :]
+        return np.concatenate((v, -v, y[: self.c], -y[: self.c])) + self._offset
 
     def jacobian_product(self, active: np.ndarray, z: np.ndarray) -> np.ndarray:
         """J z for the closed loop's J with its inactive rows zeroed (see ``phi``)."""
-        c = self.c
-        dm = self._j_mq @ z[:c]
-        dm[~active[c:]] = 0.0
-        return np.concatenate((-2.0 * self.k_q * z[:c] + self._j_qm @ z[c:], dm))
+        dm = self._j_mq @ z[: self.c]
+        dm[~active[self.c :]] = 0.0
+        return np.concatenate((self._q_rows @ z, dm))
 
     def phi(self, k: int, h: float, active: np.ndarray, r: np.ndarray) -> np.ndarray:
         """phi_k(hJ) r, with J the closed loop's Jacobian on the active rows.
 
-        J is ``flow_jacobian`` with the plant's dv/dq in the lam rows' q
-        block (``set_plant_sensitivity``) and its inactive rows zeroed, and
-        phi_k(z) = sum_j z^j / (j + k)!. Its multiplier rows depend only on
-        q, so with J_qm its q rows' multiplier columns, J_mq its multiplier
-        rows' q columns and D the active multiplier rows, (q, J_qm m)
-        follows the 2C x 2C matrix
+        J's q rows are -k_q times the gradient of the Lagrangian in the
+        packed state, [-2 k_q I, J_qm]. Its multiplier rows are [J_mq, 0]
+        on the active rows and zero on the others, where J_mq holds the
+        gains times each violation's derivative in q: the plant's dv/dq in
+        the lam rows (``set_plant_sensitivity``), +-I in the mu rows. And
+        phi_k(z) = sum_j z^j / (j + k)!. With D the active multiplier rows,
+        (q, J_qm m) follows the 2C x 2C matrix
 
             B = [[-2 k_q I, I], [J_qm D J_mq, 0]],
 
@@ -316,9 +297,8 @@ class PackedFlow:
         j_mq = self._j_mq * active[c:, None]
         n = 2 * c + k + 1
         aug = np.zeros((n, n))
-        eye = np.eye(c)
-        aug[:c, :c] = (-2.0 * h * self.k_q) * eye
-        aug[:c, c : 2 * c] = h * eye
+        aug[:c, :c] = h * self._q_rows[:, :c]
+        aug[:c, c : 2 * c] = h * np.eye(c)
         aug[c : 2 * c, :c] = h * (self._j_qm @ j_mq)
         aug[:c, 2 * c] = r[:c]
         aug[c : 2 * c, 2 * c] = self._j_qm @ r[c:]
@@ -338,9 +318,9 @@ _THETA13 = 5.371920351148152
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005)."""
+    """Pade-13 scaling-and-squaring matrix exponential (Higham 2005); an inf norm is not scaled."""
     norm = float(np.linalg.norm(a, 1))
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if 0 < norm < math.inf else 0
     a = a / 2.0**s
     b = _PADE13
     eye = np.eye(len(a))

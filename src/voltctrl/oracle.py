@@ -18,7 +18,6 @@ certificate directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -191,36 +190,6 @@ def plant_equilibrium(
         f"fixed-point iteration did not contract below {tol:g} in {max_iter} iterations: "
         f"last step {step:.3e}, rate {rate:.3g}"
     )
-
-
-def enumerate_active_sets(sens: SensitivityMatrix, lim: Limits, tol: float = 1e-9) -> QPSolution:
-    """Brute-force optimum by trying every candidate active set.
-
-    Exponential in the constraint count; intended as an independent
-    self-check for problems with at most three controllers.
-    """
-    a, b, m, c = _constraint_rows(sens, lim)
-    if c > 3:
-        raise ValueError("enumeration is only meant for C <= 3")
-    rows = range(len(b))
-    best: QPSolution | None = None
-    for size in range(c + 1):
-        for subset in combinations(rows, size):
-            a_w = a[list(subset)]
-            if size and np.linalg.matrix_rank(a_w) < size:
-                continue
-            q, duals = _equality_solve(a_w, b[list(subset)], c)
-            if size and np.max(np.abs(a_w @ q - b[list(subset)])) > 1e-8:
-                continue
-            if np.max(a @ q - b) > tol:
-                continue
-            if size and np.min(duals) < -tol:
-                continue
-            if best is None or q @ q < best.objective_value - 1e-15:
-                best = _pack_solution(q, duals, list(subset), sens, lim, m, c)
-    if best is None:
-        raise InfeasibleProblemError("no feasible active set exists")
-    return best
 
 
 def kkt_residual(q: np.ndarray, multipliers, sens: SensitivityMatrix, lim: Limits) -> float:

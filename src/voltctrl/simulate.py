@@ -38,7 +38,9 @@ solution and steps with that inverse. Its block of magnitude rows and
 reactive columns is the plant's dv/dq in J. A chord solve whose step does
 not halve the mismatch ends unconverged; the attempt fails with it and the
 step is retried at half the size, nearer the point where the inverse was
-taken.
+taken. A stage that is not finite (gains so large that hJ overflows) fails
+the attempt the same way, before any plant call; where halving never
+makes it finite, the run ends in :class:`StepSizeUnderflowError`.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes ``run_static``'s parameters plus the
@@ -248,21 +250,24 @@ class _ClosedLoop:
         stay active, and the others keep a zero rate. On it the stage is
         U2 = y0 + h phi1(hJ) f0, with J the piece's Jacobian (``flow.phi``).
         The linear plant's flow is affine on the piece, so U2 is exact and
-        ends the step; so does the nonlinear plant's while no lam row is
-        active, since only those rows read the voltage. Otherwise the plant
+        ends the step; so does the nonlinear plant's while the piece does
+        not read the voltage (``flow.reads_voltage``). Otherwise the plant
         is solved at U2, and with D2 = F(U2) - f0 - J (U2 - y0), the piece's
         rates' departure from their linearization, the step ends at
         y1 = U2 + est with est = 2h phi3(hJ) D2, the embedded estimate of
         U2's local error. Returns y1 unfloored, est, and the projected
         evaluation at y1: the floored state, its rates, active rows and
         measured voltage. An end whose q is U2's reuses U2's voltage. A plant
-        solve that does not converge raises :class:`PlantDivergenceError`.
+        solve that does not converge raises :class:`PlantDivergenceError`,
+        and so does a stage that is not finite, before any plant call.
         """
         c, flow = self.c, self.flow
         u2 = y0 + h * flow.phi(1, h, active0, f0)
+        if not np.all(np.isfinite(u2)):
+            raise PlantDivergenceError("the step's stage is not finite; no plant is solved there")
         est = np.zeros_like(y0)
         v2 = None
-        if self.mode is PlantMode.NONLINEAR and np.any(active0[c : c + 2 * self.m]):
+        if self.mode is PlantMode.NONLINEAR and flow.reads_voltage(active0):
             v2 = self.voltage(u2[:c])
             f2, _ = flow.rates(u2, v2, active0[c:])
             d2 = np.where(active0, f2, 0.0) - f0 - flow.jacobian_product(active0, u2 - y0)

@@ -6,17 +6,22 @@ trigonometric form (the package works in complex rectangular form), a
 scalar double-sum variant for spot checks, and the root find delegated to
 scipy's hybrid Powell method with a numerical Jacobian. The controller's
 flow and its Jacobian on a piece are written out entry by entry from the
-Lagrangian, where the package compiles them into matrices. Agreement
-between the two paths is the point.
+Lagrangian, where the package compiles them into matrices, and the
+certification QP is solved by enumerating active sets, where the package
+runs a dual active-set method. Agreement between the two paths is the
+point.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import root
 
+from voltctrl.errors import InfeasibleProblemError
 from voltctrl.netcase import BusKind, NetworkCase
 
 
@@ -126,12 +131,15 @@ def written_out_rates(y, v, xc, lim, gains, held):
     return np.array(rates), np.array(active)
 
 
-def written_out_jacobian(xc, gains, active):
-    """Jacobian of ``written_out_rates`` in the packed state on one piece, with dv/dq = xc.
+def written_out_jacobian(xc, gains, active, gx=None):
+    """Jacobian of ``written_out_rates`` in the packed state on one piece.
 
     ``active`` marks the rows the piece keeps; the others have zero rate.
+    The voltage moves with q by ``gx`` (M x C), the plant's dv/dq, which is
+    xc when none is given.
     """
     m, c = xc.shape
+    gx = xc if gx is None else gx
     n = 3 * c + 2 * m
     jac = np.zeros((n, n))
     for i in range(c):
@@ -143,9 +151,77 @@ def written_out_jacobian(xc, gains, active):
         jac[i, 2 * c + 2 * m + i] = gains.k_q
     for j in range(m):
         for i in range(c):
-            jac[c + j, i] = gains.k_lam * xc[j, i] if active[c + j] else 0.0
-            jac[c + m + j, i] = -gains.k_lam * xc[j, i] if active[c + m + j] else 0.0
+            jac[c + j, i] = gains.k_lam * gx[j, i] if active[c + j] else 0.0
+            jac[c + m + j, i] = -gains.k_lam * gx[j, i] if active[c + m + j] else 0.0
     for i in range(c):
         jac[c + 2 * m + i, i] = gains.k_mu if active[c + 2 * m + i] else 0.0
         jac[2 * c + 2 * m + i, i] = -gains.k_mu if active[2 * c + 2 * m + i] else 0.0
     return jac
+
+
+# the best active set's point, multipliers per family, binding positions and cost
+EnumeratedOptimum = namedtuple(
+    "EnumeratedOptimum", "q_star lam_hi lam_lo mu_hi mu_lo active_sets objective_value"
+)
+
+
+def enumerate_active_sets(sens, lim, tol=1e-9):
+    """Brute-force optimum of the oracle's QP by trying every candidate active set.
+
+    The QP is min |q|^2 with v_lo <= base_v + X (q - base_q) <= v_hi at the
+    load buses and q_lo <= q <= q_hi, over the controlled columns of X.
+    Each constraint is one row a q <= b, labelled by family and position.
+    For every set of at most C independent rows, the stationarity and
+    tightness equations 2 q + A_w' nu = 0, A_w q = b_w are solved as one
+    (C + |w|)-square system; a set counts when its point meets every row
+    within ``tol`` and its multipliers nu are at least -``tol``. Exponential
+    in the row count, so meant for C <= 3.
+    """
+    cpos = sens.partition.controlled_in_pq()
+    xc = sens.x[:, cpos]
+    m, c = xc.shape
+    if c > 3:
+        raise ValueError("enumeration is only meant for C <= 3")
+    offset = sens.base_v - xc @ sens.base_q[cpos]
+    unit = np.eye(c)
+    rows = (
+        [("v_hi", j, xc[j], lim.v_hi[j] - offset[j]) for j in range(m)]
+        + [("v_lo", j, -xc[j], offset[j] - lim.v_lo[j]) for j in range(m)]
+        + [("q_hi", i, unit[i], lim.q_hi[i]) for i in range(c)]
+        + [("q_lo", i, -unit[i], -lim.q_lo[i]) for i in range(c)]
+    )
+    best = None
+    for size in range(c + 1):
+        for subset in combinations(rows, size):
+            a_w = np.array([row[2] for row in subset]).reshape(size, c)
+            if np.linalg.matrix_rank(a_w) < size:
+                continue
+            kkt = np.zeros((c + size, c + size))
+            kkt[:c, :c] = 2.0 * unit
+            kkt[:c, c:] = a_w.T
+            kkt[c:, :c] = a_w
+            rhs = np.concatenate([np.zeros(c), [row[3] for row in subset]])
+            solution = np.linalg.solve(kkt, rhs)
+            q, nu = solution[:c], solution[c:]
+            if any(a @ q - b > tol for _, _, a, b in rows) or np.any(nu < -tol):
+                continue
+            if best is None or q @ q < best.objective_value - 1e-15:
+                mult = {family: np.zeros(m) for family in ("v_hi", "v_lo")}
+                mult.update({family: np.zeros(c) for family in ("q_hi", "q_lo")})
+                for (family, pos, _, _), value in zip(subset, nu):
+                    mult[family][pos] = max(value, 0.0)
+                best = EnumeratedOptimum(
+                    q_star=q,
+                    lam_hi=mult["v_hi"],
+                    lam_lo=mult["v_lo"],
+                    mu_hi=mult["q_hi"],
+                    mu_lo=mult["q_lo"],
+                    active_sets={
+                        family: tuple(sorted(pos for f, pos, _, _ in subset if f == family))
+                        for family in mult
+                    },
+                    objective_value=float(q @ q),
+                )
+    if best is None:
+        raise InfeasibleProblemError("no feasible active set exists")
+    return best

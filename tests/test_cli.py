@@ -111,6 +111,25 @@ def test_nonpositive_gain_is_a_config_error(tmp_path, capsys, key, value):
     assert f"config error: line 2: {key} must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("word", ["no", "off", "false", "0"])
+def test_reset_multipliers_reads_false_words(word):
+    assert parse_config(f"reset_multipliers = {word}\n").reset_multipliers is False
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("reset_multipliers = maybe\n", "line 1: expected a boolean, got 'maybe'"),
+        ("q_lo = 0.2\nq_hi = 0.2\n", "q_lo must be below q_hi"),
+        ("q_lo = 0.3\nq_hi = 0.2\n", "q_lo must be below q_hi"),
+    ],
+    ids=["reset_maybe", "q_box_empty", "q_box_reversed"],
+)
+def test_parse_config_rejects_bad_values(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
 def test_parse_config_profile_roundtrip():
     values = ", ".join(str(0.7 + 0.01 * h) for h in range(24))
     cfg = parse_config(f"profile = {values}\n")
@@ -325,6 +344,39 @@ def test_missing_case_file_is_config_error(capsys):
     code = main(["powerflow", "--case", "/nonexistent/grid.m"])
     assert code == EXIT_CONFIG
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "input_kind", ["case_is_a_directory", "config_is_a_directory", "case_not_utf8", "out_is_a_file"]
+)
+def test_unreadable_paths_are_config_errors(tmp_path, capsys, input_kind):
+    # each once ended in a traceback and exit 1; the output path is judged
+    # before the run, not after it
+    (tmp_path / "grid.m").write_bytes(b"\xff\xfe function mpc = grid\n")
+    (tmp_path / "taken").write_text("")
+    argv = {
+        "case_is_a_directory": ["powerflow", "--case", str(tmp_path)],
+        "config_is_a_directory": ["run", "--config", str(tmp_path)],
+        "case_not_utf8": ["powerflow", "--case", str(tmp_path / "grid.m")],
+        "out_is_a_file": ["run", "--case", "case14", "--out", str(tmp_path / "taken")],
+    }[input_kind]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("config error: ")
+    assert captured.out == ""
+
+
+# gains of 1e300 overflow numpy's products on purpose; those warnings are the
+# defect's symptom, expected here and nowhere else
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_gains_are_a_runtime_failure(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = case14\nload_scale = 3.1\nk_q = 1e300\nk_lam = 1e300\nk_mu = 1e300\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_RUNTIME
+    assert "runtime failure: step size underflow" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_config_error(capsys):

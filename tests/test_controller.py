@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from _reference import written_out_rates
+from _reference import written_out_jacobian, written_out_rates
 from voltctrl import build_admittance, scale_loads
 from voltctrl.controller import (
     ControllerState,
@@ -16,7 +16,6 @@ from voltctrl.controller import (
     dynamics_rhs,
     equilibrium_residual,
     expm,
-    flow_jacobian,
     lagrangian,
     objective,
     objective_gradient,
@@ -150,7 +149,7 @@ def test_flow_jacobian_matches_finite_difference(case14):
             return flow.rates(y, base + xc @ y[:c])[0]
 
         _, active = flow.rates(y, v)
-        expected = flow_jacobian(xc, gains) * active[:, None]
+        expected = written_out_jacobian(xc, gains, active)
         masked += int(np.sum(~active))
         # a zero multiplier sits on the kink of its own row, so its column is skipped
         for j in np.concatenate([np.arange(c), c + np.flatnonzero(mult > 0)]):
@@ -170,6 +169,38 @@ def _full_phi(k: int, a: np.ndarray, r: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(aug)[:n, -1]
 
 
+def _plant_sensitivity(case, xc):
+    """The nonlinear plant's dv/dq at the controlled buses, at the case's power flow."""
+    sol = solve_power_flow(case, nominal_injections(case), tol=1e-12, max_iter=30)
+    assert sol.converged
+    n_a = len(case.topology.non_slack)
+    gx = jacobian_inverse(case, sol)[n_a:, n_a + case.topology.partition.controlled_in_pq()]
+    assert np.max(np.abs(gx - xc)) > 0.1 * np.max(np.abs(xc))
+    return gx
+
+
+def test_flow_jacobian_product_matches_written_out_jacobian(case14):
+    # J z on random pieces, gains and vectors, with the nonlinear plant's
+    # dv/dq in the lam rows: the product every nonlinear step's D2 takes
+    case = scale_loads(case14, 3.1)
+    part = partition_buses(case)
+    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    m, c = xc.shape
+    n = 3 * c + 2 * m
+    gx = _plant_sensitivity(case, xc)
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
+        active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
+        z = rng.standard_normal(n)
+        flow = PackedFlow(xc, Limits.box(m, c), gains)
+        flow.set_plant_sensitivity(gx)
+        expected = written_out_jacobian(xc, gains, active, gx) @ z
+        got = flow.jacobian_product(active, z)
+        assert np.all(got[~active] == 0.0)
+        assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+
+
 @pytest.mark.parametrize("name, factor", [("case14", 3.1), ("case30", 0.25)], ids=["case14", "case30"])
 def test_flow_phi_product_matches_full_exponential(name, factor, request):
     # the 2C-square reduced phi-products against the exponential of the
@@ -183,13 +214,7 @@ def test_flow_phi_product_matches_full_exponential(name, factor, request):
     xc = voltage_sensitivity(build_admittance(case), part).x[:, cpos]
     m, c = xc.shape
     n = 3 * c + 2 * m
-    gx = xc
-    if name == "case14":
-        sol = solve_power_flow(case, nominal_injections(case), tol=1e-12, max_iter=30)
-        assert sol.converged
-        n_a = len(case.topology.non_slack)
-        gx = jacobian_inverse(case, sol)[n_a:, n_a + cpos]
-        assert np.max(np.abs(gx - xc)) > 0.1 * np.max(np.abs(xc))
+    gx = _plant_sensitivity(case, xc) if name == "case14" else xc
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
@@ -197,10 +222,7 @@ def test_flow_phi_product_matches_full_exponential(name, factor, request):
         h = 10.0 ** rng.uniform(-2.0, 3.0)
         active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
         r = rng.standard_normal(n)
-        jac = flow_jacobian(xc, gains)
-        jac[c : c + m, :c] = gains.k_lam * gx
-        jac[c + m : c + 2 * m, :c] = -gains.k_lam * gx
-        jac *= active[:, None]
+        jac = written_out_jacobian(xc, gains, active, gx)
         # the flow starts with xc's block, the linear plant's dv/dq
         flow = PackedFlow(xc, Limits.box(m, c), gains)
         flow.set_plant_sensitivity(gx)

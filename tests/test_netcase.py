@@ -173,6 +173,48 @@ def test_non_finite_case_numbers_rejected(matrix, row, col, token, message):
         parse_case(_case14_with(matrix, row, col, token))
 
 
+_GEN2 = "\t2\t40\t42.4\t50\t-40\t1.045\t100\t1\t140\t0;"
+
+
+@pytest.mark.parametrize(
+    "old, new, error, message",
+    [
+        ("0\t1\t1.06\t0.94;", "0\t1\t1.06;", CaseFormatError, "bus row has 12 columns"),
+        (_GEN2, "\t2\t40\t42.4\t50\t-40;", CaseFormatError, "gen row has 5 columns"),
+        ("0.0528\t9900\t0\t0\t0\t0\t1\t-360\t360;", "0.0528\t9900\t0\t0\t0\t0;",
+         CaseFormatError, "branch row has 10 columns"),
+        ("mpc.bus = [", "mpc.buses = [", CaseFormatError, "missing bus matrix"),
+        ("\t4\t1\t47.8", "\t4\t4\t47.8", CaseDataError, "bus 4: unsupported bus type 4"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 0;", CaseDataError, "base MVA must be positive"),
+        ("mpc.version = '2';", "mpc.version '2';", CaseFormatError,
+         "line 5: expected an assignment"),
+        (_GEN2, _GEN2 + "\n\t2\t0\t0\t0\t0\t1.0\t100\t1\t0\t0;", CaseDataError,
+         "conflicting voltage setpoints at bus 2"),
+        (_GEN2, _GEN2 + "\n\t99\t0\t0\t0\t0\t1.0\t100\t1\t0\t0;", CaseDataError,
+         "generator references unknown bus 99"),
+        (_GEN2, _GEN2 + "\n\t4\t0\t0\t0\t0\t1.0\t100\t1\t0\t0;", CaseDataError,
+         "generator at PQ bus 4"),
+        (_GEN2, _GEN2.replace("1.045", "0"), CaseDataError,
+         "bus 2 needs a positive voltage setpoint"),
+        ("0.20912\t0\t9900\t0\t0\t0.978", "0.20912\t0\t9900\t0\t0\t-1", CaseDataError,
+         "branch 4-7 has nonpositive tap ratio"),
+    ],
+    ids=[
+        "short_bus_row", "short_gen_row", "short_branch_row", "no_bus_matrix", "bus_type_4",
+        "base_mva_zero", "not_an_assignment", "conflicting_vg", "gen_at_unknown_bus",
+        "gen_at_pq_bus", "vg_zero", "tap_negative",
+    ],
+)
+def test_malformed_case_text_is_rejected(old, new, error, message):
+    # one edit of the bundled case14 text each, raising its typed error
+    from importlib import resources
+
+    text = resources.files("voltctrl").joinpath("data", "case14.m").read_text()
+    assert old in text
+    with pytest.raises(error, match=message):
+        parse_case(text.replace(old, new, 1))
+
+
 def test_unread_columns_may_hold_inf(case14):
     # MATPOWER files often carry Inf reactive limits; the parser ignores them
     for col, token in ((3, "Inf"), (4, "-Inf")):

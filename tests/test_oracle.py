@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _reference import enumerate_active_sets
 from voltctrl import build_admittance, scale_loads, trip_branch
 from voltctrl.controller import ControllerState, Limits, equilibrium_residual
-from voltctrl.errors import InfeasibleProblemError, NotContractingError
+from voltctrl.errors import InfeasibleProblemError, NotContractingError, PlantDivergenceError
 from voltctrl.netcase import BusKind
 from voltctrl.oracle import (
-    enumerate_active_sets,
     kkt_residual,
     plant_equilibrium,
     solve_centralized,
@@ -299,6 +299,13 @@ def test_loop_rates_vanish_at_the_plant_equilibrium(case14):
 def test_plant_equilibrium_reports_infeasible_limits(case14):
     with pytest.raises(InfeasibleProblemError):
         plant_equilibrium(scale_loads(case14, 3.1), Limits.box(9, 9, q_lo=-0.01, q_hi=0.01))
+
+
+def test_plant_equilibrium_reports_a_diverging_power_flow(case30):
+    # from q = 0 the undamped iteration's second power flow diverges on
+    # case30 at x3.0 load (minimum magnitude 0.60), though the loop settles
+    with pytest.raises(PlantDivergenceError, match="iterate 2"):
+        plant_equilibrium(scale_loads(case30, 3.0), Limits.box(24, 24))
 
 
 def test_plant_equilibrium_that_does_not_contract_raises(case14):

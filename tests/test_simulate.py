@@ -23,7 +23,12 @@ from voltctrl.controller import (
     equilibrium_residual,
     objective,
 )
-from voltctrl.errors import CaseDataError, ConfigError, PlantDivergenceError
+from voltctrl.errors import (
+    CaseDataError,
+    ConfigError,
+    PlantDivergenceError,
+    StepSizeUnderflowError,
+)
 from voltctrl.netcase import BusKind, build_admittance, scale_loads, trip_branch
 from voltctrl.oracle import solve_centralized
 from voltctrl.powerflow import nominal_injections, solve_power_flow
@@ -825,6 +830,33 @@ def test_failed_plant_solve_retries_the_step_at_half_size(monkeypatch, heavy14):
     (y_fail, h_fail, _), (y_next, h_next, ok) = tries[failed[0]], tries[failed[0] + 1]
     assert ok and h_next == 0.5 * h_fail and np.array_equal(y_next, y_fail)
     assert res.converged
+
+
+# gains of 1e300 overflow numpy's products on purpose; those warnings are the
+# defect's symptom, expected here and nowhere else
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode", list(PlantMode), ids=lambda mode: mode.value)
+def test_overflowing_gains_end_in_step_size_underflow(monkeypatch, heavy14, mode):
+    # k_q k_lam overflows inside phi whatever h scales it by, so every
+    # stage is non-finite: each attempt fails before its plant call and is
+    # retried at half the size until the step underflows
+    attempt, tries, plant_calls = _ClosedLoop.attempt, [], [0]
+
+    def recording(self, y0, f0, active0, h):
+        tries.append(h)
+        return attempt(self, y0, f0, active0, h)
+
+    def measuring(self, q):
+        plant_calls[0] += 1
+        raise AssertionError("no plant call is made at a non-finite stage")
+
+    monkeypatch.setattr(_ClosedLoop, "attempt", recording)
+    monkeypatch.setattr(_ClosedLoop, "voltage", measuring)
+    with pytest.raises(StepSizeUnderflowError, match="t=0"):
+        run_static(heavy14, gains=Gains(1e300, 1e300, 1e300), plant_mode=mode)
+    assert plant_calls[0] == 0
+    assert len(tries) > 30 and all(b == 0.5 * a for a, b in zip(tries, tries[1:]))
 
 
 def test_final_v_is_last_sample_at_load_buses(heavy14, heavy_lin, heavy_nl):
