@@ -28,7 +28,6 @@ from .simulate import (
     FaultResult,
     PlantMode,
     SimulationResult,
-    default_daily_profile,
     run_daily,
     run_fault,
     run_static,
@@ -340,14 +339,11 @@ def _cmd_run(cfg: RunConfig) -> int:
             horizon=cfg.horizon,
         )
     else:
-        profile = (
-            np.array(cfg.profile) if cfg.profile is not None else default_daily_profile()
-        )
         result = run_daily(
             case,
             limits,
             gains,
-            profile=profile,
+            profile=cfg.profile,
             tol=cfg.tol,
             plant_mode=cfg.plant,
             hour_seconds=cfg.hour_seconds,
@@ -444,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
     common.add_argument("--case", help="bundled case name or case file path")
-    common.add_argument("--out", help="output directory for reports")
-    common.add_argument(
+    common.add_argument("--scale", help="uniform load scale factor")
+    run_p = sub.add_parser("run", parents=[common], help="run a closed-loop scenario")
+    run_p.add_argument("--out", help="output directory for reports")
+    run_p.add_argument(
         "--plant", choices=[mode.value for mode in PlantMode], help="plant model for the loop"
     )
-    common.add_argument("--scale", help="uniform load scale factor")
-    common.add_argument("--trip", help="branch trip spec a:b or a:b@t")
-    run_p = sub.add_parser("run", parents=[common], help="run a closed-loop scenario")
+    run_p.add_argument("--trip", help="branch trip spec a:b or a:b@t")
     run_p.add_argument("--scenario", choices=SCENARIO_KINDS, help="scenario family")
     sub.add_parser("powerflow", parents=[common], help="solve and print a power flow")
     sub.add_parser("sensitivity", parents=[common], help="print sensitivity matrix info")

@@ -188,10 +188,6 @@ def objective(q: np.ndarray) -> float:
     return float(np.dot(q, q))
 
 
-def objective_gradient(q: np.ndarray) -> np.ndarray:
-    return 2.0 * np.asarray(q, dtype=float)
-
-
 def lagrangian(state: ControllerState, v: np.ndarray, lim: Limits) -> float:
     return float(
         objective(state.q)
@@ -200,13 +196,6 @@ def lagrangian(state: ControllerState, v: np.ndarray, lim: Limits) -> float:
         + state.mu_lo @ (lim.q_lo - state.q)
         + state.mu_hi @ (state.q - lim.q_hi)
     )
-
-
-def primal_rate_bracket(state: ControllerState, sens) -> np.ndarray:
-    """The gradient of L in q: 2q_i + sum_j X[j][i] (lam_hi - lam_lo)_j + mu_hi_i - mu_lo_i."""
-    xc = sens.x[:, sens.partition.controlled_in_pq()]
-    lam = state.lam_hi - state.lam_lo
-    return objective_gradient(state.q) + xc.T @ lam + state.mu_hi - state.mu_lo
 
 
 class PackedFlow:

@@ -27,6 +27,12 @@ from .netcase import NetworkCase
 from .powerflow import InjectionSet, nominal_injections, solve_power_flow
 from .sensitivity import SensitivityMatrix, rebased, voltage_sensitivity
 
+# the largest row violation A q - b the QP accepts as feasible, and its cap
+# on active-set changes; the max-norm step in q that ends plant_equilibrium
+_QP_TOL = 1e-10
+_QP_MAX_ITER = 2000
+_EQUILIBRIUM_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class QPSolution:
@@ -99,14 +105,12 @@ def _pack_solution(
     )
 
 
-def solve_centralized(
-    sens: SensitivityMatrix, lim: Limits, tol: float = 1e-10, max_iter: int = 2000
-) -> QPSolution:
+def solve_centralized(sens: SensitivityMatrix, lim: Limits) -> QPSolution:
     """Dual active-set solve of the strictly convex certification QP.
 
-    ``tol`` is the largest row violation ``A q - b`` accepted as feasible.
-    A row joins the working set only when it lies outside the span of the
-    rows already there, so the working rows always have full rank.
+    A row is feasible when ``A q - b`` is at most 1e-10. A row joins the
+    working set only when it lies outside the span of the rows already
+    there, so the working rows always have full rank.
 
     Raises :class:`InfeasibleProblemError` when the voltage band cannot be
     met inside the injection box: a violated row lies in the span of the
@@ -114,11 +118,11 @@ def solve_centralized(
     """
     a, b, m, c = _constraint_rows(sens, lim)
     q, u, working, p = np.zeros(c), np.zeros(0), [], None
-    for _ in range(max_iter):
+    for _ in range(_QP_MAX_ITER):
         if p is None:
             violation = a @ q - b
             p = int(np.argmax(violation))
-            if violation[p] <= tol:
+            if violation[p] <= _QP_TOL:
                 q, duals = _equality_solve(a[working], b[working], c)
                 return _pack_solution(q, duals, working, sens, lim, m, c)
             t_p = 0.0
@@ -146,11 +150,11 @@ def solve_centralized(
         else:
             working.pop(k - 1)
             u = np.delete(u, k - 1)
-    raise InfeasibleProblemError(f"active-set method did not settle in {max_iter} iterations")
+    raise InfeasibleProblemError(f"active-set method did not settle in {_QP_MAX_ITER} iterations")
 
 
 def plant_equilibrium(
-    case: NetworkCase, limits: Limits, tol: float = 1e-10, max_iter: int = 50
+    case: NetworkCase, limits: Limits, max_iter: int = 50
 ) -> tuple[QPSolution, int]:
     """The nonlinear plant's equilibrium: the fixed point of the oracle on its own linearization.
 
@@ -159,8 +163,8 @@ def plant_equilibrium(
     At the fixed point the linear voltage the oracle reads is the plant's,
     so its KKT conditions are the closed loop's equilibrium conditions with
     the measured voltages. Returns the last QP solution, once its q moved
-    by less than ``tol`` in max norm, and the number of QPs solved.
-    Contraction is not guaranteed; a run that has not met ``tol`` after
+    by less than 1e-10 in max norm, and the number of QPs solved.
+    Contraction is not guaranteed; a run that has not met 1e-10 after
     ``max_iter`` QPs raises :class:`NotContractingError` with its last step
     and rate. Limits infeasible at an iterate's linearization raise
     :class:`InfeasibleProblemError`, and a power flow that does not
@@ -183,12 +187,12 @@ def plant_equilibrium(
         qp = solve_centralized(rebased(sens, base_v=sol.v[part.pq], base_q=full), limits)
         moved_by = float(np.max(np.abs(qp.q_star - q)))
         step, rate = moved_by, moved_by / step
-        if step < tol:
+        if step < _EQUILIBRIUM_TOL:
             return qp, iteration
         q = qp.q_star
     raise NotContractingError(
-        f"fixed-point iteration did not contract below {tol:g} in {max_iter} iterations: "
-        f"last step {step:.3e}, rate {rate:.3g}"
+        f"fixed-point iteration did not contract below {_EQUILIBRIUM_TOL:g} in {max_iter} "
+        f"iterations: last step {step:.3e}, rate {rate:.3g}"
     )
 
 

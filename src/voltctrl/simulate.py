@@ -24,9 +24,10 @@ U2 and at y1, and no Newton iteration. A step that would drive a
 multiplier negative, or end where a row off its piece has its constraint
 violated, is cut back to land on that event by linear interpolation, so
 trajectories never leave the nonnegative orthant by more than the solver
-tolerance. A multiplier within 1e-9 of zero that would cross is clamped
-to zero instead, and a row within 1e-9 of its constraint that would enter
-joins the piece; both retry the step.
+tolerance. Events already at the step's start change the piece instead,
+all in one retry of the same step at the same size: every multiplier
+within 1e-9 of zero that would cross is clamped to zero, and every row
+within 1e-9 of its constraint that would enter joins the piece.
 
 Every plant solve of the loop is taken to a power mismatch of 1e-10, far
 below the local errors the step control reads; ``solve_power_flow`` keeps
@@ -335,35 +336,29 @@ def integrate(
             continue
         a, b = y[c:], y1[c:]
         crossing = (b < -1e-12) & (a > 0)
-        tiny = crossing & (a <= 1e-9)
-        if np.any(tiny):
-            # a residual-level dual is decaying through zero: clamp it so the
-            # projected rates hold it there, then retry the same step
-            y = y.copy()
-            y[c:][tiny] = 0.0
-            f, active = loop.flow.rates(y, v)
-            continue
         # rows off the piece whose constraint is violated at the step's end
-        entering = np.flatnonzero(at_end[2][c:] & ~active[c:])
-        viol0 = loop.flow.violation(y, v)[entering]
-        near = viol0 >= -1e-9
-        if np.any(near):
-            # a row on the edge of its constraint: take it onto the piece
-            # and retry the same step
-            held = active[c:].copy()
-            held[entering[near]] = True
-            f, active = loop.flow.rates(y, v, held)
+        entering = at_end[2][c:] & ~active[c:]
+        viol0 = loop.flow.violation(y, v)
+        viol1 = loop.flow.violation(at_end[0], at_end[3])
+        # events at the step's start: a residual-level dual decaying through
+        # zero is clamped there, and a row on the edge of its constraint
+        # joins the piece; then the same step is retried
+        clamp = crossing & (a <= 1e-9)
+        join = entering & (viol0 >= -1e-9)
+        if np.any(clamp | join):
+            y = y.copy()
+            y[c:][clamp] = 0.0
+            f, active = loop.flow.rates(y, v, (active[c:] & ~clamp) | join)
             continue
         # largest fraction of the step that keeps all multipliers >= 0 and
         # ends where the first entering row's constraint becomes violated
-        viol1 = loop.flow.violation(at_end[0], at_end[3])[entering]
         frac = min(
             float(np.min(a[crossing] / (a[crossing] - b[crossing]), initial=1.0)),
-            float(np.min(viol0 / (viol0 - viol1), initial=1.0)),
+            float(np.min(viol0[entering] / (viol0 - viol1)[entering], initial=1.0)),
         )
         if frac < 1.0 and h_try * frac > 1e-10:
             # land on the event instead of stepping past it
-            h = max(h_try * frac, 1e-10)
+            h = h_try * frac
             continue
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
         err = float(np.max(np.abs(est) / scale))
@@ -580,19 +575,18 @@ class CalibrationResult:
     achieved: bool
 
 
-def calibrate_load_scale(
-    case: NetworkCase,
-    target_v: dict[int, float],
-    lo: float = 1.0,
-    hi: float = 4.0,
-    threshold: float = 0.02,
-) -> CalibrationResult:
+# load factors the calibration searches, and the error it must clear
+_CALIBRATION_RANGE = (1.0, 4.0)
+_CALIBRATION_THRESHOLD = 0.02
+
+
+def calibrate_load_scale(case: NetworkCase, target_v: dict[int, float]) -> CalibrationResult:
     """Search a uniform PQ load factor matching a target voltage profile.
 
     Minimizes the max-abs voltage error against ``target_v`` (bus id ->
-    magnitude) over [lo, hi] by coarse grid plus golden-section refinement.
-    ``achieved`` reports whether the best error clears ``threshold``. An
-    empty map, or one naming a bus the case lacks, raises
+    magnitude) over load factors in [1, 4] by coarse grid plus
+    golden-section refinement. ``achieved`` reports whether the best error
+    is below 0.02. An empty map, or one naming a bus the case lacks, raises
     :class:`CaseDataError`.
     """
     if not target_v:
@@ -612,7 +606,7 @@ def calibrate_load_scale(
             return np.inf
         return float(np.max(np.abs(sol.v[rows] - want)))
 
-    grid = np.linspace(lo, hi, 61)
+    grid = np.linspace(*_CALIBRATION_RANGE, 61)
     errors = [err(k) for k in grid]
     best = int(np.argmin(errors))
     a = grid[max(best - 1, 0)]
@@ -634,4 +628,5 @@ def calibrate_load_scale(
             f2 = err(x2)
     k_star = (a + b) / 2.0
     e_star = err(k_star)
-    return CalibrationResult(factor=float(k_star), max_error=e_star, achieved=e_star < threshold)
+    achieved = e_star < _CALIBRATION_THRESHOLD
+    return CalibrationResult(factor=float(k_star), max_error=e_star, achieved=achieved)

@@ -329,6 +329,14 @@ def test_exit_code_runtime_failure(tmp_path):
     assert code == EXIT_RUNTIME
 
 
+def test_validate_diverging_base_point_is_runtime_failure(capsys):
+    code = main(["validate", "--case", "case14", "--scale", "40"])
+    assert code == EXIT_RUNTIME
+    assert "runtime failure: power flow did not converge at the base point" in (
+        capsys.readouterr().err
+    )
+
+
 def test_non_finite_case_number_is_runtime_failure(tmp_path, capsys):
     from importlib import resources
 
@@ -426,6 +434,24 @@ def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--case", "case14", "--plant", "nonlinear"],
+        ["powerflow", "--case", "case14", "--out", "x"],
+        ["sensitivity", "--case", "case14", "--trip", "4:5"],
+    ],
+    ids=["validate_plant", "powerflow_out", "sensitivity_trip"],
+)
+def test_flags_only_run_reads_are_usage_errors_elsewhere(capsys, argv):
+    # each was once accepted and silently ignored: validate always runs the
+    # linear plant, and only run writes reports or trips a line
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale", ["-1", "nan", "inf"])

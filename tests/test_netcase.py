@@ -198,11 +198,13 @@ _GEN2 = "\t2\t40\t42.4\t50\t-40\t1.045\t100\t1\t140\t0;"
          "bus 2 needs a positive voltage setpoint"),
         ("0.20912\t0\t9900\t0\t0\t0.978", "0.20912\t0\t9900\t0\t0\t-1", CaseDataError,
          "branch 4-7 has nonpositive tap ratio"),
+        (_GEN2, _GEN2.replace("100\t1\t140", "100\t0\t140"), CaseDataError,
+         "PV bus 2 has no generator setpoint"),
     ],
     ids=[
         "short_bus_row", "short_gen_row", "short_branch_row", "no_bus_matrix", "bus_type_4",
         "base_mva_zero", "not_an_assignment", "conflicting_vg", "gen_at_unknown_bus",
-        "gen_at_pq_bus", "vg_zero", "tap_negative",
+        "gen_at_pq_bus", "vg_zero", "tap_negative", "pv_gen_out_of_service",
     ],
 )
 def test_malformed_case_text_is_rejected(old, new, error, message):
@@ -213,6 +215,25 @@ def test_malformed_case_text_is_rejected(old, new, error, message):
     assert old in text
     with pytest.raises(error, match=message):
         parse_case(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda case: replace(case, base_mva=np.inf), "base MVA must be positive and finite"),
+        (
+            lambda case: replace(case, buses=tuple(
+                replace(b, has_controller=True) if b.id == 2 else b for b in case.buses
+            )),
+            "controller at non-PQ bus 2",
+        ),
+    ],
+    ids=["base_mva_inf", "controller_at_pv_bus"],
+)
+def test_edited_case_is_validated(case14, edit, message):
+    # edits made with dataclasses.replace pass the same checks as parsed text
+    with pytest.raises(CaseDataError, match=message):
+        edit(case14)
 
 
 def test_unread_columns_may_hold_inf(case14):

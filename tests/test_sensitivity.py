@@ -11,6 +11,7 @@ from voltctrl.errors import SingularModelError
 from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flow
 from voltctrl.sensitivity import (
     BusPartition,
+    SensitivityMatrix,
     partition_buses,
     predict_voltage,
     rebased,
@@ -55,6 +56,14 @@ def test_controlled_must_be_load_buses():
         BusPartition(
             slack=0, pv=np.array([1]), pq=np.array([2]), controlled=np.array([1])
         )
+
+
+@pytest.mark.parametrize("field", ["x", "base_v", "base_q"])
+def test_sensitivity_dimensions_must_match_the_partition(case14, field):
+    fields = dict(x=np.eye(9), base_v=np.ones(9), base_q=np.zeros(9))
+    fields[field] = np.eye(8) if field == "x" else fields[field][:8]
+    with pytest.raises(ValueError, match="dimensions do not match the partition"):
+        SensitivityMatrix(partition=partition_buses(case14), **fields)
 
 
 def test_toy_sensitivity_is_exact(toy2):

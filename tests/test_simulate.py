@@ -649,6 +649,57 @@ def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
     assert y[2] == 0.0 and g[2] == 0.0
 
 
+@pytest.mark.parametrize("mode", [PlantMode.LINEAR, PlantMode.NONLINEAR])
+@pytest.mark.parametrize(
+    "start, clamped, joined",
+    [
+        # lam_hi decays at v - v_hi = -0.13 /s from a residual level
+        (dict(q=0.0, lam_hi=5e-10, lam_lo=0.0), True, False),
+        # q sits on q_hi and rises: lam_lo pulls it up at X lam_lo - 2 q = 1 /s
+        (dict(q=0.5, lam_hi=0.0, lam_lo=20.0), False, True),
+        (dict(q=0.5, lam_hi=5e-10, lam_lo=20.0), True, True),
+    ],
+    ids=["clamp", "join", "both"],
+)
+def test_start_of_step_events_retry_the_same_step(
+    monkeypatch, toy2, toy_limits, mode, start, clamped, joined
+):
+    # packed toy2 state: [q, lam_hi, lam_lo, mu_hi, mu_lo]. Each event at the
+    # step's start changes the piece and retries the same step once, at the
+    # same size; both at once take one retry too, so the first step takes
+    # two attempts
+    attempts, accepted = [], []
+    attempt, refresh = _ClosedLoop.attempt, _ClosedLoop.refresh_inverse
+
+    def recording_attempt(self, y0, f0, active0, h):
+        attempts.append((y0.copy(), active0.copy(), h))
+        return attempt(self, y0, f0, active0, h)
+
+    def recording_refresh(self):
+        accepted.append(len(attempts))
+        refresh(self)
+
+    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
+    monkeypatch.setattr(_ClosedLoop, "refresh_inverse", recording_refresh)
+    state = ControllerState(
+        q=np.array([start["q"]]),
+        lam_hi=np.array([start["lam_hi"]]),
+        lam_lo=np.array([start["lam_lo"]]),
+        mu_hi=np.zeros(1),
+        mu_lo=np.zeros(1),
+    )
+    res = run_static(toy2, toy_limits, plant_mode=mode, initial_state=state)
+    assert res.converged
+    # the window's start refreshes before any attempt, each accepted step after one
+    assert accepted[:2] == [0, 2]
+    (y0, active0, h0), (y1, active1, h1) = attempts[:2]
+    assert h1 == h0
+    assert y1[0] == y0[0] and y1[2] == y0[2]
+    assert active1[2] and not active0[3]
+    assert (y1[1], active1[1]) == ((0.0, False) if clamped else (y0[1], active0[1]))
+    assert active1[3] == joined
+
+
 def test_daily_flat_profile_matches_static(case14):
     base = scale_loads(case14, 2.5)
     static = run_static(base, plant_mode=PlantMode.NONLINEAR)
@@ -696,6 +747,13 @@ def test_daily_profile_validation(case14):
         run_daily(case14, profile=np.ones(23))
     with pytest.raises(ConfigError):
         run_daily(case14, profile=np.full(24, -1.0))
+
+
+def test_daily_hour_without_a_power_flow_names_the_hour(case14):
+    profile = default_daily_profile()
+    profile[3] = 40.0
+    with pytest.raises(PlantDivergenceError, match="uncontrolled power flow failed at hour 3"):
+        run_daily(case14, profile=profile, plant_mode=PlantMode.LINEAR)
 
 
 def test_multipliers_stay_nonnegative_everywhere(
