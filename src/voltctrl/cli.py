@@ -159,8 +159,22 @@ def _parse_setting(key: str, value: str, where: str) -> tuple[str, object]:
     raise ConfigError(f"{where}: unknown key {key!r}")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse the plain key = value config format; unknown keys are errors."""
+# the config keys each subcommand reads; run reads every key
+_CASE_KEYS = ("case", "load_scale")
+_COMMAND_KEYS = {
+    "powerflow": _CASE_KEYS,
+    "sensitivity": _CASE_KEYS,
+    "validate": _CASE_KEYS
+    + ("v_lo", "v_hi", "q_lo", "q_hi", "k_q", "k_lam", "k_mu", "tol", "horizon"),
+}
+
+
+def parse_config(text: str, command: str = "run") -> RunConfig:
+    """Parse the plain key = value config format for one subcommand.
+
+    Unknown keys are errors, and so are keys that ``command`` does not read.
+    """
+    reads = _COMMAND_KEYS.get(command)
     fields: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -169,7 +183,10 @@ def parse_config(text: str) -> RunConfig:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        field, parsed = _parse_setting(key.strip(), value.strip(), f"line {lineno}")
+        key = key.strip()
+        field, parsed = _parse_setting(key, value.strip(), f"line {lineno}")
+        if reads is not None and key not in reads:
+            raise ConfigError(f"line {lineno}: {command} does not read {key!r}")
         fields[field] = parsed
     cfg = replace(RunConfig(), **fields)
     if cfg.v_lo >= cfg.v_hi:
@@ -481,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig()
         if args.config is not None:
-            cfg = parse_config(_read_text(args.config, "config file"))
+            cfg = parse_config(_read_text(args.config, "config file"), args.command)
         cfg = _merge_flags(cfg, args)
         if args.command == "run":
             return _cmd_run(cfg)

@@ -24,11 +24,13 @@ steps with, phi_k(hJ) r for the Jacobian J of one piece of the flow. J has
 the plant's own voltage sensitivity in J_mq's lam rows (the nonlinear
 plant's dv/dq is not X; ``set_plant_sensitivity`` stores it), and its
 multiplier rows depend on q only, so every product comes from a 2C-square
-exponential instead of the (3C + 2M)-square one; ``expm`` is that
-exponential, numpy only. This module is the only one that knows the packed
-layout. ``dynamics_rhs`` is the validating wrapper over
-``ControllerState``, and ``trajectory_states`` checks a whole trajectory's
-packed rows at once.
+exponential instead of the (3C + 2M)-square one, balanced so that its
+norm is about that of its 2C-square block. ``expm`` is that exponential,
+numpy only: Higham's scaling and squaring at the lowest Pade degree the
+norm allows, solved for only the columns ``phi`` reads. This module is the
+only one that knows the packed layout. ``dynamics_rhs`` is the validating
+wrapper over ``ControllerState``, and ``trajectory_states`` checks a whole
+trajectory's packed rows at once.
 """
 
 from __future__ import annotations
@@ -279,8 +281,16 @@ class PackedFlow:
 
         and phi_k(hJ) r = (P_k, h D J_mq P_{k+1} + r_m / k!), where
         P_j = phi_j(hB) (r_q, J_qm r_m) restricted to its q entries. Both
-        come from one exponential of B augmented with the vector and a unit
-        chain (Sidje, ACM TOMS 24(1), 1998), of size 2C + k + 1.
+        come from the last two columns of one exponential of hB augmented
+        with the vector w = (r_q, J_qm r_m) and a unit chain (Sidje, ACM
+        TOMS 24(1), 1998), of size 2C + k + 1. The augmented matrix is
+        balanced (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011): the
+        chain holds tau, the largest power of two up to ||hB||_1 within
+        [1/4, 1], and the vector column w / sigma, sigma the power of two
+        that brings ||w||_1 / sigma into [tau / 2, tau). Its 1-norm is then
+        about ||hB||_1, not at least 1 and ||w||_1, and P_k and P_{k+1}
+        come back exactly as sigma / tau^(k-1) and sigma / tau^k times its
+        columns, so the product is exactly linear in r.
         """
         c = self.c
         j_mq = self._j_mq * active[c:, None]
@@ -291,39 +301,88 @@ class PackedFlow:
         aug[c : 2 * c, :c] = h * (self._j_qm @ j_mq)
         aug[:c, 2 * c] = r[:c]
         aug[c : 2 * c, 2 * c] = self._j_qm @ r[c:]
-        aug[np.arange(2 * c, n - 1), np.arange(2 * c + 1, n)] = 1.0
-        top = expm(aug)[:c, n - 2 :]
+        # the 1-norms of hB's columns and of w set the exponents of tau and sigma
+        sums = np.abs(aug[: 2 * c, : 2 * c + 1]).sum(axis=0)
+        t = min(0, max(-2, math.frexp(sums[: 2 * c].max())[1] - 1))
+        tau, sigma = 2.0**t, 2.0 ** min(math.frexp(sums[2 * c])[1] - t, 1023)
+        aug[: 2 * c, 2 * c] /= sigma
+        for i in range(2 * c, n - 1):
+            aug[i, i + 1] = tau
+        top = expm(aug, last=2)[:c] / [tau ** (k - 1), tau**k] * sigma
         return np.concatenate((top[:, 0], h * (j_mq @ top[:, 1]) + r[c:] / math.factorial(k)))
 
 
-# Pade-13 numerator coefficients and the 1-norm up to which the approximant
-# is accurate to double precision (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005)
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
-    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Pade-13 scaling-and-squaring matrix exponential (Higham 2005); an inf norm is not scaled."""
-    norm = float(np.linalg.norm(a, 1))
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if 0 < norm < math.inf else 0
-    a = a / 2.0**s
-    b = _PADE13
-    eye = np.eye(len(a))
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+# Pade numerator coefficients b_0..b_m of the degrees m that Higham's
+# algorithm chooses from, each after the 1-norm theta_m up to which that
+# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
+# Appl. 26(4), 2005)
+_PADE = tuple(
+    (theta, np.array(b))
+    for theta, b in (
+        (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+        (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+        (9.504178996162932e-1, (
+            17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0,
+        )),
+        (2.097847961257068, (
+            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+        )),
+        (5.371920351148152, (
+            64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+        )),
     )
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+)
+
+
+def expm(a: np.ndarray, last: int | None = None) -> np.ndarray:
+    """e^a by Higham's scaling and squaring (2005), or only its ``last`` columns.
+
+    The Pade degree m is the lowest of 3, 5, 7, 9 and 13 whose theta_m
+    bounds the 1-norm of ``a``. Above theta_13, ``a`` is scaled by 2^-s
+    into degree 13's range and the approximant is squared s times; a norm
+    that is not finite is not scaled. The approximant (V - U)^-1 (V + U) is
+    solved for the asked columns alone when there is no squaring, and
+    otherwise the last squaring forms only those columns.
+    """
+    n = len(a)
+    cols = slice(None) if last is None else slice(n - last, None)
+    norm = float(np.linalg.norm(a, 1))
+    s = 0
+    for theta, b in _PADE:
+        if norm <= theta:
+            break
+    else:
+        if norm < math.inf:
+            s = math.ceil(math.log2(norm / theta))
+            a = a / 2.0**s
+    # the even powers I, a^2, a^4, ... the sums take: up to a^(m - 1), or a^6 for m = 13
+    count = 4 if len(b) == 14 else len(b) // 2
+    powers = np.empty((count, n, n))
+    powers[0] = np.eye(n)
+    np.matmul(a, a, out=powers[1])
+    for j in range(2, count):
+        np.matmul(powers[j - 1], powers[1], out=powers[j])
+    flat = powers.reshape(count, n * n)
+
+    def sum_of(coeffs, first=0):
+        """sum_j coeffs[j] powers[first + j]"""
+        return (coeffs @ flat[first : first + len(coeffs)]).reshape(n, n)
+
+    if len(b) < 14:
+        u = a @ sum_of(b[1::2])
+        v = sum_of(b[::2])
+    else:  # Higham's nested form, u = a (a^6 (b_13 a^6 + b_11 a^4 + b_9 a^2) + b_7 a^6 + ...)
+        u = a @ (powers[3] @ sum_of(b[9::2], 1) + sum_of(b[1:9:2]))
+        v = powers[3] @ sum_of(b[8::2], 1) + sum_of(b[:8:2])
+    if s == 0:
+        return np.linalg.solve(v - u, (v + u)[:, cols])
     e = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
+    for _ in range(s - 1):
         e = e @ e
-    return e
+    return e @ e[:, cols]
 
 
 def dynamics_rhs(

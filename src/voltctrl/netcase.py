@@ -237,6 +237,11 @@ def _validate(case: NetworkCase) -> None:
             raise CaseDataError(f"branch {br.from_bus}-{br.to_bus} has zero reactance")
         if br.tap_ratio <= 0:
             raise CaseDataError(f"branch {br.from_bus}-{br.to_bus} has nonpositive tap ratio")
+        if br.in_service and not np.isfinite(1.0 / complex(br.r, br.x)):
+            raise CaseDataError(f"branch {br.from_bus}-{br.to_bus}: 1/(r + jx) is not finite")
+        t2 = br.tap_ratio * br.tap_ratio
+        if br.in_service and not (t2 > 0 and math.isfinite(1.0 / t2)):
+            raise CaseDataError(f"branch {br.from_bus}-{br.to_bus}: 1/t^2 is not finite")
     kind_by_id = {b.id: b.kind for b in case.buses}
     for gen in case.generators:
         if gen.bus not in known:

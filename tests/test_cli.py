@@ -430,6 +430,50 @@ def test_validate_runs_without_scipy():
     assert run.stdout.count("PASS") == 4
 
 
+_KEY_VALUES = {
+    "scenario": "fault", "plant": "nonlinear", "v_lo": "0.9", "v_hi": "1.1", "q_lo": "-0.3",
+    "q_hi": "0.3", "k_q": "2", "k_lam": "2", "k_mu": "2", "trip": "4:5",
+    "profile": ", ".join(["1.0"] * 24), "out": "/nonexistent/x", "tol": "1e-8",
+    "horizon": "1e5", "hour_seconds": "60", "reset_multipliers": "yes",
+}
+_VALIDATE_KEYS = ("v_lo", "v_hi", "q_lo", "q_hi", "k_q", "k_lam", "k_mu", "tol", "horizon")
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        (command, key)
+        for command, reads in (
+            ("powerflow", ()), ("sensitivity", ()), ("validate", _VALIDATE_KEYS),
+        )
+        for key in _KEY_VALUES
+        if key not in reads
+    ],
+)
+def test_config_keys_a_subcommand_does_not_read_are_config_errors(tmp_path, capsys, command, key):
+    # each was once accepted and silently ignored, like the flags that only
+    # run reads: validate with plant = nonlinear ran the linear loop and
+    # passed, whatever out said
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(f"case = case14\nload_scale = 3.1\n{key} = {_KEY_VALUES[key]}\n")
+    code = main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err == f"config error: line 3: {command} does not read {key!r}\n"
+    assert captured.out == ""
+
+
+def test_validate_reads_its_config_keys(tmp_path, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(
+        "case = case14\nload_scale = 3.1\n"
+        + "".join(f"{key} = {_KEY_VALUES[key]}\n" for key in _VALIDATE_KEYS)
+    )
+    code = main(["validate", "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.count("PASS") == 4
+
+
 def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -215,17 +215,55 @@ def test_flow_phi_product_matches_full_exponential(name, factor, request):
     assert worst <= 1e-11
 
 
+@pytest.mark.parametrize("name, factor", [("case14", 3.1), ("case30", 0.25)], ids=["case14", "case30"])
+def test_flow_phi_product_is_exactly_linear_in_its_vector(name, factor, request):
+    # phi balances its vector column by a power of two, so scaling r by
+    # 2^+-600 scales the product by exactly that, bit for bit, and r = 0
+    # gives exact zeros; without the balancing a vector of 1e180 forces
+    # hundreds of squarings and the product is wrong in its leading digit
+    case = scale_loads(request.getfixturevalue(name), factor)
+    part = partition_buses(case)
+    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    m, c = xc.shape
+    n = 3 * c + 2 * m
+    gx = _plant_sensitivity(case, xc) if name == "case14" else xc
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
+        h = 10.0 ** rng.uniform(-2.0, 3.0)
+        active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
+        r = rng.standard_normal(n)
+        flow = PackedFlow(xc, Limits.box(m, c), gains)
+        flow.set_plant_sensitivity(gx)
+        for k in (1, 3):
+            base = flow.phi(k, h, active, r)
+            for e in (-600, 600):
+                assert np.array_equal(flow.phi(k, h, active, 2.0**e * r), 2.0**e * base)
+            assert np.all(flow.phi(k, h, active, np.zeros(n)) == 0.0)
+    # at the top of the float range, where the vector's scale is held at
+    # 2^1023, a short step is still scaled exactly
+    unit = np.eye(n)[0]
+    for k in (1, 3):
+        big = flow.phi(k, 1e-3, active, 2.0**1021 * unit)
+        assert np.array_equal(big, 2.0**1021 * flow.phi(k, 1e-3, active, unit))
+
+
 @pytest.mark.parametrize("size", [20, 50])
 def test_expm_matches_scipy(size):
     # damped rotations, so that the exponential neither overflows nor
-    # vanishes, at 1-norms from 0.1 to 1e4 (at most 2.8e-13 measured)
+    # vanishes, at 1-norms from 0.1 to 1e4, with one inside the range of
+    # each Pade degree: 1e-3 (3), 0.2 (5), 0.9 (7), 2.0 (9), 10 and up (13,
+    # scaled and squared); at most 1.9e-13 measured. The last two columns,
+    # as phi asks for them, are checked on their own
     rng = np.random.default_rng(5)
-    for norm in (0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
+    for norm in (1e-3, 0.1, 0.2, 0.9, 1.0, 2.0, 10.0, 100.0, 1e3, 1e4):
         g = rng.standard_normal((size, size))
         a = g - g.T - np.diag(rng.uniform(0.0, 1.0, size))
         a *= norm / np.linalg.norm(a, 1)
         expected = scipy.linalg.expm(a)
         assert np.linalg.norm(expm(a) - expected) <= 1e-12 * np.linalg.norm(expected)
+        tail = expected[:, -2:]
+        assert np.linalg.norm(expm(a, last=2) - tail) <= 1e-12 * np.linalg.norm(tail)
 
 
 def test_rates_match_the_lagrangian():

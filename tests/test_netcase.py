@@ -198,13 +198,18 @@ _GEN2 = "\t2\t40\t42.4\t50\t-40\t1.045\t100\t1\t140\t0;"
          "bus 2 needs a positive voltage setpoint"),
         ("0.20912\t0\t9900\t0\t0\t0.978", "0.20912\t0\t9900\t0\t0\t-1", CaseDataError,
          "branch 4-7 has nonpositive tap ratio"),
+        ("0.20912\t0\t9900\t0\t0\t0.978", "0.20912\t0\t9900\t0\t0\t1e-300", CaseDataError,
+         r"branch 4-7: 1/t\^2 is not finite"),
+        ("\t4\t7\t0\t0.20912", "\t4\t7\t0\t1e-320", CaseDataError,
+         r"branch 4-7: 1/\(r \+ jx\) is not finite"),
         (_GEN2, _GEN2.replace("100\t1\t140", "100\t0\t140"), CaseDataError,
          "PV bus 2 has no generator setpoint"),
     ],
     ids=[
         "short_bus_row", "short_gen_row", "short_branch_row", "no_bus_matrix", "bus_type_4",
         "base_mva_zero", "not_an_assignment", "conflicting_vg", "gen_at_unknown_bus",
-        "gen_at_pq_bus", "vg_zero", "tap_negative", "pv_gen_out_of_service",
+        "gen_at_pq_bus", "vg_zero", "tap_negative", "tap_underflows", "reactance_underflows",
+        "pv_gen_out_of_service",
     ],
 )
 def test_malformed_case_text_is_rejected(old, new, error, message):
