@@ -289,7 +289,7 @@ def emit_report(
         for pos, value in enumerate(mults):
             if value > 1e-6:
                 binding.append(f"{label} @ bus {id_list[pos]}")
-    viol = result.violations
+    viol, st = result.violations, result.stats
     summary = [
         f"converged: {'yes' if result.converged else 'no'}",
         f"final residual: {result.final_residual:.6e}",
@@ -300,6 +300,10 @@ def emit_report(
         f"max violation q below: {viol.max_q_below:.6e}",
         f"max violation q above: {viol.max_q_above:.6e}",
         f"min multiplier: {viol.min_multiplier:.6e}",
+        f"solver: {st.accepted} accepted steps, {st.attempts - st.accepted} rejected attempts "
+        f"(error test {st.error_test}, crossing {st.crossing}, entering {st.entering}, "
+        f"start-of-step event {st.start_event}, plant divergence {st.plant_divergence}), "
+        f"{st.plant_calls} plant calls, {st.phi_products} phi-products",
     ]
     if isinstance(result, FaultResult):
         summary += [

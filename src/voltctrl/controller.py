@@ -260,6 +260,10 @@ class PackedFlow:
         """The multiplier rows' constraint violations at a packed state and its voltages."""
         return np.concatenate((v, -v, y[: self.c], -y[: self.c])) + self._offset
 
+    def violation_rate(self, q_rate: np.ndarray) -> np.ndarray:
+        """The violations' time derivatives while q moves at ``q_rate``: J_mq q_rate / gain."""
+        return self._j_mq @ q_rate / self._gain
+
     def jacobian_product(self, active: np.ndarray, z: np.ndarray) -> np.ndarray:
         """J z for the closed loop's J with its inactive rows zeroed (see ``phi``)."""
         dm = self._j_mq @ z[: self.c]
@@ -290,7 +294,10 @@ class PackedFlow:
         that brings ||w||_1 / sigma into [tau / 2, tau). Its 1-norm is then
         about ||hB||_1, not at least 1 and ||w||_1, and P_k and P_{k+1}
         come back exactly as sigma / tau^(k-1) and sigma / tau^k times its
-        columns, so the product is exactly linear in r.
+        columns, so the product is exactly linear in r. ||w||_1 is summed
+        over w scaled by its largest entry's power of two, and sigma is
+        applied by its exponent, so neither overflows where the product
+        itself does not.
         """
         c = self.c
         j_mq = self._j_mq * active[c:, None]
@@ -302,13 +309,15 @@ class PackedFlow:
         aug[:c, 2 * c] = r[:c]
         aug[c : 2 * c, 2 * c] = self._j_qm @ r[c:]
         # the 1-norms of hB's columns and of w set the exponents of tau and sigma
-        sums = np.abs(aug[: 2 * c, : 2 * c + 1]).sum(axis=0)
-        t = min(0, max(-2, math.frexp(sums[: 2 * c].max())[1] - 1))
-        tau, sigma = 2.0**t, 2.0 ** min(math.frexp(sums[2 * c])[1] - t, 1023)
-        aug[: 2 * c, 2 * c] /= sigma
+        t = min(0, max(-2, math.frexp(np.abs(aug[: 2 * c, : 2 * c]).sum(axis=0).max())[1] - 1))
+        w = np.abs(aug[: 2 * c, 2 * c])
+        e_max = math.frexp(w.max())[1]
+        e_sigma = e_max + math.frexp(np.ldexp(w, -e_max).sum())[1] - t
+        aug[: 2 * c, 2 * c] = np.ldexp(aug[: 2 * c, 2 * c], -e_sigma)
+        tau = 2.0**t
         for i in range(2 * c, n - 1):
             aug[i, i + 1] = tau
-        top = expm(aug, last=2)[:c] / [tau ** (k - 1), tau**k] * sigma
+        top = np.ldexp(expm(aug, last=2)[:c] / [tau ** (k - 1), tau**k], e_sigma)
         return np.concatenate((top[:, 0], h * (j_mq @ top[:, 1]) + r[c:] / math.factorial(k)))
 
 
@@ -342,22 +351,24 @@ def expm(a: np.ndarray, last: int | None = None) -> np.ndarray:
 
     The Pade degree m is the lowest of 3, 5, 7, 9 and 13 whose theta_m
     bounds the 1-norm of ``a``. Above theta_13, ``a`` is scaled by 2^-s
-    into degree 13's range and the approximant is squared s times; a norm
-    that is not finite is not scaled. The approximant (V - U)^-1 (V + U) is
-    solved for the asked columns alone when there is no squaring, and
-    otherwise the last squaring forms only those columns.
+    into degree 13's range and the approximant is squared s times. A norm
+    that is not finite, which no scaling brings into range, gives NaNs. The
+    approximant (V - U)^-1 (V + U) is solved for the asked columns alone
+    when there is no squaring, and otherwise the last squaring forms only
+    those columns.
     """
     n = len(a)
     cols = slice(None) if last is None else slice(n - last, None)
     norm = float(np.linalg.norm(a, 1))
+    if not norm < math.inf:
+        return np.full((n, n if last is None else last), np.nan)
     s = 0
     for theta, b in _PADE:
         if norm <= theta:
             break
     else:
-        if norm < math.inf:
-            s = math.ceil(math.log2(norm / theta))
-            a = a / 2.0**s
+        s = math.ceil(math.log2(norm / theta))
+        a = a / 2.0**s
     # the even powers I, a^2, a^4, ... the sums take: up to a^(m - 1), or a^6 for m = 13
     count = 4 if len(b) == 14 else len(b) // 2
     powers = np.empty((count, n, n))

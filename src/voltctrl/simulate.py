@@ -22,12 +22,17 @@ nonlinear one while no lam row is active, D2 is zero: the step is exact on
 its piece and makes one plant call, at its end; otherwise it makes two, at
 U2 and at y1, and no Newton iteration. A step that would drive a
 multiplier negative, or end where a row off its piece has its constraint
-violated, is cut back to land on that event by linear interpolation, so
-trajectories never leave the nonnegative orthant by more than the solver
-tolerance. Events already at the step's start change the piece instead,
-all in one retry of the same step at the same size: every multiplier
-within 1e-9 of zero that would cross is clamped to zero, and every row
-within 1e-9 of its constraint that would enter joins the piece.
+violated, is cut back to land on that event: to the first root of each
+event row's cubic Hermite interpolant over the step, from the row's values
+and time derivatives at both ends (dense-output event location; Shampine
+& Thompson, Comput. Math. Appl. 39, 2000), so trajectories never leave the
+nonnegative orthant by more than the solver tolerance. Events already at
+the step's start change the piece instead, all in one retry of the same
+step at the same size: every multiplier within 1e-9 of zero that would
+cross is clamped to zero, and every row within 1e-9 of its constraint that
+would enter joins the piece. Each result counts its accepted steps, its
+rejected attempts by reason, its plant calls and its phi-products in a
+``SolverStats``.
 
 Every plant solve of the loop is taken to a power mismatch of 1e-10, far
 below the local errors the step control reads; ``solve_power_flow`` keeps
@@ -66,7 +71,7 @@ voltage of the power flow its relinearization solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -124,6 +129,36 @@ class ViolationSummary:
     min_multiplier: float
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """Work counts of a run, summed over its windows.
+
+    Accepted steps, and rejected attempts by reason: an attempt fails the
+    error test, is cut back to land on a multiplier crossing zero or on a
+    row entering its piece, is retried after a start-of-step event (a clamp
+    or a join), or is retried at half the size after the plant diverged.
+    Plant calls are the voltages the steps measure (a window's start reads
+    its relinearization's solve), and phi-products those the steps take.
+    """
+
+    accepted: int = 0
+    error_test: int = 0
+    crossing: int = 0
+    entering: int = 0
+    start_event: int = 0
+    plant_divergence: int = 0
+    plant_calls: int = 0
+    phi_products: int = 0
+
+    @property
+    def attempts(self) -> int:
+        rejected = self.error_test + self.crossing + self.entering + self.start_event
+        return self.accepted + rejected + self.plant_divergence
+
+    def __add__(self, other: "SolverStats") -> "SolverStats":
+        return SolverStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
     trajectory: Trajectory
@@ -132,6 +167,7 @@ class SimulationResult:
     converged: bool
     final_residual: float
     violations: ViolationSummary
+    stats: SolverStats
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,6 +220,7 @@ class _ClosedLoop:
         self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, gains)
         self.last: PowerFlowSolution | None = None
         self.inverse: np.ndarray | None = None
+        self.plant_calls = self.phi_products = 0
 
     def embed(self, q: np.ndarray) -> np.ndarray:
         full = np.zeros(self.m)
@@ -230,6 +267,7 @@ class _ClosedLoop:
 
     def voltage(self, q: np.ndarray) -> np.ndarray:
         """The plant call: load-bus voltages measured at controller output q."""
+        self.plant_calls += 1
         if self.mode is PlantMode.LINEAR:
             return predict_voltage(self.sens, self.embed(q))
         return self._solve(q).v[self.part.pq]
@@ -263,6 +301,7 @@ class _ClosedLoop:
         and so does a stage that is not finite, before any plant call.
         """
         c, flow = self.c, self.flow
+        self.phi_products += 1
         u2 = y0 + h * flow.phi(1, h, active0, f0)
         if not np.all(np.isfinite(u2)):
             raise PlantDivergenceError("the step's stage is not finite; no plant is solved there")
@@ -272,6 +311,7 @@ class _ClosedLoop:
             v2 = self.voltage(u2[:c])
             f2, _ = flow.rates(u2, v2, active0[c:])
             d2 = np.where(active0, f2, 0.0) - f0 - flow.jacobian_product(active0, u2 - y0)
+            self.phi_products += 1
             est = 2.0 * h * flow.phi(3, h, active0, d2)
         y1 = u2 + est
         if v2 is not None and not np.array_equal(y1[:c], u2[:c]):
@@ -322,6 +362,9 @@ def integrate(
     v = loop.rebase(state0.q)
     f, active = loop.flow.rates(y, v)
     times, rows, volts, raw_mins = [0.0], [y], [v], [float(np.min(y[c:]))]
+    rejected = dict.fromkeys(
+        ("error_test", "crossing", "entering", "start_event", "plant_divergence"), 0
+    )
     residual = float(np.max(np.abs(f)))
     t = 0.0
     h = min(0.1, horizon)
@@ -332,6 +375,7 @@ def integrate(
         try:
             y1, est, at_end = loop.attempt(y, f, active, h_try)
         except PlantDivergenceError:
+            rejected["plant_divergence"] += 1
             h = 0.5 * h_try
             continue
         a, b = y[c:], y1[c:]
@@ -346,23 +390,36 @@ def integrate(
         clamp = crossing & (a <= 1e-9)
         join = entering & (viol0 >= -1e-9)
         if np.any(clamp | join):
+            rejected["start_event"] += 1
             y = y.copy()
             y[c:][clamp] = 0.0
             f, active = loop.flow.rates(y, v, (active[c:] & ~clamp) | join)
             continue
-        # largest fraction of the step that keeps all multipliers >= 0 and
-        # ends where the first entering row's constraint becomes violated
-        frac = min(
-            float(np.min(a[crossing] / (a[crossing] - b[crossing]), initial=1.0)),
-            float(np.min(viol0[entering] / (viol0 - viol1)[entering], initial=1.0)),
-        )
+        frac = 1.0
+        if np.any(crossing | entering):
+            # the fraction of the step where the first event row reaches its
+            # event: a multiplier zero, or an entering row's constraint. The
+            # rows' rates at the end are the piece's at the unfloored end,
+            # whose q, and so whose voltage, is the evaluated one
+            f1 = loop.flow.rates(y1, at_end[3], active[c:])[0]
+            rate0, rate1 = loop.flow.violation_rate(f[:c]), loop.flow.violation_rate(f1[:c])
+            roots = _first_root(
+                np.concatenate((a[crossing], -viol0[entering])),
+                np.concatenate((b[crossing], -viol1[entering])),
+                h_try * np.concatenate((f[c:][crossing], -rate0[entering])),
+                h_try * np.concatenate((f1[c:][crossing], -rate1[entering])),
+            )
+            first = int(np.argmin(roots))
+            frac = float(roots[first])
         if frac < 1.0 and h_try * frac > 1e-10:
             # land on the event instead of stepping past it
+            rejected["crossing" if first < np.count_nonzero(crossing) else "entering"] += 1
             h = h_try * frac
             continue
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
         err = float(np.max(np.abs(est) / scale))
         if not err <= 1.0:
+            rejected["error_test"] += 1
             h = h_try * max(0.2, 0.9 * err ** (-1.0 / 3.0))
             continue
         t += h_try
@@ -400,15 +457,62 @@ def integrate(
             max_q_above=max(0.0, float(np.max(q_all - lim.q_hi))),
             min_multiplier=min(0.0, min(raw_mins)),
         ),
+        stats=SolverStats(
+            len(rows) - 1,
+            **rejected,
+            plant_calls=loop.plant_calls,
+            phi_products=loop.phi_products,
+        ),
     )
 
 
-def _join(windows: list[tuple[float, SimulationResult]]) -> tuple[Trajectory, ViolationSummary]:
+def _first_root(p0, p1, d0, d1) -> np.ndarray:
+    """The smallest root in (0, 1] of each row's cubic Hermite interpolant.
+
+    Row i's cubic p has p(0) = p0[i] > 0 >= p(1) = p1[i] and slopes d0[i]
+    and d1[i] at 0 and 1. Its critical points and its inflection point cut
+    [0, 1] into pieces on which p is monotone and of one convexity. The
+    first cut whose value is not positive, or 1, ends the piece that holds
+    the smallest root, and the last cut before it starts that piece. From
+    the piece's end where p p'' >= 0, Newton's method approaches the root
+    from one side without leaving the piece (Fourier's condition). An
+    iterate stops where p is zero or its sign has turned by rounding, and
+    all stop after at most 64 steps.
+    """
+    c2 = 3.0 * (p1 - p0) - 2.0 * d0 - d1
+    c3 = 2.0 * (p0 - p1) + d0 + d1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the roots of p' = d0 + 2 c2 x + 3 c3 x^2 by the stable quadratic
+        # formula, and that of p'' = 2 c2 + 6 c3 x
+        g = -(c2 + np.copysign(np.sqrt(c2 * c2 - 3.0 * d0 * c3), c2))
+        cuts = np.stack((g / (3.0 * c3), d0 / g, -c2 / (3.0 * c3)))
+        cuts[~((cuts > 0.0) & (cuts < 1.0))] = 1.0
+        value = p0 + cuts * (d0 + cuts * (c2 + cuts * c3))
+        hi = np.min(np.where(value <= 0.0, cuts, 1.0), axis=0)
+        lo = np.max(np.where(cuts < hi, cuts, 0.0), axis=0)
+        convex = c2 + 1.5 * c3 * (lo + hi) > 0.0
+        x = np.where(convex, lo, hi)
+        side = np.where(convex, 1.0, -1.0)
+        c2_twice, c3_thrice = 2.0 * c2, 3.0 * c3
+        for _ in range(64):
+            px = p0 + x * (d0 + x * (c2 + x * c3))
+            step = np.minimum(np.maximum(x - px / (d0 + x * (c2_twice + x * c3_thrice)), lo), hi)
+            step = np.where(side * px > 0.0, step, x)
+            if (step == x).all():
+                break
+            x = step
+    return x
+
+
+def _join(
+    windows: list[tuple[float, SimulationResult]],
+) -> tuple[Trajectory, ViolationSummary, SolverStats]:
     """Chain window results, each started at the given time, into one record.
 
     A window's first sample that would not come after the previous window's
     last is nudged 1e-9 past it, or one float spacing where that is larger
-    (past 2**24 s). Violations keep the worst of all windows.
+    (past 2**24 s). Violations keep the worst of all windows, and the
+    solver counts are summed.
     """
     times: list[np.ndarray] = []
     for start, res in windows:
@@ -432,7 +536,7 @@ def _join(windows: list[tuple[float, SimulationResult]]) -> tuple[Trajectory, Vi
         max_q_above=max(w.max_q_above for w in worst),
         min_multiplier=min(w.min_multiplier for w in worst),
     )
-    return trajectory, violations
+    return trajectory, violations, sum((res.stats for res in results), SolverStats())
 
 
 def run_static(
@@ -480,7 +584,7 @@ def run_fault(
         initial_state=pre.trajectory.states[-1],
     )
     t_at_trip = float(pre.trajectory.t[-1]) if t_trip is None else t_trip
-    trajectory, violations = _join([(0.0, pre), (t_at_trip, post)])
+    trajectory, violations, stats = _join([(0.0, pre), (t_at_trip, post)])
     pre_cost = float(pre.trajectory.cost[-1])
     post_cost = float(post.trajectory.cost[-1])
     return FaultResult(
@@ -490,6 +594,7 @@ def run_fault(
         converged=post.converged and (pre.converged or t_trip is not None),
         final_residual=post.final_residual,
         violations=violations,
+        stats=stats,
         pre_cost=pre_cost,
         post_cost=post_cost,
         cost_ratio=post_cost / pre_cost if pre_cost > 0 else float("inf"),
@@ -543,7 +648,7 @@ def run_daily(
         )
         windows.append((hour * hour_seconds, res))
         state = res.trajectory.states[-1]
-    trajectory, violations = _join(windows)
+    trajectory, violations, stats = _join(windows)
     results = [res for _, res in windows]
     return DailyResult(
         trajectory=trajectory,
@@ -552,6 +657,7 @@ def run_daily(
         converged=all(res.converged for res in results),
         final_residual=results[-1].final_residual,
         violations=violations,
+        stats=stats,
         hourly_final_q=np.array([res.final_q for res in results]),
         hourly_final_v=np.array([res.trajectory.v[-1] for res in results]),
         uncontrolled_v=np.array(bare_v),

@@ -252,6 +252,19 @@ def test_summary_matches_trajectory(static_run):
     assert float(cost_line.split(":")[1]) == pytest.approx(data[-1, -1], abs=1e-6)
 
 
+def test_summary_reports_solver_counts(static_run):
+    # one line with the run's SolverStats: the x3.1 linear run takes 30
+    # accepted steps in 45 attempts, one plant call and one phi-product each
+    _, out = static_run
+    summary = (out / "summary.txt").read_text().splitlines()
+    _, data = _read_csv(out / "trajectory.csv")
+    line = next(line for line in summary if line.startswith("solver: "))
+    accepted = len(data) - 1
+    assert line.startswith(f"solver: {accepted} accepted steps, ")
+    rejected = int(line.split(", ")[1].split()[0])
+    assert f"{accepted + rejected} plant calls, {accepted + rejected} phi-products" in line
+
+
 def test_reruns_are_byte_identical(static_run, tmp_path):
     _, out = static_run
     code = main(

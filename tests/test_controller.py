@@ -240,12 +240,30 @@ def test_flow_phi_product_is_exactly_linear_in_its_vector(name, factor, request)
             for e in (-600, 600):
                 assert np.array_equal(flow.phi(k, h, active, 2.0**e * r), 2.0**e * base)
             assert np.all(flow.phi(k, h, active, np.zeros(n)) == 0.0)
-    # at the top of the float range, where the vector's scale is held at
-    # 2^1023, a short step is still scaled exactly
+    # at the top of the float range a short step is still scaled exactly,
+    # also for a dense vector whose w has a 1-norm past the float range:
+    # that norm is summed over w scaled by its largest entry's power of two.
+    # Summed unscaled it overflowed, expm skipped its scaling, and the
+    # product came back finite and 0.22 off where its entries are below 0.4
     unit = np.eye(n)[0]
+    w = np.concatenate((r[:c], flow._j_qm @ r[c:]))
+    assert np.abs(w).sum() > 8.0
     for k in (1, 3):
-        big = flow.phi(k, 1e-3, active, 2.0**1021 * unit)
-        assert np.array_equal(big, 2.0**1021 * flow.phi(k, 1e-3, active, unit))
+        for vec, step in ((unit, 1e-3), (r, 1e-4)):
+            big = flow.phi(k, step, active, 2.0**1021 * vec)
+            assert np.array_equal(big, 2.0**1021 * flow.phi(k, step, active, vec))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_expm_of_a_non_finite_norm_is_nan():
+    # no scaling brings a norm that is not finite into a Pade degree's
+    # range, so the exponential is NaN and a step taking it fails its
+    # finiteness check; finite entries whose column sum overflows count too
+    a = np.zeros((4, 4))
+    for entries in ((np.inf,), (1e308, 1e308), (np.nan,)):
+        a[: len(entries), 0] = entries
+        assert np.all(np.isnan(expm(a)))
+        assert np.isnan(expm(a, last=2)).all() and expm(a, last=2).shape == (4, 2)
 
 
 @pytest.mark.parametrize("size", [20, 50])

@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.interpolate
 import scipy.linalg
+import scipy.optimize
 
 from _reference import written_out_jacobian, written_out_rates
 from voltctrl import simulate
@@ -284,6 +286,20 @@ def test_timed_fault_runs_are_bit_identical(heavy14):
         assert np.array_equal(sa.packed(), sb.packed())
 
 
+def test_solver_stats_repeat_and_sum_over_windows(heavy14):
+    # counting changes no arithmetic, so identical runs count alike, and a
+    # multi-window run's counts are its windows' summed
+    linear = PlantMode.LINEAR
+    pre = run_static(heavy14, plant_mode=linear)
+    post = run_static(
+        trip_branch(heavy14, 4, 5), plant_mode=linear, initial_state=pre.trajectory.states[-1]
+    )
+    runs = [run_fault(heavy14, trip=(4, 5), plant_mode=linear) for _ in range(2)]
+    assert runs[0].stats == runs[1].stats == pre.stats + post.stats
+    assert runs[0].stats.accepted == len(runs[0].trajectory) - 2
+    assert runs[0].stats.attempts == pre.stats.attempts + post.stats.attempts > 0
+
+
 def test_gain_scaling_preserves_equilibrium(toy2, toy_limits):
     slow = run_static(
         toy2, limits=toy_limits, plant_mode=PlantMode.LINEAR, tol=1e-7
@@ -473,14 +489,27 @@ def test_nonlinear_stage_solves_average_two_evaluations(monkeypatch, heavy14):
     # the nonlinear plant is called at the stage only while a lam row is
     # active, and then the end's estimate takes a second phi-product; an
     # end whose q is the stage's reuses its voltage. No Newton iteration:
-    # the x3.1 run takes 279 plant calls in 138 samples
+    # the x3.1 run takes 246 plant calls in 114 samples (279 in 138 when
+    # events were landed by linear interpolation). The run's own counts
+    # agree with the ones taken from outside
     counts = _count_per_attempt(monkeypatch)
     res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
     assert res.converged and len(counts) - 1 >= len(res.trajectory) - 1 > 1
     per_attempt = [(calls, phis) for calls, phis, _ in counts[1:]]
     assert set(per_attempt) <= {(1, 1), (2, 2), (1, 2)}
     assert sum(calls for calls, _ in per_attempt) / len(per_attempt) <= 2.0
-    assert sum(calls for calls, _ in per_attempt) <= 320 and len(res.trajectory) <= 150
+    assert res.stats.attempts == len(per_attempt)
+    assert res.stats.accepted == len(res.trajectory) - 1
+    assert res.stats.plant_calls == sum(calls for calls, _ in per_attempt)
+    assert res.stats.phi_products == sum(phis for _, phis in per_attempt)
+    assert res.stats.plant_calls <= 270 and len(res.trajectory) <= 125
+
+
+# the distinct pieces (active-row patterns) the accepted steps of the
+# linear runs hold: 5 on heavy14 and 18 on light30, with 4 and 17 changes,
+# the same sequence of pieces whether events are landed by a cubic root or
+# by linear interpolation
+LINEAR_PIECES = {"heavy14": 5, "light30": 18}
 
 
 @pytest.mark.parametrize("name", ["heavy14", "light30"])
@@ -488,8 +517,12 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
     # every accepted linear-plant step ends where the affine flow of its
     # piece does, y0 + h phi1(hA) F0, with A and F0 written out from the
     # Lagrangian and the exponential taken by scipy at full size (3.7e-13
-    # relative at worst, measured); the run then settles on the optimum the
-    # oracle finds for the loop's own linear plant (1.1e-10 and 3.2e-12)
+    # relative at worst, measured), and the steps pass through every piece.
+    # At the default tol the stop test sets the distance to the optimum the
+    # oracle finds for the loop's own linear plant: on the final piece the
+    # flow is affine, so q is off q* by at most ||A^-1|| times the final
+    # residual (1.5e-8 against 1.8e-8 on light30, 5.3e-12 against 6.4e-12
+    # on heavy14). At tol=1e-10 the run settles on q* (5.3e-12 and 2.1e-16)
     steps, accepted = [], []
     attempt, refresh = _ClosedLoop.attempt, _ClosedLoop.refresh_inverse
 
@@ -506,22 +539,72 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
     monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
     monkeypatch.setattr(_ClosedLoop, "refresh_inverse", recording_refresh)
     case = request.getfixturevalue(name)
-    res = run_static(case, plant_mode=PlantMode.LINEAR)
-    assert res.converged and len(accepted) == len(res.trajectory) - 1 > 40
-    for loop, y0, active0, h, y1 in accepted:
-        c = loop.c
-        xc = loop.sens.x[:, loop.cpos]
-        v0 = loop.sens.base_v + xc @ (y0[:c] - loop.sens.base_q[loop.cpos])
-        f0, on = written_out_rates(y0, v0, xc, loop.lim, Gains(), active0[c:])
-        assert on.tolist() == active0.tolist()
-        n = len(y0)
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = h * written_out_jacobian(xc, Gains(), active0)
-        aug[:n, n] = f0
-        exact = y0 + h * scipy.linalg.expm(aug)[:n, n]
-        assert np.all(np.abs(y1 - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
-    qp = solve_centralized(loop.sens, loop.lim)
-    assert np.max(np.abs(res.final_q - qp.q_star)) < 1e-8
+    for tol in (1e-6, 1e-10):
+        steps.clear()
+        accepted.clear()
+        res = run_static(case, plant_mode=PlantMode.LINEAR, tol=tol)
+        assert res.converged and len(accepted) == len(res.trajectory) - 1
+        pieces = {active0.tobytes() for _, _, active0, _, _ in accepted}
+        assert len(pieces) >= LINEAR_PIECES[name]
+        for loop, y0, active0, h, y1 in accepted:
+            c = loop.c
+            xc = loop.sens.x[:, loop.cpos]
+            v0 = loop.sens.base_v + xc @ (y0[:c] - loop.sens.base_q[loop.cpos])
+            f0, on = written_out_rates(y0, v0, xc, loop.lim, Gains(), active0[c:])
+            assert on.tolist() == active0.tolist()
+            n = len(y0)
+            aug = np.zeros((n + 1, n + 1))
+            aug[:n, :n] = h * written_out_jacobian(xc, Gains(), active0)
+            aug[:n, n] = f0
+            exact = y0 + h * scipy.linalg.expm(aug)[:n, n]
+            assert np.all(np.abs(y1 - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
+        qp = solve_centralized(loop.sens, loop.lim)
+        distance = np.max(np.abs(res.final_q - qp.q_star))
+        if tol == 1e-10:
+            assert distance < 1e-10
+            continue
+        y = res.trajectory.states[-1].packed()
+        v = loop.sens.base_v + xc @ (y[:c] - loop.sens.base_q[loop.cpos])
+        _, on = written_out_rates(y, v, xc, loop.lim, Gains(), np.zeros(len(y) - c, bool))
+        inverse = np.linalg.inv(written_out_jacobian(xc, Gains(), on)[np.ix_(on, on)])
+        assert res.final_residual < tol
+        assert distance <= np.linalg.norm(inverse[:c], np.inf) * res.final_residual
+
+
+@pytest.mark.parametrize("name, bound", [("heavy14", 55), ("light30", 150)])
+def test_linear_runs_land_events_in_few_attempts(request, name, bound):
+    # each event is landed on the first root of its row's cubic Hermite
+    # interpolant over the step: 45 and 128 attempts measured, where linear
+    # interpolation took 93 and 267. Every attempt is counted once, by reason
+    res = run_static(request.getfixturevalue(name), plant_mode=PlantMode.LINEAR)
+    stats = res.stats
+    assert res.converged and stats.accepted == len(res.trajectory) - 1
+    assert stats.attempts <= bound
+    assert stats.plant_calls == stats.phi_products == stats.attempts
+    assert stats.error_test == stats.plant_divergence == 0
+
+
+def test_event_root_is_the_first_zero_of_the_hermite_cubic():
+    # random cubic Hermite data with p(0) > 0 >= p(1), over seven decades of
+    # scale and with up to three roots in (0, 1]: the root is the first sign
+    # change of scipy's interpolant on a grid of 4,001 points, refined by
+    # brentq, to 1e-12
+    rng = np.random.default_rng(20)
+    n = 600
+    scale = 10.0 ** rng.uniform(-6.0, 1.0, n)
+    p0 = scale * rng.uniform(1e-3, 1.0, n)
+    p1 = -scale * rng.uniform(1e-3, 1.0, n)
+    d0, d1 = (scale * 10.0 * rng.standard_normal(n) for _ in range(2))
+    roots = simulate._first_root(p0, p1, d0, d1)
+    grid = np.linspace(0.0, 1.0, 4001)
+    several = 0
+    for i in range(n):
+        cubic = scipy.interpolate.CubicHermiteSpline([0.0, 1.0], [p0[i], p1[i]], [d0[i], d1[i]])
+        first = int(np.argmax(cubic(grid) <= 0.0))
+        expected = scipy.optimize.brentq(cubic, grid[first - 1], grid[first], xtol=1e-15)
+        assert abs(roots[i] - expected) <= 1e-12
+        several += np.count_nonzero(np.diff(np.sign(cubic(grid))) != 0) > 1
+    assert several > 50
 
 
 def test_nonlinear_run_forms_one_jacobian_per_accepted_step(jacobian_builds, heavy14):
@@ -544,9 +627,9 @@ def test_trajectory_states_are_the_accepted_rows(monkeypatch, heavy14, mode):
     ends, accepted = [], []
     attempt, refresh = _ClosedLoop.attempt, _ClosedLoop.refresh_inverse
 
-    def recording_attempt(self, *args):
-        out = attempt(self, *args)
-        ends.append(out[-1][0].copy())
+    def recording_attempt(self, y0, f0, active0, h):
+        out = attempt(self, y0, f0, active0, h)
+        ends.append((active0.tobytes(), out[-1][0].copy()))
         return out
 
     def recording_refresh(self):
@@ -558,8 +641,14 @@ def test_trajectory_states_are_the_accepted_rows(monkeypatch, heavy14, mode):
     monkeypatch.setattr(_ClosedLoop, "refresh_inverse", recording_refresh)
     res = run_static(heavy14, plant_mode=mode)
     assert res.converged
-    rows = [ControllerState.zeros(9, 9).packed()] + accepted
-    assert len(rows) == len(res.trajectory) > 40
+    # the accepted steps pass through every piece the linear run holds;
+    # the nonlinear run still takes more than 40 of them (114 measured)
+    rows = [ControllerState.zeros(9, 9).packed()] + [row for _, row in accepted]
+    if mode is PlantMode.LINEAR:
+        assert len({piece for piece, _ in accepted}) >= LINEAR_PIECES["heavy14"]
+        assert len(rows) == len(res.trajectory)
+    else:
+        assert len(rows) == len(res.trajectory) > 40
     for state, row in zip(res.trajectory.states, rows):
         assert state.packed().tobytes() == row.tobytes()
 
@@ -971,13 +1060,15 @@ def _window(t_end: float) -> SimulationResult:
     trajectory = Trajectory(
         t=np.array([0.0, t_end]), states=(state, state), v=np.ones((2, 1)), cost=np.zeros(2)
     )
-    return SimulationResult(trajectory, np.ones(1), np.zeros(1), True, 0.0, no_excursion)
+    return SimulationResult(
+        trajectory, np.ones(1), np.zeros(1), True, 0.0, no_excursion, simulate.SolverStats()
+    )
 
 
 @pytest.mark.parametrize("boundary", [1e7, 2e7])
 def test_join_nudges_a_shared_boundary_forward(boundary):
     # past 2**24 s an absolute 1e-9 s is below half the float spacing
-    trajectory, _ = _join([(0.0, _window(boundary)), (boundary, _window(5.0))])
+    trajectory, _, _ = _join([(0.0, _window(boundary)), (boundary, _window(5.0))])
     assert trajectory.t[2] > trajectory.t[1] == boundary
     if boundary < 2.0**24:
         assert trajectory.t[2] == boundary + 1e-9
