@@ -211,7 +211,8 @@ class PackedFlow:
     (v - v_hi, v_lo - v, q - q_hi, q_lo - q). Stored are the q rows, the
     multiplier rows' q columns J_mq, the limits and the gains; the
     projection tests the violations themselves and the gains scale what it
-    keeps. No input is validated; ``dynamics_rhs`` is the checked entry point.
+    keeps, and ``events`` tells where a piece of it ends. No input is
+    validated; ``dynamics_rhs`` is the checked entry point.
     """
 
     def __init__(self, xc: np.ndarray, lim: Limits, gains: Gains):
@@ -260,9 +261,17 @@ class PackedFlow:
         """The multiplier rows' constraint violations at a packed state and its voltages."""
         return np.concatenate((v, -v, y[: self.c], -y[: self.c])) + self._offset
 
-    def violation_rate(self, q_rate: np.ndarray) -> np.ndarray:
-        """The violations' time derivatives while q moves at ``q_rate``: J_mq q_rate / gain."""
-        return self._j_mq @ q_rate / self._gain
+    def events(self, y: np.ndarray, v: np.ndarray, on: np.ndarray) -> np.ndarray:
+        """Each multiplier row's event function at a packed state and its voltages.
+
+        It is the multiplier on a row ``on`` the piece and minus the
+        constraint's violation off it; the piece ends where one turns negative.
+        """
+        return np.where(on, y[self.c :], -self.violation(y, v))
+
+    def event_rates(self, f: np.ndarray, on: np.ndarray) -> np.ndarray:
+        """The events' time derivatives at rates f: f on the piece, -J_mq f_q / gain off it."""
+        return np.where(on, f[self.c :], -(self._j_mq @ f[: self.c]) / self._gain)
 
     def jacobian_product(self, active: np.ndarray, z: np.ndarray) -> np.ndarray:
         """J z for the closed loop's J with its inactive rows zeroed (see ``phi``)."""
@@ -416,14 +425,3 @@ def dynamics_rhs(
     xc = sens.x[:, sens.partition.controlled_in_pq()]
     rates, _ = PackedFlow(xc, lim, gains).rates(state.packed(), v_measured)
     return StateRates(*_split(rates, *xc.shape))
-
-
-def equilibrium_residual(
-    state: ControllerState,
-    v_measured: np.ndarray,
-    sens,
-    lim: Limits,
-    gains: Gains = Gains(),
-) -> float:
-    """Infinity norm of the projected state derivative; zero at a saddle point."""
-    return float(np.max(np.abs(dynamics_rhs(state, v_measured, sens, lim, gains).packed())))

@@ -198,9 +198,3 @@ def mismatch(
         inj.p_injection[top.non_slack] - s.real[top.non_slack],
         inj.q_injection - s.imag[top.pq],
     )
-
-
-def bus_power(case: NetworkCase, sol: PowerFlowSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Actual per-bus active and reactive network injections at a solution."""
-    _, s = _complex_power(case.topology.y, sol.v, sol.delta)
-    return s.real, s.imag

@@ -20,17 +20,13 @@ where F is the piece's rate. The correction is the embedded estimate of
 U2's local error and sets the step size. On the linear plant, and on the
 nonlinear one while no lam row is active, D2 is zero: the step is exact on
 its piece and makes one plant call, at its end; otherwise it makes two, at
-U2 and at y1, and no Newton iteration. A step that would drive a
-multiplier negative, or end where a row off its piece has its constraint
-violated, is cut back to land on that event: to the first root of each
-event row's cubic Hermite interpolant over the step, from the row's values
-and time derivatives at both ends (dense-output event location; Shampine
-& Thompson, Comput. Math. Appl. 39, 2000), so trajectories never leave the
-nonnegative orthant by more than the solver tolerance. Events already at
-the step's start change the piece instead, all in one retry of the same
-step at the same size: every multiplier within 1e-9 of zero that would
-cross is clamped to zero, and every row within 1e-9 of its constraint that
-would enter joins the piece. Each result counts its accepted steps, its
+U2 and at y1, and no Newton iteration. The piece ends where a multiplier
+row's event function (``PackedFlow.events``) turns negative. A step past
+such an event is cut back to land on the first root of that row's cubic
+Hermite interpolant over the step (dense-output event location; Shampine
+& Thompson, Comput. Math. Appl. 39, 2000). Events within 1e-9 of zero at
+the step's start flip their rows' place on the piece instead, all in one
+retry of the same step. Each result counts its accepted steps, its
 rejected attempts by reason, its plant calls and its phi-products in a
 ``SolverStats``.
 
@@ -71,6 +67,7 @@ voltage of the power flow its relinearization solved.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from enum import Enum
 
@@ -134,9 +131,9 @@ class SolverStats:
     """Work counts of a run, summed over its windows.
 
     Accepted steps, and rejected attempts by reason: an attempt fails the
-    error test, is cut back to land on a multiplier crossing zero or on a
-    row entering its piece, is retried after a start-of-step event (a clamp
-    or a join), or is retried at half the size after the plant diverged.
+    error test, is cut back to land on an event of a row on the piece
+    (crossing) or off it (entering), is retried after a start-of-step event,
+    or is retried at half the size after the plant diverged.
     Plant calls are the voltages the steps measure (a window's start reads
     its relinearization's solve), and phi-products those the steps take.
     """
@@ -203,7 +200,8 @@ class _ClosedLoop:
     A plant solve that does not converge raises
     :class:`PlantDivergenceError`, which fails the step attempt. States are
     packed vectors whose first C entries are q and whose remaining entries
-    are multipliers.
+    are multipliers. ``counts`` holds the window's work counts by
+    ``SolverStats`` field.
     """
 
     def __init__(
@@ -220,7 +218,7 @@ class _ClosedLoop:
         self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, gains)
         self.last: PowerFlowSolution | None = None
         self.inverse: np.ndarray | None = None
-        self.plant_calls = self.phi_products = 0
+        self.counts: Counter = Counter()
 
     def embed(self, q: np.ndarray) -> np.ndarray:
         full = np.zeros(self.m)
@@ -267,19 +265,14 @@ class _ClosedLoop:
 
     def voltage(self, q: np.ndarray) -> np.ndarray:
         """The plant call: load-bus voltages measured at controller output q."""
-        self.plant_calls += 1
+        self.counts["plant_calls"] += 1
         if self.mode is PlantMode.LINEAR:
             return predict_voltage(self.sens, self.embed(q))
         return self._solve(q).v[self.part.pq]
 
-    def eval(self, y: np.ndarray, v: np.ndarray | None = None):
-        """Floored state, projected rates, active rows and measured voltage at a packed state.
-
-        ``v`` is the voltage at y's q where it is already known.
-        """
+    def eval(self, y: np.ndarray, v: np.ndarray):
+        """Floored state, projected rates, active rows and v at a packed state that measures v."""
         y = np.concatenate((y[: self.c], np.maximum(y[self.c :], 0.0)))
-        if v is None:
-            v = self.voltage(y[: self.c])
         return (y, *self.flow.rates(y, v), v)
 
     def attempt(self, y0: np.ndarray, f0: np.ndarray, active0: np.ndarray, h: float):
@@ -294,14 +287,13 @@ class _ClosedLoop:
         is solved at U2, and with D2 = F(U2) - f0 - J (U2 - y0), the piece's
         rates' departure from their linearization, the step ends at
         y1 = U2 + est with est = 2h phi3(hJ) D2, the embedded estimate of
-        U2's local error. Returns y1 unfloored, est, and the projected
-        evaluation at y1: the floored state, its rates, active rows and
-        measured voltage. An end whose q is U2's reuses U2's voltage. A plant
-        solve that does not converge raises :class:`PlantDivergenceError`,
-        and so does a stage that is not finite, before any plant call.
+        U2's local error. Returns y1 unfloored, est and the voltage measured
+        at y1, which reuses U2's where y1's q is U2's. A plant solve that does
+        not converge raises :class:`PlantDivergenceError`, and so does a stage
+        that is not finite, before any plant call.
         """
         c, flow = self.c, self.flow
-        self.phi_products += 1
+        self.counts["phi_products"] += 1
         u2 = y0 + h * flow.phi(1, h, active0, f0)
         if not np.all(np.isfinite(u2)):
             raise PlantDivergenceError("the step's stage is not finite; no plant is solved there")
@@ -311,12 +303,12 @@ class _ClosedLoop:
             v2 = self.voltage(u2[:c])
             f2, _ = flow.rates(u2, v2, active0[c:])
             d2 = np.where(active0, f2, 0.0) - f0 - flow.jacobian_product(active0, u2 - y0)
-            self.phi_products += 1
+            self.counts["phi_products"] += 1
             est = 2.0 * h * flow.phi(3, h, active0, d2)
         y1 = u2 + est
-        if v2 is not None and not np.array_equal(y1[:c], u2[:c]):
-            v2 = None
-        return y1, est, self.eval(y1, v2)
+        if v2 is None or not np.array_equal(y1[:c], u2[:c]):
+            v2 = self.voltage(y1[:c])
+        return y1, est, v2
 
 
 def integrate(
@@ -362,9 +354,6 @@ def integrate(
     v = loop.rebase(state0.q)
     f, active = loop.flow.rates(y, v)
     times, rows, volts, raw_mins = [0.0], [y], [v], [float(np.min(y[c:]))]
-    rejected = dict.fromkeys(
-        ("error_test", "crossing", "entering", "start_event", "plant_divergence"), 0
-    )
     residual = float(np.max(np.abs(f)))
     t = 0.0
     h = min(0.1, horizon)
@@ -373,65 +362,51 @@ def integrate(
         if h_try < 1e-13 * max(1.0, t):
             raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
         try:
-            y1, est, at_end = loop.attempt(y, f, active, h_try)
+            y1, est, v1 = loop.attempt(y, f, active, h_try)
         except PlantDivergenceError:
-            rejected["plant_divergence"] += 1
+            loop.counts["plant_divergence"] += 1
             h = 0.5 * h_try
             continue
-        a, b = y[c:], y1[c:]
-        crossing = (b < -1e-12) & (a > 0)
-        # rows off the piece whose constraint is violated at the step's end
-        entering = at_end[2][c:] & ~active[c:]
-        viol0 = loop.flow.violation(y, v)
-        viol1 = loop.flow.violation(at_end[0], at_end[3])
-        # events at the step's start: a residual-level dual decaying through
-        # zero is clamped there, and a row on the edge of its constraint
-        # joins the piece; then the same step is retried
-        clamp = crossing & (a <= 1e-9)
-        join = entering & (viol0 >= -1e-9)
-        if np.any(clamp | join):
-            rejected["start_event"] += 1
+        # the piece ends where a row's event function turns negative; a
+        # multiplier's dip below zero by rounding is left to the floor
+        on = active[c:]
+        g0, g1 = loop.flow.events(y, v, on), loop.flow.events(y1, v1, on)
+        event = np.where(on, (g0 > 0) & (g1 < -1e-12), g1 < 0)
+        start = event & (g0 <= 1e-9)
+        if np.any(start):
+            # events at the step's start flip their rows' place on the piece
+            # and retry the same step; a multiplier leaving it is clamped to zero
+            loop.counts["start_event"] += 1
             y = y.copy()
-            y[c:][clamp] = 0.0
-            f, active = loop.flow.rates(y, v, (active[c:] & ~clamp) | join)
+            y[c:][start] = 0.0
+            f, active = loop.flow.rates(y, v, on ^ start)
             continue
-        frac = 1.0
-        if np.any(crossing | entering):
-            # the fraction of the step where the first event row reaches its
-            # event: a multiplier zero, or an entering row's constraint. The
-            # rows' rates at the end are the piece's at the unfloored end,
-            # whose q, and so whose voltage, is the evaluated one
-            f1 = loop.flow.rates(y1, at_end[3], active[c:])[0]
-            rate0, rate1 = loop.flow.violation_rate(f[:c]), loop.flow.violation_rate(f1[:c])
-            roots = _first_root(
-                np.concatenate((a[crossing], -viol0[entering])),
-                np.concatenate((b[crossing], -viol1[entering])),
-                h_try * np.concatenate((f[c:][crossing], -rate0[entering])),
-                h_try * np.concatenate((f1[c:][crossing], -rate1[entering])),
-            )
+        if np.any(event):
+            # land on the first event; the rates at the end are the piece's at
+            # the unfloored end, whose q, and so whose voltage, is measured
+            f1 = loop.flow.rates(y1, v1, on)[0]
+            slopes = (h_try * loop.flow.event_rates(r, on)[event] for r in (f, f1))
+            roots = _first_root(g0[event], g1[event], *slopes)
             first = int(np.argmin(roots))
-            frac = float(roots[first])
-        if frac < 1.0 and h_try * frac > 1e-10:
-            # land on the event instead of stepping past it
-            rejected["crossing" if first < np.count_nonzero(crossing) else "entering"] += 1
-            h = h_try * frac
-            continue
+            if roots[first] < 1.0 and h_try * roots[first] > 1e-10:
+                loop.counts["crossing" if on[event][first] else "entering"] += 1
+                h = h_try * float(roots[first])
+                continue
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
         err = float(np.max(np.abs(est) / scale))
+        # one factor cuts a step that fails the error test and grows one that passes
+        h = h_try * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))))
         if not err <= 1.0:
-            rejected["error_test"] += 1
-            h = h_try * max(0.2, 0.9 * err ** (-1.0 / 3.0))
+            loop.counts["error_test"] += 1
             continue
         t += h_try
-        y, f, active, v = at_end
+        y, f, active, v = loop.eval(y1, v1)
         loop.refresh_inverse()
         times.append(t)
         rows.append(y)
         volts.append(v)
-        raw_mins.append(float(np.min(b)))
+        raw_mins.append(float(np.min(y1[c:])))
         residual = float(np.max(np.abs(f)))
-        growth = min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))) if err > 0 else 5.0
-        h = h_try * growth
 
     packed = np.array(rows)
     states = trajectory_states(packed, m, c)
@@ -457,12 +432,7 @@ def integrate(
             max_q_above=max(0.0, float(np.max(q_all - lim.q_hi))),
             min_multiplier=min(0.0, min(raw_mins)),
         ),
-        stats=SolverStats(
-            len(rows) - 1,
-            **rejected,
-            plant_calls=loop.plant_calls,
-            phi_products=loop.phi_products,
-        ),
+        stats=SolverStats(len(rows) - 1, **loop.counts),
     )
 
 
@@ -624,8 +594,8 @@ def run_daily(
     profile = np.asarray(profile, dtype=float)
     if profile.shape != (24,):
         raise ConfigError("daily profile needs exactly 24 load factors")
-    if np.any(profile < 0):
-        raise ConfigError("load factors must be nonnegative")
+    if not np.all((profile >= 0) & (profile < np.inf)):
+        raise ConfigError("load factors must be nonnegative and finite")
     state = None
     windows: list[tuple[float, SimulationResult]] = []
     bare_v = []

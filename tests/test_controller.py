@@ -14,7 +14,6 @@ from voltctrl.controller import (
     PackedFlow,
     StateRates,
     dynamics_rhs,
-    equilibrium_residual,
     expm,
     lagrangian,
     objective,
@@ -319,13 +318,54 @@ def test_rates_match_the_lagrangian():
     assert tiny > 0
 
 
+def test_event_rates_are_the_events_time_derivative(case14):
+    # the linear plant on case14 at seeded random states, gains and held
+    # rows: on the piece a state lies on, the events (multipliers on it,
+    # minus the violations off it) are affine in the state, so their central
+    # difference along the piece's written-out rates is their time
+    # derivative up to rounding. At a point of its own piece every event is
+    # nonnegative
+    part = partition_buses(case14)
+    sens = voltage_sensitivity(build_admittance(case14), part)
+    cpos = part.controlled_in_pq()
+    xc = sens.x[:, cpos]
+    m, c = xc.shape
+    lim = Limits.box(m, c)
+
+    def voltage(y):
+        q = np.zeros(m)
+        q[cpos] = y[:c]
+        return predict_voltage(sens, q)
+
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
+        mult = rng.uniform(0.0, 2.0, 2 * m + 2 * c) * (rng.random(2 * m + 2 * c) < 0.5)
+        y = np.concatenate([rng.uniform(-0.3, 0.3, c), mult])
+        held = rng.random(2 * m + 2 * c) < 0.2
+        f, active = written_out_rates(y, voltage(y), xc, lim, gains, held)
+        on = active[c:]
+        flow = PackedFlow(xc, lim, gains)
+        assert np.all(flow.events(y, voltage(y), on) >= 0.0)
+        s = 0.5
+        up, dn = y + s * f, y - s * f
+        diff = (flow.events(up, voltage(up), on) - flow.events(dn, voltage(dn), on)) / (2 * s)
+        rates = flow.event_rates(f, on)
+        assert np.max(np.abs(rates - diff)) <= 1e-10 * np.max(np.abs(diff))
+
+
+def _residual(state, v, sens, lim, gains=Gains()) -> float:
+    """Infinity norm of the projected rates; zero at a saddle point."""
+    return float(np.max(np.abs(dynamics_rhs(state, v, sens, lim, gains).packed())))
+
+
 def test_interior_zero_state_is_equilibrium():
     sens = toy_sens(base_v=1.0)
     lim = toy_limits()
     state = ControllerState.zeros(1, 1)
     rates = dynamics_rhs(state, np.array([1.0]), sens, lim)
     assert np.all(rates.packed() == 0.0)
-    assert equilibrium_residual(state, np.array([1.0]), sens, lim) == 0.0
+    assert _residual(state, np.array([1.0]), sens, lim) == 0.0
 
 
 def test_toy_kkt_point_is_equilibrium():
@@ -342,7 +382,7 @@ def test_toy_kkt_point_is_equilibrium():
     )
     v = predict_voltage(sens, state.q)
     assert v[0] == pytest.approx(0.95)
-    assert equilibrium_residual(state, v, sens, lim) < 1e-10
+    assert _residual(state, v, sens, lim) < 1e-10
 
 
 def test_violated_floor_forces_multiplier_growth():
@@ -353,7 +393,7 @@ def test_violated_floor_forces_multiplier_growth():
     v = np.array([0.92])
     rates = dynamics_rhs(state, v, sens, lim, gains)
     assert rates.lam_lo[0] == pytest.approx(2.5 * 0.03)
-    assert equilibrium_residual(state, v, sens, lim, gains) >= 2.5 * 0.03 - 1e-12
+    assert _residual(state, v, sens, lim, gains) >= 2.5 * 0.03 - 1e-12
 
 
 def test_rates_scale_with_gains():
@@ -415,7 +455,7 @@ def test_residual_invariant_under_relabeling(case14):
         mu_lo=rng.uniform(0, 1, 9),
     )
     v = rng.uniform(0.9, 1.1, 9)
-    r0 = equilibrium_residual(state, v, sens, lim)
+    r0 = _residual(state, v, sens, lim)
 
     perm = rng.permutation(9)
     part_p = BusPartition(
@@ -434,7 +474,7 @@ def test_residual_invariant_under_relabeling(case14):
         mu_hi=state.mu_hi[perm],
         mu_lo=state.mu_lo[perm],
     )
-    r1 = equilibrium_residual(state_p, v[perm], sens_p, lim)
+    r1 = _residual(state_p, v[perm], sens_p, lim)
     assert r1 == pytest.approx(r0, abs=1e-14)
 
 

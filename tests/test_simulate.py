@@ -22,7 +22,7 @@ from voltctrl.controller import (
     Gains,
     Limits,
     PackedFlow,
-    equilibrium_residual,
+    dynamics_rhs,
     objective,
 )
 from voltctrl.errors import (
@@ -154,7 +154,7 @@ def test_toy_residual_decays_monotonically_after_transient(toy2, toy_limits, toy
     )
     resid = np.array(
         [
-            equilibrium_residual(s, v, sens, toy_limits)
+            np.max(np.abs(dynamics_rhs(s, v, sens, toy_limits).packed()))
             for s, v in zip(toy_lin.trajectory.states, toy_lin.trajectory.v)
         ]
     )
@@ -332,7 +332,8 @@ def _fixed_steps(loop, start: ControllerState, h: float, steps: int) -> np.ndarr
     """The packed state after ``steps`` accepted steps of size h from the start."""
     y, f, active, _ = loop.eval(start.packed(), loop.rebase(start.q))
     for _ in range(steps):
-        _, _, (y, f, active, _) = loop.attempt(y, f, active, h)
+        y1, _, v1 = loop.attempt(y, f, active, h)
+        y, f, active, _ = loop.eval(y1, v1)
         loop.refresh_inverse()
     return y
 
@@ -571,6 +572,15 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
         assert distance <= np.linalg.norm(inverse[:c], np.inf) * res.final_residual
 
 
+# the cut-back reasons each linear run reaches: an event of a row on the
+# piece (crossing), of one off it (entering), or at the step's start; 10, 3
+# and 2 on heavy14, 46 crossing and 7 start events on light30
+LANDING_REASONS = {
+    "heavy14": ("crossing", "entering", "start_event"),
+    "light30": ("crossing", "start_event"),
+}
+
+
 @pytest.mark.parametrize("name, bound", [("heavy14", 55), ("light30", 150)])
 def test_linear_runs_land_events_in_few_attempts(request, name, bound):
     # each event is landed on the first root of its row's cubic Hermite
@@ -582,6 +592,8 @@ def test_linear_runs_land_events_in_few_attempts(request, name, bound):
     assert stats.attempts <= bound
     assert stats.plant_calls == stats.phi_products == stats.attempts
     assert stats.error_test == stats.plant_divergence == 0
+    for reason in LANDING_REASONS[name]:
+        assert getattr(stats, reason) > 0, reason
 
 
 def test_event_root_is_the_first_zero_of_the_hermite_cubic():
@@ -622,23 +634,22 @@ def test_nonlinear_run_forms_one_jacobian_per_accepted_step(jacobian_builds, hea
 def test_trajectory_states_are_the_accepted_rows(monkeypatch, heavy14, mode):
     # integrate checks its accepted rows once, as one array, and builds the
     # states from them without checking each again; each state must still be
-    # the row the loop accepted, which is the end of the attempt just before
-    # the loop refreshes its plant at the new state
-    ends, accepted = [], []
-    attempt, refresh = _ClosedLoop.attempt, _ClosedLoop.refresh_inverse
+    # the row the loop accepted, the floored end that ``eval`` makes of an
+    # accepted attempt, recorded with the piece that attempt held
+    pieces, accepted = [], []
+    attempt, evaluate = _ClosedLoop.attempt, _ClosedLoop.eval
 
     def recording_attempt(self, y0, f0, active0, h):
-        out = attempt(self, y0, f0, active0, h)
-        ends.append((active0.tobytes(), out[-1][0].copy()))
+        pieces.append(active0.tobytes())
+        return attempt(self, y0, f0, active0, h)
+
+    def recording_eval(self, y, v):
+        out = evaluate(self, y, v)
+        accepted.append((pieces[-1], out[0].copy()))
         return out
 
-    def recording_refresh(self):
-        if ends:
-            accepted.append(ends[-1])
-        refresh(self)
-
     monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
-    monkeypatch.setattr(_ClosedLoop, "refresh_inverse", recording_refresh)
+    monkeypatch.setattr(_ClosedLoop, "eval", recording_eval)
     res = run_static(heavy14, plant_mode=mode)
     assert res.converged
     # the accepted steps pass through every piece the linear run holds;
@@ -730,12 +741,13 @@ def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
     calls = []
     measure = loop.voltage
     loop.voltage = lambda q: calls.append(q) or measure(q)
-    z, _, (y, g, _, _) = loop.attempt(y0, f0, active0, 1e-3 / 0.05)
+    z, _, v1 = loop.attempt(y0, f0, active0, 1e-3 / 0.05)
     assert len(calls) == 1
     # the row ends a hair past zero, a crossing for integrate to land on;
-    # the evaluation handed back is the projected one
+    # the evaluation there is the projected one, with no further plant call
     assert -1e-8 < z[2] < 0.0
-    assert y[2] == 0.0 and g[2] == 0.0
+    y, g, _, _ = loop.eval(z, v1)
+    assert y[2] == 0.0 and g[2] == 0.0 and len(calls) == 1
 
 
 @pytest.mark.parametrize("mode", [PlantMode.LINEAR, PlantMode.NONLINEAR])
@@ -836,6 +848,11 @@ def test_daily_profile_validation(case14):
         run_daily(case14, profile=np.ones(23))
     with pytest.raises(ConfigError):
         run_daily(case14, profile=np.full(24, -1.0))
+    for bad in (np.nan, np.inf):
+        profile = default_daily_profile()
+        profile[3] = bad
+        with pytest.raises(ConfigError, match="nonnegative and finite"):
+            run_daily(case14, profile=profile)
 
 
 def test_daily_hour_without_a_power_flow_names_the_hour(case14):
