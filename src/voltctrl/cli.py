@@ -247,26 +247,22 @@ def emit_report(
         + [f"v_{b}" for b in pq_ids]
         + ["lam_norm", "mu_norm", "cost"]
     )
-    lines = [",".join(header)]
     traj = result.trajectory
-    for k in range(len(traj)):
-        state = traj.states[k]
-        lam_norm = float(
-            max(np.max(state.lam_hi, initial=0.0), np.max(state.lam_lo, initial=0.0))
-        )
-        mu_norm = float(
-            max(np.max(state.mu_hi, initial=0.0), np.max(state.mu_lo, initial=0.0))
-        )
-        row = (
-            [_fmt(traj.t[k])]
-            + [_fmt(x) for x in state.q]
-            + [_fmt(x) for x in traj.v[k]]
-            + [_fmt(lam_norm), _fmt(mu_norm), _fmt(traj.cost[k])]
-        )
-        lines.append(",".join(row))
+    # one packed row per sample: q, then lam_hi, lam_lo, mu_hi and mu_lo
+    packed = np.array([state.packed() for state in traj.states])
+    m, c = part.n_load, part.n_controlled
+    table = np.column_stack((
+        traj.t,
+        packed[:, :c],
+        traj.v,
+        np.max(packed[:, c : c + 2 * m], axis=1, initial=0.0),
+        np.max(packed[:, c + 2 * m :], axis=1, initial=0.0),
+        traj.cost,
+    ))
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in table]
     traj_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-    bare = solve_power_flow(case, nominal_injections(case), max_iter=30)
+    bare = solve_power_flow(case, nominal_injections(case))
     if not bare.converged:
         raise VoltCtrlError("uncontrolled power flow failed while writing the report")
     volt_path = out / "voltages_before_after.txt"
@@ -278,17 +274,11 @@ def emit_report(
     ]
     volt_path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
-    final_state = traj.states[-1]
-    binding = []
-    for label, mults, id_list in (
-        ("v_hi", final_state.lam_hi, pq_ids),
-        ("v_lo", final_state.lam_lo, pq_ids),
-        ("q_hi", final_state.mu_hi, ctl_ids),
-        ("q_lo", final_state.mu_lo, ctl_ids),
-    ):
-        for pos, value in enumerate(mults):
-            if value > 1e-6:
-                binding.append(f"{label} @ bus {id_list[pos]}")
+    # each multiplier of the final packed row against its constraint and bus
+    labels = np.repeat(["v_hi", "v_lo", "q_hi", "q_lo"], [m, m, c, c])
+    buses = np.concatenate((pq_ids, pq_ids, ctl_ids, ctl_ids))
+    held = packed[-1, c:] > 1e-6
+    binding = [f"{label} @ bus {bus}" for label, bus in zip(labels[held], buses[held])]
     viol, st = result.violations, result.stats
     summary = [
         f"converged: {'yes' if result.converged else 'no'}",
@@ -386,7 +376,7 @@ def _cmd_run(cfg: RunConfig) -> int:
 
 def _cmd_powerflow(cfg: RunConfig) -> int:
     case = load_network(cfg)
-    sol = solve_power_flow(case, nominal_injections(case), max_iter=30)
+    sol = solve_power_flow(case, nominal_injections(case))
     print(f"converged: {'yes' if sol.converged else 'no'}  iterations: {sol.iterations}")
     print(f"max mismatch: {sol.max_mismatch:.3e}")
     print("bus  magnitude  angle_deg")
@@ -415,7 +405,7 @@ def _cmd_sensitivity(cfg: RunConfig) -> int:
 def _cmd_validate(cfg: RunConfig) -> int:
     case = load_network(cfg)
     limits = cfg.limits_for(case)
-    sol = solve_power_flow(case, nominal_injections(case), max_iter=30)
+    sol = solve_power_flow(case, nominal_injections(case))
     if not sol.converged:
         raise VoltCtrlError("power flow did not converge at the base point")
     part = partition_buses(case)

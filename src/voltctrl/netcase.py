@@ -523,21 +523,21 @@ def trip_branch(case: NetworkCase, from_bus: int, to_bus: int) -> NetworkCase:
 def scale_loads(case: NetworkCase, factor) -> NetworkCase:
     """Scale PQ-bus loads by a common factor or a per-bus {id: factor} map.
 
-    Slack and PV bus data are left untouched. Factors must be nonnegative;
-    per-bus maps may only name PQ buses.
+    Slack and PV bus data are left untouched. Factors must be nonnegative
+    and finite; per-bus maps may only name PQ buses.
     """
     if isinstance(factor, dict):
         for bus_id, f in factor.items():
-            if f < 0:
-                raise CaseDataError(f"negative load factor {f} for bus {bus_id}")
+            if not 0 <= f < math.inf:
+                raise CaseDataError(f"bus {bus_id}: load factor {f} must be nonnegative and finite")
             bus = case.bus(bus_id)
             if bus.kind is not BusKind.PQ:
                 raise CaseDataError(f"bus {bus_id} is {bus.kind.name}; load scaling applies to PQ buses")
         per_bus = dict(factor)
     else:
         f = float(factor)
-        if f < 0:
-            raise CaseDataError(f"negative load factor {f}")
+        if not 0 <= f < math.inf:
+            raise CaseDataError(f"load factor {f} must be nonnegative and finite")
         per_bus = {b.id: f for b in case.buses if b.kind is BusKind.PQ}
     buses = tuple(
         replace(b, p_load=b.p_load * per_bus[b.id], q_load=b.q_load * per_bus[b.id])

@@ -181,7 +181,7 @@ def plant_equilibrium(
         full = np.zeros(part.n_load)
         full[cpos] = q
         moved = InjectionSet(inj.p_injection, inj.q_injection + full)
-        sol = solve_power_flow(case, moved, tol=1e-12, max_iter=30, warm_start=sol)
+        sol = solve_power_flow(case, moved, tol=1e-12, warm_start=sol)
         if not sol.converged:
             raise PlantDivergenceError(f"power flow did not converge at iterate {iteration}")
         qp = solve_centralized(rebased(sens, base_v=sol.v[part.pq], base_q=full), limits)

@@ -100,7 +100,7 @@ def solve_power_flow(
     case: NetworkCase,
     inj: InjectionSet,
     tol: float = 1e-8,
-    max_iter: int = 20,
+    max_iter: int = 30,
     warm_start: PowerFlowSolution | None = None,
     inverse: np.ndarray | None = None,
 ) -> PowerFlowSolution:

@@ -45,12 +45,12 @@ the attempt the same way, before any plant call; where halving never
 makes it finite, the run ends in :class:`StepSizeUnderflowError`.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
-horizon or to equilibrium; it takes ``run_static``'s parameters plus the
-error tolerances. Three scenario families mirror the intended use:
+horizon or to equilibrium; it takes exactly ``run_static``'s parameters.
+Three scenario families mirror the intended use:
 a static load held to equilibrium (one window), a line trip during
 operation (an intact window, then a tripped one from its last state), and a
 24-hour load profile (one window per hour, warm-started hour to hour).
-Multi-window runs are joined into one trajectory by ``_join``.
+Multi-window runs are joined into one run record by ``_join``.
 
 Inside a window the engine works on packed state vectors only: one loop
 object per window holds the plant and the controller's flow, compiled once
@@ -185,6 +185,8 @@ class DailyResult(SimulationResult):
 # power mismatch every plant solve of the loop is taken to: far below the
 # local errors the step control reads, so its estimate stays above plant noise
 _PLANT_TOL = 1e-10
+# relative and absolute error tolerances of the step control
+_RTOL, _ATOL = 1e-6, 1e-8
 
 
 class _ClosedLoop:
@@ -315,25 +317,22 @@ def integrate(
     case: NetworkCase,
     limits: Limits | None = None,
     gains: Gains = Gains(),
-    tol: float | None = 1e-6,
+    tol: float = 1e-6,
     plant_mode: PlantMode = PlantMode.NONLINEAR,
     horizon: float = 2e5,
     initial_state: ControllerState | None = None,
-    rtol: float = 1e-6,
-    atol: float = 1e-8,
 ) -> SimulationResult:
     """Run one window from the start state at t = 0 to the horizon or equilibrium.
 
-    Equilibrium is every rate below ``tol`` in magnitude; ``tol=None`` runs
-    to the horizon. Unset limits are the default box, an unset start state
-    zeros. The plant is linearized at the start state's output. Multi-window
-    runs chain calls from the previous window's last state and ``_join`` them.
-    ``horizon``, ``rtol``, ``atol`` and a set ``tol`` must be positive and
-    finite, and the case must have a controlled bus; otherwise
-    :class:`ConfigError`.
+    Equilibrium is every rate below ``tol`` in magnitude. Unset limits are
+    the default box, an unset start state zeros. The plant is linearized at
+    the start state's output. Multi-window runs chain calls from the
+    previous window's last state and ``_join`` them. ``horizon`` and
+    ``tol`` must be positive and finite, and the case must have a
+    controlled bus; otherwise :class:`ConfigError`.
     """
-    for name, value in (("horizon", horizon), ("tol", tol), ("rtol", rtol), ("atol", atol)):
-        if not ((name == "tol" and value is None) or 0 < value < np.inf):
+    for name, value in (("horizon", horizon), ("tol", tol)):
+        if not 0 < value < np.inf:
             raise ConfigError(f"{name} must be positive and finite, got {value}")
     loop = _ClosedLoop(case, plant_mode, limits, gains)
     m, c, lim = loop.m, loop.c, loop.lim
@@ -357,7 +356,7 @@ def integrate(
     residual = float(np.max(np.abs(f)))
     t = 0.0
     h = min(0.1, horizon)
-    while not (tol is not None and residual < tol) and t < horizon - 1e-9 * max(1.0, horizon):
+    while not residual < tol and t < horizon - 1e-9 * max(1.0, horizon):
         h_try = min(h, horizon - t)
         if h_try < 1e-13 * max(1.0, t):
             raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
@@ -392,7 +391,7 @@ def integrate(
                 loop.counts["crossing" if on[event][first] else "entering"] += 1
                 h = h_try * float(roots[first])
                 continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
+        scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y1))
         err = float(np.max(np.abs(est) / scale))
         # one factor cuts a step that fails the error test and grows one that passes
         h = h_try * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))))
@@ -423,7 +422,7 @@ def integrate(
         ),
         final_v=final_v,
         final_q=states[-1].q.copy(),
-        converged=bool(tol is not None and residual < tol),
+        converged=bool(residual < tol),
         final_residual=residual,
         violations=ViolationSummary(
             max_v_below=max(0.0, float(np.max(lim.v_lo - v_all))),
@@ -474,15 +473,14 @@ def _first_root(p0, p1, d0, d1) -> np.ndarray:
     return x
 
 
-def _join(
-    windows: list[tuple[float, SimulationResult]],
-) -> tuple[Trajectory, ViolationSummary, SolverStats]:
-    """Chain window results, each started at the given time, into one record.
+def _join(windows: list[tuple[float, SimulationResult]]) -> SimulationResult:
+    """Chain window results, each started at the given time, into one run's record.
 
     A window's first sample that would not come after the previous window's
     last is nudged 1e-9 past it, or one float spacing where that is larger
     (past 2**24 s). Violations keep the worst of all windows, and the
-    solver counts are summed.
+    solver counts are summed. The final voltage, output and residual are
+    the last window's, and the run converged only if every window did.
     """
     times: list[np.ndarray] = []
     for start, res in windows:
@@ -492,21 +490,23 @@ def _join(
             t[0] = max(prev + 1e-9, np.nextafter(prev, np.inf))
         times.append(t)
     results = [res for _, res in windows]
-    trajectory = Trajectory(
-        t=np.concatenate(times),
-        states=tuple(s for res in results for s in res.trajectory.states),
-        v=np.vstack([res.trajectory.v for res in results]),
-        cost=np.concatenate([res.trajectory.cost for res in results]),
+    last = results[-1]
+    # the worst of each of the four excursions is its largest, of the multiplier its smallest
+    *excursions, multiplier = zip(*(astuple(res.violations) for res in results))
+    return SimulationResult(
+        trajectory=Trajectory(
+            t=np.concatenate(times),
+            states=tuple(s for res in results for s in res.trajectory.states),
+            v=np.vstack([res.trajectory.v for res in results]),
+            cost=np.concatenate([res.trajectory.cost for res in results]),
+        ),
+        final_v=last.final_v,
+        final_q=last.final_q,
+        converged=all(res.converged for res in results),
+        final_residual=last.final_residual,
+        violations=ViolationSummary(*map(max, excursions), min(multiplier)),
+        stats=sum((res.stats for res in results), SolverStats()),
     )
-    worst = [res.violations for res in results]
-    violations = ViolationSummary(
-        max_v_below=max(w.max_v_below for w in worst),
-        max_v_above=max(w.max_v_above for w in worst),
-        max_q_below=max(w.max_q_below for w in worst),
-        max_q_above=max(w.max_q_above for w in worst),
-        min_multiplier=min(w.min_multiplier for w in worst),
-    )
-    return trajectory, violations, sum((res.stats for res in results), SolverStats())
 
 
 def run_static(
@@ -554,17 +554,14 @@ def run_fault(
         initial_state=pre.trajectory.states[-1],
     )
     t_at_trip = float(pre.trajectory.t[-1]) if t_trip is None else t_trip
-    trajectory, violations, stats = _join([(0.0, pre), (t_at_trip, post)])
+    joined = _join([(0.0, pre), (t_at_trip, post)])
+    if t_trip is not None:
+        # a timed trip ends the intact window whether or not it settled
+        joined = replace(joined, converged=post.converged)
     pre_cost = float(pre.trajectory.cost[-1])
     post_cost = float(post.trajectory.cost[-1])
     return FaultResult(
-        trajectory=trajectory,
-        final_v=post.final_v,
-        final_q=post.final_q,
-        converged=post.converged and (pre.converged or t_trip is not None),
-        final_residual=post.final_residual,
-        violations=violations,
-        stats=stats,
+        **vars(joined),
         pre_cost=pre_cost,
         post_cost=post_cost,
         cost_ratio=post_cost / pre_cost if pre_cost > 0 else float("inf"),
@@ -618,16 +615,9 @@ def run_daily(
         )
         windows.append((hour * hour_seconds, res))
         state = res.trajectory.states[-1]
-    trajectory, violations, stats = _join(windows)
     results = [res for _, res in windows]
     return DailyResult(
-        trajectory=trajectory,
-        final_v=results[-1].final_v,
-        final_q=results[-1].final_q,
-        converged=all(res.converged for res in results),
-        final_residual=results[-1].final_residual,
-        violations=violations,
-        stats=stats,
+        **vars(_join(windows)),
         hourly_final_q=np.array([res.final_q for res in results]),
         hourly_final_v=np.array([res.trajectory.v[-1] for res in results]),
         uncontrolled_v=np.array(bare_v),
@@ -662,7 +652,8 @@ def calibrate_load_scale(case: NetworkCase, target_v: dict[int, float]) -> Calib
     Minimizes the max-abs voltage error against ``target_v`` (bus id ->
     magnitude) over load factors in [1, 4] by coarse grid plus
     golden-section refinement. ``achieved`` reports whether the best error
-    is below 0.02. An empty map, or one naming a bus the case lacks, raises
+    is below 0.02. An empty map, one naming a bus the case lacks, or a
+    target magnitude that is not positive and finite raises
     :class:`CaseDataError`.
     """
     if not target_v:
@@ -673,11 +664,14 @@ def calibrate_load_scale(case: NetworkCase, target_v: dict[int, float]) -> Calib
     if unknown:
         raise CaseDataError(f"target voltages name unknown bus ids {unknown}")
     want = np.array([target_v[b] for b in bus_ids])
+    bad = [b for b, w in zip(bus_ids, want) if not 0 < w < np.inf]
+    if bad:
+        raise CaseDataError(f"target magnitudes of bus ids {bad} must be positive and finite")
     rows = [index[b] for b in bus_ids]
 
     def err(k: float) -> float:
         scaled = scale_loads(case, k)
-        sol = solve_power_flow(scaled, nominal_injections(scaled), max_iter=30)
+        sol = solve_power_flow(scaled, nominal_injections(scaled))
         if not sol.converged:
             return np.inf
         return float(np.max(np.abs(sol.v[rows] - want)))

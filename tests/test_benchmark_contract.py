@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -57,6 +58,12 @@ def test_traced_functions_resolve():
     for mod_name, fn_name, _ in _load_tracer().TRACED:
         module = importlib.import_module(f"voltctrl.{mod_name}")
         assert callable(getattr(module, fn_name, None)), f"voltctrl.{mod_name}.{fn_name}"
+
+
+def test_the_engine_takes_the_benchmarked_entry_points_parameters():
+    # the benchmark times run_static, a one-line call of the engine; a
+    # parameter on one that the other lacks would let the two drift apart
+    assert inspect.signature(simulate.integrate) == inspect.signature(simulate.run_static)
 
 
 def test_scenarios_reach_the_traced_engine(toy2, case14):

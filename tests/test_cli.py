@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voltctrl import cli
+from voltctrl import cli, load_case
 from voltctrl.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
@@ -22,6 +22,10 @@ from voltctrl.cli import (
     parse_trip,
 )
 from voltctrl.errors import ConfigError
+from voltctrl.netcase import scale_loads
+from voltctrl.oracle import solve_centralized
+from voltctrl.powerflow import nominal_injections, solve_power_flow
+from voltctrl.sensitivity import partition_buses, rebased, voltage_sensitivity
 from voltctrl.simulate import PlantMode
 
 
@@ -250,6 +254,32 @@ def test_summary_matches_trajectory(static_run):
         line for line in summary.splitlines() if line.startswith("final cost")
     )
     assert float(cost_line.split(":")[1]) == pytest.approx(data[-1, -1], abs=1e-6)
+
+
+def test_summary_lists_the_oracle_binding_constraints(static_run):
+    # the linear loop settles on the QP oracle's optimum at the base point,
+    # built as validate builds it, so its binding multipliers are the
+    # oracle's active sets, listed by family and then by position
+    _, out = static_run
+    case = scale_loads(load_case("case14"), 3.1)
+    part = partition_buses(case)
+    sol = solve_power_flow(case, nominal_injections(case))
+    sens = rebased(
+        voltage_sensitivity(case.topology.y, part),
+        base_v=sol.v[part.pq],
+        base_q=np.zeros(part.n_load),
+    )
+    active = solve_centralized(sens, RunConfig().limits_for(case)).active_sets
+    pq_ids = [case.buses[i].id for i in part.pq]
+    ctl_ids = [case.buses[i].id for i in part.controlled]
+    want = [
+        f"{family} @ bus {ids[pos]}"
+        for family, ids in (("v_hi", pq_ids), ("v_lo", pq_ids), ("q_hi", ctl_ids), ("q_lo", ctl_ids))
+        for pos in sorted(active[family])
+    ]
+    assert want
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "binding constraints: " + ", ".join(want) in summary
 
 
 def test_summary_reports_solver_counts(static_run):
