@@ -283,8 +283,9 @@ def test_summary_lists_the_oracle_binding_constraints(static_run):
 
 
 def test_summary_reports_solver_counts(static_run):
-    # one line with the run's SolverStats: the x3.1 linear run takes 30
-    # accepted steps in 45 attempts, one plant call and one phi-product each
+    # one line with the run's SolverStats: the x3.1 linear run takes 12
+    # accepted steps in 17 attempts, one plant call and one phi-product each,
+    # and 13 more phi-products to land its events
     _, out = static_run
     summary = (out / "summary.txt").read_text().splitlines()
     _, data = _read_csv(out / "trajectory.csv")
@@ -292,7 +293,12 @@ def test_summary_reports_solver_counts(static_run):
     accepted = len(data) - 1
     assert line.startswith(f"solver: {accepted} accepted steps, ")
     rejected = int(line.split(", ")[1].split()[0])
-    assert f"{accepted + rejected} plant calls, {accepted + rejected} phi-products" in line
+    landing = int(line.split("(")[-1].split()[0])
+    attempts = accepted + rejected
+    assert line.endswith(
+        f"{attempts} plant calls, {attempts + landing} phi-products ({landing} to land events)"
+    )
+    assert landing > 0
 
 
 def test_reruns_are_byte_identical(static_run, tmp_path):

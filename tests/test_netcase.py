@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from voltctrl import (
     CaseDataError,
     CaseFormatError,
     IslandingError,
+    VoltCtrlError,
     build_admittance,
     load_case,
     parse_case,
@@ -220,6 +222,44 @@ def test_malformed_case_text_is_rejected(old, new, error, message):
     assert old in text
     with pytest.raises(error, match=message):
         parse_case(text.replace(old, new, 1))
+
+
+# what a corrupted token becomes: numbers that break the model's invariants,
+# the format's own punctuation, and words the parser must not take for either
+_CORRUPT_TOKENS = (
+    "", "0", "-1", "1.5", "2", "3", "4", "1e999", "-1e999", "1e-320", "1e308", "1e400",
+    "nan", "inf", "-inf", "0x10", "1_0", "[", "]", ";", "];", "=", "%", "'", "mpc.bus",
+    "mpc.gen", "mpc.branch", "mpc.baseMVA", "function", "[1", "1]", "1;2", "\u00e9", "\x00",
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_case_text_raises_only_typed_errors(data):
+    # the bundled case14 text with tokens deleted, duplicated or corrupted
+    # either parses or raises one of the package's own errors, never a
+    # Python or numpy exception
+    from importlib import resources
+
+    text = resources.files("voltctrl").joinpath("data", "case14.m").read_text()
+    pieces = re.split(r"(\s+)", text)
+    tokens = range(0, len(pieces), 2)
+    for _ in range(data.draw(st.integers(1, 6), label="edits")):
+        at = data.draw(st.sampled_from(tokens), label="token")
+        edit = data.draw(st.sampled_from(["delete", "duplicate", "corrupt", "splice"]))
+        if edit == "delete":
+            pieces[at] = ""
+        elif edit == "duplicate":
+            pieces[at] = pieces[at] + " " + pieces[at]
+        elif edit == "corrupt":
+            pieces[at] = data.draw(st.sampled_from(_CORRUPT_TOKENS), label="new token")
+        else:
+            cut = data.draw(st.integers(0, len(pieces[at])), label="cut")
+            pieces[at] = pieces[at][:cut] + data.draw(st.text(max_size=3)) + pieces[at][cut:]
+    try:
+        parse_case("".join(pieces))
+    except VoltCtrlError:
+        pass
 
 
 @pytest.mark.parametrize(

@@ -427,14 +427,27 @@ def test_no_state_is_evaluated_twice_in_a_row(request, monkeypatch, toy_limits, 
 
 
 def _count_per_attempt(monkeypatch):
-    # per attempt: [plant calls, phi-products, power-flow iteration counts]
+    # per attempt: [plant calls, phi-products, power-flow iteration counts];
+    # the phi-products that land an event between two attempts are counted
+    # apart, in landing[0]
     per_attempt = [[0, 0, []]]
+    landing = [0]
     attempt, measure, phi = _ClosedLoop.attempt, _ClosedLoop.voltage, PackedFlow.phi
+    land = _ClosedLoop.land
     power_flow = simulate.solve_power_flow
 
     def counting_attempt(self, *args):
         per_attempt.append([0, 0, []])
         return attempt(self, *args)
+
+    def counting_land(self, *args):
+        # the attempt's phi-products stay its own; the landing's go apart
+        own = per_attempt[-1][1]
+        try:
+            return land(self, *args)
+        finally:
+            landing[0] += per_attempt[-1][1] - own
+            per_attempt[-1][1] = own
 
     def counting_voltage(self, q):
         per_attempt[-1][0] += 1
@@ -450,10 +463,11 @@ def _count_per_attempt(monkeypatch):
         return sol
 
     monkeypatch.setattr(_ClosedLoop, "attempt", counting_attempt)
+    monkeypatch.setattr(_ClosedLoop, "land", counting_land)
     monkeypatch.setattr(_ClosedLoop, "voltage", counting_voltage)
     monkeypatch.setattr(PackedFlow, "phi", counting_phi)
     monkeypatch.setattr(simulate, "solve_power_flow", recording_power_flow)
-    return per_attempt
+    return per_attempt, landing
 
 
 @pytest.mark.parametrize(
@@ -464,8 +478,9 @@ def test_no_implicit_solve_hits_its_cap(request, monkeypatch, case_name, mode):
     # a step is explicit, so the only implicit solves left are the plant's
     # power flows: the window's rebase solve, and on the nonlinear plant at
     # most two per attempt (at the stage and at the end). Each must converge
-    # by chord steps well inside the iteration cap, with no Newton hand-over
-    counts = _count_per_attempt(monkeypatch)
+    # by chord steps well inside the iteration cap, with no Newton hand-over.
+    # Landing an event on the linear plant takes phi-products, no plant call
+    counts, landing = _count_per_attempt(monkeypatch)
     res = run_static(request.getfixturevalue(case_name), plant_mode=mode)
     assert res.converged and len(counts) - 1 >= len(res.trajectory) - 1
     iterations = [n for _, _, its in counts for n in its]
@@ -473,6 +488,7 @@ def test_no_implicit_solve_hits_its_cap(request, monkeypatch, case_name, mode):
     if mode is PlantMode.LINEAR:
         assert {(calls, phis) for calls, phis, _ in counts[1:]} == {(1, 1)}
         assert len(iterations) == 1
+        assert landing[0] == res.stats.landing_products > 0
     else:
         assert all(len(its) == calls <= 2 for calls, _, its in counts[1:])
 
@@ -480,11 +496,16 @@ def test_no_implicit_solve_hits_its_cap(request, monkeypatch, case_name, mode):
 def test_linear_stage_solves_take_one_evaluation(monkeypatch, light30):
     # on the piece a step holds the linear-plant flow is affine, so the
     # step's one stage U2 = y0 + h phi1(hJ) F0 is exact and ends the step:
-    # one phi-product and one plant call, at the end, per attempt
-    counts = _count_per_attempt(monkeypatch)
+    # one phi-product and one plant call, at the end, per attempt. Landing
+    # an event between attempts takes phi-products of its own, counted apart
+    counts, landing = _count_per_attempt(monkeypatch)
     res = run_static(light30, plant_mode=PlantMode.LINEAR)
     assert res.converged and len(counts) - 1 >= len(res.trajectory) - 1 > 1
     assert {(calls, phis) for calls, phis, _ in counts[1:]} == {(1, 1)}
+    stats = res.stats
+    assert stats.attempts == len(counts) - 1 == stats.plant_calls
+    assert stats.landing_products == landing[0] > 0
+    assert stats.phi_products == stats.attempts + stats.landing_products
 
 
 def test_nonlinear_stage_solves_average_two_evaluations(monkeypatch, heavy14):
@@ -494,7 +515,7 @@ def test_nonlinear_stage_solves_average_two_evaluations(monkeypatch, heavy14):
     # the x3.1 run takes 246 plant calls in 114 samples (279 in 138 when
     # events were landed by linear interpolation). The run's own counts
     # agree with the ones taken from outside
-    counts = _count_per_attempt(monkeypatch)
+    counts, _ = _count_per_attempt(monkeypatch)
     res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
     assert res.converged and len(counts) - 1 >= len(res.trajectory) - 1 > 1
     per_attempt = [(calls, phis) for calls, phis, _ in counts[1:]]
@@ -574,27 +595,137 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
 
 
 # the cut-back reasons each linear run reaches: an event of a row on the
-# piece (crossing), of one off it (entering), or at the step's start; 10, 3
-# and 2 on heavy14, 46 crossing and 7 start events on light30
+# piece (crossing), of one off it (entering), or at the step's start; 3, 1
+# and 1 on heavy14, 17 crossing and 3 start events on light30
 LANDING_REASONS = {
     "heavy14": ("crossing", "entering", "start_event"),
     "light30": ("crossing", "start_event"),
 }
 
 
-@pytest.mark.parametrize("name, bound", [("heavy14", 55), ("light30", 150)])
+@pytest.mark.parametrize("name, bound", [("heavy14", 21), ("light30", 52)])
 def test_linear_runs_land_events_in_few_attempts(request, name, bound):
-    # each event is landed on the first root of its row's cubic Hermite
-    # interpolant over the step: 45 and 128 attempts measured, where linear
-    # interpolation took 93 and 267. Every attempt is counted once, by reason
+    # each event is landed by Newton's method on the exact trajectory of the
+    # step's piece, from the first root of its row's cubic Hermite
+    # interpolant over the step, and an exact step after a landing resumes
+    # the size that was cut back: 17 and 43 attempts measured, where the
+    # cubic root alone took 45 and 128 and linear interpolation 93 and 267.
+    # Every attempt is counted once, by reason, and takes one plant call and
+    # one phi-product; the landing's phi-products are counted apart
     res = run_static(request.getfixturevalue(name), plant_mode=PlantMode.LINEAR)
     stats = res.stats
     assert res.converged and stats.accepted == len(res.trajectory) - 1
     assert stats.attempts <= bound
-    assert stats.plant_calls == stats.phi_products == stats.attempts
+    assert stats.plant_calls == stats.attempts
+    assert stats.phi_products == stats.attempts + stats.landing_products
+    assert stats.landing_products > 0
     assert stats.error_test == stats.plant_divergence == 0
     for reason in LANDING_REASONS[name]:
         assert getattr(stats, reason) > 0, reason
+
+
+def _record_landings(monkeypatch):
+    # the run's attempts (size and unfloored end), its landings (the refined
+    # guess and what it was refined from) and its accepted steps, in order
+    log = []
+    attempt, land, refresh = _ClosedLoop.attempt, _ClosedLoop.land, _ClosedLoop.refresh_inverse
+
+    def recording_attempt(self, y0, f0, active0, h):
+        out = attempt(self, y0, f0, active0, h)
+        log.append(("attempt", h, out[0].copy()))
+        return out
+
+    def recording_land(self, y0, f0, active0, h, row, g0, x):
+        landed = land(self, y0, f0, active0, h, row, g0, x)
+        log.append(("land", h, landed, row, self, y0.copy(), f0.copy(), active0.copy()))
+        return landed
+
+    def recording_refresh(self):
+        log.append(("accept",))
+        refresh(self)
+
+    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
+    monkeypatch.setattr(_ClosedLoop, "land", recording_land)
+    monkeypatch.setattr(_ClosedLoop, "refresh_inverse", recording_refresh)
+    return log
+
+
+def _written_out_event(loop, row, on, y):
+    """Multiplier row's event at packed state y on the linear plant, from the limits."""
+    c, lim = loop.c, loop.lim
+    xc = loop.sens.x[:, loop.cpos]
+    v = loop.sens.base_v + xc @ (y[:c] - loop.sens.base_q[loop.cpos])
+    q = y[:c]
+    violation = np.concatenate((v - lim.v_hi, lim.v_lo - v, q - lim.q_hi, lim.q_lo - q))
+    return y[c + row] if on else -violation[row]
+
+
+@pytest.mark.parametrize("name", ["heavy14", "light30"])
+def test_linear_landings_agree_with_an_independent_root(request, monkeypatch, name):
+    # every accepted landing on the linear plant ends with its row's event
+    # within [-1e-12, 1e-9], the band the loop's event tests leave alone,
+    # and at the first root of that event along the exact trajectory of the
+    # step's piece, y0 + s phi1(sA) F0 with A and F0 written out from the
+    # Lagrangian and the exponential taken by scipy at full size: brentq
+    # there agrees with the landed time to 1e-10 relative
+    log = _record_landings(monkeypatch)
+    res = run_static(request.getfixturevalue(name), plant_mode=PlantMode.LINEAR)
+    assert res.converged
+    checked = 0
+    for i, entry in enumerate(log[:-2]):
+        if entry[0] != "land" or log[i + 2][0] != "accept":
+            continue
+        _, h, x, row, loop, y0, f0, active0 = entry
+        kind, h_landed, y1 = log[i + 1]
+        assert kind == "attempt" and h_landed == h * x
+        on = bool(active0[loop.c + row])
+        assert -1e-12 <= _written_out_event(loop, row, on, y1) <= 1e-9
+        xc = loop.sens.x[:, loop.cpos]
+        n = len(y0)
+        jac = written_out_jacobian(xc, Gains(), active0)
+
+        def event(s):
+            aug = np.zeros((n + 1, n + 1))
+            aug[:n, :n] = s * jac
+            aug[:n, n] = f0
+            return _written_out_event(loop, row, on, y0 + s * scipy.linalg.expm(aug)[:n, n])
+
+        s_land = h * x
+        # the event holds its sign before the landing and has turned by the cut step's end
+        assert all(event(s) > 0 for s in np.linspace(0.0, 0.999 * s_land, 12))
+        assert event(h) < 0
+        root = scipy.optimize.brentq(event, 0.999 * s_land, h, xtol=1e-300, rtol=1e-15)
+        assert abs(s_land - root) <= 1e-10 * root
+        checked += 1
+    assert checked >= {"heavy14": 4, "light30": 17}[name]
+
+
+def test_exact_steps_resume_the_size_an_event_cut_back(monkeypatch, light30, heavy14):
+    # on the linear plant every step is exact, so the step after a landing
+    # is tried at least as long as the step the event cut back; only another
+    # event can cut it back from there. On the nonlinear x3.1 run no event
+    # cuts back an exact step, and its counts are the cubic root's alone
+    log = _record_landings(monkeypatch)
+    res = run_static(light30, plant_mode=PlantMode.LINEAR)
+    assert res.converged and res.trajectory.t[-1] < 2e5
+    cut = resume = 0.0
+    checked = 0
+    for entry in log:
+        if entry[0] == "land":
+            cut = max(cut, entry[1])
+        elif entry[0] == "accept":
+            resume, cut = cut, 0.0
+        elif resume:
+            # the first attempt after an accepted landing
+            assert entry[1] >= resume
+            resume = 0.0
+            checked += 1
+    assert checked >= 17
+    nonlinear = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
+    assert nonlinear.stats == simulate.SolverStats(
+        accepted=113, error_test=2, crossing=5, entering=0, start_event=3,
+        plant_divergence=0, plant_calls=246, phi_products=246, landing_products=0,
+    )
 
 
 def test_event_root_is_the_first_zero_of_the_hermite_cubic():
