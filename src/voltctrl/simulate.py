@@ -25,14 +25,16 @@ row's event function (``PackedFlow.events``) turns negative. A step past
 such an event is cut back to land on the first root of that row's cubic
 Hermite interpolant over the step (dense-output event location; Shampine
 & Thompson, Comput. Math. Appl. 39, 2000). Where the step was exact on its
-piece, Newton's method refines that root on the piece's exact trajectory,
+piece, Halley's method refines that root on the piece's exact trajectory,
 one phi-product and no plant call per iterate, so the retry lands in one
-attempt; and the next exact step that is accepted resumes at least the
-size the event cut back, instead of regrowing from the landed step. Events
-within 1e-9 of zero at the step's start flip their rows' place on the
-piece instead, all in one retry of the same step. Each result counts its
-accepted steps, its rejected attempts by reason, its plant calls and its
-phi-products, with the landing's counted apart, in a ``SolverStats``.
+attempt. The retry takes the last iterate's product as its stage and makes
+none of its own; and the next exact step that is accepted resumes at least
+the size the event cut back, instead of regrowing from the landed step.
+Events within 1e-9 of zero at the step's start flip their rows' place on
+the piece instead, all in one retry of the same step. Each result counts
+its accepted steps, its rejected attempts by reason, its plant calls and
+its phi-products, each taken once, with the landing's also counted apart,
+in a ``SolverStats``.
 
 Every plant solve of the loop is taken to a power mismatch of 1e-10, far
 below the local errors the step control reads; ``solve_power_flow`` keeps
@@ -140,8 +142,10 @@ class SolverStats:
     or is retried at half the size after the plant diverged.
     Plant calls are the voltages the steps measure (a window's start reads
     its relinearization's solve), and phi-products those the steps take,
-    with the Newton iterates that land an event after an exact step. Those
-    iterates' own products are also counted apart, as landing products.
+    each counted once, with the Halley iterates that land an event after an
+    exact step. Those iterates' products are also counted apart, as landing
+    products; the retry after a landing takes the last one as its stage and
+    adds none.
     """
 
     accepted: int = 0
@@ -284,7 +288,7 @@ class _ClosedLoop:
         y = np.concatenate((y[: self.c], np.maximum(y[self.c :], 0.0)))
         return (y, *self.flow.rates(y, v), v)
 
-    def attempt(self, y0: np.ndarray, f0: np.ndarray, active0: np.ndarray, h: float):
+    def attempt(self, y0: np.ndarray, f0: np.ndarray, active0: np.ndarray, h: float, stage=None):
         """One exprb32 step of size h from y0, whose rates and active rows are known.
 
         The step holds the piece of the flow y0 lies on: rows in ``active0``
@@ -297,13 +301,18 @@ class _ClosedLoop:
         rates' departure from their linearization, the step ends at
         y1 = U2 + est with est = 2h phi3(hJ) D2, the embedded estimate of
         U2's local error. Returns y1 unfloored, est and the voltage measured
-        at y1, which reuses U2's where y1's q is U2's. A plant solve that does
-        not converge raises :class:`PlantDivergenceError`, and so does a stage
-        that is not finite, before any plant call.
+        at y1, which reuses U2's where y1's q is U2's. A landing's ``stage``,
+        the pair (xh, U2 - y0) from ``land``, stands in for the phi-product
+        when its size is h. A plant solve that does not converge raises
+        :class:`PlantDivergenceError`, and so does a stage that is not
+        finite, before any plant call.
         """
         c, flow = self.c, self.flow
-        self.counts["phi_products"] += 1
-        u2 = y0 + h * flow.phi(1, h, active0, f0)
+        if stage is not None and stage[0] == h:
+            u2 = y0 + stage[1]
+        else:
+            self.counts["phi_products"] += 1
+            u2 = y0 + h * flow.phi(1, h, active0, f0)
         if not np.all(np.isfinite(u2)):
             raise PlantDivergenceError("the step's stage is not finite; no plant is solved there")
         est = np.zeros_like(y0)
@@ -323,24 +332,32 @@ class _ClosedLoop:
         """Refine x, the guess of where in a step of size h multiplier row ``row``'s event falls.
 
         The step from y0 was exact on its piece, whose trajectory is
-        y(xh) = y0 + xh phi1(xhJ) f0 with rates f0 + J (y(xh) - y0). Newton's
-        method on the row's event along it (g0 plus ``flow.event_rates`` of
-        y(xh) - y0) takes one phi-product and no plant call per iterate. It
-        stops at an event within [-1e-12, 1e-9] whose Newton correction is
-        below 1e-10 of x, before a guess outside (0, 1), or after 6 iterates.
+        y(xh) = y0 + xh phi1(xhJ) f0 with rates f = f0 + J (y(xh) - y0). The
+        row's event along it is g0 plus ``flow.event_rates`` of y(xh) - y0,
+        its slope and bend (first and second time derivatives) those of f and
+        J f. Halley's step x - 2 g slope / (h (2 slope^2 - g bend)) takes one
+        phi-product and no plant call per iterate. It stops at an event the
+        retry's test leaves alone, within [-1e-12, 1e-9] for a row on the
+        piece and [0, 1e-9] off it, whose correction is below 1e-10 of x,
+        before a guess outside (0, 1), or after 6 iterates. Returns the last
+        x evaluated and its stage U2 - y0 = xh phi1(xhJ) f0, which the retry
+        at xh takes as its own.
         """
         flow, on = self.flow, active0[self.c :]
-        for _ in range(6):
+        lowest = -1e-12 if on[row] else 0.0
+        for n in range(6):
             self.counts["phi_products"] += 1
             self.counts["landing_products"] += 1
             dy = x * h * flow.phi(1, x * h, active0, f0)
+            f = f0 + flow.jacobian_product(active0, dy)
             g = g0 + flow.event_rates(dy, on)[row]
-            slope = flow.event_rates(f0 + flow.jacobian_product(active0, dy), on)[row]
-            guess = x - g / (h * slope)
-            if (-1e-12 <= g <= 1e-9 and abs(guess - x) <= 1e-10 * x) or not 0.0 < guess < 1.0:
-                break
+            jf = flow.jacobian_product(active0, f)
+            slope, bend = (flow.event_rates(r, on)[row] for r in (f, jf))
+            guess = x - 2.0 * g * slope / (h * (2.0 * slope * slope - g * bend))
+            done = lowest <= g <= 1e-9 and abs(guess - x) <= 1e-10 * x
+            if done or not 0.0 < guess < 1.0 or n == 5:
+                return x, dy
             x = guess
-        return x
 
 
 def integrate(
@@ -388,16 +405,20 @@ def integrate(
     h = min(0.1, horizon)
     # the largest step an event cut back, until an exact step resumes it
     h_cut = 0.0
+    # a landing's last stage and its size, handed to the next attempt only
+    stage = None
     while not residual < tol and t < horizon - 1e-9 * max(1.0, horizon):
         h_try = min(h, horizon - t)
         if h_try < 1e-13 * max(1.0, t):
             raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
         try:
-            y1, est, v1 = loop.attempt(y, f, active, h_try)
+            y1, est, v1 = loop.attempt(y, f, active, h_try, stage)
         except PlantDivergenceError:
             loop.counts["plant_divergence"] += 1
             h = 0.5 * h_try
             continue
+        finally:
+            stage = None
         # the piece ends where a row's event function turns negative; a
         # multiplier's dip below zero by rounding is left to the floor
         on = active[c:]
@@ -424,7 +445,8 @@ def integrate(
                 loop.counts["crossing" if on[row] else "entering"] += 1
                 x = float(roots[first])
                 if not est.any():
-                    x = loop.land(y, f, active, h_try, row, float(g0[row]), x)
+                    x, dy = loop.land(y, f, active, h_try, row, float(g0[row]), x)
+                    stage = (h_try * x, dy)
                 h_cut = max(h_cut, h_try)
                 h = h_try * x
                 continue

@@ -284,8 +284,9 @@ def test_summary_lists_the_oracle_binding_constraints(static_run):
 
 def test_summary_reports_solver_counts(static_run):
     # one line with the run's SolverStats: the x3.1 linear run takes 12
-    # accepted steps in 17 attempts, one plant call and one phi-product each,
-    # and 13 more phi-products to land its events
+    # accepted steps in 18 attempts, one plant call each and one phi-product
+    # each but for the 4 retries after a landing, which take the landing's
+    # last product, and 13 phi-products to land its events
     _, out = static_run
     summary = (out / "summary.txt").read_text().splitlines()
     _, data = _read_csv(out / "trajectory.csv")
@@ -293,12 +294,15 @@ def test_summary_reports_solver_counts(static_run):
     accepted = len(data) - 1
     assert line.startswith(f"solver: {accepted} accepted steps, ")
     rejected = int(line.split(", ")[1].split()[0])
+    retries = int(line.split("crossing ")[1].split(",")[0])
+    retries += int(line.split("entering ")[1].split(",")[0])
     landing = int(line.split("(")[-1].split()[0])
     attempts = accepted + rejected
+    phi_products = attempts - retries + landing
     assert line.endswith(
-        f"{attempts} plant calls, {attempts + landing} phi-products ({landing} to land events)"
+        f"{attempts} plant calls, {phi_products} phi-products ({landing} to land events)"
     )
-    assert landing > 0
+    assert landing > 0 and retries > 0
 
 
 def test_reruns_are_byte_identical(static_run, tmp_path):
