@@ -292,7 +292,7 @@ def emit_report(
         f"min multiplier: {viol.min_multiplier:.6e}",
         f"solver: {st.accepted} accepted steps, {st.attempts - st.accepted} rejected attempts "
         f"(error test {st.error_test}, crossing {st.crossing}, entering {st.entering}, "
-        f"start-of-step event {st.start_event}, plant divergence {st.plant_divergence}), "
+        f"plant divergence {st.plant_divergence}), "
         f"{st.plant_calls} plant calls, {st.phi_products} phi-products "
         f"({st.landing_products} to land events)",
     ]

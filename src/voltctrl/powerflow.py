@@ -183,18 +183,3 @@ def jacobian_inverse(case: NetworkCase, sol: PowerFlowSolution) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularModelError(f"power flow Jacobian is singular: {exc}") from exc
 
-
-def mismatch(
-    case: NetworkCase, inj: InjectionSet, sol: PowerFlowSolution
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of the solved equations: specified minus computed power.
-
-    Returns (delta_p over non-slack buses, delta_q over PQ buses), both in
-    case bus order.
-    """
-    top = case.topology
-    _, s = _complex_power(top.y, sol.v, sol.delta)
-    return (
-        inj.p_injection[top.non_slack] - s.real[top.non_slack],
-        inj.q_injection - s.imag[top.pq],
-    )

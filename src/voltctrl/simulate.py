@@ -30,11 +30,12 @@ one phi-product and no plant call per iterate, so the retry lands in one
 attempt. The retry takes the last iterate's product as its stage and makes
 none of its own; and the next exact step that is accepted resumes at least
 the size the event cut back, instead of regrowing from the landed step.
-Events within 1e-9 of zero at the step's start flip their rows' place on
-the piece instead, all in one retry of the same step. Each result counts
-its accepted steps, its rejected attempts by reason, its plant calls and
-its phi-products, each taken once, with the landing's also counted apart,
-in a ``SolverStats``.
+A row whose event is within 1e-9 of zero and falling where a step starts,
+as a landing leaves its row, switches its place on the piece before the
+step, so an event's only outcome is a landing. Each result counts its
+accepted steps, its rejected attempts by reason, its plant calls and its
+phi-products, each taken once, with the landing's also counted apart, in
+a ``SolverStats``.
 
 Every plant solve of the loop is taken to a power mismatch of 1e-10, far
 below the local errors the step control reads; ``solve_power_flow`` keeps
@@ -138,8 +139,8 @@ class SolverStats:
 
     Accepted steps, and rejected attempts by reason: an attempt fails the
     error test, is cut back to land on an event of a row on the piece
-    (crossing) or off it (entering), is retried after a start-of-step event,
-    or is retried at half the size after the plant diverged.
+    (crossing) or off it (entering), or is retried at half the size after
+    the plant diverged.
     Plant calls are the voltages the steps measure (a window's start reads
     its relinearization's solve), and phi-products those the steps take,
     each counted once, with the Halley iterates that land an event after an
@@ -152,7 +153,6 @@ class SolverStats:
     error_test: int = 0
     crossing: int = 0
     entering: int = 0
-    start_event: int = 0
     plant_divergence: int = 0
     plant_calls: int = 0
     phi_products: int = 0
@@ -160,8 +160,8 @@ class SolverStats:
 
     @property
     def attempts(self) -> int:
-        rejected = self.error_test + self.crossing + self.entering + self.start_event
-        return self.accepted + rejected + self.plant_divergence
+        rejected = self.error_test + self.crossing + self.entering + self.plant_divergence
+        return self.accepted + rejected
 
     def __add__(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -198,6 +198,9 @@ class DailyResult(SimulationResult):
 _PLANT_TOL = 1e-10
 # relative and absolute error tolerances of the step control
 _RTOL, _ATOL = 1e-6, 1e-8
+# the overshoot a crossing row may keep, and the band above zero where a
+# landing stops and ``eval`` switches a falling row
+_OVERSHOOT, _NEAR = 1e-12, 1e-9
 
 
 class _ClosedLoop:
@@ -284,9 +287,22 @@ class _ClosedLoop:
         return self._solve(q).v[self.part.pq]
 
     def eval(self, y: np.ndarray, v: np.ndarray):
-        """Floored state, projected rates, active rows and v at a packed state that measures v."""
-        y = np.concatenate((y[: self.c], np.maximum(y[self.c :], 0.0)))
-        return (y, *self.flow.rates(y, v), v)
+        """Floored state, projected rates, active rows and v at a packed state that measures v.
+
+        A row whose event is within 1e-9 of zero and falling switches its
+        place on the piece a step from here holds: a multiplier leaving it
+        is set to zero, a row joining it is held on.
+        """
+        c, flow = self.c, self.flow
+        y = np.concatenate((y[:c], np.maximum(y[c:], 0.0)))
+        f, active = flow.rates(y, v)
+        on = active[c:]
+        near = flow.events(y, v, on) <= _NEAR
+        if near.any():
+            turn = near & (flow.event_rates(f, on) < 0)
+            y[c:][turn] = 0.0
+            f, active = flow.rates(y, v, on ^ turn)
+        return y, f, active, v
 
     def attempt(self, y0: np.ndarray, f0: np.ndarray, active0: np.ndarray, h: float, stage=None):
         """One exprb32 step of size h from y0, whose rates and active rows are known.
@@ -344,7 +360,7 @@ class _ClosedLoop:
         at xh takes as its own.
         """
         flow, on = self.flow, active0[self.c :]
-        lowest = -1e-12 if on[row] else 0.0
+        lowest = -_OVERSHOOT if on[row] else 0.0
         for n in range(6):
             self.counts["phi_products"] += 1
             self.counts["landing_products"] += 1
@@ -354,7 +370,7 @@ class _ClosedLoop:
             jf = flow.jacobian_product(active0, f)
             slope, bend = (flow.event_rates(r, on)[row] for r in (f, jf))
             guess = x - 2.0 * g * slope / (h * (2.0 * slope * slope - g * bend))
-            done = lowest <= g <= 1e-9 and abs(guess - x) <= 1e-10 * x
+            done = lowest <= g <= _NEAR and abs(guess - x) <= 1e-10 * x
             if done or not 0.0 < guess < 1.0 or n == 5:
                 return x, dy
             x = guess
@@ -396,10 +412,9 @@ def integrate(
             f"limits have M={lim.v_lo.size}, C={lim.q_lo.size}; "
             f"the case needs M={m}, C={c}"
         )
-    y = state0.packed()
-    v = loop.rebase(state0.q)
-    f, active = loop.flow.rates(y, v)
-    times, rows, volts, raw_mins = [0.0], [y], [v], [float(np.min(y[c:]))]
+    y0 = state0.packed()
+    y, f, active, v = loop.eval(y0, loop.rebase(state0.q))
+    times, rows, volts, raw_mins = [0.0], [y0], [v], [float(np.min(y0[c:]))]
     residual = float(np.max(np.abs(f)))
     t = 0.0
     h = min(0.1, horizon)
@@ -423,16 +438,7 @@ def integrate(
         # multiplier's dip below zero by rounding is left to the floor
         on = active[c:]
         g0, g1 = loop.flow.events(y, v, on), loop.flow.events(y1, v1, on)
-        event = np.where(on, (g0 > 0) & (g1 < -1e-12), g1 < 0)
-        start = event & (g0 <= 1e-9)
-        if np.any(start):
-            # events at the step's start flip their rows' place on the piece
-            # and retry the same step; a multiplier leaving it is clamped to zero
-            loop.counts["start_event"] += 1
-            y = y.copy()
-            y[c:][start] = 0.0
-            f, active = loop.flow.rates(y, v, on ^ start)
-            continue
+        event = np.where(on, (g0 > 0) & (g1 < -_OVERSHOOT), g1 < 0)
         if np.any(event):
             # land on the first event; the rates at the end are the piece's at
             # the unfloored end, whose q, and so whose voltage, is measured

@@ -98,8 +98,8 @@ def test_nonlinear_plant_calls_are_counted(toy2):
 def test_solver_stats_count_the_plant_calls_the_tracer_sees(case14, mode):
     # the run's own count against one taken from outside the program: the
     # tracer also sees each window's relinearization solve, whose voltage
-    # the window's start reads and the run does not count (246 against 247
-    # and 45 against 46 on the static run, 80 against 104 and 29 against 53
+    # the window's start reads and the run does not count (240 against 241
+    # and 16 against 17 on the static run, 80 against 104 and 29 against 53
     # over the 24 windows of a flat daily run)
     flat = np.ones(24)
     for run, windows in (

@@ -284,7 +284,7 @@ def test_summary_lists_the_oracle_binding_constraints(static_run):
 
 def test_summary_reports_solver_counts(static_run):
     # one line with the run's SolverStats: the x3.1 linear run takes 12
-    # accepted steps in 18 attempts, one plant call each and one phi-product
+    # accepted steps in 16 attempts, one plant call each and one phi-product
     # each but for the 4 retries after a landing, which take the landing's
     # last product, and 13 phi-products to land its events
     _, out = static_run

@@ -536,7 +536,7 @@ def test_nonlinear_stage_solves_average_two_evaluations(monkeypatch, heavy14):
     # the nonlinear plant is called at the stage only while a lam row is
     # active, and then the end's estimate takes a second phi-product; an
     # end whose q is the stage's reuses its voltage. No Newton iteration:
-    # the x3.1 run takes 246 plant calls in 114 samples (279 in 138 when
+    # the x3.1 run takes 240 plant calls in 114 samples (279 in 138 when
     # events were landed by linear interpolation). The run's own counts
     # agree with the ones taken from outside
     counts, _ = _count_per_attempt(monkeypatch)
@@ -619,25 +619,24 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
 
 
 # the cut-back reasons each linear run reaches: an event of a row on the
-# piece (crossing), of one off it (entering), or at the step's start; 3, 1
-# and 2 on heavy14, 17 crossing and 5 start events on light30
+# piece (crossing) or of one off it (entering); 3 and 1 on heavy14, 17
+# crossing on light30
 LANDING_REASONS = {
-    "heavy14": ("crossing", "entering", "start_event"),
-    "light30": ("crossing", "start_event"),
+    "heavy14": ("crossing", "entering"),
+    "light30": ("crossing",),
 }
 
 
-@pytest.mark.parametrize("name, bound", [("heavy14", 21), ("light30", 52)])
+@pytest.mark.parametrize("name, bound", [("heavy14", 19), ("light30", 48)])
 def test_linear_runs_land_events_in_few_attempts(request, name, bound):
     # each event is landed by Halley's method on the exact trajectory of the
     # step's piece, from the first root of its row's cubic Hermite
     # interpolant over the step, and an exact step after a landing resumes
-    # the size that was cut back: 18 and 45 attempts measured (17 and 44
-    # with Newton's method), where the cubic root alone took 45 and 128 and
-    # linear interpolation 93 and 267. Every attempt is counted once, by
-    # reason, and takes one plant call and one phi-product, but for the
-    # retry after a landing, which takes the landing's last product; the
-    # landing's phi-products are counted apart
+    # the size that was cut back: 16 and 40 attempts measured, where the
+    # cubic root alone took 45 and 128 and linear interpolation 93 and 267.
+    # Every attempt is counted once, by reason, and takes one plant call and
+    # one phi-product, but for the retry after a landing, which takes the
+    # landing's last product; the landing's phi-products are counted apart
     res = run_static(request.getfixturevalue(name), plant_mode=PlantMode.LINEAR)
     stats = res.stats
     assert res.converged and stats.accepted == len(res.trajectory) - 1
@@ -801,8 +800,8 @@ def test_exact_steps_resume_the_size_an_event_cut_back(monkeypatch, light30, hea
     assert checked >= 17
     nonlinear = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
     assert nonlinear.stats == simulate.SolverStats(
-        accepted=113, error_test=2, crossing=5, entering=0, start_event=3,
-        plant_divergence=0, plant_calls=246, phi_products=246, landing_products=0,
+        accepted=113, error_test=2, crossing=5, entering=0,
+        plant_divergence=0, plant_calls=240, phi_products=240, landing_products=0,
     )
 
 
@@ -845,7 +844,9 @@ def test_trajectory_states_are_the_accepted_rows(monkeypatch, heavy14, mode):
     # integrate checks its accepted rows once, as one array, and builds the
     # states from them without checking each again; each state must still be
     # the row the loop accepted, the floored end that ``eval`` makes of an
-    # accepted attempt, recorded with the piece that attempt held
+    # accepted attempt, recorded with the piece that attempt held. The
+    # window's start is evaluated too, before any attempt, and its sample is
+    # the given start state
     pieces, accepted = [], []
     attempt, evaluate = _ClosedLoop.attempt, _ClosedLoop.eval
 
@@ -855,7 +856,8 @@ def test_trajectory_states_are_the_accepted_rows(monkeypatch, heavy14, mode):
 
     def recording_eval(self, y, v):
         out = evaluate(self, y, v)
-        accepted.append((pieces[-1], out[0].copy()))
+        if pieces:
+            accepted.append((pieces[-1], out[0].copy()))
         return out
 
     monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
@@ -960,25 +962,13 @@ def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
     assert y[2] == 0.0 and g[2] == 0.0 and len(calls) == 1
 
 
-@pytest.mark.parametrize("mode", [PlantMode.LINEAR, PlantMode.NONLINEAR])
-@pytest.mark.parametrize(
-    "start, clamped, joined",
-    [
-        # lam_hi decays at v - v_hi = -0.13 /s from a residual level
-        (dict(q=0.0, lam_hi=5e-10, lam_lo=0.0), True, False),
-        # q sits on q_hi and rises: lam_lo pulls it up at X lam_lo - 2 q = 1 /s
-        (dict(q=0.5, lam_hi=0.0, lam_lo=20.0), False, True),
-        (dict(q=0.5, lam_hi=5e-10, lam_lo=20.0), True, True),
-    ],
-    ids=["clamp", "join", "both"],
-)
-def test_start_of_step_events_retry_the_same_step(
-    monkeypatch, toy2, toy_limits, mode, start, clamped, joined
-):
-    # packed toy2 state: [q, lam_hi, lam_lo, mu_hi, mu_lo]. Each event at the
-    # step's start changes the piece and retries the same step once, at the
-    # same size; both at once take one retry too, so the first step takes
-    # two attempts
+def _toy_state(q=0.0, lam_hi=0.0, lam_lo=0.0, mu_hi=0.0, mu_lo=0.0) -> ControllerState:
+    return ControllerState(*(np.array([x]) for x in (q, lam_hi, lam_lo, mu_hi, mu_lo)))
+
+
+def _record_first_step(monkeypatch):
+    # the run's attempts (start, piece and size) and, at each refresh, how
+    # many attempts came before it
     attempts, accepted = [], []
     attempt, refresh = _ClosedLoop.attempt, _ClosedLoop.refresh_inverse
 
@@ -992,23 +982,128 @@ def test_start_of_step_events_retry_the_same_step(
 
     monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
     monkeypatch.setattr(_ClosedLoop, "refresh_inverse", recording_refresh)
-    state = ControllerState(
-        q=np.array([start["q"]]),
-        lam_hi=np.array([start["lam_hi"]]),
-        lam_lo=np.array([start["lam_lo"]]),
-        mu_hi=np.zeros(1),
-        mu_lo=np.zeros(1),
-    )
+    return attempts, accepted
+
+
+@pytest.mark.parametrize("mode", [PlantMode.LINEAR, PlantMode.NONLINEAR])
+@pytest.mark.parametrize(
+    "start, joined",
+    [
+        # lam_hi decays at v - v_hi = -0.13 /s from a residual level
+        (dict(lam_hi=5e-10), False),
+        # q sits on q_hi and rises: lam_lo pulls it up at X lam_lo - 2 q = 1 /s
+        (dict(q=0.5, lam_lo=20.0), True),
+        (dict(q=0.5, lam_hi=5e-10, lam_lo=20.0), True),
+    ],
+    ids=["clamp", "join", "both"],
+)
+def test_near_zero_falling_events_switch_before_the_first_attempt(
+    monkeypatch, toy2, toy_limits, mode, start, joined
+):
+    # packed toy2 state: [q, lam_hi, lam_lo, mu_hi, mu_lo]. A row whose event
+    # is within 1e-9 of zero and falling at the window's start switches its
+    # place on the piece there, before any attempt: lam_hi leaves the piece
+    # clamped to zero, mu_hi joins it held on at zero. The first attempt
+    # already holds the switched piece at the first step size, and the
+    # first step takes that one attempt. The first sample is the given state
+    attempts, accepted = _record_first_step(monkeypatch)
+    state = _toy_state(**start)
     res = run_static(toy2, toy_limits, plant_mode=mode, initial_state=state)
     assert res.converged
     # the window's start refreshes before any attempt, each accepted step after one
-    assert accepted[:2] == [0, 2]
-    (y0, active0, h0), (y1, active1, h1) = attempts[:2]
-    assert h1 == h0
-    assert y1[0] == y0[0] and y1[2] == y0[2]
-    assert active1[2] and not active0[3]
-    assert (y1[1], active1[1]) == ((0.0, False) if clamped else (y0[1], active0[1]))
-    assert active1[3] == joined
+    assert accepted[:2] == [0, 1]
+    y0, active0, h0 = attempts[0]
+    assert h0 == 0.1
+    assert y0[0] == state.q[0] and y0[2] == state.lam_lo[0] and active0[2]
+    assert y0[1] == 0.0 and not active0[1]
+    assert y0[3] == 0.0 and active0[3] == joined
+    assert res.trajectory.states[0].packed().tobytes() == state.packed().tobytes()
+
+
+@pytest.mark.parametrize("mode", [PlantMode.LINEAR, PlantMode.NONLINEAR])
+@pytest.mark.parametrize(
+    "start, on",
+    [
+        # v = 0.92 sits below v_lo, so lam_lo rises from its residual level
+        (dict(lam_lo=5e-10), True),
+        # q sits 5e-10 below q_hi and falls at -2 q /s, away from mu_hi's limit
+        (dict(q=0.5 - 5e-10), False),
+    ],
+    ids=["on", "off"],
+)
+def test_near_zero_rising_events_keep_their_place(monkeypatch, toy2, toy_limits, mode, start, on):
+    # lam_lo's event is its multiplier, mu_hi's off the piece is q_hi - q:
+    # each is within 1e-9 of zero at the start but rising, so it keeps its
+    # place on the piece and its value, and the first step takes one attempt
+    attempts, accepted = _record_first_step(monkeypatch)
+    state = _toy_state(**start)
+    res = run_static(toy2, toy_limits, plant_mode=mode, initial_state=state)
+    assert res.converged
+    assert accepted[:2] == [0, 1]
+    y0, active0, _ = attempts[0]
+    assert y0.tobytes() == state.packed().tobytes()
+    row = 2 if on else 3
+    assert 0.0 < (y0[row] if on else 0.5 - y0[0]) <= 1e-9
+    assert active0[1:].tolist() == [False, on, False, False]
+
+
+def _check_every_attempt_start(monkeypatch):
+    # each attempt starts at the state ``eval`` made, and there no row has
+    # an event in the band [0, 1e-9] that is falling, so no event can fire
+    # at a step's start. A row held on at a zero multiplier is one the switch
+    # joined there (its rate, its violation times the gain, is at most zero,
+    # -5.6e-17 on heavy14's linear run) or one its violation holds on; the
+    # event test fires on the piece only from above zero, and skips it.
+    # Returns the (loop, eval input, eval output) of each evaluation and the
+    # loop, start and piece of each attempt
+    evals, attempts = [], []
+    evaluate, attempt = _ClosedLoop.eval, _ClosedLoop.attempt
+
+    def recording_eval(self, y, v):
+        out = evaluate(self, y, v)
+        evals.append((self, y.copy(), out))
+        return out
+
+    def checking_attempt(self, y0, f0, active0, h, stage=None):
+        loop, _, (y, f, active, v) = evals[-1]
+        assert loop is self and y0 is y and f0 is f and active0 is active
+        on = active0[self.c :]
+        g = self.flow.events(y0, v, on)
+        band = np.where(on, g > 0.0, g >= 0.0) & (g <= 1e-9)
+        assert not np.any(band & (self.flow.event_rates(f0, on) < 0.0))
+        attempts.append((self, y0, active0))
+        return attempt(self, y0, f0, active0, h, stage)
+
+    monkeypatch.setattr(_ClosedLoop, "eval", recording_eval)
+    monkeypatch.setattr(_ClosedLoop, "attempt", checking_attempt)
+    return evals, attempts
+
+
+@pytest.mark.parametrize("mode", [PlantMode.LINEAR, PlantMode.NONLINEAR])
+@pytest.mark.parametrize("name", ["heavy14", "light30"])
+def test_no_attempt_starts_on_a_falling_near_zero_event(request, monkeypatch, name, mode):
+    evals, attempts = _check_every_attempt_start(monkeypatch)
+    res = run_static(request.getfixturevalue(name), plant_mode=mode)
+    assert res.converged and len(attempts) == res.stats.attempts > 1
+    # the window's start and each accepted state are evaluated once
+    assert len(evals) == res.stats.accepted + 1 == len(res.trajectory)
+
+
+@pytest.mark.parametrize("mode", [PlantMode.LINEAR, PlantMode.NONLINEAR])
+def test_a_tripped_window_starts_through_the_switch(monkeypatch, heavy14, mode):
+    # the tripped window of an untimed fault run starts from the intact
+    # window's last state, and that start is evaluated like every accepted
+    # state: its first attempt starts where ``eval`` left it
+    evals, attempts = _check_every_attempt_start(monkeypatch)
+    res = run_fault(heavy14, trip=(4, 5), plant_mode=mode)
+    assert res.converged and len(attempts) == res.stats.attempts
+    windows = list(dict.fromkeys(loop for loop, _, _ in evals))
+    assert len(windows) == 2
+    intact_last = [out[0] for loop, _, out in evals if loop is windows[0]][-1]
+    _, y_in, (y, _, active, _) = next(e for e in evals if e[0] is windows[1])
+    assert y_in.tobytes() == intact_last.tobytes()
+    first = next(a for a in attempts if a[0] is windows[1])
+    assert first[1] is y and first[2] is active
 
 
 def test_daily_flat_profile_matches_static(case14):
