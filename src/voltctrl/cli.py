@@ -249,8 +249,7 @@ def emit_report(
     )
     traj = result.trajectory
     # one packed row per sample: q, then lam_hi, lam_lo, mu_hi and mu_lo
-    packed = np.array([state.packed() for state in traj.states])
-    m, c = part.n_load, part.n_controlled
+    packed, m, c = traj.y, part.n_load, part.n_controlled
     table = np.column_stack((
         traj.t,
         packed[:, :c],
@@ -420,14 +419,11 @@ def _cmd_validate(cfg: RunConfig) -> int:
         case, limits, cfg.gains(), tol=cfg.tol, plant_mode=PlantMode.LINEAR,
         horizon=cfg.horizon,
     )
-    st = res.trajectory.states[-1]
-    v = res.trajectory.v[-1]
-    dq = float(np.max(np.abs(res.final_q - qp.q_star)))
-    slack = np.concatenate(
-        [limits.v_hi - v, v - limits.v_lo, limits.q_hi - st.q, st.q - limits.q_lo]
-    )
-    mults = np.concatenate([st.lam_hi, st.lam_lo, st.mu_hi, st.mu_lo])
-    comp = float(np.max(np.abs(mults * slack)))
+    q, v = res.final_q, res.trajectory.v[-1]
+    dq = float(np.max(np.abs(q - qp.q_star)))
+    slack = np.concatenate([limits.v_hi - v, v - limits.v_lo, limits.q_hi - q, q - limits.q_lo])
+    # the last packed row's multipliers, in the order of the slacks
+    comp = float(np.max(np.abs(res.trajectory.y[-1, part.n_controlled :] * slack)))
     checks = [
         ("controller converged", 1.0 if res.converged else 0.0, 0.5, "above"),
         ("|q_sim - q_oracle| inf norm", dq, 1e-4, "below"),

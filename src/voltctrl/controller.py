@@ -28,9 +28,11 @@ exponential instead of the (3C + 2M)-square one, balanced so that its
 norm is about that of its 2C-square block. ``expm`` is that exponential,
 numpy only: Higham's scaling and squaring at the lowest Pade degree the
 norm allows, solved for only the columns ``phi`` reads. This module is the
-only one that knows the packed layout. ``dynamics_rhs`` is the validating
-wrapper over ``ControllerState``, and ``trajectory_states`` checks a whole
-trajectory's packed rows at once.
+only one that knows the packed layout: ``ControllerState.view`` reads a
+state off a packed row that its caller has checked, as
+``simulate.Trajectory`` checks its rows once, as one array.
+``dynamics_rhs`` is the validating wrapper over ``ControllerState``; it
+returns the packed rate vector.
 """
 
 from __future__ import annotations
@@ -108,11 +110,10 @@ class ControllerState:
     mu_lo: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("lam_hi", "lam_lo", "mu_hi", "mu_lo"):
-            arr = getattr(self, name)
-            if np.any(arr < 0):
+        for name in _FIELDS[1:]:
+            if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be nonnegative")
-        for name in ("q", "lam_hi", "lam_lo", "mu_hi", "mu_lo"):
+        for name in _FIELDS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite values")
         if self.lam_hi.shape != self.lam_lo.shape:
@@ -133,19 +134,19 @@ class ControllerState:
     def packed(self) -> np.ndarray:
         return np.concatenate([self.q, self.lam_hi, self.lam_lo, self.mu_hi, self.mu_lo])
 
+    @classmethod
+    def view(cls, row: np.ndarray, n_load: int, n_controlled: int) -> "ControllerState":
+        """The state whose arrays are views of a packed row, built without its checks.
 
-@dataclass(frozen=True, eq=False)
-class StateRates:
-    """Time derivative of a ControllerState; multiplier rates may be negative."""
+        For rows their caller has checked: finite, with nonnegative
+        multipliers, and of length 3C + 2M.
+        """
+        state = object.__new__(cls)
+        vars(state).update(zip(_FIELDS, _split(row, n_load, n_controlled)))
+        return state
 
-    q: np.ndarray
-    lam_hi: np.ndarray
-    lam_lo: np.ndarray
-    mu_hi: np.ndarray
-    mu_lo: np.ndarray
 
-    def packed(self) -> np.ndarray:
-        return np.concatenate([self.q, self.lam_hi, self.lam_lo, self.mu_hi, self.mu_lo])
+_FIELDS = ("q", "lam_hi", "lam_lo", "mu_hi", "mu_lo")
 
 
 def _split(vec: np.ndarray, n_load: int, n_controlled: int) -> list[np.ndarray]:
@@ -162,42 +163,8 @@ def unpack_state(vec: np.ndarray, n_load: int, n_controlled: int) -> ControllerS
     return ControllerState(*_split(vec, m, c))
 
 
-def trajectory_states(
-    rows: np.ndarray, n_load: int, n_controlled: int
-) -> tuple[ControllerState, ...]:
-    """One state per row of a 2-D array of packed states, checked once as one array.
-
-    Every entry must be finite and every multiplier nonnegative, which is
-    what ``ControllerState`` checks one state at a time, so the states are
-    built without repeating it. Their arrays are views of ``rows``.
-    """
-    m, c = n_load, n_controlled
-    if rows.ndim != 2 or rows.shape[1] != 3 * c + 2 * m:
-        raise ValueError(f"state rows of shape {rows.shape} do not match M={m}, C={c}")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("state rows contain non-finite values")
-    if np.any(rows[:, c:] < 0):
-        raise ValueError("multipliers must be nonnegative")
-    states = []
-    for row in rows:
-        state = object.__new__(ControllerState)
-        vars(state).update(zip(("q", "lam_hi", "lam_lo", "mu_hi", "mu_lo"), _split(row, m, c)))
-        states.append(state)
-    return tuple(states)
-
-
 def objective(q: np.ndarray) -> float:
     return float(np.dot(q, q))
-
-
-def lagrangian(state: ControllerState, v: np.ndarray, lim: Limits) -> float:
-    return float(
-        objective(state.q)
-        + state.lam_lo @ (lim.v_lo - v)
-        + state.lam_hi @ (v - lim.v_hi)
-        + state.mu_lo @ (lim.q_lo - state.q)
-        + state.mu_hi @ (state.q - lim.q_hi)
-    )
 
 
 class PackedFlow:
@@ -411,11 +378,11 @@ def dynamics_rhs(
     sens,
     lim: Limits,
     gains: Gains = Gains(),
-) -> StateRates:
-    """Saddle-point flow of the Lagrangian at the measured voltages.
+) -> np.ndarray:
+    """Saddle-point flow of the Lagrangian at the measured voltages, as a packed rate vector.
 
     Descent in q on the full gradient; projected ascent in each multiplier
-    on its own constraint violation.
+    on its own constraint violation. Multiplier rates may be negative.
     """
     v_measured = np.asarray(v_measured, dtype=float)
     if v_measured.shape != state.lam_hi.shape:
@@ -423,5 +390,4 @@ def dynamics_rhs(
     if not np.all(np.isfinite(v_measured)):
         raise ValueError("measured voltages contain non-finite values")
     xc = sens.x[:, sens.partition.controlled_in_pq()]
-    rates, _ = PackedFlow(xc, lim, gains).rates(state.packed(), v_measured)
-    return StateRates(*_split(rates, *xc.shape))
+    return PackedFlow(xc, lim, gains).rates(state.packed(), v_measured)[0]

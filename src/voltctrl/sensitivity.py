@@ -9,13 +9,15 @@ magnitude changes there:
     delta_v = X @ delta_q,   X = -(G_LA B_AA^-1 G_AL + B_LL)^-1
 
 with A the non-slack buses and L the PQ buses, G and B the real and
-imaginary parts of the complex admittance matrix Y. X is built once per
-topology and reused. ``voltage_sensitivity(y, part)`` returns it at the flat
-base point (v = 1, q = 0); ``rebased`` moves the linearization point
-(base_v, base_q) to a plant solution, as each closed-loop window does at its
-start. The bus sets come from ``partition_buses``, which returns the
-partition the case's topology built once; ``BusPartition`` lives in
-``netcase`` and is importable from here.
+imaginary parts of the complex admittance matrix Y. X depends on the
+topology only, yet ``voltage_sensitivity(y, part)`` builds it anew at every
+call, at the flat base point (v = 1, q = 0): each closed-loop window builds
+its own (24 on a daily run), and so do ``plant_equilibrium``,
+``voltctrl validate`` and ``voltctrl sensitivity``. ``rebased`` keeps X and
+moves the linearization point (base_v, base_q) to a plant solution, as each
+closed-loop window does at its start. The bus sets come from
+``partition_buses``, which returns the partition the case's topology built
+once; ``BusPartition`` lives in ``netcase`` and is importable from here.
 """
 
 from __future__ import annotations

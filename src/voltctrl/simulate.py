@@ -64,12 +64,12 @@ object per window holds the plant and the controller's flow, compiled once
 for the window (``controller.PackedFlow``). Every evaluation is its
 ``rates`` and every phi-product its ``phi``, a 2C-square exponential (the
 engine knows only that the first C entries are q and the rest
-multipliers). The accepted rows are checked once, as one array, and
-``ControllerState`` objects are built from them once, for the returned
-trajectory. Every plant call is made at a new output: an accepted step
-hands its end's rates and voltage to the next step, a step whose end has
-its stage's q reuses the stage's voltage, and a window's start reads the
-voltage of the power flow its relinearization solved.
+multipliers). The accepted rows are the returned trajectory's ``y``,
+checked once, as one array; its ``ControllerState`` views and costs are
+built only when read. Every plant call is made at a new output: an
+accepted step hands its end's rates and voltage to the next step, a step
+whose end has its stage's q reuses the stage's voltage, and a window's
+start reads the voltage of the power flow its relinearization solved.
 """
 
 from __future__ import annotations
@@ -77,10 +77,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .controller import ControllerState, Gains, Limits, PackedFlow, objective, trajectory_states
+from .controller import ControllerState, Gains, Limits, PackedFlow, objective
 from .errors import CaseDataError, ConfigError, PlantDivergenceError, StepSizeUnderflowError
 from .netcase import NetworkCase, scale_loads, trip_branch
 from .powerflow import (
@@ -105,18 +106,49 @@ class PlantMode(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Accepted-step samples: times, states, load-bus voltages, cost."""
+    """Accepted-step samples: times, packed states and load-bus voltages.
+
+    Row i of ``y`` is sample i's packed state [q, lam_hi, lam_lo, mu_hi,
+    mu_lo] over C controllers and M load buses, and row i of ``v`` its M
+    load-bus voltages. The rows are checked once, as one array, when the
+    trajectory is built: equal sample counts, strictly increasing times,
+    rows of length 3C + 2M, finite entries and nonnegative multipliers.
+    """
 
     t: np.ndarray
-    states: tuple[ControllerState, ...]
+    y: np.ndarray
     v: np.ndarray
-    cost: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.t) == len(self.states) == self.v.shape[0] == len(self.cost)):
+        if self.y.ndim != 2 or self.v.ndim != 2:
+            raise ValueError("trajectory states and voltages must be 2-D arrays")
+        if not len(self.t) == len(self.y) == len(self.v):
             raise ValueError("trajectory arrays disagree on sample count")
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("trajectory times must be strictly increasing")
+        m, c = self._sizes
+        if c < 0 or self.y.shape[1] != 3 * c + 2 * m:
+            raise ValueError(f"state rows of shape {self.y.shape} do not fit M={m} load buses")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("state rows contain non-finite values")
+        if np.any(self.y[:, c:] < 0):
+            raise ValueError("multipliers must be nonnegative")
+
+    @property
+    def _sizes(self) -> tuple[int, int]:
+        """M and C: the load buses of ``v`` and the controllers the rows of ``y`` hold."""
+        m = self.v.shape[1]
+        return m, (self.y.shape[1] - 2 * m) // 3
+
+    @cached_property
+    def states(self) -> tuple[ControllerState, ...]:
+        """A ``ControllerState`` view of each row of ``y``, built on first read."""
+        return tuple(ControllerState.view(row, *self._sizes) for row in self.y)
+
+    @cached_property
+    def cost(self) -> np.ndarray:
+        """The objective of each row's q."""
+        return np.array([objective(q) for q in self.y[:, : self._sizes[1]]])
 
     def __len__(self) -> int:
         return len(self.t)
@@ -401,8 +433,8 @@ def integrate(
     m, c, lim = loop.m, loop.c, loop.lim
     if c == 0:
         raise ConfigError(f"case {case.name} has no controlled bus")
-    state0 = ControllerState.zeros(m, c) if initial_state is None else initial_state
-    if state0.lam_hi.shape != (m,) or state0.q.shape != (c,):
+    state0 = initial_state
+    if state0 is not None and (state0.lam_hi.shape != (m,) or state0.q.shape != (c,)):
         raise ConfigError(
             f"initial state has M={state0.lam_hi.size}, C={state0.q.size}; "
             f"the case needs M={m}, C={c}"
@@ -412,8 +444,8 @@ def integrate(
             f"limits have M={lim.v_lo.size}, C={lim.q_lo.size}; "
             f"the case needs M={m}, C={c}"
         )
-    y0 = state0.packed()
-    y, f, active, v = loop.eval(y0, loop.rebase(state0.q))
+    y0 = np.zeros(3 * c + 2 * m) if state0 is None else state0.packed()
+    y, f, active, v = loop.eval(y0, loop.rebase(y0[:c]))
     times, rows, volts, raw_mins = [0.0], [y0], [v], [float(np.min(y0[c:]))]
     residual = float(np.max(np.abs(f)))
     t = 0.0
@@ -475,21 +507,15 @@ def integrate(
         raw_mins.append(float(np.min(y1[c:])))
         residual = float(np.max(np.abs(f)))
 
-    packed = np.array(rows)
-    states = trajectory_states(packed, m, c)
-    v_all, q_all = np.array(volts), packed[:, :c]
+    trajectory = Trajectory(t=np.array(times), y=np.array(rows), v=np.array(volts))
+    v_all, q_all = trajectory.v, trajectory.y[:, :c]
     # regulated buses from the last solve, load buses as the last sample measured
     final_v = loop.last.v.copy()
     final_v[loop.part.pq] = v_all[-1]
     return SimulationResult(
-        trajectory=Trajectory(
-            t=np.array(times),
-            states=states,
-            v=v_all,
-            cost=np.array([objective(s.q) for s in states]),
-        ),
+        trajectory=trajectory,
         final_v=final_v,
-        final_q=states[-1].q.copy(),
+        final_q=q_all[-1].copy(),
         converged=bool(residual < tol),
         final_residual=residual,
         violations=ViolationSummary(
@@ -564,9 +590,8 @@ def _join(windows: list[tuple[float, SimulationResult]]) -> SimulationResult:
     return SimulationResult(
         trajectory=Trajectory(
             t=np.concatenate(times),
-            states=tuple(s for res in results for s in res.trajectory.states),
+            y=np.vstack([res.trajectory.y for res in results]),
             v=np.vstack([res.trajectory.v for res in results]),
-            cost=np.concatenate([res.trajectory.cost for res in results]),
         ),
         final_v=last.final_v,
         final_q=last.final_q,
@@ -602,25 +627,20 @@ def run_fault(
 ) -> FaultResult:
     """Trip a branch mid-run and settle again; report both costs.
 
-    The intact case runs first, then the tripped case from its last state
-    for up to ``horizon`` seconds. With ``t_trip`` unset the intact window
-    runs to equilibrium, so the reported costs are the two equilibrium
-    costs. With an explicit ``t_trip`` the line drops at that instant
-    whether or not the controller has settled, and the pre cost is read off
-    the last pre-trip sample.
+    The branch is tripped first, so a trip that names no in-service branch
+    or would island the network raises before any integration. The intact
+    case runs first, then the tripped case from its last state for up to
+    ``horizon`` seconds. With ``t_trip`` unset the intact window runs to
+    equilibrium, so the reported costs are the two equilibrium costs. With
+    an explicit ``t_trip`` the line drops at that instant whether or not
+    the controller has settled, and the pre cost is read off the last
+    pre-trip sample.
     """
     if t_trip is not None and not 0 < t_trip < np.inf:
         raise ConfigError(f"trip time must be positive and finite, got {t_trip}")
+    tripped = trip_branch(case, trip[0], trip[1])
     pre = run_static(case, limits, gains, tol, plant_mode, horizon if t_trip is None else t_trip)
-    post = run_static(
-        trip_branch(case, trip[0], trip[1]),
-        limits,
-        gains,
-        tol,
-        plant_mode,
-        horizon,
-        initial_state=pre.trajectory.states[-1],
-    )
+    post = run_static(tripped, limits, gains, tol, plant_mode, horizon, pre.trajectory.states[-1])
     t_at_trip = float(pre.trajectory.t[-1]) if t_trip is None else t_trip
     joined = _join([(0.0, pre), (t_at_trip, post)])
     if t_trip is not None:

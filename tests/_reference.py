@@ -5,8 +5,8 @@ package: admittance accumulated in explicit loops, power equations in real
 trigonometric form (the package works in complex rectangular form), a
 scalar double-sum variant for spot checks, and the root find delegated to
 scipy's hybrid Powell method with a numerical Jacobian. The controller's
-flow and its Jacobian on a piece are written out entry by entry from the
-Lagrangian, where the package compiles them into matrices, and the
+flow, its Jacobian on a piece and the Lagrangian itself are written out
+entry by entry, where the package compiles the flow into matrices, and the
 certification QP is solved by enumerating active sets, where the package
 runs a dual active-set method. Agreement between the two paths is the
 point.
@@ -129,6 +129,21 @@ def written_out_rates(y, v, xc, lim, gains, held):
         rates.append(gain * violation if on else 0.0)
         active.append(on)
     return np.array(rates), np.array(active)
+
+
+def written_out_lagrangian(state, v, lim) -> float:
+    """sum_i q_i^2 plus each multiplier times its constraint's violation, term by term."""
+    value = sum(float(qi) * float(qi) for qi in state.q)
+    terms = (
+        (state.lam_hi, v - lim.v_hi),
+        (state.lam_lo, lim.v_lo - v),
+        (state.mu_hi, state.q - lim.q_hi),
+        (state.mu_lo, lim.q_lo - state.q),
+    )
+    for mults, violations in terms:
+        for mult, violation in zip(mults, violations):
+            value += float(mult) * float(violation)
+    return value
 
 
 def written_out_jacobian(xc, gains, active, gx=None):

@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _reference import reference_solve
+from _reference import reference_solve, written_out_lagrangian
 
 from voltctrl.cli import main
-from voltctrl.controller import ControllerState, Limits, dynamics_rhs, lagrangian
+from voltctrl.controller import ControllerState, Limits, dynamics_rhs
 from voltctrl.netcase import build_admittance, scale_loads, trip_branch
 from voltctrl.oracle import plant_equilibrium, solve_centralized
 from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flow
@@ -321,19 +321,19 @@ def test_criterion_08_gradient_consistency(case14):
             mu_lo=rng.uniform(0.0, 1.0, c),
         )
         # the q rows the flow integrates, at unit gains: -dq/dt
-        bracket = -dynamics_rhs(state, volts(q), sens, lim).q
+        bracket = -dynamics_rhs(state, volts(q), sens, lim)[:c]
         fd = np.zeros(c)
         for i in range(c):
             qp = q.copy()
             qp[i] += h
             qm = q.copy()
             qm[i] -= h
-            up = lagrangian(
+            up = written_out_lagrangian(
                 ControllerState(qp, state.lam_hi, state.lam_lo, state.mu_hi, state.mu_lo),
                 volts(qp),
                 lim,
             )
-            dn = lagrangian(
+            dn = written_out_lagrangian(
                 ControllerState(qm, state.lam_hi, state.lam_lo, state.mu_hi, state.mu_lo),
                 volts(qm),
                 lim,

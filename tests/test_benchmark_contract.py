@@ -125,3 +125,19 @@ def test_workload_chain_passes_its_check(name):
     result = workload.operation(inp)
     assert workload.check(reference, inp, result) == []
     assert workloads.simulation(result).converged
+
+
+@pytest.mark.parametrize("name", ["static-nl14", "validate-lin30", "daily-nl14"])
+def test_fingerprints_of_equal_runs_are_equal(monkeypatch, name):
+    # ``--trace 1`` compares traced and untraced calls by ``fingerprint``, a
+    # digest of every number a result carries, its trajectory's costs and
+    # states among them; it looks the workloads up by their bare name
+    workloads = _load_perfbench("workloads")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    fingerprint = _load_perfbench("run").fingerprint
+    workload = workloads.WORKLOADS[name]
+    inp = workload.prepare(0)
+    first, second = (workload.operation(inp) for _ in range(2))
+    assert first is not second
+    assert fingerprint(first) == fingerprint(second)
+    assert len(fingerprint(first)) == 64

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voltctrl import cli, load_case
+from voltctrl import cli, load_case, simulate
 from voltctrl.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
@@ -380,6 +380,28 @@ def test_exit_code_runtime_failure(tmp_path):
          "--out", str(tmp_path)]
     )
     assert code == EXIT_RUNTIME
+
+
+@pytest.mark.parametrize(
+    "trip, message",
+    [
+        ("1:99", "no in-service branch joins buses 1 and 99"),
+        ("7:8", "tripping branch 7-8 would island part of the network"),
+    ],
+)
+def test_a_bad_trip_is_a_runtime_failure_before_any_run(
+    tmp_path, capsys, monkeypatch, trip, message
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the intact window ran before the trip was checked")
+
+    monkeypatch.setattr(simulate, "integrate", no_run)
+    code = main(
+        ["run", "--case", "case14", "--scale", "3.1", "--scenario", "fault", "--trip", trip,
+         "--out", str(tmp_path)]
+    )
+    assert code == EXIT_RUNTIME
+    assert f"runtime failure: {message}" in capsys.readouterr().err
 
 
 def test_validate_diverging_base_point_is_runtime_failure(capsys):

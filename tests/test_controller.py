@@ -5,19 +5,16 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from _reference import written_out_jacobian, written_out_rates
+from _reference import written_out_jacobian, written_out_lagrangian, written_out_rates
 from voltctrl import build_admittance, scale_loads
 from voltctrl.controller import (
     ControllerState,
     Gains,
     Limits,
     PackedFlow,
-    StateRates,
     dynamics_rhs,
     expm,
-    lagrangian,
     objective,
-    trajectory_states,
     unpack_state,
 )
 from voltctrl.powerflow import jacobian_inverse, nominal_injections, solve_power_flow
@@ -29,6 +26,7 @@ from voltctrl.sensitivity import (
     rebased,
     voltage_sensitivity,
 )
+from voltctrl.simulate import Trajectory
 
 
 def toy_sens(base_v=0.92):
@@ -63,7 +61,7 @@ def test_lagrangian_reduces_to_objective():
     )
     lim = Limits.box(2, 2)
     v = np.array([1.0, 1.0])
-    assert lagrangian(state, v, lim) == pytest.approx(objective(state.q))
+    assert written_out_lagrangian(state, v, lim) == pytest.approx(objective(state.q))
 
 
 def test_lagrangian_boundary_term_vanishes():
@@ -77,7 +75,7 @@ def test_lagrangian_boundary_term_vanishes():
             mu_hi=np.zeros(1),
             mu_lo=np.zeros(1),
         )
-        assert lagrangian(state, v_at_floor, lim) == pytest.approx(0.0)
+        assert written_out_lagrangian(state, v_at_floor, lim) == pytest.approx(0.0)
 
 
 def test_lagrangian_single_bus_value():
@@ -89,7 +87,7 @@ def test_lagrangian_single_bus_value():
         mu_hi=np.zeros(1),
         mu_lo=np.zeros(1),
     )
-    assert lagrangian(state, np.array([0.92]), lim) == pytest.approx(0.06)
+    assert written_out_lagrangian(state, np.array([0.92]), lim) == pytest.approx(0.06)
 
 
 def test_positive_projection():
@@ -356,7 +354,7 @@ def test_event_rates_are_the_events_time_derivative(case14):
 
 def _residual(state, v, sens, lim, gains=Gains()) -> float:
     """Infinity norm of the projected rates; zero at a saddle point."""
-    return float(np.max(np.abs(dynamics_rhs(state, v, sens, lim, gains).packed())))
+    return float(np.max(np.abs(dynamics_rhs(state, v, sens, lim, gains))))
 
 
 def test_interior_zero_state_is_equilibrium():
@@ -364,7 +362,7 @@ def test_interior_zero_state_is_equilibrium():
     lim = toy_limits()
     state = ControllerState.zeros(1, 1)
     rates = dynamics_rhs(state, np.array([1.0]), sens, lim)
-    assert np.all(rates.packed() == 0.0)
+    assert np.all(rates == 0.0)
     assert _residual(state, np.array([1.0]), sens, lim) == 0.0
 
 
@@ -392,7 +390,8 @@ def test_violated_floor_forces_multiplier_growth():
     gains = Gains(k_lam=2.5)
     v = np.array([0.92])
     rates = dynamics_rhs(state, v, sens, lim, gains)
-    assert rates.lam_lo[0] == pytest.approx(2.5 * 0.03)
+    # the packed rates [q, lam_hi, lam_lo, mu_hi, mu_lo] of one bus and one controller
+    assert rates[2] == pytest.approx(2.5 * 0.03)
     assert _residual(state, v, sens, lim, gains) >= 2.5 * 0.03 - 1e-12
 
 
@@ -407,8 +406,8 @@ def test_rates_scale_with_gains():
         mu_lo=np.zeros(1),
     )
     v = np.array([0.9])
-    r1 = dynamics_rhs(state, v, sens, lim, Gains()).packed()
-    r7 = dynamics_rhs(state, v, sens, lim, Gains(k_q=7, k_lam=7, k_mu=7)).packed()
+    r1 = dynamics_rhs(state, v, sens, lim, Gains())
+    r7 = dynamics_rhs(state, v, sens, lim, Gains(k_q=7, k_lam=7, k_mu=7))
     assert_allclose(r7, 7 * r1, atol=1e-14)
 
 
@@ -429,15 +428,15 @@ def test_gradient_bracket_matches_lagrangian_fd(case14):
             mu_hi=rng.uniform(0.1, 2.0, 9),
             mu_lo=rng.uniform(0.1, 2.0, 9),
         )
-        bracket = -dynamics_rhs(state, predict_voltage(sens, state.q), sens, lim).q
+        bracket = -dynamics_rhs(state, predict_voltage(sens, state.q), sens, lim)[:9]
         for i in range(9):
             e = np.zeros(9)
             e[i] = h
             up = ControllerState(state.q + e, state.lam_hi, state.lam_lo, state.mu_hi, state.mu_lo)
             dn = ControllerState(state.q - e, state.lam_hi, state.lam_lo, state.mu_hi, state.mu_lo)
             fd = (
-                lagrangian(up, predict_voltage(sens, up.q), lim)
-                - lagrangian(dn, predict_voltage(sens, dn.q), lim)
+                written_out_lagrangian(up, predict_voltage(sens, up.q), lim)
+                - written_out_lagrangian(dn, predict_voltage(sens, dn.q), lim)
             ) / (2 * h)
             assert abs(fd - bracket[i]) < 1e-8
 
@@ -540,8 +539,10 @@ def test_state_rejects_bad_entries(name, bad):
         ControllerState(**fields)
     with pytest.raises(ValueError):
         unpack_state(np.concatenate(list(fields.values())), 2, 2)
-    with pytest.raises(ValueError):
-        trajectory_states(np.vstack([np.zeros(10), np.concatenate(list(fields.values()))]), 2, 2)
+    # a trajectory checks its rows once, as one array, for what each state checks
+    rows = np.vstack([np.zeros(10), np.concatenate(list(fields.values()))])
+    with pytest.raises(ValueError, match="nonnegative" if bad == -0.1 else "non-finite"):
+        Trajectory(t=np.arange(2.0), y=rows, v=np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("length", [9, 11])
@@ -549,14 +550,14 @@ def test_unpack_rejects_a_wrong_length(length):
     with pytest.raises(ValueError, match="length"):
         unpack_state(np.zeros(length), 2, 2)
     with pytest.raises(ValueError, match="shape"):
-        trajectory_states(np.zeros((3, length)), 2, 2)
+        Trajectory(t=np.arange(3.0), y=np.zeros((3, length)), v=np.ones((3, 2)))
 
 
 def test_trajectory_states_match_unpacked_rows():
     rng = np.random.default_rng(4)
     rows = np.hstack([rng.uniform(-1, 1, (6, 3)), rng.uniform(0, 1, (6, 16))])
     rows[:, 5] = 0.0
-    states = trajectory_states(rows, 5, 3)
+    states = Trajectory(t=np.arange(6.0), y=rows, v=np.ones((6, 5))).states
     assert len(states) == 6
     for state, row in zip(states, rows):
         assert isinstance(state, ControllerState)
@@ -610,11 +611,14 @@ def test_rhs_input_validation():
 
 
 def test_rates_packed_layout():
-    rates = StateRates(
-        q=np.array([1.0]),
-        lam_hi=np.array([2.0]),
-        lam_lo=np.array([3.0]),
-        mu_hi=np.array([4.0]),
-        mu_lo=np.array([5.0]),
+    # every multiplier positive, so no row is projected, and each block's
+    # rate distinct: q, then lam_hi, lam_lo, mu_hi and mu_lo
+    state = ControllerState(
+        q=np.array([0.1]),
+        lam_hi=np.array([0.2]),
+        lam_lo=np.array([1.0]),
+        mu_hi=np.array([0.3]),
+        mu_lo=np.array([0.4]),
     )
-    assert_allclose(rates.packed(), [1, 2, 3, 4, 5])
+    rates = dynamics_rhs(state, np.array([0.9]), toy_sens(), toy_limits())
+    assert_allclose(rates, [-0.02, -0.15, 0.05, -0.4, -0.6], rtol=0, atol=1e-15)

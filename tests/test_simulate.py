@@ -31,6 +31,7 @@ from voltctrl.errors import (
     CaseDataError,
     ConfigError,
     InfeasibleProblemError,
+    IslandingError,
     PlantDivergenceError,
     StepSizeUnderflowError,
 )
@@ -166,7 +167,7 @@ def test_toy_residual_decays_monotonically_after_transient(toy2, toy_limits, toy
     )
     resid = np.array(
         [
-            np.max(np.abs(dynamics_rhs(s, v, sens, toy_limits).packed()))
+            np.max(np.abs(dynamics_rhs(s, v, sens, toy_limits)))
             for s, v in zip(toy_lin.trajectory.states, toy_lin.trajectory.v)
         ]
     )
@@ -876,6 +877,90 @@ def test_trajectory_states_are_the_accepted_rows(monkeypatch, heavy14, mode):
         assert state.packed().tobytes() == row.tobytes()
 
 
+def test_states_are_built_only_when_read(monkeypatch, heavy14):
+    # a run keeps its accepted rows as one array: neither the run nor its
+    # trajectory builds a ControllerState, checked or a view, until
+    # ``states`` is read, and then one view per row, once
+    checked, views = [], []
+    post_init, view = ControllerState.__post_init__, ControllerState.view.__func__
+
+    def counting_post_init(self):
+        checked.append(self)
+        post_init(self)
+
+    def counting_view(cls, row, n_load, n_controlled):
+        views.append(row)
+        return view(cls, row, n_load, n_controlled)
+
+    monkeypatch.setattr(ControllerState, "__post_init__", counting_post_init)
+    monkeypatch.setattr(ControllerState, "view", classmethod(counting_view))
+    res = run_static(heavy14, plant_mode=PlantMode.LINEAR)
+    assert res.trajectory.cost[-1] > 0.0
+    assert checked == [] and views == []
+    states = res.trajectory.states
+    assert len(views) == len(states) == len(res.trajectory) > 10
+    assert res.trajectory.states is states and len(views) == len(states)
+    assert checked == []
+
+
+def test_cost_is_the_objective_of_each_row(heavy_nl, fault_nl, daily14):
+    # bit for bit ``objective`` of each row's q; on random rows neither
+    # einsum nor a row sum of squares reproduces its dot product
+    rows = np.random.default_rng(3).uniform(-1.0, 1.0, (200, 3 * 5 + 2 * 4))
+    rows[:, 5:] = np.abs(rows[:, 5:])
+    random_rows = Trajectory(t=np.arange(200.0), y=rows, v=np.ones((200, 4)))
+    for trajectory in (random_rows, heavy_nl.trajectory, fault_nl.trajectory, daily14.trajectory):
+        c = (trajectory.y.shape[1] - 2 * trajectory.v.shape[1]) // 3
+        expected = np.array([objective(row[:c]) for row in trajectory.y])
+        assert trajectory.cost.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scenario", ["fault", "daily"])
+def test_exact_landings_end_on_the_event_root(monkeypatch, heavy14, case14, scenario):
+    # after an exact step, Halley's iterates go on past the band
+    # [-1e-12, 1e-9] that ends a landing until their correction is below
+    # 1e-10 of x, so the event lands on its root to rounding (at most
+    # 8.7e-15 on these runs). Stopping at the band alone left 8.8e-10 on an
+    # entering row of the timed fault and 1.6e-10 on a crossing row of the
+    # daily run
+    landed = []
+    land = _ClosedLoop.land
+
+    def recording_land(self, y0, f0, active0, h, row, g0, x):
+        x, dy = land(self, y0, f0, active0, h, row, g0, x)
+        landed.append(g0 + self.flow.event_rates(dy, active0[self.c :])[row])
+        return x, dy
+
+    monkeypatch.setattr(_ClosedLoop, "land", recording_land)
+    linear = PlantMode.LINEAR
+    if scenario == "fault":
+        res = run_fault(heavy14, t_trip=50.0, plant_mode=linear)
+    else:
+        res = run_daily(scale_loads(case14, 2.5), plant_mode=linear)
+    assert res.converged
+    assert len(landed) == res.stats.crossing + res.stats.entering >= 2
+    assert max(abs(g) for g in landed) <= 1e-13
+
+
+@pytest.mark.parametrize("trip, error", [((1, 99), CaseDataError), ((7, 8), IslandingError)])
+def test_a_bad_trip_fails_before_any_integration(monkeypatch, heavy14, trip, error):
+    # the branch is tripped before the intact window runs, so a trip that
+    # names no in-service branch or islands a bus costs no integration
+    windows = []
+    engine = simulate.integrate
+
+    def counting_integrate(*args, **kwargs):
+        windows.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "integrate", counting_integrate)
+    with pytest.raises(error):
+        run_fault(heavy14, trip=trip)
+    assert windows == []
+    run_fault(heavy14, trip=(4, 5), plant_mode=PlantMode.LINEAR)
+    assert len(windows) == 2
+
+
 def test_flow_is_compiled_once_per_window(monkeypatch, toy2, toy_limits, case14):
     # the controller's flow, with its rate map and Jacobian blocks, is built
     # when a window starts, never per step or per evaluation
@@ -1452,21 +1537,16 @@ def test_final_v_is_last_sample_at_load_buses(heavy14, heavy_lin, heavy_nl):
 
 
 def test_trajectory_validation():
-    state = ControllerState.zeros(1, 1)
-    with pytest.raises(ValueError):
-        Trajectory(
-            t=np.array([0.0, 0.0]),
-            states=(state, state),
-            v=np.zeros((2, 1)),
-            cost=np.zeros(2),
-        )
-    with pytest.raises(ValueError):
-        Trajectory(
-            t=np.array([0.0, 1.0]),
-            states=(state,),
-            v=np.zeros((2, 1)),
-            cost=np.zeros(2),
-        )
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(t=np.array([0.0, 0.0]), y=np.zeros((2, 5)), v=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="sample count"):
+        Trajectory(t=np.array([0.0, 1.0]), y=np.zeros((1, 5)), v=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="2-D"):
+        Trajectory(t=np.array([0.0]), y=np.zeros(5), v=np.zeros((1, 1)))
+    # a row of 3C + 2M entries fits M = 1 only with C a whole number
+    for width in (1, 4, 6):
+        with pytest.raises(ValueError, match="do not fit M=1"):
+            Trajectory(t=np.array([0.0]), y=np.zeros((1, width)), v=np.zeros((1, 1)))
 
 
 def test_initial_state_must_match_case(case14, case30):
@@ -1489,11 +1569,8 @@ def test_limits_must_match_case(case14, size):
 
 def _window(t_end: float) -> SimulationResult:
     """A two-sample window from t = 0 to t_end, enough for ``_join``."""
-    state = ControllerState.zeros(1, 1)
     no_excursion = ViolationSummary(0.0, 0.0, 0.0, 0.0, 0.0)
-    trajectory = Trajectory(
-        t=np.array([0.0, t_end]), states=(state, state), v=np.ones((2, 1)), cost=np.zeros(2)
-    )
+    trajectory = Trajectory(t=np.array([0.0, t_end]), y=np.zeros((2, 5)), v=np.ones((2, 1)))
     return SimulationResult(
         trajectory, np.ones(1), np.zeros(1), True, 0.0, no_excursion, simulate.SolverStats()
     )
