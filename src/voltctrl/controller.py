@@ -26,13 +26,14 @@ plant's dv/dq is not X; ``set_plant_sensitivity`` stores it), and its
 multiplier rows depend on q only, so every product comes from a 2C-square
 exponential instead of the (3C + 2M)-square one, balanced so that its
 norm is about that of its 2C-square block. ``expm`` is that exponential,
-numpy only: Higham's scaling and squaring at the lowest Pade degree the
-norm allows, solved for only the columns ``phi`` reads. This module is the
-only one that knows the packed layout: ``ControllerState.view`` reads a
-state off a packed row that its caller has checked, as
-``simulate.Trajectory`` checks its rows once, as one array.
-``dynamics_rhs`` is the validating wrapper over ``ControllerState``; it
-returns the packed rate vector.
+numpy only and from matrix products alone: a truncated Taylor series in
+Paterson and Stockmeyer's form, scaled and squared at the fewest products
+the norm allows, whose last product forms only the columns ``phi`` reads.
+This module is the only one that knows the packed layout:
+``ControllerState.view`` reads a state off a packed row that its caller
+has checked, as ``simulate.Trajectory`` checks its rows once, as one
+array. ``dynamics_rhs`` is the validating wrapper over
+``ControllerState``; it returns the packed rate vector.
 """
 
 from __future__ import annotations
@@ -263,7 +264,9 @@ class PackedFlow:
         P_j = phi_j(hB) (r_q, J_qm r_m) restricted to its q entries. Both
         come from the last two columns of one exponential of hB augmented
         with the vector w = (r_q, J_qm r_m) and a unit chain (Sidje, ACM
-        TOMS 24(1), 1998), of size 2C + k + 1. The augmented matrix is
+        TOMS 24(1), 1998), of size 2C + k + 1; ``expm`` takes it from
+        matrix products alone and forms only those two columns in its last
+        product. The augmented matrix is
         balanced (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011): the
         chain holds tau, the largest power of two up to ||hB||_1 within
         [1/4, 1], and the vector column w / sigma, sigma the power of two
@@ -297,76 +300,65 @@ class PackedFlow:
         return np.concatenate((top[:, 0], h * (j_mq @ top[:, 1]) + r[c:] / math.factorial(k)))
 
 
-# Pade numerator coefficients b_0..b_m of the degrees m that Higham's
-# algorithm chooses from, each after the 1-norm theta_m up to which that
-# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
-# Appl. 26(4), 2005)
-_PADE = tuple(
-    (theta, np.array(b))
-    for theta, b in (
-        (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-        (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-        (9.504178996162932e-1, (
-            17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0,
-        )),
-        (2.097847961257068, (
-            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-        )),
-        (5.371920351148152, (
-            64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-        )),
+# Taylor degrees m, each after the 1-norm theta_m up to which T_m(a) = e^(a + e)
+# with ||e|| <= 2^-53 ||a|| (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2),
+# 2011), with its Paterson-Stockmeyer block size p and the coefficients
+# c_k = 1/k! of T_m for k < m as m/p rows of p; the top block is c_m I
+_TAYLOR = tuple(
+    (theta, m, p, np.array([1.0 / math.factorial(k) for k in range(m)]).reshape(-1, p))
+    for theta, m, p in (
+        (9.065656407595102e-3, 6, 3),
+        (8.957760203223342e-2, 9, 3),
+        (0.299615891381158, 12, 4),
+        (0.7802874256626574, 16, 4),
+        (1.4382525968043367, 20, 4),
+        (2.428582524442826, 25, 5),
+        (3.539666348743689, 30, 5),
     )
 )
 
 
 def expm(a: np.ndarray, last: int | None = None) -> np.ndarray:
-    """e^a by Higham's scaling and squaring (2005), or only its ``last`` columns.
+    """e^a by scaling and squaring a truncated Taylor series, or only its ``last`` columns.
 
-    The Pade degree m is the lowest of 3, 5, 7, 9 and 13 whose theta_m
-    bounds the 1-norm of ``a``. Above theta_13, ``a`` is scaled by 2^-s
-    into degree 13's range and the approximant is squared s times. A norm
-    that is not finite, which no scaling brings into range, gives NaNs. The
-    approximant (V - U)^-1 (V + U) is solved for the asked columns alone
-    when there is no squaring, and otherwise the last squaring forms only
-    those columns.
+    The degree m and the squarings s are those of the table above with the
+    fewest matrix products, (p - 1) + (m/p - 1) + s, and on a tie the fewer
+    squarings; s is the least that brings the 1-norm of ``a`` 2^-s within
+    theta_m. T_m(a 2^-s) is evaluated by Paterson and Stockmeyer's scheme
+    (SIAM J. Comput. 2(1), 1973): Horner in a^p over blocks in I, a, ...,
+    a^(p-1), from the top block c_m I, and is squared s times. No step
+    solves a system. A norm that is not finite, which no scaling brings
+    into range, gives NaNs. Only the asked columns are formed in the last
+    Horner step when there is no squaring, and otherwise in the last
+    squaring.
     """
     n = len(a)
     cols = slice(None) if last is None else slice(n - last, None)
-    norm = float(np.linalg.norm(a, 1))
+    norm = float(np.abs(a).sum(axis=0).max())
     if not norm < math.inf:
         return np.full((n, n if last is None else last), np.nan)
-    s = 0
-    for theta, b in _PADE:
-        if norm <= theta:
-            break
-    else:
-        s = math.ceil(math.log2(norm / theta))
-        a = a / 2.0**s
-    # the even powers I, a^2, a^4, ... the sums take: up to a^(m - 1), or a^6 for m = 13
-    count = 4 if len(b) == 14 else len(b) // 2
-    powers = np.empty((count, n, n))
-    powers[0] = np.eye(n)
-    np.matmul(a, a, out=powers[1])
-    for j in range(2, count):
-        np.matmul(powers[j - 1], powers[1], out=powers[j])
-    flat = powers.reshape(count, n * n)
-
-    def sum_of(coeffs, first=0):
-        """sum_j coeffs[j] powers[first + j]"""
-        return (coeffs @ flat[first : first + len(coeffs)]).reshape(n, n)
-
-    if len(b) < 14:
-        u = a @ sum_of(b[1::2])
-        v = sum_of(b[::2])
-    else:  # Higham's nested form, u = a (a^6 (b_13 a^6 + b_11 a^4 + b_9 a^2) + b_7 a^6 + ...)
-        u = a @ (powers[3] @ sum_of(b[9::2], 1) + sum_of(b[1:9:2]))
-        v = powers[3] @ sum_of(b[8::2], 1) + sum_of(b[:8:2])
+    # the fewest matrix products, then the fewest squarings
+    options = []
+    for theta, m, p, blocks in _TAYLOR:
+        frac, s = math.frexp(norm / theta)  # norm <= 2^s theta, and <= 2^(s - 1) theta at frac 1/2
+        s = max(0, s - (frac == 0.5))
+        options.append((p + m // p - 2 + s, s, m, p, blocks))
+    _, s, m, p, blocks = min(options)
+    # a, a^2, ..., a^p of the scaled a
+    powers = np.empty((p, n, n))
+    np.multiply(a, 0.5**s, out=powers[0])
+    for j in range(1, p):
+        np.matmul(powers[j - 1], powers[0], out=powers[j])
+    top = powers[-1]
+    # the blocks sum_i c_(jp + i) a^i, the c_(jp) I on their diagonals
+    b = (blocks[:, 1:] @ powers[:-1].reshape(p - 1, n * n)).reshape(-1, n, n)
+    b.reshape(len(b), -1)[:, :: n + 1] += blocks[:, :1]
+    e = top / math.factorial(m) + b[-1]
+    for j in range(len(b) - 2, 0, -1):
+        e = e @ top + b[j]
     if s == 0:
-        return np.linalg.solve(v - u, (v + u)[:, cols])
-    e = np.linalg.solve(v - u, v + u)
+        return e @ top[:, cols] + b[0][:, cols]
+    e = e @ top + b[0]
     for _ in range(s - 1):
         e = e @ e
     return e @ e[:, cols]

@@ -640,7 +640,8 @@ def run_fault(
         raise ConfigError(f"trip time must be positive and finite, got {t_trip}")
     tripped = trip_branch(case, trip[0], trip[1])
     pre = run_static(case, limits, gains, tol, plant_mode, horizon if t_trip is None else t_trip)
-    post = run_static(tripped, limits, gains, tol, plant_mode, horizon, pre.trajectory.states[-1])
+    start = ControllerState.view(pre.trajectory.y[-1], *pre.trajectory._sizes)
+    post = run_static(tripped, limits, gains, tol, plant_mode, horizon, start)
     t_at_trip = float(pre.trajectory.t[-1]) if t_trip is None else t_trip
     joined = _join([(0.0, pre), (t_at_trip, post)])
     if t_trip is not None:
@@ -690,8 +691,11 @@ def run_daily(
         if not bare.converged:
             raise PlantDivergenceError(f"uncontrolled power flow failed at hour {hour}")
         bare_v.append(bare.v[hourly_case.topology.pq].copy())
-        if reset_multipliers and state is not None:
-            state = replace(ControllerState.zeros(state.lam_hi.size, state.q.size), q=state.q)
+        if windows:
+            end = windows[-1][1].trajectory
+            state = ControllerState.view(end.y[-1], *end._sizes)
+            if reset_multipliers:
+                state = replace(ControllerState.zeros(*end._sizes), q=state.q)
         res = run_static(
             hourly_case,
             limits,
@@ -702,7 +706,6 @@ def run_daily(
             initial_state=state,
         )
         windows.append((hour * hour_seconds, res))
-        state = res.trajectory.states[-1]
     results = [res for _, res in windows]
     return DailyResult(
         **vars(_join(windows)),

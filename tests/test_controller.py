@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +15,7 @@ from voltctrl.controller import (
     Gains,
     Limits,
     PackedFlow,
+    _TAYLOR,
     dynamics_rhs,
     expm,
     objective,
@@ -253,8 +257,8 @@ def test_flow_phi_product_is_exactly_linear_in_its_vector(name, factor, request)
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_expm_of_a_non_finite_norm_is_nan():
-    # no scaling brings a norm that is not finite into a Pade degree's
-    # range, so the exponential is NaN and a step taking it fails its
+    # no scaling brings a norm that is not finite within a Taylor degree's
+    # theta_m, so the exponential is NaN and a step taking it fails its
     # finiteness check; finite entries whose column sum overflows count too
     a = np.zeros((4, 4))
     for entries in ((np.inf,), (1e308, 1e308), (np.nan,)):
@@ -266,12 +270,14 @@ def test_expm_of_a_non_finite_norm_is_nan():
 @pytest.mark.parametrize("size", [20, 50])
 def test_expm_matches_scipy(size):
     # damped rotations, so that the exponential neither overflows nor
-    # vanishes, at 1-norms from 0.1 to 1e4, with one inside the range of
-    # each Pade degree: 1e-3 (3), 0.2 (5), 0.9 (7), 2.0 (9), 10 and up (13,
-    # scaled and squared); at most 1.9e-13 measured. The last two columns,
-    # as phi asks for them, are checked on their own
+    # vanishes: one 1-norm just under each Taylor degree's theta_m, where
+    # that degree is the cheapest choice, unscaled, and its truncation
+    # error is largest, then norms from 10 to 1e4, scaled and squared; at
+    # most 2.4e-13 measured. The last two columns, as phi asks for them,
+    # are checked on their own
     rng = np.random.default_rng(5)
-    for norm in (1e-3, 0.1, 0.2, 0.9, 1.0, 2.0, 10.0, 100.0, 1e3, 1e4):
+    under = [0.999 * theta for theta, *_ in _TAYLOR]
+    for norm in under + [10.0, 100.0, 1e3, 1e4]:
         g = rng.standard_normal((size, size))
         a = g - g.T - np.diag(rng.uniform(0.0, 1.0, size))
         a *= norm / np.linalg.norm(a, 1)
@@ -279,6 +285,72 @@ def test_expm_matches_scipy(size):
         assert np.linalg.norm(expm(a) - expected) <= 1e-12 * np.linalg.norm(expected)
         tail = expected[:, -2:]
         assert np.linalg.norm(expm(a, last=2) - tail) <= 1e-12 * np.linalg.norm(tail)
+
+
+def _taylor_theta(m: int) -> float:
+    """The largest 1-norm theta with sum_k |c_k| theta^(k - 1) <= 2^-53, c_k those of h_m.
+
+    h_m(x) = log(e^-x T_m(x)) = sum_(k > m) c_k x^k, so T_m(a) = e^(a + h_m(a))
+    with ||h_m(a)|| / ||a|| at most that sum at theta = ||a||. The c_k up to
+    x^(3m + 21) come exactly, in rationals, from the log-series recurrence
+    k c_k = k g_k - sum_(0 < j < k) j c_j g_(k - j) for g = e^-x T_m(x),
+    whose terms cancel far below double precision. Each |c_k| is then
+    rounded once, and the sum of positive terms bisected in floats.
+    """
+    n = 3 * m + 21
+    g = [
+        sum(
+            Fraction((-1) ** (k - i), math.factorial(i) * math.factorial(k - i))
+            for i in range(min(k, m) + 1)
+        )
+        for k in range(n + 1)
+    ]
+    c = [Fraction(0)] * (n + 1)
+    for k in range(1, n + 1):
+        c[k] = g[k] - sum(j * c[j] * g[k - j] for j in range(1, k)) / k
+    assert not any(c[1 : m + 1])
+    coeffs = [float(abs(ck)) for ck in c[m + 1 :]]
+    lo, hi = 0.0, 4.0
+    while hi - lo > 1e-15 * hi:
+        mid = (lo + hi) / 2
+        if sum(ck * mid ** (m + j) for j, ck in enumerate(coeffs)) <= 2.0**-53:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_taylor_thetas_match_exact_arithmetic():
+    # every theta_m of expm's table, recomputed from its series; a moved
+    # threshold lets a degree run past its accuracy or wastes products
+    assert [m for _, m, *_ in _TAYLOR] == [6, 9, 12, 16, 20, 25, 30]
+    for theta, m, *_ in _TAYLOR:
+        assert theta == pytest.approx(_taylor_theta(m), rel=1e-12)
+
+
+def test_expm_and_phi_solve_no_linear_system(monkeypatch, case14):
+    # the exponential and the phi-products come from matrix products alone:
+    # unscaled (a 1-norm of 1e-3; a step of 1e-6, whose balanced matrix has
+    # a 1-norm near 1/4) and scaled and squared (a 1-norm of 100; a step of
+    # 1e3), with every column and with the last two
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linear system was solved")
+
+    case = scale_loads(case14, 3.1)
+    part = partition_buses(case)
+    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    m, c = xc.shape
+    flow = PackedFlow(xc, Limits.box(m, c), Gains())
+    active = np.ones(3 * c + 2 * m, dtype=bool)
+    r = np.random.default_rng(3).standard_normal(3 * c + 2 * m)
+    a = np.random.default_rng(4).standard_normal((20, 20))
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for scale, h in ((1e-3, 1e-6), (100.0, 1e3)):
+        b = a * (scale / np.abs(a).sum(axis=0).max())
+        assert np.all(np.isfinite(expm(b))) and np.all(np.isfinite(expm(b, last=2)))
+        for k in (1, 3):
+            assert np.all(np.isfinite(flow.phi(k, h, active, r)))
 
 
 def test_rates_match_the_lagrangian():

@@ -299,6 +299,27 @@ def test_timed_fault_runs_are_bit_identical(heavy14):
         assert np.array_equal(sa.packed(), sb.packed())
 
 
+def test_chained_windows_view_one_start_state_each(monkeypatch, heavy14, case14):
+    # the next window starts from one view of the finished window's last
+    # row, not from a view of every row: one view per window start, none
+    # for a first window that starts from zeros
+    rows = []
+    view = ControllerState.view.__func__
+
+    def counted(cls, row, n_load, n_controlled):
+        rows.append(row)
+        return view(cls, row, n_load, n_controlled)
+
+    monkeypatch.setattr(ControllerState, "view", classmethod(counted))
+    fault = run_fault(heavy14, plant_mode=PlantMode.LINEAR)
+    assert len(rows) == 1 and np.array_equal(rows[0][: len(fault.pre_q)], fault.pre_q)
+    rows.clear()
+    daily = run_daily(scale_loads(case14, 2.5), plant_mode=PlantMode.LINEAR)
+    assert len(rows) == 23
+    for row, q in zip(rows, daily.hourly_final_q):
+        assert np.array_equal(row[: len(q)], q)
+
+
 def test_solver_stats_repeat_and_sum_over_windows(heavy14):
     # counting changes no arithmetic, so identical runs count alike, and a
     # multi-window run's counts are its windows' summed
