@@ -21,15 +21,17 @@ U2's local error and sets the step size. On the linear plant, and on the
 nonlinear one while no lam row is active, D2 is zero: the step is exact on
 its piece and makes one plant call, at its end; otherwise it makes two, at
 U2 and at y1, and no Newton iteration. The piece ends where a multiplier
-row's event function (``PackedFlow.events``) turns negative. A step past
-such an event is cut back to land on the first root of that row's cubic
+row's event function (``PackedFlow.events``) turns negative, past the
+same 1e-12 overshoot for every row. A step past such an event is cut
+back, the one way for every event: the first root of that row's cubic
 Hermite interpolant over the step (dense-output event location; Shampine
-& Thompson, Comput. Math. Appl. 39, 2000). Where the step was exact on its
-piece, Halley's method refines that root on the piece's exact trajectory,
-one phi-product and no plant call per iterate, so the retry lands in one
-attempt. The retry takes the last iterate's product as its stage and makes
-none of its own; and the next exact step that is accepted resumes at least
-the size the event cut back, instead of regrowing from the landed step.
+& Thompson, Comput. Math. Appl. 39, 2000) is refined by Halley's method
+along the step's stage path y0 + s phi1(sJ) F0, one phi-product and no
+plant call per iterate, and the retry at the landed size takes the last
+iterate's product as its stage U2. On an exact step that path is the
+piece's trajectory, so the retry lands in one attempt. The next accepted
+step resumes at least the size the event cut back, instead of regrowing
+from the landed step.
 A row whose event is within 1e-9 of zero and falling where a step starts,
 as a landing leaves its row, switches its place on the piece before the
 step, so an event's only outcome is a landing. Each result counts its
@@ -175,10 +177,10 @@ class SolverStats:
     the plant diverged.
     Plant calls are the voltages the steps measure (a window's start reads
     its relinearization's solve), and phi-products those the steps take,
-    each counted once, with the Halley iterates that land an event after an
-    exact step. Those iterates' products are also counted apart, as landing
-    products; the retry after a landing takes the last one as its stage and
-    adds none.
+    each counted once, with the Halley iterates that land every event.
+    Those iterates' products are also counted apart, as landing products;
+    the retry after a landing takes the last one as its stage U2 and adds
+    no product for it.
     """
 
     accepted: int = 0
@@ -230,7 +232,7 @@ class DailyResult(SimulationResult):
 _PLANT_TOL = 1e-10
 # relative and absolute error tolerances of the step control
 _RTOL, _ATOL = 1e-6, 1e-8
-# the overshoot a crossing row may keep, and the band above zero where a
+# the overshoot any row's event may keep, and the band above zero where a
 # landing stops and ``eval`` switches a falling row
 _OVERSHOOT, _NEAR = 1e-12, 1e-9
 
@@ -379,20 +381,20 @@ class _ClosedLoop:
     def land(self, y0, f0, active0, h, row, g0, x):
         """Refine x, the guess of where in a step of size h multiplier row ``row``'s event falls.
 
-        The step from y0 was exact on its piece, whose trajectory is
-        y(xh) = y0 + xh phi1(xhJ) f0 with rates f = f0 + J (y(xh) - y0). The
-        row's event along it is g0 plus ``flow.event_rates`` of y(xh) - y0,
-        its slope and bend (first and second time derivatives) those of f and
-        J f. Halley's step x - 2 g slope / (h (2 slope^2 - g bend)) takes one
-        phi-product and no plant call per iterate. It stops at an event the
-        retry's test leaves alone, within [-1e-12, 1e-9] for a row on the
-        piece and [0, 1e-9] off it, whose correction is below 1e-10 of x,
-        before a guess outside (0, 1), or after 6 iterates. Returns the last
-        x evaluated and its stage U2 - y0 = xh phi1(xhJ) f0, which the retry
-        at xh takes as its own.
+        The step's stage path is y(xh) = y0 + xh phi1(xhJ) f0, with rates
+        f = f0 + J (y(xh) - y0) on the piece's linearization: the piece's
+        exact trajectory where the step is exact, and the retry's U2 where
+        it is not. The row's event along it is g0 plus ``flow.event_rates``
+        of y(xh) - y0, its slope and bend (first and second time
+        derivatives) those of f and J f. Halley's step
+        x - 2 g slope / (h (2 slope^2 - g bend)) takes one phi-product and
+        no plant call per iterate. It stops at an event the retry's test
+        leaves alone, within [-1e-12, 1e-9], whose correction is below 1e-10
+        of x, before a guess outside (0, 1), or after 6 iterates. Returns
+        the last x evaluated and its stage U2 - y0 = xh phi1(xhJ) f0, which
+        the retry at xh takes as its own.
         """
         flow, on = self.flow, active0[self.c :]
-        lowest = -_OVERSHOOT if on[row] else 0.0
         for n in range(6):
             self.counts["phi_products"] += 1
             self.counts["landing_products"] += 1
@@ -402,7 +404,7 @@ class _ClosedLoop:
             jf = flow.jacobian_product(active0, f)
             slope, bend = (flow.event_rates(r, on)[row] for r in (f, jf))
             guess = x - 2.0 * g * slope / (h * (2.0 * slope * slope - g * bend))
-            done = lowest <= g <= _NEAR and abs(guess - x) <= 1e-10 * x
+            done = -_OVERSHOOT <= g <= _NEAR and abs(guess - x) <= 1e-10 * x
             if done or not 0.0 < guess < 1.0 or n == 5:
                 return x, dy
             x = guess
@@ -450,7 +452,7 @@ def integrate(
     residual = float(np.max(np.abs(f)))
     t = 0.0
     h = min(0.1, horizon)
-    # the largest step an event cut back, until an exact step resumes it
+    # the largest step an event cut back, until the next accepted step resumes it
     h_cut = 0.0
     # a landing's last stage and its size, handed to the next attempt only
     stage = None
@@ -466,14 +468,14 @@ def integrate(
             continue
         finally:
             stage = None
-        # the piece ends where a row's event function turns negative; a
-        # multiplier's dip below zero by rounding is left to the floor
+        # the piece ends where a row's event function turns negative past
+        # the overshoot; a multiplier's dip below zero is left to the floor
         on = active[c:]
         g0, g1 = loop.flow.events(y, v, on), loop.flow.events(y1, v1, on)
-        event = np.where(on, (g0 > 0) & (g1 < -_OVERSHOOT), g1 < 0)
+        event = ((g0 > 0) | ~on) & (g1 < -_OVERSHOOT)
         if np.any(event):
-            # land on the first event; the rates at the end are the piece's at
-            # the unfloored end, whose q, and so whose voltage, is measured
+            # land the first event on the step's stage path; the rates at the end
+            # are the piece's at the unfloored end, whose voltage is measured
             f1 = loop.flow.rates(y1, v1, on)[0]
             slopes = (h_try * loop.flow.event_rates(r, on)[event] for r in (f, f1))
             roots = _first_root(g0[event], g1[event], *slopes)
@@ -481,10 +483,8 @@ def integrate(
             if roots[first] < 1.0 and h_try * roots[first] > 1e-10:
                 row = int(np.flatnonzero(event)[first])
                 loop.counts["crossing" if on[row] else "entering"] += 1
-                x = float(roots[first])
-                if not est.any():
-                    x, dy = loop.land(y, f, active, h_try, row, float(g0[row]), x)
-                    stage = (h_try * x, dy)
+                x, dy = loop.land(y, f, active, h_try, row, float(g0[row]), float(roots[first]))
+                stage = (h_try * x, dy)
                 h_cut = max(h_cut, h_try)
                 h = h_try * x
                 continue
@@ -495,9 +495,8 @@ def integrate(
         if not err <= 1.0:
             loop.counts["error_test"] += 1
             continue
-        if err == 0:
-            # an exact step resumes the size an event cut back
-            h, h_cut = max(h, h_cut), 0.0
+        # an accepted step resumes the size an event cut back
+        h, h_cut = max(h, h_cut), 0.0
         t += h_try
         y, f, active, v = loop.eval(y1, v1)
         loop.refresh_inverse()
@@ -647,8 +646,7 @@ def run_fault(
     if t_trip is not None:
         # a timed trip ends the intact window whether or not it settled
         joined = replace(joined, converged=post.converged)
-    pre_cost = float(pre.trajectory.cost[-1])
-    post_cost = float(post.trajectory.cost[-1])
+    pre_cost, post_cost = objective(pre.final_q), objective(post.final_q)
     return FaultResult(
         **vars(joined),
         pre_cost=pre_cost,
