@@ -179,8 +179,11 @@ class PackedFlow:
     (v - v_hi, v_lo - v, q - q_hi, q_lo - q). Stored are the q rows, the
     multiplier rows' q columns J_mq, the limits and the gains; the
     projection tests the violations themselves and the gains scale what it
-    keeps, and ``events`` tells where a piece of it ends. No input is
-    validated; ``dynamics_rhs`` is the checked entry point.
+    keeps, and ``events`` tells where a piece of it ends. ``phi`` keeps one
+    piece: the masked J_mq and the block B of the last set of active
+    multiplier rows it was called with, rebuilt when that set changes and
+    cleared by ``set_plant_sensitivity``. No input is validated;
+    ``dynamics_rhs`` is the checked entry point.
     """
 
     def __init__(self, xc: np.ndarray, lim: Limits, gains: Gains):
@@ -194,16 +197,20 @@ class PackedFlow:
         self._gain = np.repeat([gains.k_lam, gains.k_mu], [2 * m, 2 * c])
         # J_mq: each multiplier row's gain times its violation's derivative in q
         self._j_mq = self._gain[:, None] * np.vstack([xc, -xc, eye, -eye])
+        # the last piece's active multiplier rows, masked J_mq and B (see ``phi``)
+        self._piece: tuple[bytes, np.ndarray, np.ndarray] | None = None
 
     def set_plant_sensitivity(self, gx: np.ndarray) -> None:
         """Put the plant's own dv/dq at the controlled buses (M x C) in the lam rows' q block.
 
         That block is +k_lam gx for lam_hi and -k_lam gx for lam_lo; it is
         ``xc``'s, the linear plant's dv/dq, until this is called. The q rows
-        are the controller's own dynamics and keep ``xc``.
+        are the controller's own dynamics and keep ``xc``. The piece ``phi``
+        keeps is cleared, since its B holds the old block.
         """
         lam = slice(0, 2 * self.m)
         self._j_mq[lam] = self._gain[lam, None] * np.vstack([gx, -gx])
+        self._piece = None
 
     def reads_voltage(self, active: np.ndarray) -> bool:
         """Whether the piece with these active rows reads the measured voltage: a lam row is on."""
@@ -247,6 +254,29 @@ class PackedFlow:
         dm[~active[self.c :]] = 0.0
         return np.concatenate((self._q_rows @ z, dm))
 
+    def row_rates(self, row: int, active: np.ndarray, f0: np.ndarray, dy: np.ndarray):
+        """Multiplier row ``row``'s event along a path of the piece with these active rows.
+
+        For y = y0 + dy, whose rates on the piece's linearization are
+        f = f0 + J dy, returns ``event_rates`` of dy, f and J f at that one
+        row: the event's change from y0, and its slope and bend (first and
+        second time derivatives) at y. Each is read off the whole
+        matrix-vector products ``event_rates`` and ``jacobian_product``
+        take, so it is theirs bit for bit; J f's q rows are formed only
+        for a row off the piece, whose event reads q.
+        """
+        c, j_mq = self.c, self._j_mq
+        q_dy, m_dy = self._q_rows @ dy, j_mq @ dy[:c]
+        f_q = f0[:c] + q_dy
+        if active[c + row]:
+            return dy[c + row], f0[c + row] + m_dy[row], (j_mq @ f_q)[row]
+        # off the piece the event is minus the violation, whose rates read J f's q rows
+        gain = self._gain[row]
+        change = -m_dy[row] / gain
+        m_dy[~active[c:]] = 0.0
+        jf_q = self._q_rows @ (f0 + np.concatenate((q_dy, m_dy)))
+        return change, -(j_mq @ f_q)[row] / gain, -(j_mq @ jf_q)[row] / gain
+
     def phi(self, k: int, h: float, active: np.ndarray, r: np.ndarray) -> np.ndarray:
         """phi_k(hJ) r, with J the closed loop's Jacobian on the active rows.
 
@@ -279,12 +309,18 @@ class PackedFlow:
         itself does not.
         """
         c = self.c
-        j_mq = self._j_mq * active[c:, None]
+        key = active[c:].tobytes()
+        if self._piece is None or self._piece[0] != key:
+            j_mq = self._j_mq * active[c:, None]
+            b = np.zeros((2 * c, 2 * c))
+            b[:c, :c] = self._q_rows[:, :c]
+            b[:c, c:] = np.eye(c)
+            b[c:, :c] = self._j_qm @ j_mq
+            self._piece = key, j_mq, b
+        _, j_mq, b = self._piece
         n = 2 * c + k + 1
         aug = np.zeros((n, n))
-        aug[:c, :c] = h * self._q_rows[:, :c]
-        aug[:c, c : 2 * c] = h * np.eye(c)
-        aug[c : 2 * c, :c] = h * (self._j_qm @ j_mq)
+        np.multiply(b, h, out=aug[: 2 * c, : 2 * c])
         aug[:c, 2 * c] = r[:c]
         aug[c : 2 * c, 2 * c] = self._j_qm @ r[c:]
         # the 1-norms of hB's columns and of w set the exponents of tau and sigma

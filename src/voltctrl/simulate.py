@@ -25,13 +25,14 @@ row's event function (``PackedFlow.events``) turns negative, past the
 same 1e-12 overshoot for every row. A step past such an event is cut
 back, the one way for every event: the first root of that row's cubic
 Hermite interpolant over the step (dense-output event location; Shampine
-& Thompson, Comput. Math. Appl. 39, 2000) is refined by Halley's method
-along the step's stage path y0 + s phi1(sJ) F0, one phi-product and no
-plant call per iterate, and the retry at the landed size takes the last
-iterate's product as its stage U2. On an exact step that path is the
-piece's trajectory, so the retry lands in one attempt. The next accepted
-step resumes at least the size the event cut back, instead of regrowing
-from the landed step.
+& Thompson, Comput. Math. Appl. 39, 2000), taken row by row in Python
+floats, is refined by Halley's method along the step's stage path
+y0 + s phi1(sJ) F0, one phi-product and no plant call per iterate, each
+iterate forming only the landed row's event, slope and bend; the retry at
+the landed size takes the last iterate's product as its stage U2. On an
+exact step that path is the piece's trajectory, so the retry lands in one
+attempt. The next accepted step resumes at least the size the event cut
+back, instead of regrowing from the landed step.
 A row whose event is within 1e-9 of zero and falling where a step starts,
 as a landing leaves its row, switches its place on the piece before the
 step, so an event's only outcome is a landing. Each result counts its
@@ -386,7 +387,8 @@ class _ClosedLoop:
         exact trajectory where the step is exact, and the retry's U2 where
         it is not. The row's event along it is g0 plus ``flow.event_rates``
         of y(xh) - y0, its slope and bend (first and second time
-        derivatives) those of f and J f. Halley's step
+        derivatives) those of f and J f, each formed for that row alone
+        (``flow.row_rates``). Halley's step
         x - 2 g slope / (h (2 slope^2 - g bend)) takes one phi-product and
         no plant call per iterate. It stops at an event the retry's test
         leaves alone, within [-1e-12, 1e-9], whose correction is below 1e-10
@@ -394,15 +396,13 @@ class _ClosedLoop:
         the last x evaluated and its stage U2 - y0 = xh phi1(xhJ) f0, which
         the retry at xh takes as its own.
         """
-        flow, on = self.flow, active0[self.c :]
+        flow = self.flow
         for n in range(6):
             self.counts["phi_products"] += 1
             self.counts["landing_products"] += 1
             dy = x * h * flow.phi(1, x * h, active0, f0)
-            f = f0 + flow.jacobian_product(active0, dy)
-            g = g0 + flow.event_rates(dy, on)[row]
-            jf = flow.jacobian_product(active0, f)
-            slope, bend = (flow.event_rates(r, on)[row] for r in (f, jf))
+            change, slope, bend = flow.row_rates(row, active0, f0, dy)
+            g = g0 + change
             guess = x - 2.0 * g * slope / (h * (2.0 * slope * slope - g * bend))
             done = -_OVERSHOOT <= g <= _NEAR and abs(guess - x) <= 1e-10 * x
             if done or not 0.0 < guess < 1.0 or n == 5:
@@ -537,33 +537,49 @@ def _first_root(p0, p1, d0, d1) -> np.ndarray:
     first cut whose value is not positive, or 1, ends the piece that holds
     the smallest root, and the last cut before it starts that piece. From
     the piece's end where p p'' >= 0, Newton's method approaches the root
-    from one side without leaving the piece (Fourier's condition). An
-    iterate stops where p is zero or its sign has turned by rounding, and
-    all stop after at most 64 steps.
+    from one side without leaving the piece (Fourier's condition). Each
+    row is computed on its own in Python floats, a handful of them per
+    event test; its iterate stops where p is zero or its sign has turned
+    by rounding, or after 64 steps. A division by zero gives numpy's inf
+    or nan, and so does the square root of a negative number.
     """
-    c2 = 3.0 * (p1 - p0) - 2.0 * d0 - d1
-    c3 = 2.0 * (p0 - p1) + d0 + d1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    roots = []
+    for p0, p1, d0, d1 in zip(*(np.asarray(a, dtype=float).tolist() for a in (p0, p1, d0, d1))):
+        c2 = 3.0 * (p1 - p0) - 2.0 * d0 - d1
+        c3 = 2.0 * (p0 - p1) + d0 + d1
         # the roots of p' = d0 + 2 c2 x + 3 c3 x^2 by the stable quadratic
-        # formula, and that of p'' = 2 c2 + 6 c3 x
-        g = -(c2 + np.copysign(np.sqrt(c2 * c2 - 3.0 * d0 * c3), c2))
-        cuts = np.stack((g / (3.0 * c3), d0 / g, -c2 / (3.0 * c3)))
-        cuts[~((cuts > 0.0) & (cuts < 1.0))] = 1.0
-        value = p0 + cuts * (d0 + cuts * (c2 + cuts * c3))
-        hi = np.min(np.where(value <= 0.0, cuts, 1.0), axis=0)
-        lo = np.max(np.where(cuts < hi, cuts, 0.0), axis=0)
+        # formula, and that of p'' = 2 c2 + 6 c3 x; a cut outside (0, 1),
+        # from a division by zero or a negative discriminant, is 1
+        disc = c2 * c2 - 3.0 * d0 * c3
+        g = -(c2 + float(np.copysign(np.sqrt(disc), c2))) if disc >= 0.0 else np.nan
+        cuts = [_divide(g, 3.0 * c3), _divide(d0, g), _divide(-c2, 3.0 * c3)]
+        cuts = [x if 0.0 < x < 1.0 else 1.0 for x in cuts]
+        hi = min(x if p0 + x * (d0 + x * (c2 + x * c3)) <= 0.0 else 1.0 for x in cuts)
+        lo = max(x if x < hi else 0.0 for x in cuts)
         convex = c2 + 1.5 * c3 * (lo + hi) > 0.0
-        x = np.where(convex, lo, hi)
-        side = np.where(convex, 1.0, -1.0)
+        x, side = (lo, 1.0) if convex else (hi, -1.0)
         c2_twice, c3_thrice = 2.0 * c2, 3.0 * c3
         for _ in range(64):
             px = p0 + x * (d0 + x * (c2 + x * c3))
-            step = np.minimum(np.maximum(x - px / (d0 + x * (c2_twice + x * c3_thrice)), lo), hi)
-            step = np.where(side * px > 0.0, step, x)
-            if (step == x).all():
+            if not side * px > 0.0:
+                break
+            step = x - _divide(px, d0 + x * (c2_twice + x * c3_thrice))
+            # clamped into [lo, hi]; a nan stays nan, as numpy's clamp keeps it
+            step = hi if step > hi else lo if step < lo else step
+            if step == x:
                 break
             x = step
-    return x
+        roots.append(x)
+    return np.array(roots)
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b, or numpy's inf or nan where b is zero."""
+    if b:
+        return a / b
+    if a != a or a == 0.0:
+        return np.nan
+    return float(np.copysign(np.inf, a) * np.copysign(1.0, b))
 
 
 def _join(windows: list[tuple[float, SimulationResult]]) -> SimulationResult:

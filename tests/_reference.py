@@ -8,8 +8,9 @@ scipy's hybrid Powell method with a numerical Jacobian. The controller's
 flow, its Jacobian on a piece and the Lagrangian itself are written out
 entry by entry, where the package compiles the flow into matrices, and the
 certification QP is solved by enumerating active sets, where the package
-runs a dual active-set method. Agreement between the two paths is the
-point.
+runs a dual active-set method. The event root is found on whole arrays,
+all rows at once, where the package takes each row in Python floats.
+Agreement between the two paths is the point.
 """
 
 from __future__ import annotations
@@ -172,6 +173,38 @@ def written_out_jacobian(xc, gains, active, gx=None):
         jac[c + 2 * m + i, i] = gains.k_mu if active[c + 2 * m + i] else 0.0
         jac[2 * c + 2 * m + i, i] = -gains.k_mu if active[2 * c + 2 * m + i] else 0.0
     return jac
+
+
+def vectorized_first_root(p0, p1, d0, d1) -> np.ndarray:
+    """The smallest root in (0, 1] of each row's cubic Hermite interpolant, all rows at once.
+
+    The same cuts, piece and one-sided Newton iteration as
+    ``simulate._first_root``, in numpy operations over every row together,
+    with inf and nan where a division is by zero or a square root is of a
+    negative number. A row whose iterate stops keeps it; all rows stop
+    together after at most 64 steps.
+    """
+    c2 = 3.0 * (p1 - p0) - 2.0 * d0 - d1
+    c3 = 2.0 * (p0 - p1) + d0 + d1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = -(c2 + np.copysign(np.sqrt(c2 * c2 - 3.0 * d0 * c3), c2))
+        cuts = np.stack((g / (3.0 * c3), d0 / g, -c2 / (3.0 * c3)))
+        cuts[~((cuts > 0.0) & (cuts < 1.0))] = 1.0
+        value = p0 + cuts * (d0 + cuts * (c2 + cuts * c3))
+        hi = np.min(np.where(value <= 0.0, cuts, 1.0), axis=0)
+        lo = np.max(np.where(cuts < hi, cuts, 0.0), axis=0)
+        convex = c2 + 1.5 * c3 * (lo + hi) > 0.0
+        x = np.where(convex, lo, hi)
+        side = np.where(convex, 1.0, -1.0)
+        c2_twice, c3_thrice = 2.0 * c2, 3.0 * c3
+        for _ in range(64):
+            px = p0 + x * (d0 + x * (c2 + x * c3))
+            step = np.minimum(np.maximum(x - px / (d0 + x * (c2_twice + x * c3_thrice)), lo), hi)
+            step = np.where(side * px > 0.0, step, x)
+            if (step == x).all():
+                break
+            x = step
+    return x
 
 
 # the best active set's point, multipliers per family, binding positions and cost

@@ -255,6 +255,68 @@ def test_flow_phi_product_is_exactly_linear_in_its_vector(name, factor, request)
             assert np.array_equal(big, 2.0**1021 * flow.phi(k, step, active, vec))
 
 
+def test_phi_rebuilds_its_piece_on_a_new_mask_or_plant_sensitivity(case14):
+    # phi keeps the last piece's masked J_mq and B, keyed on the active
+    # multiplier rows, and set_plant_sensitivity clears them: through the
+    # pieces A -> B -> A, and after a new dv/dq on A, every product is a
+    # freshly built flow's bit for bit. Kept across the new dv/dq, A's old
+    # B gave the linear plant's product
+    case = scale_loads(case14, 3.1)
+    part = partition_buses(case)
+    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    m, c = xc.shape
+    n = 3 * c + 2 * m
+    gx = _plant_sensitivity(case, xc)
+    lim, gains = Limits.box(m, c), Gains(0.7, 1.9, 1.3)
+    rng = np.random.default_rng(29)
+    piece_a, piece_b = (
+        np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < 0.5]) for _ in "ab"
+    )
+    assert np.any(piece_a[c : c + 2 * m]) and np.any(piece_a != piece_b)
+    r = rng.standard_normal(n)
+
+    def fresh(active, k, h, sensitivity=None):
+        flow = PackedFlow(xc, lim, gains)
+        if sensitivity is not None:
+            flow.set_plant_sensitivity(sensitivity)
+        return flow.phi(k, h, active, r)
+
+    flow = PackedFlow(xc, lim, gains)
+    calls = ((piece_a, 1, 0.3), (piece_a, 3, 2.0), (piece_b, 1, 0.3), (piece_a, 1, 7.0))
+    for active, k, h in calls:
+        assert flow.phi(k, h, active, r).tobytes() == fresh(active, k, h).tobytes()
+    flow.set_plant_sensitivity(gx)
+    for k, h in ((1, 0.3), (3, 7.0)):
+        got = flow.phi(k, h, piece_a, r)
+        assert got.tobytes() == fresh(piece_a, k, h, gx).tobytes()
+        assert np.max(np.abs(got - fresh(piece_a, k, h))) > 1e-6 * np.max(np.abs(got))
+
+
+def test_row_rates_are_the_rows_of_the_whole_products(case14):
+    # a landing reads one row's event change, slope and bend; row_rates
+    # forms them for that row alone, and each is the row of event_rates of
+    # dy, of f = f0 + J dy and of J f bit for bit, on the piece and off it,
+    # with the nonlinear plant's dv/dq in the lam rows
+    case = scale_loads(case14, 3.1)
+    part = partition_buses(case)
+    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    m, c = xc.shape
+    n = 3 * c + 2 * m
+    gx = _plant_sensitivity(case, xc)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        flow = PackedFlow(xc, Limits.box(m, c), Gains(*np.exp(rng.uniform(-2.0, 2.0, 3))))
+        flow.set_plant_sensitivity(gx)
+        active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
+        on = active[c:]
+        f0, dy = rng.standard_normal(n), rng.standard_normal(n)
+        f = f0 + flow.jacobian_product(active, dy)
+        whole = [flow.event_rates(z, on) for z in (dy, f, flow.jacobian_product(active, f))]
+        for row in range(n - c):
+            got = flow.row_rates(row, active, f0, dy)
+            assert np.array(got).tobytes() == np.array([w[row] for w in whole]).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_expm_of_a_non_finite_norm_is_nan():
     # no scaling brings a norm that is not finite within a Taylor degree's

@@ -17,7 +17,7 @@ import scipy.optimize
 from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
-from _reference import written_out_jacobian, written_out_rates
+from _reference import vectorized_first_root, written_out_jacobian, written_out_rates
 from voltctrl import simulate
 from voltctrl.controller import (
     ControllerState,
@@ -952,6 +952,43 @@ def test_event_root_is_the_first_zero_of_the_hermite_cubic():
     assert several > 50
 
 
+def test_event_root_is_the_whole_array_root_bit_for_bit():
+    # each row's root is taken in Python floats with the operations, in the
+    # order, of the whole-array reference, so it is the reference's bit for
+    # bit, batched or one row at a time: on the 600 random cubics above and
+    # on rows where a cut divides zero or nonzero by zero (c3 = 0, and a
+    # linear row with c2 = c3 = 0), d0 = 0 (with c2 = 0 a 0/0 cut), p(1) is
+    # exactly 0, and a double or triple root sits on a cut
+    rng = np.random.default_rng(20)
+    n = 600
+    scale = 10.0 ** rng.uniform(-6.0, 1.0, n)
+    p0 = scale * rng.uniform(1e-3, 1.0, n)
+    p1 = -scale * rng.uniform(1e-3, 1.0, n)
+    d0, d1 = (scale * 10.0 * rng.standard_normal(n) for _ in range(2))
+    degenerate = {
+        # p0, p1, d0, d1: the root
+        (1.0, -1.0, -3.0, -1.0): (3.0 - np.sqrt(5.0)) / 2.0,
+        (1.0, -1.0, -2.0, -2.0): 0.5,
+        (1.0, -1.0, 0.0, -1.0): None,
+        (1.0, -1.0, 0.0, -6.0): 0.5 ** (1.0 / 3.0),
+        (1.0, 0.0, -1.0, -1.0): 1.0,
+        (0.5, 0.0, 0.25, -2.0): 1.0,
+        (0.1, 0.0, -2.0, 2.0): None,
+        # (x - 1/4)^2 (3/4 - x) and (1/2 - x)^3
+        (0.046875, -0.140625, -0.4375, -0.9375): 0.25,
+        (0.125, -0.125, -0.75, -0.75): None,
+    }
+    rows = [np.concatenate((a, b)) for a, b in zip((p0, p1, d0, d1), np.array([*degenerate]).T)]
+    roots = simulate._first_root(*rows)
+    assert roots.tobytes() == vectorized_first_root(*rows).tobytes()
+    singly = [simulate._first_root(*(a[i : i + 1] for a in rows))[0] for i in range(len(roots))]
+    assert np.array(singly).tobytes() == roots.tobytes()
+    for root, expected in zip(roots[n:], degenerate.values()):
+        assert 0.0 < root <= 1.0
+        if expected is not None:
+            assert abs(root - expected) <= 1e-15
+
+
 def test_nonlinear_run_forms_one_jacobian_per_accepted_step(jacobian_builds, heavy14):
     # the plant's Jacobian is formed and inverted once per accepted state;
     # every solve inside the step runs chord iterations with that inverse,
@@ -1079,9 +1116,20 @@ def test_no_accepted_step_leaves_its_piece_violated(monkeypatch, heavy14, mode, 
     # a constraint off the piece a step holds keeps a zero rate, so a step
     # that violates it has passed an entering event; the event is landed in
     # the same band as a crossing, so no accepted end violates a row off its
-    # step's piece by more than 1e-12. Each violation is taken from the
-    # limits, at the unfloored end and the voltage it measured. These runs
-    # enter 1, 2, 3 and 6 times
+    # step's piece by more than 1e-12. These runs enter 1, 2, 3 and 6 times
+    ends = _recording_accepted_ends(monkeypatch)
+    if scenario == "static":
+        res = run_static(heavy14, plant_mode=mode)
+    else:
+        t_trip = 50.0 if scenario == "timed-fault" else None
+        res = run_fault(heavy14, t_trip=t_trip, plant_mode=mode)
+    assert res.converged and res.stats.entering > 0
+    assert len(ends) == res.stats.accepted
+    assert _worst_off_piece_violation(ends) <= 1e-12
+
+
+def _recording_accepted_ends(mp):
+    """A list that gets each accepted step's loop, active rows, unfloored end and its voltage."""
     pending, ends = [], []
     attempt, evaluate = _ClosedLoop.attempt, _ClosedLoop.eval
 
@@ -1095,21 +1143,69 @@ def test_no_accepted_step_leaves_its_piece_violated(monkeypatch, heavy14, mode, 
         pending.clear()
         return evaluate(self, y, v)
 
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
-    monkeypatch.setattr(_ClosedLoop, "eval", recording_eval)
-    if scenario == "static":
-        res = run_static(heavy14, plant_mode=mode)
-    else:
-        t_trip = 50.0 if scenario == "timed-fault" else None
-        res = run_fault(heavy14, t_trip=t_trip, plant_mode=mode)
-    assert res.converged and res.stats.entering > 0
-    assert len(ends) == res.stats.accepted
+    mp.setattr(_ClosedLoop, "attempt", recording_attempt)
+    mp.setattr(_ClosedLoop, "eval", recording_eval)
+    return ends
+
+
+def _worst_off_piece_violation(ends) -> float:
+    """The largest violation of a row off its step's piece, from the limits, over accepted ends."""
     worst = -np.inf
     for loop, active0, y1, v1 in ends:
         lim, q = loop.lim, y1[: loop.c]
         violation = np.concatenate((v1 - lim.v_hi, lim.v_lo - v1, q - lim.q_hi, lim.q_lo - q))
-        worst = max(worst, float(np.max(violation[~active0[loop.c :]])))
-    assert worst <= 1e-12
+        worst = max(worst, float(np.max(violation[~active0[loop.c :]], initial=-np.inf)))
+    return worst
+
+
+def _whole_vector_land(loop, y0, f0, active0, h, row, g0, x):
+    """``land``'s Halley iterates from whole-vector products: J dy, J f and every row's events."""
+    flow, on = loop.flow, active0[loop.c :]
+    for n in range(6):
+        dy = x * h * flow.phi(1, x * h, active0, f0)
+        f = f0 + flow.jacobian_product(active0, dy)
+        g = g0 + flow.event_rates(dy, on)[row]
+        jf = flow.jacobian_product(active0, f)
+        slope, bend = (flow.event_rates(r, on)[row] for r in (f, jf))
+        guess = x - 2.0 * g * slope / (h * (2.0 * slope * slope - g * bend))
+        done = -1e-12 <= g <= 1e-9 and abs(guess - x) <= 1e-10 * x
+        if done or not 0.0 < guess < 1.0 or n == 5:
+            return x, dy
+        x = guess
+
+
+def _checking_landings(mp):
+    """A list of whether each landed row was on its step's piece; every landing is checked.
+
+    Each landing's x and stage must be ``_whole_vector_land``'s bit for bit.
+    """
+    land, on_piece = _ClosedLoop.land, []
+
+    def checking_land(self, y0, f0, active0, h, row, g0, x):
+        expected = _whole_vector_land(self, y0, f0, active0, h, row, g0, x)
+        x, dy = land(self, y0, f0, active0, h, row, g0, x)
+        assert x == expected[0] and dy.tobytes() == expected[1].tobytes()
+        on_piece.append(bool(active0[self.c + row]))
+        return x, dy
+
+    mp.setattr(_ClosedLoop, "land", checking_land)
+    return on_piece
+
+
+@pytest.mark.parametrize(
+    "mode", [PlantMode.LINEAR, PlantMode.NONLINEAR], ids=["linear", "nonlinear"]
+)
+def test_landings_are_the_whole_vector_formula(monkeypatch, heavy14, mode):
+    # land forms each Halley iterate's event, slope and bend for its one row
+    # (PackedFlow.row_rates), where the written-out formula forms J dy, J f
+    # and every row's events and reads that row. Both give the same x and
+    # stage bit for bit, on the piece and off it: these fault runs land 2
+    # and 6 entering events, where the benchmark's workloads land none
+    on_piece = _checking_landings(monkeypatch)
+    res = run_fault(heavy14, plant_mode=mode)
+    assert res.converged
+    assert on_piece.count(True) == res.stats.crossing > 0
+    assert on_piece.count(False) == res.stats.entering > 0
 
 
 @pytest.mark.parametrize("trip, error", [((1, 99), CaseDataError), ((7, 8), IslandingError)])
@@ -1568,6 +1664,31 @@ def test_linear_runs_on_random_networks_meet_the_oracle(network):
     assert qp.kkt_residual < 1e-8
     assert res.violations.min_multiplier >= -1e-12
     assert stats.phi_products == stats.attempts - retries + stats.landing_products
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(network=_small_networks())
+def test_landings_on_random_networks_are_exact(network):
+    # the search is steered toward runs that land entering events, which
+    # among the fixed cases only heavy14's runs do. On any random small
+    # network whose uncontrolled power flow solves, settled or not, every
+    # landing is the whole-vector formula's bit for bit, no accepted end
+    # violates a row off its step's piece by more than 1e-12, and no
+    # multiplier dips below -1e-12
+    case, q_max = network
+    part = partition_buses(case)
+    lim = Limits.box(part.n_load, part.n_controlled, q_lo=-q_max, q_hi=q_max)
+    assume(solve_power_flow(case, nominal_injections(case)).converged)
+    with pytest.MonkeyPatch.context() as mp:
+        on_piece, ends = _checking_landings(mp), _recording_accepted_ends(mp)
+        res = run_static(case, lim, plant_mode=PlantMode.LINEAR)
+    stats = res.stats
+    target(float(stats.entering), label="entering landings")
+    assert on_piece.count(False) == stats.entering
+    assert on_piece.count(True) == stats.crossing
+    assert len(ends) == stats.accepted
+    assert _worst_off_piece_violation(ends) <= 1e-12
+    assert res.violations.min_multiplier >= -1e-12
 
 
 def test_final_cost_equals_objective_exactly(heavy_nl, toy_lin):
