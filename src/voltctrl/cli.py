@@ -84,10 +84,7 @@ def parse_trip(spec: str, where: str = "trip") -> tuple[int, int, float | None]:
     body, _, at = spec.partition("@")
     t_trip: float | None = None
     if at:
-        try:
-            t_trip = float(at)
-        except ValueError:
-            raise ConfigError(f"{where}: bad trip time {at!r}") from None
+        t_trip = _parse_float(at, where)
         if t_trip <= 0:
             raise ConfigError(f"{where}: trip time must be positive")
     a, sep, b = body.partition(":")
@@ -146,7 +143,10 @@ def _parse_setting(key: str, value: str, where: str) -> tuple[str, object]:
             raise ConfigError(
                 f"{where}: profile needs 24 comma-separated factors, got {len(parts)}"
             )
-        return "profile", tuple(_parse_float(p, where) for p in parts)
+        factors = tuple(_parse_float(p, where) for p in parts)
+        if min(factors) < 0:
+            raise ConfigError(f"{where}: profile factors must be nonnegative")
+        return "profile", factors
     if key == "out":
         return "out_dir", value
     if key in ("k_q", "k_lam", "k_mu", "tol", "horizon", "hour_seconds"):

@@ -17,10 +17,11 @@ equilibrium and transient excursions are allowed through.
 The flow itself is ``PackedFlow``, compiled once for a sensitivity,
 limits and gains from the flow's two coupling blocks: the q rows, whose
 multiplier columns are J_qm, and the multiplier rows' q columns J_mq. It
-works on one packed vector [q, lam_hi, lam_lo, mu_hi, mu_lo]: ``rates``
-returns the rates together with the mask of rows the projection leaves
-active, and ``phi`` the phi-function products an exponential integrator
-steps with, phi_k(hJ) r for the Jacobian J of one piece of the flow. J has
+works on one packed vector [q, lam_hi, lam_lo, mu_hi, mu_lo]. A piece of
+the flow is one boolean mask over the 2M + 2C multiplier rows, those the
+projection leaves on: ``rates`` returns the rates on a piece together with
+that piece, and ``phi`` the phi-function products an exponential
+integrator steps with, phi_k(hJ) r for the Jacobian J of one piece. J has
 the plant's own voltage sensitivity in J_mq's lam rows (the nonlinear
 plant's dv/dq is not X; ``set_plant_sensitivity`` stores it), and its
 multiplier rows depend on q only, so every product comes from a 2C-square
@@ -180,9 +181,9 @@ class PackedFlow:
     multiplier rows' q columns J_mq, the limits and the gains; the
     projection tests the violations themselves and the gains scale what it
     keeps, and ``events`` tells where a piece of it ends. ``phi`` keeps one
-    piece: the masked J_mq and the block B of the last set of active
-    multiplier rows it was called with, rebuilt when that set changes and
-    cleared by ``set_plant_sensitivity``. No input is validated;
+    piece: the masked J_mq and the block B of the last piece it was
+    called with, rebuilt when the piece changes and cleared by
+    ``set_plant_sensitivity``. No input is validated;
     ``dynamics_rhs`` is the checked entry point.
     """
 
@@ -197,7 +198,7 @@ class PackedFlow:
         self._gain = np.repeat([gains.k_lam, gains.k_mu], [2 * m, 2 * c])
         # J_mq: each multiplier row's gain times its violation's derivative in q
         self._j_mq = self._gain[:, None] * np.vstack([xc, -xc, eye, -eye])
-        # the last piece's active multiplier rows, masked J_mq and B (see ``phi``)
+        # the last piece's mask, masked J_mq and B (see ``phi``)
         self._piece: tuple[bytes, np.ndarray, np.ndarray] | None = None
 
     def set_plant_sensitivity(self, gx: np.ndarray) -> None:
@@ -212,25 +213,24 @@ class PackedFlow:
         self._j_mq[lam] = self._gain[lam, None] * np.vstack([gx, -gx])
         self._piece = None
 
-    def reads_voltage(self, active: np.ndarray) -> bool:
-        """Whether the piece with these active rows reads the measured voltage: a lam row is on."""
-        return bool(np.any(active[self.c : self.c + 2 * self.m]))
+    def reads_voltage(self, on: np.ndarray) -> bool:
+        """Whether the piece ``on`` reads the measured voltage: a lam row is on it."""
+        return bool(np.any(on[: 2 * self.m]))
 
-    def rates(self, y: np.ndarray, v: np.ndarray, held=False) -> tuple[np.ndarray, np.ndarray]:
-        """Rates at a packed state and its measured voltages, with the active-row mask.
+    def rates(self, y: np.ndarray, v: np.ndarray, on=None) -> tuple[np.ndarray, np.ndarray]:
+        """Rates at a packed state and its measured voltages on a piece, with the piece.
 
-        Active rows are all q rows, and each multiplier row whose multiplier
-        is positive, whose constraint is violated, or which ``held`` marks
-        (a mask over the multiplier rows that keeps them on one smooth piece
-        of the flow). Inactive multiplier rows are projected to a zero rate.
+        A piece is a mask over the multiplier rows; the q rows are always
+        on it. Unset, it is the natural one: each multiplier row whose
+        multiplier is positive or whose constraint is violated. Multiplier
+        rows off the piece are projected to a zero rate.
         """
-        c = self.c
         violation = self.violation(y, v)
-        on = (y[c:] > 0) | (violation > 0) | held
+        if on is None:
+            on = (y[self.c :] > 0) | (violation > 0)
         violation[~on] = 0.0
         violation *= self._gain
-        rates = np.concatenate((self._q_rows @ y, violation))
-        return rates, np.concatenate((np.ones(c, dtype=bool), on))
+        return np.concatenate((self._q_rows @ y, violation)), on
 
     def violation(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The multiplier rows' constraint violations at a packed state and its voltages."""
@@ -248,14 +248,14 @@ class PackedFlow:
         """The events' time derivatives at rates f: f on the piece, -J_mq f_q / gain off it."""
         return np.where(on, f[self.c :], -(self._j_mq @ f[: self.c]) / self._gain)
 
-    def jacobian_product(self, active: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """J z for the closed loop's J with its inactive rows zeroed (see ``phi``)."""
+    def jacobian_product(self, on: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """J z for the closed loop's J on the piece ``on`` (see ``phi``)."""
         dm = self._j_mq @ z[: self.c]
-        dm[~active[self.c :]] = 0.0
+        dm[~on] = 0.0
         return np.concatenate((self._q_rows @ z, dm))
 
-    def row_rates(self, row: int, active: np.ndarray, f0: np.ndarray, dy: np.ndarray):
-        """Multiplier row ``row``'s event along a path of the piece with these active rows.
+    def row_rates(self, row: int, on: np.ndarray, f0: np.ndarray, dy: np.ndarray):
+        """Multiplier row ``row``'s event along a path of the piece ``on``.
 
         For y = y0 + dy, whose rates on the piece's linearization are
         f = f0 + J dy, returns ``event_rates`` of dy, f and J f at that one
@@ -268,24 +268,24 @@ class PackedFlow:
         c, j_mq = self.c, self._j_mq
         q_dy, m_dy = self._q_rows @ dy, j_mq @ dy[:c]
         f_q = f0[:c] + q_dy
-        if active[c + row]:
+        if on[row]:
             return dy[c + row], f0[c + row] + m_dy[row], (j_mq @ f_q)[row]
         # off the piece the event is minus the violation, whose rates read J f's q rows
         gain = self._gain[row]
         change = -m_dy[row] / gain
-        m_dy[~active[c:]] = 0.0
+        m_dy[~on] = 0.0
         jf_q = self._q_rows @ (f0 + np.concatenate((q_dy, m_dy)))
         return change, -(j_mq @ f_q)[row] / gain, -(j_mq @ jf_q)[row] / gain
 
-    def phi(self, k: int, h: float, active: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """phi_k(hJ) r, with J the closed loop's Jacobian on the active rows.
+    def phi(self, k: int, h: float, on: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """phi_k(hJ) r, with J the closed loop's Jacobian on the piece ``on``.
 
         J's q rows are -k_q times the gradient of the Lagrangian in the
         packed state, [-2 k_q I, J_qm]. Its multiplier rows are [J_mq, 0]
-        on the active rows and zero on the others, where J_mq holds the
-        gains times each violation's derivative in q: the plant's dv/dq in
-        the lam rows (``set_plant_sensitivity``), +-I in the mu rows. And
-        phi_k(z) = sum_j z^j / (j + k)!. With D the active multiplier rows,
+        on the piece's rows and zero off them, where J_mq holds the gains
+        times each violation's derivative in q: the plant's dv/dq in the
+        lam rows (``set_plant_sensitivity``), +-I in the mu rows. And
+        phi_k(z) = sum_j z^j / (j + k)!. With D the piece's multiplier rows,
         (q, J_qm m) follows the 2C x 2C matrix
 
             B = [[-2 k_q I, I], [J_qm D J_mq, 0]],
@@ -309,9 +309,9 @@ class PackedFlow:
         itself does not.
         """
         c = self.c
-        key = active[c:].tobytes()
+        key = on.tobytes()
         if self._piece is None or self._piece[0] != key:
-            j_mq = self._j_mq * active[c:, None]
+            j_mq = self._j_mq * on[:, None]
             b = np.zeros((2 * c, 2 * c))
             b[:c, :c] = self._q_rows[:, :c]
             b[:c, c:] = np.eye(c)

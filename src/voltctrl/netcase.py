@@ -333,11 +333,11 @@ def parse_case(text: str, name: str = "case") -> NetworkCase:
     line number) and :class:`CaseDataError` for semantically invalid data.
     """
     scalars, matrices = _collect_matrices(text)
-    if "baseMVA" not in scalars or not np.isfinite(scalars["baseMVA"]):
+    if "baseMVA" not in scalars:
         raise CaseFormatError("missing baseMVA assignment")
-    base = float(scalars["baseMVA"])
-    if base <= 0:
-        raise CaseDataError(f"base MVA must be positive, got {base}")
+    base = scalars["baseMVA"]
+    if not 0 < base < np.inf:
+        raise CaseDataError(f"base MVA must be positive and finite, got {base}")
     for required in ("bus", "branch"):
         if required not in matrices or not matrices[required]:
             raise CaseFormatError(f"missing {required} matrix")

@@ -9,10 +9,11 @@ with the dual active-set method of Goldfarb & Idnani (Math. Programming 27,
 q = 0 and adds the most violated row, raising that row's multiplier while
 the rows already in the working set stay tight and dropping any whose
 multiplier reaches zero first. No feasible start is needed: a violated row
-that admits neither step proves the constraints infeasible. The result
-carries the multipliers in the same four-vector layout the dynamics use, so
-a converged trajectory can be checked against the true optimum and its KKT
-certificate directly.
+that admits neither step proves the constraints infeasible. The result is
+the method's own last iterate: the q that passed the feasibility test and
+the working rows' multipliers, in the same four-vector layout the dynamics
+use, so a converged trajectory can be checked against the true optimum and
+its KKT certificate directly.
 """
 
 from __future__ import annotations
@@ -65,32 +66,18 @@ def _constraint_rows(sens: SensitivityMatrix, lim: Limits):
     return a, b, m, c
 
 
-def _equality_solve(a_w: np.ndarray, b_w: np.ndarray, c: int):
-    """Minimize ||q||^2 subject to A_w q = b_w; returns (q, duals)."""
-    if len(b_w) == 0:
-        return np.zeros(c), np.zeros(0)
-    gram = a_w @ a_w.T
-    try:
-        alpha = np.linalg.solve(gram, b_w)
-    except np.linalg.LinAlgError:
-        alpha, *_ = np.linalg.lstsq(gram, b_w, rcond=None)
-    return a_w.T @ alpha, -2.0 * alpha
-
-
 def _pack_solution(
-    q: np.ndarray, duals: np.ndarray, working: list[int], sens, lim, m: int, c: int
+    q: np.ndarray, u: np.ndarray, working: list[int], sens, lim, m: int, c: int
 ) -> QPSolution:
-    nu = np.zeros(2 * m + 2 * c)
-    for row, d in zip(working, duals):
-        nu[row] = max(d, 0.0)
-    lam_hi, lam_lo = nu[:m], nu[m : 2 * m]
-    mu_hi, mu_lo = nu[2 * m : 2 * m + c], nu[2 * m + c :]
-    in_w = set(working)
+    """The solution at q with multipliers u on the working rows, split by constraint family."""
+    bounds = [0, m, 2 * m, 2 * m + c, 2 * m + 2 * c]
+    nu = np.zeros(bounds[-1])
+    nu[working] = u
+    lam_hi, lam_lo, mu_hi, mu_lo = np.split(nu, bounds[1:-1])
+    rows = sorted(working)
     active = {
-        "v_hi": tuple(i for i in range(m) if i in in_w),
-        "v_lo": tuple(i - m for i in sorted(in_w) if m <= i < 2 * m),
-        "q_hi": tuple(i - 2 * m for i in sorted(in_w) if 2 * m <= i < 2 * m + c),
-        "q_lo": tuple(i - 2 * m - c for i in sorted(in_w) if i >= 2 * m + c),
+        name: tuple(i - lo for i in rows if lo <= i < hi)
+        for name, lo, hi in zip(("v_hi", "v_lo", "q_hi", "q_lo"), bounds, bounds[1:])
     }
     residual = kkt_residual(q, (lam_hi, lam_lo, mu_hi, mu_lo), sens, lim)
     return QPSolution(
@@ -109,8 +96,9 @@ def solve_centralized(sens: SensitivityMatrix, lim: Limits) -> QPSolution:
     """Dual active-set solve of the strictly convex certification QP.
 
     A row is feasible when ``A q - b`` is at most 1e-10. A row joins the
-    working set only when it lies outside the span of the rows already
-    there, so the working rows always have full rank.
+    working set only when more than 1e-7 of its length lies outside the
+    span of the rows already there, so the working rows always have full
+    rank.
 
     Raises :class:`InfeasibleProblemError` when the voltage band cannot be
     met inside the injection box: a violated row lies in the span of the
@@ -123,17 +111,18 @@ def solve_centralized(sens: SensitivityMatrix, lim: Limits) -> QPSolution:
             violation = a @ q - b
             p = int(np.argmax(violation))
             if violation[p] <= _QP_TOL:
-                q, duals = _equality_solve(a[working], b[working], c)
-                return _pack_solution(q, duals, working, sens, lim, m, c)
+                return _pack_solution(q, u, working, sens, lim, m, c)
             t_p = 0.0
         # keep 2 q + A_w' u + t_p a_p = 0 with the working rows tight: per
         # unit of t_p, u moves by -r and q by -d / 2, where d is the part
-        # of a_p outside the working rows' span (taken as none when it is
-        # below 1e-10 of |a_p|)
+        # of a_p outside the working rows' span, taken as none below 1e-7
+        # of |a_p|: nearly dependent voltage rows give d up to 1e-8 of
+        # |a_p|, and a row joined on such a d steps by 1/|d|^2 and can
+        # cycle in and out of the working set
         a_w = a[working]
         r = np.linalg.lstsq(a_w.T, a[p], rcond=None)[0]
         d = a[p] - a_w.T @ r
-        in_span = d @ d <= 1e-20 * (a[p] @ a[p])
+        in_span = d @ d <= 1e-14 * (a[p] @ a[p])
         # step 0 makes row p tight; step j + 1 zeroes working multiplier j
         full = np.inf if in_span else 2.0 * (a[p] @ q - b[p]) / (d @ d)
         steps = np.append(full, np.divide(u, r, out=np.full(len(u), np.inf), where=r > 0))

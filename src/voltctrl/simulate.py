@@ -251,8 +251,9 @@ class _ClosedLoop:
     A plant solve that does not converge raises
     :class:`PlantDivergenceError`, which fails the step attempt. States are
     packed vectors whose first C entries are q and whose remaining entries
-    are multipliers. ``counts`` holds the window's work counts by
-    ``SolverStats`` field.
+    are multipliers. ``stage`` holds a landing's last stage for the next
+    attempt, and ``counts`` the window's work counts by ``SolverStats``
+    field.
     """
 
     def __init__(
@@ -269,6 +270,7 @@ class _ClosedLoop:
         self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, gains)
         self.last: PowerFlowSolution | None = None
         self.inverse: np.ndarray | None = None
+        self.stage: tuple[float, np.ndarray] | None = None
         self.counts: Counter = Counter()
 
     def embed(self, q: np.ndarray) -> np.ndarray:
@@ -322,64 +324,64 @@ class _ClosedLoop:
         return self._solve(q).v[self.part.pq]
 
     def eval(self, y: np.ndarray, v: np.ndarray):
-        """Floored state, projected rates, active rows and v at a packed state that measures v.
+        """Floored state, projected rates and piece at a packed state that measures v.
 
-        A row whose event is within 1e-9 of zero and falling switches its
-        place on the piece a step from here holds: a multiplier leaving it
-        is set to zero, a row joining it is held on.
+        The piece is the natural one (``flow.rates``), but that a row whose
+        event is within 1e-9 of zero and falling switches its place on it:
+        a multiplier leaving it is set to zero, a row joining it is on it
+        at a zero multiplier.
         """
         c, flow = self.c, self.flow
         y = np.concatenate((y[:c], np.maximum(y[c:], 0.0)))
-        f, active = flow.rates(y, v)
-        on = active[c:]
+        f, on = flow.rates(y, v)
         near = flow.events(y, v, on) <= _NEAR
         if near.any():
             turn = near & (flow.event_rates(f, on) < 0)
             y[c:][turn] = 0.0
-            f, active = flow.rates(y, v, on ^ turn)
-        return y, f, active, v
+            f, on = flow.rates(y, v, on ^ turn)
+        return y, f, on
 
-    def attempt(self, y0: np.ndarray, f0: np.ndarray, active0: np.ndarray, h: float, stage=None):
-        """One exprb32 step of size h from y0, whose rates and active rows are known.
+    def attempt(self, y0: np.ndarray, f0: np.ndarray, on: np.ndarray, h: float):
+        """One exprb32 step of size h from y0, whose rates f0 on the piece ``on`` are known.
 
-        The step holds the piece of the flow y0 lies on: rows in ``active0``
-        stay active, and the others keep a zero rate. On it the stage is
-        U2 = y0 + h phi1(hJ) f0, with J the piece's Jacobian (``flow.phi``).
-        The linear plant's flow is affine on the piece, so U2 is exact and
-        ends the step; so does the nonlinear plant's while the piece does
-        not read the voltage (``flow.reads_voltage``). Otherwise the plant
-        is solved at U2, and with D2 = F(U2) - f0 - J (U2 - y0), the piece's
-        rates' departure from their linearization, the step ends at
-        y1 = U2 + est with est = 2h phi3(hJ) D2, the embedded estimate of
-        U2's local error. Returns y1 unfloored, est and the voltage measured
-        at y1, which reuses U2's where y1's q is U2's. A landing's ``stage``,
-        the pair (xh, U2 - y0) from ``land``, stands in for the phi-product
-        when its size is h. A plant solve that does not converge raises
-        :class:`PlantDivergenceError`, and so does a stage that is not
-        finite, before any plant call.
+        The step holds that piece: its rows take their rates, and the
+        others keep a zero rate. On it the stage is U2 = y0 + h phi1(hJ) f0,
+        with J the piece's Jacobian (``flow.phi``). The linear plant's flow
+        is affine on the piece, so U2 is exact and ends the step; so does
+        the nonlinear plant's while the piece does not read the voltage
+        (``flow.reads_voltage``). Otherwise the plant is solved at U2, and
+        with D2 = F(U2) - f0 - J (U2 - y0), the piece's rates' departure
+        from their linearization, the step ends at y1 = U2 + est with
+        est = 2h phi3(hJ) D2, the embedded estimate of U2's local error.
+        Returns y1 unfloored, est and the voltage measured at y1, which
+        reuses U2's where y1's q is U2's. The attempt takes ``stage``, which
+        ``land`` leaves for it, and clears it; its U2 - y0 stands in for the
+        phi-product when its size is h. A plant solve that does not
+        converge raises :class:`PlantDivergenceError`, and so does a stage
+        that is not finite, before any plant call.
         """
         c, flow = self.c, self.flow
+        stage, self.stage = self.stage, None
         if stage is not None and stage[0] == h:
             u2 = y0 + stage[1]
         else:
             self.counts["phi_products"] += 1
-            u2 = y0 + h * flow.phi(1, h, active0, f0)
+            u2 = y0 + h * flow.phi(1, h, on, f0)
         if not np.all(np.isfinite(u2)):
             raise PlantDivergenceError("the step's stage is not finite; no plant is solved there")
         est = np.zeros_like(y0)
         v2 = None
-        if self.mode is PlantMode.NONLINEAR and flow.reads_voltage(active0):
+        if self.mode is PlantMode.NONLINEAR and flow.reads_voltage(on):
             v2 = self.voltage(u2[:c])
-            f2, _ = flow.rates(u2, v2, active0[c:])
-            d2 = np.where(active0, f2, 0.0) - f0 - flow.jacobian_product(active0, u2 - y0)
+            d2 = flow.rates(u2, v2, on)[0] - f0 - flow.jacobian_product(on, u2 - y0)
             self.counts["phi_products"] += 1
-            est = 2.0 * h * flow.phi(3, h, active0, d2)
+            est = 2.0 * h * flow.phi(3, h, on, d2)
         y1 = u2 + est
         if v2 is None or not np.array_equal(y1[:c], u2[:c]):
             v2 = self.voltage(y1[:c])
         return y1, est, v2
 
-    def land(self, y0, f0, active0, h, row, g0, x):
+    def land(self, y0, f0, on, h, row, g0, x):
         """Refine x, the guess of where in a step of size h multiplier row ``row``'s event falls.
 
         The step's stage path is y(xh) = y0 + xh phi1(xhJ) f0, with rates
@@ -393,20 +395,22 @@ class _ClosedLoop:
         no plant call per iterate. It stops at an event the retry's test
         leaves alone, within [-1e-12, 1e-9], whose correction is below 1e-10
         of x, before a guess outside (0, 1), or after 6 iterates. Returns
-        the last x evaluated and its stage U2 - y0 = xh phi1(xhJ) f0, which
-        the retry at xh takes as its own.
+        the last x evaluated, and leaves its size and stage
+        U2 - y0 = xh phi1(xhJ) f0 as ``stage``, which the next attempt, the
+        retry at xh, takes as its own.
         """
         flow = self.flow
         for n in range(6):
             self.counts["phi_products"] += 1
             self.counts["landing_products"] += 1
-            dy = x * h * flow.phi(1, x * h, active0, f0)
-            change, slope, bend = flow.row_rates(row, active0, f0, dy)
+            dy = x * h * flow.phi(1, x * h, on, f0)
+            change, slope, bend = flow.row_rates(row, on, f0, dy)
             g = g0 + change
             guess = x - 2.0 * g * slope / (h * (2.0 * slope * slope - g * bend))
             done = -_OVERSHOOT <= g <= _NEAR and abs(guess - x) <= 1e-10 * x
             if done or not 0.0 < guess < 1.0 or n == 5:
-                return x, dy
+                self.stage = x * h, dy
+                return x
             x = guess
 
 
@@ -447,30 +451,26 @@ def integrate(
             f"the case needs M={m}, C={c}"
         )
     y0 = np.zeros(3 * c + 2 * m) if state0 is None else state0.packed()
-    y, f, active, v = loop.eval(y0, loop.rebase(y0[:c]))
+    v = loop.rebase(y0[:c])
+    y, f, on = loop.eval(y0, v)
     times, rows, volts, raw_mins = [0.0], [y0], [v], [float(np.min(y0[c:]))]
     residual = float(np.max(np.abs(f)))
     t = 0.0
     h = min(0.1, horizon)
     # the largest step an event cut back, until the next accepted step resumes it
     h_cut = 0.0
-    # a landing's last stage and its size, handed to the next attempt only
-    stage = None
     while not residual < tol and t < horizon - 1e-9 * max(1.0, horizon):
         h_try = min(h, horizon - t)
         if h_try < 1e-13 * max(1.0, t):
             raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
         try:
-            y1, est, v1 = loop.attempt(y, f, active, h_try, stage)
+            y1, est, v1 = loop.attempt(y, f, on, h_try)
         except PlantDivergenceError:
             loop.counts["plant_divergence"] += 1
             h = 0.5 * h_try
             continue
-        finally:
-            stage = None
         # the piece ends where a row's event function turns negative past
         # the overshoot; a multiplier's dip below zero is left to the floor
-        on = active[c:]
         g0, g1 = loop.flow.events(y, v, on), loop.flow.events(y1, v1, on)
         event = ((g0 > 0) | ~on) & (g1 < -_OVERSHOOT)
         if np.any(event):
@@ -483,8 +483,7 @@ def integrate(
             if roots[first] < 1.0 and h_try * roots[first] > 1e-10:
                 row = int(np.flatnonzero(event)[first])
                 loop.counts["crossing" if on[row] else "entering"] += 1
-                x, dy = loop.land(y, f, active, h_try, row, float(g0[row]), float(roots[first]))
-                stage = (h_try * x, dy)
+                x = loop.land(y, f, on, h_try, row, float(g0[row]), float(roots[first]))
                 h_cut = max(h_cut, h_try)
                 h = h_try * x
                 continue
@@ -498,7 +497,8 @@ def integrate(
         # an accepted step resumes the size an event cut back
         h, h_cut = max(h, h_cut), 0.0
         t += h_try
-        y, f, active, v = loop.eval(y1, v1)
+        y, f, on = loop.eval(y1, v1)
+        v = v1
         loop.refresh_inverse()
         times.append(t)
         rows.append(y)
@@ -540,8 +540,10 @@ def _first_root(p0, p1, d0, d1) -> np.ndarray:
     from one side without leaving the piece (Fourier's condition). Each
     row is computed on its own in Python floats, a handful of them per
     event test; its iterate stops where p is zero or its sign has turned
-    by rounding, or after 64 steps. A division by zero gives numpy's inf
-    or nan, and so does the square root of a negative number.
+    by rounding, or after 64 steps. A division by zero gives a signed
+    infinity and the square root of a negative number nan; a cut that is
+    either becomes 1, and a Newton step divides only a p that is positive
+    on its side.
     """
     roots = []
     for p0, p1, d0, d1 in zip(*(np.asarray(a, dtype=float).tolist() for a in (p0, p1, d0, d1))):
@@ -574,12 +576,8 @@ def _first_root(p0, p1, d0, d1) -> np.ndarray:
 
 
 def _divide(a: float, b: float) -> float:
-    """a / b, or numpy's inf or nan where b is zero."""
-    if b:
-        return a / b
-    if a != a or a == 0.0:
-        return np.nan
-    return float(np.copysign(np.inf, a) * np.copysign(1.0, b))
+    """a / b, or an infinity of the sign of a times that of b where b is zero."""
+    return a / b if b else float(np.copysign(np.inf, a) * np.copysign(1.0, b))
 
 
 def _join(windows: list[tuple[float, SimulationResult]]) -> SimulationResult:

@@ -156,6 +156,30 @@ def test_parse_trip_variants():
         parse_trip("4:5@-1")
 
 
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--trip", "4:5@nan"], "", "--trip: value must be finite"),
+        ([], "trip = 4:5@inf\n", "line 3: value must be finite"),
+        ([], "profile = " + ", ".join(["1.0"] * 23 + ["-0.5"]) + "\n",
+         "line 3: profile factors must be nonnegative"),
+    ],
+    ids=["trip-flag-nan", "trip-key-inf", "negative-profile"],
+)
+def test_late_failing_values_are_config_errors_before_the_output(tmp_path, capsys, flags, config,
+                                                                 message):
+    # a trip time that is not finite and a negative load factor once parsed,
+    # then failed inside the run without their location, after the output
+    # directory was made
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = case14\nscenario = fault\n{config}")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--out", str(out), *flags])
+    assert code == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_powerflow_command_prints_setpoints(capsys):
     code = main(["powerflow", "--case", "case14"])
     out = capsys.readouterr().out

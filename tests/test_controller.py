@@ -101,9 +101,9 @@ def test_positive_projection():
     y = np.zeros(1 + 2 * 4 + 2)
     y[1:5] = [0.0, 0.5, 0.0, 0.0]
     flow = PackedFlow(np.ones((4, 1)), lim, Gains())
-    rates, active = flow.rates(y, np.array([-3.0, -3.0, 3.0, 0.0]))
+    rates, on = flow.rates(y, np.array([-3.0, -3.0, 3.0, 0.0]))
     assert rates[1:5].tolist() == [0.0, -3.0, 3.0, 0.0]
-    assert active.tolist() == [True] + [False, True, True, False] + [False] * 6
+    assert on.tolist() == [False, True, True, False] + [False] * 6
 
 
 def test_flow_jacobian_matches_finite_difference(case14):
@@ -131,9 +131,9 @@ def test_flow_jacobian_matches_finite_difference(case14):
         def rates(y):
             return flow.rates(y, base + xc @ y[:c])[0]
 
-        _, active = flow.rates(y, v)
-        expected = written_out_jacobian(xc, gains, active)
-        masked += int(np.sum(~active))
+        _, on = flow.rates(y, v)
+        expected = written_out_jacobian(xc, gains, np.concatenate([np.ones(c, dtype=bool), on]))
+        masked += int(np.sum(~on))
         # a zero multiplier sits on the kink of its own row, so its column is skipped
         for j in np.concatenate([np.arange(c), c + np.flatnonzero(mult > 0)]):
             e = np.zeros(len(y))
@@ -179,7 +179,7 @@ def test_flow_jacobian_product_matches_written_out_jacobian(case14):
         flow = PackedFlow(xc, Limits.box(m, c), gains)
         flow.set_plant_sensitivity(gx)
         expected = written_out_jacobian(xc, gains, active, gx) @ z
-        got = flow.jacobian_product(active, z)
+        got = flow.jacobian_product(active[c:], z)
         assert np.all(got[~active] == 0.0)
         assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
@@ -211,7 +211,7 @@ def test_flow_phi_product_matches_full_exponential(name, factor, request):
         flow.set_plant_sensitivity(gx)
         for k in (1, 3):
             expected = _full_phi(k, h * jac, r)
-            got = flow.phi(k, h, active, r)
+            got = flow.phi(k, h, active[c:], r)
             worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
     assert worst <= 1e-11
 
@@ -232,15 +232,15 @@ def test_flow_phi_product_is_exactly_linear_in_its_vector(name, factor, request)
     for _ in range(30):
         gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
         h = 10.0 ** rng.uniform(-2.0, 3.0)
-        active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
+        on = rng.random(n - c) < rng.random()
         r = rng.standard_normal(n)
         flow = PackedFlow(xc, Limits.box(m, c), gains)
         flow.set_plant_sensitivity(gx)
         for k in (1, 3):
-            base = flow.phi(k, h, active, r)
+            base = flow.phi(k, h, on, r)
             for e in (-600, 600):
-                assert np.array_equal(flow.phi(k, h, active, 2.0**e * r), 2.0**e * base)
-            assert np.all(flow.phi(k, h, active, np.zeros(n)) == 0.0)
+                assert np.array_equal(flow.phi(k, h, on, 2.0**e * r), 2.0**e * base)
+            assert np.all(flow.phi(k, h, on, np.zeros(n)) == 0.0)
     # at the top of the float range a short step is still scaled exactly,
     # also for a dense vector whose w has a 1-norm past the float range:
     # that norm is summed over w scaled by its largest entry's power of two.
@@ -251,13 +251,13 @@ def test_flow_phi_product_is_exactly_linear_in_its_vector(name, factor, request)
     assert np.abs(w).sum() > 8.0
     for k in (1, 3):
         for vec, step in ((unit, 1e-3), (r, 1e-4)):
-            big = flow.phi(k, step, active, 2.0**1021 * vec)
-            assert np.array_equal(big, 2.0**1021 * flow.phi(k, step, active, vec))
+            big = flow.phi(k, step, on, 2.0**1021 * vec)
+            assert np.array_equal(big, 2.0**1021 * flow.phi(k, step, on, vec))
 
 
 def test_phi_rebuilds_its_piece_on_a_new_mask_or_plant_sensitivity(case14):
-    # phi keeps the last piece's masked J_mq and B, keyed on the active
-    # multiplier rows, and set_plant_sensitivity clears them: through the
+    # phi keeps the last piece's masked J_mq and B, keyed on the piece's
+    # mask, and set_plant_sensitivity clears them: through the
     # pieces A -> B -> A, and after a new dv/dq on A, every product is a
     # freshly built flow's bit for bit. Kept across the new dv/dq, A's old
     # B gave the linear plant's product
@@ -269,22 +269,20 @@ def test_phi_rebuilds_its_piece_on_a_new_mask_or_plant_sensitivity(case14):
     gx = _plant_sensitivity(case, xc)
     lim, gains = Limits.box(m, c), Gains(0.7, 1.9, 1.3)
     rng = np.random.default_rng(29)
-    piece_a, piece_b = (
-        np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < 0.5]) for _ in "ab"
-    )
-    assert np.any(piece_a[c : c + 2 * m]) and np.any(piece_a != piece_b)
+    piece_a, piece_b = (rng.random(n - c) < 0.5 for _ in "ab")
+    assert np.any(piece_a[: 2 * m]) and np.any(piece_a != piece_b)
     r = rng.standard_normal(n)
 
-    def fresh(active, k, h, sensitivity=None):
+    def fresh(on, k, h, sensitivity=None):
         flow = PackedFlow(xc, lim, gains)
         if sensitivity is not None:
             flow.set_plant_sensitivity(sensitivity)
-        return flow.phi(k, h, active, r)
+        return flow.phi(k, h, on, r)
 
     flow = PackedFlow(xc, lim, gains)
     calls = ((piece_a, 1, 0.3), (piece_a, 3, 2.0), (piece_b, 1, 0.3), (piece_a, 1, 7.0))
-    for active, k, h in calls:
-        assert flow.phi(k, h, active, r).tobytes() == fresh(active, k, h).tobytes()
+    for on, k, h in calls:
+        assert flow.phi(k, h, on, r).tobytes() == fresh(on, k, h).tobytes()
     flow.set_plant_sensitivity(gx)
     for k, h in ((1, 0.3), (3, 7.0)):
         got = flow.phi(k, h, piece_a, r)
@@ -307,13 +305,12 @@ def test_row_rates_are_the_rows_of_the_whole_products(case14):
     for _ in range(20):
         flow = PackedFlow(xc, Limits.box(m, c), Gains(*np.exp(rng.uniform(-2.0, 2.0, 3))))
         flow.set_plant_sensitivity(gx)
-        active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
-        on = active[c:]
+        on = rng.random(n - c) < rng.random()
         f0, dy = rng.standard_normal(n), rng.standard_normal(n)
-        f = f0 + flow.jacobian_product(active, dy)
-        whole = [flow.event_rates(z, on) for z in (dy, f, flow.jacobian_product(active, f))]
+        f = f0 + flow.jacobian_product(on, dy)
+        whole = [flow.event_rates(z, on) for z in (dy, f, flow.jacobian_product(on, f))]
         for row in range(n - c):
-            got = flow.row_rates(row, active, f0, dy)
+            got = flow.row_rates(row, on, f0, dy)
             assert np.array(got).tobytes() == np.array([w[row] for w in whole]).tobytes()
 
 
@@ -403,7 +400,7 @@ def test_expm_and_phi_solve_no_linear_system(monkeypatch, case14):
     xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
     m, c = xc.shape
     flow = PackedFlow(xc, Limits.box(m, c), Gains())
-    active = np.ones(3 * c + 2 * m, dtype=bool)
+    on = np.ones(2 * c + 2 * m, dtype=bool)
     r = np.random.default_rng(3).standard_normal(3 * c + 2 * m)
     a = np.random.default_rng(4).standard_normal((20, 20))
     monkeypatch.setattr(np.linalg, "solve", refuse)
@@ -412,16 +409,17 @@ def test_expm_and_phi_solve_no_linear_system(monkeypatch, case14):
         b = a * (scale / np.abs(a).sum(axis=0).max())
         assert np.all(np.isfinite(expm(b))) and np.all(np.isfinite(expm(b, last=2)))
         for k in (1, 3):
-            assert np.all(np.isfinite(flow.phi(k, h, active, r)))
+            assert np.all(np.isfinite(flow.phi(k, h, on, r)))
 
 
 def test_rates_match_the_lagrangian():
     # random networks, limits, gains, states, held rows and measured
-    # voltages; about half the multipliers are zero, so many rows are
-    # active only because they are violated or held. With a gain of 1e-300
-    # and violations of order 1e-30 the gain-scaled rate underflows to
-    # zero, so only a test that reads the violation itself keeps those
-    # rows active.
+    # voltages; about half the multipliers are zero, so many rows are on
+    # the piece only because they are violated or held. rates finds the
+    # natural piece itself and takes the piece with held rows as given.
+    # With a gain of 1e-300 and violations of order 1e-30 the gain-scaled
+    # rate underflows to zero, so only a test that reads the violation
+    # itself keeps those rows on the natural piece.
     rng = np.random.default_rng(17)
     tiny = 0
     for trial in range(300):
@@ -440,13 +438,13 @@ def test_rates_match_the_lagrangian():
         held = rng.random(2 * m + 2 * c) < 0.2
         flow = PackedFlow(xc, lim, gains)
         for hold in (held, np.zeros(2 * m + 2 * c, dtype=bool)):
-            rates, active = flow.rates(y, v, hold)
             expected, expected_active = written_out_rates(y, v, xc, lim, gains, hold)
-            assert active.tolist() == expected_active.tolist()
+            rates, on = flow.rates(y, v, expected_active[c:] if hold is held else None)
+            assert on.tolist() == expected_active[c:].tolist()
             assert_allclose(rates[:c], expected[:c], rtol=1e-12, atol=1e-13)
             assert_allclose(rates[c:], expected[c:], rtol=1e-12, atol=0.0)
-            if scale < 1.0:
-                tiny += int(np.sum(active[c:] & (rates[c:] == 0.0) & (y[c:] == 0.0) & ~hold))
+            if scale < 1.0 and hold is not held:
+                tiny += int(np.sum(on & (rates[c:] == 0.0) & (y[c:] == 0.0)))
     assert tiny > 0
 
 

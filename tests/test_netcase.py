@@ -188,6 +188,11 @@ _GEN2 = "\t2\t40\t42.4\t50\t-40\t1.045\t100\t1\t140\t0;"
         ("mpc.bus = [", "mpc.buses = [", CaseFormatError, "missing bus matrix"),
         ("\t4\t1\t47.8", "\t4\t4\t47.8", CaseDataError, "bus 4: unsupported bus type 4"),
         ("mpc.baseMVA = 100;", "mpc.baseMVA = 0;", CaseDataError, "base MVA must be positive"),
+        # present but not finite: not missing
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = Inf;", CaseDataError,
+         "base MVA must be positive and finite, got inf"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 1e400;", CaseDataError,
+         "base MVA must be positive and finite, got inf"),
         ("mpc.version = '2';", "mpc.version '2';", CaseFormatError,
          "line 5: expected an assignment"),
         (_GEN2, _GEN2 + "\n\t2\t0\t0\t0\t0\t1.0\t100\t1\t0\t0;", CaseDataError,
@@ -209,7 +214,7 @@ _GEN2 = "\t2\t40\t42.4\t50\t-40\t1.045\t100\t1\t140\t0;"
     ],
     ids=[
         "short_bus_row", "short_gen_row", "short_branch_row", "no_bus_matrix", "bus_type_4",
-        "base_mva_zero", "not_an_assignment", "conflicting_vg", "gen_at_unknown_bus",
+        "base_mva_zero", "base_mva_inf", "base_mva_overflows", "not_an_assignment", "conflicting_vg", "gen_at_unknown_bus",
         "gen_at_pq_bus", "vg_zero", "tap_negative", "tap_underflows", "reactance_underflows",
         "pv_gen_out_of_service",
     ],

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from _reference import enumerate_active_sets
@@ -103,6 +104,39 @@ def test_infeasible_band_is_reported():
             solve_centralized(sens, lim)
         with pytest.raises(InfeasibleProblemError):
             enumerate_active_sets(sens, lim)
+
+
+def test_nearly_dependent_rows_end_in_an_infeasible_verdict(case14, case30):
+    # a seeded sweep of random base points, boxes and bands draws 400 on
+    # case14, then case30's. Its 88th on case30 has a band no q in the box
+    # meets: linprog's least worst violation is 0.037. One voltage row lies
+    # 2.8e-10 of its length outside the working rows' span; taken as
+    # independent, it joined, dropped and joined again, each cycle growing
+    # the step about 2e9-fold, until the step overflowed about 90
+    # iterations on. Under this suite's warnings-as-errors that overflow
+    # was the error, not the verdict
+    rng = np.random.default_rng(5)
+    for case, draws in ((case14, 400), (case30, 88)):
+        part = partition_buses(case)
+        m, c = part.n_load, part.n_controlled
+        for _ in range(draws):
+            base_v, base_q = rng.uniform(0.85, 1.15, m), rng.uniform(-0.1, 0.1, m)
+            box, band = rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.08)
+    assert (round(box, 3), round(band, 3)) == (0.460, 0.066)
+    sens = rebased(voltage_sensitivity(case30.topology.y, part), base_v, base_q)
+    lim = Limits.box(m, c, 1 - band, 1 + band, -box, box)
+    xc = sens.x[:, part.controlled_in_pq()]
+    r = sens.base_v - xc @ sens.base_q[part.controlled_in_pq()]
+    rows = np.vstack([xc, -xc, np.eye(c), -np.eye(c)])
+    bound = np.concatenate([lim.v_hi - r, r - lim.v_lo, lim.q_hi, -lim.q_lo])
+    # min s subject to rows q - s <= bound: the least worst violation
+    least = scipy.optimize.linprog(
+        np.eye(c + 1)[-1], A_ub=np.hstack([rows, -np.ones((len(rows), 1))]), b_ub=bound,
+        bounds=[(None, None)] * (c + 1),
+    )
+    assert least.status == 0 and least.x[-1] > 0.03
+    with pytest.raises(InfeasibleProblemError, match="constraints are infeasible"):
+        solve_centralized(sens, lim)
 
 
 def test_degenerate_floors_meet_at_one_point():

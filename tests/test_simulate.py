@@ -383,10 +383,10 @@ def _lam_lo_start() -> ControllerState:
 
 def _fixed_steps(loop, start: ControllerState, h: float, steps: int) -> np.ndarray:
     """The packed state after ``steps`` accepted steps of size h from the start."""
-    y, f, active, _ = loop.eval(start.packed(), loop.rebase(start.q))
+    y, f, on = loop.eval(start.packed(), loop.rebase(start.q))
     for _ in range(steps):
-        y1, _, v1 = loop.attempt(y, f, active, h)
-        y, f, active, _ = loop.eval(y1, v1)
+        y1, _, v1 = loop.attempt(y, f, on, h)
+        y, f, on = loop.eval(y1, v1)
         loop.refresh_inverse()
     return y
 
@@ -429,8 +429,8 @@ def test_embedded_estimate_tracks_the_local_error(toy2, toy_limits, h):
     # stand in for the exact solution (0.98-0.99 measured)
     loop = _ClosedLoop(toy2, PlantMode.NONLINEAR, toy_limits, Gains())
     start = _lam_lo_start()
-    y0, f0, active0, _ = loop.eval(start.packed(), loop.rebase(start.q))
-    y1, est, _ = loop.attempt(y0, f0, active0, h)
+    y0, f0, on0 = loop.eval(start.packed(), loop.rebase(start.q))
+    y1, est, _ = loop.attempt(y0, f0, on0, h)
     local = np.max(np.abs(y1 - est - _fixed_steps(loop, start, h / 200, 200)))
     assert 0.5 < np.max(np.abs(est)) / local < 2.0
 
@@ -620,9 +620,9 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
     steps, accepted = [], []
     attempt, refresh = _ClosedLoop.attempt, _ClosedLoop.refresh_inverse
 
-    def recording_attempt(self, y0, f0, active0, h, stage=None):
-        out = attempt(self, y0, f0, active0, h, stage)
-        steps.append((self, y0.copy(), active0.copy(), h, out[0].copy()))
+    def recording_attempt(self, y0, f0, on0, h):
+        out = attempt(self, y0, f0, on0, h)
+        steps.append((self, y0.copy(), on0.copy(), h, out[0].copy()))
         return out
 
     def recording_refresh(self):
@@ -638,14 +638,14 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
         accepted.clear()
         res = run_static(case, plant_mode=PlantMode.LINEAR, tol=tol)
         assert res.converged and len(accepted) == len(res.trajectory) - 1
-        pieces = {active0.tobytes() for _, _, active0, _, _ in accepted}
+        pieces = {on0.tobytes() for _, _, on0, _, _ in accepted}
         assert len(pieces) >= LINEAR_PIECES[name]
-        for loop, y0, active0, h, y1 in accepted:
+        for loop, y0, on0, h, y1 in accepted:
             c = loop.c
             xc = loop.sens.x[:, loop.cpos]
             v0 = loop.sens.base_v + xc @ (y0[:c] - loop.sens.base_q[loop.cpos])
-            f0, on = written_out_rates(y0, v0, xc, loop.lim, Gains(), active0[c:])
-            assert on.tolist() == active0.tolist()
+            f0, active0 = written_out_rates(y0, v0, xc, loop.lim, Gains(), on0)
+            assert active0[c:].tolist() == on0.tolist()
             n = len(y0)
             aug = np.zeros((n + 1, n + 1))
             aug[:n, :n] = h * written_out_jacobian(xc, Gains(), active0)
@@ -703,15 +703,15 @@ def _record_landings(monkeypatch):
     log = []
     attempt, land, refresh = _ClosedLoop.attempt, _ClosedLoop.land, _ClosedLoop.refresh_inverse
 
-    def recording_attempt(self, y0, f0, active0, h, stage=None):
-        out = attempt(self, y0, f0, active0, h, stage)
+    def recording_attempt(self, y0, f0, on0, h):
+        out = attempt(self, y0, f0, on0, h)
         log.append(("attempt", h, out[0].copy()))
         return out
 
-    def recording_land(self, y0, f0, active0, h, row, g0, x):
-        landed = land(self, y0, f0, active0, h, row, g0, x)
-        log.append(("land", h, landed[0], row, self, y0.copy(), f0.copy(), active0.copy()))
-        return landed
+    def recording_land(self, y0, f0, on0, h, row, g0, x):
+        x = land(self, y0, f0, on0, h, row, g0, x)
+        log.append(("land", h, x, row, self, y0.copy(), f0.copy(), on0.copy()))
+        return x
 
     def recording_refresh(self):
         log.append(("accept",))
@@ -748,14 +748,14 @@ def test_linear_landings_agree_with_an_independent_root(request, monkeypatch, na
     for i, entry in enumerate(log[:-2]):
         if entry[0] != "land" or log[i + 2][0] != "accept":
             continue
-        _, h, x, row, loop, y0, f0, active0 = entry
+        _, h, x, row, loop, y0, f0, on0 = entry
         kind, h_landed, y1 = log[i + 1]
         assert kind == "attempt" and h_landed == h * x
-        on = bool(active0[loop.c + row])
+        on = bool(on0[row])
         assert -1e-12 <= _written_out_event(loop, row, on, y1) <= 1e-9
         xc = loop.sens.x[:, loop.cpos]
         n = len(y0)
-        jac = written_out_jacobian(xc, Gains(), active0)
+        jac = written_out_jacobian(xc, Gains(), np.concatenate((np.ones(loop.c, bool), on0)))
 
         def event(s):
             aug = np.zeros((n + 1, n + 1))
@@ -783,37 +783,39 @@ def test_linear_landings_agree_with_an_independent_root(request, monkeypatch, na
 )
 def test_a_landing_hands_its_last_stage_to_the_retry(request, monkeypatch, name, mode):
     # the retry right after a landing is handed the landing's last stage,
-    # the very array land returned, and takes it as its own U2 - y0 without
-    # a phi-product: it equals a fresh h phi1(hJ) f0 at the retry's size bit
-    # for bit. On the nonlinear plant the retry then solves the plant at U2
-    # and takes the end's estimate, one phi-product. Each stage is handed to
-    # that one attempt only, and the retry's end leaves the landed row's
-    # event where the loop's event test does not fire again, at or above
-    # -1e-12; on the linear plant the stage is the end, and the event lies
-    # in the band where a landing stops, [-1e-12, 1e-9], on the piece and
-    # off it. A stage of another size is not taken
+    # the very array land left as the loop's stage, and takes it as its own
+    # U2 - y0 without a phi-product: it equals a fresh h phi1(hJ) f0 at the
+    # retry's size bit for bit. On the nonlinear plant the retry then
+    # solves the plant at U2 and takes the end's estimate, one phi-product.
+    # Each stage is handed to that one attempt only, which clears it, and
+    # the retry's end leaves the landed row's event where the loop's event
+    # test does not fire again, at or above -1e-12; on the linear plant the
+    # stage is the end, and the event lies in the band where a landing
+    # stops, [-1e-12, 1e-9], on the piece and off it. A stage of another
+    # size is not taken
     attempt, land, phi = _ClosedLoop.attempt, _ClosedLoop.land, PackedFlow.phi
     landed, handed, products, retry = [], [], [0], []
 
-    def recording_land(self, y0, f0, active0, h, row, g0, x):
-        out = land(self, y0, f0, active0, h, row, g0, x)
-        landed.append((out[1], row))
-        return out
+    def recording_land(self, y0, f0, on0, h, row, g0, x):
+        x = land(self, y0, f0, on0, h, row, g0, x)
+        landed.append((self.stage[1], row))
+        return x
 
-    def recording_attempt(self, y0, f0, active0, h, stage=None):
-        before = products[0]
-        out = attempt(self, y0, f0, active0, h, stage)
-        two_stage = self.mode is PlantMode.NONLINEAR and self.flow.reads_voltage(active0)
+    def recording_attempt(self, y0, f0, on0, h):
+        before, stage = products[0], self.stage
+        out = attempt(self, y0, f0, on0, h)
+        assert self.stage is None
+        two_stage = self.mode is PlantMode.NONLINEAR and self.flow.reads_voltage(on0)
         if stage is None:
             assert products[0] == before + 1 + two_stage
             return out
         dy, row = landed[-1]
         assert stage[0] == h and stage[1] is dy and products[0] == before + two_stage
-        assert np.array_equal(dy, h * phi(self.flow, 1, h, active0, f0))
-        event = self.flow.events(out[0], out[2], active0[self.c :])[row]
+        assert np.array_equal(dy, h * phi(self.flow, 1, h, on0, f0))
+        event = self.flow.events(out[0], out[2], on0)[row]
         assert -1e-12 <= event and (two_stage or event <= 1e-9)
         handed.append(dy)
-        retry[:] = [self, y0.copy(), f0.copy(), active0.copy(), 0.5 * h, two_stage]
+        retry[:] = [self, y0.copy(), f0.copy(), on0.copy(), 0.5 * h, two_stage]
         return out
 
     def counting_phi(self, *args):
@@ -828,14 +830,15 @@ def test_a_landing_hands_its_last_stage_to_the_retry(request, monkeypatch, name,
     assert len(handed) == len(landed) == res.stats.crossing + res.stats.entering > 0
     assert all(a is b for a, b in zip(handed, (dy for dy, _ in landed)))
     assert res.stats.phi_products == products[0]
-    loop, y0, f0, active0, h, two_stage = retry
+    loop, y0, f0, on0, h, two_stage = retry
     assert two_stage is (mode is PlantMode.NONLINEAR)
     before, last = products[0], loop.last
-    own = attempt(loop, y0, f0, active0, h)[0]
+    assert loop.stage is None
+    own = attempt(loop, y0, f0, on0, h)[0]
     # the same warm start, so the nonlinear plant's solves repeat bit for bit
-    loop.last = last
-    assert np.array_equal(attempt(loop, y0, f0, active0, h, (2.0 * h, handed[-1]))[0], own)
-    assert products[0] == before + 2 * (1 + two_stage)
+    loop.last, loop.stage = last, (2.0 * h, handed[-1])
+    assert np.array_equal(attempt(loop, y0, f0, on0, h)[0], own)
+    assert loop.stage is None and products[0] == before + 2 * (1 + two_stage)
 
 
 def test_steps_resume_the_size_an_event_cut_back(monkeypatch, light30, heavy14):
@@ -884,8 +887,8 @@ def test_the_step_controller_aims_below_the_tolerance(monkeypatch, heavy14, case
     log = []
     attempt, land = _ClosedLoop.attempt, _ClosedLoop.land
 
-    def recording_attempt(self, y0, f0, active0, h, stage=None):
-        out = attempt(self, y0, f0, active0, h, stage)
+    def recording_attempt(self, y0, f0, on0, h):
+        out = attempt(self, y0, f0, on0, h)
         log.append((h, float(np.max(np.abs(out[1]) / _tolerance(y0, out[0])))))
         return out
 
@@ -919,8 +922,8 @@ def test_the_error_test_reads_each_entry_against_its_larger_end(monkeypatch, hea
     # end's magnitude alone, the retries that land a crossing would fail it
     attempt = _ClosedLoop.attempt
 
-    def estimating_attempt(self, y0, f0, active0, h, stage=None):
-        y1, _, v1 = attempt(self, y0, f0, active0, h, stage)
+    def estimating_attempt(self, y0, f0, on0, h):
+        y1, _, v1 = attempt(self, y0, f0, on0, h)
         return y1, 0.3 * _tolerance(y0, y1), v1
 
     monkeypatch.setattr(_ClosedLoop, "attempt", estimating_attempt)
@@ -1011,9 +1014,9 @@ def test_trajectory_states_are_the_accepted_rows(monkeypatch, heavy14, mode):
     pieces, accepted = [], []
     attempt, evaluate = _ClosedLoop.attempt, _ClosedLoop.eval
 
-    def recording_attempt(self, y0, f0, active0, h, stage=None):
-        pieces.append(active0.tobytes())
-        return attempt(self, y0, f0, active0, h, stage)
+    def recording_attempt(self, y0, f0, on0, h):
+        pieces.append(on0.tobytes())
+        return attempt(self, y0, f0, on0, h)
 
     def recording_eval(self, y, v):
         out = evaluate(self, y, v)
@@ -1086,10 +1089,10 @@ def test_exact_landings_end_on_the_event_root(monkeypatch, heavy14, case14, scen
     landed = []
     land = _ClosedLoop.land
 
-    def recording_land(self, y0, f0, active0, h, row, g0, x):
-        x, dy = land(self, y0, f0, active0, h, row, g0, x)
-        landed.append(g0 + self.flow.event_rates(dy, active0[self.c :])[row])
-        return x, dy
+    def recording_land(self, y0, f0, on0, h, row, g0, x):
+        x = land(self, y0, f0, on0, h, row, g0, x)
+        landed.append(g0 + self.flow.event_rates(self.stage[1], on0)[row])
+        return x
 
     monkeypatch.setattr(_ClosedLoop, "land", recording_land)
     linear = PlantMode.LINEAR
@@ -1129,13 +1132,13 @@ def test_no_accepted_step_leaves_its_piece_violated(monkeypatch, heavy14, mode, 
 
 
 def _recording_accepted_ends(mp):
-    """A list that gets each accepted step's loop, active rows, unfloored end and its voltage."""
+    """A list that gets each accepted step's loop, piece, unfloored end and its voltage."""
     pending, ends = [], []
     attempt, evaluate = _ClosedLoop.attempt, _ClosedLoop.eval
 
-    def recording_attempt(self, y0, f0, active0, h, stage=None):
-        out = attempt(self, y0, f0, active0, h, stage)
-        pending[:] = [(self, active0.copy(), out[0].copy(), out[2].copy())]
+    def recording_attempt(self, y0, f0, on0, h):
+        out = attempt(self, y0, f0, on0, h)
+        pending[:] = [(self, on0.copy(), out[0].copy(), out[2].copy())]
         return out
 
     def recording_eval(self, y, v):
@@ -1151,21 +1154,21 @@ def _recording_accepted_ends(mp):
 def _worst_off_piece_violation(ends) -> float:
     """The largest violation of a row off its step's piece, from the limits, over accepted ends."""
     worst = -np.inf
-    for loop, active0, y1, v1 in ends:
+    for loop, on0, y1, v1 in ends:
         lim, q = loop.lim, y1[: loop.c]
         violation = np.concatenate((v1 - lim.v_hi, lim.v_lo - v1, q - lim.q_hi, lim.q_lo - q))
-        worst = max(worst, float(np.max(violation[~active0[loop.c :]], initial=-np.inf)))
+        worst = max(worst, float(np.max(violation[~on0], initial=-np.inf)))
     return worst
 
 
-def _whole_vector_land(loop, y0, f0, active0, h, row, g0, x):
+def _whole_vector_land(loop, y0, f0, on, h, row, g0, x):
     """``land``'s Halley iterates from whole-vector products: J dy, J f and every row's events."""
-    flow, on = loop.flow, active0[loop.c :]
+    flow = loop.flow
     for n in range(6):
-        dy = x * h * flow.phi(1, x * h, active0, f0)
-        f = f0 + flow.jacobian_product(active0, dy)
+        dy = x * h * flow.phi(1, x * h, on, f0)
+        f = f0 + flow.jacobian_product(on, dy)
         g = g0 + flow.event_rates(dy, on)[row]
-        jf = flow.jacobian_product(active0, f)
+        jf = flow.jacobian_product(on, f)
         slope, bend = (flow.event_rates(r, on)[row] for r in (f, jf))
         guess = x - 2.0 * g * slope / (h * (2.0 * slope * slope - g * bend))
         done = -1e-12 <= g <= 1e-9 and abs(guess - x) <= 1e-10 * x
@@ -1181,12 +1184,12 @@ def _checking_landings(mp):
     """
     land, on_piece = _ClosedLoop.land, []
 
-    def checking_land(self, y0, f0, active0, h, row, g0, x):
-        expected = _whole_vector_land(self, y0, f0, active0, h, row, g0, x)
-        x, dy = land(self, y0, f0, active0, h, row, g0, x)
-        assert x == expected[0] and dy.tobytes() == expected[1].tobytes()
-        on_piece.append(bool(active0[self.c + row]))
-        return x, dy
+    def checking_land(self, y0, f0, on0, h, row, g0, x):
+        expected = _whole_vector_land(self, y0, f0, on0, h, row, g0, x)
+        x = land(self, y0, f0, on0, h, row, g0, x)
+        assert x == expected[0] and self.stage[1].tobytes() == expected[1].tobytes()
+        on_piece.append(bool(on0[row]))
+        return x
 
     mp.setattr(_ClosedLoop, "land", checking_land)
     return on_piece
@@ -1299,17 +1302,17 @@ def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
         mu_lo=np.zeros(1),
     )
     loop = _ClosedLoop(relaxed, PlantMode.LINEAR, toy_limits, Gains())
-    y0, f0, active0, _ = loop.eval(start.packed(), loop.rebase(start.q))
+    y0, f0, on0 = loop.eval(start.packed(), loop.rebase(start.q))
     assert f0[2] == pytest.approx(-0.05)
     calls = []
     measure = loop.voltage
     loop.voltage = lambda q: calls.append(q) or measure(q)
-    z, _, v1 = loop.attempt(y0, f0, active0, 1e-3 / 0.05)
+    z, _, v1 = loop.attempt(y0, f0, on0, 1e-3 / 0.05)
     assert len(calls) == 1
     # the row ends a hair past zero, a crossing for integrate to land on;
     # the evaluation there is the projected one, with no further plant call
     assert -1e-8 < z[2] < 0.0
-    y, g, _, _ = loop.eval(z, v1)
+    y, g, _ = loop.eval(z, v1)
     assert y[2] == 0.0 and g[2] == 0.0 and len(calls) == 1
 
 
@@ -1323,9 +1326,9 @@ def _record_first_step(monkeypatch):
     attempts, accepted = [], []
     attempt, refresh = _ClosedLoop.attempt, _ClosedLoop.refresh_inverse
 
-    def recording_attempt(self, y0, f0, active0, h, stage=None):
-        attempts.append((y0.copy(), active0.copy(), h))
-        return attempt(self, y0, f0, active0, h, stage)
+    def recording_attempt(self, y0, f0, on0, h):
+        attempts.append((y0.copy(), on0.copy(), h))
+        return attempt(self, y0, f0, on0, h)
 
     def recording_refresh(self):
         accepted.append(len(attempts))
@@ -1363,11 +1366,11 @@ def test_near_zero_falling_events_switch_before_the_first_attempt(
     assert res.converged
     # the window's start refreshes before any attempt, each accepted step after one
     assert accepted[:2] == [0, 1]
-    y0, active0, h0 = attempts[0]
+    y0, on0, h0 = attempts[0]
     assert h0 == 0.1
-    assert y0[0] == state.q[0] and y0[2] == state.lam_lo[0] and active0[2]
-    assert y0[1] == 0.0 and not active0[1]
-    assert y0[3] == 0.0 and active0[3] == joined
+    assert y0[0] == state.q[0] and y0[2] == state.lam_lo[0] and on0[1]
+    assert y0[1] == 0.0 and not on0[0]
+    assert y0[3] == 0.0 and on0[2] == joined
     assert res.trajectory.states[0].packed().tobytes() == state.packed().tobytes()
 
 
@@ -1397,11 +1400,40 @@ def test_near_zero_rising_events_keep_their_place(
     res = run_static(toy2, toy_limits, plant_mode=mode, initial_state=state)
     assert res.converged
     assert accepted[:2] == [0, attempts]
-    y0, active0, _ = attempts_made[0]
+    y0, on0, _ = attempts_made[0]
     assert y0.tobytes() == state.packed().tobytes()
     row = on.index(True) + 1 if any(on) else None
     assert 0.0 < (y0[row] if row else 0.5 - y0[0]) <= 1e-9
-    assert active0[1:].tolist() == on
+    assert on0.tolist() == on
+
+
+def test_eval_switches_only_rows_whose_event_is_within_1e_9(monkeypatch, heavy14, light30, case14):
+    # every row ``eval`` moves off or onto the natural piece had an event
+    # of at most 1e-9 there. Over heavy14's static, fault and timed fault,
+    # light30's static and case14's x2.5 daily runs, on both plants, 27 rows
+    # switch, the largest event at 2.6e-10; a band of 1e-7 switches 33, 10
+    # of them between 1e-9 and 7.3e-9
+    evaluate, events = _ClosedLoop.eval, []
+
+    def recording_eval(self, y, v):
+        out = evaluate(self, y, v)
+        floored = np.concatenate((y[: self.c], np.maximum(y[self.c :], 0.0)))
+        _, natural = self.flow.rates(floored, v)
+        events.extend(self.flow.events(floored, v, natural)[natural != out[2]])
+        return out
+
+    monkeypatch.setattr(_ClosedLoop, "eval", recording_eval)
+    for mode in (PlantMode.LINEAR, PlantMode.NONLINEAR):
+        for run in (
+            lambda: run_static(heavy14, plant_mode=mode),
+            lambda: run_fault(heavy14, plant_mode=mode),
+            lambda: run_fault(heavy14, t_trip=50.0, plant_mode=mode),
+            lambda: run_static(light30, plant_mode=mode),
+            lambda: run_daily(scale_loads(case14, 2.5), plant_mode=mode),
+        ):
+            assert run().converged
+    assert len(events) >= 20
+    assert 0.0 <= min(events) and max(events) <= 1e-9
 
 
 def _check_every_attempt_start(monkeypatch):
@@ -1411,25 +1443,24 @@ def _check_every_attempt_start(monkeypatch):
     # joined there (its rate, its violation times the gain, is at most zero,
     # -5.6e-17 on heavy14's linear run) or one its violation holds on; the
     # event test fires on the piece only from above zero, and skips it.
-    # Returns the (loop, eval input, eval output) of each evaluation and the
-    # loop, start and piece of each attempt
+    # Returns the (loop, eval input, its voltage, eval output) of each
+    # evaluation and the loop, start and piece of each attempt
     evals, attempts = [], []
     evaluate, attempt = _ClosedLoop.eval, _ClosedLoop.attempt
 
     def recording_eval(self, y, v):
         out = evaluate(self, y, v)
-        evals.append((self, y.copy(), out))
+        evals.append((self, y.copy(), v, out))
         return out
 
-    def checking_attempt(self, y0, f0, active0, h, stage=None):
-        loop, _, (y, f, active, v) = evals[-1]
-        assert loop is self and y0 is y and f0 is f and active0 is active
-        on = active0[self.c :]
+    def checking_attempt(self, y0, f0, on0, h):
+        loop, _, v, (y, f, on) = evals[-1]
+        assert loop is self and y0 is y and f0 is f and on0 is on
         g = self.flow.events(y0, v, on)
         band = np.where(on, g > 0.0, g >= 0.0) & (g <= 1e-9)
         assert not np.any(band & (self.flow.event_rates(f0, on) < 0.0))
-        attempts.append((self, y0, active0))
-        return attempt(self, y0, f0, active0, h, stage)
+        attempts.append((self, y0, on0))
+        return attempt(self, y0, f0, on0, h)
 
     monkeypatch.setattr(_ClosedLoop, "eval", recording_eval)
     monkeypatch.setattr(_ClosedLoop, "attempt", checking_attempt)
@@ -1454,13 +1485,13 @@ def test_a_tripped_window_starts_through_the_switch(monkeypatch, heavy14, mode):
     evals, attempts = _check_every_attempt_start(monkeypatch)
     res = run_fault(heavy14, trip=(4, 5), plant_mode=mode)
     assert res.converged and len(attempts) == res.stats.attempts
-    windows = list(dict.fromkeys(loop for loop, _, _ in evals))
+    windows = list(dict.fromkeys(loop for loop, _, _, _ in evals))
     assert len(windows) == 2
-    intact_last = [out[0] for loop, _, out in evals if loop is windows[0]][-1]
-    _, y_in, (y, _, active, _) = next(e for e in evals if e[0] is windows[1])
+    intact_last = [out[0] for loop, _, _, out in evals if loop is windows[0]][-1]
+    _, y_in, _, (y, _, on) = next(e for e in evals if e[0] is windows[1])
     assert y_in.tobytes() == intact_last.tobytes()
     first = next(a for a in attempts if a[0] is windows[1])
-    assert first[1] is y and first[2] is active
+    assert first[1] is y and first[2] is on
 
 
 def test_daily_flat_profile_matches_static(case14):
@@ -1776,9 +1807,9 @@ def test_failed_plant_solve_retries_the_step_at_half_size(monkeypatch, heavy14):
                 return dataclasses.replace(sol, converged=False)
         return sol
 
-    def recording(self, y0, f0, active0, h, stage=None):
+    def recording(self, y0, f0, on0, h):
         try:
-            out = attempt(self, y0, f0, active0, h, stage)
+            out = attempt(self, y0, f0, on0, h)
         except PlantDivergenceError:
             tries.append((y0.copy(), h, False))
             raise
@@ -1806,9 +1837,9 @@ def test_overflowing_gains_end_in_step_size_underflow(monkeypatch, heavy14, mode
     # retried at half the size until the step underflows
     attempt, tries, plant_calls = _ClosedLoop.attempt, [], [0]
 
-    def recording(self, y0, f0, active0, h, stage=None):
+    def recording(self, y0, f0, on0, h):
         tries.append(h)
-        return attempt(self, y0, f0, active0, h, stage)
+        return attempt(self, y0, f0, on0, h)
 
     def measuring(self, q):
         plant_calls[0] += 1
