@@ -39,6 +39,7 @@ array. ``dynamics_rhs`` is the validating wrapper over
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -198,7 +199,8 @@ class PackedFlow:
         self._gain = np.repeat([gains.k_lam, gains.k_mu], [2 * m, 2 * c])
         # J_mq: each multiplier row's gain times its violation's derivative in q
         self._j_mq = self._gain[:, None] * np.vstack([xc, -xc, eye, -eye])
-        # the last piece's mask, masked J_mq and B (see ``phi``)
+        # B's top blocks [-2 k_q I, I] over zeros, and the last piece's mask, masked J_mq and B
+        self._b_top = np.vstack([np.hstack([self._q_rows[:, :c], eye]), np.zeros((c, 2 * c))])
         self._piece: tuple[bytes, np.ndarray, np.ndarray] | None = None
 
     def set_plant_sensitivity(self, gx: np.ndarray) -> None:
@@ -215,7 +217,7 @@ class PackedFlow:
 
     def reads_voltage(self, on: np.ndarray) -> bool:
         """Whether the piece ``on`` reads the measured voltage: a lam row is on it."""
-        return bool(np.any(on[: 2 * self.m]))
+        return bool(on[: 2 * self.m].any())
 
     def rates(self, y: np.ndarray, v: np.ndarray, on=None) -> tuple[np.ndarray, np.ndarray]:
         """Rates at a packed state and its measured voltages on a piece, with the piece.
@@ -296,43 +298,39 @@ class PackedFlow:
         with the vector w = (r_q, J_qm r_m) and a unit chain (Sidje, ACM
         TOMS 24(1), 1998), of size 2C + k + 1; ``expm`` takes it from
         matrix products alone and forms only those two columns in its last
-        product. The augmented matrix is
-        balanced (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011): the
-        chain holds tau, the largest power of two up to ||hB||_1 within
-        [1/4, 1], and the vector column w / sigma, sigma the power of two
-        that brings ||w||_1 / sigma into [tau / 2, tau). Its 1-norm is then
-        about ||hB||_1, not at least 1 and ||w||_1, and P_k and P_{k+1}
-        come back exactly as sigma / tau^(k-1) and sigma / tau^k times its
-        columns, so the product is exactly linear in r. ||w||_1 is summed
-        over w scaled by its largest entry's power of two, and sigma is
-        applied by its exponent, so neither overflows where the product
-        itself does not.
+        product. The augmented matrix is balanced (Al-Mohy & Higham, SIAM J.
+        Sci. Comput. 33(2), 2011): the chain holds tau, the largest power of
+        two up to ||hB||_1 within [1/4, 1], and the vector column w / sigma,
+        sigma the power of two that brings ||w||_1 / sigma into [tau / 2, tau).
+        Its 1-norm, handed to ``expm``, is then max(||hB||_1, tau), not at
+        least 1 and ||w||_1; P_k and P_{k+1} come back exactly as
+        sigma / tau^(k-1) and sigma / tau^k times its columns, so the product
+        is exactly linear in r. ||w||_1 is summed over w scaled by its largest
+        entry's power of two, and sigma is applied by its exponent, so neither
+        overflows where the product itself does not.
         """
         c = self.c
         key = on.tobytes()
         if self._piece is None or self._piece[0] != key:
             j_mq = self._j_mq * on[:, None]
-            b = np.zeros((2 * c, 2 * c))
-            b[:c, :c] = self._q_rows[:, :c]
-            b[:c, c:] = np.eye(c)
+            b = self._b_top.copy()
             b[c:, :c] = self._j_qm @ j_mq
             self._piece = key, j_mq, b
         _, j_mq, b = self._piece
         n = 2 * c + k + 1
         aug = np.zeros((n, n))
         np.multiply(b, h, out=aug[: 2 * c, : 2 * c])
-        aug[:c, 2 * c] = r[:c]
-        aug[c : 2 * c, 2 * c] = self._j_qm @ r[c:]
+        w = np.concatenate((r[:c], self._j_qm @ r[c:]))
         # the 1-norms of hB's columns and of w set the exponents of tau and sigma
-        t = min(0, max(-2, math.frexp(np.abs(aug[: 2 * c, : 2 * c]).sum(axis=0).max())[1] - 1))
-        w = np.abs(aug[: 2 * c, 2 * c])
-        e_max = math.frexp(w.max())[1]
-        e_sigma = e_max + math.frexp(np.ldexp(w, -e_max).sum())[1] - t
-        aug[: 2 * c, 2 * c] = np.ldexp(aug[: 2 * c, 2 * c], -e_sigma)
+        norm = float(np.abs(aug[: 2 * c, : 2 * c]).sum(axis=0).max())
+        t = min(0, max(-2, math.frexp(norm)[1] - 1))
+        w_abs = np.abs(w)
+        e_max = math.frexp(w_abs.max())[1]
+        e_sigma = e_max + math.frexp(np.ldexp(w_abs, -e_max).sum())[1] - t
+        aug[: 2 * c, 2 * c] = np.ldexp(w, -e_sigma)
         tau = 2.0**t
-        for i in range(2 * c, n - 1):
-            aug[i, i + 1] = tau
-        top = np.ldexp(expm(aug, last=2)[:c] / [tau ** (k - 1), tau**k], e_sigma)
+        aug.reshape(-1)[2 * c * (n + 1) + 1 :: n + 1] = tau  # the chain: aug[i, i + 1], i >= 2C
+        top = np.ldexp(_expm(aug, max(norm, tau), 2)[:c], (e_sigma - t * (k - 1), e_sigma - t * k))
         return np.concatenate((top[:, 0], h * (j_mq @ top[:, 1]) + r[c:] / math.factorial(k)))
 
 
@@ -354,6 +352,15 @@ _TAYLOR = tuple(
 )
 
 
+# expm's choice of degree and squarings s changes only at the norms theta_m 2^j:
+# tabled at those below 16. Halving a norm above every theta_m takes one s from
+# each degree
+_BREAKS = sorted(x for theta, *_ in _TAYLOR for j in range(12) if (x := math.ldexp(theta, j)) < 16)
+_CHOICES = [min((p + m // p - 2 + s, s, m, p, blocks) for theta, m, p, blocks in _TAYLOR
+                for s in [sum(norm > math.ldexp(theta, j) for j in range(12))])[1:]
+            for norm in _BREAKS]
+
+
 def expm(a: np.ndarray, last: int | None = None) -> np.ndarray:
     """e^a by scaling and squaring a truncated Taylor series, or only its ``last`` columns.
 
@@ -368,18 +375,18 @@ def expm(a: np.ndarray, last: int | None = None) -> np.ndarray:
     Horner step when there is no squaring, and otherwise in the last
     squaring.
     """
+    return _expm(a, float(np.abs(a).sum(axis=0).max()), last)
+
+
+def _expm(a: np.ndarray, norm: float, last: int | None) -> np.ndarray:
+    """``expm`` of a whose 1-norm its caller has."""
     n = len(a)
     cols = slice(None) if last is None else slice(n - last, None)
-    norm = float(np.abs(a).sum(axis=0).max())
     if not norm < math.inf:
         return np.full((n, n if last is None else last), np.nan)
-    # the fewest matrix products, then the fewest squarings
-    options = []
-    for theta, m, p, blocks in _TAYLOR:
-        frac, s = math.frexp(norm / theta)  # norm <= 2^s theta, and <= 2^(s - 1) theta at frac 1/2
-        s = max(0, s - (frac == 0.5))
-        options.append((p + m // p - 2 + s, s, m, p, blocks))
-    _, s, m, p, blocks = min(options)
+    halved = max(0, math.frexp(norm)[1] - 3)  # a norm of 8 or more into [4, 8)
+    s, m, p, blocks = _CHOICES[bisect.bisect_left(_BREAKS, math.ldexp(norm, -halved))]
+    s += halved
     # a, a^2, ..., a^p of the scaled a
     powers = np.empty((p, n, n))
     np.multiply(a, 0.5**s, out=powers[0])
@@ -389,14 +396,15 @@ def expm(a: np.ndarray, last: int | None = None) -> np.ndarray:
     # the blocks sum_i c_(jp + i) a^i, the c_(jp) I on their diagonals
     b = (blocks[:, 1:] @ powers[:-1].reshape(p - 1, n * n)).reshape(-1, n, n)
     b.reshape(len(b), -1)[:, :: n + 1] += blocks[:, :1]
-    e = top / math.factorial(m) + b[-1]
-    for j in range(len(b) - 2, 0, -1):
-        e = e @ top + b[j]
+    e, buf = b[-1], np.empty((n, n))
+    e += np.divide(top, float(math.factorial(m)), out=buf)
+    for j in range(len(b) - 2, -1 if s else 0, -1):
+        b[j] += np.matmul(e, top, out=buf)
+        e = b[j]
     if s == 0:
         return e @ top[:, cols] + b[0][:, cols]
-    e = e @ top + b[0]
     for _ in range(s - 1):
-        e = e @ e
+        e, buf = np.matmul(e, e, out=buf), e
     return e @ e[:, cols]
 
 

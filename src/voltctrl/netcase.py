@@ -177,7 +177,7 @@ class Topology:
     magnitudes (the setpoints at slack and PV buses, 1 elsewhere). ``rows``
     are the solved equations, P at ``non_slack`` then Q at ``pq``, as
     positions in the interleaved (real, imaginary) float view of a complex
-    bus vector.
+    bus vector. ``unknowns`` is built on first use.
     """
 
     y: np.ndarray
@@ -189,6 +189,11 @@ class Topology:
     @property
     def pq(self) -> np.ndarray:
         return self.partition.pq
+
+    @cached_property
+    def unknowns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The buses of the unknowns, ``non_slack`` then ``pq``, and Y's columns there as rows."""
+        return (cols := np.concatenate([self.non_slack, self.pq])), self.y[:, cols].T
 
     @classmethod
     def of(cls, case: NetworkCase) -> "Topology":
@@ -310,6 +315,8 @@ def _collect_matrices(text: str):
                 try:
                     scalars[key] = float(rest)
                 except ValueError:
+                    if key == "baseMVA":
+                        raise CaseFormatError(f"line {lineno}: baseMVA is not a number: {rest!r}")
                     scalars[key] = np.nan  # version strings and similar, ignored
                 continue
             current, line = key, rest[1:]

@@ -20,7 +20,8 @@ accepted step: its plant solves inside the step run chord (simplified
 Newton) iterations with it (Stott, Proc. IEEE 67(2), 1979), each of which
 must halve the mismatch or end the solve unconverged, and its block of
 magnitude rows and reactive columns is the exact d|V|/dQ in the Jacobian
-of the loop's exponential steps.
+of the loop's exponential steps. Warm starts and inverses on a solution's
+own topology reuse the complex power S it carries.
 """
 
 from __future__ import annotations
@@ -53,13 +54,17 @@ class InjectionSet:
 
 @dataclass(frozen=True, eq=False)
 class PowerFlowSolution:
-    """Voltage solution in case bus order. Angles in radians."""
+    """Voltage solution in case bus order. Angles in radians. ``power`` holds
+    the topology solved on and S = diag(U) conj(Y U) at v and delta, reused on
+    that topology object only; a copy with another v or delta must drop it.
+    """
 
     v: np.ndarray
     delta: np.ndarray
     converged: bool
     iterations: int
     max_mismatch: float
+    power: tuple[Topology, np.ndarray] | None = None
 
 
 def nominal_injections(case: NetworkCase) -> InjectionSet:
@@ -73,13 +78,19 @@ def nominal_injections(case: NetworkCase) -> InjectionSet:
     return InjectionSet(p_injection=p_gen - p_load, q_injection=-q_load[case.topology.pq])
 
 
-def _complex_power(y_bus: np.ndarray, v: np.ndarray, delta: np.ndarray):
-    """Complex bus voltages U and bus powers S = diag(U) conj(Y U)."""
+def _complex_power(y_bus: np.ndarray, v: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Bus powers S = diag(U) conj(Y U) at the complex bus voltages U."""
     u = v * np.exp(1j * delta)
-    return u, u * np.conj(y_bus @ u)
+    return u * np.conj(y_bus @ u)
 
 
-def _jacobian(top: Topology, v: np.ndarray, u: np.ndarray, s_bus: np.ndarray) -> np.ndarray:
+def _bus_power(top: Topology, sol: PowerFlowSolution | None, v, delta) -> np.ndarray:
+    """S at v and delta, taken from ``sol``, solved at them, where it was solved on ``top``."""
+    carried = None if sol is None else sol.power
+    return carried[1] if carried and carried[0] is top else _complex_power(top.y, v, delta)
+
+
+def _jacobian(top: Topology, v: np.ndarray, delta: np.ndarray, s_bus: np.ndarray) -> np.ndarray:
     """Jacobian of the computed [P over non-slack; Q over PQ] in [delta; |V_pq|].
 
     Complex-form partial derivatives of S = diag(U) conj(Y U), with
@@ -88,9 +99,9 @@ def _jacobian(top: Topology, v: np.ndarray, u: np.ndarray, s_bus: np.ndarray) ->
     Only the unknowns' columns are formed, one per row of ``d``; the
     equations are ``top.rows`` of their interleaved float view.
     """
-    non_slack, pq = top.non_slack, top.pq
-    n_a, cols = len(non_slack), np.concatenate([non_slack, pq])
-    a = u[None, :] * np.conj(top.y[:, cols].T * u[cols, None])
+    non_slack, pq, (cols, y_cols) = top.non_slack, top.pq, top.unknowns
+    n_a, u = len(non_slack), v * np.exp(1j * delta)
+    a = u[None, :] * np.conj(y_cols * u[cols, None])
     d = np.concatenate([-1j * a[:n_a], a[n_a:] / v[pq, None]])
     d[np.arange(len(cols)), cols] += np.concatenate([1j * s_bus[non_slack], s_bus[pq] / v[pq]])
     return d.view(float)[:, top.rows].T
@@ -133,17 +144,16 @@ def solve_power_flow(
 
     spec = np.concatenate([inj.p_injection[non_slack], inj.q_injection])
 
-    def residual(v, delta):
-        u, s = _complex_power(y_bus, v, delta)
+    def residual(s):
         f = spec - s.view(float)[rows]
-        return f, float(np.abs(f).max()), u, s
+        return f, float(np.abs(f).max()), s
 
-    f, worst, u, s_bus = residual(v, delta)
+    f, worst, s_bus = residual(_bus_power(top, warm_start, v, delta))
     iterations = 0
     while worst >= tol and iterations < max_iter:
         if inverse is None:
             try:
-                step = np.linalg.solve(_jacobian(top, v, u, s_bus), f)
+                step = np.linalg.solve(_jacobian(top, v, delta, s_bus), f)
             except np.linalg.LinAlgError as exc:
                 raise SingularModelError(f"power flow Jacobian is singular: {exc}") from exc
         else:
@@ -155,13 +165,14 @@ def solve_power_flow(
         # an accepted step keeps magnitudes positive and the mismatch finite;
         # a chord step must also halve it
         limit = np.inf if inverse is None else 0.5 * worst
-        trial = residual(trial_v, trial_delta) if trial_v.min() > 0 else None
+        trial = residual(_complex_power(y_bus, trial_v, trial_delta)) if trial_v.min() > 0 else None
         if trial is None or not trial[1] < limit:
             break
         v, delta = trial_v, trial_delta
-        f, worst, u, s_bus = trial
+        f, worst, s_bus = trial
     return PowerFlowSolution(
-        v=v, delta=delta, converged=worst < tol, iterations=iterations, max_mismatch=worst
+        v=v, delta=delta, converged=worst < tol, iterations=iterations, max_mismatch=worst,
+        power=(top, s_bus),
     )
 
 
@@ -177,9 +188,9 @@ def jacobian_inverse(case: NetworkCase, sol: PowerFlowSolution) -> np.ndarray:
     :class:`SingularModelError`.
     """
     top = case.topology
-    u, s_bus = _complex_power(top.y, sol.v, sol.delta)
+    s_bus = _bus_power(top, sol, sol.v, sol.delta)
     try:
-        return np.linalg.inv(_jacobian(top, sol.v, u, s_bus))
+        return np.linalg.inv(_jacobian(top, sol.v, sol.delta, s_bus))
     except np.linalg.LinAlgError as exc:
         raise SingularModelError(f"power flow Jacobian is singular: {exc}") from exc
 

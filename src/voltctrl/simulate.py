@@ -46,13 +46,14 @@ its 1e-8 default everywhere else. Those solves are chord iterations: the
 power-flow Jacobian is formed and inverted once at the window's start
 (whose own solve is full Newton) and at each accepted state, and every
 solve in the step from there, retries included, starts at the last
-solution and steps with that inverse. Its block of magnitude rows and
-reactive columns is the plant's dv/dq in J. A chord solve whose step does
-not halve the mismatch ends unconverged; the attempt fails with it and the
-step is retried at half the size, nearer the point where the inverse was
-taken. A stage that is not finite (gains so large that hJ overflows) fails
-the attempt the same way, before any plant call; where halving never
-makes it finite, the run ends in :class:`StepSizeUnderflowError`.
+solution, with the complex power it carries, and steps with that inverse.
+Its block of magnitude rows and reactive columns is the plant's dv/dq in J.
+A chord solve whose step does not halve the mismatch ends unconverged; the
+attempt fails with it and the step is retried at half the size, nearer the
+point where the inverse was taken. A stage that is not finite (gains so
+large that hJ overflows) fails the attempt the same way, before any plant
+call; where halving never makes it finite, the run ends in
+:class:`StepSizeUnderflowError`.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes exactly ``run_static``'s parameters.
@@ -172,16 +173,16 @@ class ViolationSummary:
 class SolverStats:
     """Work counts of a run, summed over its windows.
 
-    Accepted steps, and rejected attempts by reason: an attempt fails the
-    error test, is cut back to land on an event of a row on the piece
-    (crossing) or off it (entering), or is retried at half the size after
-    the plant diverged.
-    Plant calls are the voltages the steps measure (a window's start reads
-    its relinearization's solve), and phi-products those the steps take,
-    each counted once, with the Halley iterates that land every event.
-    Those iterates' products are also counted apart, as landing products;
-    the retry after a landing takes the last one as its stage U2 and adds
-    no product for it.
+    Accepted steps, and rejected attempts by reason: an attempt fails the error
+    test, is cut back to land on an event of a row on the piece (crossing) or
+    off it (entering), or is retried at half the size after the plant diverged.
+    Plant calls are the voltages the steps measure (a window's start reads its
+    relinearization's solve), and phi-products those the steps take, each
+    counted once, with the Halley iterates that land every event. Those
+    iterates' products are also counted apart, as landing products; the retry
+    after a landing takes the last one as its stage U2 and adds no product for
+    it. The plant counts its full Newton and chord steps tried
+    (``PowerFlowSolution.iterations``) and its Jacobian inversions.
     """
 
     accepted: int = 0
@@ -192,6 +193,9 @@ class SolverStats:
     plant_calls: int = 0
     phi_products: int = 0
     landing_products: int = 0
+    newton_iterations: int = 0
+    chord_steps: int = 0
+    jacobian_inversions: int = 0
 
     @property
     def attempts(self) -> int:
@@ -279,16 +283,14 @@ class _ClosedLoop:
         return full
 
     def _solve(self, q: np.ndarray) -> PowerFlowSolution:
-        inj = InjectionSet(
-            self.inj.p_injection, self.inj.q_injection + self.embed(q)
-        )
+        inj = object.__new__(InjectionSet)  # unchecked: each stage is checked finite first
+        vars(inj).update(vars(self.inj), q_injection=self.inj.q_injection + self.embed(q))
         sol = solve_power_flow(
             self.case, inj, tol=_PLANT_TOL, warm_start=self.last, inverse=self.inverse
         )
+        self.counts["newton_iterations" if self.inverse is None else "chord_steps"] += sol.iterations
         if not sol.converged:
-            raise PlantDivergenceError(
-                f"power flow lost convergence (mismatch {sol.max_mismatch:.3e})"
-            )
+            raise PlantDivergenceError(f"power flow lost convergence (mismatch {sol.max_mismatch:.3e})")
         self.last = sol
         return sol
 
@@ -312,6 +314,7 @@ class _ClosedLoop:
         is X's controlled columns, the flow's own.
         """
         if self.mode is PlantMode.NONLINEAR:
+            self.counts["jacobian_inversions"] += 1
             self.inverse = jacobian_inverse(self.case, self.last)
             n_a = len(self.case.topology.non_slack)
             self.flow.set_plant_sensitivity(self.inverse[n_a:, n_a + self.cpos])
@@ -367,7 +370,7 @@ class _ClosedLoop:
         else:
             self.counts["phi_products"] += 1
             u2 = y0 + h * flow.phi(1, h, on, f0)
-        if not np.all(np.isfinite(u2)):
+        if not np.isfinite(u2).all():
             raise PlantDivergenceError("the step's stage is not finite; no plant is solved there")
         est = np.zeros_like(y0)
         v2 = None
@@ -453,8 +456,8 @@ def integrate(
     y0 = np.zeros(3 * c + 2 * m) if state0 is None else state0.packed()
     v = loop.rebase(y0[:c])
     y, f, on = loop.eval(y0, v)
-    times, rows, volts, raw_mins = [0.0], [y0], [v], [float(np.min(y0[c:]))]
-    residual = float(np.max(np.abs(f)))
+    times, rows, volts, raw_mins = [0.0], [y0], [v], [float(y0[c:].min())]
+    residual = float(np.abs(f).max())
     t = 0.0
     h = min(0.1, horizon)
     # the largest step an event cut back, until the next accepted step resumes it
@@ -473,7 +476,7 @@ def integrate(
         # the overshoot; a multiplier's dip below zero is left to the floor
         g0, g1 = loop.flow.events(y, v, on), loop.flow.events(y1, v1, on)
         event = ((g0 > 0) | ~on) & (g1 < -_OVERSHOOT)
-        if np.any(event):
+        if event.any():
             # land the first event on the step's stage path; the rates at the end
             # are the piece's at the unfloored end, whose voltage is measured
             f1 = loop.flow.rates(y1, v1, on)[0]
@@ -488,7 +491,7 @@ def integrate(
                 h = h_try * x
                 continue
         scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y1))
-        err = float(np.max(np.abs(est) / scale))
+        err = float((np.abs(est) / scale).max())
         # one factor cuts a step that fails the error test and grows one that passes
         h = h_try * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))))
         if not err <= 1.0:
@@ -503,8 +506,8 @@ def integrate(
         times.append(t)
         rows.append(y)
         volts.append(v)
-        raw_mins.append(float(np.min(y1[c:])))
-        residual = float(np.max(np.abs(f)))
+        raw_mins.append(float(y1[c:].min()))
+        residual = float(np.abs(f).max())
 
     trajectory = Trajectory(t=np.array(times), y=np.array(rows), v=np.array(volts))
     v_all, q_all = trajectory.v, trajectory.y[:, :c]

@@ -193,6 +193,9 @@ _GEN2 = "\t2\t40\t42.4\t50\t-40\t1.045\t100\t1\t140\t0;"
          "base MVA must be positive and finite, got inf"),
         ("mpc.baseMVA = 100;", "mpc.baseMVA = 1e400;", CaseDataError,
          "base MVA must be positive and finite, got inf"),
+        # text, not a number: named with its line, unlike a version string
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 'x';", CaseFormatError,
+         "line 7: baseMVA is not a number: 'x'"),
         ("mpc.version = '2';", "mpc.version '2';", CaseFormatError,
          "line 5: expected an assignment"),
         (_GEN2, _GEN2 + "\n\t2\t0\t0\t0\t0\t1.0\t100\t1\t0\t0;", CaseDataError,
@@ -214,7 +217,7 @@ _GEN2 = "\t2\t40\t42.4\t50\t-40\t1.045\t100\t1\t140\t0;"
     ],
     ids=[
         "short_bus_row", "short_gen_row", "short_branch_row", "no_bus_matrix", "bus_type_4",
-        "base_mva_zero", "base_mva_inf", "base_mva_overflows", "not_an_assignment", "conflicting_vg", "gen_at_unknown_bus",
+        "base_mva_zero", "base_mva_inf", "base_mva_overflows", "base_mva_text", "not_an_assignment", "conflicting_vg", "gen_at_unknown_bus",
         "gen_at_pq_bus", "vg_zero", "tap_negative", "tap_underflows", "reactance_underflows",
         "pv_gen_out_of_service",
     ],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from voltctrl import BusKind, powerflow, scale_loads
+from voltctrl import BusKind, powerflow, scale_loads, trip_branch
 from voltctrl.netcase import parse_case
 from voltctrl.powerflow import (
     InjectionSet,
@@ -217,7 +217,7 @@ def _mismatch(case, inj, sol):
     Returns (delta P over non-slack buses, delta Q over PQ buses), in case order.
     """
     top = case.topology
-    _, s = powerflow._complex_power(top.y, sol.v, sol.delta)
+    s = powerflow._complex_power(top.y, sol.v, sol.delta)
     return inj.p_injection[top.non_slack] - s.real[top.non_slack], inj.q_injection - s.imag[top.pq]
 
 
@@ -234,6 +234,37 @@ def test_chord_solve_matches_full_newton(jacobian_builds, case14):
     # both within 1e-10 of zero mismatch, so within a few 1e-10 of each other
     assert_allclose(chord.v, full.v, atol=1e-9)
     assert_allclose(chord.delta, full.delta, atol=1e-9)
+
+
+def test_a_solution_lends_its_power_only_on_its_own_topology(case14):
+    # a solution carries S at its point for its own topology's solves; a
+    # warm start on another topology (branch 4-5 tripped: another Y)
+    # recomputes it. So each solve from the intact solution (on its own
+    # topology at moved injections, then tripped, full Newton and chord)
+    # equals bit for bit the one from the same v and delta with S dropped,
+    # and so does the inverse Jacobian on either topology
+    heavy = scale_loads(case14, 3.1)
+    tripped = trip_branch(heavy, 4, 5)
+    intact = solve_power_flow(heavy, nominal_injections(heavy), tol=1e-10)
+    assert intact.power[0] is heavy.topology
+    bare = dataclasses.replace(intact, power=None)
+    for case in (heavy, tripped):
+        assert jacobian_inverse(case, intact).tobytes() == jacobian_inverse(case, bare).tobytes()
+    nominal = nominal_injections(heavy)  # a trip moves no injection
+    moved = InjectionSet(nominal.p_injection, nominal.q_injection - 0.01)
+    for case, inj, inverse in (
+        (heavy, moved, None),
+        (tripped, nominal, None),
+        (tripped, nominal, jacobian_inverse(tripped, bare)),
+    ):
+        got, want = (
+            solve_power_flow(case, inj, tol=1e-10, warm_start=start, inverse=inverse)
+            for start in (intact, bare)
+        )
+        assert got.iterations > 0 and got.power[0] is want.power[0] is case.topology
+        for field in (lambda sol: sol.v, lambda sol: sol.delta, lambda sol: sol.power[1]):
+            assert field(got).tobytes() == field(want).tobytes()
+        assert (got.iterations, got.max_mismatch) == (want.iterations, want.max_mismatch)
 
 
 def test_chord_iterations_count_chord_steps(case14):
@@ -313,8 +344,8 @@ def test_jacobian_matches_central_differences(case14, case30, which):
     sol = solve_power_flow(case, nominal_injections(case), tol=1e-12)
     assert sol.converged
     top = case.topology
-    u, s_bus = powerflow._complex_power(top.y, sol.v, sol.delta)
-    jac = powerflow._jacobian(top, sol.v, u, s_bus)
+    s_bus = powerflow._complex_power(top.y, sol.v, sol.delta)
+    jac = powerflow._jacobian(top, sol.v, sol.delta, s_bus)
     n_a, step = len(top.non_slack), 1e-6
     want = np.empty_like(jac)
     for j, (target, bus) in enumerate(

@@ -868,6 +868,7 @@ def test_steps_resume_the_size_an_event_cut_back(monkeypatch, light30, heavy14):
     assert mode is PlantMode.NONLINEAR and res.stats == simulate.SolverStats(
         accepted=115, error_test=2, crossing=5, entering=0,
         plant_divergence=0, plant_calls=242, phi_products=248, landing_products=9,
+        newton_iterations=5, chord_steps=465, jacobian_inversions=116,
     )
 
 
