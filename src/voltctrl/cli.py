@@ -81,9 +81,9 @@ class RunConfig:
 
 def parse_trip(spec: str, where: str = "trip") -> tuple[int, int, float | None]:
     """Parse 'a:b' or 'a:b@t' into (from_bus, to_bus, time or None)."""
-    body, _, at = spec.partition("@")
+    body, sep, at = spec.partition("@")
     t_trip: float | None = None
-    if at:
+    if sep:
         t_trip = _parse_float(at, where)
         if t_trip <= 0:
             raise ConfigError(f"{where}: trip time must be positive")
@@ -138,12 +138,11 @@ def _parse_setting(key: str, value: str, where: str) -> tuple[str, object]:
     if key == "trip":
         return "trip", parse_trip(value, where)
     if key == "profile":
-        parts = [p for p in value.split(",") if p.strip()]
-        if len(parts) != 24:
+        factors = tuple(_parse_float(p.strip(), where) for p in value.split(","))
+        if len(factors) != 24:
             raise ConfigError(
-                f"{where}: profile needs 24 comma-separated factors, got {len(parts)}"
+                f"{where}: profile needs 24 comma-separated factors, got {len(factors)}"
             )
-        factors = tuple(_parse_float(p, where) for p in parts)
         if min(factors) < 0:
             raise ConfigError(f"{where}: profile factors must be nonnegative")
         return "profile", factors

@@ -20,13 +20,14 @@ multiplier columns are J_qm, and the multiplier rows' q columns J_mq. It
 works on one packed vector [q, lam_hi, lam_lo, mu_hi, mu_lo]. A piece of
 the flow is one boolean mask over the 2M + 2C multiplier rows, those the
 projection leaves on: ``rates`` returns the rates on a piece together with
-that piece, and ``phi`` the phi-function products an exponential
-integrator steps with, phi_k(hJ) r for the Jacobian J of one piece. J has
-the plant's own voltage sensitivity in J_mq's lam rows (the nonlinear
-plant's dv/dq is not X; ``set_plant_sensitivity`` stores it), and its
-multiplier rows depend on q only, so every product comes from a 2C-square
-exponential instead of the (3C + 2M)-square one, balanced so that its
-norm is about that of its 2C-square block. ``expm`` is that exponential,
+that piece and each multiplier row's event, and ``phi`` the phi-function
+products an exponential integrator steps with, phi_k(hJ) r for the
+Jacobian J of one piece. J has the plant's own voltage sensitivity in
+J_mq's lam rows (the nonlinear plant's dv/dq is not X;
+``set_plant_sensitivity`` stores it), and its multiplier rows depend on q
+only, so every product comes from a 2C-square exponential instead of the
+(3C + 2M)-square one, balanced so that its norm is about that of its
+2C-square block. ``expm`` is that exponential,
 numpy only and from matrix products alone: a truncated Taylor series in
 Paterson and Stockmeyer's form, scaled and squared at the fewest products
 the norm allows, whose last product forms only the columns ``phi`` reads.
@@ -179,9 +180,10 @@ class PackedFlow:
     the q rows are -k_q times the Lagrangian's gradient in q, and each
     multiplier row is its gain times its constraint's violation
     (v - v_hi, v_lo - v, q - q_hi, q_lo - q). Stored are the q rows, the
-    multiplier rows' q columns J_mq, the limits and the gains; the
-    projection tests the violations themselves and the gains scale what it
-    keeps, and ``events`` tells where a piece of it ends. ``phi`` keeps one
+    multiplier rows' q columns J_mq, the limits and the gains. ``rates``
+    forms the violations once per state: the projection tests them, the
+    gains scale what it keeps, and the same vector gives each row's event,
+    which tells where a piece of the projection ends. ``phi`` keeps one
     piece: the masked J_mq and the block B of the last piece it was
     called with, rebuilt when the piece changes and cleared by
     ``set_plant_sensitivity``. No input is validated;
@@ -219,32 +221,26 @@ class PackedFlow:
         """Whether the piece ``on`` reads the measured voltage: a lam row is on it."""
         return bool(on[: 2 * self.m].any())
 
-    def rates(self, y: np.ndarray, v: np.ndarray, on=None) -> tuple[np.ndarray, np.ndarray]:
-        """Rates at a packed state and its measured voltages on a piece, with the piece.
+    def rates(
+        self, y: np.ndarray, v: np.ndarray, on=None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rates, piece and events at a packed state and its measured voltages.
 
         A piece is a mask over the multiplier rows; the q rows are always
         on it. Unset, it is the natural one: each multiplier row whose
         multiplier is positive or whose constraint is violated. Multiplier
-        rows off the piece are projected to a zero rate.
+        rows off the piece are projected to a zero rate. Each row's event
+        function is its multiplier on the piece and minus its constraint's
+        violation off it; the piece ends where one turns negative. Returns
+        the rates, the piece and the events, all from one violation vector.
         """
-        violation = self.violation(y, v)
+        violation = np.concatenate((v, -v, y[: self.c], -y[: self.c])) + self._offset
         if on is None:
             on = (y[self.c :] > 0) | (violation > 0)
+        events = np.where(on, y[self.c :], -violation)
         violation[~on] = 0.0
         violation *= self._gain
-        return np.concatenate((self._q_rows @ y, violation)), on
-
-    def violation(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The multiplier rows' constraint violations at a packed state and its voltages."""
-        return np.concatenate((v, -v, y[: self.c], -y[: self.c])) + self._offset
-
-    def events(self, y: np.ndarray, v: np.ndarray, on: np.ndarray) -> np.ndarray:
-        """Each multiplier row's event function at a packed state and its voltages.
-
-        It is the multiplier on a row ``on`` the piece and minus the
-        constraint's violation off it; the piece ends where one turns negative.
-        """
-        return np.where(on, y[self.c :], -self.violation(y, v))
+        return np.concatenate((self._q_rows @ y, violation)), on, events
 
     def event_rates(self, f: np.ndarray, on: np.ndarray) -> np.ndarray:
         """The events' time derivatives at rates f: f on the piece, -J_mq f_q / gain off it."""

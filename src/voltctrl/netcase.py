@@ -110,9 +110,6 @@ class NetworkCase:
     def indices_of(self, kind: BusKind) -> np.ndarray:
         return np.array([i for i, b in enumerate(self.buses) if b.kind is kind], dtype=int)
 
-    def controlled_bus_ids(self) -> list[int]:
-        return [b.id for b in self.buses if b.has_controller]
-
     @cached_property
     def topology(self) -> "Topology":
         """The per-topology constants of this case, built on first use.

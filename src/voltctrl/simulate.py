@@ -21,9 +21,9 @@ U2's local error and sets the step size. On the linear plant, and on the
 nonlinear one while no lam row is active, D2 is zero: the step is exact on
 its piece and makes one plant call, at its end; otherwise it makes two, at
 U2 and at y1, and no Newton iteration. The piece ends where a multiplier
-row's event function (``PackedFlow.events``) turns negative, past the
-same 1e-12 overshoot for every row. A step past such an event is cut
-back, the one way for every event: the first root of that row's cubic
+row's event function turns negative, past the same 1e-12 overshoot for
+every row. A step past such an event is cut back, the one way for every
+event: the first root of that row's cubic
 Hermite interpolant over the step (dense-output event location; Shampine
 & Thompson, Comput. Math. Appl. 39, 2000), taken row by row in Python
 floats, is refined by Halley's method along the step's stage path
@@ -65,15 +65,19 @@ Multi-window runs are joined into one run record by ``_join``.
 
 Inside a window the engine works on packed state vectors only: one loop
 object per window holds the plant and the controller's flow, compiled once
-for the window (``controller.PackedFlow``). Every evaluation is its
-``rates`` and every phi-product its ``phi``, a 2C-square exponential (the
-engine knows only that the first C entries are q and the rest
-multipliers). The accepted rows are the returned trajectory's ``y``,
-checked once, as one array; its ``ControllerState`` views and costs are
-built only when read. Every plant call is made at a new output: an
-accepted step hands its end's rates and voltage to the next step, a step
-whose end has its stage's q reuses the stage's voltage, and a window's
-start reads the voltage of the power flow its relinearization solved.
+for the window (``controller.PackedFlow``). Every evaluation is one call
+of its ``rates``, which gives a state's rates, piece and every row's event
+from one violation vector, and every phi-product its ``phi``, a 2C-square
+exponential (the engine knows only that the first C entries are q and the
+rest multipliers). Each attempt's end is evaluated once, on the step's
+piece, and each accepted state once more by ``eval`` on the piece it
+settles on, whose events every attempt from there reads. The accepted rows
+are the returned trajectory's ``y``, checked once, as one array; its
+``ControllerState`` views and costs are built only when read. Every plant
+call is made at a new output: an accepted step hands its end's rates,
+events and voltage to the next step, a step whose end has its stage's q
+reuses the stage's voltage, and a window's start reads the voltage of the
+power flow its relinearization solved.
 """
 
 from __future__ import annotations
@@ -327,22 +331,24 @@ class _ClosedLoop:
         return self._solve(q).v[self.part.pq]
 
     def eval(self, y: np.ndarray, v: np.ndarray):
-        """Floored state, projected rates and piece at a packed state that measures v.
+        """Floored state, projected rates, piece and events at a packed state that measures v.
 
         The piece is the natural one (``flow.rates``), but that a row whose
         event is within 1e-9 of zero and falling switches its place on it:
         a multiplier leaving it is set to zero, a row joining it is on it
-        at a zero multiplier.
+        at a zero multiplier. The rates and events are those of the piece
+        it settles on: one ``flow.rates`` call on the natural piece, and
+        one more where an event lies within 1e-9 of zero.
         """
         c, flow = self.c, self.flow
         y = np.concatenate((y[:c], np.maximum(y[c:], 0.0)))
-        f, on = flow.rates(y, v)
-        near = flow.events(y, v, on) <= _NEAR
+        f, on, g = flow.rates(y, v)
+        near = g <= _NEAR
         if near.any():
             turn = near & (flow.event_rates(f, on) < 0)
             y[c:][turn] = 0.0
-            f, on = flow.rates(y, v, on ^ turn)
-        return y, f, on
+            f, on, g = flow.rates(y, v, on ^ turn)
+        return y, f, on, g
 
     def attempt(self, y0: np.ndarray, f0: np.ndarray, on: np.ndarray, h: float):
         """One exprb32 step of size h from y0, whose rates f0 on the piece ``on`` are known.
@@ -455,7 +461,7 @@ def integrate(
         )
     y0 = np.zeros(3 * c + 2 * m) if state0 is None else state0.packed()
     v = loop.rebase(y0[:c])
-    y, f, on = loop.eval(y0, v)
+    y, f, on, g0 = loop.eval(y0, v)
     times, rows, volts, raw_mins = [0.0], [y0], [v], [float(y0[c:].min())]
     residual = float(np.abs(f).max())
     t = 0.0
@@ -473,13 +479,13 @@ def integrate(
             h = 0.5 * h_try
             continue
         # the piece ends where a row's event function turns negative past
-        # the overshoot; a multiplier's dip below zero is left to the floor
-        g0, g1 = loop.flow.events(y, v, on), loop.flow.events(y1, v1, on)
+        # the overshoot; a multiplier's dip below zero is left to the floor.
+        # The rates and events at the end are the piece's at the unfloored
+        # end, whose voltage is measured
+        f1, _, g1 = loop.flow.rates(y1, v1, on)
         event = ((g0 > 0) | ~on) & (g1 < -_OVERSHOOT)
         if event.any():
-            # land the first event on the step's stage path; the rates at the end
-            # are the piece's at the unfloored end, whose voltage is measured
-            f1 = loop.flow.rates(y1, v1, on)[0]
+            # land the first event on the step's stage path
             slopes = (h_try * loop.flow.event_rates(r, on)[event] for r in (f, f1))
             roots = _first_root(g0[event], g1[event], *slopes)
             first = int(np.argmin(roots))
@@ -500,12 +506,11 @@ def integrate(
         # an accepted step resumes the size an event cut back
         h, h_cut = max(h, h_cut), 0.0
         t += h_try
-        y, f, on = loop.eval(y1, v1)
-        v = v1
+        y, f, on, g0 = loop.eval(y1, v1)
         loop.refresh_inverse()
         times.append(t)
         rows.append(y)
-        volts.append(v)
+        volts.append(v1)
         raw_mins.append(float(y1[c:].min()))
         residual = float(np.abs(f).max())
 

@@ -163,8 +163,13 @@ def test_parse_trip_variants():
         ([], "trip = 4:5@inf\n", "line 3: value must be finite"),
         ([], "profile = " + ", ".join(["1.0"] * 23 + ["-0.5"]) + "\n",
          "line 3: profile factors must be nonnegative"),
+        (["--trip", "4:5@"], "", "--trip: expected a number, got ''"),
+        ([], "profile = " + ", ".join(["1.0"] * 12 + [""] + ["1.0"] * 12) + "\n",
+         "line 3: expected a number, got ''"),
+        ([], "profile = " + ", ".join(["1.0"] * 24) + ",\n", "line 3: expected a number, got ''"),
     ],
-    ids=["trip-flag-nan", "trip-key-inf", "negative-profile"],
+    ids=["trip-flag-nan", "trip-key-inf", "negative-profile", "trip-flag-empty-time",
+         "empty-profile-field", "trailing-profile-comma"],
 )
 def test_late_failing_values_are_config_errors_before_the_output(tmp_path, capsys, flags, config,
                                                                  message):

@@ -101,9 +101,11 @@ def test_positive_projection():
     y = np.zeros(1 + 2 * 4 + 2)
     y[1:5] = [0.0, 0.5, 0.0, 0.0]
     flow = PackedFlow(np.ones((4, 1)), lim, Gains())
-    rates, on = flow.rates(y, np.array([-3.0, -3.0, 3.0, 0.0]))
+    rates, on, events = flow.rates(y, np.array([-3.0, -3.0, 3.0, 0.0]))
     assert rates[1:5].tolist() == [0.0, -3.0, 3.0, 0.0]
     assert on.tolist() == [False, True, True, False] + [False] * 6
+    # the events are the multipliers on the piece and minus the violations off it
+    assert events.tolist() == [3.0, 0.5, 0.0, 0.0, 7.0, 7.0, 13.0, 10.0, 1.0, 1.0]
 
 
 def test_flow_jacobian_matches_finite_difference(case14):
@@ -131,7 +133,7 @@ def test_flow_jacobian_matches_finite_difference(case14):
         def rates(y):
             return flow.rates(y, base + xc @ y[:c])[0]
 
-        _, on = flow.rates(y, v)
+        _, on, _ = flow.rates(y, v)
         expected = written_out_jacobian(xc, gains, np.concatenate([np.ones(c, dtype=bool), on]))
         masked += int(np.sum(~on))
         # a zero multiplier sits on the kink of its own row, so its column is skipped
@@ -439,7 +441,7 @@ def test_rates_match_the_lagrangian():
         flow = PackedFlow(xc, lim, gains)
         for hold in (held, np.zeros(2 * m + 2 * c, dtype=bool)):
             expected, expected_active = written_out_rates(y, v, xc, lim, gains, hold)
-            rates, on = flow.rates(y, v, expected_active[c:] if hold is held else None)
+            rates, on, _ = flow.rates(y, v, expected_active[c:] if hold is held else None)
             assert on.tolist() == expected_active[c:].tolist()
             assert_allclose(rates[:c], expected[:c], rtol=1e-12, atol=1e-13)
             assert_allclose(rates[c:], expected[c:], rtol=1e-12, atol=0.0)
@@ -476,10 +478,10 @@ def test_event_rates_are_the_events_time_derivative(case14):
         f, active = written_out_rates(y, voltage(y), xc, lim, gains, held)
         on = active[c:]
         flow = PackedFlow(xc, lim, gains)
-        assert np.all(flow.events(y, voltage(y), on) >= 0.0)
+        assert np.all(flow.rates(y, voltage(y), on)[2] >= 0.0)
         s = 0.5
         up, dn = y + s * f, y - s * f
-        diff = (flow.events(up, voltage(up), on) - flow.events(dn, voltage(dn), on)) / (2 * s)
+        diff = (flow.rates(up, voltage(up), on)[2] - flow.rates(dn, voltage(dn), on)[2]) / (2 * s)
         rates = flow.event_rates(f, on)
         assert np.max(np.abs(rates - diff)) <= 1e-10 * np.max(np.abs(diff))
 

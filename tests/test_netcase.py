@@ -63,7 +63,7 @@ def test_setpoints_attached_to_buses(case14):
 
 
 def test_controllers_default_to_pq_buses(case14):
-    assert case14.controlled_bus_ids() == [4, 5, 7, 9, 10, 11, 12, 13, 14]
+    assert [b.id for b in case14.buses if b.has_controller] == [4, 5, 7, 9, 10, 11, 12, 13, 14]
 
 
 def test_minimal_two_bus(toy2):
@@ -561,7 +561,7 @@ def test_scale_loads_rejects_pv_key(case14):
 
 def test_with_controllers(case14):
     trimmed = case14.with_controllers([4, 9, 14])
-    assert trimmed.controlled_bus_ids() == [4, 9, 14]
+    assert [b.id for b in trimmed.buses if b.has_controller] == [4, 9, 14]
     with pytest.raises(CaseDataError):
         case14.with_controllers([2])  # PV bus
     with pytest.raises(CaseDataError):

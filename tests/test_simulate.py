@@ -383,10 +383,10 @@ def _lam_lo_start() -> ControllerState:
 
 def _fixed_steps(loop, start: ControllerState, h: float, steps: int) -> np.ndarray:
     """The packed state after ``steps`` accepted steps of size h from the start."""
-    y, f, on = loop.eval(start.packed(), loop.rebase(start.q))
+    y, f, on, _ = loop.eval(start.packed(), loop.rebase(start.q))
     for _ in range(steps):
         y1, _, v1 = loop.attempt(y, f, on, h)
-        y, f, on = loop.eval(y1, v1)
+        y, f, on, _ = loop.eval(y1, v1)
         loop.refresh_inverse()
     return y
 
@@ -429,7 +429,7 @@ def test_embedded_estimate_tracks_the_local_error(toy2, toy_limits, h):
     # stand in for the exact solution (0.98-0.99 measured)
     loop = _ClosedLoop(toy2, PlantMode.NONLINEAR, toy_limits, Gains())
     start = _lam_lo_start()
-    y0, f0, on0 = loop.eval(start.packed(), loop.rebase(start.q))
+    y0, f0, on0, _ = loop.eval(start.packed(), loop.rebase(start.q))
     y1, est, _ = loop.attempt(y0, f0, on0, h)
     local = np.max(np.abs(y1 - est - _fixed_steps(loop, start, h / 200, 200)))
     assert 0.5 < np.max(np.abs(est)) / local < 2.0
@@ -812,7 +812,7 @@ def test_a_landing_hands_its_last_stage_to_the_retry(request, monkeypatch, name,
         dy, row = landed[-1]
         assert stage[0] == h and stage[1] is dy and products[0] == before + two_stage
         assert np.array_equal(dy, h * phi(self.flow, 1, h, on0, f0))
-        event = self.flow.events(out[0], out[2], on0)[row]
+        event = self.flow.rates(out[0], out[2], on0)[2][row]
         assert -1e-12 <= event and (two_stage or event <= 1e-9)
         handed.append(dy)
         retry[:] = [self, y0.copy(), f0.copy(), on0.copy(), 0.5 * h, two_stage]
@@ -870,6 +870,81 @@ def test_steps_resume_the_size_an_event_cut_back(monkeypatch, light30, heavy14):
         plant_divergence=0, plant_calls=242, phi_products=248, landing_products=9,
         newton_iterations=5, chord_steps=465, jacobian_inversions=116,
     )
+
+
+@pytest.mark.parametrize("name, horizon", [("heavy14", 2e5), ("light30", 2e5), ("heavy14", 30.0)])
+def test_an_exact_step_grows_the_next_attempt_fivefold(request, monkeypatch, name, horizon):
+    # a linear-plant step is exact on its piece: its estimate is zero, and
+    # the attempt after an accepted one is exactly five times its size. The
+    # only exemptions are an attempt the horizon clips (heavy14's 30 s run
+    # clips its fifth) and one that resumes a larger size an event cut back
+    log = _record_landings(monkeypatch)
+    res = run_static(request.getfixturevalue(name), plant_mode=PlantMode.LINEAR, horizon=horizon)
+    assert res.stats.error_test == 0
+    t, cut, size, after = 0.0, 0.0, None, None
+    grown = clipped = resumed_larger = 0
+    for kind, *entry in log:
+        if kind == "land":
+            cut = max(cut, entry[0])
+        elif kind == "accept" and size is not None:
+            # the window's start is refreshed too, before any attempt
+            t += size
+            after, cut = (size, cut), 0.0
+        elif kind == "attempt":
+            if after is not None:
+                accepted, resumed = after
+                if entry[0] == 5.0 * accepted:
+                    grown += 1
+                elif entry[0] == horizon - t:
+                    clipped += 1
+                else:
+                    assert entry[0] == resumed > 5.0 * accepted
+                    resumed_larger += 1
+            size, after = entry[0], None
+    # 8, 9 and 3 grown; the default-horizon runs resume 3 and 13 cut-back sizes
+    assert grown >= 3
+    assert clipped == 1 if horizon < 2e5 else clipped == 0 and resumed_larger > 0
+
+
+@pytest.mark.parametrize(
+    "name, mode", [("heavy14", PlantMode.NONLINEAR), ("light30", PlantMode.LINEAR)]
+)
+def test_each_loop_state_is_evaluated_once(request, monkeypatch, name, mode):
+    # every evaluation is one ``flow.rates`` call, which gives the rates, the
+    # piece and the events together: one at each attempt's end, one at a
+    # two-stage attempt's stage, and one per ``eval``, with one more where an
+    # event on the natural piece lies within 1e-9 of zero and the piece is
+    # settled again. No other call forms them
+    rates, attempt, evaluate = PackedFlow.rates, _ClosedLoop.attempt, _ClosedLoop.eval
+    made, expected = [0], {"ends": 0, "stages": 0, "evals": 0, "switches": 0}
+
+    def counting_rates(self, y, v, on=None):
+        made[0] += 1
+        return rates(self, y, v, on)
+
+    def counting_attempt(self, y0, f0, on0, h):
+        two_stage = self.mode is PlantMode.NONLINEAR and self.flow.reads_voltage(on0)
+        out = attempt(self, y0, f0, on0, h)
+        expected["ends"] += 1
+        expected["stages"] += two_stage
+        return out
+
+    def counting_eval(self, y, v):
+        floored = np.concatenate((y[: self.c], np.maximum(y[self.c :], 0.0)))
+        expected["evals"] += 1
+        expected["switches"] += bool((rates(self.flow, floored, v)[2] <= 1e-9).any())
+        return evaluate(self, y, v)
+
+    monkeypatch.setattr(PackedFlow, "rates", counting_rates)
+    monkeypatch.setattr(_ClosedLoop, "attempt", counting_attempt)
+    monkeypatch.setattr(_ClosedLoop, "eval", counting_eval)
+    res = run_static(request.getfixturevalue(name), plant_mode=mode)
+    # neither run's plant diverges, so every attempt reaches its end
+    assert res.converged and res.stats.plant_divergence == 0
+    assert expected["ends"] == res.stats.attempts
+    assert expected["evals"] == res.stats.accepted + 1
+    assert expected["switches"] > 0 and (expected["stages"] > 0) == (mode is PlantMode.NONLINEAR)
+    assert made[0] == sum(expected.values())
 
 
 def _tolerance(y0, y1):
@@ -1303,7 +1378,7 @@ def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
         mu_lo=np.zeros(1),
     )
     loop = _ClosedLoop(relaxed, PlantMode.LINEAR, toy_limits, Gains())
-    y0, f0, on0 = loop.eval(start.packed(), loop.rebase(start.q))
+    y0, f0, on0, _ = loop.eval(start.packed(), loop.rebase(start.q))
     assert f0[2] == pytest.approx(-0.05)
     calls = []
     measure = loop.voltage
@@ -1313,8 +1388,8 @@ def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
     # the row ends a hair past zero, a crossing for integrate to land on;
     # the evaluation there is the projected one, with no further plant call
     assert -1e-8 < z[2] < 0.0
-    y, g, _ = loop.eval(z, v1)
-    assert y[2] == 0.0 and g[2] == 0.0 and len(calls) == 1
+    y, f, _, _ = loop.eval(z, v1)
+    assert y[2] == 0.0 and f[2] == 0.0 and len(calls) == 1
 
 
 def _toy_state(q=0.0, lam_hi=0.0, lam_lo=0.0, mu_hi=0.0, mu_lo=0.0) -> ControllerState:
@@ -1419,8 +1494,8 @@ def test_eval_switches_only_rows_whose_event_is_within_1e_9(monkeypatch, heavy14
     def recording_eval(self, y, v):
         out = evaluate(self, y, v)
         floored = np.concatenate((y[: self.c], np.maximum(y[self.c :], 0.0)))
-        _, natural = self.flow.rates(floored, v)
-        events.extend(self.flow.events(floored, v, natural)[natural != out[2]])
+        _, natural, g = self.flow.rates(floored, v)
+        events.extend(g[natural != out[2]])
         return out
 
     monkeypatch.setattr(_ClosedLoop, "eval", recording_eval)
@@ -1455,9 +1530,10 @@ def _check_every_attempt_start(monkeypatch):
         return out
 
     def checking_attempt(self, y0, f0, on0, h):
-        loop, _, v, (y, f, on) = evals[-1]
+        loop, _, v, (y, f, on, g_eval) = evals[-1]
         assert loop is self and y0 is y and f0 is f and on0 is on
-        g = self.flow.events(y0, v, on)
+        g = self.flow.rates(y0, v, on)[2]
+        assert np.array_equal(g, g_eval)
         band = np.where(on, g > 0.0, g >= 0.0) & (g <= 1e-9)
         assert not np.any(band & (self.flow.event_rates(f0, on) < 0.0))
         attempts.append((self, y0, on0))
@@ -1489,7 +1565,7 @@ def test_a_tripped_window_starts_through_the_switch(monkeypatch, heavy14, mode):
     windows = list(dict.fromkeys(loop for loop, _, _, _ in evals))
     assert len(windows) == 2
     intact_last = [out[0] for loop, _, _, out in evals if loop is windows[0]][-1]
-    _, y_in, _, (y, _, on) = next(e for e in evals if e[0] is windows[1])
+    _, y_in, _, (y, _, on, _) = next(e for e in evals if e[0] is windows[1])
     assert y_in.tobytes() == intact_last.tobytes()
     first = next(a for a in attempts if a[0] is windows[1])
     assert first[1] is y and first[2] is on
