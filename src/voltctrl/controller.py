@@ -25,12 +25,19 @@ products an exponential integrator steps with, phi_k(hJ) r for the
 Jacobian J of one piece. J has the plant's own voltage sensitivity in
 J_mq's lam rows (the nonlinear plant's dv/dq is not X;
 ``set_plant_sensitivity`` stores it), and its multiplier rows depend on q
-only, so every product comes from a 2C-square exponential instead of the
-(3C + 2M)-square one, balanced so that its norm is about that of its
-2C-square block. ``expm`` is that exponential,
-numpy only and from matrix products alone: a truncated Taylor series in
-Paterson and Stockmeyer's form, scaled and squared at the fewest products
-the norm allows, whose last product forms only the columns ``phi`` reads.
+only, so every product comes from the exponential of a 2C-square B
+instead of the (3C + 2M)-square J, balanced so that its norm is about
+that of B. Its coupling block G = J_qm D J_mq chooses how. On the linear
+plant, whose lam rows keep X, G is symmetric: one symmetric
+eigendecomposition per piece splits B into C independent 2 x 2 modes,
+and each product exponentiates one stack of C small augmented matrices
+(the modal path). Once ``set_plant_sensitivity`` has stored the
+nonlinear plant's dv/dq, G is not symmetric, and each product
+exponentiates the augmented B itself (the dense path). ``expm`` is that
+exponential, of one matrix or of a stack, numpy only and from matrix
+products alone: a truncated Taylor series in Paterson and Stockmeyer's
+form, scaled and squared at the fewest products the norm allows, whose
+last product forms only the columns ``phi`` reads.
 This module is the only one that knows the packed layout:
 ``ControllerState.view`` reads a state off a packed row that its caller
 has checked, as ``simulate.Trajectory`` checks its rows once, as one
@@ -184,9 +191,11 @@ class PackedFlow:
     forms the violations once per state: the projection tests them, the
     gains scale what it keeps, and the same vector gives each row's event,
     which tells where a piece of the projection ends. ``phi`` keeps one
-    piece: the masked J_mq and the block B of the last piece it was
-    called with, rebuilt when the piece changes and cleared by
-    ``set_plant_sensitivity``. No input is validated;
+    piece: the maps of the last piece it was called with (the masked
+    J_mq and the block B, or on the modal path the eigenvectors of G and
+    the maps through them), rebuilt when the piece changes and cleared by
+    ``set_plant_sensitivity``; on the modal path also the last vector's
+    rotation, which a landing's products all share. No input is validated;
     ``dynamics_rhs`` is the checked entry point.
     """
 
@@ -201,20 +210,27 @@ class PackedFlow:
         self._gain = np.repeat([gains.k_lam, gains.k_mu], [2 * m, 2 * c])
         # J_mq: each multiplier row's gain times its violation's derivative in q
         self._j_mq = self._gain[:, None] * np.vstack([xc, -xc, eye, -eye])
-        # B's top blocks [-2 k_q I, I] over zeros, and the last piece's mask, masked J_mq and B
+        # B's top blocks [-2 k_q I, I] over zeros, and a mode's [[-2 k_q, 1], [0, 0]]
         self._b_top = np.vstack([np.hstack([self._q_rows[:, :c], eye]), np.zeros((c, 2 * c))])
-        self._piece: tuple[bytes, np.ndarray, np.ndarray] | None = None
+        self._mode = np.array([[-2.0 * gains.k_q, 1.0], [0.0, 0.0]])
+        # whether the lam rows hold xc, so that G is symmetric; the last piece's mask and
+        # maps, and on the modal path the last vector's rotation
+        self._modal = True
+        self._piece: tuple | None = None
+        self._rotated: tuple | None = None
 
     def set_plant_sensitivity(self, gx: np.ndarray) -> None:
         """Put the plant's own dv/dq at the controlled buses (M x C) in the lam rows' q block.
 
         That block is +k_lam gx for lam_hi and -k_lam gx for lam_lo; it is
         ``xc``'s, the linear plant's dv/dq, until this is called. The q rows
-        are the controller's own dynamics and keep ``xc``. The piece ``phi``
-        keeps is cleared, since its B holds the old block.
+        are the controller's own dynamics and keep ``xc``, so G is no longer
+        symmetric and ``phi`` takes its dense path from here on. The piece
+        ``phi`` keeps is cleared, since its maps hold the old block.
         """
         lam = slice(0, 2 * self.m)
         self._j_mq[lam] = self._gain[lam, None] * np.vstack([gx, -gx])
+        self._modal = False
         self._piece = None
 
     def reads_voltage(self, on: np.ndarray) -> bool:
@@ -286,32 +302,46 @@ class PackedFlow:
         phi_k(z) = sum_j z^j / (j + k)!. With D the piece's multiplier rows,
         (q, J_qm m) follows the 2C x 2C matrix
 
-            B = [[-2 k_q I, I], [J_qm D J_mq, 0]],
+            B = [[-2 k_q I, I], [G, 0]],   G = J_qm D J_mq,
 
         and phi_k(hJ) r = (P_k, h D J_mq P_{k+1} + r_m / k!), where
-        P_j = phi_j(hB) (r_q, J_qm r_m) restricted to its q entries. Both
-        come from the last two columns of one exponential of hB augmented
-        with the vector w = (r_q, J_qm r_m) and a unit chain (Sidje, ACM
-        TOMS 24(1), 1998), of size 2C + k + 1; ``expm`` takes it from
-        matrix products alone and forms only those two columns in its last
-        product. The augmented matrix is balanced (Al-Mohy & Higham, SIAM J.
-        Sci. Comput. 33(2), 2011): the chain holds tau, the largest power of
-        two up to ||hB||_1 within [1/4, 1], and the vector column w / sigma,
-        sigma the power of two that brings ||w||_1 / sigma into [tau / 2, tau).
-        Its 1-norm, handed to ``expm``, is then max(||hB||_1, tau), not at
+        P_j = phi_j(hB) w restricted to its q entries, w = (r_q, J_qm r_m).
+        Both come from the last two columns of one exponential of hB
+        augmented with w and a unit chain (Sidje, ACM TOMS 24(1), 1998),
+        which ``expm`` takes from matrix products alone, forming only those
+        two columns in its last product. The augmented matrix is balanced
+        (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011): the chain
+        holds tau, the largest power of two up to the step matrix's 1-norm
+        within [1/4, 1], and the vector column w / sigma, sigma the power of
+        two that brings that column's 1-norm into [tau / 2, tau). The
+        1-norm handed to ``expm`` is then the step matrix's or tau, not at
         least 1 and ||w||_1; P_k and P_{k+1} come back exactly as
-        sigma / tau^(k-1) and sigma / tau^k times its columns, so the product
-        is exactly linear in r. ||w||_1 is summed over w scaled by its largest
-        entry's power of two, and sigma is applied by its exponent, so neither
-        overflows where the product itself does not.
+        sigma / tau^(k-1) and sigma / tau^k times its columns, so the
+        product is exactly linear in r. Norms are summed over a vector
+        scaled by its largest entry's power of two, and sigma is applied by
+        its exponent, so neither overflows where the product itself does
+        not.
+
+        The symmetry of G chooses between two paths. While the lam rows
+        hold ``xc``, the linear plant's dv/dq (``set_plant_sensitivity``
+        has not been called), G = -k_q (k_lam xc' (D_hi + D_lo) xc +
+        k_mu D_mu) is symmetric, and one symmetric eigendecomposition per
+        piece gives G = V diag(g) V' with V orthogonal. Rotated by V', B
+        splits into C independent modes [[-2 k_q, 1], [g_i, 0]], so this
+        modal path scales r by its largest power of two, rotates w by V',
+        exponentiates one stack of C augmented matrices of size k + 3, mode
+        i's vector column its two entries of V' w, and rotates P_k and
+        P_{k+1} back by V. Otherwise the dense path exponentiates hB
+        itself, augmented to size 2C + k + 1, with w scaled by its largest
+        power of two. A G that is not finite has no eigendecomposition:
+        its modes are NaN, and so is every product, as on the dense path.
         """
-        c = self.c
         key = on.tobytes()
         if self._piece is None or self._piece[0] != key:
-            j_mq = self._j_mq * on[:, None]
-            b = self._b_top.copy()
-            b[c:, :c] = self._j_qm @ j_mq
-            self._piece = key, j_mq, b
+            self._piece, self._rotated = (key, *self._maps(on)), None
+        if self._modal:
+            return self._modal_phi(k, h, r, *self._piece[1:])
+        c = self.c
         _, j_mq, b = self._piece
         n = 2 * c + k + 1
         aug = np.zeros((n, n))
@@ -328,6 +358,56 @@ class PackedFlow:
         aug.reshape(-1)[2 * c * (n + 1) + 1 :: n + 1] = tau  # the chain: aug[i, i + 1], i >= 2C
         top = np.ldexp(_expm(aug, max(norm, tau), 2)[:c], (e_sigma - t * (k - 1), e_sigma - t * k))
         return np.concatenate((top[:, 0], h * (j_mq @ top[:, 1]) + r[c:] / math.factorial(k)))
+
+    def _maps(self, on: np.ndarray) -> tuple:
+        """What ``phi`` keeps of the piece ``on``.
+
+        On the dense path D J_mq and B; on the modal path D J_mq V, V, the
+        map r -> V' w, the C modes [[-2 k_q, 1], [g_i, 0]] and the largest
+        of their 1-norms.
+        """
+        c = self.c
+        j_mq = self._j_mq * on[:, None]
+        g = self._j_qm @ j_mq
+        if not self._modal:
+            b = self._b_top.copy()
+            b[c:, :c] = g
+            return j_mq, b
+        if np.isfinite(g).all():
+            eig, v = np.linalg.eigh(0.5 * (g + g.T))
+        else:
+            eig, v = np.full(c, np.nan), np.full((c, c), np.nan)
+        modes = np.repeat(self._mode[None], c, axis=0)
+        modes[:, 1, 0] = eig
+        # r -> V' w = (V' r_q, V' J_qm r_m)
+        into = np.zeros((2 * c, len(self._gain) + c))
+        into[:c, :c], into[c:, c:] = v.T, v.T @ self._j_qm
+        return j_mq @ v, v, into, modes, float(np.abs(modes).sum(axis=1).max())
+
+    def _modal_phi(self, k: int, h: float, r: np.ndarray, *maps) -> np.ndarray:
+        """``phi`` on the modal path, from the piece's maps (see ``phi``)."""
+        j_mq_v, v, into, modes, mode_norm = maps
+        c, n = self.c, k + 3
+        aug = np.zeros((c, n, n))
+        np.multiply(modes, h, out=aug[:, :2, :2])
+        norm = h * mode_norm
+        t = min(0, max(-2, math.frexp(norm)[1] - 1))
+        # V' w from r scaled by its largest power of two, mode i's column (w_i, w_C+i),
+        # and the exponent of the largest column's 1-norm: kept for the next product
+        # of the same r, as a landing's iterates all take the step's rates
+        key = r.tobytes()
+        if self._rotated is None or self._rotated[0] != key:
+            e_max = math.frexp(np.abs(r).max())[1]
+            w = into @ np.ldexp(r, -e_max)
+            w_abs = np.abs(w)
+            self._rotated = key, e_max, w, e_max + math.frexp((w_abs[:c] + w_abs[c:]).max())[1]
+        _, e_max, w, e_col = self._rotated
+        e_sigma = e_col - t
+        aug[:, :2, 2] = np.ldexp(w, e_max - e_sigma).reshape(2, c).T
+        tau = 2.0**t
+        aug.reshape(c, -1)[:, 2 * n + 3 :: n + 1] = tau  # the chains: aug[:, i, i + 1], i >= 2
+        top = np.ldexp(_expm(aug, max(norm, tau), 2)[:, 0], (e_sigma - t * (k - 1), e_sigma - t * k))
+        return np.concatenate((v @ top[:, 0], h * (j_mq_v @ top[:, 1]) + r[c:] / math.factorial(k)))
 
 
 # Taylor degrees m, each after the 1-norm theta_m up to which T_m(a) = e^(a + e)
@@ -369,39 +449,40 @@ def expm(a: np.ndarray, last: int | None = None) -> np.ndarray:
     solves a system. A norm that is not finite, which no scaling brings
     into range, gives NaNs. Only the asked columns are formed in the last
     Horner step when there is no squaring, and otherwise in the last
-    squaring.
+    squaring. A stack a[..., :, :] gives the stack of its exponentials,
+    each taken with the degree and squarings of the largest 1-norm.
     """
-    return _expm(a, float(np.abs(a).sum(axis=0).max()), last)
+    return _expm(a, float(np.abs(a).sum(axis=-2).max()), last)
 
 
 def _expm(a: np.ndarray, norm: float, last: int | None) -> np.ndarray:
-    """``expm`` of a whose 1-norm its caller has."""
-    n = len(a)
+    """``expm`` of a matrix or a stack whose largest 1-norm its caller has."""
+    n = a.shape[-1]
     cols = slice(None) if last is None else slice(n - last, None)
     if not norm < math.inf:
-        return np.full((n, n if last is None else last), np.nan)
+        return np.full(a.shape[:-1] + (n if last is None else last,), np.nan)
     halved = max(0, math.frexp(norm)[1] - 3)  # a norm of 8 or more into [4, 8)
     s, m, p, blocks = _CHOICES[bisect.bisect_left(_BREAKS, math.ldexp(norm, -halved))]
     s += halved
     # a, a^2, ..., a^p of the scaled a
-    powers = np.empty((p, n, n))
+    powers = np.empty((p,) + a.shape)
     np.multiply(a, 0.5**s, out=powers[0])
     for j in range(1, p):
         np.matmul(powers[j - 1], powers[0], out=powers[j])
     top = powers[-1]
     # the blocks sum_i c_(jp + i) a^i, the c_(jp) I on their diagonals
-    b = (blocks[:, 1:] @ powers[:-1].reshape(p - 1, n * n)).reshape(-1, n, n)
-    b.reshape(len(b), -1)[:, :: n + 1] += blocks[:, :1]
-    e, buf = b[-1], np.empty((n, n))
+    b = (blocks[:, 1:] @ powers[:-1].reshape(p - 1, -1)).reshape((-1,) + a.shape)
+    b.reshape(len(b), -1, n * n)[..., :: n + 1] += blocks[:, :1, None]
+    e, buf = b[-1], np.empty(a.shape)
     e += np.divide(top, float(math.factorial(m)), out=buf)
     for j in range(len(b) - 2, -1 if s else 0, -1):
         b[j] += np.matmul(e, top, out=buf)
         e = b[j]
     if s == 0:
-        return e @ top[:, cols] + b[0][:, cols]
+        return e @ top[..., cols] + b[0][..., cols]
     for _ in range(s - 1):
         e, buf = np.matmul(e, e, out=buf), e
-    return e @ e[:, cols]
+    return e @ e[..., cols]
 
 
 def dynamics_rhs(

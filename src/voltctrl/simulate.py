@@ -19,7 +19,8 @@ rows, a step of size h is
 where F is the piece's rate. The correction is the embedded estimate of
 U2's local error and sets the step size. On the linear plant, and on the
 nonlinear one while no lam row is active, D2 is zero: the step is exact on
-its piece and makes one plant call, at its end; otherwise it makes two, at
+its piece, makes one plant call, at its end, and its error is taken as
+zero without forming the estimate; otherwise it makes two, at
 U2 and at y1, and no Newton iteration. The piece ends where a multiplier
 row's event function turns negative, past the same 1e-12 overshoot for
 every row. A step past such an event is cut back, the one way for every
@@ -67,9 +68,10 @@ Inside a window the engine works on packed state vectors only: one loop
 object per window holds the plant and the controller's flow, compiled once
 for the window (``controller.PackedFlow``). Every evaluation is one call
 of its ``rates``, which gives a state's rates, piece and every row's event
-from one violation vector, and every phi-product its ``phi``, a 2C-square
-exponential (the engine knows only that the first C entries are q and the
-rest multipliers). Each attempt's end is evaluated once, on the step's
+from one violation vector, and every phi-product its ``phi``: a stack of
+C 2 x 2 modes on the linear plant, a 2C-square exponential on the
+nonlinear one (the engine knows only that the first C entries are q and
+the rest multipliers). Each attempt's end is evaluated once, on the step's
 piece, and each accepted state once more by ``eval`` on the piece it
 settles on, whose events every attempt from there reads. The accepted rows
 are the returned trajectory's ``y``, checked once, as one array; its
@@ -338,7 +340,7 @@ class _ClosedLoop:
         a multiplier leaving it is set to zero, a row joining it is on it
         at a zero multiplier. The rates and events are those of the piece
         it settles on: one ``flow.rates`` call on the natural piece, and
-        one more where an event lies within 1e-9 of zero.
+        one more where a row switches.
         """
         c, flow = self.c, self.flow
         y = np.concatenate((y[:c], np.maximum(y[c:], 0.0)))
@@ -346,8 +348,9 @@ class _ClosedLoop:
         near = g <= _NEAR
         if near.any():
             turn = near & (flow.event_rates(f, on) < 0)
-            y[c:][turn] = 0.0
-            f, on, g = flow.rates(y, v, on ^ turn)
+            if turn.any():
+                y[c:][turn] = 0.0
+                f, on, g = flow.rates(y, v, on ^ turn)
         return y, f, on, g
 
     def attempt(self, y0: np.ndarray, f0: np.ndarray, on: np.ndarray, h: float):
@@ -362,8 +365,9 @@ class _ClosedLoop:
         with D2 = F(U2) - f0 - J (U2 - y0), the piece's rates' departure
         from their linearization, the step ends at y1 = U2 + est with
         est = 2h phi3(hJ) D2, the embedded estimate of U2's local error.
-        Returns y1 unfloored, est and the voltage measured at y1, which
-        reuses U2's where y1's q is U2's. The attempt takes ``stage``, which
+        Returns y1 unfloored, est (None on an exact step, whose estimate is
+        zero) and the voltage measured at y1, which reuses U2's where y1's
+        q is U2's. The attempt takes ``stage``, which
         ``land`` leaves for it, and clears it; its U2 - y0 stands in for the
         phi-product when its size is h. A plant solve that does not
         converge raises :class:`PlantDivergenceError`, and so does a stage
@@ -378,15 +382,14 @@ class _ClosedLoop:
             u2 = y0 + h * flow.phi(1, h, on, f0)
         if not np.isfinite(u2).all():
             raise PlantDivergenceError("the step's stage is not finite; no plant is solved there")
-        est = np.zeros_like(y0)
-        v2 = None
-        if self.mode is PlantMode.NONLINEAR and flow.reads_voltage(on):
-            v2 = self.voltage(u2[:c])
-            d2 = flow.rates(u2, v2, on)[0] - f0 - flow.jacobian_product(on, u2 - y0)
-            self.counts["phi_products"] += 1
-            est = 2.0 * h * flow.phi(3, h, on, d2)
+        if self.mode is PlantMode.LINEAR or not flow.reads_voltage(on):
+            return u2, None, self.voltage(u2[:c])
+        v2 = self.voltage(u2[:c])
+        d2 = flow.rates(u2, v2, on)[0] - f0 - flow.jacobian_product(on, u2 - y0)
+        self.counts["phi_products"] += 1
+        est = 2.0 * h * flow.phi(3, h, on, d2)
         y1 = u2 + est
-        if v2 is None or not np.array_equal(y1[:c], u2[:c]):
+        if not np.array_equal(y1[:c], u2[:c]):
             v2 = self.voltage(y1[:c])
         return y1, est, v2
 
@@ -496,8 +499,9 @@ def integrate(
                 h_cut = max(h_cut, h_try)
                 h = h_try * x
                 continue
-        scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y1))
-        err = float((np.abs(est) / scale).max())
+        err = 0.0
+        if est is not None:
+            err = float((np.abs(est) / (_ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y1)))).max())
         # one factor cuts a step that fails the error test and grows one that passes
         h = h_try * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))))
         if not err <= 1.0:

@@ -186,83 +186,183 @@ def test_flow_jacobian_product_matches_written_out_jacobian(case14):
         assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
 
+def _count_eigh(monkeypatch) -> list[int]:
+    """Count the symmetric eigendecompositions taken from here on: one per modal piece."""
+    eigh, calls = np.linalg.eigh, [0]
+
+    def counting(a):
+        calls[0] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _phi_flow(xc, gains, gx):
+    """A flow on its modal path (``gx`` None: the lam rows keep xc) or its dense one."""
+    m, c = xc.shape
+    flow = PackedFlow(xc, Limits.box(m, c), gains)
+    if gx is not None:
+        flow.set_plant_sensitivity(gx)
+    return flow
+
+
 @pytest.mark.parametrize("name, factor", [("case14", 3.1), ("case30", 0.25)], ids=["case14", "case30"])
-def test_flow_phi_product_matches_full_exponential(name, factor, request):
-    # the 2C-square reduced phi-products against the exponential of the
-    # full (3C + 2M)-square Jacobian, over random pieces, gains, vectors and
-    # step sizes from 1e-2 to 1e3. The lam rows' q block carries the plant's
-    # dv/dq: on case14 at x3.1 load the nonlinear plant's, from the power
-    # flow, and on case30 at x0.25 the linear plant's, X itself
+def test_flow_phi_product_matches_full_exponential(monkeypatch, name, factor, request):
+    # the reduced phi-products against the exponential of the full
+    # (3C + 2M)-square Jacobian, over random pieces, gains, vectors and
+    # step sizes from 1e-2 to 1e3. The modal path runs while the lam rows'
+    # q block is xc, the linear plant's dv/dq, and takes one symmetric
+    # eigendecomposition per piece; the dense path runs once the plant's
+    # own dv/dq is set, on case14 at x3.1 load the nonlinear plant's, from
+    # the power flow, and on case30 at x0.25 xc itself, and takes none
     case = scale_loads(request.getfixturevalue(name), factor)
     part = partition_buses(case)
     cpos = part.controlled_in_pq()
     xc = voltage_sensitivity(build_admittance(case), part).x[:, cpos]
     m, c = xc.shape
     n = 3 * c + 2 * m
-    gx = _plant_sensitivity(case, xc) if name == "case14" else xc
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(100):
-        gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
-        h = 10.0 ** rng.uniform(-2.0, 3.0)
-        active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
-        r = rng.standard_normal(n)
-        jac = written_out_jacobian(xc, gains, active, gx)
-        # the flow starts with xc's block, the linear plant's dv/dq
-        flow = PackedFlow(xc, Limits.box(m, c), gains)
-        flow.set_plant_sensitivity(gx)
-        for k in (1, 3):
-            expected = _full_phi(k, h * jac, r)
-            got = flow.phi(k, h, active[c:], r)
-            worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
-    assert worst <= 1e-11
+    plant = _plant_sensitivity(case, xc) if name == "case14" else xc
+    eighs = _count_eigh(monkeypatch)
+    for gx, decompositions in ((None, 100), (plant, 0)):
+        rng = np.random.default_rng(11)
+        eighs[0] = 0
+        worst = 0.0
+        for _ in range(100):
+            gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
+            h = 10.0 ** rng.uniform(-2.0, 3.0)
+            active = np.concatenate([np.ones(c, dtype=bool), rng.random(n - c) < rng.random()])
+            r = rng.standard_normal(n)
+            jac = written_out_jacobian(xc, gains, active, gx)
+            flow = _phi_flow(xc, gains, gx)
+            for k in (1, 3):
+                expected = _full_phi(k, h * jac, r)
+                got = flow.phi(k, h, active[c:], r)
+                worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
+        assert worst <= 1e-11
+        assert eighs[0] == decompositions
 
 
 @pytest.mark.parametrize("name, factor", [("case14", 3.1), ("case30", 0.25)], ids=["case14", "case30"])
-def test_flow_phi_product_is_exactly_linear_in_its_vector(name, factor, request):
+def test_flow_phi_product_is_exactly_linear_in_its_vector(monkeypatch, name, factor, request):
     # phi balances its vector column by a power of two, so scaling r by
     # 2^+-600 scales the product by exactly that, bit for bit, and r = 0
     # gives exact zeros; without the balancing a vector of 1e180 forces
-    # hundreds of squarings and the product is wrong in its leading digit
+    # hundreds of squarings and the product is wrong in its leading digit.
+    # Both paths, as in the test above
     case = scale_loads(request.getfixturevalue(name), factor)
     part = partition_buses(case)
     xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
     m, c = xc.shape
     n = 3 * c + 2 * m
-    gx = _plant_sensitivity(case, xc) if name == "case14" else xc
-    rng = np.random.default_rng(19)
-    for _ in range(30):
-        gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
-        h = 10.0 ** rng.uniform(-2.0, 3.0)
-        on = rng.random(n - c) < rng.random()
-        r = rng.standard_normal(n)
-        flow = PackedFlow(xc, Limits.box(m, c), gains)
-        flow.set_plant_sensitivity(gx)
+    plant = _plant_sensitivity(case, xc) if name == "case14" else xc
+    eighs = _count_eigh(monkeypatch)
+    for gx, decompositions in ((None, 30), (plant, 0)):
+        rng = np.random.default_rng(19)
+        eighs[0] = 0
+        for _ in range(30):
+            gains = Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
+            h = 10.0 ** rng.uniform(-2.0, 3.0)
+            on = rng.random(n - c) < rng.random()
+            r = rng.standard_normal(n)
+            flow = _phi_flow(xc, gains, gx)
+            for k in (1, 3):
+                base = flow.phi(k, h, on, r)
+                for e in (-600, 600):
+                    assert np.array_equal(flow.phi(k, h, on, 2.0**e * r), 2.0**e * base)
+                assert np.all(flow.phi(k, h, on, np.zeros(n)) == 0.0)
+        # at the top of the float range a short step is still scaled
+        # exactly, also for a dense vector whose w has a 1-norm past the
+        # float range: that norm is summed over a vector scaled by its
+        # largest entry's power of two. Summed unscaled it overflowed, expm
+        # skipped its scaling, and the product came back finite and 0.22
+        # off where its entries are below 0.4
+        unit = np.eye(n)[0]
+        w = np.concatenate((r[:c], flow._j_qm @ r[c:]))
+        assert np.abs(w).sum() > 8.0
         for k in (1, 3):
-            base = flow.phi(k, h, on, r)
-            for e in (-600, 600):
-                assert np.array_equal(flow.phi(k, h, on, 2.0**e * r), 2.0**e * base)
-            assert np.all(flow.phi(k, h, on, np.zeros(n)) == 0.0)
-    # at the top of the float range a short step is still scaled exactly,
-    # also for a dense vector whose w has a 1-norm past the float range:
-    # that norm is summed over w scaled by its largest entry's power of two.
-    # Summed unscaled it overflowed, expm skipped its scaling, and the
-    # product came back finite and 0.22 off where its entries are below 0.4
-    unit = np.eye(n)[0]
-    w = np.concatenate((r[:c], flow._j_qm @ r[c:]))
-    assert np.abs(w).sum() > 8.0
-    for k in (1, 3):
-        for vec, step in ((unit, 1e-3), (r, 1e-4)):
-            big = flow.phi(k, step, on, 2.0**1021 * vec)
-            assert np.array_equal(big, 2.0**1021 * flow.phi(k, step, on, vec))
+            for vec, step in ((unit, 1e-3), (r, 1e-4)):
+                big = flow.phi(k, step, on, 2.0**1021 * vec)
+                assert np.array_equal(big, 2.0**1021 * flow.phi(k, step, on, vec))
+        assert eighs[0] == decompositions
+
+
+@pytest.mark.parametrize("name, factor", [("case14", 3.1), ("case30", 0.25)], ids=["case14", "case30"])
+def test_modal_phi_products_on_degenerate_pieces(monkeypatch, name, factor, request):
+    # the modal path against the full exponential on the pieces whose modes
+    # are degenerate: at the default gains with only mu rows on the piece,
+    # at most one per controller, each such mode [[-2, 1], [-1, 0]] has the
+    # double eigenvalue -k_q = -1 (exact critical damping); with fewer rows
+    # on the piece than controllers, G has zero eigenvalues; and on the empty
+    # piece G is zero. One eigendecomposition per piece
+    case = scale_loads(request.getfixturevalue(name), factor)
+    part = partition_buses(case)
+    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    m, c = xc.shape
+    n = 3 * c + 2 * m
+    rng = np.random.default_rng(37)
+    eighs = _count_eigh(monkeypatch)
+    pieces = []
+    for _ in range(5):
+        mu = np.zeros((2, c), dtype=bool)
+        mu[rng.integers(0, 2, c), np.arange(c)] = rng.random(c) < 0.7
+        pieces.append(("critical", Gains(), np.concatenate((np.zeros(2 * m, bool), mu.ravel()))))
+        few = np.zeros(n - c, dtype=bool)
+        few[rng.choice(n - c, rng.integers(1, c), replace=False)] = True
+        pieces.append(("few", Gains(*np.exp(rng.uniform(-2.0, 2.0, 3))), few))
+    pieces.append(("empty", Gains(), np.zeros(n - c, dtype=bool)))
+    worst = 0.0
+    for kind, gains, on in pieces:
+        flow = _phi_flow(xc, gains, None)
+        jac = written_out_jacobian(xc, gains, np.concatenate((np.ones(c, dtype=bool), on)))
+        g = jac[:c, c:] @ jac[c:, :c]
+        eig = np.linalg.eigvalsh(0.5 * (g + g.T))
+        if kind == "critical":
+            # g_i is -1 on a controller with a mu row on the piece, and 0 without
+            assert np.array_equal(np.sort(eig), np.sort(-on[2 * m :].reshape(2, c).sum(axis=0)))
+            assert eig.min() == -1.0
+        elif kind == "few":
+            assert np.min(np.abs(eig)) <= 1e-12 * np.max(np.abs(eig))
+        else:
+            assert not eig.any()
+        for h in (1e-2, 1.0, 30.0, 1e3):
+            r = rng.standard_normal(n)
+            for k in (1, 3):
+                expected = _full_phi(k, h * jac, r)
+                got = flow.phi(k, h, on, r)
+                worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
+    assert worst <= 1e-11
+    assert eighs[0] == len(pieces)
+
+
+# gains of 1e300 overflow numpy's products on purpose
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("path", ["modal", "dense"])
+def test_overflowing_gains_give_nan_products(monkeypatch, case14, path):
+    # k_q k_lam overflows, so G is not finite: the modal path takes no
+    # eigendecomposition of it, which would fail, and both paths return
+    # NaN products, which fail the step's finiteness check
+    part = partition_buses(case14)
+    xc = voltage_sensitivity(build_admittance(case14), part).x[:, part.controlled_in_pq()]
+    m, c = xc.shape
+    eighs = _count_eigh(monkeypatch)
+    flow = _phi_flow(xc, Gains(1e300, 1e300, 1e300), None if path == "modal" else xc)
+    r = np.random.default_rng(41).standard_normal(3 * c + 2 * m)
+    for on in (np.ones(2 * m + 2 * c, dtype=bool), np.arange(2 * m + 2 * c) < m):
+        for k, h in ((1, 0.1), (3, 1e-300)):
+            assert np.isnan(flow.phi(k, h, on, r)).all()
+    assert eighs[0] == 0
 
 
 def test_phi_rebuilds_its_piece_on_a_new_mask_or_plant_sensitivity(case14):
-    # phi keeps the last piece's masked J_mq and B, keyed on the piece's
-    # mask, and set_plant_sensitivity clears them: through the
-    # pieces A -> B -> A, and after a new dv/dq on A, every product is a
-    # freshly built flow's bit for bit. Kept across the new dv/dq, A's old
-    # B gave the linear plant's product
+    # phi keeps the last piece's maps, keyed on the piece's mask, and
+    # set_plant_sensitivity clears them: through the pieces A -> B -> A,
+    # and after a new dv/dq on A, every product is a freshly built flow's
+    # bit for bit. Kept across the new dv/dq, A's old maps gave the linear
+    # plant's product. The modal path also keeps the last vector's
+    # rotation, keyed on its values: a new vector, and the same array
+    # changed in place, are rotated anew
     case = scale_loads(case14, 3.1)
     part = partition_buses(case)
     xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
@@ -275,16 +375,20 @@ def test_phi_rebuilds_its_piece_on_a_new_mask_or_plant_sensitivity(case14):
     assert np.any(piece_a[: 2 * m]) and np.any(piece_a != piece_b)
     r = rng.standard_normal(n)
 
-    def fresh(on, k, h, sensitivity=None):
+    def fresh(on, k, h, sensitivity=None, vec=r):
         flow = PackedFlow(xc, lim, gains)
         if sensitivity is not None:
             flow.set_plant_sensitivity(sensitivity)
-        return flow.phi(k, h, on, r)
+        return flow.phi(k, h, on, vec.copy())
 
     flow = PackedFlow(xc, lim, gains)
     calls = ((piece_a, 1, 0.3), (piece_a, 3, 2.0), (piece_b, 1, 0.3), (piece_a, 1, 7.0))
     for on, k, h in calls:
         assert flow.phi(k, h, on, r).tobytes() == fresh(on, k, h).tobytes()
+    vec = rng.standard_normal(n)
+    for _ in range(2):
+        assert flow.phi(1, 0.3, piece_a, vec).tobytes() == fresh(piece_a, 1, 0.3, vec=vec).tobytes()
+        vec[: c + 1] *= 3.0
     flow.set_plant_sensitivity(gx)
     for k, h in ((1, 0.3), (3, 7.0)):
         got = flow.phi(k, h, piece_a, r)
@@ -346,6 +450,19 @@ def test_expm_matches_scipy(size):
         assert np.linalg.norm(expm(a) - expected) <= 1e-12 * np.linalg.norm(expected)
         tail = expected[:, -2:]
         assert np.linalg.norm(expm(a, last=2) - tail) <= 1e-12 * np.linalg.norm(tail)
+    # a stack is exponentiated slice by slice at the degree and squarings
+    # of its largest 1-norm, so its smaller slices are squared more often
+    # than alone; each slice, and its last two columns, against scipy
+    g = rng.standard_normal((4, size, size))
+    stack = g - g.transpose(0, 2, 1) - np.eye(size) * rng.uniform(0.0, 1.0, (4, 1, size))
+    norms = np.abs(stack).sum(axis=1).max(axis=1)
+    stack *= (np.array([1e-3, 0.5, 10.0, 1e3]) / norms)[:, None, None]
+    whole, tails = expm(stack), expm(stack, last=2)
+    assert whole.shape == stack.shape and tails.shape == (4, size, 2)
+    for a, got, tail in zip(stack, whole, tails):
+        expected = scipy.linalg.expm(a)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.linalg.norm(tail - expected[:, -2:]) <= 1e-12 * np.linalg.norm(expected[:, -2:])
 
 
 def _taylor_theta(m: int) -> float:
@@ -393,7 +510,9 @@ def test_expm_and_phi_solve_no_linear_system(monkeypatch, case14):
     # the exponential and the phi-products come from matrix products alone:
     # unscaled (a 1-norm of 1e-3; a step of 1e-6, whose balanced matrix has
     # a 1-norm near 1/4) and scaled and squared (a 1-norm of 100; a step of
-    # 1e3), with every column and with the last two
+    # 1e3), with every column and with the last two. The modal path takes
+    # one symmetric eigendecomposition per piece and still solves no
+    # linear system; the dense path takes none
     def refuse(*args, **kwargs):
         raise AssertionError("a linear system was solved")
 
@@ -401,7 +520,8 @@ def test_expm_and_phi_solve_no_linear_system(monkeypatch, case14):
     part = partition_buses(case)
     xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
     m, c = xc.shape
-    flow = PackedFlow(xc, Limits.box(m, c), Gains())
+    modal, dense = (_phi_flow(xc, Gains(), gx) for gx in (None, _plant_sensitivity(case, xc)))
+    eighs = _count_eigh(monkeypatch)
     on = np.ones(2 * c + 2 * m, dtype=bool)
     r = np.random.default_rng(3).standard_normal(3 * c + 2 * m)
     a = np.random.default_rng(4).standard_normal((20, 20))
@@ -411,7 +531,10 @@ def test_expm_and_phi_solve_no_linear_system(monkeypatch, case14):
         b = a * (scale / np.abs(a).sum(axis=0).max())
         assert np.all(np.isfinite(expm(b))) and np.all(np.isfinite(expm(b, last=2)))
         for k in (1, 3):
-            assert np.all(np.isfinite(flow.phi(k, h, on, r)))
+            assert np.all(np.isfinite(modal.phi(k, h, on, r)))
+            assert np.all(np.isfinite(dense.phi(k, h, on, r)))
+    # one piece: the modal flow's one decomposition
+    assert eighs[0] == 1
 
 
 def test_rates_match_the_lagrangian():
