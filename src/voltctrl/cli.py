@@ -18,11 +18,11 @@ import numpy as np
 
 from . import BUNDLED_CASES, load_case
 from .controller import Gains, Limits
-from .errors import ConfigError, VoltCtrlError
+from .errors import ConfigError, PlantDivergenceError, VoltCtrlError
 from .netcase import NetworkCase, parse_case, scale_loads
 from .oracle import solve_centralized
 from .powerflow import nominal_injections, solve_power_flow
-from .sensitivity import partition_buses, rebased, voltage_sensitivity
+from .sensitivity import linearized, partition_buses, voltage_sensitivity
 from .simulate import (
     DailyResult,
     FaultResult,
@@ -404,15 +404,12 @@ def _cmd_sensitivity(cfg: RunConfig) -> int:
 def _cmd_validate(cfg: RunConfig) -> int:
     case = load_network(cfg)
     limits = cfg.limits_for(case)
-    sol = solve_power_flow(case, nominal_injections(case))
-    if not sol.converged:
-        raise VoltCtrlError("power flow did not converge at the base point")
     part = partition_buses(case)
-    sens = rebased(
-        voltage_sensitivity(case.topology.y, part),
-        base_v=sol.v[part.pq],
-        base_q=np.zeros(part.n_load),
-    )
+    sens = voltage_sensitivity(case.topology.y, part)
+    try:
+        sens, _ = linearized(sens, case, nominal_injections(case), np.zeros(part.n_controlled))
+    except PlantDivergenceError as exc:
+        raise PlantDivergenceError(f"{exc} at the base point") from exc
     qp = solve_centralized(sens, limits)
     res = run_static(
         case, limits, cfg.gains(), tol=cfg.tol, plant_mode=PlantMode.LINEAR,

@@ -25,8 +25,8 @@ import numpy as np
 from .controller import Limits
 from .errors import InfeasibleProblemError, NotContractingError, PlantDivergenceError
 from .netcase import NetworkCase
-from .powerflow import InjectionSet, nominal_injections, solve_power_flow
-from .sensitivity import SensitivityMatrix, rebased, voltage_sensitivity
+from .powerflow import nominal_injections
+from .sensitivity import SensitivityMatrix, linearized, voltage_sensitivity
 
 # the largest row violation A q - b the QP accepts as feasible, and its cap
 # on active-set changes; the max-norm step in q that ends plant_equilibrium
@@ -147,8 +147,8 @@ def plant_equilibrium(
 ) -> tuple[QPSolution, int]:
     """The nonlinear plant's equilibrium: the fixed point of the oracle on its own linearization.
 
-    Iterates q <- ``solve_centralized(rebased(sens, base_v=v(q), base_q=q), limits).q_star``
-    from q = 0, with v(q) the full-Newton power flow at q solved to 1e-12.
+    Iterates q <- ``solve_centralized(sens_q, limits).q_star`` from q = 0, with sens_q
+    X ``linearized`` at q, its full-Newton power flow solved to 1e-12.
     At the fixed point the linear voltage the oracle reads is the plant's,
     so its KKT conditions are the closed loop's equilibrium conditions with
     the measured voltages. Returns the last QP solution, once its q moved
@@ -161,19 +161,15 @@ def plant_equilibrium(
     the plant: far from the band (case14 at x3.5 load, case30 at x3.0) the
     first linearization can fail while the closed loop still settles.
     """
-    part = case.topology.partition
-    cpos = part.controlled_in_pq()
-    sens = voltage_sensitivity(case.topology.y, part)
+    sens = voltage_sensitivity(case.topology.y, case.topology.partition)
     inj = nominal_injections(case)
-    q, sol, step, rate = np.zeros(len(cpos)), None, np.inf, np.nan
+    q, sol, step, rate = np.zeros(sens.partition.n_controlled), None, np.inf, np.nan
     for iteration in range(1, max_iter + 1):
-        full = np.zeros(part.n_load)
-        full[cpos] = q
-        moved = InjectionSet(inj.p_injection, inj.q_injection + full)
-        sol = solve_power_flow(case, moved, tol=1e-12, warm_start=sol)
-        if not sol.converged:
-            raise PlantDivergenceError(f"power flow did not converge at iterate {iteration}")
-        qp = solve_centralized(rebased(sens, base_v=sol.v[part.pq], base_q=full), limits)
+        try:
+            lin, sol = linearized(sens, case, inj, q, tol=1e-12, warm_start=sol)
+        except PlantDivergenceError as exc:
+            raise PlantDivergenceError(f"{exc} at iterate {iteration}") from exc
+        qp = solve_centralized(lin, limits)
         moved_by = float(np.max(np.abs(qp.q_star - q)))
         step, rate = moved_by, moved_by / step
         if step < _EQUILIBRIUM_TOL:

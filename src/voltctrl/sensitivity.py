@@ -13,11 +13,11 @@ imaginary parts of the complex admittance matrix Y. X depends on the
 topology only, yet ``voltage_sensitivity(y, part)`` builds it anew at every
 call, at the flat base point (v = 1, q = 0): each closed-loop window builds
 its own (24 on a daily run), and so do ``plant_equilibrium``,
-``voltctrl validate`` and ``voltctrl sensitivity``. ``rebased`` keeps X and
-moves the linearization point (base_v, base_q) to a plant solution, as each
-closed-loop window does at its start. The bus sets come from
-``partition_buses``, which returns the partition the case's topology built
-once; ``BusPartition`` lives in ``netcase`` and is importable from here.
+``voltctrl validate`` and ``voltctrl sensitivity``; all but the last move
+its base point to the plant's full-Newton solution at a controller output
+by ``linearized``, the one path there (``rebased`` just moves the point).
+Bus sets come from ``partition_buses``, the case topology's one partition;
+``BusPartition`` lives in ``netcase`` and is importable from here.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularModelError
+from .errors import PlantDivergenceError, SingularModelError
 from .netcase import BusPartition, NetworkCase
+from .powerflow import InjectionSet, PowerFlowSolution, solve_power_flow
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,3 +90,21 @@ def rebased(sens: SensitivityMatrix, base_v: np.ndarray, base_q: np.ndarray) -> 
     return replace(
         sens, base_v=np.asarray(base_v, dtype=float), base_q=np.asarray(base_q, dtype=float)
     )
+
+
+def linearized(
+    sens: SensitivityMatrix, case: NetworkCase, inj: InjectionSet, q: np.ndarray,
+    tol: float = 1e-8, warm_start: PowerFlowSolution | None = None,
+) -> tuple[SensitivityMatrix, PowerFlowSolution]:
+    """X rebased at the plant with controller output q added to ``inj``, and that solution.
+
+    The plant is ``solve_power_flow``'s full Newton to ``tol`` from
+    ``warm_start``; where it does not converge, :class:`PlantDivergenceError`.
+    """
+    full = np.zeros(sens.partition.n_load)
+    full[sens.partition.controlled_in_pq()] = q
+    moved = InjectionSet(inj.p_injection, inj.q_injection + full)
+    sol = solve_power_flow(case, moved, tol=tol, warm_start=warm_start)
+    if not sol.converged:
+        raise PlantDivergenceError(f"power flow did not converge (mismatch {sol.max_mismatch:.3e})")
+    return rebased(sens, base_v=sol.v[sens.partition.pq], base_q=full), sol

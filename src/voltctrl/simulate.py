@@ -23,17 +23,19 @@ its piece, makes one plant call, at its end, and its error is taken as
 zero without forming the estimate; otherwise it makes two, at
 U2 and at y1, and no Newton iteration. The piece ends where a multiplier
 row's event function turns negative, past the same 1e-12 overshoot for
-every row. A step past such an event is cut back, the one way for every
-event: the first root of that row's cubic
-Hermite interpolant over the step (dense-output event location; Shampine
-& Thompson, Comput. Math. Appl. 39, 2000), taken row by row in Python
-floats, is refined by Halley's method along the step's stage path
-y0 + s phi1(sJ) F0, one phi-product and no plant call per iterate, each
-iterate forming only the landed row's event, slope and bend; the retry at
-the landed size takes the last iterate's product as its stage U2. On an
-exact step that path is the piece's trajectory, so the retry lands in one
-attempt. The next accepted step resumes at least the size the event cut
-back, instead of regrowing from the landed step.
+every row. A row on the piece whose multiplier starts at zero is never
+tested: an attempt that takes it below zero (heavy14 x3.1 nonlinear fault)
+is rejected by the error test alone, and one that passed would be floored.
+A step past an event is cut back, the one way for every event: the first
+root of that row's cubic Hermite interpolant over the step (dense-output
+event location; Shampine & Thompson, Comput. Math. Appl. 39, 2000), taken
+row by row in Python floats, is refined by Halley's method along the
+step's stage path y0 + s phi1(sJ) F0, one phi-product and no plant call
+per iterate, each iterate forming only the landed row's event, slope and
+bend; the retry at the landed size takes the last iterate's product as
+its stage U2. On an exact step that path is the piece's trajectory, so
+the retry lands in one attempt. The next accepted step resumes at least
+the size the event cut back, instead of regrowing from the landed step.
 A row whose event is within 1e-9 of zero and falling where a step starts,
 as a landing leaves its row, switches its place on the piece before the
 step, so an event's only outcome is a landing. Each result counts its
@@ -45,7 +47,7 @@ Every plant solve of the loop is taken to a power mismatch of 1e-10, far
 below the local errors the step control reads; ``solve_power_flow`` keeps
 its 1e-8 default everywhere else. Those solves are chord iterations: the
 power-flow Jacobian is formed and inverted once at the window's start
-(whose own solve is full Newton) and at each accepted state, and every
+(``linearized``, full Newton) and at each accepted state, and every
 solve in the step from there, retries included, starts at the last
 solution, with the complex power it carries, and steps with that inverse.
 Its block of magnitude rows and reactive columns is the plant's dv/dq in J.
@@ -102,9 +104,9 @@ from .powerflow import (
     solve_power_flow,
 )
 from .sensitivity import (
+    linearized,
     partition_buses,
     predict_voltage,
-    rebased,
     voltage_sensitivity,
 )
 
@@ -254,10 +256,10 @@ class _ClosedLoop:
     Built once per window from the case, plant flavor, limits and gains. It
     holds the partition, the controlled positions ``cpos`` within the load
     buses, the nominal injections, the sensitivity (from the case's cached
-    admittance) with its base point, the controller's ``flow`` compiled
-    from the sensitivity's controlled columns, and in nonlinear mode the
-    warm-start solution reused across evaluations and the inverse Jacobian
-    its chord solves step with, whose dv/dq block the flow's Jacobian uses.
+    admittance), ``linearized`` at the window's start, the controller's
+    ``flow`` compiled from its controlled columns, and in nonlinear mode the
+    last solution, where the next chord solve starts, and the inverse
+    Jacobian it steps with, whose dv/dq block the flow's Jacobian uses.
     A plant solve that does not converge raises
     :class:`PlantDivergenceError`, which fails the step attempt. States are
     packed vectors whose first C entries are q and whose remaining entries
@@ -288,27 +290,12 @@ class _ClosedLoop:
         full[self.cpos] = q
         return full
 
-    def _solve(self, q: np.ndarray) -> PowerFlowSolution:
-        inj = object.__new__(InjectionSet)  # unchecked: each stage is checked finite first
-        vars(inj).update(vars(self.inj), q_injection=self.inj.q_injection + self.embed(q))
-        sol = solve_power_flow(
-            self.case, inj, tol=_PLANT_TOL, warm_start=self.last, inverse=self.inverse
-        )
-        self.counts["newton_iterations" if self.inverse is None else "chord_steps"] += sol.iterations
-        if not sol.converged:
-            raise PlantDivergenceError(f"power flow lost convergence (mismatch {sol.max_mismatch:.3e})")
-        self.last = sol
-        return sol
-
     def rebase(self, q: np.ndarray) -> np.ndarray:
-        """Re-solve at the given controller output and relinearize there.
-
-        Returns the load-bus voltage there, which both plants measure at q.
-        """
-        v = self._solve(q).v[self.part.pq]
-        self.sens = rebased(self.sens, base_v=v, base_q=self.embed(q))
+        """Linearize the plant at output q (``linearized``); the voltage both plants read there."""
+        self.sens, self.last = linearized(self.sens, self.case, self.inj, q, _PLANT_TOL)
+        self.counts["newton_iterations"] += self.last.iterations
         self.refresh_inverse()
-        return v
+        return self.sens.base_v
 
     def refresh_inverse(self) -> None:
         """Invert the nonlinear plant's Jacobian at its last solve, made at the current state.
@@ -326,11 +313,20 @@ class _ClosedLoop:
             self.flow.set_plant_sensitivity(self.inverse[n_a:, n_a + self.cpos])
 
     def voltage(self, q: np.ndarray) -> np.ndarray:
-        """The plant call: load-bus voltages measured at controller output q."""
+        """The plant call: load-bus voltages at controller output q, a chord solve if nonlinear."""
         self.counts["plant_calls"] += 1
         if self.mode is PlantMode.LINEAR:
             return predict_voltage(self.sens, self.embed(q))
-        return self._solve(q).v[self.part.pq]
+        inj = object.__new__(InjectionSet)  # unchecked: each stage is checked finite first
+        vars(inj).update(vars(self.inj), q_injection=self.inj.q_injection + self.embed(q))
+        sol = solve_power_flow(
+            self.case, inj, tol=_PLANT_TOL, warm_start=self.last, inverse=self.inverse
+        )
+        self.counts["chord_steps"] += sol.iterations
+        if not sol.converged:
+            raise PlantDivergenceError(f"power flow lost convergence (mismatch {sol.max_mismatch:.3e})")
+        self.last = sol
+        return sol.v[self.part.pq]
 
     def eval(self, y: np.ndarray, v: np.ndarray):
         """Floored state, projected rates, piece and events at a packed state that measures v.

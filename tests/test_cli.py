@@ -434,11 +434,12 @@ def test_a_bad_trip_is_a_runtime_failure_before_any_run(
 
 
 def test_validate_diverging_base_point_is_runtime_failure(capsys):
+    # the base point's solve names its mismatch, and validate names the point
     code = main(["validate", "--case", "case14", "--scale", "40"])
     assert code == EXIT_RUNTIME
-    assert "runtime failure: power flow did not converge at the base point" in (
-        capsys.readouterr().err
-    )
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: power flow did not converge (mismatch ")
+    assert err.endswith(") at the base point\n")
 
 
 def test_non_finite_case_number_is_runtime_failure(tmp_path, capsys):

@@ -342,6 +342,34 @@ def test_loop_rates_vanish_at_the_plant_equilibrium(case14):
     assert np.max(np.abs(dynamics_rhs(state, sol.v[part.pq], sens, lim))) <= 1e-10
 
 
+@pytest.mark.parametrize("name, factor, qps", [("case14", 3.1, 14), ("case30", 0.25, 7)])
+def test_plant_equilibrium_is_the_written_out_iteration(request, name, factor, qps):
+    # each iterate linearizes the plant by the one path; written out here
+    # (nominal injections plus q, full Newton to 1e-12 warm from the last
+    # iterate's solution, X rebased there), the iteration reaches the same
+    # answer bit for bit in the same number of QPs
+    case = scale_loads(request.getfixturevalue(name), factor)
+    part = partition_buses(case)
+    lim = Limits.box(part.n_load, part.n_controlled)
+    sens = voltage_sensitivity(build_admittance(case), part)
+    inj = nominal_injections(case)
+    q, sol = np.zeros(part.n_controlled), None
+    for iteration in range(1, 51):
+        full = np.zeros(part.n_load)
+        full[part.controlled_in_pq()] = q
+        moved = InjectionSet(inj.p_injection, inj.q_injection + full)
+        sol = solve_power_flow(case, moved, tol=1e-12, warm_start=sol)
+        assert sol.converged
+        want = solve_centralized(rebased(sens, base_v=sol.v[part.pq], base_q=full), lim)
+        if np.max(np.abs(want.q_star - q)) < 1e-10:
+            break
+        q = want.q_star
+    got, iterations = plant_equilibrium(case, lim)
+    assert iterations == iteration == qps
+    for family in ("q_star", "lam_hi", "lam_lo", "mu_hi", "mu_lo"):
+        assert np.array_equal(getattr(got, family), getattr(want, family))
+
+
 def test_plant_equilibrium_reports_infeasible_limits(case14):
     with pytest.raises(InfeasibleProblemError):
         plant_equilibrium(scale_loads(case14, 3.1), Limits.box(9, 9, q_lo=-0.01, q_hi=0.01))

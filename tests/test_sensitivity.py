@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from voltctrl import build_admittance, trip_branch
-from voltctrl.errors import SingularModelError
+from voltctrl import build_admittance, scale_loads, trip_branch
+from voltctrl.errors import PlantDivergenceError, SingularModelError
 from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flow
 from voltctrl.sensitivity import (
     BusPartition,
     SensitivityMatrix,
+    linearized,
     partition_buses,
     predict_voltage,
     rebased,
     voltage_sensitivity,
 )
+from voltctrl.simulate import PlantMode, run_static
 
 
 def pq_ids(case):
@@ -168,3 +170,58 @@ def test_singular_model_rejected(toy2):
     dead = np.zeros((2, 2), dtype=complex)
     with pytest.raises(SingularModelError):
         voltage_sensitivity(dead, partition_buses(toy2))
+
+
+@pytest.fixture(scope="module", params=[("case14", 3.1), ("case30", 0.25)], ids=lambda p: f"{p[0]}x{p[1]}")
+def loaded_with_final_q(request):
+    """A loaded case and the final q of its nonlinear closed-loop run."""
+    name, factor = request.param
+    case = scale_loads(request.getfixturevalue(name), factor)
+    res = run_static(case, plant_mode=PlantMode.NONLINEAR)
+    assert res.converged
+    return case, res.final_q
+
+
+# each caller's tolerance: validate's default at q = 0, a window's start at
+# its start output, and a plant_equilibrium iterate, warm-started
+@pytest.mark.parametrize("at, tol, warm", [
+    ("zero", 1e-8, False), ("final", 1e-10, False), ("zero", 1e-12, True), ("final", 1e-12, True),
+])
+def test_linearized_is_the_written_out_recipe(loaded_with_final_q, at, tol, warm):
+    # the one path equals the steps it replaces, bit for bit: nominal
+    # injections plus q at the controlled buses, the full-Newton power flow,
+    # and X rebased at its load-bus voltages and that q
+    case, final_q = loaded_with_final_q
+    part = partition_buses(case)
+    q = np.zeros(part.n_controlled) if at == "zero" else final_q
+    inj = nominal_injections(case)
+    start = solve_power_flow(case, inj) if warm else None
+    full = np.zeros(part.n_load)
+    full[part.controlled_in_pq()] = q
+    moved = InjectionSet(inj.p_injection, inj.q_injection + full)
+    want_sol = solve_power_flow(case, moved, tol=tol, warm_start=start)
+    assert want_sol.converged
+    sens = voltage_sensitivity(build_admittance(case), part)
+    want = rebased(sens, base_v=want_sol.v[part.pq], base_q=full)
+
+    got, sol = linearized(sens, case, inj, q, tol, start)
+    assert got.partition is part
+    for a, b in [
+        (got.x, want.x), (got.base_v, want.base_v), (got.base_q, want.base_q),
+        (sol.v, want_sol.v), (sol.delta, want_sol.delta),
+    ]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert sol.iterations == want_sol.iterations and sol.converged
+    # the inputs are left as they were
+    assert np.array_equal(inj.q_injection, nominal_injections(case).q_injection)
+    assert np.array_equal(sens.base_v, np.ones(part.n_load)) and not sens.base_q.any()
+
+
+def test_linearized_at_a_diverging_point_raises(case14):
+    # at x40 load no power flow exists near the flat start; the one path
+    # raises instead of rebasing at an unconverged iterate
+    case = scale_loads(case14, 40.0)
+    part = partition_buses(case)
+    sens = voltage_sensitivity(build_admittance(case), part)
+    with pytest.raises(PlantDivergenceError, match=r"^power flow did not converge \(mismatch \d"):
+        linearized(sens, case, nominal_injections(case), np.zeros(part.n_controlled))

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from _reference import vectorized_first_root, written_out_jacobian, written_out_rates
-from voltctrl import simulate
+from voltctrl import sensitivity, simulate
 from voltctrl.controller import (
     ControllerState,
     Gains,
@@ -522,6 +522,8 @@ def _count_per_attempt(monkeypatch):
     monkeypatch.setattr(_ClosedLoop, "land", counting_land)
     monkeypatch.setattr(_ClosedLoop, "voltage", counting_voltage)
     monkeypatch.setattr(PackedFlow, "phi", counting_phi)
+    # the window's start solves through sensitivity.linearized, every later solve in the loop
+    monkeypatch.setattr(sensitivity, "solve_power_flow", recording_power_flow)
     monkeypatch.setattr(simulate, "solve_power_flow", recording_power_flow)
     return per_attempt, landing
 
@@ -1350,8 +1352,9 @@ def test_simulate_import_leaves_scipy_unloaded(module):
 
 
 def test_window_start_reuses_the_rebase_solve(monkeypatch, heavy14):
-    # each window's rebase solves the plant at its start output; the start
-    # state's rates read that solve's voltage instead of solving it again
+    # each window's rebase solves the plant at its start output (through
+    # sensitivity.linearized); the start state's rates read that solve's
+    # voltage instead of solving it again
     seen = []
     solve = simulate.solve_power_flow
 
@@ -1359,6 +1362,7 @@ def test_window_start_reuses_the_rebase_solve(monkeypatch, heavy14):
         seen.append((case, inj.q_injection.tobytes()))
         return solve(case, inj, *args, **kwargs)
 
+    monkeypatch.setattr(sensitivity, "solve_power_flow", recording)
     monkeypatch.setattr(simulate, "solve_power_flow", recording)
     res = run_fault(heavy14, trip=(4, 5), t_trip=20.0, plant_mode=PlantMode.NONLINEAR)
     assert res.converged
