@@ -25,19 +25,18 @@ products an exponential integrator steps with, phi_k(hJ) r for the
 Jacobian J of one piece. J has the plant's own voltage sensitivity in
 J_mq's lam rows (the nonlinear plant's dv/dq is not X;
 ``set_plant_sensitivity`` stores it), and its multiplier rows depend on q
-only, so every product comes from the exponential of a 2C-square B
-instead of the (3C + 2M)-square J, balanced so that its norm is about
-that of B. Its coupling block G = J_qm D J_mq chooses how. On the linear
-plant, whose lam rows keep X, G is symmetric: one symmetric
-eigendecomposition per piece splits B into C independent 2 x 2 modes,
-and each product exponentiates one stack of C small augmented matrices
-(the modal path). Once ``set_plant_sensitivity`` has stored the
-nonlinear plant's dv/dq, G is not symmetric, and each product
-exponentiates the augmented B itself (the dense path). ``expm`` is that
-exponential, of one matrix or of a stack, numpy only and from matrix
-products alone: a truncated Taylor series in Paterson and Stockmeyer's
-form, scaled and squared at the fewest products the norm allows, whose
-last product forms only the columns ``phi`` reads.
+only, so every product comes from one exponential of a 2C-square B,
+not of the (3C + 2M)-square J, taken by one routine over a stack of
+blocks of B and balanced so that its norm is about theirs. B's coupling
+block G = J_qm D J_mq chooses the blocks. On the linear plant, whose lam
+rows keep X, G is symmetric: one symmetric eigendecomposition per piece
+splits B into C independent 2 x 2 modes (the modal path). Once
+``set_plant_sensitivity`` has stored the nonlinear plant's dv/dq, G is
+not symmetric, and the one block is B itself (the dense path). ``expm``
+is that exponential, of one matrix or of a stack, numpy only and from
+matrix products alone: a truncated Taylor series in Paterson and
+Stockmeyer's form, scaled and squared at the fewest products the norm
+allows, whose last product forms only the columns ``phi`` reads.
 This module is the only one that knows the packed layout:
 ``ControllerState.view`` reads a state off a packed row that its caller
 has checked, as ``simulate.Trajectory`` checks its rows once, as one
@@ -191,11 +190,10 @@ class PackedFlow:
     forms the violations once per state: the projection tests them, the
     gains scale what it keeps, and the same vector gives each row's event,
     which tells where a piece of the projection ends. ``phi`` keeps one
-    piece: the maps of the last piece it was called with (the masked
-    J_mq and the block B, or on the modal path the eigenvectors of G and
-    the maps through them), rebuilt when the piece changes and cleared by
-    ``set_plant_sensitivity``; on the modal path also the last vector's
-    rotation, which a landing's products all share. No input is validated;
+    piece: what ``_maps`` built for the last piece it was called with,
+    rebuilt when the piece changes and cleared by
+    ``set_plant_sensitivity``, and the last vector's w, which a landing's
+    products all share. No input is validated;
     ``dynamics_rhs`` is the checked entry point.
     """
 
@@ -214,10 +212,10 @@ class PackedFlow:
         self._b_top = np.vstack([np.hstack([self._q_rows[:, :c], eye]), np.zeros((c, 2 * c))])
         self._mode = np.array([[-2.0 * gains.k_q, 1.0], [0.0, 0.0]])
         # whether the lam rows hold xc, so that G is symmetric; the last piece's mask and
-        # maps, and on the modal path the last vector's rotation
+        # maps, and the last vector's w
         self._modal = True
         self._piece: tuple | None = None
-        self._rotated: tuple | None = None
+        self._w: tuple | None = None
 
     def set_plant_sensitivity(self, gx: np.ndarray) -> None:
         """Put the plant's own dv/dq at the controlled buses (M x C) in the lam rows' q block.
@@ -306,65 +304,72 @@ class PackedFlow:
 
         and phi_k(hJ) r = (P_k, h D J_mq P_{k+1} + r_m / k!), where
         P_j = phi_j(hB) w restricted to its q entries, w = (r_q, J_qm r_m).
-        Both come from the last two columns of one exponential of hB
-        augmented with w and a unit chain (Sidje, ACM TOMS 24(1), 1998),
-        which ``expm`` takes from matrix products alone, forming only those
-        two columns in its last product. The augmented matrix is balanced
-        (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011): the chain
-        holds tau, the largest power of two up to the step matrix's 1-norm
-        within [1/4, 1], and the vector column w / sigma, sigma the power of
-        two that brings that column's 1-norm into [tau / 2, tau). The
-        1-norm handed to ``expm`` is then the step matrix's or tau, not at
-        least 1 and ||w||_1; P_k and P_{k+1} come back exactly as
-        sigma / tau^(k-1) and sigma / tau^k times its columns, so the
-        product is exactly linear in r. Norms are summed over a vector
-        scaled by its largest entry's power of two, and sigma is applied by
-        its exponent, so neither overflows where the product itself does
-        not.
+        One routine takes them over the blocks ``_maps`` splits B into.
+        While the lam rows hold ``xc`` (``set_plant_sensitivity`` has not
+        been called), G = -k_q (k_lam xc' (D_hi + D_lo) xc + k_mu D_mu) is
+        symmetric, one symmetric eigendecomposition per piece gives
+        G = V diag(g) V' with V orthogonal, and rotated by V', B splits into
+        C independent modes [[-2 k_q, 1], [g_i, 0]]: mode i's vector column
+        is its two entries of V' w, and P_j comes back rotated by V (the
+        modal path). Otherwise the one block is B itself, its column w (the
+        dense path). A G that is not finite has no eigendecomposition: its
+        modes are NaN, and so is every product, as on the dense path.
 
-        The symmetry of G chooses between two paths. While the lam rows
-        hold ``xc``, the linear plant's dv/dq (``set_plant_sensitivity``
-        has not been called), G = -k_q (k_lam xc' (D_hi + D_lo) xc +
-        k_mu D_mu) is symmetric, and one symmetric eigendecomposition per
-        piece gives G = V diag(g) V' with V orthogonal. Rotated by V', B
-        splits into C independent modes [[-2 k_q, 1], [g_i, 0]], so this
-        modal path scales r by its largest power of two, rotates w by V',
-        exponentiates one stack of C augmented matrices of size k + 3, mode
-        i's vector column its two entries of V' w, and rotates P_k and
-        P_{k+1} back by V. Otherwise the dense path exponentiates hB
-        itself, augmented to size 2C + k + 1, with w scaled by its largest
-        power of two. A G that is not finite has no eigendecomposition:
-        its modes are NaN, and so is every product, as on the dense path.
+        P_k and P_{k+1} come from the last two columns of one exponential
+        of the stack of h times each block augmented with its column and a
+        unit chain (Sidje, ACM TOMS 24(1), 1998), which ``expm`` takes from
+        matrix products alone, forming only those two columns in its last
+        product. The stack is balanced (Al-Mohy & Higham, SIAM J. Sci.
+        Comput. 33(2), 2011): the chains hold tau, the largest power of two
+        up to the step blocks' largest 1-norm within [1/4, 1], and the
+        vector columns their part of w / sigma, sigma the power of two that
+        brings the largest column's 1-norm into [tau / 2, tau). The 1-norm
+        handed to ``expm`` is then the step blocks' or tau, not at least 1
+        and ||w||_1; P_k and P_{k+1} come back exactly as sigma / tau^(k-1)
+        and sigma / tau^k times its columns, so the product is exactly
+        linear in r. w is formed from r scaled by its largest entry's power
+        of two, and sigma is applied by its exponent, so neither overflows
+        where the product itself does not.
         """
         key = on.tobytes()
         if self._piece is None or self._piece[0] != key:
-            self._piece, self._rotated = (key, *self._maps(on)), None
-        if self._modal:
-            return self._modal_phi(k, h, r, *self._piece[1:])
+            blocks, *maps = self._maps(on)
+            self._piece = key, blocks, float(np.abs(blocks).sum(axis=-2).max()), *maps
+            self._w = None
+        _, blocks, block_norm, into, back, j_mq = self._piece
         c = self.c
-        _, j_mq, b = self._piece
-        n = 2 * c + k + 1
-        aug = np.zeros((n, n))
-        np.multiply(b, h, out=aug[: 2 * c, : 2 * c])
-        w = np.concatenate((r[:c], self._j_qm @ r[c:]))
-        # the 1-norms of hB's columns and of w set the exponents of tau and sigma
-        norm = float(np.abs(aug[: 2 * c, : 2 * c]).sum(axis=0).max())
+        count, size = blocks.shape[:2]
+        n = size + k + 1
+        aug = np.zeros((count, n, n))
+        np.multiply(blocks, h, out=aug[:, :size, :size])
+        norm = h * block_norm
         t = min(0, max(-2, math.frexp(norm)[1] - 1))
-        w_abs = np.abs(w)
-        e_max = math.frexp(w_abs.max())[1]
-        e_sigma = e_max + math.frexp(np.ldexp(w_abs, -e_max).sum())[1] - t
-        aug[: 2 * c, 2 * c] = np.ldexp(w, -e_sigma)
+        # w from r scaled by its largest power of two, one column per block, and the
+        # exponent of the largest column's 1-norm: kept for the next product of the
+        # same r, as a landing's iterates all take the step's rates
+        key = r.tobytes()
+        if self._w is None or self._w[0] != key:
+            e_max = math.frexp(np.abs(r).max())[1]
+            w = into(np.ldexp(r, -e_max)).reshape(size, count).T
+            self._w = key, e_max, w, e_max + math.frexp(np.abs(w).sum(axis=1).max())[1]
+        _, e_max, w, e_col = self._w
+        e_sigma = e_col - t
+        aug[:, :size, size] = np.ldexp(w, e_max - e_sigma)
         tau = 2.0**t
-        aug.reshape(-1)[2 * c * (n + 1) + 1 :: n + 1] = tau  # the chain: aug[i, i + 1], i >= 2C
-        top = np.ldexp(_expm(aug, max(norm, tau), 2)[:c], (e_sigma - t * (k - 1), e_sigma - t * k))
-        return np.concatenate((top[:, 0], h * (j_mq @ top[:, 1]) + r[c:] / math.factorial(k)))
+        # the chains: aug[:, i, i + 1], i >= size
+        aug.reshape(count, -1)[:, size * (n + 1) + 1 :: n + 1] = tau
+        # each block's q rows: P_k and P_{k+1}, scaled, in its last two columns
+        top = _expm(aug, max(norm, tau), 2)[:, : size // 2].reshape(c, 2)
+        top = np.ldexp(top, (e_sigma - t * (k - 1), e_sigma - t * k))
+        p_k = top[:, 0] if back is None else back @ top[:, 0]
+        return np.concatenate((p_k, h * (j_mq @ top[:, 1]) + r[c:] / math.factorial(k)))
 
     def _maps(self, on: np.ndarray) -> tuple:
-        """What ``phi`` keeps of the piece ``on``.
+        """What ``phi`` keeps of the piece ``on``: its blocks, the maps r -> w and back, D J_mq.
 
-        On the dense path D J_mq and B; on the modal path D J_mq V, V, the
-        map r -> V' w, the C modes [[-2 k_q, 1], [g_i, 0]] and the largest
-        of their 1-norms.
+        On the dense path one block, B itself, the map r -> w = (r_q, J_qm r_m),
+        no map back and D J_mq; on the modal path the C modes
+        [[-2 k_q, 1], [g_i, 0]], the map r -> V' w, V and D J_mq V.
         """
         c = self.c
         j_mq = self._j_mq * on[:, None]
@@ -372,7 +377,7 @@ class PackedFlow:
         if not self._modal:
             b = self._b_top.copy()
             b[c:, :c] = g
-            return j_mq, b
+            return b[None], lambda r: np.concatenate((r[:c], self._j_qm @ r[c:])), None, j_mq
         if np.isfinite(g).all():
             eig, v = np.linalg.eigh(0.5 * (g + g.T))
         else:
@@ -382,32 +387,7 @@ class PackedFlow:
         # r -> V' w = (V' r_q, V' J_qm r_m)
         into = np.zeros((2 * c, len(self._gain) + c))
         into[:c, :c], into[c:, c:] = v.T, v.T @ self._j_qm
-        return j_mq @ v, v, into, modes, float(np.abs(modes).sum(axis=1).max())
-
-    def _modal_phi(self, k: int, h: float, r: np.ndarray, *maps) -> np.ndarray:
-        """``phi`` on the modal path, from the piece's maps (see ``phi``)."""
-        j_mq_v, v, into, modes, mode_norm = maps
-        c, n = self.c, k + 3
-        aug = np.zeros((c, n, n))
-        np.multiply(modes, h, out=aug[:, :2, :2])
-        norm = h * mode_norm
-        t = min(0, max(-2, math.frexp(norm)[1] - 1))
-        # V' w from r scaled by its largest power of two, mode i's column (w_i, w_C+i),
-        # and the exponent of the largest column's 1-norm: kept for the next product
-        # of the same r, as a landing's iterates all take the step's rates
-        key = r.tobytes()
-        if self._rotated is None or self._rotated[0] != key:
-            e_max = math.frexp(np.abs(r).max())[1]
-            w = into @ np.ldexp(r, -e_max)
-            w_abs = np.abs(w)
-            self._rotated = key, e_max, w, e_max + math.frexp((w_abs[:c] + w_abs[c:]).max())[1]
-        _, e_max, w, e_col = self._rotated
-        e_sigma = e_col - t
-        aug[:, :2, 2] = np.ldexp(w, e_max - e_sigma).reshape(2, c).T
-        tau = 2.0**t
-        aug.reshape(c, -1)[:, 2 * n + 3 :: n + 1] = tau  # the chains: aug[:, i, i + 1], i >= 2
-        top = np.ldexp(_expm(aug, max(norm, tau), 2)[:, 0], (e_sigma - t * (k - 1), e_sigma - t * k))
-        return np.concatenate((v @ top[:, 0], h * (j_mq_v @ top[:, 1]) + r[c:] / math.factorial(k)))
+        return modes, lambda r: into @ r, v, j_mq @ v
 
 
 # Taylor degrees m, each after the 1-norm theta_m up to which T_m(a) = e^(a + e)

@@ -23,13 +23,11 @@ its piece, makes one plant call, at its end, and its error is taken as
 zero without forming the estimate; otherwise it makes two, at
 U2 and at y1, and no Newton iteration. The piece ends where a multiplier
 row's event function turns negative, past the same 1e-12 overshoot for
-every row. A row on the piece whose multiplier starts at zero is never
-tested: an attempt that takes it below zero (heavy14 x3.1 nonlinear fault)
-is rejected by the error test alone, and one that passed would be floored.
-A step past an event is cut back, the one way for every event: the first
-root of that row's cubic Hermite interpolant over the step (dense-output
-event location; Shampine & Thompson, Comput. Math. Appl. 39, 2000), taken
-row by row in Python floats, is refined by Halley's method along the
+every row, a row on the piece at a zero multiplier included. A step
+past an event is cut back, the one way for every event: the first root
+of that row's cubic Hermite interpolant over the step (dense-output event
+location; Shampine & Thompson, Comput. Math. Appl. 39, 2000), taken row
+by row in Python floats, is refined by Halley's method along the
 step's stage path y0 + s phi1(sJ) F0, one phi-product and no plant call
 per iterate, each iterate forming only the landed row's event, slope and
 bend; the retry at the landed size takes the last iterate's product as
@@ -70,10 +68,10 @@ Inside a window the engine works on packed state vectors only: one loop
 object per window holds the plant and the controller's flow, compiled once
 for the window (``controller.PackedFlow``). Every evaluation is one call
 of its ``rates``, which gives a state's rates, piece and every row's event
-from one violation vector, and every phi-product its ``phi``: a stack of
-C 2 x 2 modes on the linear plant, a 2C-square exponential on the
-nonlinear one (the engine knows only that the first C entries are q and
-the rest multipliers). Each attempt's end is evaluated once, on the step's
+from one violation vector, and every phi-product its ``phi``: one
+exponential of a stack of C 2 x 2 modes on the linear plant and of one
+2C-square block on the nonlinear one (the engine knows only that the
+first C entries are q and the rest multipliers). Each attempt's end is evaluated once, on the step's
 piece, and each accepted state once more by ``eval`` on the piece it
 settles on, whose events every attempt from there reads. The accepted rows
 are the returned trajectory's ``y``, checked once, as one array; its
@@ -478,11 +476,12 @@ def integrate(
             h = 0.5 * h_try
             continue
         # the piece ends where a row's event function turns negative past
-        # the overshoot; a multiplier's dip below zero is left to the floor.
-        # The rates and events at the end are the piece's at the unfloored
-        # end, whose voltage is measured
+        # the overshoot, every row's from at or above zero (``eval``); a
+        # multiplier's dip below zero is left to the floor. The rates and
+        # events at the end are the piece's at the unfloored end, whose
+        # voltage is measured
         f1, _, g1 = loop.flow.rates(y1, v1, on)
-        event = ((g0 > 0) | ~on) & (g1 < -_OVERSHOOT)
+        event = g1 < -_OVERSHOOT
         if event.any():
             # land the first event on the step's stage path
             slopes = (h_try * loop.flow.event_rates(r, on)[event] for r in (f, f1))
@@ -539,7 +538,7 @@ def integrate(
 def _first_root(p0, p1, d0, d1) -> np.ndarray:
     """The smallest root in (0, 1] of each row's cubic Hermite interpolant.
 
-    Row i's cubic p has p(0) = p0[i] > 0 >= p(1) = p1[i] and slopes d0[i]
+    Row i's cubic p has p(0) = p0[i] >= 0 >= p(1) = p1[i] and slopes d0[i]
     and d1[i] at 0 and 1. Its critical points and its inflection point cut
     [0, 1] into pieces on which p is monotone and of one convexity. The
     first cut whose value is not positive, or 1, ends the piece that holds

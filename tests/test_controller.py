@@ -273,8 +273,8 @@ def test_flow_phi_product_is_exactly_linear_in_its_vector(monkeypatch, name, fac
                 assert np.all(flow.phi(k, h, on, np.zeros(n)) == 0.0)
         # at the top of the float range a short step is still scaled
         # exactly, also for a dense vector whose w has a 1-norm past the
-        # float range: that norm is summed over a vector scaled by its
-        # largest entry's power of two. Summed unscaled it overflowed, expm
+        # float range: w is formed from r scaled by its largest entry's
+        # power of two, and so is its norm. Summed unscaled it overflowed, expm
         # skipped its scaling, and the product came back finite and 0.22
         # off where its entries are below 0.4
         unit = np.eye(n)[0]
@@ -360,9 +360,9 @@ def test_phi_rebuilds_its_piece_on_a_new_mask_or_plant_sensitivity(case14):
     # set_plant_sensitivity clears them: through the pieces A -> B -> A,
     # and after a new dv/dq on A, every product is a freshly built flow's
     # bit for bit. Kept across the new dv/dq, A's old maps gave the linear
-    # plant's product. The modal path also keeps the last vector's
-    # rotation, keyed on its values: a new vector, and the same array
-    # changed in place, are rotated anew
+    # plant's product. Both paths also keep the last vector's w, keyed on
+    # its values: a new vector, and the same array changed in place, are
+    # mapped anew
     case = scale_loads(case14, 3.1)
     part = partition_buses(case)
     xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
@@ -394,6 +394,10 @@ def test_phi_rebuilds_its_piece_on_a_new_mask_or_plant_sensitivity(case14):
         got = flow.phi(k, h, piece_a, r)
         assert got.tobytes() == fresh(piece_a, k, h, gx).tobytes()
         assert np.max(np.abs(got - fresh(piece_a, k, h))) > 1e-6 * np.max(np.abs(got))
+    for _ in range(2):
+        got = flow.phi(1, 0.3, piece_a, vec)
+        assert got.tobytes() == fresh(piece_a, 1, 0.3, gx, vec).tobytes()
+        vec[: c + 1] *= 3.0
 
 
 def test_row_rates_are_the_rows_of_the_whole_products(case14):

@@ -1022,22 +1022,29 @@ def test_event_root_is_the_first_zero_of_the_hermite_cubic():
     # random cubic Hermite data with p(0) > 0 >= p(1), over seven decades of
     # scale and with up to three roots in (0, 1]: the root is the first sign
     # change of scipy's interpolant on a grid of 4,001 points, refined by
-    # brentq, to 1e-12
+    # brentq, to 1e-12. Then 100 rows with p(0) = 0 and a rising start, as
+    # of a row on the piece at a zero multiplier: the root is the one past 0
     rng = np.random.default_rng(20)
     n = 600
     scale = 10.0 ** rng.uniform(-6.0, 1.0, n)
     p0 = scale * rng.uniform(1e-3, 1.0, n)
     p1 = -scale * rng.uniform(1e-3, 1.0, n)
     d0, d1 = (scale * 10.0 * rng.standard_normal(n) for _ in range(2))
+    scale = 10.0 ** rng.uniform(-6.0, 1.0, 100)
+    p0 = np.concatenate((p0, np.zeros(100)))
+    p1 = np.concatenate((p1, -scale * rng.uniform(1e-3, 1.0, 100)))
+    d0 = np.concatenate((d0, scale * (1.0 + 10.0 * np.abs(rng.standard_normal(100)))))
+    d1 = np.concatenate((d1, scale * 10.0 * rng.standard_normal(100)))
     roots = simulate._first_root(p0, p1, d0, d1)
     grid = np.linspace(0.0, 1.0, 4001)
     several = 0
-    for i in range(n):
+    for i in range(n + 100):
         cubic = scipy.interpolate.CubicHermiteSpline([0.0, 1.0], [p0[i], p1[i]], [d0[i], d1[i]])
-        first = int(np.argmax(cubic(grid) <= 0.0))
+        values = cubic(grid[1:])
+        first = 1 + int(np.argmax(values <= 0.0))
         expected = scipy.optimize.brentq(cubic, grid[first - 1], grid[first], xtol=1e-15)
         assert abs(roots[i] - expected) <= 1e-12
-        several += np.count_nonzero(np.diff(np.sign(cubic(grid))) != 0) > 1
+        several += np.count_nonzero(np.diff(np.sign(values)) != 0) > 1
     assert several > 50
 
 
@@ -1297,7 +1304,39 @@ def test_landings_are_the_whole_vector_formula(monkeypatch, heavy14, mode):
     assert on_piece.count(False) == res.stats.entering > 0
 
 
-@pytest.mark.parametrize("trip, error", [((1, 99), CaseDataError), ((7, 8), IslandingError)])
+def test_an_on_piece_multiplier_leaving_zero_is_landed(monkeypatch, heavy14):
+    # every row's event is tested, also that of a row on the piece at a zero
+    # multiplier: on the heavy14 nonlinear fault, each attempt that takes
+    # such a multiplier from exactly 0 to below the 1e-12 overshoot is cut
+    # back, and the landing is that row's. Left untested, the tripped
+    # window's first attempt took row 12 from 0 to -1.0e-5 and only the
+    # error test rejected it; one that passed it would have been floored
+    log = []
+    attempt, land = _ClosedLoop.attempt, _ClosedLoop.land
+
+    def recording_attempt(self, y0, f0, on0, h):
+        out = attempt(self, y0, f0, on0, h)
+        c = self.c
+        leaving = on0 & (y0[c:] == 0.0) & (out[0][c:] < -1e-12)
+        log.append(("attempt", np.flatnonzero(leaving).tolist()))
+        return out
+
+    def recording_land(self, y0, f0, on0, h, row, g0, x):
+        log.append(("land", row))
+        return land(self, y0, f0, on0, h, row, g0, x)
+
+    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
+    monkeypatch.setattr(_ClosedLoop, "land", recording_land)
+    res = run_fault(heavy14, trip=(4, 5), plant_mode=PlantMode.NONLINEAR)
+    assert res.converged
+    # the run's last attempt is accepted, so none that leaves zero can be
+    leaving = [(rows, then) for (kind, rows), then in zip(log, log[1:]) if kind == "attempt" and rows]
+    assert leaving and log[-1] == ("attempt", [])
+    for rows, (kind, row) in leaving:
+        assert kind == "land" and row in rows
+
+
+@pytest.mark.parametrize("trip, error",[((1, 99), CaseDataError), ((7, 8), IslandingError)])
 def test_a_bad_trip_fails_before_any_integration(monkeypatch, heavy14, trip, error):
     # the branch is tripped before the intact window runs, so a trip that
     # names no in-service branch or islands a bus costs no integration
