@@ -405,9 +405,8 @@ def _cmd_validate(cfg: RunConfig) -> int:
     case = load_network(cfg)
     limits = cfg.limits_for(case)
     part = partition_buses(case)
-    sens = voltage_sensitivity(case.topology.y, part)
     try:
-        sens, _ = linearized(sens, case, nominal_injections(case), np.zeros(part.n_controlled))
+        sens, _ = linearized(case, nominal_injections(case), np.zeros(part.n_controlled))
     except PlantDivergenceError as exc:
         raise PlantDivergenceError(f"{exc} at the base point") from exc
     qp = solve_centralized(sens, limits)

@@ -10,14 +10,15 @@ magnitude changes there:
 
 with A the non-slack buses and L the PQ buses, G and B the real and
 imaginary parts of the complex admittance matrix Y. X depends on the
-topology only, yet ``voltage_sensitivity(y, part)`` builds it anew at every
-call, at the flat base point (v = 1, q = 0): each closed-loop window builds
-its own (24 on a daily run), and so do ``plant_equilibrium``,
-``voltctrl validate`` and ``voltctrl sensitivity``; all but the last move
-its base point to the plant's full-Newton solution at a controller output
-by ``linearized``, the one path there (``rebased`` just moves the point).
-Bus sets come from ``partition_buses``, the case topology's one partition;
-``BusPartition`` lives in ``netcase`` and is importable from here.
+topology only, yet the builder takes Y and a partition and builds it anew
+at every call, at the flat base point (v = 1, q = 0). ``linearized`` takes
+the case alone: it builds X from the case topology and moves its base point
+to the plant's full-Newton solution at a controller output (``rebased``
+just moves the point). It is the one path there, for each closed-loop
+window (24 on a daily run), each ``plant_equilibrium`` iterate and
+``voltctrl validate``; only ``voltctrl sensitivity`` reads X at the flat
+point. Bus sets come from ``partition_buses``, the case topology's one
+partition; ``BusPartition`` lives in ``netcase`` and is importable from here.
 """
 
 from __future__ import annotations
@@ -93,14 +94,16 @@ def rebased(sens: SensitivityMatrix, base_v: np.ndarray, base_q: np.ndarray) -> 
 
 
 def linearized(
-    sens: SensitivityMatrix, case: NetworkCase, inj: InjectionSet, q: np.ndarray,
+    case: NetworkCase, inj: InjectionSet, q: np.ndarray,
     tol: float = 1e-8, warm_start: PowerFlowSolution | None = None,
 ) -> tuple[SensitivityMatrix, PowerFlowSolution]:
-    """X rebased at the plant with controller output q added to ``inj``, and that solution.
+    """The case's X rebased at the plant with controller output q added to ``inj``, and that solution.
 
-    The plant is ``solve_power_flow``'s full Newton to ``tol`` from
-    ``warm_start``; where it does not converge, :class:`PlantDivergenceError`.
+    X is ``voltage_sensitivity``'s, built from ``case.topology``. The plant
+    is ``solve_power_flow``'s full Newton to ``tol`` from ``warm_start``;
+    where it does not converge, :class:`PlantDivergenceError`.
     """
+    sens = voltage_sensitivity(case.topology.y, case.topology.partition)
     full = np.zeros(sens.partition.n_load)
     full[sens.partition.controlled_in_pq()] = q
     moved = InjectionSet(inj.p_injection, inj.q_injection + full)

@@ -101,12 +101,7 @@ from .powerflow import (
     nominal_injections,
     solve_power_flow,
 )
-from .sensitivity import (
-    linearized,
-    partition_buses,
-    predict_voltage,
-    voltage_sensitivity,
-)
+from .sensitivity import linearized, partition_buses, predict_voltage
 
 
 class PlantMode(Enum):
@@ -253,9 +248,9 @@ class _ClosedLoop:
 
     Built once per window from the case, plant flavor, limits and gains. It
     holds the partition, the controlled positions ``cpos`` within the load
-    buses, the nominal injections, the sensitivity (from the case's cached
-    admittance), ``linearized`` at the window's start, the controller's
-    ``flow`` compiled from its controlled columns, and in nonlinear mode the
+    buses, the nominal injections, and from ``rebase``, at the window's
+    start, the sensitivity ``linearized`` there, the controller's ``flow``
+    compiled from its controlled columns, and in nonlinear mode the
     last solution, where the next chord solve starts, and the inverse
     Jacobian it steps with, whose dv/dq block the flow's Jacobian uses.
     A plant solve that does not converge raises
@@ -276,8 +271,7 @@ class _ClosedLoop:
         self.lim = limits if limits is not None else Limits.box(self.m, self.c)
         self.inj = nominal_injections(case)
         self.cpos = self.part.controlled_in_pq()
-        self.sens = voltage_sensitivity(case.topology.y, self.part)
-        self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, gains)
+        self.gains = gains
         self.last: PowerFlowSolution | None = None
         self.inverse: np.ndarray | None = None
         self.stage: tuple[float, np.ndarray] | None = None
@@ -289,8 +283,12 @@ class _ClosedLoop:
         return full
 
     def rebase(self, q: np.ndarray) -> np.ndarray:
-        """Linearize the plant at output q (``linearized``); the voltage both plants read there."""
-        self.sens, self.last = linearized(self.sens, self.case, self.inj, q, _PLANT_TOL)
+        """Linearize the plant at output q (``linearized``), compile the flow from its X.
+
+        Returns the voltage both plants read there.
+        """
+        self.sens, self.last = linearized(self.case, self.inj, q, _PLANT_TOL)
+        self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, self.gains)
         self.counts["newton_iterations"] += self.last.iterations
         self.refresh_inverse()
         return self.sens.base_v

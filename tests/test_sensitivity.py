@@ -204,7 +204,7 @@ def test_linearized_is_the_written_out_recipe(loaded_with_final_q, at, tol, warm
     sens = voltage_sensitivity(build_admittance(case), part)
     want = rebased(sens, base_v=want_sol.v[part.pq], base_q=full)
 
-    got, sol = linearized(sens, case, inj, q, tol, start)
+    got, sol = linearized(case, inj, q, tol, start)
     assert got.partition is part
     for a, b in [
         (got.x, want.x), (got.base_v, want.base_v), (got.base_q, want.base_q),
@@ -222,6 +222,5 @@ def test_linearized_at_a_diverging_point_raises(case14):
     # raises instead of rebasing at an unconverged iterate
     case = scale_loads(case14, 40.0)
     part = partition_buses(case)
-    sens = voltage_sensitivity(build_admittance(case), part)
     with pytest.raises(PlantDivergenceError, match=r"^power flow did not converge \(mismatch \d"):
-        linearized(sens, case, nominal_injections(case), np.zeros(part.n_controlled))
+        linearized(case, nominal_injections(case), np.zeros(part.n_controlled))
