@@ -230,8 +230,10 @@ def emit_report(
 ) -> list[Path]:
     """Write trajectory.csv, voltages_before_after.txt, and summary.txt.
 
-    A daily run's out-of-band hours are counted against ``limits``, the band
-    the run used.
+    The "before" voltages are the uncontrolled flow's of the case the
+    "after" row reports: the case itself, or a daily run's last hour, whose
+    flow the run solved. A daily run's out-of-band hours are counted
+    against ``limits``, the band the run used.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -260,14 +262,20 @@ def emit_report(
     lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in table]
     traj_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
-    bare = solve_power_flow(case, nominal_injections(case))
-    if not bare.converged:
-        raise VoltCtrlError("uncontrolled power flow failed while writing the report")
+    if isinstance(result, DailyResult):
+        # the last hour's uncontrolled flow, which the run solved, at the regulated setpoints
+        before = result.final_v.copy()
+        before[part.pq] = result.uncontrolled_v[-1]
+    else:
+        bare = solve_power_flow(case, nominal_injections(case))
+        if not bare.converged:
+            raise VoltCtrlError("uncontrolled power flow failed while writing the report")
+        before = bare.v
     volt_path = out / "voltages_before_after.txt"
     ids = [b.id for b in case.buses]
     rows = [
         "bus    " + " ".join(f"{b:>7d}" for b in ids),
-        "before " + " ".join(f"{v:7.4f}" for v in bare.v),
+        "before " + " ".join(f"{v:7.4f}" for v in before),
         "after  " + " ".join(f"{v:7.4f}" for v in result.final_v),
     ]
     volt_path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")

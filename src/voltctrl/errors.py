@@ -14,7 +14,7 @@ class CaseDataError(VoltCtrlError):
 
 
 class IslandingError(VoltCtrlError):
-    """A topology edit would disconnect part of the network."""
+    """Part of the network is cut off from the slack bus, or a topology edit would cut it off."""
 
 
 class SingularModelError(VoltCtrlError):

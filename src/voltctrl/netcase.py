@@ -194,12 +194,19 @@ class Topology:
 
     @classmethod
     def of(cls, case: NetworkCase) -> "Topology":
+        """The case's topology; :class:`IslandingError` where the slack cannot reach a bus."""
         part = BusPartition(
             slack=int(case.indices_of(BusKind.SLACK)[0]),
             pv=case.indices_of(BusKind.PV),
             pq=case.indices_of(BusKind.PQ),
             controlled=np.flatnonzero([b.has_controller for b in case.buses]),
         )
+        slack = case.buses[part.slack].id
+        cut_off = sorted({b.id for b in case.buses} - _reached(case, slack))
+        if cut_off:
+            raise IslandingError(
+                f"the network is islanded: buses {cut_off} cannot be reached from slack bus {slack}"
+            )
         non_slack, pq = np.sort(np.concatenate([part.pv, part.pq])), part.pq
         v_start = np.array(
             [b.v_setpoint if b.kind in (BusKind.SLACK, BusKind.PV) else 1.0 for b in case.buses]
@@ -484,13 +491,13 @@ def build_admittance(case: NetworkCase) -> np.ndarray:
     return y_bus
 
 
-def _is_connected(case: NetworkCase) -> bool:
+def _reached(case: NetworkCase, start: int) -> set[int]:
+    """The ids of the buses that in-service branches join to bus ``start``, itself included."""
     adjacency: dict[int, set[int]] = {b.id: set() for b in case.buses}
     for br in case.branches:
         if br.in_service:
             adjacency[br.from_bus].add(br.to_bus)
             adjacency[br.to_bus].add(br.from_bus)
-    start = case.buses[0].id
     seen = {start}
     queue = deque([start])
     while queue:
@@ -499,7 +506,7 @@ def _is_connected(case: NetworkCase) -> bool:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return len(seen) == case.n_buses
+    return seen
 
 
 def trip_branch(case: NetworkCase, from_bus: int, to_bus: int) -> NetworkCase:
@@ -519,7 +526,7 @@ def trip_branch(case: NetworkCase, from_bus: int, to_bus: int) -> NetworkCase:
         replace(br, in_service=False) if i == hit else br for i, br in enumerate(case.branches)
     )
     tripped = replace(case, branches=branches)
-    if not _is_connected(tripped):
+    if len(_reached(tripped, from_bus)) < tripped.n_buses:
         raise IslandingError(f"tripping branch {from_bus}-{to_bus} would island part of the network")
     return tripped
 

@@ -60,7 +60,8 @@ def voltage_sensitivity(y: np.ndarray, part: BusPartition) -> SensitivityMatrix:
 
     The base point is v = 1, q = 0; ``rebased`` moves it to a solved power
     flow. Raises :class:`SingularModelError` when a reduced block cannot be
-    inverted, which signals a disconnected or degenerate network.
+    inverted, which signals a degenerate network (a case's topology has
+    already refused an islanded one).
     """
     a_set = np.sort(np.concatenate([part.pv, part.pq]))
     l_set = part.pq
@@ -97,7 +98,7 @@ def linearized(
     case: NetworkCase, inj: InjectionSet, q: np.ndarray,
     tol: float = 1e-8, warm_start: PowerFlowSolution | None = None,
 ) -> tuple[SensitivityMatrix, PowerFlowSolution]:
-    """The case's X rebased at the plant with controller output q added to ``inj``, and that solution.
+    """The case's X rebased at the plant with output q added to ``inj``, and that solution.
 
     X is ``voltage_sensitivity``'s, built from ``case.topology``. The plant
     is ``solve_power_flow``'s full Newton to ``tol`` from ``warm_start``;

@@ -53,8 +53,12 @@ A chord solve whose step does not halve the mismatch ends unconverged; the
 attempt fails with it and the step is retried at half the size, nearer the
 point where the inverse was taken. A stage that is not finite (gains so
 large that hJ overflows) fails the attempt the same way, before any plant
-call; where halving never makes it finite, the run ends in
-:class:`StepSizeUnderflowError`.
+call, and so does a step's end that is not finite. Each is counted apart
+from the plant's divergence. numpy's overflow warnings are silenced while
+the loop steps, and nowhere else: what it forms there ends in a stage, an
+error or a residual whose finiteness it tests. Where halving never makes a
+step pass, the run ends in :class:`StepSizeUnderflowError`, which names the
+cause of the last rejection.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes exactly ``run_static``'s parameters.
@@ -176,7 +180,8 @@ class SolverStats:
 
     Accepted steps, and rejected attempts by reason: an attempt fails the error
     test, is cut back to land on an event of a row on the piece (crossing) or
-    off it (entering), or is retried at half the size after the plant diverged.
+    off it (entering), or is retried at half the size after the plant diverged
+    or its stage or end was not finite (non-finite stage).
     Plant calls are the voltages the steps measure (a window's start reads its
     relinearization's solve), and phi-products those the steps take, each
     counted once, with the Halley iterates that land every event. Those
@@ -191,6 +196,7 @@ class SolverStats:
     crossing: int = 0
     entering: int = 0
     plant_divergence: int = 0
+    non_finite_stage: int = 0
     plant_calls: int = 0
     phi_products: int = 0
     landing_products: int = 0
@@ -201,7 +207,7 @@ class SolverStats:
     @property
     def attempts(self) -> int:
         rejected = self.error_test + self.crossing + self.entering + self.plant_divergence
-        return self.accepted + rejected
+        return self.accepted + rejected + self.non_finite_stage
 
     def __add__(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -241,6 +247,10 @@ _RTOL, _ATOL = 1e-6, 1e-8
 # the overshoot any row's event may keep, and the band above zero where a
 # landing stops and ``eval`` switches a falling row
 _OVERSHOOT, _NEAR = 1e-12, 1e-9
+
+
+class _NonFiniteStage(ArithmeticError):
+    """An attempt's stage or end is not finite; no plant is solved there."""
 
 
 class _ClosedLoop:
@@ -362,8 +372,8 @@ class _ClosedLoop:
         q is U2's. The attempt takes ``stage``, which
         ``land`` leaves for it, and clears it; its U2 - y0 stands in for the
         phi-product when its size is h. A plant solve that does not
-        converge raises :class:`PlantDivergenceError`, and so does a stage
-        that is not finite, before any plant call.
+        converge raises :class:`PlantDivergenceError`; a U2 or y1 that is
+        not finite raises ``_NonFiniteStage`` before its plant call.
         """
         c, flow = self.c, self.flow
         stage, self.stage = self.stage, None
@@ -373,7 +383,7 @@ class _ClosedLoop:
             self.counts["phi_products"] += 1
             u2 = y0 + h * flow.phi(1, h, on, f0)
         if not np.isfinite(u2).all():
-            raise PlantDivergenceError("the step's stage is not finite; no plant is solved there")
+            raise _NonFiniteStage("the step's stage is not finite")
         if self.mode is PlantMode.LINEAR or not flow.reads_voltage(on):
             return u2, None, self.voltage(u2[:c])
         v2 = self.voltage(u2[:c])
@@ -381,6 +391,8 @@ class _ClosedLoop:
         self.counts["phi_products"] += 1
         est = 2.0 * h * flow.phi(3, h, on, d2)
         y1 = u2 + est
+        if not np.isfinite(y1).all():
+            raise _NonFiniteStage("the step's end is not finite")
         if not np.array_equal(y1[:c], u2[:c]):
             v2 = self.voltage(y1[:c])
         return y1, est, v2
@@ -401,7 +413,9 @@ class _ClosedLoop:
         of x, before a guess outside (0, 1), or after 6 iterates. Returns
         the last x evaluated, and leaves its size and stage
         U2 - y0 = xh phi1(xhJ) f0 as ``stage``, which the next attempt, the
-        retry at xh, takes as its own.
+        retry at xh, takes as its own. An iterate that overflows gives a
+        guess that is not finite, which ends the search; the retry tests its
+        stage.
         """
         flow = self.flow
         for n in range(6):
@@ -456,60 +470,71 @@ def integrate(
         )
     y0 = np.zeros(3 * c + 2 * m) if state0 is None else state0.packed()
     v = loop.rebase(y0[:c])
-    y, f, on, g0 = loop.eval(y0, v)
-    times, rows, volts, raw_mins = [0.0], [y0], [v], [float(y0[c:].min())]
-    residual = float(np.abs(f).max())
-    t = 0.0
-    h = min(0.1, horizon)
-    # the largest step an event cut back, until the next accepted step resumes it
-    h_cut = 0.0
-    while not residual < tol and t < horizon - 1e-9 * max(1.0, horizon):
-        h_try = min(h, horizon - t)
-        if h_try < 1e-13 * max(1.0, t):
-            raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}")
-        try:
-            y1, est, v1 = loop.attempt(y, f, on, h_try)
-        except PlantDivergenceError:
-            loop.counts["plant_divergence"] += 1
-            h = 0.5 * h_try
-            continue
-        # the piece ends where a row's event function turns negative past
-        # the overshoot, every row's from at or above zero (``eval``); a
-        # multiplier's dip below zero is left to the floor. The rates and
-        # events at the end are the piece's at the unfloored end, whose
-        # voltage is measured
-        f1, _, g1 = loop.flow.rates(y1, v1, on)
-        event = g1 < -_OVERSHOOT
-        if event.any():
-            # land the first event on the step's stage path
-            slopes = (h_try * loop.flow.event_rates(r, on)[event] for r in (f, f1))
-            roots = _first_root(g0[event], g1[event], *slopes)
-            first = int(np.argmin(roots))
-            if roots[first] < 1.0 and h_try * roots[first] > 1e-10:
-                row = int(np.flatnonzero(event)[first])
-                loop.counts["crossing" if on[row] else "entering"] += 1
-                x = loop.land(y, f, on, h_try, row, float(g0[row]), float(roots[first]))
-                h_cut = max(h_cut, h_try)
-                h = h_try * x
-                continue
-        err = 0.0
-        if est is not None:
-            err = float((np.abs(est) / (_ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y1)))).max())
-        # one factor cuts a step that fails the error test and grows one that passes
-        h = h_try * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))))
-        if not err <= 1.0:
-            loop.counts["error_test"] += 1
-            continue
-        # an accepted step resumes the size an event cut back
-        h, h_cut = max(h, h_cut), 0.0
-        t += h_try
-        y, f, on, g0 = loop.eval(y1, v1)
-        loop.refresh_inverse()
-        times.append(t)
-        rows.append(y)
-        volts.append(v1)
-        raw_mins.append(float(y1[c:].min()))
+    # numpy's overflow warnings are silenced while the loop steps, where gains
+    # large enough to overflow end in a stage, an error or a residual that is
+    # not finite, and the loop tests each
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, f, on, g0 = loop.eval(y0, v)
+        times, rows, volts, raw_mins = [0.0], [y0], [v], [float(y0[c:].min())]
         residual = float(np.abs(f).max())
+        t = 0.0
+        h = min(0.1, horizon)
+        # the largest step an event cut back, until the next accepted step resumes it
+        h_cut = 0.0
+        # the cause of the last rejection, which an underflow names
+        cause = ""
+        while not residual < tol and t < horizon - 1e-9 * max(1.0, horizon):
+            h_try = min(h, horizon - t)
+            if h_try < 1e-13 * max(1.0, t):
+                raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}: {cause}")
+            try:
+                y1, est, v1 = loop.attempt(y, f, on, h_try)
+            except (PlantDivergenceError, _NonFiniteStage) as exc:
+                diverged = isinstance(exc, PlantDivergenceError)
+                loop.counts["plant_divergence" if diverged else "non_finite_stage"] += 1
+                cause, h = str(exc), 0.5 * h_try
+                continue
+            # the piece ends where a row's event function turns negative past
+            # the overshoot, every row's from at or above zero (``eval``); a
+            # multiplier's dip below zero is left to the floor. The rates and
+            # events at the end are the piece's at the unfloored end, whose
+            # voltage is measured
+            f1, _, g1 = loop.flow.rates(y1, v1, on)
+            event = g1 < -_OVERSHOOT
+            if event.any():
+                # land the first event on the step's stage path
+                slopes = (h_try * loop.flow.event_rates(r, on)[event] for r in (f, f1))
+                roots = _first_root(g0[event], g1[event], *slopes)
+                first = int(np.argmin(roots))
+                if roots[first] < 1.0 and h_try * roots[first] > 1e-10:
+                    row = int(np.flatnonzero(event)[first])
+                    kind = "crossing" if on[row] else "entering"
+                    loop.counts[kind] += 1
+                    cause = f"a {kind} event cut the step back"
+                    x = loop.land(y, f, on, h_try, row, float(g0[row]), float(roots[first]))
+                    h_cut = max(h_cut, h_try)
+                    h = h_try * x
+                    continue
+            err = 0.0
+            if est is not None:
+                scale = _ATOL + _RTOL * np.maximum(np.abs(y), np.abs(y1))
+                err = float((np.abs(est) / scale).max())
+            # one factor cuts a step that fails the error test and grows one that passes
+            h = h_try * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * err ** (-1.0 / 3.0))))
+            if not err <= 1.0:
+                loop.counts["error_test"] += 1
+                cause = "the step failed its error test"
+                continue
+            # an accepted step resumes the size an event cut back
+            h, h_cut = max(h, h_cut), 0.0
+            t += h_try
+            y, f, on, g0 = loop.eval(y1, v1)
+            loop.refresh_inverse()
+            times.append(t)
+            rows.append(y)
+            volts.append(v1)
+            raw_mins.append(float(y1[c:].min()))
+            residual = float(np.abs(f).max())
 
     trajectory = Trajectory(t=np.array(times), y=np.array(rows), v=np.array(volts))
     v_all, q_all = trajectory.v, trajectory.y[:, :c]

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from voltctrl.cli import (
     parse_trip,
 )
 from voltctrl.errors import ConfigError
-from voltctrl.netcase import scale_loads
+from voltctrl.netcase import Bus, BusKind, scale_loads, serialize_case
 from voltctrl.oracle import solve_centralized
 from voltctrl.powerflow import nominal_injections, solve_power_flow
 from voltctrl.sensitivity import partition_buses, rebased, voltage_sensitivity
@@ -387,6 +389,26 @@ def test_daily_summary_counts_hours_against_configured_band(tmp_path):
     assert "hours out of band controlled: 0" in summary
 
 
+def test_a_daily_report_takes_its_before_row_from_the_last_hour(tmp_path, capsys):
+    # at x5.5 the unprofiled case has no power flow, but every hour of a
+    # x0.5 profile (x2.75) does, and the run converges; the before row is
+    # the last hour's uncontrolled flow, as the after row is that hour's,
+    # so the report no longer solves a flow the run never met
+    cfg = tmp_path / "heavy_daily.cfg"
+    profile = ", ".join(["0.5"] * 24)
+    cfg.write_text(
+        f"case = case14\nload_scale = 5.5\nscenario = daily\nplant = linear\nprofile = {profile}\n"
+    )
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK and capsys.readouterr().err == ""
+    heavy = scale_loads(load_case("case14"), 5.5)
+    assert not solve_power_flow(heavy, nominal_injections(heavy)).converged
+    last_hour = scale_loads(heavy, 0.5)
+    bare = solve_power_flow(last_hour, nominal_injections(last_hour))
+    lines = (tmp_path / "out" / "voltages_before_after.txt").read_text().splitlines()
+    assert lines[1] == "before " + " ".join(f"{v:7.4f}" for v in bare.v)
+
+
 def test_exit_code_not_converged(tmp_path):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("case = case14\nload_scale = 3.1\nplant = linear\nhorizon = 1.0\n")
@@ -480,16 +502,50 @@ def test_unreadable_paths_are_config_errors(tmp_path, capsys, input_kind):
     assert captured.out == ""
 
 
-# gains of 1e300 overflow numpy's products on purpose; those warnings are the
-# defect's symptom, expected here and nowhere else
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "validate", "sensitivity", "powerflow"])
+def test_an_islanded_case_names_its_cause(tmp_path, capsys, command):
+    # bundled case14 plus a PQ bus 15 that no branch reaches: the case
+    # parses, and every command fails at its first solve, naming the bus,
+    # where a singular matrix was reported before
+    case14 = load_case("case14")
+    bus = Bus(id=15, kind=BusKind.PQ, p_load=0.1, q_load=0.05, has_controller=True)
+    path = tmp_path / "island.m"
+    path.write_text(serialize_case(replace(case14, buses=case14.buses + (bus,))))
+    out = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, "--case", str(path), *out]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "runtime failure: the network is islanded: buses [15] cannot be reached from slack bus 1\n"
+    )
+
+
 def test_overflowing_gains_are_a_runtime_failure(tmp_path, capsys):
+    # gains of 1e300 overflow numpy's products: the run ends in one line that
+    # names the non-finite stage, with no numpy warning (the suite turns
+    # every warning into an error)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("case = case14\nload_scale = 3.1\nk_q = 1e300\nk_lam = 1e300\nk_mu = 1e300\n")
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_RUNTIME
-    assert "runtime failure: step size underflow" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "runtime failure: step size underflow at t=0: the step's stage is not finite\n"
+    )
+
+
+@pytest.mark.parametrize("gain, t", [
+    ("k_q = 1e300\nplant = linear", r"[1-9][0-9.]*"), ("k_lam = 1e300\nplant = nonlinear", "0"),
+], ids=["k_q-linear", "k_lam-nonlinear"])
+def test_one_overflowing_gain_names_the_non_finite_stage(tmp_path, capsys, gain, t):
+    # one gain of 1e300: on the linear plant the run steps until the rates
+    # of an accepted state overflow, on the nonlinear one k_lam overflows
+    # the first stage; either way one line, and no numpy warning
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = case14\nload_scale = 3.1\n{gain}\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        rf"runtime failure: step size underflow at t={t}: the step's stage is not finite\n", err
+    )
 
 
 def test_missing_config_file_is_config_error(capsys):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_max_ulp
 
 from voltctrl import (
+    Branch,
+    Bus,
     BusKind,
     CaseDataError,
     CaseFormatError,
@@ -507,6 +509,34 @@ def test_trip_missing_branch(case14):
 def test_trip_islanding(toy2):
     with pytest.raises(IslandingError):
         trip_branch(toy2, 1, 2)
+
+
+def _with_island(case, ids, joined):
+    """The case plus PQ buses the slack cannot reach, each alone or all joined in a chain."""
+    extra = tuple(Bus(id=i, kind=BusKind.PQ, p_load=0.1, q_load=0.05) for i in ids)
+    chain = tuple(Branch(a, b, r=0.01, x=0.1) for a, b in zip(ids, ids[1:]) if joined)
+    return replace(case, buses=case.buses + extra, branches=case.branches + chain)
+
+
+@pytest.mark.parametrize("ids, joined", [((15,), False), ((15, 16), False), ((15, 16), True)])
+def test_an_islanded_case_parses_and_its_topology_names_the_cut_off_buses(case14, ids, joined):
+    # the case is valid data, so it serializes and parses; the slack's
+    # reach is checked where the topology is first built, which every
+    # power flow and sensitivity build takes
+    case = parse_case(serialize_case(_with_island(case14, ids, joined)), name="island")
+    names = ", ".join(map(str, ids))
+    message = rf"^the network is islanded: buses \[{names}\] cannot be reached from slack bus 1$"
+    with pytest.raises(IslandingError, match=message):
+        case.topology
+    with pytest.raises(IslandingError, match=message):
+        solve_power_flow(case, nominal_injections(case))
+
+
+def test_an_unknown_bus_id_is_a_case_data_error(case14):
+    with pytest.raises(CaseDataError, match=r"^no bus with id 99$"):
+        case14.bus(99)
+    with pytest.raises(CaseDataError, match=r"^no bus with id 99$"):
+        scale_loads(case14, {99: 1.5})
 
 
 def test_trip_reversed_endpoints(case14):

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from voltctrl import BusKind, powerflow, scale_loads, trip_branch
+from voltctrl import (
+    Branch,
+    Bus,
+    BusKind,
+    Generator,
+    NetworkCase,
+    SingularModelError,
+    powerflow,
+    scale_loads,
+    trip_branch,
+)
 from voltctrl.netcase import parse_case
 from voltctrl.powerflow import (
     InjectionSet,
@@ -14,6 +24,7 @@ from voltctrl.powerflow import (
     nominal_injections,
     solve_power_flow,
 )
+from voltctrl.simulate import run_static
 from _reference import reference_pq, reference_pq_scalar, reference_solve
 from conftest import TOY2_TEXT
 
@@ -396,3 +407,43 @@ def test_non_finite_tolerance_is_rejected(case14, tol):
     # and nan converged=False after no iteration, with no reason given
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         solve_power_flow(case14, nominal_injections(case14), tol=tol)
+
+
+def _at_the_nose(q_load: float) -> NetworkCase:
+    """A slack and one PQ bus whose QV curve turns at v = 1: the flat start's dQ/dv is zero.
+
+    The bus's computed Q is v^2 - 2v (series x = 0.5, shunt b = 1, angle 0),
+    whose slope vanishes at v = 1, the most reactive load (1 pu) it can take.
+    """
+    return NetworkCase(
+        base_mva=100.0,
+        buses=(
+            Bus(1, BusKind.SLACK),
+            Bus(2, BusKind.PQ, q_load=q_load, b_shunt=1.0, has_controller=True),
+        ),
+        branches=(Branch(1, 2, r=0.0, x=0.5),),
+        generators=(Generator(1, 0.0),),
+        name="nose",
+    )
+
+
+def test_a_newton_step_at_a_singular_jacobian_is_a_singular_model_error():
+    # half the nose load has flows at v = 1 +- 0.71, but the flat start sits
+    # on the nose, where the Jacobian is singular: the first Newton step
+    # cannot be taken
+    case = _at_the_nose(0.5)
+    with pytest.raises(SingularModelError, match=r"^power flow Jacobian is singular: "):
+        solve_power_flow(case, nominal_injections(case))
+
+
+def test_inverting_a_singular_jacobian_is_a_singular_model_error():
+    # at the nose load the flat start is the solution, converged in no step,
+    # and its Jacobian has no inverse: the nonlinear loop's first
+    # relinearization fails there with that cause
+    case = _at_the_nose(1.0)
+    sol = solve_power_flow(case, nominal_injections(case))
+    assert sol.converged and sol.iterations == 0
+    with pytest.raises(SingularModelError, match=r"^power flow Jacobian is singular: "):
+        jacobian_inverse(case, sol)
+    with pytest.raises(SingularModelError, match=r"^power flow Jacobian is singular: "):
+        run_static(case)

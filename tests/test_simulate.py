@@ -1907,6 +1907,20 @@ def test_calibration_rejects_unknown_bus_ids(case14):
         calibrate_load_scale(case14, {99: 1.0, 12: 0.95})
 
 
+def test_calibration_passes_over_load_factors_without_a_power_flow(case14):
+    # from case14 at x2 the grid's factors from 2.5 up (x5 and more) have no
+    # power flow: each such trial scores an infinite error, and the search
+    # still finds the factor whose voltages were the target
+    base = scale_loads(case14, 2.0)
+    top = scale_loads(base, 4.0)
+    assert not solve_power_flow(top, nominal_injections(top)).converged
+    target = scale_loads(base, 1.5)
+    sol = solve_power_flow(target, nominal_injections(target))
+    index = case14.bus_index()
+    cal = calibrate_load_scale(base, {b: float(sol.v[index[b]]) for b in (12, 14)})
+    assert cal.achieved and cal.factor == pytest.approx(1.5, abs=1e-6)
+
+
 def test_calibration_rejects_an_empty_target(case14):
     # used to fail inside numpy on a zero-size reduction
     with pytest.raises(CaseDataError, match="target voltage map is empty"):
@@ -1954,15 +1968,12 @@ def test_failed_plant_solve_retries_the_step_at_half_size(monkeypatch, heavy14):
     assert res.converged
 
 
-# gains of 1e300 overflow numpy's products on purpose; those warnings are the
-# defect's symptom, expected here and nowhere else
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("mode", list(PlantMode), ids=lambda mode: mode.value)
 def test_overflowing_gains_end_in_step_size_underflow(monkeypatch, heavy14, mode):
     # k_q k_lam overflows inside phi whatever h scales it by, so every
     # stage is non-finite: each attempt fails before its plant call and is
-    # retried at half the size until the step underflows
+    # retried at half the size until the step underflows, which names that
+    # cause; numpy's overflow warnings stay inside the loop, which tests them
     attempt, tries, plant_calls = _ClosedLoop.attempt, [], [0]
 
     def recording(self, y0, f0, on0, h):
@@ -1975,10 +1986,63 @@ def test_overflowing_gains_end_in_step_size_underflow(monkeypatch, heavy14, mode
 
     monkeypatch.setattr(_ClosedLoop, "attempt", recording)
     monkeypatch.setattr(_ClosedLoop, "voltage", measuring)
-    with pytest.raises(StepSizeUnderflowError, match="t=0"):
+    with pytest.raises(StepSizeUnderflowError, match=r"^step size underflow at t=0: the step's "
+                       r"stage is not finite$"):
         run_static(heavy14, gains=Gains(1e300, 1e300, 1e300), plant_mode=mode)
     assert plant_calls[0] == 0
     assert len(tries) > 30 and all(b == 0.5 * a for a, b in zip(tries, tries[1:]))
+
+
+def _poison_first_phi(monkeypatch, order):
+    """Make the first phi_order product of each window's flow NaN in its first entry."""
+    phi = PackedFlow.phi
+
+    def poisoned(self, k, h, on, r):
+        out = phi(self, k, h, on, r)
+        if k == order and not vars(self).get("poisoned"):
+            self.poisoned = True
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(PackedFlow, "phi", poisoned)
+
+
+def test_a_non_finite_stage_is_counted_apart_and_retried_at_half_size(monkeypatch, heavy14):
+    # each window's first phi-product is made NaN: its attempt fails before
+    # any plant call, is counted as a non-finite stage, not as a plant
+    # divergence, and is retried at half the size; the fault run's two
+    # windows sum their counts, and every attempt is one of SolverStats'
+    attempt, tries = _ClosedLoop.attempt, []
+
+    def recording(self, y0, f0, on0, h):
+        tries.append(h)
+        return attempt(self, y0, f0, on0, h)
+
+    _poison_first_phi(monkeypatch, 1)
+    monkeypatch.setattr(_ClosedLoop, "attempt", recording)
+    res = run_fault(heavy14, trip=(4, 5), plant_mode=PlantMode.LINEAR)
+    assert res.converged
+    assert res.stats.non_finite_stage == 2 and res.stats.plant_divergence == 0
+    assert res.stats.attempts == len(tries)
+    assert tries[:2] == [0.1, 0.05]
+
+
+def test_a_non_finite_end_fails_its_attempt_before_its_plant_call(monkeypatch, heavy14):
+    # the first correction 2h phi3(hJ) D2 of the nonlinear run is made NaN:
+    # its end y1 = U2 + est is not finite, so the attempt fails as a
+    # non-finite stage with no plant call at y1, where the plant was solved
+    # at NaN injections and the failure counted as its divergence before
+    calls, voltage = [], _ClosedLoop.voltage
+
+    def measuring(self, q):
+        calls.append(np.isfinite(q).all())
+        return voltage(self, q)
+
+    _poison_first_phi(monkeypatch, 3)
+    monkeypatch.setattr(_ClosedLoop, "voltage", measuring)
+    res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
+    assert res.converged and all(calls)
+    assert res.stats.non_finite_stage == 1 and res.stats.plant_divergence == 0
 
 
 def test_final_v_is_last_sample_at_load_buses(heavy14, heavy_lin, heavy_nl):
