@@ -454,11 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--scale", help="uniform load scale factor")
     run_p = sub.add_parser("run", parents=[common], help="run a closed-loop scenario")
     run_p.add_argument("--out", help="output directory for reports")
-    run_p.add_argument(
-        "--plant", choices=[mode.value for mode in PlantMode], help="plant model for the loop"
-    )
+    run_p.add_argument("--plant", help="plant model for the loop: nonlinear or linear")
     run_p.add_argument("--trip", help="branch trip spec a:b or a:b@t")
-    run_p.add_argument("--scenario", choices=SCENARIO_KINDS, help="scenario family")
+    run_p.add_argument("--scenario", help="scenario family: static, fault or daily")
     sub.add_parser("powerflow", parents=[common], help="solve and print a power flow")
     sub.add_parser("sensitivity", parents=[common], help="print sensitivity matrix info")
     sub.add_parser("validate", parents=[common], help="compare dynamics to the QP oracle")

@@ -13,7 +13,8 @@ that admits neither step proves the constraints infeasible. The result is
 the method's own last iterate: the q that passed the feasibility test and
 the working rows' multipliers, in the same four-vector layout the dynamics
 use, so a converged trajectory can be checked against the true optimum and
-its KKT certificate directly.
+its KKT certificate directly: ``kkt_residual``, the KKT residual of the
+same rows A q <= b.
 """
 
 from __future__ import annotations
@@ -180,28 +181,15 @@ def plant_equilibrium(
 
 
 def kkt_residual(q: np.ndarray, multipliers, sens: SensitivityMatrix, lim: Limits) -> float:
-    """Worst violation of stationarity, feasibility, dual sign, or slackness.
+    """Worst violation of the KKT conditions of min ||q||^2 subject to A q <= b.
 
-    ``multipliers`` is the tuple (lam_hi, lam_lo, mu_hi, mu_lo).
+    ``multipliers`` is the tuple (lam_hi, lam_lo, mu_hi, mu_lo), stacked as
+    nu in the order of ``_constraint_rows``. The residual is the largest
+    magnitude in stationarity 2 q + A' nu, feasibility max(A q - b, 0),
+    dual sign max(-nu, 0) and slackness nu (A q - b).
     """
-    lam_hi, lam_lo, mu_hi, mu_lo = multipliers
-    cpos = sens.partition.controlled_in_pq()
-    xc = sens.x[:, cpos]
-    v = sens.base_v + xc @ (q - sens.base_q[cpos])
-    stationarity = 2.0 * q + xc.T @ (lam_hi - lam_lo) + mu_hi - mu_lo
-    pieces = [
-        stationarity,
-        np.maximum(v - lim.v_hi, 0.0),
-        np.maximum(lim.v_lo - v, 0.0),
-        np.maximum(q - lim.q_hi, 0.0),
-        np.maximum(lim.q_lo - q, 0.0),
-        np.maximum(-lam_hi, 0.0),
-        np.maximum(-lam_lo, 0.0),
-        np.maximum(-mu_hi, 0.0),
-        np.maximum(-mu_lo, 0.0),
-        lam_hi * (v - lim.v_hi),
-        lam_lo * (lim.v_lo - v),
-        mu_hi * (q - lim.q_hi),
-        mu_lo * (lim.q_lo - q),
-    ]
-    return float(max(np.max(np.abs(p)) if len(p) else 0.0 for p in pieces))
+    a, b = _constraint_rows(sens, lim)
+    nu = np.concatenate(multipliers)
+    slack = a @ q - b
+    pieces = (2.0 * q + a.T @ nu, np.maximum(slack, 0.0), np.maximum(-nu, 0.0), nu * slack)
+    return float(np.max(np.abs(np.concatenate(pieces)), initial=0.0))

@@ -17,7 +17,10 @@ to the plant's full-Newton solution at a controller output (``rebased``
 just moves the point). It is the one path there, for each closed-loop
 window (24 on a daily run), each ``plant_equilibrium`` iterate and
 ``voltctrl validate``; only ``voltctrl sensitivity`` reads X at the flat
-point. Bus sets come from ``partition_buses``, the case topology's one
+point. Its plant is solved to ``PLANT_TOL``, the power mismatch of 1e-10
+that the closed loop's chord solves also meet, so ``voltctrl validate``
+certifies the model the loop ran; ``plant_equilibrium`` asks for 1e-12.
+Bus sets come from ``partition_buses``, the case topology's one
 partition; ``BusPartition`` lives in ``netcase`` and is importable from here.
 """
 
@@ -30,6 +33,10 @@ import numpy as np
 from .errors import PlantDivergenceError, SingularModelError
 from .netcase import BusPartition, NetworkCase
 from .powerflow import InjectionSet, PowerFlowSolution, solve_power_flow
+
+# power mismatch the plant is solved to wherever the loop or its certificate
+# reads it: far below the local errors the loop's step control reads
+PLANT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +103,7 @@ def rebased(sens: SensitivityMatrix, base_v: np.ndarray, base_q: np.ndarray) -> 
 
 def linearized(
     case: NetworkCase, inj: InjectionSet, q: np.ndarray,
-    tol: float = 1e-8, warm_start: PowerFlowSolution | None = None,
+    tol: float = PLANT_TOL, warm_start: PowerFlowSolution | None = None,
 ) -> tuple[SensitivityMatrix, PowerFlowSolution]:
     """The case's X rebased at the plant with output q added to ``inj``, and that solution.
 

@@ -41,11 +41,12 @@ accepted steps, its rejected attempts by reason, its plant calls and its
 phi-products, each taken once, with the landing's also counted apart, in
 a ``SolverStats``.
 
-Every plant solve of the loop is taken to a power mismatch of 1e-10, far
-below the local errors the step control reads; ``solve_power_flow`` keeps
-its 1e-8 default everywhere else. Those solves are chord iterations: the
-power-flow Jacobian is formed and inverted once at the window's start
-(``linearized``, full Newton) and at each accepted state, and every
+Every plant solve of the loop is taken to a power mismatch of 1e-10
+(``sensitivity.PLANT_TOL``), far below the local errors the step control
+reads; ``solve_power_flow`` keeps its 1e-8 default everywhere else. Those
+solves are chord iterations: the power-flow Jacobian is formed and
+inverted once at the window's start (``linearized``, full Newton) and at
+each accepted state, and every
 solve in the step from there, retries included, starts at the last
 solution, with the complex power it carries, and steps with that inverse.
 Its block of magnitude rows and reactive columns is the plant's dv/dq in J.
@@ -58,7 +59,9 @@ from the plant's divergence. numpy's overflow warnings are silenced while
 the loop steps, and nowhere else: what it forms there ends in a stage, an
 error or a residual whose finiteness it tests. Where halving never makes a
 step pass, the run ends in :class:`StepSizeUnderflowError`, which names the
-cause of the last rejection.
+cause of the last rejection. Rates that are not finite at the window's
+start or at an accepted state end the run the same way at once, naming
+them: no step can leave such a state. Large but finite rates step on.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes exactly ``run_static``'s parameters.
@@ -105,7 +108,7 @@ from .powerflow import (
     nominal_injections,
     solve_power_flow,
 )
-from .sensitivity import linearized, partition_buses, predict_voltage
+from .sensitivity import PLANT_TOL, linearized, partition_buses, predict_voltage
 
 
 class PlantMode(Enum):
@@ -239,9 +242,6 @@ class DailyResult(SimulationResult):
     uncontrolled_v: np.ndarray
 
 
-# power mismatch every plant solve of the loop is taken to: far below the
-# local errors the step control reads, so its estimate stays above plant noise
-_PLANT_TOL = 1e-10
 # relative and absolute error tolerances of the step control
 _RTOL, _ATOL = 1e-6, 1e-8
 # the overshoot any row's event may keep, and the band above zero where a
@@ -297,7 +297,7 @@ class _ClosedLoop:
 
         Returns the voltage both plants read there.
         """
-        self.sens, self.last = linearized(self.case, self.inj, q, _PLANT_TOL)
+        self.sens, self.last = linearized(self.case, self.inj, q)
         self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, self.gains)
         self.counts["newton_iterations"] += self.last.iterations
         self.refresh_inverse()
@@ -326,7 +326,7 @@ class _ClosedLoop:
         inj = object.__new__(InjectionSet)  # unchecked: each stage is checked finite first
         vars(inj).update(vars(self.inj), q_injection=self.inj.q_injection + self.embed(q))
         sol = solve_power_flow(
-            self.case, inj, tol=_PLANT_TOL, warm_start=self.last, inverse=self.inverse
+            self.case, inj, tol=PLANT_TOL, warm_start=self.last, inverse=self.inverse
         )
         self.counts["chord_steps"] += sol.iterations
         if not sol.converged:
@@ -476,8 +476,8 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         y, f, on, g0 = loop.eval(y0, v)
         times, rows, volts, raw_mins = [0.0], [y0], [v], [float(y0[c:].min())]
-        residual = float(np.abs(f).max())
         t = 0.0
+        residual = _residual(f, t)
         h = min(0.1, horizon)
         # the largest step an event cut back, until the next accepted step resumes it
         h_cut = 0.0
@@ -534,7 +534,7 @@ def integrate(
             rows.append(y)
             volts.append(v1)
             raw_mins.append(float(y1[c:].min()))
-            residual = float(np.abs(f).max())
+            residual = _residual(f, t)
 
     trajectory = Trajectory(t=np.array(times), y=np.array(rows), v=np.array(volts))
     v_all, q_all = trajectory.v, trajectory.y[:, :c]
@@ -556,6 +556,16 @@ def integrate(
         ),
         stats=SolverStats(len(rows) - 1, **loop.counts),
     )
+
+
+def _residual(f: np.ndarray, t: float) -> float:
+    """The largest rate's magnitude at the state of time t; rates not finite end the run."""
+    residual = float(np.abs(f).max())
+    if not np.isfinite(residual):
+        raise StepSizeUnderflowError(
+            f"step size underflow at t={t:.6g}: the state's rates are not finite"
+        )
+    return residual
 
 
 def _first_root(p0, p1, d0, d1) -> np.ndarray:

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltctrl import cli, load_case, simulate
 from voltctrl.cli import (
@@ -169,15 +174,18 @@ def test_parse_trip_variants():
         ([], "profile = " + ", ".join(["1.0"] * 12 + [""] + ["1.0"] * 12) + "\n",
          "line 3: expected a number, got ''"),
         ([], "profile = " + ", ".join(["1.0"] * 24) + ",\n", "line 3: expected a number, got ''"),
+        (["--plant", "quadratic"], "", "--plant: plant must be 'nonlinear' or 'linear'"),
+        (["--scenario", "sideways"], "", "--scenario: scenario must be one of static, fault, daily"),
     ],
     ids=["trip-flag-nan", "trip-key-inf", "negative-profile", "trip-flag-empty-time",
-         "empty-profile-field", "trailing-profile-comma"],
+         "empty-profile-field", "trailing-profile-comma", "plant-flag", "scenario-flag"],
 )
 def test_late_failing_values_are_config_errors_before_the_output(tmp_path, capsys, flags, config,
                                                                  message):
     # a trip time that is not finite and a negative load factor once parsed,
     # then failed inside the run without their location, after the output
-    # directory was made
+    # directory was made; a bad --plant or --scenario is judged as its
+    # config key, where argparse's own list of choices once judged it
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"case = case14\nscenario = fault\n{config}")
     out = tmp_path / "out"
@@ -531,21 +539,75 @@ def test_overflowing_gains_are_a_runtime_failure(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("gain, t", [
-    ("k_q = 1e300\nplant = linear", r"[1-9][0-9.]*"), ("k_lam = 1e300\nplant = nonlinear", "0"),
-], ids=["k_q-linear", "k_lam-nonlinear"])
-def test_one_overflowing_gain_names_the_non_finite_stage(tmp_path, capsys, gain, t):
+@pytest.mark.parametrize("gain, t, cause", [
+    ("k_q = 1e300\nplant = linear", r"[1-9][0-9.]*", "the state's rates are not finite"),
+    ("k_q = 1e300\nplant = linear\nhorizon = 2e4", "20000", "the state's rates are not finite"),
+    ("k_lam = 1e300\nplant = nonlinear", "0", "the step's stage is not finite"),
+], ids=["k_q-linear", "k_q-linear-at-horizon", "k_lam-nonlinear"])
+def test_one_overflowing_gain_names_the_non_finite_stage(tmp_path, capsys, gain, t, cause):
     # one gain of 1e300: on the linear plant the run steps until the rates
-    # of an accepted state overflow, on the nonlinear one k_lam overflows
-    # the first stage; either way one line, and no numpy warning
+    # of an accepted state overflow, which ends it there, even where that
+    # state is the horizon's (the run once ended there with exit 1 and
+    # residual inf); on the nonlinear one k_lam overflows the first stage.
+    # Either way one line, and no numpy warning
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"case = case14\nload_scale = 3.1\n{gain}\n")
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_RUNTIME
     err = capsys.readouterr().err
-    assert re.fullmatch(
-        rf"runtime failure: step size underflow at t={t}: the step's stage is not finite\n", err
-    )
+    assert re.fullmatch(rf"runtime failure: step size underflow at t={t}: {cause}\n", err)
+
+
+# the fuzzer's token pool, by config key: the values a key is meant to take,
+# among them limits, an overflowing gain, the scenario and plant words and
+# trip and profile forms, next to values it must refuse: numbers that are not
+# finite or out of range, punctuation, misspelt words and broken forms;
+# "vmaks" is a key the config does not know
+_FUZZ_POOL = {
+    **dict.fromkeys(("v_lo", "v_hi", "q_lo", "q_hi"),
+                    ("0.95", "1.05", "-0.2", "0.2", "0.9", "1.1", "nan", "")),
+    **dict.fromkeys(("k_q", "k_lam", "k_mu"), ("1e300", "1", "1e-3", "0", "-1", "inf", "#")),
+    **dict.fromkeys(("tol", "horizon", "hour_seconds"), ("1e-3", "50", "1e300", "0", "-inf", ":")),
+    "load_scale": ("3.1", "1", "0", "50", "1e300", "-1", "nan"),
+    "case": ("case14", "case30", "case9", ","),
+    "scenario": ("static", "fault", "daily", "sideways", "linear"),
+    "plant": ("linear", "nonlinear", "quadratic", "static"),
+    "trip": ("4:5", "4:5@20", "2:3@1e300", "7:8", "1:99", "4:5@nan", "4:5@-1", "4:5@", "4", "@"),
+    "profile": (", ".join(["0.5"] * 12 + ["2.5"] * 12), ", ".join(["1.0"] * 23),
+                ", ".join(["1.0"] * 23 + ["-0.5"]), ", ".join(["1.0"] * 24) + ",", "1e300"),
+    "reset_multipliers": ("yes", "off", "maybe"),
+    "out": ("elsewhere", "="),
+    "vmaks": ("1.05",),
+}
+_FUZZ_LINE = st.sampled_from(sorted(_FUZZ_POOL)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(_FUZZ_POOL[key]))
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(lines=st.lists(_FUZZ_LINE, min_size=1, max_size=4))
+def test_fuzzed_configs_end_in_an_exit_code_and_one_line_on_failure(lines):
+    # a run on bundled case14 with one to four fuzzed keys ends in one of
+    # the four exit codes; a failure says why in one stderr line, and a
+    # config error leaves no output behind. The first lines bind the band
+    # and keep each run short, and a drawn key overrides them: 100 examples
+    # take about 1 s
+    text = "case = case14\nload_scale = 3.1\nplant = linear\nhorizon = 50\nhour_seconds = 50\n"
+    text += "".join(f"{key} = {value}\n" for key, value in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED, EXIT_CONFIG, EXIT_RUNTIME)
+        if code in (EXIT_CONFIG, EXIT_RUNTIME):
+            prefix = "config error: " if code == EXIT_CONFIG else "runtime failure: "
+            assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
+        if code == EXIT_CONFIG:
+            assert not out.exists()
 
 
 def test_missing_config_file_is_config_error(capsys):

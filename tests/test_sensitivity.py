@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from voltctrl import build_admittance, scale_loads, trip_branch
+from voltctrl.controller import Gains
 from voltctrl.errors import PlantDivergenceError, SingularModelError
 from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flow
 from voltctrl.sensitivity import (
@@ -18,7 +19,7 @@ from voltctrl.sensitivity import (
     rebased,
     voltage_sensitivity,
 )
-from voltctrl.simulate import PlantMode, run_static
+from voltctrl.simulate import PlantMode, _ClosedLoop, run_static
 
 
 def pq_ids(case):
@@ -182,8 +183,9 @@ def loaded_with_final_q(request):
     return case, res.final_q
 
 
-# each caller's tolerance: validate's default at q = 0, a window's start at
-# its start output, and a plant_equilibrium iterate, warm-started
+# solve_power_flow's own 1e-8 at q = 0, the plant tolerance that validate
+# and a window's start share at its start output, and a plant_equilibrium
+# iterate, warm-started
 @pytest.mark.parametrize("at, tol, warm", [
     ("zero", 1e-8, False), ("final", 1e-10, False), ("zero", 1e-12, True), ("final", 1e-12, True),
 ])
@@ -204,6 +206,8 @@ def test_linearized_is_the_written_out_recipe(loaded_with_final_q, at, tol, warm
     sens = voltage_sensitivity(build_admittance(case), part)
     want = rebased(sens, base_v=want_sol.v[part.pq], base_q=full)
 
+    y = case.topology.y.copy()
+    start_v, start_delta = (start.v.copy(), start.delta.copy()) if warm else (None, None)
     got, sol = linearized(case, inj, q, tol, start)
     assert got.partition is part
     for a, b in [
@@ -212,9 +216,26 @@ def test_linearized_is_the_written_out_recipe(loaded_with_final_q, at, tol, warm
     ]:
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert sol.iterations == want_sol.iterations and sol.converged
-    # the inputs are left as they were
+    # the inputs are left as they were: the injections, the warm start and Y
     assert np.array_equal(inj.q_injection, nominal_injections(case).q_injection)
-    assert np.array_equal(sens.base_v, np.ones(part.n_load)) and not sens.base_q.any()
+    if warm:
+        assert np.array_equal(start.v, start_v) and np.array_equal(start.delta, start_delta)
+    assert np.array_equal(case.topology.y, y)
+
+
+@pytest.mark.parametrize("at", ["zero", "final"])
+def test_linearized_by_default_is_the_loops_model(loaded_with_final_q, at):
+    # validate's oracle reads the model the closed loop runs: a window's
+    # start and linearized's default solve the plant to the same tolerance
+    case, final_q = loaded_with_final_q
+    q = np.zeros(partition_buses(case).n_controlled) if at == "zero" else final_q
+    loop = _ClosedLoop(case, PlantMode.LINEAR, None, Gains())
+    loop.rebase(q)
+    got, _ = linearized(case, nominal_injections(case), q)
+    assert got.partition is loop.sens.partition
+    for a, b in [(got.x, loop.sens.x), (got.base_v, loop.sens.base_v),
+                 (got.base_q, loop.sens.base_q)]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_linearized_at_a_diverging_point_raises(case14):
