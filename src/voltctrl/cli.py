@@ -414,7 +414,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     limits = cfg.limits_for(case)
     part = partition_buses(case)
     try:
-        sens, _ = linearized(case, nominal_injections(case), np.zeros(part.n_controlled))
+        sens, _ = linearized(case, np.zeros(part.n_controlled))
     except PlantDivergenceError as exc:
         raise PlantDivergenceError(f"{exc} at the base point") from exc
     qp = solve_centralized(sens, limits)

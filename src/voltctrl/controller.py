@@ -37,10 +37,11 @@ is that exponential, of one matrix or of a stack, numpy only and from
 matrix products alone: a truncated Taylor series in Paterson and
 Stockmeyer's form, scaled and squared at the fewest products the norm
 allows, whose last product forms only the columns ``phi`` reads.
-This module is the only one that knows the packed layout:
-``ControllerState.view`` reads a state off a packed row that its caller
-has checked, as ``simulate.Trajectory`` checks its rows once, as one
-array. ``dynamics_rhs`` is the validating wrapper over
+This module defines the packed layout, which ``simulate`` (q from the
+multipliers) and ``cli.emit_report`` and ``cli._cmd_validate`` (by
+family) also slice. ``ControllerState.view`` reads a state off a packed
+row that its caller has checked, as ``simulate.Trajectory`` checks its
+rows once. ``dynamics_rhs`` is the validating wrapper over
 ``ControllerState``; it returns the packed rate vector.
 """
 

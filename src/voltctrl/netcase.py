@@ -126,9 +126,6 @@ class NetworkCase:
         missing = wanted - known
         if missing:
             raise CaseDataError(f"unknown controller bus ids: {sorted(missing)}")
-        for b in self.buses:
-            if b.id in wanted and b.kind is not BusKind.PQ:
-                raise CaseDataError(f"bus {b.id} is {b.kind.name}, controllers require PQ buses")
         buses = tuple(replace(b, has_controller=(b.id in wanted)) for b in self.buses)
         return replace(self, buses=buses)
 

@@ -26,7 +26,6 @@ import numpy as np
 from .controller import Limits
 from .errors import InfeasibleProblemError, NotContractingError, PlantDivergenceError
 from .netcase import NetworkCase
-from .powerflow import nominal_injections
 from .sensitivity import SensitivityMatrix, linearized
 
 # the largest row violation A q - b the QP accepts as feasible, and its cap
@@ -147,8 +146,8 @@ def plant_equilibrium(
     """The nonlinear plant's equilibrium: the fixed point of the oracle on its own linearization.
 
     Iterates q <- ``solve_centralized(sens_q, limits).q_star`` from q = 0, with sens_q
-    X ``linearized`` at q, its full-Newton power flow solved to 1e-12 and X
-    rebuilt from the case on each iterate (about 0.1 ms at case14 and case30).
+    X ``linearized`` at q: nominal injections plus q, full Newton to 1e-12 warm
+    from the last iterate, X rebuilt from the case (about 0.1 ms at case14 and case30).
     At the fixed point the linear voltage the oracle reads is the plant's,
     so its KKT conditions are the closed loop's equilibrium conditions with
     the measured voltages. Returns the last QP solution, once its q moved
@@ -161,11 +160,10 @@ def plant_equilibrium(
     the plant: far from the band (case14 at x3.5 load, case30 at x3.0) the
     first linearization can fail while the closed loop still settles.
     """
-    inj = nominal_injections(case)
     q, sol, step, rate = np.zeros(case.topology.partition.n_controlled), None, np.inf, np.nan
     for iteration in range(1, max_iter + 1):
         try:
-            lin, sol = linearized(case, inj, q, tol=1e-12, warm_start=sol)
+            lin, sol = linearized(case, q, tol=1e-12, warm_start=sol)
         except PlantDivergenceError as exc:
             raise PlantDivergenceError(f"{exc} at iterate {iteration}") from exc
         qp = solve_centralized(lin, limits)

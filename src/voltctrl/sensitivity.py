@@ -12,14 +12,15 @@ with A the non-slack buses and L the PQ buses, G and B the real and
 imaginary parts of the complex admittance matrix Y. X depends on the
 topology only, yet the builder takes Y and a partition and builds it anew
 at every call, at the flat base point (v = 1, q = 0). ``linearized`` takes
-the case alone: it builds X from the case topology and moves its base point
-to the plant's full-Newton solution at a controller output (``rebased``
-just moves the point). It is the one path there, for each closed-loop
-window (24 on a daily run), each ``plant_equilibrium`` iterate and
-``voltctrl validate``; only ``voltctrl sensitivity`` reads X at the flat
-point. Its plant is solved to ``PLANT_TOL``, the power mismatch of 1e-10
-that the closed loop's chord solves also meet, so ``voltctrl validate``
-certifies the model the loop ran; ``plant_equilibrium`` asks for 1e-12.
+the case and a controller output alone: it builds X from the case topology
+and moves its base point to the plant's full-Newton solution at the case's
+nominal injections plus that output (``rebased`` just moves the point). It
+is the one path there, for each closed-loop window (24 on a daily run),
+each ``plant_equilibrium`` iterate and ``voltctrl validate``; only
+``voltctrl sensitivity`` reads X at the flat point. Its plant is solved to
+``PLANT_TOL``, the power mismatch of 1e-10 that the closed loop's chord
+solves also meet, so ``voltctrl validate`` certifies the model the loop
+ran; ``plant_equilibrium`` asks for 1e-12.
 Bus sets come from ``partition_buses``, the case topology's one
 partition; ``BusPartition`` lives in ``netcase`` and is importable from here.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import PlantDivergenceError, SingularModelError
 from .netcase import BusPartition, NetworkCase
-from .powerflow import InjectionSet, PowerFlowSolution, solve_power_flow
+from .powerflow import InjectionSet, PowerFlowSolution, nominal_injections, solve_power_flow
 
 # power mismatch the plant is solved to wherever the loop or its certificate
 # reads it: far below the local errors the loop's step control reads
@@ -102,18 +103,20 @@ def rebased(sens: SensitivityMatrix, base_v: np.ndarray, base_q: np.ndarray) -> 
 
 
 def linearized(
-    case: NetworkCase, inj: InjectionSet, q: np.ndarray,
+    case: NetworkCase, q: np.ndarray,
     tol: float = PLANT_TOL, warm_start: PowerFlowSolution | None = None,
 ) -> tuple[SensitivityMatrix, PowerFlowSolution]:
-    """The case's X rebased at the plant with output q added to ``inj``, and that solution.
+    """The case's X rebased at its plant with controller output q, and that solution.
 
-    X is ``voltage_sensitivity``'s, built from ``case.topology``. The plant
-    is ``solve_power_flow``'s full Newton to ``tol`` from ``warm_start``;
-    where it does not converge, :class:`PlantDivergenceError`.
+    X is ``voltage_sensitivity``'s, built from ``case.topology``. The plant,
+    the nominal injections with q added at the controlled buses, is solved
+    by full Newton to ``tol`` from ``warm_start``; where it does not
+    converge, :class:`PlantDivergenceError`.
     """
     sens = voltage_sensitivity(case.topology.y, case.topology.partition)
     full = np.zeros(sens.partition.n_load)
     full[sens.partition.controlled_in_pq()] = q
+    inj = nominal_injections(case)
     moved = InjectionSet(inj.p_injection, inj.q_injection + full)
     sol = solve_power_flow(case, moved, tol=tol, warm_start=warm_start)
     if not sol.converged:

@@ -297,7 +297,7 @@ class _ClosedLoop:
 
         Returns the voltage both plants read there.
         """
-        self.sens, self.last = linearized(self.case, self.inj, q)
+        self.sens, self.last = linearized(self.case, q)
         self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, self.gains)
         self.counts["newton_iterations"] += self.last.iterations
         self.refresh_inverse()

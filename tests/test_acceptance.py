@@ -28,9 +28,9 @@ from voltctrl.netcase import build_admittance, scale_loads, trip_branch
 from voltctrl.oracle import plant_equilibrium, solve_centralized
 from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flow
 from voltctrl.sensitivity import (
+    linearized,
     partition_buses,
     predict_voltage,
-    rebased,
     voltage_sensitivity,
 )
 from voltctrl.simulate import (
@@ -66,15 +66,9 @@ def _verdict(n: int, ok: bool, detail: str) -> None:
 
 
 def _oracle_at_base(case, limits=None):
-    """Centralized QP at the uncontrolled operating point of the case."""
-    sol = solve_power_flow(case, nominal_injections(case), max_iter=30)
-    assert sol.converged
+    """Centralized QP at the uncontrolled operating point of the case, as the loop linearizes it."""
     part = partition_buses(case)
-    sens = rebased(
-        voltage_sensitivity(build_admittance(case), part),
-        base_v=sol.v[part.pq],
-        base_q=np.zeros(part.n_load),
-    )
+    sens, _ = linearized(case, np.zeros(part.n_controlled))
     if limits is None:
         limits = Limits.box(part.n_load, part.n_controlled)
     return solve_centralized(sens, limits), sens, limits
@@ -87,12 +81,7 @@ def _certificate(case):
     """
     part = partition_buses(case)
     qp, _ = plant_equilibrium(case, Limits.box(part.n_load, part.n_controlled))
-    inj = nominal_injections(case)
-    q_full = np.zeros(part.n_load)
-    q_full[part.controlled_in_pq()] = qp.q_star
-    moved = InjectionSet(inj.p_injection, inj.q_injection + q_full)
-    sol = solve_power_flow(case, moved, tol=1e-12, max_iter=30)
-    assert sol.converged
+    _, sol = linearized(case, qp.q_star, tol=1e-12)
     return qp, sol.v
 
 
@@ -293,12 +282,7 @@ def test_criterion_06_sensitivity_validity(case14, case30):
 
 def test_criterion_08_gradient_consistency(case14):
     part = partition_buses(case14)
-    sol = solve_power_flow(case14, nominal_injections(case14))
-    sens = rebased(
-        voltage_sensitivity(build_admittance(case14), part),
-        base_v=sol.v[part.pq],
-        base_q=np.zeros(part.n_load),
-    )
+    sens, _ = linearized(case14, np.zeros(part.n_controlled))
     lim = Limits.box(part.n_load, part.n_controlled)
     cpos = part.controlled_in_pq()
     rng = np.random.RandomState(20240819)

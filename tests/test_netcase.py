@@ -592,7 +592,7 @@ def test_scale_loads_rejects_pv_key(case14):
 def test_with_controllers(case14):
     trimmed = case14.with_controllers([4, 9, 14])
     assert [b.id for b in trimmed.buses if b.has_controller] == [4, 9, 14]
-    with pytest.raises(CaseDataError):
+    with pytest.raises(CaseDataError, match="controller at non-PQ bus 2"):
         case14.with_controllers([2])  # PV bus
     with pytest.raises(CaseDataError):
         case14.with_controllers([77])

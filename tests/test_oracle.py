@@ -19,6 +19,7 @@ from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flo
 from voltctrl.sensitivity import (
     BusPartition,
     SensitivityMatrix,
+    linearized,
     partition_buses,
     rebased,
     voltage_sensitivity,
@@ -203,18 +204,12 @@ def test_solution_respects_all_constraints():
 
 
 def reference_problem(case, scale, trip=None, box=0.2):
-    """Oracle input at the case's uncontrolled power flow, loads scaled."""
+    """Oracle input linearized where the loop starts: the uncontrolled power flow, loads scaled."""
     case = scale_loads(case, scale)
     if trip is not None:
         case = trip_branch(case, *trip)
     part = partition_buses(case)
-    sol = solve_power_flow(case, nominal_injections(case), max_iter=30)
-    assert sol.converged
-    sens = rebased(
-        voltage_sensitivity(build_admittance(case), part),
-        base_v=sol.v[part.pq],
-        base_q=np.zeros(part.n_load),
-    )
+    sens, _ = linearized(case, np.zeros(part.n_controlled))
     return case, sens, Limits.box(part.n_load, part.n_controlled, q_lo=-box, q_hi=box)
 
 
@@ -330,15 +325,9 @@ def test_loop_rates_vanish_at_the_plant_equilibrium(case14):
     lim = Limits.box(9, 9)
     qp, _ = plant_equilibrium(case, lim)
     part = partition_buses(case)
-    inj = nominal_injections(case)
-    q_full = np.zeros(part.n_load)
-    q_full[part.controlled_in_pq()] = qp.q_star
-    moved = InjectionSet(inj.p_injection, inj.q_injection + q_full)
-    sol = solve_power_flow(case, moved, tol=1e-12, max_iter=30)
-    assert sol.converged
+    sens, sol = linearized(case, qp.q_star, tol=1e-12)
     state = ControllerState(qp.q_star, qp.lam_hi, qp.lam_lo, qp.mu_hi, qp.mu_lo)
     assert np.max(qp.lam_lo) > 0
-    sens = voltage_sensitivity(build_admittance(case), part)
     assert np.max(np.abs(dynamics_rhs(state, sol.v[part.pq], sens, lim))) <= 1e-10
 
 

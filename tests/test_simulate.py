@@ -41,13 +41,12 @@ from voltctrl.netcase import (
     BusKind,
     Generator,
     NetworkCase,
-    build_admittance,
     scale_loads,
     trip_branch,
 )
 from voltctrl.oracle import solve_centralized
 from voltctrl.powerflow import nominal_injections, solve_power_flow
-from voltctrl.sensitivity import partition_buses, rebased, voltage_sensitivity
+from voltctrl.sensitivity import linearized, partition_buses
 from voltctrl.simulate import (
     PlantMode,
     Trajectory,
@@ -67,15 +66,9 @@ TOY_LIMITS_KW = dict(q_lo=-0.5, q_hi=0.5)
 
 
 def _oracle_for(case):
-    """Centralized solution at the uncontrolled operating point."""
-    sol = solve_power_flow(case, nominal_injections(case), max_iter=30)
-    assert sol.converged
+    """Centralized solution at the uncontrolled operating point, as the loop linearizes it."""
     part = partition_buses(case)
-    sens = rebased(
-        voltage_sensitivity(build_admittance(case), part),
-        base_v=sol.v[part.pq],
-        base_q=np.zeros(part.n_load),
-    )
+    sens, sol = linearized(case, np.zeros(part.n_controlled))
     lim = Limits.box(part.n_load, part.n_controlled)
     return solve_centralized(sens, lim), sens, lim, sol
 
@@ -158,13 +151,7 @@ def test_toy_nonlinear_drives_true_voltage_to_floor(toy_nl):
 
 
 def test_toy_residual_decays_monotonically_after_transient(toy2, toy_limits, toy_lin):
-    sol = solve_power_flow(toy2, nominal_injections(toy2))
-    part = partition_buses(toy2)
-    sens = rebased(
-        voltage_sensitivity(build_admittance(toy2), part),
-        base_v=sol.v[part.pq],
-        base_q=np.zeros(1),
-    )
+    sens, _ = linearized(toy2, np.zeros(1))
     resid = np.array(
         [
             np.max(np.abs(dynamics_rhs(s, v, sens, toy_limits)))
@@ -1796,13 +1783,10 @@ def test_linear_runs_on_random_networks_meet_the_oracle(network):
     case, q_max = network
     part = partition_buses(case)
     lim = Limits.box(part.n_load, part.n_controlled, q_lo=-q_max, q_hi=q_max)
-    sol = solve_power_flow(case, nominal_injections(case))
-    assume(sol.converged)
-    sens = rebased(
-        voltage_sensitivity(build_admittance(case), part),
-        base_v=sol.v[part.pq],
-        base_q=np.zeros(part.n_load),
-    )
+    try:
+        sens, _ = linearized(case, np.zeros(part.n_controlled))
+    except PlantDivergenceError:
+        assume(False)
     try:
         qp = solve_centralized(sens, lim)
     except InfeasibleProblemError:
