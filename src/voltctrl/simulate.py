@@ -725,7 +725,9 @@ def run_daily(
     Each hour scales the original case, re-solves the uncontrolled plant for
     comparison, relinearizes at the carried-over output, and integrates
     until equilibrium or the hour window ends. ``reset_multipliers`` zeroes
-    the dual state at each hour boundary instead of carrying it.
+    the dual state at each hour boundary instead of carrying it. A profile
+    that is not 24 nonnegative finite factors, or ``hour_seconds`` that is not
+    positive and finite, raises :class:`ConfigError` before any power flow.
     """
     if profile is None:
         profile = default_daily_profile()
@@ -734,6 +736,8 @@ def run_daily(
         raise ConfigError("daily profile needs exactly 24 load factors")
     if not np.all((profile >= 0) & (profile < np.inf)):
         raise ConfigError("load factors must be nonnegative and finite")
+    if not 0 < hour_seconds < np.inf:
+        raise ConfigError(f"hour_seconds must be positive and finite, got {hour_seconds}")
     state = None
     windows: list[tuple[float, SimulationResult]] = []
     bare_v = []

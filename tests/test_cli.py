@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from voltctrl import cli, load_case, simulate
@@ -579,7 +579,9 @@ _FUZZ_LINE = st.sampled_from(sorted(_FUZZ_POOL)).flatmap(
 )
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+# pinned to the seed derandomize drew from this test's source, so edits keep the search
+@seed(28423422612864172547531963415808578612691762664739298711628142767708570055189659266298705870590485395410720306412047)
+@settings(max_examples=100, deadline=None, database=None)
 @given(lines=st.lists(_FUZZ_LINE, min_size=1, max_size=4))
 def test_fuzzed_configs_end_in_an_exit_code_and_one_line_on_failure(lines):
     # a run on bundled case14 with one to four fuzzed keys ends in one of

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_max_ulp
 
@@ -243,7 +243,9 @@ _CORRUPT_TOKENS = (
 )
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+# pinned to the seed derandomize drew from this test's source, so edits keep the search
+@seed(17023859983378690862165851259007744193008837527806501659723342229335531431210933038770701103062117047388260228400452)
+@settings(max_examples=150, deadline=None, database=None)
 @given(data=st.data())
 def test_fuzzed_case_text_raises_only_typed_errors(data):
     # the bundled case14 text with tokens deleted, duplicated or corrupted
@@ -342,7 +344,9 @@ def _per_unit(case):
     return np.array(rows).ravel(), np.array([g.p_gen for g in case.generators])
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+# pinned to the seed derandomize drew from this test's source, so edits keep the search
+@seed(31973240029450330520305076295413486332289440496664636425231291825444432876806909823798214661287891732971435301249033)
+@settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())
 def test_round_trip_keeps_edits(case14, case30, data):
     case = data.draw(st.sampled_from([case14, case30]), label="case")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import os
 import signal
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 import scipy.interpolate
 import scipy.linalg
 import scipy.optimize
-from hypothesis import assume, example, given, settings, target
+from hypothesis import assume, example, given, seed, settings, target
 from hypothesis import strategies as st
 
 from _reference import vectorized_first_root, written_out_jacobian, written_out_rates
@@ -63,6 +65,33 @@ from voltctrl.simulate import (
 )
 
 TOY_LIMITS_KW = dict(q_lo=-0.5, q_hi=0.5)
+
+
+def _watch(mp, owner, name, before=None, after=None):
+    """Patch ``owner.name`` through ``mp`` so that each call hands its arguments, by name, to hooks.
+
+    The arguments are bound to the original's own signature, defaults
+    applied and ``self`` (or ``cls``) included, into one dict: ``before(args)``
+    runs ahead of the call and ``after(args, out)`` behind it, unless the
+    call raises. A value other than None that ``after`` returns replaces the
+    result. The watcher carries the original's signature, so watchers stack.
+    """
+    original = inspect.getattr_static(owner, name)
+    is_classmethod = isinstance(original, classmethod)
+    function = original.__func__ if is_classmethod else original
+    signature = inspect.signature(function)
+
+    @functools.wraps(function)
+    def watched(*pos, **kw):
+        args = signature.bind(*pos, **kw)
+        args.apply_defaults()
+        if before is not None:
+            before(args.arguments)
+        out = function(*pos, **kw)
+        replaced = None if after is None else after(args.arguments, out)
+        return out if replaced is None else replaced
+
+    mp.setattr(owner, name, classmethod(watched) if is_classmethod else watched)
 
 
 def _oracle_for(case):
@@ -264,12 +293,7 @@ def test_fault_costs_are_the_objective_of_each_final_q(monkeypatch, heavy14):
     # final q, and no cost array is built; they are the last pre-trip
     # sample's and the last sample's costs bit for bit
     calls = []
-
-    def counting_objective(q):
-        calls.append(q)
-        return objective(q)
-
-    monkeypatch.setattr(simulate, "objective", counting_objective)
+    _watch(monkeypatch, simulate, "objective", before=calls.append)
     res = run_fault(heavy14, t_trip=50.0, plant_mode=PlantMode.LINEAR)
     assert len(calls) == 2
     assert res.pre_cost == objective(res.pre_q) and res.post_cost == objective(res.final_q)
@@ -310,13 +334,7 @@ def test_chained_windows_view_one_start_state_each(monkeypatch, heavy14, case14)
     # row, not from a view of every row: one view per window start, none
     # for a first window that starts from zeros
     rows = []
-    view = ControllerState.view.__func__
-
-    def counted(cls, row, n_load, n_controlled):
-        rows.append(row)
-        return view(cls, row, n_load, n_controlled)
-
-    monkeypatch.setattr(ControllerState, "view", classmethod(counted))
+    _watch(monkeypatch, ControllerState, "view", before=lambda args: rows.append(args["row"]))
     fault = run_fault(heavy14, plant_mode=PlantMode.LINEAR)
     assert len(rows) == 1 and np.array_equal(rows[0][: len(fault.pre_q)], fault.pre_q)
     rows.clear()
@@ -453,65 +471,49 @@ def test_no_state_is_evaluated_twice_in_a_row(request, monkeypatch, toy_limits, 
     # a new output: a step whose end has its stage's q reuses the stage's
     # voltage, and the state a step accepts keeps the voltage it ended on
     seen = []
-    measure = _ClosedLoop.voltage
-
-    def recording(self, q):
-        seen.append(q.tobytes())
-        return measure(self, q)
-
-    monkeypatch.setattr(_ClosedLoop, "voltage", recording)
+    _watch(
+        monkeypatch, _ClosedLoop, "voltage", before=lambda args: seen.append(args["q"].tobytes())
+    )
     limits = toy_limits if case_name == "toy2" else None
     res = run_static(request.getfixturevalue(case_name), limits=limits, plant_mode=mode)
     assert res.converged and len(seen) >= len(res.trajectory) - 1 > 1
     assert sum(a == b for a, b in zip(seen, seen[1:])) == 0
 
 
-def _count_per_attempt(monkeypatch):
+def _count_per_attempt(mp):
     # per attempt: [plant calls, phi-products, power-flow iteration counts,
     # whether it is the retry right after a landing]; the phi-products that
-    # land an event between two attempts are counted apart, in landing[0]
-    per_attempt = [[0, 0, [], False]]
-    landing = [0]
-    landed = [False]
-    attempt, measure, phi = _ClosedLoop.attempt, _ClosedLoop.voltage, PackedFlow.phi
-    land = _ClosedLoop.land
-    power_flow = simulate.solve_power_flow
+    # land an event between two attempts are counted apart, in landing[0]:
+    # a landing counts into a row of its own, which it adds there on return
+    per_attempt, landing, landed = [[0, 0, [], False]], [0], [False]
 
-    def counting_attempt(self, *args):
+    def start_attempt(args):
         per_attempt.append([0, 0, [], landed[0]])
         landed[0] = False
-        return attempt(self, *args)
 
-    def counting_land(self, *args):
-        # the attempt's phi-products stay its own; the landing's go apart
-        own = per_attempt[-1][1]
-        try:
-            return land(self, *args)
-        finally:
-            landing[0] += per_attempt[-1][1] - own
-            per_attempt[-1][1] = own
-            landed[0] = True
+    def start_landing(args):
+        per_attempt.append([0, 0, [], False])
 
-    def counting_voltage(self, q):
+    def end_landing(args, x):
+        landing[0] += per_attempt.pop()[1]
+        landed[0] = True
+
+    def count_plant_call(args):
         per_attempt[-1][0] += 1
-        return measure(self, q)
 
-    def counting_phi(self, *args):
+    def count_phi(args):
         per_attempt[-1][1] += 1
-        return phi(self, *args)
 
-    def recording_power_flow(*args, **kwargs):
-        sol = power_flow(*args, **kwargs)
+    def record_power_flow(args, sol):
         per_attempt[-1][2].append(sol.iterations)
-        return sol
 
-    monkeypatch.setattr(_ClosedLoop, "attempt", counting_attempt)
-    monkeypatch.setattr(_ClosedLoop, "land", counting_land)
-    monkeypatch.setattr(_ClosedLoop, "voltage", counting_voltage)
-    monkeypatch.setattr(PackedFlow, "phi", counting_phi)
+    _watch(mp, _ClosedLoop, "attempt", before=start_attempt)
+    _watch(mp, _ClosedLoop, "land", before=start_landing, after=end_landing)
+    _watch(mp, _ClosedLoop, "voltage", before=count_plant_call)
+    _watch(mp, PackedFlow, "phi", before=count_phi)
     # the window's start solves through sensitivity.linearized, every later solve in the loop
-    monkeypatch.setattr(sensitivity, "solve_power_flow", recording_power_flow)
-    monkeypatch.setattr(simulate, "solve_power_flow", recording_power_flow)
+    for module in (sensitivity, simulate):
+        _watch(mp, module, "solve_power_flow", after=record_power_flow)
     return per_attempt, landing
 
 
@@ -606,30 +608,15 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
     # flow is affine, so q is off q* by at most ||A^-1|| times the final
     # residual (1.5e-8 against 1.8e-8 on light30, 5.3e-12 against 6.4e-12
     # on heavy14). At tol=1e-10 the run settles on q* (5.3e-12 and 2.1e-16)
-    steps, accepted = [], []
-    attempt, refresh = _ClosedLoop.attempt, _ClosedLoop.refresh_inverse
-
-    def recording_attempt(self, y0, f0, on0, h):
-        out = attempt(self, y0, f0, on0, h)
-        steps.append((self, y0.copy(), on0.copy(), h, out[0].copy()))
-        return out
-
-    def recording_refresh(self):
-        if steps:
-            accepted.append(steps[-1])
-        refresh(self)
-
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
-    monkeypatch.setattr(_ClosedLoop, "refresh_inverse", recording_refresh)
+    accepted = _recording_accepted_ends(monkeypatch)
     case = request.getfixturevalue(name)
     for tol in (1e-6, 1e-10):
-        steps.clear()
         accepted.clear()
         res = run_static(case, plant_mode=PlantMode.LINEAR, tol=tol)
         assert res.converged and len(accepted) == len(res.trajectory) - 1
-        pieces = {on0.tobytes() for _, _, on0, _, _ in accepted}
+        pieces = {on0.tobytes() for _, _, on0, _, _, _ in accepted}
         assert len(pieces) >= LINEAR_PIECES[name]
-        for loop, y0, on0, h, y1 in accepted:
+        for loop, y0, on0, h, y1, _ in accepted:
             c = loop.c
             xc = loop.sens.x[:, loop.cpos]
             v0 = loop.sens.base_v + xc @ (y0[:c] - loop.sens.base_q[loop.cpos])
@@ -686,29 +673,21 @@ def test_linear_runs_land_events_in_few_attempts(request, name, bound):
         assert getattr(stats, reason) > 0, reason
 
 
-def _record_landings(monkeypatch):
+def _record_landings(mp):
     # the run's attempts (size and unfloored end), its landings (the refined
     # guess and what it was refined from) and its accepted steps, in order
     log = []
-    attempt, land, refresh = _ClosedLoop.attempt, _ClosedLoop.land, _ClosedLoop.refresh_inverse
 
-    def recording_attempt(self, y0, f0, on0, h):
-        out = attempt(self, y0, f0, on0, h)
-        log.append(("attempt", h, out[0].copy()))
-        return out
+    def record_attempt(args, out):
+        log.append(("attempt", args["h"], out[0].copy()))
 
-    def recording_land(self, y0, f0, on0, h, row, g0, x):
-        x = land(self, y0, f0, on0, h, row, g0, x)
-        log.append(("land", h, x, row, self, y0.copy(), f0.copy(), on0.copy()))
-        return x
+    def record_land(args, x):
+        entry = (args["self"], args["y0"].copy(), args["f0"].copy(), args["on"].copy())
+        log.append(("land", args["h"], x, args["row"], *entry))
 
-    def recording_refresh(self):
-        log.append(("accept",))
-        refresh(self)
-
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
-    monkeypatch.setattr(_ClosedLoop, "land", recording_land)
-    monkeypatch.setattr(_ClosedLoop, "refresh_inverse", recording_refresh)
+    _watch(mp, _ClosedLoop, "attempt", after=record_attempt)
+    _watch(mp, _ClosedLoop, "land", after=record_land)
+    _watch(mp, _ClosedLoop, "refresh_inverse", before=lambda args: log.append(("accept",)))
     return log
 
 
@@ -782,52 +761,48 @@ def test_a_landing_hands_its_last_stage_to_the_retry(request, monkeypatch, name,
     # stage is the end, and the event lies in the band where a landing
     # stops, [-1e-12, 1e-9], on the piece and off it. A stage of another
     # size is not taken
-    attempt, land, phi = _ClosedLoop.attempt, _ClosedLoop.land, PackedFlow.phi
-    landed, handed, products, retry = [], [], [0], []
+    attempt, phi = _ClosedLoop.attempt, PackedFlow.phi
+    landed, handed, products, retry, start = [], [], [], [], []
 
-    def recording_land(self, y0, f0, on0, h, row, g0, x):
-        x = land(self, y0, f0, on0, h, row, g0, x)
-        landed.append((self.stage[1], row))
-        return x
-
-    def recording_attempt(self, y0, f0, on0, h):
-        before, stage = products[0], self.stage
-        out = attempt(self, y0, f0, on0, h)
-        assert self.stage is None
-        two_stage = self.mode is PlantMode.NONLINEAR and self.flow.reads_voltage(on0)
+    def check_retry(args, out):
+        loop, y0, f0, on0, h = args["self"], args["y0"], args["f0"], args["on"], args["h"]
+        before, stage = start
+        assert loop.stage is None
+        two_stage = loop.mode is PlantMode.NONLINEAR and loop.flow.reads_voltage(on0)
         if stage is None:
-            assert products[0] == before + 1 + two_stage
-            return out
+            assert len(products) == before + 1 + two_stage
+            return
         dy, row = landed[-1]
-        assert stage[0] == h and stage[1] is dy and products[0] == before + two_stage
-        assert np.array_equal(dy, h * phi(self.flow, 1, h, on0, f0))
-        event = self.flow.rates(out[0], out[2], on0)[2][row]
+        assert stage[0] == h and stage[1] is dy and len(products) == before + two_stage
+        assert np.array_equal(dy, h * phi(loop.flow, 1, h, on0, f0))
+        event = loop.flow.rates(out[0], out[2], on0)[2][row]
         assert -1e-12 <= event and (two_stage or event <= 1e-9)
         handed.append(dy)
-        retry[:] = [self, y0.copy(), f0.copy(), on0.copy(), 0.5 * h, two_stage]
-        return out
+        retry[:] = [loop, y0.copy(), f0.copy(), on0.copy(), 0.5 * h, two_stage]
 
-    def counting_phi(self, *args):
-        products[0] += 1
-        return phi(self, *args)
+    def note_start(args):
+        start[:] = [len(products), args["self"].stage]
 
-    monkeypatch.setattr(_ClosedLoop, "land", recording_land)
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
-    monkeypatch.setattr(PackedFlow, "phi", counting_phi)
+    def note_stage(args, x):
+        landed.append((args["self"].stage[1], args["row"]))
+
+    _watch(monkeypatch, _ClosedLoop, "land", after=note_stage)
+    _watch(monkeypatch, _ClosedLoop, "attempt", before=note_start, after=check_retry)
+    _watch(monkeypatch, PackedFlow, "phi", before=products.append)
     res = run_static(request.getfixturevalue(name), plant_mode=mode)
     assert res.converged
     assert len(handed) == len(landed) == res.stats.crossing + res.stats.entering > 0
     assert all(a is b for a, b in zip(handed, (dy for dy, _ in landed)))
-    assert res.stats.phi_products == products[0]
+    assert res.stats.phi_products == len(products)
     loop, y0, f0, on0, h, two_stage = retry
     assert two_stage is (mode is PlantMode.NONLINEAR)
-    before, last = products[0], loop.last
+    before, last = len(products), loop.last
     assert loop.stage is None
     own = attempt(loop, y0, f0, on0, h)[0]
     # the same warm start, so the nonlinear plant's solves repeat bit for bit
     loop.last, loop.stage = last, (2.0 * h, handed[-1])
     assert np.array_equal(attempt(loop, y0, f0, on0, h)[0], own)
-    assert loop.stage is None and products[0] == before + 2 * (1 + two_stage)
+    assert loop.stage is None and len(products) == before + 2 * (1 + two_stage)
 
 
 def test_steps_resume_the_size_an_event_cut_back(monkeypatch, light30, heavy14):
@@ -905,32 +880,27 @@ def test_each_loop_state_is_evaluated_once(request, monkeypatch, name, mode):
     # row whose event on the natural piece lies within 1e-9 of zero is
     # falling, switches and the piece is settled again. No other call forms
     # them; an event near zero that is not falling takes none
-    rates, attempt, evaluate = PackedFlow.rates, _ClosedLoop.attempt, _ClosedLoop.eval
-    made, near, expected = [0], [0], {"ends": 0, "stages": 0, "evals": 0, "switches": 0}
+    rates = PackedFlow.rates
+    made, near, expected = [], [0], {"ends": 0, "stages": 0, "evals": 0, "switches": 0}
 
-    def counting_rates(self, y, v, on=None):
-        made[0] += 1
-        return rates(self, y, v, on)
-
-    def counting_attempt(self, y0, f0, on0, h):
-        two_stage = self.mode is PlantMode.NONLINEAR and self.flow.reads_voltage(on0)
-        out = attempt(self, y0, f0, on0, h)
+    def count_attempt(args, out):
+        loop = args["self"]
+        two_stage = loop.mode is PlantMode.NONLINEAR and loop.flow.reads_voltage(args["on"])
         expected["ends"] += 1
         expected["stages"] += two_stage
-        return out
 
-    def counting_eval(self, y, v):
-        floored = np.concatenate((y[: self.c], np.maximum(y[self.c :], 0.0)))
-        f, on, g = rates(self.flow, floored, v)
-        turn = (g <= 1e-9) & (self.flow.event_rates(f, on) < 0)
+    def count_eval(args):
+        loop, y = args["self"], args["y"]
+        floored = np.concatenate((y[: loop.c], np.maximum(y[loop.c :], 0.0)))
+        f, on, g = rates(loop.flow, floored, args["v"])
+        turn = (g <= 1e-9) & (loop.flow.event_rates(f, on) < 0)
         expected["evals"] += 1
         expected["switches"] += bool(turn.any())
         near[0] += bool((g <= 1e-9).any())
-        return evaluate(self, y, v)
 
-    monkeypatch.setattr(PackedFlow, "rates", counting_rates)
-    monkeypatch.setattr(_ClosedLoop, "attempt", counting_attempt)
-    monkeypatch.setattr(_ClosedLoop, "eval", counting_eval)
+    _watch(monkeypatch, PackedFlow, "rates", before=made.append)
+    _watch(monkeypatch, _ClosedLoop, "attempt", after=count_attempt)
+    _watch(monkeypatch, _ClosedLoop, "eval", before=count_eval)
     res = run_static(request.getfixturevalue(name), plant_mode=mode)
     # neither run's plant diverges, so every attempt reaches its end
     assert res.converged and res.stats.plant_divergence == 0
@@ -939,7 +909,7 @@ def test_each_loop_state_is_evaluated_once(request, monkeypatch, name, mode):
     assert expected["switches"] > 0 and (expected["stages"] > 0) == (mode is PlantMode.NONLINEAR)
     # some evaluation on each run has an event near zero and none falling
     assert near[0] > expected["switches"]
-    assert made[0] == sum(expected.values())
+    assert len(made) == sum(expected.values())
 
 
 def _tolerance(y0, y1):
@@ -956,21 +926,15 @@ def test_the_step_controller_aims_below_the_tolerance(monkeypatch, heavy14, case
     # 1/2 in place of 1/3 reads 0.71 and 7.9%, safety factor 0.99 in place of
     # 0.9 reads 0.82 and 12%
     log = []
-    attempt, land = _ClosedLoop.attempt, _ClosedLoop.land
 
-    def recording_attempt(self, y0, f0, on0, h):
-        out = attempt(self, y0, f0, on0, h)
+    def read_estimate(args, out):
         # an exact step returns no estimate: its reading is zero
+        y0 = args["y0"]
         est = np.zeros_like(y0) if out[1] is None else out[1]
-        log.append((h, float(np.max(np.abs(est) / _tolerance(y0, out[0])))))
-        return out
+        log.append((args["h"], float(np.max(np.abs(est) / _tolerance(y0, out[0])))))
 
-    def recording_land(self, *args):
-        log.append(None)
-        return land(self, *args)
-
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
-    monkeypatch.setattr(_ClosedLoop, "land", recording_land)
+    _watch(monkeypatch, _ClosedLoop, "attempt", after=read_estimate)
+    _watch(monkeypatch, _ClosedLoop, "land", before=lambda args: log.append(None))
     sized = []
     for run in (
         lambda: run_static(heavy14),
@@ -993,13 +957,11 @@ def test_the_error_test_reads_each_entry_against_its_larger_end(monkeypatch, hea
     # entry's magnitudes at the step's start and end passes the error test,
     # also where a landed multiplier ends at zero; measured against the
     # end's magnitude alone, the retries that land a crossing would fail it
-    attempt = _ClosedLoop.attempt
+    def estimating_attempt(args, out):
+        y1, _, v1 = out
+        return y1, 0.3 * _tolerance(args["y0"], y1), v1
 
-    def estimating_attempt(self, y0, f0, on0, h):
-        y1, _, v1 = attempt(self, y0, f0, on0, h)
-        return y1, 0.3 * _tolerance(y0, y1), v1
-
-    monkeypatch.setattr(_ClosedLoop, "attempt", estimating_attempt)
+    _watch(monkeypatch, _ClosedLoop, "attempt", after=estimating_attempt)
     res = run_static(heavy14, plant_mode=PlantMode.LINEAR)
     assert res.converged and res.stats.crossing > 0
     assert res.stats.error_test == 0
@@ -1092,20 +1054,15 @@ def test_trajectory_states_are_the_accepted_rows(monkeypatch, heavy14, mode):
     # window's start is evaluated too, before any attempt, and its sample is
     # the given start state
     pieces, accepted = [], []
-    attempt, evaluate = _ClosedLoop.attempt, _ClosedLoop.eval
 
-    def recording_attempt(self, y0, f0, on0, h):
-        pieces.append(on0.tobytes())
-        return attempt(self, y0, f0, on0, h)
-
-    def recording_eval(self, y, v):
-        out = evaluate(self, y, v)
+    def record_row(args, out):
         if pieces:
             accepted.append((pieces[-1], out[0].copy()))
-        return out
 
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
-    monkeypatch.setattr(_ClosedLoop, "eval", recording_eval)
+    _watch(
+        monkeypatch, _ClosedLoop, "attempt", before=lambda args: pieces.append(args["on"].tobytes())
+    )
+    _watch(monkeypatch, _ClosedLoop, "eval", after=record_row)
     res = run_static(heavy14, plant_mode=mode)
     assert res.converged
     # the accepted steps pass through every piece the linear run holds;
@@ -1125,18 +1082,8 @@ def test_states_are_built_only_when_read(monkeypatch, heavy14):
     # trajectory builds a ControllerState, checked or a view, until
     # ``states`` is read, and then one view per row, once
     checked, views = [], []
-    post_init, view = ControllerState.__post_init__, ControllerState.view.__func__
-
-    def counting_post_init(self):
-        checked.append(self)
-        post_init(self)
-
-    def counting_view(cls, row, n_load, n_controlled):
-        views.append(row)
-        return view(cls, row, n_load, n_controlled)
-
-    monkeypatch.setattr(ControllerState, "__post_init__", counting_post_init)
-    monkeypatch.setattr(ControllerState, "view", classmethod(counting_view))
+    _watch(monkeypatch, ControllerState, "__post_init__", before=checked.append)
+    _watch(monkeypatch, ControllerState, "view", before=views.append)
     res = run_static(heavy14, plant_mode=PlantMode.LINEAR)
     assert res.trajectory.cost[-1] > 0.0
     assert checked == [] and views == []
@@ -1167,14 +1114,12 @@ def test_exact_landings_end_on_the_event_root(monkeypatch, heavy14, case14, scen
     # entering row of the timed fault and 1.6e-10 on a crossing row of the
     # daily run
     landed = []
-    land = _ClosedLoop.land
 
-    def recording_land(self, y0, f0, on0, h, row, g0, x):
-        x = land(self, y0, f0, on0, h, row, g0, x)
-        landed.append(g0 + self.flow.event_rates(self.stage[1], on0)[row])
-        return x
+    def record_event(args, x):
+        loop = args["self"]
+        landed.append(args["g0"] + loop.flow.event_rates(loop.stage[1], args["on"])[args["row"]])
 
-    monkeypatch.setattr(_ClosedLoop, "land", recording_land)
+    _watch(monkeypatch, _ClosedLoop, "land", after=record_event)
     linear = PlantMode.LINEAR
     if scenario == "fault":
         res = run_fault(heavy14, t_trip=50.0, plant_mode=linear)
@@ -1212,42 +1157,40 @@ def test_no_accepted_step_leaves_its_piece_violated(monkeypatch, heavy14, mode, 
 
 
 def _recording_accepted_ends(mp):
-    """A list that gets each accepted step's loop, piece, unfloored end and its voltage."""
+    """A list that gets each accepted step's loop, start, piece, size, unfloored end and voltage."""
     pending, ends = [], []
-    attempt, evaluate = _ClosedLoop.attempt, _ClosedLoop.eval
 
-    def recording_attempt(self, y0, f0, on0, h):
-        out = attempt(self, y0, f0, on0, h)
-        pending[:] = [(self, on0.copy(), out[0].copy(), out[2].copy())]
-        return out
+    def hold(args, out):
+        start = (args["self"], args["y0"].copy(), args["on"].copy(), args["h"])
+        pending[:] = [(*start, out[0].copy(), out[2].copy())]
 
-    def recording_eval(self, y, v):
+    def accept(args):
         ends.extend(pending)
         pending.clear()
-        return evaluate(self, y, v)
 
-    mp.setattr(_ClosedLoop, "attempt", recording_attempt)
-    mp.setattr(_ClosedLoop, "eval", recording_eval)
+    _watch(mp, _ClosedLoop, "attempt", after=hold)
+    _watch(mp, _ClosedLoop, "eval", before=accept)
     return ends
 
 
 def _worst_off_piece_violation(ends) -> float:
     """The largest violation of a row off its step's piece, from the limits, over accepted ends."""
     worst = -np.inf
-    for loop, on0, y1, v1 in ends:
+    for loop, _, on0, _, y1, v1 in ends:
         lim, q = loop.lim, y1[: loop.c]
         violation = np.concatenate((v1 - lim.v_hi, lim.v_lo - v1, q - lim.q_hi, lim.q_lo - q))
         worst = max(worst, float(np.max(violation[~on0], initial=-np.inf)))
     return worst
 
 
-def _whole_vector_land(loop, y0, f0, on, h, row, g0, x):
-    """``land``'s Halley iterates from whole-vector products: J dy, J f and every row's events."""
-    flow = loop.flow
+def _whole_vector_land(args):
+    """``land``'s Halley iterates at its arguments from whole-vector products: J dy, J f, events."""
+    flow, f0, on, h = args["self"].flow, args["f0"], args["on"], args["h"]
+    row, x = args["row"], args["x"]
     for n in range(6):
         dy = x * h * flow.phi(1, x * h, on, f0)
         f = f0 + flow.jacobian_product(on, dy)
-        g = g0 + flow.event_rates(dy, on)[row]
+        g = args["g0"] + flow.event_rates(dy, on)[row]
         jf = flow.jacobian_product(on, f)
         slope, bend = (flow.event_rates(r, on)[row] for r in (f, jf))
         guess = x - 2.0 * g * slope / (h * (2.0 * slope * slope - g * bend))
@@ -1262,16 +1205,14 @@ def _checking_landings(mp):
 
     Each landing's x and stage must be ``_whole_vector_land``'s bit for bit.
     """
-    land, on_piece = _ClosedLoop.land, []
+    on_piece = []
 
-    def checking_land(self, y0, f0, on0, h, row, g0, x):
-        expected = _whole_vector_land(self, y0, f0, on0, h, row, g0, x)
-        x = land(self, y0, f0, on0, h, row, g0, x)
-        assert x == expected[0] and self.stage[1].tobytes() == expected[1].tobytes()
-        on_piece.append(bool(on0[row]))
-        return x
+    def check(args, x):
+        expected = _whole_vector_land(args)
+        assert x == expected[0] and args["self"].stage[1].tobytes() == expected[1].tobytes()
+        on_piece.append(bool(args["on"][args["row"]]))
 
-    mp.setattr(_ClosedLoop, "land", checking_land)
+    _watch(mp, _ClosedLoop, "land", after=check)
     return on_piece
 
 
@@ -1299,21 +1240,14 @@ def test_an_on_piece_multiplier_leaving_zero_is_landed(monkeypatch, heavy14):
     # window's first attempt took row 12 from 0 to -1.0e-5 and only the
     # error test rejected it; one that passed it would have been floored
     log = []
-    attempt, land = _ClosedLoop.attempt, _ClosedLoop.land
 
-    def recording_attempt(self, y0, f0, on0, h):
-        out = attempt(self, y0, f0, on0, h)
-        c = self.c
-        leaving = on0 & (y0[c:] == 0.0) & (out[0][c:] < -1e-12)
+    def record_leaving(args, out):
+        c = args["self"].c
+        leaving = args["on"] & (args["y0"][c:] == 0.0) & (out[0][c:] < -1e-12)
         log.append(("attempt", np.flatnonzero(leaving).tolist()))
-        return out
 
-    def recording_land(self, y0, f0, on0, h, row, g0, x):
-        log.append(("land", row))
-        return land(self, y0, f0, on0, h, row, g0, x)
-
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
-    monkeypatch.setattr(_ClosedLoop, "land", recording_land)
+    _watch(monkeypatch, _ClosedLoop, "attempt", after=record_leaving)
+    _watch(monkeypatch, _ClosedLoop, "land", before=lambda args: log.append(("land", args["row"])))
     res = run_fault(heavy14, trip=(4, 5), plant_mode=PlantMode.NONLINEAR)
     assert res.converged
     # the run's last attempt is accepted, so none that leaves zero can be
@@ -1328,13 +1262,7 @@ def test_a_bad_trip_fails_before_any_integration(monkeypatch, heavy14, trip, err
     # the branch is tripped before the intact window runs, so a trip that
     # names no in-service branch or islands a bus costs no integration
     windows = []
-    engine = simulate.integrate
-
-    def counting_integrate(*args, **kwargs):
-        windows.append(args)
-        return engine(*args, **kwargs)
-
-    monkeypatch.setattr(simulate, "integrate", counting_integrate)
+    _watch(monkeypatch, simulate, "integrate", before=windows.append)
     with pytest.raises(error):
         run_fault(heavy14, trip=trip)
     assert windows == []
@@ -1346,13 +1274,7 @@ def test_flow_is_compiled_once_per_window(monkeypatch, toy2, toy_limits, case14)
     # the controller's flow, with its rate map and Jacobian blocks, is built
     # when a window starts, never per step or per evaluation
     built = []
-    init = PackedFlow.__init__
-
-    def counting(self, *args):
-        built.append(1)
-        init(self, *args)
-
-    monkeypatch.setattr(PackedFlow, "__init__", counting)
+    _watch(monkeypatch, PackedFlow, "__init__", before=built.append)
     linear = PlantMode.LINEAR
     runs = (
         (lambda: run_static(toy2, limits=toy_limits), 1),
@@ -1382,14 +1304,12 @@ def test_window_start_reuses_the_rebase_solve(monkeypatch, heavy14):
     # sensitivity.linearized); the start state's rates read that solve's
     # voltage instead of solving it again
     seen = []
-    solve = simulate.solve_power_flow
 
-    def recording(case, inj, *args, **kwargs):
-        seen.append((case, inj.q_injection.tobytes()))
-        return solve(case, inj, *args, **kwargs)
+    def record(args):
+        seen.append((args["case"], args["inj"].q_injection.tobytes()))
 
-    monkeypatch.setattr(sensitivity, "solve_power_flow", recording)
-    monkeypatch.setattr(simulate, "solve_power_flow", recording)
+    for module in (sensitivity, simulate):
+        _watch(monkeypatch, module, "solve_power_flow", before=record)
     res = run_fault(heavy14, trip=(4, 5), t_trip=20.0, plant_mode=PlantMode.NONLINEAR)
     assert res.converged
     windows = {}
@@ -1400,7 +1320,7 @@ def test_window_start_reuses_the_rebase_solve(monkeypatch, heavy14):
         assert solved.count(solved[0]) == 1
 
 
-def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
+def test_step_onto_a_multiplier_zero_converges(monkeypatch, toy2, toy_limits):
     # lam_lo = 1e-3 decays at 0.05 /s while its constraint is slack (v = 1),
     # and h = 0.02 is the step that lands it on zero. Projected afresh at each
     # point this step has no consistent piece: the active row ends just below
@@ -1419,8 +1339,7 @@ def test_step_onto_a_multiplier_zero_converges(toy2, toy_limits):
     y0, f0, on0, _ = loop.eval(start.packed(), loop.rebase(start.q))
     assert f0[2] == pytest.approx(-0.05)
     calls = []
-    measure = loop.voltage
-    loop.voltage = lambda q: calls.append(q) or measure(q)
+    _watch(monkeypatch, _ClosedLoop, "voltage", before=calls.append)
     z, _, v1 = loop.attempt(y0, f0, on0, 1e-3 / 0.05)
     assert len(calls) == 1
     # the row ends a hair past zero, a crossing for integrate to land on;
@@ -1434,22 +1353,16 @@ def _toy_state(q=0.0, lam_hi=0.0, lam_lo=0.0, mu_hi=0.0, mu_lo=0.0) -> Controlle
     return ControllerState(*(np.array([x]) for x in (q, lam_hi, lam_lo, mu_hi, mu_lo)))
 
 
-def _record_first_step(monkeypatch):
-    # the run's attempts (start, piece and size) and, at each refresh, how
-    # many attempts came before it
+def _record_attempts(mp):
+    # the run's attempts (start, piece and size), each recorded as it
+    # starts, and at each refresh how many attempts came before it
     attempts, accepted = [], []
-    attempt, refresh = _ClosedLoop.attempt, _ClosedLoop.refresh_inverse
 
-    def recording_attempt(self, y0, f0, on0, h):
-        attempts.append((y0.copy(), on0.copy(), h))
-        return attempt(self, y0, f0, on0, h)
+    def record(args):
+        attempts.append((args["y0"].copy(), args["on"].copy(), args["h"]))
 
-    def recording_refresh(self):
-        accepted.append(len(attempts))
-        refresh(self)
-
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording_attempt)
-    monkeypatch.setattr(_ClosedLoop, "refresh_inverse", recording_refresh)
+    _watch(mp, _ClosedLoop, "attempt", before=record)
+    _watch(mp, _ClosedLoop, "refresh_inverse", before=lambda args: accepted.append(len(attempts)))
     return attempts, accepted
 
 
@@ -1474,7 +1387,7 @@ def test_near_zero_falling_events_switch_before_the_first_attempt(
     # clamped to zero, mu_hi joins it held on at zero. The first attempt
     # already holds the switched piece at the first step size, and the
     # first step takes that one attempt. The first sample is the given state
-    attempts, accepted = _record_first_step(monkeypatch)
+    attempts, accepted = _record_attempts(monkeypatch)
     state = _toy_state(**start)
     res = run_static(toy2, toy_limits, plant_mode=mode, initial_state=state)
     assert res.converged
@@ -1509,7 +1422,7 @@ def test_near_zero_rising_events_keep_their_place(
     # off it is q_hi - q: each is within 1e-9 of zero at the start but
     # rising or level, not falling, so it keeps its place on the piece and
     # its value, and the first step takes one attempt unless it lands an event
-    attempts_made, accepted = _record_first_step(monkeypatch)
+    attempts_made, accepted = _record_attempts(monkeypatch)
     state = _toy_state(**start)
     res = run_static(toy2, toy_limits, plant_mode=mode, initial_state=state)
     assert res.converged
@@ -1527,16 +1440,15 @@ def test_eval_switches_only_rows_whose_event_is_within_1e_9(monkeypatch, heavy14
     # light30's static and case14's x2.5 daily runs, on both plants, 27 rows
     # switch, the largest event at 2.6e-10; a band of 1e-7 switches 33, 10
     # of them between 1e-9 and 7.3e-9
-    evaluate, events = _ClosedLoop.eval, []
+    events = []
 
-    def recording_eval(self, y, v):
-        out = evaluate(self, y, v)
-        floored = np.concatenate((y[: self.c], np.maximum(y[self.c :], 0.0)))
-        _, natural, g = self.flow.rates(floored, v)
+    def record_switches(args, out):
+        loop, y = args["self"], args["y"]
+        floored = np.concatenate((y[: loop.c], np.maximum(y[loop.c :], 0.0)))
+        _, natural, g = loop.flow.rates(floored, args["v"])
         events.extend(g[natural != out[2]])
-        return out
 
-    monkeypatch.setattr(_ClosedLoop, "eval", recording_eval)
+    _watch(monkeypatch, _ClosedLoop, "eval", after=record_switches)
     for mode in (PlantMode.LINEAR, PlantMode.NONLINEAR):
         for run in (
             lambda: run_static(heavy14, plant_mode=mode),
@@ -1550,7 +1462,7 @@ def test_eval_switches_only_rows_whose_event_is_within_1e_9(monkeypatch, heavy14
     assert 0.0 <= min(events) and max(events) <= 1e-9
 
 
-def _check_every_attempt_start(monkeypatch):
+def _check_every_attempt_start(mp):
     # each attempt starts at the state ``eval`` made, and there no row has
     # an event in the band [0, 1e-9] that is falling, so no event can fire
     # at a step's start. A row held on at a zero multiplier is one the switch
@@ -1560,25 +1472,22 @@ def _check_every_attempt_start(monkeypatch):
     # Returns the (loop, eval input, its voltage, eval output) of each
     # evaluation and the loop, start and piece of each attempt
     evals, attempts = [], []
-    evaluate, attempt = _ClosedLoop.eval, _ClosedLoop.attempt
 
-    def recording_eval(self, y, v):
-        out = evaluate(self, y, v)
-        evals.append((self, y.copy(), v, out))
-        return out
+    def record_eval(args, out):
+        evals.append((args["self"], args["y"].copy(), args["v"], out))
 
-    def checking_attempt(self, y0, f0, on0, h):
-        loop, _, v, (y, f, on, g_eval) = evals[-1]
-        assert loop is self and y0 is y and f0 is f and on0 is on
-        g = self.flow.rates(y0, v, on)[2]
+    def check_start(args):
+        loop, y0, f0, on0 = args["self"], args["y0"], args["f0"], args["on"]
+        evaluated, _, v, (y, f, on, g_eval) = evals[-1]
+        assert evaluated is loop and y0 is y and f0 is f and on0 is on
+        g = loop.flow.rates(y0, v, on)[2]
         assert np.array_equal(g, g_eval)
         band = np.where(on, g > 0.0, g >= 0.0) & (g <= 1e-9)
-        assert not np.any(band & (self.flow.event_rates(f0, on) < 0.0))
-        attempts.append((self, y0, on0))
-        return attempt(self, y0, f0, on0, h)
+        assert not np.any(band & (loop.flow.event_rates(f0, on) < 0.0))
+        attempts.append((loop, y0, on0))
 
-    monkeypatch.setattr(_ClosedLoop, "eval", recording_eval)
-    monkeypatch.setattr(_ClosedLoop, "attempt", checking_attempt)
+    _watch(mp, _ClosedLoop, "eval", after=record_eval)
+    _watch(mp, _ClosedLoop, "attempt", before=check_start)
     return evals, attempts
 
 
@@ -1765,7 +1674,9 @@ def _slow_feeder(slack_v, load_4, x_23, x_25):
     return _network(slack_v, None, loads, lines, [7, 8]), 1.0
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+# pinned to the seed derandomize drew from this test's source, so edits keep the search
+@seed(22229593408639457720840162134762411345335459487660425320101057761752106745217020006037919385764757177036662446286286)
+@settings(max_examples=150, deadline=None, database=None)
 @given(network=_small_networks())
 @example(network=_slow_feeder(1.0705738048269176, 0.5, 0.03125, 0.03125)).xfail(
     raises=AssertionError, reason="settles past the default horizon"
@@ -1809,7 +1720,9 @@ def test_linear_runs_on_random_networks_meet_the_oracle(network):
     assert stats.phi_products == stats.attempts - retries + stats.landing_products
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+# pinned to the seed derandomize drew from this test's source, so edits keep the search
+@seed(22420280080807778991865908546680684459913087851266806674013598711667068554008458296297016486474478434453343495882930)
+@settings(max_examples=100, deadline=None, database=None)
 @given(network=_small_networks())
 def test_landings_on_random_networks_are_exact(network):
     # the search is steered toward runs that land entering events, which
@@ -1865,9 +1778,16 @@ def test_non_finite_trip_time_is_rejected(heavy14, t_trip):
         run_fault(heavy14, t_trip=t_trip, plant_mode=PlantMode.LINEAR)
 
 
-def test_non_finite_hour_is_rejected(heavy14):
-    with pytest.raises(ConfigError, match="horizon must be positive and finite, got inf"):
-        run_daily(heavy14, hour_seconds=np.inf, plant_mode=PlantMode.LINEAR)
+def test_non_finite_hour_is_rejected(monkeypatch, heavy14):
+    # each used to solve hour 0's uncontrolled flow first, then fail naming
+    # the horizon, which run_daily does not take
+    flows = []
+    _watch(monkeypatch, simulate, "solve_power_flow", before=flows.append)
+    for hour_seconds in (np.inf, np.nan, 0.0):
+        match = f"hour_seconds must be positive and finite, got {hour_seconds}"
+        with pytest.raises(ConfigError, match=match):
+            run_daily(heavy14, hour_seconds=hour_seconds, plant_mode=PlantMode.LINEAR)
+    assert flows == []
 
 
 @pytest.mark.parametrize(
@@ -1922,33 +1842,23 @@ def test_failed_plant_solve_retries_the_step_at_half_size(monkeypatch, heavy14):
     # one chord plant solve inside a step reports converged=False: that
     # attempt fails, the loop retries the same step from the same state at
     # half the size, and the run settles
-    solve, attempt = simulate.solve_power_flow, _ClosedLoop.attempt
-    chord_solves, tries = [0], []
+    chord_solves, ended = [], set()
 
-    def failing_once(case, inj, **kwargs):
-        sol = solve(case, inj, **kwargs)
-        if kwargs.get("inverse") is not None:
-            chord_solves[0] += 1
-            if chord_solves[0] == 40:
+    def failing_once(args, sol):
+        if args["inverse"] is not None:
+            chord_solves.append(sol)
+            if len(chord_solves) == 40:
                 return dataclasses.replace(sol, converged=False)
-        return sol
 
-    def recording(self, y0, f0, on0, h):
-        try:
-            out = attempt(self, y0, f0, on0, h)
-        except PlantDivergenceError:
-            tries.append((y0.copy(), h, False))
-            raise
-        tries.append((y0.copy(), h, True))
-        return out
-
-    monkeypatch.setattr(simulate, "solve_power_flow", failing_once)
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording)
+    _watch(monkeypatch, simulate, "solve_power_flow", after=failing_once)
+    tries, _ = _record_attempts(monkeypatch)
+    # an attempt that raises does not end
+    _watch(monkeypatch, _ClosedLoop, "attempt", after=lambda args, out: ended.add(len(tries) - 1))
     res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
-    failed = [i for i, (_, _, ok) in enumerate(tries) if not ok]
-    assert chord_solves[0] > 40 and len(failed) == 1
-    (y_fail, h_fail, _), (y_next, h_next, ok) = tries[failed[0]], tries[failed[0] + 1]
-    assert ok and h_next == 0.5 * h_fail and np.array_equal(y_next, y_fail)
+    failed = [i for i in range(len(tries)) if i not in ended]
+    assert len(chord_solves) > 40 and len(failed) == 1
+    (y_fail, _, h_fail), (y_next, _, h_next) = tries[failed[0]], tries[failed[0] + 1]
+    assert failed[0] + 1 in ended and h_next == 0.5 * h_fail and np.array_equal(y_next, y_fail)
     assert res.converged
 
 
@@ -1958,37 +1868,27 @@ def test_overflowing_gains_end_in_step_size_underflow(monkeypatch, heavy14, mode
     # stage is non-finite: each attempt fails before its plant call and is
     # retried at half the size until the step underflows, which names that
     # cause; numpy's overflow warnings stay inside the loop, which tests them
-    attempt, tries, plant_calls = _ClosedLoop.attempt, [], [0]
-
-    def recording(self, y0, f0, on0, h):
-        tries.append(h)
-        return attempt(self, y0, f0, on0, h)
-
-    def measuring(self, q):
-        plant_calls[0] += 1
-        raise AssertionError("no plant call is made at a non-finite stage")
-
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording)
-    monkeypatch.setattr(_ClosedLoop, "voltage", measuring)
+    attempts, _ = _record_attempts(monkeypatch)
+    plant_calls = []
+    _watch(monkeypatch, _ClosedLoop, "voltage", before=plant_calls.append)
     with pytest.raises(StepSizeUnderflowError, match=r"^step size underflow at t=0: the step's "
                        r"stage is not finite$"):
         run_static(heavy14, gains=Gains(1e300, 1e300, 1e300), plant_mode=mode)
-    assert plant_calls[0] == 0
+    assert plant_calls == []
+    tries = [h for _, _, h in attempts]
     assert len(tries) > 30 and all(b == 0.5 * a for a, b in zip(tries, tries[1:]))
 
 
-def _poison_first_phi(monkeypatch, order):
+def _poison_first_phi(mp, order):
     """Make the first phi_order product of each window's flow NaN in its first entry."""
-    phi = PackedFlow.phi
 
-    def poisoned(self, k, h, on, r):
-        out = phi(self, k, h, on, r)
-        if k == order and not vars(self).get("poisoned"):
-            self.poisoned = True
+    def poison(args, out):
+        flow = args["self"]
+        if args["k"] == order and not vars(flow).get("poisoned"):
+            flow.poisoned = True
             out[0] = np.nan
-        return out
 
-    monkeypatch.setattr(PackedFlow, "phi", poisoned)
+    _watch(mp, PackedFlow, "phi", after=poison)
 
 
 def test_a_non_finite_stage_is_counted_apart_and_retried_at_half_size(monkeypatch, heavy14):
@@ -1996,16 +1896,11 @@ def test_a_non_finite_stage_is_counted_apart_and_retried_at_half_size(monkeypatc
     # any plant call, is counted as a non-finite stage, not as a plant
     # divergence, and is retried at half the size; the fault run's two
     # windows sum their counts, and every attempt is one of SolverStats'
-    attempt, tries = _ClosedLoop.attempt, []
-
-    def recording(self, y0, f0, on0, h):
-        tries.append(h)
-        return attempt(self, y0, f0, on0, h)
-
     _poison_first_phi(monkeypatch, 1)
-    monkeypatch.setattr(_ClosedLoop, "attempt", recording)
+    attempts, _ = _record_attempts(monkeypatch)
     res = run_fault(heavy14, trip=(4, 5), plant_mode=PlantMode.LINEAR)
     assert res.converged
+    tries = [h for _, _, h in attempts]
     assert res.stats.non_finite_stage == 2 and res.stats.plant_divergence == 0
     assert res.stats.attempts == len(tries)
     assert tries[:2] == [0.1, 0.05]
@@ -2016,14 +1911,13 @@ def test_a_non_finite_end_fails_its_attempt_before_its_plant_call(monkeypatch, h
     # its end y1 = U2 + est is not finite, so the attempt fails as a
     # non-finite stage with no plant call at y1, where the plant was solved
     # at NaN injections and the failure counted as its divergence before
-    calls, voltage = [], _ClosedLoop.voltage
+    calls = []
 
-    def measuring(self, q):
-        calls.append(np.isfinite(q).all())
-        return voltage(self, q)
+    def record(args):
+        calls.append(np.isfinite(args["q"]).all())
 
     _poison_first_phi(monkeypatch, 3)
-    monkeypatch.setattr(_ClosedLoop, "voltage", measuring)
+    _watch(monkeypatch, _ClosedLoop, "voltage", before=record)
     res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
     assert res.converged and all(calls)
     assert res.stats.non_finite_stage == 1 and res.stats.plant_divergence == 0
