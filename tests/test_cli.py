@@ -579,7 +579,6 @@ _FUZZ_LINE = st.sampled_from(sorted(_FUZZ_POOL)).flatmap(
 )
 
 
-# pinned to the seed derandomize drew from this test's source, so edits keep the search
 @seed(28423422612864172547531963415808578612691762664739298711628142767708570055189659266298705870590485395410720306412047)
 @settings(max_examples=100, deadline=None, database=None)
 @given(lines=st.lists(_FUZZ_LINE, min_size=1, max_size=4))

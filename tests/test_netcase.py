@@ -243,7 +243,6 @@ _CORRUPT_TOKENS = (
 )
 
 
-# pinned to the seed derandomize drew from this test's source, so edits keep the search
 @seed(17023859983378690862165851259007744193008837527806501659723342229335531431210933038770701103062117047388260228400452)
 @settings(max_examples=150, deadline=None, database=None)
 @given(data=st.data())
@@ -344,7 +343,6 @@ def _per_unit(case):
     return np.array(rows).ravel(), np.array([g.p_gen for g in case.generators])
 
 
-# pinned to the seed derandomize drew from this test's source, so edits keep the search
 @seed(31973240029450330520305076295413486332289440496664636425231291825444432876806909823798214661287891732971435301249033)
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=st.data())

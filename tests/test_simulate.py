@@ -1674,7 +1674,6 @@ def _slow_feeder(slack_v, load_4, x_23, x_25):
     return _network(slack_v, None, loads, lines, [7, 8]), 1.0
 
 
-# pinned to the seed derandomize drew from this test's source, so edits keep the search
 @seed(22229593408639457720840162134762411345335459487660425320101057761752106745217020006037919385764757177036662446286286)
 @settings(max_examples=150, deadline=None, database=None)
 @given(network=_small_networks())
@@ -1720,7 +1719,6 @@ def test_linear_runs_on_random_networks_meet_the_oracle(network):
     assert stats.phi_products == stats.attempts - retries + stats.landing_products
 
 
-# pinned to the seed derandomize drew from this test's source, so edits keep the search
 @seed(22420280080807778991865908546680684459913087851266806674013598711667068554008458296297016486474478434453343495882930)
 @settings(max_examples=100, deadline=None, database=None)
 @given(network=_small_networks())
@@ -1859,7 +1857,8 @@ def test_failed_plant_solve_retries_the_step_at_half_size(monkeypatch, heavy14):
     assert len(chord_solves) > 40 and len(failed) == 1
     (y_fail, _, h_fail), (y_next, _, h_next) = tries[failed[0]], tries[failed[0] + 1]
     assert failed[0] + 1 in ended and h_next == 0.5 * h_fail and np.array_equal(y_next, y_fail)
-    assert res.converged
+    # the attempt that did not end raised PlantDivergenceError
+    assert res.converged and res.stats.plant_divergence == 1 and res.stats.non_finite_stage == 0
 
 
 @pytest.mark.parametrize("mode", list(PlantMode), ids=lambda mode: mode.value)
@@ -1870,7 +1869,12 @@ def test_overflowing_gains_end_in_step_size_underflow(monkeypatch, heavy14, mode
     # cause; numpy's overflow warnings stay inside the loop, which tests them
     attempts, _ = _record_attempts(monkeypatch)
     plant_calls = []
-    _watch(monkeypatch, _ClosedLoop, "voltage", before=plant_calls.append)
+
+    def no_plant_call(args):
+        plant_calls.append(args)
+        raise AssertionError("no plant call is made at a non-finite stage")
+
+    _watch(monkeypatch, _ClosedLoop, "voltage", before=no_plant_call)
     with pytest.raises(StepSizeUnderflowError, match=r"^step size underflow at t=0: the step's "
                        r"stage is not finite$"):
         run_static(heavy14, gains=Gains(1e300, 1e300, 1e300), plant_mode=mode)
