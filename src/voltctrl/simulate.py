@@ -30,10 +30,11 @@ location; Shampine & Thompson, Comput. Math. Appl. 39, 2000), taken row
 by row in Python floats, is refined by Halley's method along the
 step's stage path y0 + s phi1(sJ) F0, one phi-product and no plant call
 per iterate, each iterate forming only the landed row's event, slope and
-bend; the retry at the landed size takes the last iterate's product as
-its stage U2. On an exact step that path is the piece's trajectory, so
-the retry lands in one attempt. The next accepted step resumes at least
-the size the event cut back, instead of regrowing from the landed step.
+bend. The landing returns the last iterate's product, which the retry at
+the landed size, the next attempt only, is handed as its stage U2 - y0.
+On an exact step that path is the piece's trajectory, so the retry lands
+in one attempt. The next accepted step resumes at least the size the
+event cut back, instead of regrowing from the landed step.
 A row whose event is within 1e-9 of zero and falling where a step starts,
 as a landing leaves its row, switches its place on the piece before the
 step, so an event's only outcome is a landing. Each result counts its
@@ -266,9 +267,8 @@ class _ClosedLoop:
     A plant solve that does not converge raises
     :class:`PlantDivergenceError`, which fails the step attempt. States are
     packed vectors whose first C entries are q and whose remaining entries
-    are multipliers. ``stage`` holds a landing's last stage for the next
-    attempt, and ``counts`` the window's work counts by ``SolverStats``
-    field.
+    are multipliers. ``counts`` holds the window's work counts by
+    ``SolverStats`` field.
     """
 
     def __init__(
@@ -284,7 +284,6 @@ class _ClosedLoop:
         self.gains = gains
         self.last: PowerFlowSolution | None = None
         self.inverse: np.ndarray | None = None
-        self.stage: tuple[float, np.ndarray] | None = None
         self.counts: Counter = Counter()
 
     def embed(self, q: np.ndarray) -> np.ndarray:
@@ -355,7 +354,7 @@ class _ClosedLoop:
                 f, on, g = flow.rates(y, v, on ^ turn)
         return y, f, on, g
 
-    def attempt(self, y0: np.ndarray, f0: np.ndarray, on: np.ndarray, h: float):
+    def attempt(self, y0: np.ndarray, f0: np.ndarray, on: np.ndarray, h: float, stage=None):
         """One exprb32 step of size h from y0, whose rates f0 on the piece ``on`` are known.
 
         The step holds that piece: its rows take their rates, and the
@@ -369,16 +368,15 @@ class _ClosedLoop:
         est = 2h phi3(hJ) D2, the embedded estimate of U2's local error.
         Returns y1 unfloored, est (None on an exact step, whose estimate is
         zero) and the voltage measured at y1, which reuses U2's where y1's
-        q is U2's. The attempt takes ``stage``, which
-        ``land`` leaves for it, and clears it; its U2 - y0 stands in for the
-        phi-product when its size is h. A plant solve that does not
-        converge raises :class:`PlantDivergenceError`; a U2 or y1 that is
-        not finite raises ``_NonFiniteStage`` before its plant call.
+        q is U2's. A given ``stage``, the one ``land`` returns for the retry
+        at the landed size h, is taken as U2 - y0 in place of the
+        phi-product. A plant solve that does not converge raises
+        :class:`PlantDivergenceError`; a U2 or y1 that is not finite raises
+        ``_NonFiniteStage`` before its plant call.
         """
         c, flow = self.c, self.flow
-        stage, self.stage = self.stage, None
-        if stage is not None and stage[0] == h:
-            u2 = y0 + stage[1]
+        if stage is not None:
+            u2 = y0 + stage
         else:
             self.counts["phi_products"] += 1
             u2 = y0 + h * flow.phi(1, h, on, f0)
@@ -397,23 +395,22 @@ class _ClosedLoop:
             v2 = self.voltage(y1[:c])
         return y1, est, v2
 
-    def land(self, y0, f0, on, h, row, g0, x):
+    def land(self, f0, on, h, row, g0, x):
         """Refine x, the guess of where in a step of size h multiplier row ``row``'s event falls.
 
-        The step's stage path is y(xh) = y0 + xh phi1(xhJ) f0, with rates
-        f = f0 + J (y(xh) - y0) on the piece's linearization: the piece's
-        exact trajectory where the step is exact, and the retry's U2 where
-        it is not. The row's event along it is g0 plus ``flow.event_rates``
-        of y(xh) - y0, its slope and bend (first and second time
-        derivatives) those of f and J f, each formed for that row alone
-        (``flow.row_rates``). Halley's step
+        The stage path of the step from y0 is y(xh) = y0 + xh phi1(xhJ) f0,
+        with rates f = f0 + J (y(xh) - y0) on the piece's linearization:
+        the piece's exact trajectory where the step is exact, and the
+        retry's U2 where it is not. The row's event along it is g0 plus
+        ``flow.event_rates`` of y(xh) - y0, its slope and bend (first and
+        second time derivatives) those of f and J f, each formed for that
+        row alone (``flow.row_rates``). Halley's step
         x - 2 g slope / (h (2 slope^2 - g bend)) takes one phi-product and
         no plant call per iterate. It stops at an event the retry's test
         leaves alone, within [-1e-12, 1e-9], whose correction is below 1e-10
         of x, before a guess outside (0, 1), or after 6 iterates. Returns
-        the last x evaluated, and leaves its size and stage
-        U2 - y0 = xh phi1(xhJ) f0 as ``stage``, which the next attempt, the
-        retry at xh, takes as its own. An iterate that overflows gives a
+        the last x evaluated and its stage U2 - y0 = xh phi1(xhJ) f0, which
+        the retry at xh takes as its own. An iterate that overflows gives a
         guess that is not finite, which ends the search; the retry tests its
         stage.
         """
@@ -427,8 +424,7 @@ class _ClosedLoop:
             guess = x - 2.0 * g * slope / (h * (2.0 * slope * slope - g * bend))
             done = -_OVERSHOOT <= g <= _NEAR and abs(guess - x) <= 1e-10 * x
             if done or not 0.0 < guess < 1.0 or n == 5:
-                self.stage = x * h, dy
-                return x
+                return x, dy
             x = guess
 
 
@@ -481,19 +477,22 @@ def integrate(
         h = min(0.1, horizon)
         # the largest step an event cut back, until the next accepted step resumes it
         h_cut = 0.0
-        # the cause of the last rejection, which an underflow names
-        cause = ""
+        # the cause of the last rejection, which an underflow names, and a
+        # landing's last stage, which only the retry right after it takes
+        cause, stage = "", None
         while not residual < tol and t < horizon - 1e-9 * max(1.0, horizon):
             h_try = min(h, horizon - t)
             if h_try < 1e-13 * max(1.0, t):
                 raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}: {cause}")
             try:
-                y1, est, v1 = loop.attempt(y, f, on, h_try)
+                y1, est, v1 = loop.attempt(y, f, on, h_try, stage)
             except (PlantDivergenceError, _NonFiniteStage) as exc:
                 diverged = isinstance(exc, PlantDivergenceError)
                 loop.counts["plant_divergence" if diverged else "non_finite_stage"] += 1
                 cause, h = str(exc), 0.5 * h_try
                 continue
+            finally:
+                stage = None
             # the piece ends where a row's event function turns negative past
             # the overshoot, every row's from at or above zero (``eval``); a
             # multiplier's dip below zero is left to the floor. The rates and
@@ -511,7 +510,7 @@ def integrate(
                     kind = "crossing" if on[row] else "entering"
                     loop.counts[kind] += 1
                     cause = f"a {kind} event cut the step back"
-                    x = loop.land(y, f, on, h_try, row, float(g0[row]), float(roots[first]))
+                    x, stage = loop.land(f, on, h_try, row, float(g0[row]), float(roots[first]))
                     h_cut = max(h_cut, h_try)
                     h = h_try * x
                     continue
@@ -687,7 +686,8 @@ def run_fault(
     equilibrium, so the reported costs are the two equilibrium costs. With
     an explicit ``t_trip`` the line drops at that instant whether or not
     the controller has settled, and the pre cost is read off the last
-    pre-trip sample.
+    pre-trip sample. The cost ratio is post over pre; where the pre cost is
+    zero it is inf if the post cost is positive and 1 if both are zero.
     """
     if t_trip is not None and not 0 < t_trip < np.inf:
         raise ConfigError(f"trip time must be positive and finite, got {t_trip}")
@@ -705,7 +705,7 @@ def run_fault(
         **vars(joined),
         pre_cost=pre_cost,
         post_cost=post_cost,
-        cost_ratio=post_cost / pre_cost if pre_cost > 0 else float("inf"),
+        cost_ratio=post_cost / pre_cost if pre_cost > 0 else np.inf if post_cost > 0 else 1.0,
         pre_q=pre.final_q,
     )
 

@@ -9,7 +9,9 @@ flow, its Jacobian on a piece and the Lagrangian itself are written out
 entry by entry, where the package compiles the flow into matrices, and the
 certification QP is solved by enumerating active sets, where the package
 runs a dual active-set method. The event root is found on whole arrays,
-all rows at once, where the package takes each row in Python floats.
+all rows at once, where the package takes each row in Python floats, and
+phi-products are read off scipy's exponential of one augmented matrix,
+where the package exponentiates the piece's blocks.
 Agreement between the two paths is the point.
 """
 
@@ -20,6 +22,7 @@ from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import root
 
 from voltctrl.errors import InfeasibleProblemError
@@ -130,6 +133,21 @@ def written_out_rates(y, v, xc, lim, gains, held):
         rates.append(gain * violation if on else 0.0)
         active.append(on)
     return np.array(rates), np.array(active)
+
+
+def written_out_violation(v, q, lim) -> np.ndarray:
+    """The violation of each multiplier row's constraint, rows in packed order."""
+    return np.concatenate((v - lim.v_hi, lim.v_lo - v, q - lim.q_hi, lim.q_lo - q))
+
+
+def full_phi(k: int, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """phi_k(a) r from scipy's exponential of a augmented with r and a unit chain."""
+    n = len(a)
+    aug = np.zeros((n + k, n + k))
+    aug[:n, :n] = a
+    aug[:n, n] = r
+    aug[np.arange(n, n + k - 1), np.arange(n + 1, n + k)] = 1.0
+    return scipy.linalg.expm(aug)[:n, -1]
 
 
 def written_out_lagrangian(state, v, lim) -> float:

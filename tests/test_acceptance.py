@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from _reference import reference_solve, written_out_lagrangian
+from _reference import reference_solve, written_out_lagrangian, written_out_violation
 
 from voltctrl.cli import main
 from voltctrl.controller import ControllerState, Limits, dynamics_rhs
@@ -145,10 +145,7 @@ def test_criterion_03_oracle_certification(case14, case30):
         qp, _, limits = _oracle_at_base(scaled)
         dq = float(np.max(np.abs(res.final_q - qp.q_star)))
         st = res.trajectory.states[-1]
-        v = res.trajectory.v[-1]
-        slack = np.concatenate(
-            [limits.v_hi - v, v - limits.v_lo, limits.q_hi - st.q, st.q - limits.q_lo]
-        )
+        slack = -written_out_violation(res.trajectory.v[-1], st.q, limits)
         mults = np.concatenate([st.lam_hi, st.lam_lo, st.mu_hi, st.mu_lo])
         comp = float(np.max(np.abs(mults * slack)))
         ok = ok and res.converged and dq < 1e-4 and comp < 1e-4

@@ -371,6 +371,16 @@ def test_fault_summary_reports_cost_ratio(tmp_path):
     assert ratio == pytest.approx(post / pre, abs=5e-4)
 
 
+def test_a_fault_whose_costs_both_stay_zero_reports_ratio_one(tmp_path, capsys):
+    # case14's flow is inside the wide band before and after the trip
+    cfg = tmp_path / "wide_fault.cfg"
+    cfg.write_text("case = case14\nscenario = fault\nplant = linear\nv_lo = 0.8\nv_hi = 1.2\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "post-trip cost 0.000000  ratio 1.0000" in capsys.readouterr().out
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert "post-trip cost: 0.000000" in summary and "cost ratio: 1.0000" in summary
+
+
 def test_daily_summary_counts_band_hours(tmp_path):
     code = main(
         ["run", "--scenario", "daily", "--case", "case14", "--plant", "linear",

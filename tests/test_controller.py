@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from _reference import written_out_jacobian, written_out_lagrangian, written_out_rates
+from _reference import full_phi, written_out_jacobian, written_out_lagrangian
+from _reference import written_out_rates, written_out_violation
 from voltctrl import build_admittance, scale_loads
 from voltctrl.controller import (
     ControllerState,
@@ -124,7 +125,7 @@ def test_flow_jacobian_matches_finite_difference(case14):
         q = rng.uniform(-0.3, 0.3, c)
         base = rng.uniform(0.9, 1.1, m)
         v = base + xc @ q
-        raw = np.concatenate([v - lim.v_hi, lim.v_lo - v, q - lim.q_hi, lim.q_lo - q])
+        raw = written_out_violation(v, q, lim)
         if np.min(np.abs(raw)) < 1e-3:
             continue
         mult = rng.uniform(0.1, 2.0, 2 * m + 2 * c) * (rng.rand(2 * m + 2 * c) < 0.5)
@@ -142,16 +143,6 @@ def test_flow_jacobian_matches_finite_difference(case14):
             e[j] = h
             assert_allclose((rates(y + e) - rates(y - e)) / (2 * h), expected[:, j], atol=1e-6)
     assert masked > 0
-
-
-def _full_phi(k: int, a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """phi_k(a) r from scipy's exponential of a augmented with r and a unit chain."""
-    n = len(a)
-    aug = np.zeros((n + k, n + k))
-    aug[:n, :n] = a
-    aug[:n, n] = r
-    aug[np.arange(n, n + k - 1), np.arange(n + 1, n + k)] = 1.0
-    return scipy.linalg.expm(aug)[:n, -1]
 
 
 def _plant_sensitivity(case, xc):
@@ -236,7 +227,7 @@ def test_flow_phi_product_matches_full_exponential(monkeypatch, name, factor, re
             jac = written_out_jacobian(xc, gains, active, gx)
             flow = _phi_flow(xc, gains, gx)
             for k in (1, 3):
-                expected = _full_phi(k, h * jac, r)
+                expected = full_phi(k, h * jac, r)
                 got = flow.phi(k, h, active[c:], r)
                 worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
         assert worst <= 1e-11
@@ -328,7 +319,7 @@ def test_modal_phi_products_on_degenerate_pieces(monkeypatch, name, factor, requ
         for h in (1e-2, 1.0, 30.0, 1e3):
             r = rng.standard_normal(n)
             for k in (1, 3):
-                expected = _full_phi(k, h * jac, r)
+                expected = full_phi(k, h * jac, r)
                 got = flow.phi(k, h, on, r)
                 worst = max(worst, np.linalg.norm(got - expected) / np.linalg.norm(expected))
     assert worst <= 1e-11
