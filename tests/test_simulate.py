@@ -521,20 +521,42 @@ def _count_per_attempt(mp):
     return per_attempt, landing
 
 
-@pytest.mark.parametrize("name", ["heavy14", "light30"])
-def test_linear_stage_solves_take_one_evaluation(request, monkeypatch, name):
+@pytest.mark.parametrize(
+    "case_name, mode",
+    [("heavy14", PlantMode.LINEAR), ("light30", PlantMode.LINEAR), ("heavy14", PlantMode.NONLINEAR)],
+)
+def test_no_implicit_solve_hits_its_cap(request, monkeypatch, case_name, mode):
+    # a step is explicit, so the only implicit solves left are the plant's
+    # power flows: the window's rebase solve, and on the nonlinear plant at
+    # most two per attempt (at the stage and at the end). Each must converge
+    # by chord steps well inside the iteration cap, with no Newton hand-over.
+    # Landing an event on the linear plant takes phi-products, no plant
+    # call, and the retry after it takes the landing's last product
+    counts, landing = _count_per_attempt(monkeypatch)
+    res = run_static(request.getfixturevalue(case_name), plant_mode=mode)
+    assert res.converged and len(counts) - 1 >= len(res.trajectory) - 1
+    iterations = [n for _, _, its, _ in counts for n in its]
+    assert iterations and max(iterations) < 20
+    if mode is PlantMode.LINEAR:
+        per_attempt = {(calls, phis, retry) for calls, phis, _, retry in counts[1:]}
+        assert per_attempt == {(1, 1, False), (1, 0, True)}
+        assert len(iterations) == 1
+        assert landing[0] == res.stats.landing_products > 0
+    else:
+        assert all(len(its) == calls <= 2 for calls, _, its, _ in counts[1:])
+
+
+def test_linear_stage_solves_take_one_evaluation(monkeypatch, light30):
     # on the piece a step holds the linear-plant flow is affine, so the
     # step's one stage U2 = y0 + h phi1(hJ) F0 is exact and ends the step:
     # one phi-product and one plant call, at the end, per attempt. Landing
     # an event between attempts takes phi-products of its own, counted
     # apart, and the retry right after it takes the landing's last product
     # as its stage: one plant call and no phi-product. Every product is
-    # counted once. The one power flow is the rebase solve, under 20 steps
+    # counted once
     counts, landing = _count_per_attempt(monkeypatch)
-    res = run_static(request.getfixturevalue(name), plant_mode=PlantMode.LINEAR)
+    res = run_static(light30, plant_mode=PlantMode.LINEAR)
     assert res.converged and len(counts) - 1 >= len(res.trajectory) - 1 > 1
-    iterations = [n for _, _, its, _ in counts for n in its]
-    assert len(iterations) == 1 and iterations[0] < 20
     per_attempt = [(calls, phis, retry) for calls, phis, _, retry in counts[1:]]
     assert set(per_attempt) == {(1, 1, False), (1, 0, True)}
     stats = res.stats
@@ -553,13 +575,11 @@ def test_nonlinear_stage_solves_average_two_evaluations(monkeypatch, heavy14):
     # a landing takes the landing's last product as its stage, so only it
     # makes two plant calls on one phi-product. No Newton iteration: the
     # x3.1 run takes 242 plant calls in 116 samples (279 in 138 when events
-    # were landed by linear interpolation), each one chord solve under 20
-    # steps. The run's own counts agree with the ones taken from outside
+    # were landed by linear interpolation). The run's own counts agree with
+    # the ones taken from outside
     counts, landing = _count_per_attempt(monkeypatch)
     res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
     assert res.converged and len(counts) - 1 >= len(res.trajectory) - 1 > 1
-    assert all(len(its) == calls for calls, _, its, _ in counts[1:])
-    assert max(n for _, _, its, _ in counts for n in its) < 20
     per_attempt = [(calls, phis) for calls, phis, _, _ in counts[1:]]
     after_landing = {(calls, phis) for calls, phis, _, retry in counts[1:] if retry}
     others = {(calls, phis) for calls, phis, _, retry in counts[1:] if not retry}
@@ -637,11 +657,17 @@ def test_linear_runs_land_events_in_few_attempts(request, name, bound):
     # interpolant over the step, and an exact step after a landing resumes
     # the size that was cut back: 16 and 40 attempts measured, where the
     # cubic root alone took 45 and 128 and linear interpolation 93 and 267.
-    # Every attempt is counted once, by reason
+    # Every attempt is counted once, by reason, and takes one plant call and
+    # one phi-product, but for the retry after a landing, which takes the
+    # landing's last product; the landing's phi-products are counted apart
     res = run_static(request.getfixturevalue(name), plant_mode=PlantMode.LINEAR)
     stats = res.stats
     assert res.converged and stats.accepted == len(res.trajectory) - 1
     assert stats.attempts <= bound
+    assert stats.plant_calls == stats.attempts
+    retries = stats.crossing + stats.entering
+    assert stats.phi_products == stats.attempts - retries + stats.landing_products
+    assert stats.landing_products > 0
     assert stats.error_test == stats.plant_divergence == 0
     for reason in LANDING_REASONS[name]:
         assert getattr(stats, reason) > 0, reason
