@@ -20,9 +20,9 @@ from . import BUNDLED_CASES, load_case
 from .controller import Gains, Limits
 from .errors import ConfigError, PlantDivergenceError, VoltCtrlError
 from .netcase import NetworkCase, parse_case, scale_loads
-from .oracle import solve_centralized
+from .oracle import solve_at
 from .powerflow import nominal_injections, solve_power_flow
-from .sensitivity import linearized, partition_buses, voltage_sensitivity
+from .sensitivity import partition_buses, voltage_sensitivity
 from .simulate import (
     DailyResult,
     FaultResult,
@@ -236,7 +236,10 @@ def emit_report(
     against ``limits``, the band the run used.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out}: {exc}") from None
     part = partition_buses(case)
     pq_ids = [case.buses[i].id for i in part.pq]
     ctl_ids = [case.buses[i].id for i in part.controlled]
@@ -329,10 +332,6 @@ def emit_report(
 
 def _cmd_run(cfg: RunConfig) -> int:
     case = load_network(cfg)
-    try:
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use output directory {cfg.out_dir}: {exc}") from None
     limits = cfg.limits_for(case)
     gains = cfg.gains()
     if cfg.scenario == "static":
@@ -395,6 +394,8 @@ def _cmd_powerflow(cfg: RunConfig) -> int:
 def _cmd_sensitivity(cfg: RunConfig) -> int:
     case = load_network(cfg)
     part = partition_buses(case)
+    if part.n_load == 0:
+        raise ConfigError(f"case {case.name} has no load bus")
     sens = voltage_sensitivity(case.topology.y, part)
     x = sens.x
     sym = float(np.max(np.abs(x - x.T)))
@@ -412,12 +413,10 @@ def _cmd_sensitivity(cfg: RunConfig) -> int:
 def _cmd_validate(cfg: RunConfig) -> int:
     case = load_network(cfg)
     limits = cfg.limits_for(case)
-    part = partition_buses(case)
     try:
-        sens, _ = linearized(case, np.zeros(part.n_controlled))
+        qp, _, _ = solve_at(case, limits)
     except PlantDivergenceError as exc:
         raise PlantDivergenceError(f"{exc} at the base point") from exc
-    qp = solve_centralized(sens, limits)
     res = run_static(
         case, limits, cfg.gains(), tol=cfg.tol, plant_mode=PlantMode.LINEAR,
         horizon=cfg.horizon,
@@ -426,7 +425,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     dq = float(np.max(np.abs(q - qp.q_star)))
     slack = np.concatenate([limits.v_hi - v, v - limits.v_lo, limits.q_hi - q, q - limits.q_lo])
     # the last packed row's multipliers, in the order of the slacks
-    comp = float(np.max(np.abs(res.trajectory.y[-1, part.n_controlled :] * slack)))
+    comp = float(np.max(np.abs(res.trajectory.y[-1, len(q) :] * slack)))
     checks = [
         ("controller converged", 1.0 if res.converged else 0.0, 0.5, "above"),
         ("|q_sim - q_oracle| inf norm", dq, 1e-4, "below"),

@@ -14,7 +14,10 @@ the method's own last iterate: the q that passed the feasibility test and
 the working rows' multipliers, in the same four-vector layout the dynamics
 use, so a converged trajectory can be checked against the true optimum and
 its KKT certificate directly: ``kkt_residual``, the KKT residual of the
-same rows A q <= b.
+same rows A q <= b. ``solve_at`` is the one place that says where a
+certificate reads the plant: it solves the QP on the plant ``linearized``
+at a controller output, zero by default, as ``voltctrl validate``, each
+``plant_equilibrium`` iterate and the test oracles do.
 """
 
 from __future__ import annotations
@@ -26,13 +29,16 @@ import numpy as np
 from .controller import Limits
 from .errors import InfeasibleProblemError, NotContractingError, PlantDivergenceError
 from .netcase import NetworkCase
-from .sensitivity import SensitivityMatrix, linearized
+from .powerflow import PowerFlowSolution
+from .sensitivity import PLANT_TOL, SensitivityMatrix, linearized
 
 # the largest row violation A q - b the QP accepts as feasible, and its cap
-# on active-set changes; the max-norm step in q that ends plant_equilibrium
+# on active-set changes; the max-norm step in q that ends plant_equilibrium,
+# and its cap on QPs
 _QP_TOL = 1e-10
 _QP_MAX_ITER = 2000
 _EQUILIBRIUM_TOL = 1e-10
+_EQUILIBRIUM_MAX_ITER = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,20 +146,36 @@ def solve_centralized(sens: SensitivityMatrix, lim: Limits) -> QPSolution:
     raise InfeasibleProblemError(f"active-set method did not settle in {_QP_MAX_ITER} iterations")
 
 
-def plant_equilibrium(
-    case: NetworkCase, limits: Limits, max_iter: int = 50
-) -> tuple[QPSolution, int]:
+def solve_at(
+    case: NetworkCase, limits: Limits, q: np.ndarray | None = None,
+    tol: float = PLANT_TOL, warm_start: PowerFlowSolution | None = None,
+) -> tuple[QPSolution, SensitivityMatrix, PowerFlowSolution]:
+    """The oracle on the plant linearized at controller output q, zero output when unset.
+
+    ``linearized(case, q, tol, warm_start)``, then ``solve_centralized`` on
+    that X; returns the QP solution, X and the plant's power flow, and
+    raises what either raises. At the defaults it reads the model that a
+    closed loop started at zero output runs.
+    """
+    if q is None:
+        q = np.zeros(case.topology.partition.n_controlled)
+    sens, sol = linearized(case, q, tol, warm_start)
+    return solve_centralized(sens, limits), sens, sol
+
+
+def plant_equilibrium(case: NetworkCase, limits: Limits) -> tuple[QPSolution, int]:
     """The nonlinear plant's equilibrium: the fixed point of the oracle on its own linearization.
 
-    Iterates q <- ``solve_centralized(sens_q, limits).q_star`` from q = 0, with sens_q
-    X ``linearized`` at q: nominal injections plus q, full Newton to 1e-12 warm
-    from the last iterate, X rebuilt from the case (about 0.1 ms at case14 and case30).
+    Iterates q <- ``solve_at(case, limits, q, tol=1e-12, warm_start)`` from
+    q = 0: X ``linearized`` at nominal injections plus q, full Newton to
+    1e-12 warm from the last iterate, X rebuilt from the case (about 0.1 ms
+    at case14 and case30).
     At the fixed point the linear voltage the oracle reads is the plant's,
     so its KKT conditions are the closed loop's equilibrium conditions with
     the measured voltages. Returns the last QP solution, once its q moved
     by less than 1e-10 in max norm, and the number of QPs solved.
-    Contraction is not guaranteed; a run that has not met 1e-10 after
-    ``max_iter`` QPs raises :class:`NotContractingError` with its last step
+    Contraction is not guaranteed; a run that has not met 1e-10 after 50
+    QPs raises :class:`NotContractingError` with its last step
     and rate. Limits infeasible at an iterate's linearization raise
     :class:`InfeasibleProblemError`, and a power flow that does not
     converge :class:`PlantDivergenceError`. Both judge the iteration, not
@@ -161,20 +183,19 @@ def plant_equilibrium(
     first linearization can fail while the closed loop still settles.
     """
     q, sol, step, rate = np.zeros(case.topology.partition.n_controlled), None, np.inf, np.nan
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _EQUILIBRIUM_MAX_ITER + 1):
         try:
-            lin, sol = linearized(case, q, tol=1e-12, warm_start=sol)
+            qp, _, sol = solve_at(case, limits, q, tol=1e-12, warm_start=sol)
         except PlantDivergenceError as exc:
             raise PlantDivergenceError(f"{exc} at iterate {iteration}") from exc
-        qp = solve_centralized(lin, limits)
         moved_by = float(np.max(np.abs(qp.q_star - q)))
         step, rate = moved_by, moved_by / step
         if step < _EQUILIBRIUM_TOL:
             return qp, iteration
         q = qp.q_star
     raise NotContractingError(
-        f"fixed-point iteration did not contract below {_EQUILIBRIUM_TOL:g} in {max_iter} "
-        f"iterations: last step {step:.3e}, rate {rate:.3g}"
+        f"fixed-point iteration did not contract below {_EQUILIBRIUM_TOL:g} in "
+        f"{_EQUILIBRIUM_MAX_ITER} iterations: last step {step:.3e}, rate {rate:.3g}"
     )
 
 

@@ -15,9 +15,10 @@ at every call, at the flat base point (v = 1, q = 0). ``linearized`` takes
 the case and a controller output alone: it builds X from the case topology
 and moves its base point to the plant's full-Newton solution at the case's
 nominal injections plus that output (``rebased`` just moves the point). It
-is the one path there, for each closed-loop window (24 on a daily run),
-each ``plant_equilibrium`` iterate and ``voltctrl validate``; only
-``voltctrl sensitivity`` reads X at the flat point. Its plant is solved to
+is the one path there, for each closed-loop window (24 on a daily run) and
+for ``oracle.solve_at``, which serves each ``plant_equilibrium`` iterate and
+``voltctrl validate``; only ``voltctrl sensitivity`` reads X at the flat
+point. A case with no controlled bus is refused there. Its plant is solved to
 ``PLANT_TOL``, the power mismatch of 1e-10 that the closed loop's chord
 solves also meet, so ``voltctrl validate`` certifies the model the loop
 ran; ``plant_equilibrium`` asks for 1e-12.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PlantDivergenceError, SingularModelError
+from .errors import ConfigError, PlantDivergenceError, SingularModelError
 from .netcase import BusPartition, NetworkCase
 from .powerflow import InjectionSet, PowerFlowSolution, nominal_injections, solve_power_flow
 
@@ -111,8 +112,11 @@ def linearized(
     X is ``voltage_sensitivity``'s, built from ``case.topology``. The plant,
     the nominal injections with q added at the controlled buses, is solved
     by full Newton to ``tol`` from ``warm_start``; where it does not
-    converge, :class:`PlantDivergenceError`.
+    converge, :class:`PlantDivergenceError`. A case with no controlled bus
+    has nothing to linearize for and raises :class:`ConfigError`.
     """
+    if case.topology.partition.n_controlled == 0:
+        raise ConfigError(f"case {case.name} has no controlled bus")
     sens = voltage_sensitivity(case.topology.y, case.topology.partition)
     full = np.zeros(sens.partition.n_load)
     full[sens.partition.controlled_in_pq()] = q

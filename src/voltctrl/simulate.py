@@ -60,9 +60,11 @@ from the plant's divergence. numpy's overflow warnings are silenced while
 the loop steps, and nowhere else: what it forms there ends in a stage, an
 error or a residual whose finiteness it tests. Where halving never makes a
 step pass, the run ends in :class:`StepSizeUnderflowError`, which names the
-cause of the last rejection. Rates that are not finite at the window's
-start or at an accepted state end the run the same way at once, naming
-them: no step can leave such a state. Large but finite rates step on.
+cause of the last rejection; so does a window past 20,000 step attempts,
+naming the count, t and the step size as well. Rates that are not finite
+at the window's start or at an accepted state end the run the same way at
+once, naming them: no step can leave such a state. Large but finite rates
+step on.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes exactly ``run_static``'s parameters.
@@ -248,6 +250,9 @@ _RTOL, _ATOL = 1e-6, 1e-8
 # the overshoot any row's event may keep, and the band above zero where a
 # landing stops and ``eval`` switches a falling row
 _OVERSHOOT, _NEAR = 1e-12, 1e-9
+# step attempts one window may make, accepted or not: about 75 times the
+# most any window of the test suite or the benchmark takes
+_MAX_ATTEMPTS = 20_000
 
 
 class _NonFiniteStage(ArithmeticError):
@@ -444,15 +449,13 @@ def integrate(
     the start state's output. Multi-window runs chain calls from the
     previous window's last state and ``_join`` them. ``horizon`` and
     ``tol`` must be positive and finite, and the case must have a
-    controlled bus; otherwise :class:`ConfigError`.
+    controlled bus (``linearized`` checks); otherwise :class:`ConfigError`.
     """
     for name, value in (("horizon", horizon), ("tol", tol)):
         if not 0 < value < np.inf:
             raise ConfigError(f"{name} must be positive and finite, got {value}")
     loop = _ClosedLoop(case, plant_mode, limits, gains)
     m, c, lim = loop.m, loop.c, loop.lim
-    if c == 0:
-        raise ConfigError(f"case {case.name} has no controlled bus")
     state0 = initial_state
     if state0 is not None and (state0.lam_hi.shape != (m,) or state0.q.shape != (c,)):
         raise ConfigError(
@@ -477,13 +480,20 @@ def integrate(
         h = min(0.1, horizon)
         # the largest step an event cut back, until the next accepted step resumes it
         h_cut = 0.0
-        # the cause of the last rejection, which an underflow names, and a
-        # landing's last stage, which only the retry right after it takes
-        cause, stage = "", None
+        # the cause of the last rejection, which an underflow names, a
+        # landing's last stage, which only the retry right after it takes,
+        # and the window's attempts, which its budget bounds
+        cause, stage, attempts = "", None, 0
         while not residual < tol and t < horizon - 1e-9 * max(1.0, horizon):
             h_try = min(h, horizon - t)
             if h_try < 1e-13 * max(1.0, t):
                 raise StepSizeUnderflowError(f"step size underflow at t={t:.6g}: {cause}")
+            if attempts == _MAX_ATTEMPTS:
+                raise StepSizeUnderflowError(
+                    f"window ended after {attempts} attempts at t={t:.6g}, step size "
+                    f"{h_try:.3g}; last rejection: {cause or 'none'}"
+                )
+            attempts += 1
             try:
                 y1, est, v1 = loop.attempt(y, f, on, h_try, stage)
             except (PlantDivergenceError, _NonFiniteStage) as exc:

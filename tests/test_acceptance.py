@@ -25,7 +25,7 @@ from _reference import reference_solve, written_out_lagrangian, written_out_viol
 from voltctrl.cli import main
 from voltctrl.controller import ControllerState, Limits, dynamics_rhs
 from voltctrl.netcase import build_admittance, scale_loads, trip_branch
-from voltctrl.oracle import plant_equilibrium, solve_centralized
+from voltctrl.oracle import plant_equilibrium, solve_at
 from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flow
 from voltctrl.sensitivity import (
     linearized,
@@ -63,15 +63,6 @@ def _verdict(n: int, ok: bool, detail: str) -> None:
     print(line)
     if not ok:
         pytest.fail(line)
-
-
-def _oracle_at_base(case, limits=None):
-    """Centralized QP at the uncontrolled operating point of the case, as the loop linearizes it."""
-    part = partition_buses(case)
-    sens, _ = linearized(case, np.zeros(part.n_controlled))
-    if limits is None:
-        limits = Limits.box(part.n_load, part.n_controlled)
-    return solve_centralized(sens, limits), sens, limits
 
 
 def _certificate(case):
@@ -113,7 +104,7 @@ def test_criterion_02_toy_kkt_equivalence(toy2):
     start = time.perf_counter()
     res = run_static(toy2, limits=TOY_LIMITS, plant_mode=PlantMode.LINEAR, tol=1e-7)
     TRAJECTORIES.append(("toy linear", res))
-    qp, _, _ = _oracle_at_base(toy2, TOY_LIMITS)
+    qp, _, _ = solve_at(toy2, TOY_LIMITS)
     st = res.trajectory.states[-1]
     dq_hand = abs(res.final_q[0] - 0.3)
     dlam_hand = abs(st.lam_lo[0] - 6.0)
@@ -138,11 +129,11 @@ def test_criterion_03_oracle_certification(case14, case30):
     start = time.perf_counter()
     details = []
     ok = True
-    for name, case, factor in (("14-bus", case14, 3.1), ("30-bus", case30, 0.25)):
-        scaled = scale_loads(case, factor)
-        res = run_static(scaled, plant_mode=PlantMode.LINEAR, tol=1e-7)
+    for name, case, factor, size in (("14-bus", case14, 3.1, 9), ("30-bus", case30, 0.25, 24)):
+        scaled, limits = scale_loads(case, factor), Limits.box(size, size)
+        res = run_static(scaled, limits, plant_mode=PlantMode.LINEAR, tol=1e-7)
         TRAJECTORIES.append((f"{name} linear", res))
-        qp, _, limits = _oracle_at_base(scaled)
+        qp, _, _ = solve_at(scaled, limits)
         dq = float(np.max(np.abs(res.final_q - qp.q_star)))
         st = res.trajectory.states[-1]
         slack = -written_out_violation(res.trajectory.v[-1], st.q, limits)
@@ -167,7 +158,7 @@ def test_criterion_04_heavy_load_voltage_pattern(case14):
     if cal.achieved:
         # v12 sits inside the band, so its value depends on the network:
         # expect the oracle's v12 at the calibrated base point
-        qp, sens, _ = _oracle_at_base(heavy)
+        qp, sens, _ = solve_at(heavy, Limits.box(9, 9))
         q_oracle = np.zeros(sens.partition.n_load)
         q_oracle[sens.partition.controlled_in_pq()] = qp.q_star
         pos12 = int(np.flatnonzero(sens.partition.pq == idx[12])[0])
@@ -219,8 +210,8 @@ def test_criterion_05_fault_cost_increase(case14):
     increased = res.post_cost > res.pre_cost and q4_post > q4_pre
     # expected ratio: the oracle's optimal cost on the tripped case over the
     # intact one, each at its own uncontrolled base point
-    qp_pre, _, _ = _oracle_at_base(heavy)
-    qp_post, _, _ = _oracle_at_base(trip_branch(heavy, *trip))
+    qp_pre, _, _ = solve_at(heavy, Limits.box(9, 9))
+    qp_post, _, _ = solve_at(trip_branch(heavy, *trip), Limits.box(9, 9))
     ratio_oracle = qp_post.objective_value / qp_pre.objective_value
     agrees = abs(res.cost_ratio - ratio_oracle) <= 0.02 * ratio_oracle
     cert_pre, _ = _certificate(heavy)

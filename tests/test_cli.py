@@ -30,9 +30,9 @@ from voltctrl.cli import (
 )
 from voltctrl.errors import ConfigError
 from voltctrl.netcase import Bus, BusKind, scale_loads, serialize_case
-from voltctrl.oracle import solve_centralized
+from voltctrl.oracle import solve_at
 from voltctrl.powerflow import nominal_injections, solve_power_flow
-from voltctrl.sensitivity import linearized, partition_buses
+from voltctrl.sensitivity import partition_buses
 from voltctrl.simulate import PlantMode
 
 
@@ -302,8 +302,7 @@ def test_summary_lists_the_oracle_binding_constraints(static_run):
     _, out = static_run
     case = scale_loads(load_case("case14"), 3.1)
     part = partition_buses(case)
-    sens, _ = linearized(case, np.zeros(part.n_controlled))
-    active = solve_centralized(sens, RunConfig().limits_for(case)).active_sets
+    active = solve_at(case, RunConfig().limits_for(case))[0].active_sets
     pq_ids = [case.buses[i].id for i in part.pq]
     ctl_ids = [case.buses[i].id for i in part.controlled]
     want = [
@@ -563,49 +562,129 @@ def test_one_overflowing_gain_names_the_non_finite_stage(tmp_path, capsys, gain,
     assert re.fullmatch(rf"runtime failure: step size underflow at t={t}: {cause}\n", err)
 
 
-# the fuzzer's token pool, by config key: the values a key is meant to take,
-# among them limits, an overflowing gain, the scenario and plant words and
-# trip and profile forms, next to values it must refuse: numbers that are not
-# finite or out of range, punctuation, misspelt words and broken forms;
-# "vmaks" is a key the config does not know
+def test_a_run_past_its_attempt_budget_exits_3(monkeypatch, tmp_path, capsys):
+    # the budget's error ends `voltctrl run` as a runtime failure, in one line
+    monkeypatch.setattr(simulate, "_MAX_ATTEMPTS", 10)
+    out = tmp_path / "out"
+    code = main(["run", "--case", "case14", "--scale", "3.1", "--plant", "linear", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert re.fullmatch(
+        r"runtime failure: window ended after 10 attempts at t=\S+, step size \S+; "
+        r"last rejection: .+\n",
+        capsys.readouterr().err,
+    )
+
+
+# a two-bus case with one slack and one PV bus: no load bus, so nothing to
+# control or linearize, though its power flow solves
+NO_LOAD_BUS_TEXT = """\
+function mpc = noload
+mpc.baseMVA = 100;
+mpc.bus = [
+\t1\t3\t0\t0\t0\t0\t1\t1\t0\t0\t1\t1.1\t0.9;
+\t2\t2\t50\t10\t0\t0\t1\t1\t0\t0\t1\t1.1\t0.9;
+];
+mpc.gen = [
+\t1\t0\t0\t0\t0\t1.0\t100\t1\t0\t0;
+\t2\t20\t0\t0\t0\t1.02\t100\t1\t0\t0;
+];
+mpc.branch = [
+\t1\t2\t0.01\t0.1\t0\t0\t0\t0\t0\t0\t1\t-360\t360;
+];
+"""
+
+
+def test_a_case_with_no_load_bus_is_refused_by_the_commands_that_need_one(tmp_path, capsys):
+    # validate and sensitivity once ended in numpy tracebacks on an empty
+    # argmax and an empty max (exit 1); run refused the case but left its
+    # output directory behind. The power flow still solves it
+    case = tmp_path / "noload.m"
+    case.write_text(NO_LOAD_BUS_TEXT)
+    out = tmp_path / "out"
+    for command, code, err in (
+        ("run", EXIT_CONFIG, "config error: case noload has no controlled bus\n"),
+        ("validate", EXIT_CONFIG, "config error: case noload has no controlled bus\n"),
+        ("sensitivity", EXIT_CONFIG, "config error: case noload has no load bus\n"),
+        ("powerflow", EXIT_OK, ""),
+    ):
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--case", str(case), *extra]) == code
+        assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+# the fuzzer's token pool, by config key: first the values a key is meant to
+# take, among them limits, an overflowing gain, a case file with no load bus,
+# the scenario and plant words and trip and profile forms; then values it
+# must refuse or that fail the run: numbers that are not finite or out of
+# range, punctuation, misspelt words, broken forms and an output path under
+# a file. "vmaks" is a key the config does not know, and {tmp} is the
+# directory each call of the command runs in
 _FUZZ_POOL = {
-    **dict.fromkeys(("v_lo", "v_hi", "q_lo", "q_hi"),
-                    ("0.95", "1.05", "-0.2", "0.2", "0.9", "1.1", "nan", "")),
-    **dict.fromkeys(("k_q", "k_lam", "k_mu"), ("1e300", "1", "1e-3", "0", "-1", "inf", "#")),
-    **dict.fromkeys(("tol", "horizon", "hour_seconds"), ("1e-3", "50", "1e300", "0", "-inf", ":")),
-    "load_scale": ("3.1", "1", "0", "50", "1e300", "-1", "nan"),
-    "case": ("case14", "case30", "case9", ","),
-    "scenario": ("static", "fault", "daily", "sideways", "linear"),
-    "plant": ("linear", "nonlinear", "quadratic", "static"),
-    "trip": ("4:5", "4:5@20", "2:3@1e300", "7:8", "1:99", "4:5@nan", "4:5@-1", "4:5@", "4", "@"),
-    "profile": (", ".join(["0.5"] * 12 + ["2.5"] * 12), ", ".join(["1.0"] * 23),
-                ", ".join(["1.0"] * 23 + ["-0.5"]), ", ".join(["1.0"] * 24) + ",", "1e300"),
-    "reset_multipliers": ("yes", "off", "maybe"),
-    "out": ("elsewhere", "="),
-    "vmaks": ("1.05",),
+    "v_lo": (("0.95", "0.9"), ("1.1", "nan", "")),
+    "v_hi": (("1.05", "1.1"), ("0.9", "nan", "")),
+    "q_lo": (("-0.2", "-0.3"), ("0.2", "nan", "")),
+    "q_hi": (("0.2", "0.3"), ("-0.2", "nan", "")),
+    **dict.fromkeys(("k_q", "k_lam", "k_mu"), (("1", "1e-3", "1e300"), ("0", "-1", "inf", "#"))),
+    **dict.fromkeys(("tol", "horizon", "hour_seconds"), (("1e-3", "50", "1e300"), ("0", "-inf", ":"))),
+    "load_scale": (("3.1", "1", "0"), ("50", "1e300", "-1", "nan")),
+    "case": (("case14", "case30", "{tmp}/noload.m"), ("case9", ",")),
+    "scenario": (("static", "fault", "daily"), ("sideways", "linear")),
+    "plant": (("linear", "nonlinear"), ("quadratic", "static")),
+    "trip": (("4:5", "4:5@20"), ("2:3@1e300", "7:8", "1:99", "4:5@nan", "4:5@-1", "4:5@", "4", "@")),
+    "profile": ((", ".join(["0.5"] * 12 + ["2.5"] * 12),),
+                (", ".join(["1.0"] * 23), ", ".join(["1.0"] * 23 + ["-0.5"]),
+                 ", ".join(["1.0"] * 24) + ",", "1e300")),
+    "reset_multipliers": (("yes", "off"), ("maybe",)),
+    "out": (("{tmp}/elsewhere", "{tmp}/="), ("{tmp}/run.cfg/x",)),
+    "vmaks": (("1.05",), ()),
 }
-_FUZZ_LINE = st.sampled_from(sorted(_FUZZ_POOL)).flatmap(
-    lambda key: st.tuples(st.just(key), st.sampled_from(_FUZZ_POOL[key]))
-)
 
 
-@seed(28423422612864172547531963415808578612691762664739298711628142767708570055189659266298705870590485395410720306412047)
-@settings(max_examples=100, deadline=None, database=None)
-@given(lines=st.lists(_FUZZ_LINE, min_size=1, max_size=4))
-def test_fuzzed_configs_end_in_an_exit_code_and_one_line_on_failure(lines):
-    # a run on bundled case14 with one to four fuzzed keys ends in one of
-    # the four exit codes; a failure says why in one stderr line, and a
-    # config error leaves no output behind. The first lines bind the band
-    # and keep each run short, and a drawn key overrides them: 100 examples
-    # take about 1 s
-    text = "case = case14\nload_scale = 3.1\nplant = linear\nhorizon = 50\nhour_seconds = 50\n"
-    text += "".join(f"{key} = {value}\n" for key, value in lines)
+def _mostly(common, rare):
+    """Four draws in five from ``common``, the rest from ``rare`` where it has any."""
+    return st.integers(0, 4).flatmap(lambda n: st.sampled_from(common if n or not rare else rare))
+
+
+def _fuzz_lines(command):
+    """One to four config lines for ``command``, four keys in five among those it reads.
+
+    Each line is a key, a value and whether to give it as its flag, where
+    the subcommand has that flag. The keys are distinct, which spreads a
+    hundred draws over more keys and flags than Hypothesis's repeats do.
+    """
+    # run reads every key the config knows
+    reads = sorted(cli._COMMAND_KEYS.get(command, set(_FUZZ_POOL) - {"vmaks"}))
+    line = _mostly(reads, sorted(_FUZZ_POOL)).flatmap(
+        lambda key: st.tuples(st.just(key), _mostly(*_FUZZ_POOL[key]), st.booleans())
+    )
+    return st.lists(line, min_size=1, max_size=4, unique_by=lambda line: line[0])
+
+
+# each subcommand's base lines, keys it reads: they bind the band and keep
+# each run short, and a drawn key overrides them
+_FUZZ_BASE = {
+    "run": "case = case14\nload_scale = 3.1\nplant = linear\nhorizon = 50\nhour_seconds = 50\n"
+           "out = {tmp}/out\n",
+    "validate": "case = case14\nload_scale = 3.1\nhorizon = 50\n",
+    **dict.fromkeys(("sensitivity", "powerflow"), "case = case14\nload_scale = 3.1\n"),
+}
+
+
+def _fuzz_main(command, text, flags):
+    """Run ``command`` on config ``text`` and ``flags`` in a new directory that {tmp} names.
+
+    Checks the exit code, the one stderr line of a failure, and that a
+    config error leaves nothing behind; returns the code and the stderr
+    text with the directory written back as {tmp}.
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
-        cfg.write_text(text)
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text.replace("{tmp}", tmp))
+        (Path(tmp) / "noload.m").write_text(NO_LOAD_BUS_TEXT)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["run", "--config", str(cfg), "--out", str(out)])
+            code = main([command, "--config", str(cfg), *(a.replace("{tmp}", tmp) for a in flags)])
         assert code in (EXIT_OK, EXIT_NOT_CONVERGED, EXIT_CONFIG, EXIT_RUNTIME)
         if code in (EXIT_CONFIG, EXIT_RUNTIME):
             prefix = "config error: " if code == EXIT_CONFIG else "runtime failure: "
@@ -613,7 +692,33 @@ def test_fuzzed_configs_end_in_an_exit_code_and_one_line_on_failure(lines):
         else:
             assert err.getvalue() == ""
         if code == EXIT_CONFIG:
-            assert not out.exists()
+            assert sorted(os.listdir(tmp)) == ["noload.m", "run.cfg"]
+        return code, err.getvalue().replace(tmp, "{tmp}")
+
+
+@seed(28423422612864172547531963415808578612691762664739298711628142767708570055189659266298705870590485395410720306412047)
+@settings(max_examples=100, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(_FUZZ_BASE)), data=st.data())
+def test_fuzzed_configs_end_in_an_exit_code_and_one_line_on_failure(command, data):
+    # a subcommand with its base lines and one to four fuzzed keys, some
+    # given as their flags, ends in one of the four exit codes; a failure
+    # says why in one stderr line, and a config error leaves no output
+    # behind. Each flag drawn also runs alone, once as its flag and once as
+    # its key, and both end in the same code and the same message after the
+    # location. 100 examples take about 2 s
+    lines = data.draw(_fuzz_lines(command))
+    flag_of = {key: f"--{flag}" for flag, key in cli._FLAG_KEYS.items()
+               if command == "run" or flag in ("case", "scale")}
+    keyed = [(key, value) for key, value, as_flag in lines if not (as_flag and key in flag_of)]
+    flagged = [(key, value) for key, value, as_flag in lines if as_flag and key in flag_of]
+    base = _FUZZ_BASE[command]
+    _fuzz_main(command, base + "".join(f"{key} = {value}\n" for key, value in keyed),
+               [arg for key, value in flagged for arg in (flag_of[key], value)])
+    for key, value in flagged:
+        code, err = _fuzz_main(command, base, [flag_of[key], value])
+        key_code, key_err = _fuzz_main(command, base + f"{key} = {value}\n", [])
+        assert code == key_code
+        assert err.replace(f"{flag_of[key]}: ", "") == re.sub(r"line \d+: ", "", key_err)
 
 
 def test_missing_config_file_is_config_error(capsys):

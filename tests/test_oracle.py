@@ -6,13 +6,14 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 from _reference import enumerate_active_sets
-from voltctrl import build_admittance, scale_loads, trip_branch
+from voltctrl import build_admittance, oracle, scale_loads, trip_branch
 from voltctrl.controller import ControllerState, Limits, dynamics_rhs
 from voltctrl.errors import InfeasibleProblemError, NotContractingError, PlantDivergenceError
 from voltctrl.netcase import BusKind
 from voltctrl.oracle import (
     kkt_residual,
     plant_equilibrium,
+    solve_at,
     solve_centralized,
 )
 from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flow
@@ -204,13 +205,12 @@ def test_solution_respects_all_constraints():
 
 
 def reference_problem(case, scale, trip=None, box=0.2):
-    """Oracle input linearized where the loop starts: the uncontrolled power flow, loads scaled."""
+    """The case with its loads scaled, and the box the oracle solves it under."""
     case = scale_loads(case, scale)
     if trip is not None:
         case = trip_branch(case, *trip)
     part = partition_buses(case)
-    sens, _ = linearized(case, np.zeros(part.n_controlled))
-    return case, sens, Limits.box(part.n_load, part.n_controlled, q_lo=-box, q_hi=box)
+    return case, Limits.box(part.n_load, part.n_controlled, q_lo=-box, q_hi=box)
 
 
 # active sets by PQ position on the inputs C3-C5 and `voltctrl validate` read;
@@ -228,8 +228,8 @@ def test_heavy_case14_active_pattern(case14, case30):
     # under ~3.1x uniform loading the floor binds at buses 4 and 14 and the
     # bus-14 source saturates; the optimizer leaves bus 12 well under its
     # ceiling because the voltage-controlled bus 6 shields that corner
-    heavy, sens, lim = reference_problem(case14, 3.1)
-    qp = solve_centralized(sens, lim)
+    heavy, lim = reference_problem(case14, 3.1)
+    qp, sens, _ = solve_at(heavy, lim)
     ids = [heavy.buses[i].id for i in sens.partition.pq]
     binding_lo = {ids[i] for i in qp.active_sets["v_lo"]}
     assert binding_lo == {4, 14}
@@ -244,12 +244,12 @@ def test_heavy_case14_active_pattern(case14, case30):
 
     cases = {"case14": case14, "case30": case30}
     for name, scale, trip, box, expected in REFERENCE_ACTIVE_SETS:
-        _, sens, lim = reference_problem(cases[name], scale, trip, box)
+        case, lim = reference_problem(cases[name], scale, trip, box)
         if expected is None:
             with pytest.raises(InfeasibleProblemError):
-                solve_centralized(sens, lim)
+                solve_at(case, lim)
             continue
-        qp = solve_centralized(sens, lim)
+        qp, sens, _ = solve_at(case, lim)
         active = {family: rows for family, rows in qp.active_sets.items() if rows}
         assert active == expected, (name, scale, trip)
         assert qp.kkt_residual <= 1e-10
@@ -343,7 +343,7 @@ def test_plant_equilibrium_is_the_written_out_iteration(request, name, factor, q
     sens = voltage_sensitivity(build_admittance(case), part)
     inj = nominal_injections(case)
     q, sol = np.zeros(part.n_controlled), None
-    for iteration in range(1, 51):
+    for iteration in range(1, oracle._EQUILIBRIUM_MAX_ITER + 1):
         full = np.zeros(part.n_load)
         full[part.controlled_in_pq()] = q
         moved = InjectionSet(inj.p_injection, inj.q_injection + full)
@@ -371,8 +371,9 @@ def test_plant_equilibrium_reports_a_diverging_power_flow(case30):
         plant_equilibrium(scale_loads(case30, 3.0), Limits.box(24, 24))
 
 
-def test_plant_equilibrium_that_does_not_contract_raises(case14):
+def test_plant_equilibrium_that_does_not_contract_raises(monkeypatch, case14):
     # two iterations are too few for the x3.1 fixed point; the error gives
     # the last step and the contraction rate
+    monkeypatch.setattr(oracle, "_EQUILIBRIUM_MAX_ITER", 2)
     with pytest.raises(NotContractingError, match=r"last step \S+, rate 0\.\d+"):
-        plant_equilibrium(scale_loads(case14, 3.1), Limits.box(9, 9), max_iter=2)
+        plant_equilibrium(scale_loads(case14, 3.1), Limits.box(9, 9))

@@ -46,7 +46,7 @@ from voltctrl.netcase import (
     scale_loads,
     trip_branch,
 )
-from voltctrl.oracle import solve_centralized
+from voltctrl.oracle import solve_at, solve_centralized
 from voltctrl.powerflow import nominal_injections, solve_power_flow
 from voltctrl.sensitivity import linearized, partition_buses
 from voltctrl.simulate import (
@@ -94,14 +94,6 @@ def _watch(mp, owner, name, before=None, after=None):
     mp.setattr(owner, name, classmethod(watched) if is_classmethod else watched)
 
 
-def _oracle_for(case):
-    """Centralized solution at the uncontrolled operating point, as the loop linearizes it."""
-    part = partition_buses(case)
-    sens, sol = linearized(case, np.zeros(part.n_controlled))
-    lim = Limits.box(part.n_load, part.n_controlled)
-    return solve_centralized(sens, lim), sens, lim, sol
-
-
 @pytest.fixture(scope="module")
 def toy_limits():
     return Limits.box(1, 1, **TOY_LIMITS_KW)
@@ -134,7 +126,7 @@ def heavy_nl(heavy14):
 
 @pytest.fixture(scope="module")
 def heavy_oracle(heavy14):
-    return _oracle_for(heavy14)
+    return solve_at(heavy14, Limits.box(9, 9))[0]
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +206,7 @@ def test_stock_case_needs_only_small_correction(case14):
 
 
 def test_heavy_linear_matches_oracle(heavy_lin, heavy_oracle):
-    qp, sens, lim, _ = heavy_oracle
+    qp = heavy_oracle
     assert heavy_lin.converged
     assert np.max(np.abs(heavy_lin.final_q - qp.q_star)) < 1e-4
     st = heavy_lin.trajectory.states[-1]
@@ -222,7 +214,7 @@ def test_heavy_linear_matches_oracle(heavy_lin, heavy_oracle):
     assert np.max(np.abs(st.lam_hi - qp.lam_hi)) < 1e-3
     assert np.max(np.abs(st.mu_hi - qp.mu_hi)) < 1e-3
     assert np.max(np.abs(st.mu_lo - qp.mu_lo)) < 1e-3
-    slack = -written_out_violation(heavy_lin.trajectory.v[-1], st.q, lim)
+    slack = -written_out_violation(heavy_lin.trajectory.v[-1], st.q, Limits.box(9, 9))
     mults = np.concatenate([st.lam_hi, st.lam_lo, st.mu_hi, st.mu_lo])
     assert np.max(np.abs(mults * slack)) < 1e-4
 
@@ -247,7 +239,7 @@ def test_plant_modes_agree_within_linearization_bound(heavy_lin, heavy_nl, toy_l
 
 
 def test_light30_consumes_reactive_and_restores_band(light30, light30_lin):
-    qp, sens, lim, bare = _oracle_for(light30)
+    qp, _, bare = solve_at(light30, Limits.box(24, 24))
     part = partition_buses(light30)
     assert np.max(bare.v[part.pq]) > 1.05
     assert light30_lin.converged
@@ -309,20 +301,19 @@ def test_a_cost_ratio_from_zero_is_one_if_the_cost_stays_and_inf_if_it_rises(cas
 
 
 def test_far_trip_barely_moves_optimal_cost(light30):
-    qp_base, _, _, _ = _oracle_for(light30)
-    qp_trip, _, _, _ = _oracle_for(trip_branch(light30, 29, 30))
+    qp_base, _, _ = solve_at(light30, Limits.box(24, 24))
+    qp_trip, _, _ = solve_at(trip_branch(light30, 29, 30), Limits.box(24, 24))
     rel = abs(qp_trip.objective_value - qp_base.objective_value) / qp_base.objective_value
     assert rel < 0.05
 
 
 def test_load_step_reaches_new_optimum(case14, heavy_oracle):
     # one light hour, then the heavy load carried over from its state
-    qp, _, _, _ = heavy_oracle
     res = run_daily(
         case14, profile=[1.6] + [3.1] * 23, plant_mode=PlantMode.LINEAR, hour_seconds=2e5
     )
     assert res.converged
-    assert np.max(np.abs(res.hourly_final_q[1] - qp.q_star)) < 1e-4
+    assert np.max(np.abs(res.hourly_final_q[1] - heavy_oracle.q_star)) < 1e-4
 
 
 def test_timed_fault_runs_are_bit_identical(heavy14):
@@ -1687,12 +1678,8 @@ def test_linear_runs_on_random_networks_meet_the_oracle(network):
     part = partition_buses(case)
     lim = Limits.box(part.n_load, part.n_controlled, q_lo=-q_max, q_hi=q_max)
     try:
-        sens, _ = linearized(case, np.zeros(part.n_controlled))
-    except PlantDivergenceError:
-        assume(False)
-    try:
-        qp = solve_centralized(sens, lim)
-    except InfeasibleProblemError:
+        qp, _, _ = solve_at(case, lim)
+    except (PlantDivergenceError, InfeasibleProblemError):
         assume(False)
     res = run_static(case, lim, plant_mode=PlantMode.LINEAR)
     stats = res.stats
@@ -1790,9 +1777,24 @@ def test_invalid_tolerances_are_rejected(heavy14, name, value):
 
 
 def test_case_without_controllers_is_rejected(case14):
-    # used to run the whole window, then fail on an empty reduction
+    # used to run the whole window, then fail on an empty reduction; the
+    # oracle, which once failed on an empty argmax, refuses it the same way
     with pytest.raises(ConfigError, match="no controlled bus"):
         run_static(case14.with_controllers([]))
+    with pytest.raises(ConfigError, match="no controlled bus"):
+        solve_at(case14.with_controllers([]), Limits.box(9, 0))
+
+
+def test_a_window_past_its_attempt_budget_raises(monkeypatch, heavy14):
+    # heavy14's linear run takes 16 attempts; with a budget of 10 the window
+    # ends before its eleventh, naming the count, t, the step size and the
+    # cause of the last rejection
+    monkeypatch.setattr(simulate, "_MAX_ATTEMPTS", 10)
+    with pytest.raises(StepSizeUnderflowError, match=(
+        r"^window ended after 10 attempts at t=\S+, step size \S+; "
+        r"last rejection: a \w+ event cut the step back$"
+    )):
+        run_static(heavy14, plant_mode=PlantMode.LINEAR)
 
 
 def test_calibration_rejects_unknown_bus_ids(case14):
