@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import BUNDLED_CASES, load_case
-from .controller import Gains, Limits
+from .controller import ROWS, Gains, Limits
 from .errors import ConfigError, PlantDivergenceError, VoltCtrlError
 from .netcase import NetworkCase, parse_case, scale_loads
 from .oracle import solve_at
@@ -284,7 +284,7 @@ def emit_report(
     volt_path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
     # each multiplier of the final packed row against its constraint and bus
-    labels = np.repeat(["v_hi", "v_lo", "q_hi", "q_lo"], [m, m, c, c])
+    labels = np.repeat(ROWS, [m, m, c, c])
     buses = np.concatenate((pq_ids, pq_ids, ctl_ids, ctl_ids))
     held = packed[-1, c:] > 1e-6
     binding = [f"{label} @ bus {bus}" for label, bus in zip(labels[held], buses[held])]
@@ -423,7 +423,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     )
     q, v = res.final_q, res.trajectory.v[-1]
     dq = float(np.max(np.abs(q - qp.q_star)))
-    slack = np.concatenate([limits.v_hi - v, v - limits.v_lo, limits.q_hi - q, q - limits.q_lo])
+    slack = -limits.violation(v, q)
     # the last packed row's multipliers, in the order of the slacks
     comp = float(np.max(np.abs(res.trajectory.y[-1, len(q) :] * slack)))
     checks = [

@@ -37,12 +37,13 @@ is that exponential, of one matrix or of a stack, numpy only and from
 matrix products alone: a truncated Taylor series in Paterson and
 Stockmeyer's form, scaled and squared at the fewest products the norm
 allows, whose last product forms only the columns ``phi`` reads.
-This module defines the packed layout, which ``simulate`` (q from the
-multipliers) and ``cli.emit_report`` and ``cli._cmd_validate`` (by
-family) also slice. ``ControllerState.view`` reads a state off a packed
-row that its caller has checked, as ``simulate.Trajectory`` checks its
-rows once. ``dynamics_rhs`` is the validating wrapper over
-``ControllerState``; it returns the packed rate vector.
+This module defines the packed layout, which ``simulate`` also slices,
+and the constraint rows the oracle and ``cli`` read: their families
+``ROWS``, ``rows`` and ``Limits.violation``. ``ControllerState.view``
+reads a state off a packed row that its caller has checked, as
+``simulate.Trajectory`` checks its rows once. ``dynamics_rhs`` is the
+validating wrapper over ``ControllerState``; it returns the packed rate
+vector.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ class Limits:
             raise ValueError("v_lo must be below v_hi")
         if not np.all(self.q_lo < self.q_hi):
             raise ValueError("q_lo must be below q_hi")
+        bounds = np.concatenate([self.v_hi, -self.v_lo, self.q_hi, -self.q_lo])
+        object.__setattr__(self, "_bounds", bounds)  # what ``violation`` subtracts
 
     @classmethod
     def box(
@@ -104,6 +107,20 @@ class Limits:
             q_lo=np.full(n_controlled, q_lo),
             q_hi=np.full(n_controlled, q_hi),
         )
+
+    def violation(self, v: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The rows' violations [v, -v, q, -q] - [v_hi, -v_lo, q_hi, -q_lo], on the last axis."""
+        return np.concatenate((v, -v, q, -q), axis=-1) - self._bounds
+
+
+# the constraint families, in the order of the multiplier rows and of the oracle's A q <= b
+ROWS = ("v_hi", "v_lo", "q_hi", "q_lo")
+
+
+def rows(xc: np.ndarray) -> np.ndarray:
+    """The constraint rows' derivatives in q, [xc; -xc; I; -I], for the M x C dv/dq ``xc``."""
+    eye = np.eye(xc.shape[1])
+    return np.vstack([xc, -xc, eye, -eye])
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,9 +202,9 @@ class PackedFlow:
     holds the sensitivity columns of the controlled buses (M x C). Before
     projection the rates are affine in the state and the measured voltages:
     the q rows are -k_q times the Lagrangian's gradient in q, and each
-    multiplier row is its gain times its constraint's violation
-    (v - v_hi, v_lo - v, q - q_hi, q_lo - q). Stored are the q rows, the
-    multiplier rows' q columns J_mq, the limits and the gains. ``rates``
+    multiplier row is its gain times its ``Limits.violation``. Stored are
+    the q rows, the multiplier rows' q columns J_mq (the gains times
+    ``rows(xc)``), the limits and the gains. ``rates``
     forms the violations once per state: the projection tests them, the
     gains scale what it keeps, and the same vector gives each row's event,
     which tells where a piece of the projection ends. ``phi`` keeps one
@@ -201,14 +218,14 @@ class PackedFlow:
     def __init__(self, xc: np.ndarray, lim: Limits, gains: Gains):
         m, c = xc.shape
         self.m, self.c = m, c
-        eye = np.eye(c)
+        eye, a = np.eye(c), rows(xc)
         # the q rows of J, whose multiplier columns are J_qm
-        self._q_rows = gains.k_q * np.hstack([-2.0 * eye, -xc.T, xc.T, -eye, eye])
+        self._q_rows = gains.k_q * np.hstack([-2.0 * eye, -a.T])
         self._j_qm = self._q_rows[:, c:]
-        self._offset = np.concatenate([-lim.v_hi, lim.v_lo, -lim.q_hi, lim.q_lo])
+        self._lim = lim
         self._gain = np.repeat([gains.k_lam, gains.k_mu], [2 * m, 2 * c])
         # J_mq: each multiplier row's gain times its violation's derivative in q
-        self._j_mq = self._gain[:, None] * np.vstack([xc, -xc, eye, -eye])
+        self._j_mq = self._gain[:, None] * a
         # B's top blocks [-2 k_q I, I] over zeros, and a mode's [[-2 k_q, 1], [0, 0]]
         self._b_top = np.vstack([np.hstack([self._q_rows[:, :c], eye]), np.zeros((c, 2 * c))])
         self._mode = np.array([[-2.0 * gains.k_q, 1.0], [0.0, 0.0]])
@@ -249,7 +266,7 @@ class PackedFlow:
         violation off it; the piece ends where one turns negative. Returns
         the rates, the piece and the events, all from one violation vector.
         """
-        violation = np.concatenate((v, -v, y[: self.c], -y[: self.c])) + self._offset
+        violation = self._lim.violation(v, y[: self.c])
         if on is None:
             on = (y[self.c :] > 0) | (violation > 0)
         events = np.where(on, y[self.c :], -violation)

@@ -532,7 +532,8 @@ def scale_loads(case: NetworkCase, factor) -> NetworkCase:
     """Scale PQ-bus loads by a common factor or a per-bus {id: factor} map.
 
     Slack and PV bus data are left untouched. Factors must be nonnegative
-    and finite; per-bus maps may only name PQ buses.
+    and finite; per-bus maps may only name PQ buses. A built ``topology``
+    is shared: loads enter neither Y, nor the partition, nor the setpoints.
     """
     if isinstance(factor, dict):
         for bus_id, f in factor.items():
@@ -553,4 +554,7 @@ def scale_loads(case: NetworkCase, factor) -> NetworkCase:
         else b
         for b in case.buses
     )
-    return replace(case, buses=buses)
+    scaled = replace(case, buses=buses)
+    if "topology" in vars(case):
+        vars(scaled)["topology"] = case.topology
+    return scaled

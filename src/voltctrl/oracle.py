@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import Limits
+from .controller import ROWS, Limits, rows
 from .errors import InfeasibleProblemError, NotContractingError, PlantDivergenceError
 from .netcase import NetworkCase
 from .powerflow import PowerFlowSolution
@@ -61,14 +61,11 @@ class QPSolution:
 
 
 def _constraint_rows(sens: SensitivityMatrix, lim: Limits):
-    """Stack the problem as A q <= b, returning (A, b)."""
+    """Stack the problem as A q <= b: (``rows(xc)``, minus ``Limits.violation`` at q = 0)."""
     cpos = sens.partition.controlled_in_pq()
     xc = sens.x[:, cpos]
     r = sens.base_v - xc @ sens.base_q[cpos]
-    eye = np.eye(len(cpos))
-    a = np.vstack([xc, -xc, eye, -eye])
-    b = np.concatenate([lim.v_hi - r, r - lim.v_lo, lim.q_hi, -lim.q_lo])
-    return a, b
+    return rows(xc), -lim.violation(r, np.zeros(len(cpos)))
 
 
 def _pack_solution(q: np.ndarray, u: np.ndarray, working: list[int], sens, lim) -> QPSolution:
@@ -77,22 +74,14 @@ def _pack_solution(q: np.ndarray, u: np.ndarray, working: list[int], sens, lim) 
     bounds = [0, m, 2 * m, 2 * m + c, 2 * m + 2 * c]
     nu = np.zeros(bounds[-1])
     nu[working] = u
-    lam_hi, lam_lo, mu_hi, mu_lo = np.split(nu, bounds[1:-1])
-    rows = sorted(working)
+    multipliers = np.split(nu, bounds[1:-1])
     active = {
-        name: tuple(i - lo for i in rows if lo <= i < hi)
-        for name, lo, hi in zip(("v_hi", "v_lo", "q_hi", "q_lo"), bounds, bounds[1:])
+        name: tuple(i - lo for i in sorted(working) if lo <= i < hi)
+        for name, lo, hi in zip(ROWS, bounds, bounds[1:])
     }
-    residual = kkt_residual(q, (lam_hi, lam_lo, mu_hi, mu_lo), sens, lim)
     return QPSolution(
-        q_star=q,
-        lam_hi=lam_hi,
-        lam_lo=lam_lo,
-        mu_hi=mu_hi,
-        mu_lo=mu_lo,
-        active_sets=active,
-        objective_value=float(q @ q),
-        kkt_residual=residual,
+        q, *multipliers, active_sets=active, objective_value=float(q @ q),
+        kkt_residual=kkt_residual(q, multipliers, sens, lim),
     )
 
 
@@ -202,10 +191,10 @@ def plant_equilibrium(case: NetworkCase, limits: Limits) -> tuple[QPSolution, in
 def kkt_residual(q: np.ndarray, multipliers, sens: SensitivityMatrix, lim: Limits) -> float:
     """Worst violation of the KKT conditions of min ||q||^2 subject to A q <= b.
 
-    ``multipliers`` is the tuple (lam_hi, lam_lo, mu_hi, mu_lo), stacked as
-    nu in the order of ``_constraint_rows``. The residual is the largest
-    magnitude in stationarity 2 q + A' nu, feasibility max(A q - b, 0),
-    dual sign max(-nu, 0) and slackness nu (A q - b).
+    ``multipliers`` holds lam_hi, lam_lo, mu_hi and mu_lo, stacked as nu in
+    the order of ``ROWS``, as ``_constraint_rows`` stacks A and b. The residual
+    is the largest magnitude in stationarity 2 q + A' nu, feasibility
+    max(A q - b, 0), dual sign max(-nu, 0) and slackness nu (A q - b).
     """
     a, b = _constraint_rows(sens, lim)
     nu = np.concatenate(multipliers)

@@ -517,9 +517,9 @@ def integrate(
                 first = int(np.argmin(roots))
                 if roots[first] < 1.0 and h_try * roots[first] > 1e-10:
                     row = int(np.flatnonzero(event)[first])
-                    kind = "crossing" if on[row] else "entering"
+                    kind, article = ("crossing", "a") if on[row] else ("entering", "an")
                     loop.counts[kind] += 1
-                    cause = f"a {kind} event cut the step back"
+                    cause = f"{article} {kind} event cut the step back"
                     x, stage = loop.land(f, on, h_try, row, float(g0[row]), float(roots[first]))
                     h_cut = max(h_cut, h_try)
                     h = h_try * x
@@ -546,23 +546,22 @@ def integrate(
             residual = _residual(f, t)
 
     trajectory = Trajectory(t=np.array(times), y=np.array(rows), v=np.array(volts))
-    v_all, q_all = trajectory.v, trajectory.y[:, :c]
+    q_all = trajectory.y[:, :c]
+    # the worst violation of each family in ``ROWS`` over every sample, at least 0
+    above_v, below_v, above_q, below_q = (
+        max(0.0, float(np.max(family)))
+        for family in np.split(lim.violation(trajectory.v, q_all), [m, 2 * m, 2 * m + c], axis=1)
+    )
     # regulated buses from the last solve, load buses as the last sample measured
     final_v = loop.last.v.copy()
-    final_v[loop.part.pq] = v_all[-1]
+    final_v[loop.part.pq] = trajectory.v[-1]
     return SimulationResult(
         trajectory=trajectory,
         final_v=final_v,
         final_q=q_all[-1].copy(),
         converged=bool(residual < tol),
         final_residual=residual,
-        violations=ViolationSummary(
-            max_v_below=max(0.0, float(np.max(lim.v_lo - v_all))),
-            max_v_above=max(0.0, float(np.max(v_all - lim.v_hi))),
-            max_q_below=max(0.0, float(np.max(lim.q_lo - q_all))),
-            max_q_above=max(0.0, float(np.max(q_all - lim.q_hi))),
-            min_multiplier=min(0.0, min(raw_mins)),
-        ),
+        violations=ViolationSummary(below_v, above_v, below_q, above_q, min(0.0, min(raw_mins))),
         stats=SolverStats(len(rows) - 1, **loop.counts),
     )
 

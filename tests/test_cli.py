@@ -741,6 +741,26 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert "1.0600" in out
 
 
+def test_plant_and_out_flags_run_as_their_config_keys(tmp_path, monkeypatch, capsys):
+    # --plant linear and --out DIR against plant = linear and out = DIR in
+    # the config: each run from its own directory, so that the relative DIR
+    # prints alike, gives the same exit code, stdout and report files
+    runs = []
+    for name, text, flags in (
+        ("flags", "", ["--plant", "linear", "--out", "out"]),
+        ("keys", "plant = linear\nout = out\n", []),
+    ):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("run.cfg").write_text("case = case14\nload_scale = 3.1\n" + text)
+        code = main(["run", "--config", "run.cfg", *flags])
+        reports = {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+        runs.append((code, capsys.readouterr(), reports))
+    (code, std, reports), keyed = runs
+    assert code == EXIT_OK and std.err == "" and len(reports) == 3
+    assert runs[0] == keyed
+
+
 def test_validate_command_passes(capsys):
     code = main(["validate", "--case", "case14", "--scale", "3.1"])
     out = capsys.readouterr().out

@@ -12,6 +12,7 @@ from _reference import full_phi, written_out_jacobian, written_out_lagrangian
 from _reference import written_out_rates, written_out_violation
 from voltctrl import build_admittance, scale_loads
 from voltctrl.controller import (
+    ROWS,
     ControllerState,
     Gains,
     Limits,
@@ -20,6 +21,7 @@ from voltctrl.controller import (
     dynamics_rhs,
     expm,
     objective,
+    rows,
     unpack_state,
 )
 from voltctrl.powerflow import jacobian_inverse, nominal_injections, solve_power_flow
@@ -107,6 +109,26 @@ def test_positive_projection():
     assert on.tolist() == [False, True, True, False] + [False] * 6
     # the events are the multipliers on the piece and minus the violations off it
     assert events.tolist() == [3.0, 0.5, 0.0, 0.0, 7.0, 7.0, 13.0, 10.0, 1.0, 1.0]
+
+
+def test_the_constraint_rows_are_the_written_out_ones():
+    # one row per multiplier, in their order; a stack of samples gives a
+    # row of violations each, bit for bit the written-out formula's
+    rng = np.random.default_rng(5)
+    m, c = 4, 3
+    lim = Limits(v_lo=rng.uniform(0.9, 0.95, m), v_hi=rng.uniform(1.05, 1.1, m),
+                 q_lo=rng.uniform(-0.3, -0.1, c), q_hi=rng.uniform(0.1, 0.3, c))
+    v, q = rng.uniform(0.85, 1.15, (6, m)), rng.uniform(-0.4, 0.4, (6, c))
+    stacked = lim.violation(v, q)
+    for k in range(len(v)):
+        assert np.array_equal(stacked[k], written_out_violation(v[k], q[k], lim))
+        assert np.array_equal(lim.violation(v[k], q[k]), stacked[k])
+    # rows(xc) is each violation's derivative in q where v moves by xc dq
+    xc, dq = rng.normal(size=(m, c)), rng.normal(size=c)
+    moved = lim.violation(v[0] + xc @ dq, q[0] + dq) - stacked[0]
+    assert_allclose(moved, rows(xc) @ dq, rtol=0, atol=1e-14)
+    multipliers = list(ControllerState.__dataclass_fields__)[1:]
+    assert [f.replace("lam", "v").replace("mu", "q") for f in multipliers] == list(ROWS)
 
 
 def test_flow_jacobian_matches_finite_difference(case14):

@@ -486,8 +486,9 @@ def test_trip_matches_branch_removed_from_text(case14):
 
 
 def test_cached_topology_follows_edits(case14):
-    # an edit returns a new case, so it can never see its parent's cached Y,
-    # even when the parent's cache is already filled
+    # an edit returns a new case, whose topology is its own Y and partition
+    # even when the parent's cache is already filled; a load edit shares
+    # the parent's, since loads enter neither
     case14.topology
     edited = [
         trip_branch(case14, 4, 5),
@@ -501,6 +502,19 @@ def test_cached_topology_follows_edits(case14):
     ids = [edited[2].buses[i].id for i in partition_buses(edited[2]).controlled]
     assert ids == [4, 9, 14]
     assert not np.array_equal(edited[0].topology.y, case14.topology.y)
+
+
+def test_a_load_edit_shares_a_built_topology_only(case14):
+    case14.topology
+    assert scale_loads(case14, {9: 1.5}).topology is case14.topology
+    assert scale_loads(scale_loads(case14, 2.0), 0.5).topology is case14.topology
+    # an islanded case's topology is never built, so each scaled copy
+    # fails where its parent does: at its own first use
+    island = _with_island(case14, (15,), False)
+    scaled = scale_loads(island, 2.0)
+    for case in (scaled, island):
+        with pytest.raises(IslandingError, match=r"buses \[15\] cannot be reached"):
+            case.topology
 
 
 def test_trip_missing_branch(case14):
