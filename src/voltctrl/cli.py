@@ -3,8 +3,8 @@
 Configuration is a plain-text key = value format (documented in the README);
 command-line flags override config values. Exit codes are a stable contract:
 0 success and converged, 1 ran but not converged (or validation failed),
-2 usage or config error (an unreadable case, config or output path among
-them), 3 runtime failure.
+2 usage or config error (an unreadable case, config, output path or report
+file among them), 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -244,7 +244,6 @@ def emit_report(
     pq_ids = [case.buses[i].id for i in part.pq]
     ctl_ids = [case.buses[i].id for i in part.controlled]
 
-    traj_path = out / "trajectory.csv"
     header = (
         ["t"]
         + [f"q_{b}" for b in ctl_ids]
@@ -263,7 +262,6 @@ def emit_report(
         traj.cost,
     ))
     lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in table]
-    traj_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     if isinstance(result, DailyResult):
         # the last hour's uncontrolled flow, which the run solved, at the regulated setpoints
@@ -274,14 +272,12 @@ def emit_report(
         if not bare.converged:
             raise VoltCtrlError("uncontrolled power flow failed while writing the report")
         before = bare.v
-    volt_path = out / "voltages_before_after.txt"
     ids = [b.id for b in case.buses]
     rows = [
         "bus    " + " ".join(f"{b:>7d}" for b in ids),
         "before " + " ".join(f"{v:7.4f}" for v in before),
         "after  " + " ".join(f"{v:7.4f}" for v in result.final_v),
     ]
-    volt_path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
     # each multiplier of the final packed row against its constraint and bus
     labels = np.repeat(ROWS, [m, m, c, c])
@@ -325,9 +321,13 @@ def emit_report(
             f"hours out of band uncontrolled: {out_unc}",
             f"hours out of band controlled: {out_ctl}",
         ]
-    sum_path = out / "summary.txt"
-    sum_path.write_text("\n".join(summary) + "\n", encoding="utf-8", newline="\n")
-    return [traj_path, volt_path, sum_path]
+    files = {"trajectory.csv": lines, "voltages_before_after.txt": rows, "summary.txt": summary}
+    for name, text in files.items():
+        try:
+            (out / name).write_text("\n".join(text) + "\n", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report file {out / name}: {exc}") from None
+    return [out / name for name in files]
 
 
 def _cmd_run(cfg: RunConfig) -> int:

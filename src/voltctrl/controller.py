@@ -500,5 +500,4 @@ def dynamics_rhs(
         raise ValueError("measured voltage length must match the load-bus count")
     if not np.all(np.isfinite(v_measured)):
         raise ValueError("measured voltages contain non-finite values")
-    xc = sens.x[:, sens.partition.controlled_in_pq()]
-    return PackedFlow(xc, lim, gains).rates(state.packed(), v_measured)[0]
+    return PackedFlow(sens.xc, lim, gains).rates(state.packed(), v_measured)[0]

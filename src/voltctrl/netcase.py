@@ -12,7 +12,8 @@ Each network fact is stored once. A slack or PV bus's regulated magnitude is
 its ``Bus.v_setpoint``; the generators there carry only their active output,
 and a gen row's Vg is read into, and written from, its bus. The admittance is
 one complex matrix (``build_admittance``), and the bus index sets are one
-``BusPartition``; both are built once per case, on its cached ``topology``.
+``BusPartition``, which also places controller outputs at their buses
+(``embed``); both are built once per case, on its cached ``topology``.
 """
 
 from __future__ import annotations
@@ -156,9 +157,19 @@ class BusPartition:
         return len(self.controlled)
 
     def controlled_in_pq(self) -> np.ndarray:
-        """Positions of the controlled buses within the pq ordering."""
+        """Positions of the controlled buses within the pq ordering, built on first use."""
+        return self._positions
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
         where = {int(b): i for i, b in enumerate(self.pq)}
         return np.array([where[int(b)] for b in self.controlled], dtype=int)
+
+    def embed(self, q: np.ndarray) -> np.ndarray:
+        """The load-bus vector with controller outputs q at their buses and zeros elsewhere."""
+        full = np.zeros(self.n_load)
+        full[self._positions] = q
+        return full
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,10 +62,9 @@ class QPSolution:
 
 def _constraint_rows(sens: SensitivityMatrix, lim: Limits):
     """Stack the problem as A q <= b: (``rows(xc)``, minus ``Limits.violation`` at q = 0)."""
-    cpos = sens.partition.controlled_in_pq()
-    xc = sens.x[:, cpos]
-    r = sens.base_v - xc @ sens.base_q[cpos]
-    return rows(xc), -lim.violation(r, np.zeros(len(cpos)))
+    xc = sens.xc
+    r = sens.base_v - xc @ sens.base_q[sens.partition.controlled_in_pq()]
+    return rows(xc), -lim.violation(r, np.zeros(xc.shape[1]))
 
 
 def _pack_solution(q: np.ndarray, u: np.ndarray, working: list[int], sens, lim) -> QPSolution:

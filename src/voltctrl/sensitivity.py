@@ -24,11 +24,13 @@ solves also meet, so ``voltctrl validate`` certifies the model the loop
 ran; ``plant_equilibrium`` asks for 1e-12.
 Bus sets come from ``partition_buses``, the case topology's one
 partition; ``BusPartition`` lives in ``netcase`` and is importable from here.
+X's controlled columns, its one slice, are ``SensitivityMatrix.xc``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +56,11 @@ class SensitivityMatrix:
         m = self.partition.n_load
         if self.x.shape != (m, m) or len(self.base_v) != m or len(self.base_q) != m:
             raise ValueError("sensitivity dimensions do not match the partition")
+
+    @cached_property
+    def xc(self) -> np.ndarray:
+        """X's M x C controlled columns, each source's own; built on first use."""
+        return self.x[:, self.partition.controlled_in_pq()]
 
 
 def partition_buses(case: NetworkCase) -> BusPartition:
@@ -118,8 +125,7 @@ def linearized(
     if case.topology.partition.n_controlled == 0:
         raise ConfigError(f"case {case.name} has no controlled bus")
     sens = voltage_sensitivity(case.topology.y, case.topology.partition)
-    full = np.zeros(sens.partition.n_load)
-    full[sens.partition.controlled_in_pq()] = q
+    full = sens.partition.embed(q)
     inj = nominal_injections(case)
     moved = InjectionSet(inj.p_injection, inj.q_injection + full)
     sol = solve_power_flow(case, moved, tol=tol, warm_start=warm_start)

@@ -263,10 +263,10 @@ class _ClosedLoop:
     """One window's compiled loop: plant, packed flow and the exprb32 step.
 
     Built once per window from the case, plant flavor, limits and gains. It
-    holds the partition, the controlled positions ``cpos`` within the load
+    holds the partition, which places the controllers' outputs at their
     buses, the nominal injections, and from ``rebase``, at the window's
     start, the sensitivity ``linearized`` there, the controller's ``flow``
-    compiled from its controlled columns, and in nonlinear mode the
+    compiled from its controlled columns ``xc``, and in nonlinear mode the
     last solution, where the next chord solve starts, and the inverse
     Jacobian it steps with, whose dv/dq block the flow's Jacobian uses.
     A plant solve that does not converge raises
@@ -285,16 +285,10 @@ class _ClosedLoop:
         self.m, self.c = self.part.n_load, self.part.n_controlled
         self.lim = limits if limits is not None else Limits.box(self.m, self.c)
         self.inj = nominal_injections(case)
-        self.cpos = self.part.controlled_in_pq()
         self.gains = gains
         self.last: PowerFlowSolution | None = None
         self.inverse: np.ndarray | None = None
         self.counts: Counter = Counter()
-
-    def embed(self, q: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.m)
-        full[self.cpos] = q
-        return full
 
     def rebase(self, q: np.ndarray) -> np.ndarray:
         """Linearize the plant at output q (``linearized``), compile the flow from its X.
@@ -302,7 +296,7 @@ class _ClosedLoop:
         Returns the voltage both plants read there.
         """
         self.sens, self.last = linearized(self.case, q)
-        self.flow = PackedFlow(self.sens.x[:, self.cpos], self.lim, self.gains)
+        self.flow = PackedFlow(self.sens.xc, self.lim, self.gains)
         self.counts["newton_iterations"] += self.last.iterations
         self.refresh_inverse()
         return self.sens.base_v
@@ -320,15 +314,15 @@ class _ClosedLoop:
             self.counts["jacobian_inversions"] += 1
             self.inverse = jacobian_inverse(self.case, self.last)
             n_a = len(self.case.topology.non_slack)
-            self.flow.set_plant_sensitivity(self.inverse[n_a:, n_a + self.cpos])
+            self.flow.set_plant_sensitivity(self.inverse[n_a:, n_a + self.part.controlled_in_pq()])
 
     def voltage(self, q: np.ndarray) -> np.ndarray:
         """The plant call: load-bus voltages at controller output q, a chord solve if nonlinear."""
         self.counts["plant_calls"] += 1
         if self.mode is PlantMode.LINEAR:
-            return predict_voltage(self.sens, self.embed(q))
+            return predict_voltage(self.sens, self.part.embed(q))
         inj = object.__new__(InjectionSet)  # unchecked: each stage is checked finite first
-        vars(inj).update(vars(self.inj), q_injection=self.inj.q_injection + self.embed(q))
+        vars(inj).update(vars(self.inj), q_injection=self.inj.q_injection + self.part.embed(q))
         sol = solve_power_flow(
             self.case, inj, tol=PLANT_TOL, warm_start=self.last, inverse=self.inverse
         )
@@ -633,7 +627,8 @@ def _join(windows: list[tuple[float, SimulationResult]]) -> SimulationResult:
 
     A window's first sample that would not come after the previous window's
     last is nudged 1e-9 past it, or one float spacing where that is larger
-    (past 2**24 s). Violations keep the worst of all windows, and the
+    (past 2**24 s); one whose steps are below the spacing at its start is a
+    :class:`ConfigError`. Violations keep the worst of all windows, and the
     solver counts are summed. The final voltage, output and residual are
     the last window's, and the run converged only if every window did.
     """
@@ -643,6 +638,8 @@ def _join(windows: list[tuple[float, SimulationResult]]) -> SimulationResult:
         if times and t[0] <= times[-1][-1]:
             prev = times[-1][-1]
             t[0] = max(prev + 1e-9, np.nextafter(prev, np.inf))
+        if np.any(np.diff(t) <= 0):
+            raise ConfigError(f"the window at t={start:g} s steps below the float spacing there")
         times.append(t)
     results = [res for _, res in windows]
     last = results[-1]
@@ -747,6 +744,7 @@ def run_daily(
         raise ConfigError("load factors must be nonnegative and finite")
     if not 0 < hour_seconds < np.inf:
         raise ConfigError(f"hour_seconds must be positive and finite, got {hour_seconds}")
+    pq = case.topology.pq  # built once: each hour's scale_loads copy shares it
     state = None
     windows: list[tuple[float, SimulationResult]] = []
     bare_v = []
@@ -755,7 +753,7 @@ def run_daily(
         bare = solve_power_flow(hourly_case, nominal_injections(hourly_case))
         if not bare.converged:
             raise PlantDivergenceError(f"uncontrolled power flow failed at hour {hour}")
-        bare_v.append(bare.v[hourly_case.topology.pq].copy())
+        bare_v.append(bare.v[pq].copy())
         if windows:
             end = windows[-1][1].trajectory
             state = ControllerState.view(end.y[-1], *end._sizes)
@@ -824,6 +822,7 @@ def calibrate_load_scale(case: NetworkCase, target_v: dict[int, float]) -> Calib
     if bad:
         raise CaseDataError(f"target magnitudes of bus ids {bad} must be positive and finite")
     rows = [index[b] for b in bus_ids]
+    case.topology  # built once: each trial's scale_loads copy shares it
 
     def err(k: float) -> float:
         scaled = scale_loads(case, k)

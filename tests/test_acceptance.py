@@ -159,8 +159,7 @@ def test_criterion_04_heavy_load_voltage_pattern(case14):
         # v12 sits inside the band, so its value depends on the network:
         # expect the oracle's v12 at the calibrated base point
         qp, sens, _ = solve_at(heavy, Limits.box(9, 9))
-        q_oracle = np.zeros(sens.partition.n_load)
-        q_oracle[sens.partition.controlled_in_pq()] = qp.q_star
+        q_oracle = sens.partition.embed(qp.q_star)
         pos12 = int(np.flatnonzero(sens.partition.pq == idx[12])[0])
         v12_oracle = float(predict_voltage(sens, q_oracle)[pos12])
         v12_cert = float(_certificate(heavy)[1][idx[12]])
@@ -272,16 +271,13 @@ def test_criterion_08_gradient_consistency(case14):
     part = partition_buses(case14)
     sens, _ = linearized(case14, np.zeros(part.n_controlled))
     lim = Limits.box(part.n_load, part.n_controlled)
-    cpos = part.controlled_in_pq()
     rng = np.random.RandomState(20240819)
     m, c = part.n_load, part.n_controlled
     h = 1e-6
     worst = 0.0
 
     def volts(q):
-        dq = np.zeros(m)
-        dq[cpos] = q
-        return sens.base_v + sens.x @ (dq - sens.base_q)
+        return sens.base_v + sens.x @ (part.embed(q) - sens.base_q)
 
     for _ in range(100):
         q = rng.uniform(lim.q_lo + 0.02, lim.q_hi - 0.02)

@@ -176,22 +176,31 @@ def test_parse_trip_variants():
         ([], "profile = " + ", ".join(["1.0"] * 24) + ",\n", "line 3: expected a number, got ''"),
         (["--plant", "quadratic"], "", "--plant: plant must be 'nonlinear' or 'linear'"),
         (["--scenario", "sideways"], "", "--scenario: scenario must be one of static, fault, daily"),
+        (["--trip", "4:5@1e16", "--plant", "linear"], "",
+         "the window at t=1e+16 s steps below the float spacing there"),
+        (["--scenario", "daily", "--plant", "linear"], "hour_seconds = 1e20\n",
+         "the window at t=1e+20 s steps below the float spacing there"),
     ],
     ids=["trip-flag-nan", "trip-key-inf", "negative-profile", "trip-flag-empty-time",
-         "empty-profile-field", "trailing-profile-comma", "plant-flag", "scenario-flag"],
+         "empty-profile-field", "trailing-profile-comma", "plant-flag", "scenario-flag",
+         "trip-past-float-resolution", "hour-past-float-resolution"],
 )
 def test_late_failing_values_are_config_errors_before_the_output(tmp_path, capsys, flags, config,
                                                                  message):
     # a trip time that is not finite and a negative load factor once parsed,
     # then failed inside the run without their location, after the output
     # directory was made; a bad --plant or --scenario is judged as its
-    # config key, where argparse's own list of choices once judged it
+    # config key, where argparse's own list of choices once judged it. A
+    # window chained so far out that its steps are below the float spacing
+    # at its start (2 s at 1e16, 16384 s at 1e20) once ended in Trajectory's
+    # untyped ValueError, a traceback and exit 1
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"case = case14\nscenario = fault\n{config}")
     out = tmp_path / "out"
     code = main(["run", "--config", str(cfg), "--out", str(out), *flags])
+    err = capsys.readouterr().err
     assert code == EXIT_CONFIG
-    assert f"config error: {message}" in capsys.readouterr().err
+    assert f"config error: {message}" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -493,25 +502,37 @@ def test_missing_case_file_is_config_error(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+REPORT_FILES = ["trajectory.csv", "voltages_before_after.txt", "summary.txt"]
+
+
 @pytest.mark.parametrize(
-    "input_kind", ["case_is_a_directory", "config_is_a_directory", "case_not_utf8", "out_is_a_file"]
+    "input_kind",
+    ["case_is_a_directory", "config_is_a_directory", "case_not_utf8", "out_is_a_file"]
+    + [f"report_is_a_directory-{name}" for name in REPORT_FILES],
 )
 def test_unreadable_paths_are_config_errors(tmp_path, capsys, input_kind):
-    # each once ended in a traceback and exit 1; the output path is judged
-    # before the run, not after it
+    # each once ended in a traceback and exit 1 (a directory in a report
+    # file's place in IsADirectoryError); the output path and the report
+    # files are judged when the reports are written, after the run
     (tmp_path / "grid.m").write_bytes(b"\xff\xfe function mpc = grid\n")
     (tmp_path / "taken").write_text("")
+    kind, _, report = input_kind.partition("-")
+    if report:
+        (tmp_path / "out" / report).mkdir(parents=True)
     argv = {
         "case_is_a_directory": ["powerflow", "--case", str(tmp_path)],
         "config_is_a_directory": ["run", "--config", str(tmp_path)],
         "case_not_utf8": ["powerflow", "--case", str(tmp_path / "grid.m")],
         "out_is_a_file": ["run", "--case", "case14", "--out", str(tmp_path / "taken")],
-    }[input_kind]
+    }.get(kind, ["run", "--case", "case14", "--plant", "linear", "--out", str(tmp_path / "out")])
     code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
-    assert captured.err.startswith("config error: ")
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+    if report:
+        path = tmp_path / "out" / report
+        assert captured.err.startswith(f"config error: cannot write report file {path}: ")
 
 
 @pytest.mark.parametrize("command", ["run", "validate", "sensitivity", "powerflow"])

@@ -135,7 +135,7 @@ def test_flow_jacobian_matches_finite_difference(case14):
     # with v = base + xc q the flow is linear between kinks, so central
     # differences at states away from the kinks give the active rows of J
     part = partition_buses(case14)
-    xc = voltage_sensitivity(build_admittance(case14), part).x[:, part.controlled_in_pq()]
+    xc = voltage_sensitivity(build_admittance(case14), part).xc
     m, c = xc.shape
     lim = Limits.box(m, c)
     gains = Gains(k_q=0.7, k_lam=1.3, k_mu=2.1)
@@ -182,7 +182,7 @@ def test_flow_jacobian_product_matches_written_out_jacobian(case14):
     # dv/dq in the lam rows: the product every nonlinear step's D2 takes
     case = scale_loads(case14, 3.1)
     part = partition_buses(case)
-    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    xc = voltage_sensitivity(build_admittance(case), part).xc
     m, c = xc.shape
     n = 3 * c + 2 * m
     gx = _plant_sensitivity(case, xc)
@@ -231,8 +231,7 @@ def test_flow_phi_product_matches_full_exponential(monkeypatch, name, factor, re
     # the power flow, and on case30 at x0.25 xc itself, and takes none
     case = scale_loads(request.getfixturevalue(name), factor)
     part = partition_buses(case)
-    cpos = part.controlled_in_pq()
-    xc = voltage_sensitivity(build_admittance(case), part).x[:, cpos]
+    xc = voltage_sensitivity(build_admittance(case), part).xc
     m, c = xc.shape
     n = 3 * c + 2 * m
     plant = _plant_sensitivity(case, xc) if name == "case14" else xc
@@ -265,7 +264,7 @@ def test_flow_phi_product_is_exactly_linear_in_its_vector(monkeypatch, name, fac
     # Both paths, as in the test above
     case = scale_loads(request.getfixturevalue(name), factor)
     part = partition_buses(case)
-    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    xc = voltage_sensitivity(build_admittance(case), part).xc
     m, c = xc.shape
     n = 3 * c + 2 * m
     plant = _plant_sensitivity(case, xc) if name == "case14" else xc
@@ -310,7 +309,7 @@ def test_modal_phi_products_on_degenerate_pieces(monkeypatch, name, factor, requ
     # piece G is zero. One eigendecomposition per piece
     case = scale_loads(request.getfixturevalue(name), factor)
     part = partition_buses(case)
-    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    xc = voltage_sensitivity(build_admittance(case), part).xc
     m, c = xc.shape
     n = 3 * c + 2 * m
     rng = np.random.default_rng(37)
@@ -357,7 +356,7 @@ def test_overflowing_gains_give_nan_products(monkeypatch, case14, path):
     # eigendecomposition of it, which would fail, and both paths return
     # NaN products, which fail the step's finiteness check
     part = partition_buses(case14)
-    xc = voltage_sensitivity(build_admittance(case14), part).x[:, part.controlled_in_pq()]
+    xc = voltage_sensitivity(build_admittance(case14), part).xc
     m, c = xc.shape
     eighs = _count_eigh(monkeypatch)
     flow = _phi_flow(xc, Gains(1e300, 1e300, 1e300), None if path == "modal" else xc)
@@ -378,7 +377,7 @@ def test_phi_rebuilds_its_piece_on_a_new_mask_or_plant_sensitivity(case14):
     # mapped anew
     case = scale_loads(case14, 3.1)
     part = partition_buses(case)
-    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    xc = voltage_sensitivity(build_admittance(case), part).xc
     m, c = xc.shape
     n = 3 * c + 2 * m
     gx = _plant_sensitivity(case, xc)
@@ -420,7 +419,7 @@ def test_row_rates_are_the_rows_of_the_whole_products(case14):
     # with the nonlinear plant's dv/dq in the lam rows
     case = scale_loads(case14, 3.1)
     part = partition_buses(case)
-    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    xc = voltage_sensitivity(build_admittance(case), part).xc
     m, c = xc.shape
     n = 3 * c + 2 * m
     gx = _plant_sensitivity(case, xc)
@@ -535,7 +534,7 @@ def test_expm_and_phi_solve_no_linear_system(monkeypatch, case14):
 
     case = scale_loads(case14, 3.1)
     part = partition_buses(case)
-    xc = voltage_sensitivity(build_admittance(case), part).x[:, part.controlled_in_pq()]
+    xc = voltage_sensitivity(build_admittance(case), part).xc
     m, c = xc.shape
     modal, dense = (_phi_flow(xc, Gains(), gx) for gx in (None, _plant_sensitivity(case, xc)))
     eighs = _count_eigh(monkeypatch)
@@ -599,15 +598,12 @@ def test_event_rates_are_the_events_time_derivative(case14):
     # nonnegative
     part = partition_buses(case14)
     sens = voltage_sensitivity(build_admittance(case14), part)
-    cpos = part.controlled_in_pq()
-    xc = sens.x[:, cpos]
+    xc = sens.xc
     m, c = xc.shape
     lim = Limits.box(m, c)
 
     def voltage(y):
-        q = np.zeros(m)
-        q[cpos] = y[:c]
-        return predict_voltage(sens, q)
+        return predict_voltage(sens, part.embed(y[:c]))
 
     rng = np.random.default_rng(21)
     for _ in range(50):

@@ -253,7 +253,7 @@ def test_heavy_case14_active_pattern(case14, case30):
         active = {family: rows for family, rows in qp.active_sets.items() if rows}
         assert active == expected, (name, scale, trip)
         assert qp.kkt_residual <= 1e-10
-        v = sens.base_v + sens.x[:, sens.partition.controlled_in_pq()] @ qp.q_star
+        v = sens.base_v + sens.xc @ qp.q_star
         assert np.all(v <= lim.v_hi + 1e-10) and np.all(v >= lim.v_lo - 1e-10)
         assert np.all(qp.q_star <= lim.q_hi + 1e-10) and np.all(qp.q_star >= lim.q_lo - 1e-10)
 

@@ -49,9 +49,15 @@ def test_partition_toy(toy2):
 
 
 def test_partition_controlled_subset(case14):
-    part = partition_buses(case14.with_controllers([4, 9, 14]))
+    case = case14.with_controllers([4, 9, 14])
+    part = partition_buses(case)
     assert part.n_controlled == 3
     assert list(part.controlled_in_pq()) == [0, 3, 8]
+    # the controllers' place in the plant: their outputs at load-bus
+    # positions 0, 3 and 8 with zeros elsewhere, and X's columns there
+    assert part.embed(np.array([0.1, -0.2, 0.3])).tolist() == [0.1, 0, 0, -0.2, 0, 0, 0, 0, 0.3]
+    sens = voltage_sensitivity(case.topology.y, part)
+    assert np.array_equal(sens.xc, np.column_stack([sens.x[:, 0], sens.x[:, 3], sens.x[:, 8]]))
 
 
 def test_controlled_must_be_load_buses():
@@ -118,7 +124,7 @@ def test_finite_difference_agreement(case14, case30):
             )
             assert bumped.converged
             fd = (bumped.v[part.pq] - base.v[part.pq]) / dq
-            pred = sens.x[:, pq_pos]
+            pred = sens.xc[:, col]
             err = np.max(np.abs(fd - pred)) / np.max(np.abs(fd))
             assert err < 0.10, f"{case.name} column {col}: {err:.3f}"
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from _reference import full_phi, vectorized_first_root, written_out_jacobian
 from _reference import written_out_rates, written_out_violation
-from voltctrl import netcase, sensitivity, simulate
+from voltctrl import load_case, netcase, sensitivity, simulate
 from voltctrl.controller import (
     ControllerState,
     Gains,
@@ -612,8 +612,8 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
         assert len(pieces) >= LINEAR_PIECES[name]
         for loop, y0, on0, h, y1, _ in accepted:
             c = loop.c
-            xc = loop.sens.x[:, loop.cpos]
-            v0 = loop.sens.base_v + xc @ (y0[:c] - loop.sens.base_q[loop.cpos])
+            xc = loop.sens.xc
+            v0 = loop.sens.base_v + xc @ (y0[:c] - loop.sens.base_q[loop.part.controlled_in_pq()])
             f0, active0 = written_out_rates(y0, v0, xc, loop.lim, Gains(), on0)
             assert active0[c:].tolist() == on0.tolist()
             exact = y0 + h * full_phi(1, h * written_out_jacobian(xc, Gains(), active0), f0)
@@ -624,7 +624,7 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
             assert distance < 1e-10
             continue
         y = res.trajectory.states[-1].packed()
-        v = loop.sens.base_v + xc @ (y[:c] - loop.sens.base_q[loop.cpos])
+        v = loop.sens.base_v + xc @ (y[:c] - loop.sens.base_q[loop.part.controlled_in_pq()])
         _, on = written_out_rates(y, v, xc, loop.lim, Gains(), np.zeros(len(y) - c, bool))
         inverse = np.linalg.inv(written_out_jacobian(xc, Gains(), on)[np.ix_(on, on)])
         assert res.final_residual < tol
@@ -684,8 +684,8 @@ def _record_landings(mp):
 
 def _written_out_event(loop, row, on, y):
     """Multiplier row's event at packed state y on the linear plant, from the limits."""
-    c, xc = loop.c, loop.sens.x[:, loop.cpos]
-    v = loop.sens.base_v + xc @ (y[:c] - loop.sens.base_q[loop.cpos])
+    c, xc = loop.c, loop.sens.xc
+    v = loop.sens.base_v + xc @ (y[:c] - loop.sens.base_q[loop.part.controlled_in_pq()])
     return y[c + row] if on else -written_out_violation(v, y[:c], loop.lim)[row]
 
 
@@ -709,7 +709,7 @@ def test_linear_landings_agree_with_an_independent_root(request, monkeypatch, na
         assert kind == "attempt" and h_landed == h * x
         on = bool(on0[row])
         assert -1e-12 <= _written_out_event(loop, row, on, y1) <= 1e-9
-        xc = loop.sens.x[:, loop.cpos]
+        xc = loop.sens.xc
         jac = written_out_jacobian(xc, Gains(), np.concatenate((np.ones(loop.c, bool), on0)))
 
         def event(s):
@@ -1571,15 +1571,19 @@ def test_multipliers_stay_nonnegative_everywhere(
             assert np.min(state.packed()[len(state.q) :]) >= 0.0
 
 
-def test_a_daily_run_rebuilds_no_admittance(monkeypatch, case14):
-    # every hour scales the loads of a case whose topology is built, and
-    # a load edit shares it: no hour builds Y again
-    case = scale_loads(case14, 2.5)
-    case.topology
+def test_a_daily_run_rebuilds_no_admittance(monkeypatch):
+    # every hour scales the loads of the case, whose topology the run builds
+    # once where its caller has not, and a load edit shares it: no hour
+    # builds Y again (an unbuilt case once built it in each of the 24 hours)
     calls = []
     _watch(monkeypatch, netcase, "build_admittance", before=calls.append)
-    res = run_daily(case, plant_mode=PlantMode.NONLINEAR)
-    assert res.converged and calls == []
+    for built, builds in ((True, 0), (False, 1)):
+        case = scale_loads(load_case("case14"), 2.5)
+        if built:
+            case.topology
+        calls.clear()
+        res = run_daily(case, plant_mode=PlantMode.NONLINEAR)
+        assert res.converged and len(calls) == builds, built
 
 
 @pytest.mark.parametrize("seed", [28, 35])
@@ -1808,18 +1812,23 @@ def test_calibration_rejects_unknown_bus_ids(case14):
         calibrate_load_scale(case14, {99: 1.0, 12: 0.95})
 
 
-def test_calibration_passes_over_load_factors_without_a_power_flow(case14):
+def test_calibration_passes_over_load_factors_without_a_power_flow(monkeypatch, case14):
     # from case14 at x2 the grid's factors from 2.5 up (x5 and more) have no
     # power flow: each such trial scores an infinite error, and the search
-    # still finds the factor whose voltages were the target
-    base = scale_loads(case14, 2.0)
+    # still finds the factor whose voltages were the target. On a freshly
+    # loaded case the calibration builds Y once, not once for each of its
+    # 88 trials
+    base = scale_loads(load_case("case14"), 2.0)
     top = scale_loads(base, 4.0)
     assert not solve_power_flow(top, nominal_injections(top)).converged
     target = scale_loads(base, 1.5)
     sol = solve_power_flow(target, nominal_injections(target))
     index = case14.bus_index()
+    calls = []
+    _watch(monkeypatch, netcase, "build_admittance", before=calls.append)
     cal = calibrate_load_scale(base, {b: float(sol.v[index[b]]) for b in (12, 14)})
     assert cal.achieved and cal.factor == pytest.approx(1.5, abs=1e-6)
+    assert len(calls) == 1
 
 
 def test_calibration_rejects_an_empty_target(case14):
