@@ -3,13 +3,14 @@
 Configuration is a plain-text key = value format (documented in the README);
 command-line flags override config values. Exit codes are a stable contract:
 0 success and converged, 1 ran but not converged (or validation failed),
-2 usage or config error (an unreadable case, config, output path or report
-file among them), 3 runtime failure.
+2 usage or config error (an unreadable case, config, output path, judged
+before the run, or report file among them), 3 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -251,16 +252,12 @@ def emit_report(
         + ["lam_norm", "mu_norm", "cost"]
     )
     traj = result.trajectory
-    # one packed row per sample: q, then lam_hi, lam_lo, mu_hi and mu_lo
-    packed, m, c = traj.y, part.n_load, part.n_controlled
-    table = np.column_stack((
-        traj.t,
-        packed[:, :c],
-        traj.v,
-        np.max(packed[:, c : c + 2 * m], axis=1, initial=0.0),
-        np.max(packed[:, c + 2 * m :], axis=1, initial=0.0),
-        traj.cost,
-    ))
+    # one packed row per sample: q, then the multipliers of each family in ``ROWS``
+    packed, c = traj.y, part.n_controlled
+    families = limits.families(packed[:, c:])
+    lam_hi, lam_lo, mu_hi, mu_lo = (np.max(f, axis=1, initial=0.0) for f in families)
+    norms = np.maximum(lam_hi, lam_lo), np.maximum(mu_hi, mu_lo)
+    table = np.column_stack((traj.t, packed[:, :c], traj.v, *norms, traj.cost))
     lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in table]
 
     if isinstance(result, DailyResult):
@@ -280,10 +277,9 @@ def emit_report(
     ]
 
     # each multiplier of the final packed row against its constraint and bus
-    labels = np.repeat(ROWS, [m, m, c, c])
-    buses = np.concatenate((pq_ids, pq_ids, ctl_ids, ctl_ids))
-    held = packed[-1, c:] > 1e-6
-    binding = [f"{label} @ bus {bus}" for label, bus in zip(labels[held], buses[held])]
+    buses = (pq_ids, pq_ids, ctl_ids, ctl_ids)
+    binding = [f"{name} @ bus {bus}" for name, ids, family in zip(ROWS, buses, families)
+               for bus, x in zip(ids, family[-1]) if x > 1e-6]
     viol, st = result.violations, result.stats
     summary = [
         f"converged: {'yes' if result.converged else 'no'}",
@@ -331,6 +327,11 @@ def emit_report(
 
 
 def _cmd_run(cfg: RunConfig) -> int:
+    # the output path is judged before the run, making nothing: emit_report makes the directory
+    out = Path(cfg.out_dir)
+    near = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not (os.path.isdir(near) and os.access(near, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot use output directory {out}: {near} is not a writable directory")
     case = load_network(cfg)
     limits = cfg.limits_for(case)
     gains = cfg.gains()

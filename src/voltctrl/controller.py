@@ -37,13 +37,13 @@ is that exponential, of one matrix or of a stack, numpy only and from
 matrix products alone: a truncated Taylor series in Paterson and
 Stockmeyer's form, scaled and squared at the fewest products the norm
 allows, whose last product forms only the columns ``phi`` reads.
-This module defines the packed layout, which ``simulate`` also slices,
-and the constraint rows the oracle and ``cli`` read: their families
-``ROWS``, ``rows`` and ``Limits.violation``. ``ControllerState.view``
-reads a state off a packed row that its caller has checked, as
-``simulate.Trajectory`` checks its rows once. ``dynamics_rhs`` is the
-validating wrapper over ``ControllerState``; it returns the packed rate
-vector.
+This module defines the packed layout, which ``simulate`` also slices, and
+the constraint rows the oracle and ``cli`` read: their families ``ROWS``,
+``rows``, ``Limits.violation`` and its inverse cut ``Limits.families``.
+``ControllerState.view`` reads a state off a packed row that its caller
+has checked, as ``simulate.Trajectory`` checks its rows once.
+``dynamics_rhs`` is the validating wrapper over ``ControllerState``; it
+returns the packed rate vector.
 """
 
 from __future__ import annotations
@@ -111,6 +111,11 @@ class Limits:
     def violation(self, v: np.ndarray, q: np.ndarray) -> np.ndarray:
         """The rows' violations [v, -v, q, -q] - [v_hi, -v_lo, q_hi, -q_lo], on the last axis."""
         return np.concatenate((v, -v, q, -q), axis=-1) - self._bounds
+
+    def families(self, x: np.ndarray) -> list[np.ndarray]:
+        """Views of x's last axis cut into the ``ROWS`` families, as ``violation`` stacks them."""
+        m, c = len(self.v_lo), len(self.q_lo)
+        return np.split(x, (m, 2 * m, 2 * m + c), axis=-1)
 
 
 # the constraint families, in the order of the multiplier rows and of the oracle's A q <= b

@@ -11,10 +11,10 @@ the rows already in the working set stay tight and dropping any whose
 multiplier reaches zero first. No feasible start is needed: a violated row
 that admits neither step proves the constraints infeasible. The result is
 the method's own last iterate: the q that passed the feasibility test and
-the working rows' multipliers, in the same four-vector layout the dynamics
-use, so a converged trajectory can be checked against the true optimum and
-its KKT certificate directly: ``kkt_residual``, the KKT residual of the
-same rows A q <= b. ``solve_at`` is the one place that says where a
+the working rows' multipliers and active sets, cut by ``Limits.families``
+into the dynamics' four families, so a converged trajectory can be checked
+against the true optimum and its KKT certificate: ``kkt_residual``, over
+the same rows A q <= b. ``solve_at`` is the one place that says where a
 certificate reads the plant: it solves the QP on the plant ``linearized``
 at a controller output, zero by default, as ``voltctrl validate``, each
 ``plant_equilibrium`` iterate and the test oracles do.
@@ -68,16 +68,12 @@ def _constraint_rows(sens: SensitivityMatrix, lim: Limits):
 
 
 def _pack_solution(q: np.ndarray, u: np.ndarray, working: list[int], sens, lim) -> QPSolution:
-    """The solution at q with multipliers u on the working rows, split by constraint family."""
-    m, c = sens.partition.n_load, sens.partition.n_controlled
-    bounds = [0, m, 2 * m, 2 * m + c, 2 * m + 2 * c]
-    nu = np.zeros(bounds[-1])
+    """The solution at q with multipliers u on the working rows, cut by ``Limits.families``."""
+    nu = np.zeros(2 * (sens.partition.n_load + sens.partition.n_controlled))
     nu[working] = u
-    multipliers = np.split(nu, bounds[1:-1])
-    active = {
-        name: tuple(i - lo for i in sorted(working) if lo <= i < hi)
-        for name, lo, hi in zip(ROWS, bounds, bounds[1:])
-    }
+    multipliers = lim.families(nu)
+    held = lim.families(np.isin(np.arange(len(nu)), working))
+    active = {name: tuple(np.flatnonzero(on).tolist()) for name, on in zip(ROWS, held)}
     return QPSolution(
         q, *multipliers, active_sets=active, objective_value=float(q @ q),
         kkt_residual=kkt_residual(q, multipliers, sens, lim),

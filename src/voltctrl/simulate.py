@@ -76,20 +76,21 @@ Multi-window runs are joined into one run record by ``_join``.
 
 Inside a window the engine works on packed state vectors only: one loop
 object per window holds the plant and the controller's flow, compiled once
-for the window (``controller.PackedFlow``). Every evaluation is one call
-of its ``rates``, which gives a state's rates, piece and every row's event
+for the window (``controller.PackedFlow``). Every evaluation is one call of
+its ``rates``, which gives a state's rates, piece and every row's event
 from one violation vector, and every phi-product its ``phi``: one
 exponential of a stack of C 2 x 2 modes on the linear plant and of one
-2C-square block on the nonlinear one (the engine knows only that the
-first C entries are q and the rest multipliers). Each attempt's end is evaluated once, on the step's
-piece, and each accepted state once more by ``eval`` on the piece it
-settles on, whose events every attempt from there reads. The accepted rows
-are the returned trajectory's ``y``, checked once, as one array; its
-``ControllerState`` views and costs are built only when read. Every plant
-call is made at a new output: an accepted step hands its end's rates,
-events and voltage to the next step, a step whose end has its stage's q
-reuses the stage's voltage, and a window's start reads the voltage of the
-power flow its relinearization solved.
+2C-square block on the nonlinear one (the engine knows only that the first
+C entries are q and the rest multipliers, whose rows' violations
+``Limits.families`` cuts for the ``ViolationSummary``). Each attempt's end
+is evaluated once, on the step's piece, and each accepted state once more
+by ``eval`` on the piece it settles on, whose events every attempt from
+there reads. The accepted rows are the returned trajectory's ``y``, checked
+once, as one array; its ``ControllerState`` views and costs are built only
+when read. Every plant call is made at a new output: an accepted step hands
+its end's rates, events and voltage to the next step, a step whose end has
+its stage's q reuses the stage's voltage, and a window's start reads the
+voltage of the power flow its relinearization solved.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class Trajectory:
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise ValueError("trajectory times must be strictly increasing")
         m, c = self._sizes
-        if c < 0 or self.y.shape[1] != 3 * c + 2 * m:
+        if c < 0 or (self.y.shape[1] - 2 * m) % 3:
             raise ValueError(f"state rows of shape {self.y.shape} do not fit M={m} load buses")
         if not np.all(np.isfinite(self.y)):
             raise ValueError("state rows contain non-finite values")
@@ -461,7 +462,7 @@ def integrate(
             f"limits have M={lim.v_lo.size}, C={lim.q_lo.size}; "
             f"the case needs M={m}, C={c}"
         )
-    y0 = np.zeros(3 * c + 2 * m) if state0 is None else state0.packed()
+    y0 = np.zeros(2 * m + 3 * c) if state0 is None else state0.packed()
     v = loop.rebase(y0[:c])
     # numpy's overflow warnings are silenced while the loop steps, where gains
     # large enough to overflow end in a stage, an error or a residual that is
@@ -542,10 +543,8 @@ def integrate(
     trajectory = Trajectory(t=np.array(times), y=np.array(rows), v=np.array(volts))
     q_all = trajectory.y[:, :c]
     # the worst violation of each family in ``ROWS`` over every sample, at least 0
-    above_v, below_v, above_q, below_q = (
-        max(0.0, float(np.max(family)))
-        for family in np.split(lim.violation(trajectory.v, q_all), [m, 2 * m, 2 * m + c], axis=1)
-    )
+    families = lim.families(lim.violation(trajectory.v, q_all))
+    above_v, below_v, above_q, below_q = (max(0.0, float(np.max(f))) for f in families)
     # regulated buses from the last solve, load buses as the last sample measured
     final_v = loop.last.v.copy()
     final_v[loop.part.pq] = trajectory.v[-1]
@@ -555,7 +554,8 @@ def integrate(
         final_q=q_all[-1].copy(),
         converged=bool(residual < tol),
         final_residual=residual,
-        violations=ViolationSummary(below_v, above_v, below_q, above_q, min(0.0, min(raw_mins))),
+        violations=ViolationSummary(max_v_above=above_v, max_v_below=below_v, max_q_above=above_q,
+                                    max_q_below=below_q, min_multiplier=min(0.0, min(raw_mins))),
         stats=SolverStats(len(rows) - 1, **loop.counts),
     )
 

@@ -507,13 +507,15 @@ REPORT_FILES = ["trajectory.csv", "voltages_before_after.txt", "summary.txt"]
 
 @pytest.mark.parametrize(
     "input_kind",
-    ["case_is_a_directory", "config_is_a_directory", "case_not_utf8", "out_is_a_file"]
+    ["case_is_a_directory", "config_is_a_directory", "case_not_utf8", "out_is_a_file",
+     "out_is_under_a_file"]
     + [f"report_is_a_directory-{name}" for name in REPORT_FILES],
 )
-def test_unreadable_paths_are_config_errors(tmp_path, capsys, input_kind):
+def test_unreadable_paths_are_config_errors(tmp_path, capsys, monkeypatch, input_kind):
     # each once ended in a traceback and exit 1 (a directory in a report
-    # file's place in IsADirectoryError); the output path and the report
-    # files are judged when the reports are written, after the run
+    # file's place in IsADirectoryError); an output path that cannot be a
+    # directory is judged before the run and makes nothing, the report
+    # files when they are written, after the run
     (tmp_path / "grid.m").write_bytes(b"\xff\xfe function mpc = grid\n")
     (tmp_path / "taken").write_text("")
     kind, _, report = input_kind.partition("-")
@@ -524,7 +526,14 @@ def test_unreadable_paths_are_config_errors(tmp_path, capsys, input_kind):
         "config_is_a_directory": ["run", "--config", str(tmp_path)],
         "case_not_utf8": ["powerflow", "--case", str(tmp_path / "grid.m")],
         "out_is_a_file": ["run", "--case", "case14", "--out", str(tmp_path / "taken")],
+        "out_is_under_a_file": ["run", "--scenario", "daily", "--case", "case14",
+                                "--out", str(tmp_path / "taken" / "sub")],
     }.get(kind, ["run", "--case", "case14", "--plant", "linear", "--out", str(tmp_path / "out")])
+    runs = []
+    if kind.startswith("out_"):
+        for name in ("run_static", "run_daily"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: runs.append(name))
+    before = sorted(tmp_path.rglob("*"))
     code = main(argv)
     captured = capsys.readouterr()
     assert code == EXIT_CONFIG
@@ -533,6 +542,10 @@ def test_unreadable_paths_are_config_errors(tmp_path, capsys, input_kind):
     if report:
         path = tmp_path / "out" / report
         assert captured.err.startswith(f"config error: cannot write report file {path}: ")
+    if kind.startswith("out_"):
+        assert captured.err.startswith(f"config error: cannot use output directory {argv[-1]}: ")
+        assert runs == []
+        assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "taken").read_text() == ""
 
 
 @pytest.mark.parametrize("command", ["run", "validate", "sensitivity", "powerflow"])

@@ -111,7 +111,7 @@ def test_positive_projection():
     assert events.tolist() == [3.0, 0.5, 0.0, 0.0, 7.0, 7.0, 13.0, 10.0, 1.0, 1.0]
 
 
-def test_the_constraint_rows_are_the_written_out_ones():
+def test_the_constraint_rows_are_the_written_out_ones(case14):
     # one row per multiplier, in their order; a stack of samples gives a
     # row of violations each, bit for bit the written-out formula's
     rng = np.random.default_rng(5)
@@ -129,6 +129,23 @@ def test_the_constraint_rows_are_the_written_out_ones():
     assert_allclose(moved, rows(xc) @ dq, rtol=0, atol=1e-14)
     multipliers = list(ControllerState.__dataclass_fields__)[1:]
     assert [f.replace("lam", "v").replace("mu", "q") for f in multipliers] == list(ROWS)
+    # Limits.families cuts the rows back into the families of ROWS: views
+    # that stack to x again, and each family's written-out violation, bit
+    # for bit, for one row and for a stack of rows
+    part = partition_buses(case14)
+    for m, c in ((1, 1), (3, 1), (4, 3), (part.n_load, part.n_controlled)):
+        lim = Limits(v_lo=rng.uniform(0.9, 0.95, m), v_hi=rng.uniform(1.05, 1.1, m),
+                     q_lo=rng.uniform(-0.3, -0.1, c), q_hi=rng.uniform(0.1, 0.3, c))
+        for lead in ((), (6,)):
+            x = rng.normal(size=lead + (2 * m + 2 * c,))
+            cut = lim.families(x)
+            assert [f.shape for f in cut] == [lead + (n,) for n in (m, m, c, c)]
+            assert all(np.shares_memory(f, x) for f in cut)
+            assert np.concatenate(cut, axis=-1).tobytes() == x.tobytes()
+            v, q = rng.uniform(0.85, 1.15, lead + (m,)), rng.uniform(-0.4, 0.4, lead + (c,))
+            written = (v - lim.v_hi, lim.v_lo - v, q - lim.q_hi, lim.q_lo - q)
+            cut = lim.families(lim.violation(v, q))
+            assert [f.tobytes() for f in cut] == [w.tobytes() for w in written]
 
 
 def test_flow_jacobian_matches_finite_difference(case14):
