@@ -231,8 +231,9 @@ def emit_report(
 ) -> list[Path]:
     """Write trajectory.csv, voltages_before_after.txt, and summary.txt.
 
-    The "before" voltages are the uncontrolled flow's of the case the
-    "after" row reports: the case itself, or a daily run's last hour, whose
+    The "before" voltages are the uncontrolled flow's: of ``case`` as
+    configured for a static run, and intact for a fault run, whose "after"
+    row is the tripped network's; of the last hour for a daily run, whose
     flow the run solved. A daily run's out-of-band hours are counted
     against ``limits``, the band the run used.
     """

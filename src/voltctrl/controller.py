@@ -39,7 +39,8 @@ Stockmeyer's form, scaled and squared at the fewest products the norm
 allows, whose last product forms only the columns ``phi`` reads.
 This module defines the packed layout, which ``simulate`` also slices, and
 the constraint rows the oracle and ``cli`` read: their families ``ROWS``,
-``rows``, ``Limits.violation`` and its inverse cut ``Limits.families``.
+``rows``, ``Limits.violation`` and its inverse cut ``Limits.families``, the
+same cut that gives a packed row's four multiplier blocks after its q.
 ``ControllerState.view`` reads a state off a packed row that its caller
 has checked, as ``simulate.Trajectory`` checks its rows once.
 ``dynamics_rhs`` is the validating wrapper over ``ControllerState``; it
@@ -114,8 +115,12 @@ class Limits:
 
     def families(self, x: np.ndarray) -> list[np.ndarray]:
         """Views of x's last axis cut into the ``ROWS`` families, as ``violation`` stacks them."""
-        m, c = len(self.v_lo), len(self.q_lo)
-        return np.split(x, (m, 2 * m, 2 * m + c), axis=-1)
+        return _families(x, len(self.v_lo), len(self.q_lo))
+
+
+def _families(x: np.ndarray, m: int, c: int) -> list[np.ndarray]:
+    """Views of x's last axis cut at (M, 2M, 2M + C) into the four ``ROWS`` families."""
+    return [x[..., :m], x[..., m : 2 * m], x[..., 2 * m : 2 * m + c], x[..., 2 * m + c :]]
 
 
 # the constraint families, in the order of the multiplier rows and of the oracle's A q <= b
@@ -156,13 +161,7 @@ class ControllerState:
 
     @classmethod
     def zeros(cls, n_load: int, n_controlled: int) -> "ControllerState":
-        return cls(
-            q=np.zeros(n_controlled),
-            lam_hi=np.zeros(n_load),
-            lam_lo=np.zeros(n_load),
-            mu_hi=np.zeros(n_controlled),
-            mu_lo=np.zeros(n_controlled),
-        )
+        return cls(*_split(packed_zeros(n_load, n_controlled), n_load, n_controlled))
 
     def packed(self) -> np.ndarray:
         return np.concatenate([self.q, self.lam_hi, self.lam_lo, self.mu_hi, self.mu_lo])
@@ -182,11 +181,14 @@ class ControllerState:
 _FIELDS = ("q", "lam_hi", "lam_lo", "mu_hi", "mu_lo")
 
 
+def packed_zeros(n_load: int, n_controlled: int) -> np.ndarray:
+    """The zero state as a packed vector of length 3C + 2M, built without a ``ControllerState``."""
+    return np.zeros(3 * n_controlled + 2 * n_load)
+
+
 def _split(vec: np.ndarray, n_load: int, n_controlled: int) -> list[np.ndarray]:
     """Views of the five blocks q, lam_hi, lam_lo, mu_hi, mu_lo of a packed vector."""
-    m, c = n_load, n_controlled
-    bounds = (0, c, c + m, c + 2 * m, 2 * c + 2 * m, None)
-    return [vec[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [vec[:n_controlled], *_families(vec[n_controlled:], n_load, n_controlled)]
 
 
 def unpack_state(vec: np.ndarray, n_load: int, n_controlled: int) -> ControllerState:

@@ -102,7 +102,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .controller import ControllerState, Gains, Limits, PackedFlow, objective
+from .controller import ControllerState, Gains, Limits, PackedFlow, objective, packed_zeros
 from .errors import CaseDataError, ConfigError, PlantDivergenceError, StepSizeUnderflowError
 from .netcase import NetworkCase, scale_loads, trip_branch
 from .powerflow import (
@@ -160,6 +160,11 @@ class Trajectory:
     def states(self) -> tuple[ControllerState, ...]:
         """A ``ControllerState`` view of each row of ``y``, built on first read."""
         return tuple(ControllerState.view(row, *self._sizes) for row in self.y)
+
+    @property
+    def final_state(self) -> ControllerState:
+        """A ``ControllerState`` view of the last row, the state a chained window starts from."""
+        return ControllerState.view(self.y[-1], *self._sizes)
 
     @cached_property
     def cost(self) -> np.ndarray:
@@ -462,7 +467,7 @@ def integrate(
             f"limits have M={lim.v_lo.size}, C={lim.q_lo.size}; "
             f"the case needs M={m}, C={c}"
         )
-    y0 = np.zeros(2 * m + 3 * c) if state0 is None else state0.packed()
+    y0 = packed_zeros(m, c) if state0 is None else state0.packed()
     v = loop.rebase(y0[:c])
     # numpy's overflow warnings are silenced while the loop steps, where gains
     # large enough to overflow end in a stage, an error or a residual that is
@@ -699,8 +704,7 @@ def run_fault(
         raise ConfigError(f"trip time must be positive and finite, got {t_trip}")
     tripped = trip_branch(case, trip[0], trip[1])
     pre = run_static(case, limits, gains, tol, plant_mode, horizon if t_trip is None else t_trip)
-    start = ControllerState.view(pre.trajectory.y[-1], *pre.trajectory._sizes)
-    post = run_static(tripped, limits, gains, tol, plant_mode, horizon, start)
+    post = run_static(tripped, limits, gains, tol, plant_mode, horizon, pre.trajectory.final_state)
     t_at_trip = float(pre.trajectory.t[-1]) if t_trip is None else t_trip
     joined = _join([(0.0, pre), (t_at_trip, post)])
     if t_trip is not None:
@@ -755,19 +759,10 @@ def run_daily(
             raise PlantDivergenceError(f"uncontrolled power flow failed at hour {hour}")
         bare_v.append(bare.v[pq].copy())
         if windows:
-            end = windows[-1][1].trajectory
-            state = ControllerState.view(end.y[-1], *end._sizes)
+            state = windows[-1][1].trajectory.final_state
             if reset_multipliers:
-                state = replace(ControllerState.zeros(*end._sizes), q=state.q)
-        res = run_static(
-            hourly_case,
-            limits,
-            gains,
-            tol,
-            plant_mode,
-            horizon=hour_seconds,
-            initial_state=state,
-        )
+                state = replace(ControllerState.zeros(len(state.lam_hi), len(state.q)), q=state.q)
+        res = run_static(hourly_case, limits, gains, tol, plant_mode, hour_seconds, state)
         windows.append((hour * hour_seconds, res))
     results = [res for _, res in windows]
     return DailyResult(

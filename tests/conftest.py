@@ -8,8 +8,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import pytest
+from hypothesis import Phase, settings
 
 from voltctrl import load_case, parse_case, powerflow
+
+# For mutation runs (--hypothesis-profile=no-shrink): a failing search stops at
+# its first counterexample instead of shrinking it, which can take minutes.
+# Tier-1 runs the default profile.
+settings.register_profile("no-shrink", phases=[p for p in Phase if p is not Phase.shrink])
 
 # Two-bus network with a closed-form solution, used as the hand-checked
 # oracle throughout the suite: slack at 1.0 pu feeding a 0.736 pu reactive

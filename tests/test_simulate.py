@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, seed, settings, target
 from hypothesis import strategies as st
 
 from _reference import full_phi, vectorized_first_root, written_out_jacobian
-from _reference import written_out_rates, written_out_violation
+from _reference import enumerate_active_sets, written_out_rates, written_out_violation
 from voltctrl import load_case, netcase, sensitivity, simulate
 from voltctrl.controller import (
     ControllerState,
@@ -216,6 +216,43 @@ def test_heavy_linear_matches_oracle(heavy_lin, heavy_oracle):
     slack = -written_out_violation(heavy_lin.trajectory.v[-1], st.q, Limits.box(9, 9))
     mults = np.concatenate([st.lam_hi, st.lam_lo, st.mu_hi, st.mu_lo])
     assert np.max(np.abs(mults * slack)) < 1e-4
+
+
+def test_per_family_outputs_on_a_network_with_fewer_controllers_than_load_buses(case14):
+    # M = 9 load buses and C = 3 controllers, so the families' sizes differ
+    # and a cut that swaps M and C, or lam and mu blocks that trade places
+    # in a packed row, show here; the bundled cases have M = C. The oracle
+    # binds v_lo at load bus position 8 and q_hi at controllers 0 and 1
+    case = scale_loads(case14, 2.8).with_controllers([9, 10, 13])
+    m, c = 9, 3
+    lim = Limits.box(m, c)
+    qp, sens, _ = solve_at(case, lim)
+    brute = enumerate_active_sets(sens, lim)
+    assert qp.active_sets == brute.active_sets == {
+        "v_hi": (), "v_lo": (8,), "q_hi": (0, 1), "q_lo": ()
+    }
+    for name, size in (("lam_hi", m), ("lam_lo", m), ("mu_hi", c), ("mu_lo", c)):
+        assert getattr(qp, name).shape == (size,)
+        np.testing.assert_allclose(getattr(qp, name), getattr(brute, name), rtol=0, atol=1e-8)
+    for mode in (PlantMode.NONLINEAR, PlantMode.LINEAR):
+        res = run_static(case, lim, plant_mode=mode)
+        assert res.converged
+        traj = res.trajectory
+        # the summary's maxima, from the written-out rows in packed order
+        worst = np.max([written_out_violation(v, y[:c], lim) for v, y in zip(traj.v, traj.y)], 0)
+        cuts = ((0, 9), (9, 18), (18, 21), (21, 24))
+        expected = [max(0.0, float(worst[a:b].max())) for a, b in cuts]
+        viol = res.violations
+        assert [viol.max_v_above, viol.max_v_below, viol.max_q_above, viol.max_q_below] == expected
+        assert viol.max_v_below > 0.03
+        # the last state's five blocks are the last row's slices, written out
+        row, last = traj.y[-1], traj.states[-1]
+        blocks = (last.q, last.lam_hi, last.lam_lo, last.mu_hi, last.mu_lo)
+        for block, (a, b) in zip(blocks, ((0, 3), (3, 12), (12, 21), (21, 24), (24, 27))):
+            assert block.tobytes() == row[a:b].tobytes()
+    # the linear run, last, settles on the oracle's multipliers, family by family
+    for name in ("lam_hi", "lam_lo", "mu_hi", "mu_lo"):
+        np.testing.assert_allclose(getattr(last, name), getattr(qp, name), rtol=0, atol=1e-6)
 
 
 def test_heavy_nonlinear_voltages_within_band(heavy14, heavy_nl, case14):
