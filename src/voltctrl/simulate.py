@@ -68,11 +68,12 @@ step on.
 
 ``integrate`` runs one window: one case, from a start state at t = 0 to a
 horizon or to equilibrium; it takes exactly ``run_static``'s parameters.
-Three scenario families mirror the intended use:
-a static load held to equilibrium (one window), a line trip during
-operation (an intact window, then a tripped one from its last state), and a
-24-hour load profile (one window per hour, warm-started hour to hour).
-Multi-window runs are joined into one run record by ``_join``.
+Three scenario families mirror the intended use: a static load held to
+equilibrium (one window), a line trip (an intact window, then a tripped one
+from its last state) and a 24-hour load profile (one window per hour, each
+from the last). A run is a trajectory and one ``Window`` per window, which
+``_join`` concatenates. The run's final values are the last window's, its
+violations the worst, its counts the sum; it converged if every one did.
 
 Inside a window the engine works on packed state vectors only: one loop
 object per window holds the plant and the controller's flow, compiled once
@@ -226,14 +227,37 @@ class SolverStats:
 
 
 @dataclass(frozen=True, eq=False)
-class SimulationResult:
-    trajectory: Trajectory
+class Window:
+    """How one window of a run ended, and its start time and first row in the run."""
+
     final_v: np.ndarray
     final_q: np.ndarray
     converged: bool
     final_residual: float
     violations: ViolationSummary
     stats: SolverStats
+    start: float = 0.0
+    first: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class SimulationResult:
+    """A run's trajectory and its windows' records, from which its outcome is read."""
+
+    trajectory: Trajectory
+    windows: tuple[Window, ...]
+
+    final_v = property(lambda self: self.windows[-1].final_v)
+    final_q = property(lambda self: self.windows[-1].final_q)
+    final_residual = property(lambda self: self.windows[-1].final_residual)
+    converged = property(lambda self: all(w.converged for w in self.windows))
+    stats = property(lambda self: sum((w.stats for w in self.windows), SolverStats()))
+
+    @property
+    def violations(self) -> ViolationSummary:
+        # the worst of each of the four excursions is its largest, of the multiplier its smallest
+        *excursions, multiplier = zip(*(astuple(w.violations) for w in self.windows))
+        return ViolationSummary(*map(max, excursions), min(multiplier))
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,14 +265,26 @@ class FaultResult(SimulationResult):
     pre_cost: float
     post_cost: float
     cost_ratio: float
-    pre_q: np.ndarray
+    t_trip: float | None
+
+    pre_q = property(lambda self: self.windows[0].final_q)
+
+    @property
+    def converged(self) -> bool:
+        # a timed trip ends the intact window whether or not it settled
+        return self.windows[-1].converged if self.t_trip is not None else super().converged
 
 
 @dataclass(frozen=True, eq=False)
 class DailyResult(SimulationResult):
-    hourly_final_q: np.ndarray
-    hourly_final_v: np.ndarray
     uncontrolled_v: np.ndarray
+
+    hourly_final_q = property(lambda self: np.array([w.final_q for w in self.windows]))
+
+    @property
+    def hourly_final_v(self) -> np.ndarray:
+        # each hour's last row is the one before the next hour's first
+        return self.trajectory.v[[w.first - 1 for w in self.windows[1:]] + [-1]]
 
 
 # relative and absolute error tolerances of the step control
@@ -553,16 +589,14 @@ def integrate(
     # regulated buses from the last solve, load buses as the last sample measured
     final_v = loop.last.v.copy()
     final_v[loop.part.pq] = trajectory.v[-1]
-    return SimulationResult(
-        trajectory=trajectory,
-        final_v=final_v,
-        final_q=q_all[-1].copy(),
-        converged=bool(residual < tol),
-        final_residual=residual,
+    window = Window(
+        final_v=final_v, final_q=q_all[-1].copy(),
+        converged=bool(residual < tol), final_residual=residual,
         violations=ViolationSummary(max_v_above=above_v, max_v_below=below_v, max_q_above=above_q,
                                     max_q_below=below_q, min_multiplier=min(0.0, min(raw_mins))),
         stats=SolverStats(len(rows) - 1, **loop.counts),
     )
+    return SimulationResult(trajectory, (window,))
 
 
 def _residual(f: np.ndarray, t: float) -> float:
@@ -633,12 +667,14 @@ def _join(windows: list[tuple[float, SimulationResult]]) -> SimulationResult:
     A window's first sample that would not come after the previous window's
     last is nudged 1e-9 past it, or one float spacing where that is larger
     (past 2**24 s); one whose steps are below the spacing at its start is a
-    :class:`ConfigError`. Violations keep the worst of all windows, and the
-    solver counts are summed. The final voltage, output and residual are
-    the last window's, and the run converged only if every window did.
+    :class:`ConfigError`. Trajectories and windows are concatenated, each
+    window's start and first row shifted to its place in the run.
     """
     times: list[np.ndarray] = []
+    records: list[Window] = []
     for start, res in windows:
+        first = sum(map(len, times))
+        records += (replace(w, start=start + w.start, first=first + w.first) for w in res.windows)
         t = res.trajectory.t + start
         if times and t[0] <= times[-1][-1]:
             prev = times[-1][-1]
@@ -646,23 +682,9 @@ def _join(windows: list[tuple[float, SimulationResult]]) -> SimulationResult:
         if np.any(np.diff(t) <= 0):
             raise ConfigError(f"the window at t={start:g} s steps below the float spacing there")
         times.append(t)
-    results = [res for _, res in windows]
-    last = results[-1]
-    # the worst of each of the four excursions is its largest, of the multiplier its smallest
-    *excursions, multiplier = zip(*(astuple(res.violations) for res in results))
-    return SimulationResult(
-        trajectory=Trajectory(
-            t=np.concatenate(times),
-            y=np.vstack([res.trajectory.y for res in results]),
-            v=np.vstack([res.trajectory.v for res in results]),
-        ),
-        final_v=last.final_v,
-        final_q=last.final_q,
-        converged=all(res.converged for res in results),
-        final_residual=last.final_residual,
-        violations=ViolationSummary(*map(max, excursions), min(multiplier)),
-        stats=sum((res.stats for res in results), SolverStats()),
-    )
+    trajs = [res.trajectory for _, res in windows]
+    y, v = np.vstack([tr.y for tr in trajs]), np.vstack([tr.v for tr in trajs])
+    return SimulationResult(Trajectory(np.concatenate(times), y, v), tuple(records))
 
 
 def run_static(
@@ -706,17 +728,11 @@ def run_fault(
     pre = run_static(case, limits, gains, tol, plant_mode, horizon if t_trip is None else t_trip)
     post = run_static(tripped, limits, gains, tol, plant_mode, horizon, pre.trajectory.final_state)
     t_at_trip = float(pre.trajectory.t[-1]) if t_trip is None else t_trip
-    joined = _join([(0.0, pre), (t_at_trip, post)])
-    if t_trip is not None:
-        # a timed trip ends the intact window whether or not it settled
-        joined = replace(joined, converged=post.converged)
     pre_cost, post_cost = objective(pre.final_q), objective(post.final_q)
     return FaultResult(
-        **vars(joined),
-        pre_cost=pre_cost,
-        post_cost=post_cost,
+        **vars(_join([(0.0, pre), (t_at_trip, post)])), t_trip=t_trip,
+        pre_cost=pre_cost, post_cost=post_cost,
         cost_ratio=post_cost / pre_cost if pre_cost > 0 else np.inf if post_cost > 0 else 1.0,
-        pre_q=pre.final_q,
     )
 
 
@@ -764,13 +780,7 @@ def run_daily(
                 state = replace(ControllerState.zeros(len(state.lam_hi), len(state.q)), q=state.q)
         res = run_static(hourly_case, limits, gains, tol, plant_mode, hour_seconds, state)
         windows.append((hour * hour_seconds, res))
-    results = [res for _, res in windows]
-    return DailyResult(
-        **vars(_join(windows)),
-        hourly_final_q=np.array([res.final_q for res in results]),
-        hourly_final_v=np.array([res.trajectory.v[-1] for res in results]),
-        uncontrolled_v=np.array(bare_v),
-    )
+    return DailyResult(**vars(_join(windows)), uncontrolled_v=np.array(bare_v))
 
 
 def default_daily_profile() -> np.ndarray:

@@ -53,6 +53,7 @@ from voltctrl.simulate import (
     Trajectory,
     SimulationResult,
     ViolationSummary,
+    Window,
     _ClosedLoop,
     _join,
     calibrate_load_scale,
@@ -2036,9 +2037,8 @@ def _window(t_end: float) -> SimulationResult:
     """A two-sample window from t = 0 to t_end, enough for ``_join``."""
     no_excursion = ViolationSummary(0.0, 0.0, 0.0, 0.0, 0.0)
     trajectory = Trajectory(t=np.array([0.0, t_end]), y=np.zeros((2, 5)), v=np.ones((2, 1)))
-    return SimulationResult(
-        trajectory, np.ones(1), np.zeros(1), True, 0.0, no_excursion, simulate.SolverStats()
-    )
+    window = Window(np.ones(1), np.zeros(1), True, 0.0, no_excursion, simulate.SolverStats())
+    return SimulationResult(trajectory, (window,))
 
 
 @pytest.mark.parametrize("boundary", [1e7, 2e7])
@@ -2066,13 +2066,50 @@ def test_a_daily_run_converges_only_if_every_hour_does(case14, reverse):
     assert np.array_equal(res.final_v[partition_buses(case14).pq], res.hourly_final_v[-1])
 
 
+@pytest.mark.parametrize("reset", [False, True])
+@pytest.mark.parametrize("hour_seconds", [1.0, 3600.0])
+def test_a_daily_run_keeps_one_window_per_hour(case14, hour_seconds, reset):
+    # one-second hours end unsettled in 10 of 24 hours, whose successors'
+    # first samples are nudged past the shared boundary; one-hour hours all
+    # settle early, so each hour's first sample is at its start
+    res = run_daily(scale_loads(case14, 2.5), plant_mode=PlantMode.LINEAR,
+                    hour_seconds=hour_seconds, reset_multipliers=reset)
+    windows, traj, c = res.windows, res.trajectory, len(res.final_q)
+    assert len(windows) == 24 and windows[0].first == 0
+    assert sum((w.stats for w in windows), simulate.SolverStats()) == res.stats
+    # each hour's rows are its start and one per accepted step
+    last = [w.first - 1 for w in windows[1:]] + [len(traj) - 1]
+    assert [end + 1 - w.first for w, end in zip(windows, last)] == [
+        w.stats.accepted + 1 for w in windows
+    ]
+    for hour, w in enumerate(windows):
+        assert w.start == hour * hour_seconds
+        assert traj.t[w.first] in (w.start, w.start + 1e-9)
+    assert any(traj.t[w.first] > w.start for w in windows) is (hour_seconds == 1.0)
+    # each hour starts from the last row of the hour before, bit for bit,
+    # less its multipliers under a reset
+    for w in windows[1:]:
+        expected = traj.y[w.first - 1].copy()
+        if reset:
+            expected[c:] = 0.0
+        assert traj.y[w.first].tobytes() == expected.tobytes()
+    assert np.any(traj.y[last[:-1], c:] > 0)  # some hour ends with a multiplier to reset
+    # the hourly arrays are each hour's last row
+    assert res.hourly_final_q.tobytes() == traj.y[last, :c].tobytes()
+    assert res.hourly_final_v.tobytes() == traj.v[last].tobytes()
+
+
 @pytest.mark.parametrize("horizon, t_trip, converged", [(1.0, None, False), (2e5, 1.0, True)])
 def test_a_timed_trip_does_not_wait_for_the_intact_window(heavy14, horizon, t_trip, converged):
     # the intact window does not settle in 1 s; that unconverges the run
-    # unless the trip time, not equilibrium, was to end that window
+    # unless the trip time, not equilibrium, was to end that window, whose
+    # own record still says it did not settle
     assert not run_static(heavy14, plant_mode=PlantMode.LINEAR, horizon=1.0).converged
     res = run_fault(heavy14, plant_mode=PlantMode.LINEAR, horizon=horizon, t_trip=t_trip)
     assert res.converged is converged
+    intact, tripped = res.windows
+    assert intact.converged is False and tripped.converged is converged
+    assert (intact.start, tripped.start) == (0.0, 1.0)
 
 
 def test_unsolvable_plant_raises(case14):
