@@ -13,7 +13,7 @@ its ``Bus.v_setpoint``; the generators there carry only their active output,
 and a gen row's Vg is read into, and written from, its bus. The admittance is
 one complex matrix (``build_admittance``), and the bus index sets are one
 ``BusPartition``, which also places controller outputs at their buses
-(``embed``); both are built once per case, on its cached ``topology``.
+(``embed``); both sit on a case's ``topology``, which its load edits share.
 """
 
 from __future__ import annotations
@@ -115,10 +115,11 @@ class NetworkCase:
     def topology(self) -> "Topology":
         """The per-topology constants of this case, built on first use.
 
-        The case is immutable and every edit returns a new case, so the
-        cached object can never describe another network.
+        A ``scale_loads`` copy reads that of the case it was scaled from,
+        since loads enter none of it; every other edit builds its own.
         """
-        return Topology.of(self)
+        root = vars(self).get("_load_root", self)
+        return Topology.of(self) if root is self else root.topology
 
     def with_controllers(self, bus_ids) -> "NetworkCase":
         """Return a copy with controllers only at the given PQ bus ids."""
@@ -543,8 +544,8 @@ def scale_loads(case: NetworkCase, factor) -> NetworkCase:
     """Scale PQ-bus loads by a common factor or a per-bus {id: factor} map.
 
     Slack and PV bus data are left untouched. Factors must be nonnegative
-    and finite; per-bus maps may only name PQ buses. A built ``topology``
-    is shared: loads enter neither Y, nor the partition, nor the setpoints.
+    and finite; per-bus maps may only name PQ buses. The copy shares the
+    ``topology`` of the unscaled case, whichever of them builds it first.
     """
     if isinstance(factor, dict):
         for bus_id, f in factor.items():
@@ -566,6 +567,5 @@ def scale_loads(case: NetworkCase, factor) -> NetworkCase:
         for b in case.buses
     )
     scaled = replace(case, buses=buses)
-    if "topology" in vars(case):
-        vars(scaled)["topology"] = case.topology
+    vars(scaled)["_load_root"] = vars(case).get("_load_root", case)
     return scaled

@@ -13,7 +13,7 @@ magnitudes at every PQ bus; slack and PV magnitudes stay at their setpoints
 
 Everything that depends only on the network, the complex admittance matrix,
 the index sets of the unknowns and equations and the flat-start magnitudes,
-comes from the case's cached ``topology`` and is built once per case; a
+comes from the case's cached ``topology``, which its load edits share; a
 solve assembles its Jacobian from it by broadcasting. ``jacobian_inverse``
 inverts that Jacobian at a solved point. The closed loop takes one per
 accepted step: its plant solves inside the step run chord (simplified

@@ -66,7 +66,7 @@ class SensitivityMatrix:
 def partition_buses(case: NetworkCase) -> BusPartition:
     """The case's bus sets by kind; controlled = PQ buses hosting a reactive source.
 
-    Built once per case, with its topology; every call returns that object.
+    It lives on the case's topology; every call returns that object.
     """
     return case.topology.partition
 

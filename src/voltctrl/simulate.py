@@ -764,7 +764,7 @@ def run_daily(
         raise ConfigError("load factors must be nonnegative and finite")
     if not 0 < hour_seconds < np.inf:
         raise ConfigError(f"hour_seconds must be positive and finite, got {hour_seconds}")
-    pq = case.topology.pq  # built once: each hour's scale_loads copy shares it
+    pq = case.topology.pq
     state = None
     windows: list[tuple[float, SimulationResult]] = []
     bare_v = []
@@ -827,7 +827,6 @@ def calibrate_load_scale(case: NetworkCase, target_v: dict[int, float]) -> Calib
     if bad:
         raise CaseDataError(f"target magnitudes of bus ids {bad} must be positive and finite")
     rows = [index[b] for b in bus_ids]
-    case.topology  # built once: each trial's scale_loads copy shares it
 
     def err(k: float) -> float:
         scaled = scale_loads(case, k)

@@ -19,6 +19,7 @@ from voltctrl import (
     VoltCtrlError,
     build_admittance,
     load_case,
+    netcase,
     parse_case,
     scale_loads,
     serialize_case,
@@ -504,10 +505,19 @@ def test_cached_topology_follows_edits(case14):
     assert not np.array_equal(edited[0].topology.y, case14.topology.y)
 
 
-def test_a_load_edit_shares_a_built_topology_only(case14):
-    case14.topology
-    assert scale_loads(case14, {9: 1.5}).topology is case14.topology
-    assert scale_loads(scale_loads(case14, 2.0), 0.5).topology is case14.topology
+def test_load_edits_share_the_unscaled_case_topology(monkeypatch, case14):
+    # copies of a case whose topology was never built, and copies of those
+    # copies, read one topology: the unscaled case's, built by one Y build
+    # at whichever first use comes first
+    builds = []
+    build = netcase.build_admittance
+    monkeypatch.setattr(netcase, "build_admittance", lambda case: builds.append(case) or build(case))
+    fresh = load_case("case14")
+    once, twice = scale_loads(fresh, {9: 1.5}), scale_loads(scale_loads(fresh, 2.0), 0.5)
+    top = twice.topology
+    assert len(builds) == 1 and builds[0] is fresh
+    assert once.topology is fresh.topology is scale_loads(once, 3.0).topology is top
+    assert len(builds) == 1
     # an islanded case's topology is never built, so each scaled copy
     # fails where its parent does: at its own first use
     island = _with_island(case14, (15,), False)

@@ -3,13 +3,15 @@
 Run it from any directory as ``python3 tools/digests.py``; it imports
 voltctrl from ``src/`` and the seeded inputs from ``perfbench/workloads.py``
 of the checkout it sits in, and writes nothing there. Two checkouts print
-identical output exactly when each of these 42 results is identical:
+identical output exactly when each of these 46 results is identical:
 
 - closed-loop runs: static-nl14, validate-lin30 and daily-nl14 seeds 0-3;
   case14 x3.1 ``run_fault`` on both plants with the trip time unset and at
   50 s; case14 x2.5 ``run_daily(reset_multipliers=True)`` on both plants;
-  and case14 x2.8 with controllers at buses 9, 10 and 13 (M = 9, C = 3) on
-  both plants;
+  case14 x2.8 with controllers at buses 9, 10 and 13 (M = 9, C = 3) on
+  both plants; and, chained on case14 x2.5 with controllers at buses 4, 9
+  and 14 (M = 9, C = 3), ``run_fault`` with the trip time unset and
+  ``run_daily(reset_multipliers=True)``, each on both plants;
 - QP answers: validate-lin30 seeds 0-3 and ``solve_at`` on the M != C case;
 - the stdout of ``voltctrl validate`` on case14 x3.1 and case30 x0.25;
 - the three report files of ``voltctrl run`` on case14 x3.1 linear (the run
@@ -90,7 +92,7 @@ def _cli(args: list[str]) -> tuple[int, str]:
 
 
 def digests():
-    """Yield (name, sha256) for each of the 42 results, in a fixed order."""
+    """Yield (name, sha256) for each of the 46 results, in a fixed order."""
     for name in ("static-nl14", "validate-lin30", "daily-nl14"):
         work = workloads.WORKLOADS[name]
         for seed in SEEDS:
@@ -113,6 +115,11 @@ def digests():
     for plant, mode in PLANTS:
         yield f"m9c3-{plant}", _run(run_static(few, lim, plant_mode=mode))
     yield "m9c3/qp", _qp(solve_at(few, lim)[0])
+    chained = scale_loads(case14, 2.5).with_controllers([4, 9, 14])
+    for plant, mode in PLANTS:
+        yield f"m9c3-fault-{plant}", _run(run_fault(chained, lim, plant_mode=mode))
+        res = run_daily(chained, lim, plant_mode=mode, reset_multipliers=True)
+        yield f"m9c3-daily-reset-{plant}", _run(res)
 
     for case, scale in (("case14", "3.1"), ("case30", "0.25")):
         code, text = _cli(["validate", "--case", case, "--scale", scale])
