@@ -44,7 +44,9 @@ same cut that gives a packed row's four multiplier blocks after its q.
 ``ControllerState.view`` reads a state off a packed row that its caller
 has checked, as ``simulate.Trajectory`` checks its rows once.
 ``dynamics_rhs`` is the validating wrapper over ``ControllerState``; it
-returns the packed rate vector.
+returns the packed rate vector. Neither it nor ``unpack_state`` has a
+caller in ``src/``: both stay only because ``perfbench/tracer.py``'s
+``TRACED`` names them.
 """
 
 from __future__ import annotations
@@ -218,8 +220,8 @@ class PackedFlow:
     piece: what ``_maps`` built for the last piece it was called with,
     rebuilt when the piece changes and cleared by
     ``set_plant_sensitivity``, and the last vector's w, which a landing's
-    products all share. No input is validated;
-    ``dynamics_rhs`` is the checked entry point.
+    products all share. No input is validated; ``dynamics_rhs``, which
+    nothing in ``src/`` calls, is the checked entry point.
     """
 
     def __init__(self, xc: np.ndarray, lim: Limits, gains: Gains):

@@ -76,8 +76,9 @@ from the last). A run is a trajectory and one ``Window`` per window, which
 violations the worst, its counts the sum; it converged if every one did.
 
 Inside a window the engine works on packed state vectors only: one loop
-object per window holds the plant and the controller's flow, compiled once
-for the window (``controller.PackedFlow``). Every evaluation is one call of
+object per window, built already linearized at the window's start output,
+holds the plant and the controller's flow, compiled once for the window
+(``controller.PackedFlow``). Every evaluation is one call of
 its ``rates``, which gives a state's rates, piece and every row's event
 from one violation vector, and every phi-product its ``phi``: one
 exponential of a stack of C 2 x 2 modes on the linear plant and of one
@@ -108,7 +109,6 @@ from .errors import CaseDataError, ConfigError, PlantDivergenceError, StepSizeUn
 from .netcase import NetworkCase, scale_loads, trip_branch
 from .powerflow import (
     InjectionSet,
-    PowerFlowSolution,
     jacobian_inverse,
     nominal_injections,
     solve_power_flow,
@@ -304,44 +304,33 @@ class _NonFiniteStage(ArithmeticError):
 class _ClosedLoop:
     """One window's compiled loop: plant, packed flow and the exprb32 step.
 
-    Built once per window from the case, plant flavor, limits and gains. It
-    holds the partition, which places the controllers' outputs at their
-    buses, the nominal injections, and from ``rebase``, at the window's
-    start, the sensitivity ``linearized`` there, the controller's ``flow``
-    compiled from its controlled columns ``xc``, and in nonlinear mode the
-    last solution, where the next chord solve starts, and the inverse
-    Jacobian it steps with, whose dv/dq block the flow's Jacobian uses.
+    Built once per window, already linearized at the window's start output
+    q0: it holds the nominal injections, the sensitivity ``linearized`` at
+    q0 (whose partition places the controllers' outputs at their buses and
+    whose ``base_v`` is the start voltage both plants read), the
+    controller's ``flow`` compiled from its controlled columns ``xc`` with
+    the window's limits and gains, and in nonlinear mode the last solution,
+    where the next chord solve starts, and the inverse Jacobian it steps
+    with, whose dv/dq block the flow's Jacobian uses; both start at the
+    linearization's solve.
     A plant solve that does not converge raises
     :class:`PlantDivergenceError`, which fails the step attempt. States are
     packed vectors whose first C entries are q and whose remaining entries
     are multipliers. ``counts`` holds the window's work counts by
-    ``SolverStats`` field.
+    ``SolverStats`` field, from the linearization's Newton iterations on.
     """
 
     def __init__(
-        self, case: NetworkCase, plant_mode: PlantMode, limits: Limits | None, gains: Gains
+        self, case: NetworkCase, plant_mode: PlantMode, lim: Limits, gains: Gains, q0: np.ndarray
     ):
-        self.case = case
-        self.mode = plant_mode
-        self.part = partition_buses(case)
-        self.m, self.c = self.part.n_load, self.part.n_controlled
-        self.lim = limits if limits is not None else Limits.box(self.m, self.c)
+        self.case, self.mode, self.lim = case, plant_mode, lim
         self.inj = nominal_injections(case)
-        self.gains = gains
-        self.last: PowerFlowSolution | None = None
-        self.inverse: np.ndarray | None = None
-        self.counts: Counter = Counter()
-
-    def rebase(self, q: np.ndarray) -> np.ndarray:
-        """Linearize the plant at output q (``linearized``), compile the flow from its X.
-
-        Returns the voltage both plants read there.
-        """
-        self.sens, self.last = linearized(self.case, q)
-        self.flow = PackedFlow(self.sens.xc, self.lim, self.gains)
-        self.counts["newton_iterations"] += self.last.iterations
+        self.sens, self.last = linearized(case, q0)
+        self.part = self.sens.partition
+        self.c = self.part.n_controlled
+        self.flow = PackedFlow(self.sens.xc, lim, gains)
+        self.counts = Counter(newton_iterations=self.last.iterations)
         self.refresh_inverse()
-        return self.sens.base_v
 
     def refresh_inverse(self) -> None:
         """Invert the nonlinear plant's Jacobian at its last solve, made at the current state.
@@ -484,14 +473,17 @@ def integrate(
     the default box, an unset start state zeros. The plant is linearized at
     the start state's output. Multi-window runs chain calls from the
     previous window's last state and ``_join`` them. ``horizon`` and
-    ``tol`` must be positive and finite, and the case must have a
-    controlled bus (``linearized`` checks); otherwise :class:`ConfigError`.
+    ``tol`` must be positive and finite and the start state and limits
+    sized for the case, all checked before any power flow, and the case
+    must have a controlled bus (``linearized`` checks); otherwise
+    :class:`ConfigError`.
     """
     for name, value in (("horizon", horizon), ("tol", tol)):
         if not 0 < value < np.inf:
             raise ConfigError(f"{name} must be positive and finite, got {value}")
-    loop = _ClosedLoop(case, plant_mode, limits, gains)
-    m, c, lim = loop.m, loop.c, loop.lim
+    part = partition_buses(case)
+    m, c = part.n_load, part.n_controlled
+    lim = limits if limits is not None else Limits.box(m, c)
     state0 = initial_state
     if state0 is not None and (state0.lam_hi.shape != (m,) or state0.q.shape != (c,)):
         raise ConfigError(
@@ -504,7 +496,8 @@ def integrate(
             f"the case needs M={m}, C={c}"
         )
     y0 = packed_zeros(m, c) if state0 is None else state0.packed()
-    v = loop.rebase(y0[:c])
+    loop = _ClosedLoop(case, plant_mode, lim, gains, y0[:c])
+    v = loop.sens.base_v
     # numpy's overflow warnings are silenced while the loop steps, where gains
     # large enough to overflow end in a stage, an error or a residual that is
     # not finite, and the loop tests each
@@ -588,7 +581,7 @@ def integrate(
     above_v, below_v, above_q, below_q = (max(0.0, float(np.max(f))) for f in families)
     # regulated buses from the last solve, load buses as the last sample measured
     final_v = loop.last.v.copy()
-    final_v[loop.part.pq] = trajectory.v[-1]
+    final_v[part.pq] = trajectory.v[-1]
     window = Window(
         final_v=final_v, final_q=q_all[-1].copy(),
         converged=bool(residual < tol), final_residual=residual,
@@ -777,7 +770,8 @@ def run_daily(
         if windows:
             state = windows[-1][1].trajectory.final_state
             if reset_multipliers:
-                state = replace(ControllerState.zeros(len(state.lam_hi), len(state.q)), q=state.q)
+                multipliers = (state.lam_hi, state.lam_lo, state.mu_hi, state.mu_lo)
+                state = ControllerState(state.q, *map(np.zeros_like, multipliers))
         res = run_static(hourly_case, limits, gains, tol, plant_mode, hour_seconds, state)
         windows.append((hour * hour_seconds, res))
     return DailyResult(**vars(_join(windows)), uncontrolled_v=np.array(bare_v))

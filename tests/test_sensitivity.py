@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from voltctrl import build_admittance, scale_loads, trip_branch
-from voltctrl.controller import Gains
+from voltctrl.controller import Gains, Limits
 from voltctrl.errors import PlantDivergenceError, SingularModelError
 from voltctrl.powerflow import InjectionSet, nominal_injections, solve_power_flow
 from voltctrl.sensitivity import (
@@ -233,9 +233,10 @@ def test_linearized_by_default_is_the_loops_model(loaded_with_final_q, at):
     # validate's oracle reads the model the closed loop runs: a window's
     # start and linearized's default solve the plant to the same tolerance
     case, final_q = loaded_with_final_q
-    q = np.zeros(partition_buses(case).n_controlled) if at == "zero" else final_q
-    loop = _ClosedLoop(case, PlantMode.LINEAR, None, Gains())
-    loop.rebase(q)
+    part = partition_buses(case)
+    q = np.zeros(part.n_controlled) if at == "zero" else final_q
+    lim = Limits.box(part.n_load, part.n_controlled)
+    loop = _ClosedLoop(case, PlantMode.LINEAR, lim, Gains(), q)
     got, _ = linearized(case, q)
     assert got.partition is loop.sens.partition
     for a, b in [(got.x, loop.sens.x), (got.base_v, loop.sens.base_v),

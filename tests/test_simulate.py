@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from _reference import full_phi, vectorized_first_root, written_out_jacobian
 from _reference import enumerate_active_sets, written_out_rates, written_out_violation
-from voltctrl import load_case, netcase, sensitivity, simulate
+from voltctrl import load_case, netcase, powerflow, sensitivity, simulate
 from voltctrl.controller import (
     ControllerState,
     Gains,
@@ -420,9 +420,10 @@ def _lam_lo_start() -> ControllerState:
     )
 
 
-def _fixed_steps(loop, start: ControllerState, h: float, steps: int) -> np.ndarray:
-    """The packed state after ``steps`` accepted steps of size h from the start."""
-    y, f, on, _ = loop.eval(start.packed(), loop.rebase(start.q))
+def _fixed_steps(case, plant_mode, lim, start: ControllerState, h: float, steps: int):
+    """The packed state after ``steps`` accepted steps of size h, on a loop built at the start."""
+    loop = _ClosedLoop(case, plant_mode, lim, Gains(), start.q)
+    y, f, on, _ = loop.eval(start.packed(), loop.sens.base_v)
     for _ in range(steps):
         y1, _, v1 = loop.attempt(y, f, on, h)
         y, f, on, _ = loop.eval(y1, v1)
@@ -434,12 +435,12 @@ def test_fixed_step_is_third_order(toy2, toy_limits):
     # the nonlinear plant's curvature is all the step does not integrate
     # exactly; with lam_lo active on [0, 1] the global error shrinks 8-fold
     # per halving (8.0, 8.2 and 9.0 measured), against a run 64 times finer
-    loop = _ClosedLoop(toy2, PlantMode.NONLINEAR, toy_limits, Gains())
     start = _lam_lo_start()
-    exact = _fixed_steps(loop, start, 1.0 / 2560, 2560)
+    exact = _fixed_steps(toy2, PlantMode.NONLINEAR, toy_limits, start, 1.0 / 2560, 2560)
     errors = []
     for h in (0.2, 0.1, 0.05, 0.025):
-        errors.append(np.max(np.abs(_fixed_steps(loop, start, h, round(1.0 / h)) - exact)))
+        y = _fixed_steps(toy2, PlantMode.NONLINEAR, toy_limits, start, h, round(1.0 / h))
+        errors.append(np.max(np.abs(y - exact)))
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     for r in ratios:
         assert 6.5 < r < 10.0, f"error ratios {ratios} not consistent with order 3"
@@ -457,8 +458,7 @@ def test_linear_decay_is_exact_for_any_step(toy2, toy_limits, h):
         mu_hi=np.zeros(1),
         mu_lo=np.zeros(1),
     )
-    loop = _ClosedLoop(relaxed, PlantMode.LINEAR, toy_limits, Gains())
-    y = _fixed_steps(loop, start, h, round(1.0 / h))
+    y = _fixed_steps(relaxed, PlantMode.LINEAR, toy_limits, start, h, round(1.0 / h))
     assert abs(y[0] - 0.3 * np.exp(-2.0)) <= 1e-14
 
 
@@ -466,11 +466,12 @@ def test_linear_decay_is_exact_for_any_step(toy2, toy_limits, h):
 def test_embedded_estimate_tracks_the_local_error(toy2, toy_limits, h):
     # the estimate is U2's local error, U2 = y1 - est; 200 steps of h/200
     # stand in for the exact solution (0.98-0.99 measured)
-    loop = _ClosedLoop(toy2, PlantMode.NONLINEAR, toy_limits, Gains())
     start = _lam_lo_start()
-    y0, f0, on0, _ = loop.eval(start.packed(), loop.rebase(start.q))
+    loop = _ClosedLoop(toy2, PlantMode.NONLINEAR, toy_limits, Gains(), start.q)
+    y0, f0, on0, _ = loop.eval(start.packed(), loop.sens.base_v)
     y1, est, _ = loop.attempt(y0, f0, on0, h)
-    local = np.max(np.abs(y1 - est - _fixed_steps(loop, start, h / 200, 200)))
+    fine = _fixed_steps(toy2, PlantMode.NONLINEAR, toy_limits, start, h / 200, 200)
+    local = np.max(np.abs(y1 - est - fine))
     assert 0.5 < np.max(np.abs(est)) / local < 2.0
 
 
@@ -478,8 +479,7 @@ def test_halving_tolerance_reduces_error(monkeypatch, toy2, toy_limits):
     # the linear plant's steps are exact whatever the tolerance, so only the
     # nonlinear plant's curvature leaves an error for the tolerance to shrink;
     # the 1 s window ends before the equilibrium test is met
-    loop = _ClosedLoop(toy2, PlantMode.NONLINEAR, toy_limits, Gains())
-    exact = _fixed_steps(loop, _lam_lo_start(), 1.0 / 2560, 2560)
+    exact = _fixed_steps(toy2, PlantMode.NONLINEAR, toy_limits, _lam_lo_start(), 1.0 / 2560, 2560)
     errors = []
     for rtol in (4e-9, 2e-9, 1e-9, 5e-10):
         monkeypatch.setattr(simulate, "_RTOL", rtol)
@@ -555,8 +555,8 @@ def _count_per_attempt(mp):
 )
 def test_no_implicit_solve_hits_its_cap(request, monkeypatch, case_name, mode):
     # a step is explicit, so the only implicit solves left are the plant's
-    # power flows: the window's rebase solve, and on the nonlinear plant at
-    # most two per attempt (at the stage and at the end). Each must converge
+    # power flows: the window start's linearization, and on the nonlinear
+    # plant at most two per attempt (at the stage and at the end). Each must converge
     # by chord steps well inside the iteration cap, with no Newton hand-over.
     # Landing an event on the linear plant takes phi-products, no plant
     # call, and the retry after it takes the landing's last product
@@ -1059,9 +1059,9 @@ def test_event_root_is_the_whole_array_root_bit_for_bit():
 def test_nonlinear_run_forms_one_jacobian_per_accepted_step(jacobian_builds, heavy14):
     # the plant's Jacobian is formed and inverted once per accepted state;
     # every solve inside the step runs chord iterations with that inverse,
-    # and the step's dv/dq is a block of it. Only the window's cold rebase
-    # solve forms more. Each solve once formed its own Jacobians: 2,551 on
-    # this run.
+    # and the step's dv/dq is a block of it. Only the window start's cold
+    # linearization solve forms more. Each solve once formed its own
+    # Jacobians: 2,551 on this run.
     res = run_static(heavy14, plant_mode=PlantMode.NONLINEAR)
     assert res.converged
     assert jacobian_builds[0] <= len(res.trajectory) + 10
@@ -1321,7 +1321,7 @@ def test_simulate_import_leaves_scipy_unloaded(module):
 
 
 def test_window_start_reuses_the_rebase_solve(monkeypatch, heavy14):
-    # each window's rebase solves the plant at its start output (through
+    # each window's loop is built linearized at its start output (through
     # sensitivity.linearized); the start state's rates read that solve's
     # voltage instead of solving it again
     seen = []
@@ -1356,8 +1356,8 @@ def test_step_onto_a_multiplier_zero_converges(monkeypatch, toy2, toy_limits):
         mu_hi=np.zeros(1),
         mu_lo=np.zeros(1),
     )
-    loop = _ClosedLoop(relaxed, PlantMode.LINEAR, toy_limits, Gains())
-    y0, f0, on0, _ = loop.eval(start.packed(), loop.rebase(start.q))
+    loop = _ClosedLoop(relaxed, PlantMode.LINEAR, toy_limits, Gains(), start.q)
+    y0, f0, on0, _ = loop.eval(start.packed(), loop.sens.base_v)
     assert f0[2] == pytest.approx(-0.05)
     calls = []
     _watch(monkeypatch, _ClosedLoop, "voltage", before=calls.append)
@@ -2056,6 +2056,20 @@ def test_limits_must_match_case(case14, size):
     # a size-1 box would broadcast over all nine buses without this check
     with pytest.raises(ConfigError, match=f"limits have M={size}, C={size}; the case needs M=9, C=9"):
         run_static(case14, limits=Limits.box(size, size), plant_mode=PlantMode.LINEAR)
+
+
+@pytest.mark.parametrize("given", ["initial_state", "limits"])
+def test_a_wrong_size_is_refused_before_any_plant_solve(monkeypatch, case14, given):
+    # a window's loop is built linearized at its start output, so both size
+    # checks come ahead of it: a wrong-sized input costs no power flow
+    calls = []
+    _watch(monkeypatch, simulate, "linearized", before=calls.append)
+    for module in (powerflow, sensitivity, simulate):
+        _watch(monkeypatch, module, "solve_power_flow", before=calls.append)
+    wrong = {"initial_state": ControllerState.zeros(8, 8), "limits": Limits.box(8, 8)}[given]
+    with pytest.raises(ConfigError, match="M=8, C=8; the case needs M=9, C=9"):
+        run_static(case14, **{given: wrong})
+    assert calls == []
 
 
 def _window(t_end: float) -> SimulationResult:
