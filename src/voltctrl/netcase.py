@@ -9,11 +9,11 @@ to per-unit on the system MVA base at parse time; MW/MVar appear only at the
 file boundary.
 
 Each network fact is stored once. A slack or PV bus's regulated magnitude is
-its ``Bus.v_setpoint``; the generators there carry only their active output,
-and a gen row's Vg is read into, and written from, its bus. The admittance is
-one complex matrix (``build_admittance``), and the bus index sets are one
-``BusPartition``, which also places controller outputs at their buses
-(``embed``); both sit on a case's ``topology``, which its load edits share.
+its ``Bus.v_setpoint``; its generators carry only their active output, and a
+gen row's Vg is read into, and written from, its bus. Y is one complex matrix
+(``build_admittance``) and the bus sets one ``BusPartition``, the only holder
+of the controllers' places among the load buses (``embed``, ``gather``); both
+sit on a case's ``topology``, which its load edits share.
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ class BusPartition:
     """Positional bus-index sets for one case ordering.
 
     ``pq`` has M entries (load buses), ``controlled`` the C <= M buses that
-    host a reactive source. All values index into the case's bus sequence.
+    host a reactive source, as indices into the case's bus sequence; ``embed``
+    and ``gather`` alone place the controllers' entries among the load buses.
     """
 
     slack: int
@@ -157,9 +158,9 @@ class BusPartition:
     def n_controlled(self) -> int:
         return len(self.controlled)
 
-    def controlled_in_pq(self) -> np.ndarray:
-        """Positions of the controlled buses within the pq ordering, built on first use."""
-        return self._positions
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """The entries of a's last axis at the controlled buses: ``embed``'s inverse."""
+        return a[..., self._positions]
 
     @cached_property
     def _positions(self) -> np.ndarray:

@@ -63,7 +63,7 @@ class QPSolution:
 def _constraint_rows(sens: SensitivityMatrix, lim: Limits):
     """Stack the problem as A q <= b: (``rows(xc)``, minus ``Limits.violation`` at q = 0)."""
     xc = sens.xc
-    r = sens.base_v - xc @ sens.base_q[sens.partition.controlled_in_pq()]
+    r = sens.base_v - xc @ sens.partition.gather(sens.base_q)
     return rows(xc), -lim.violation(r, np.zeros(xc.shape[1]))
 
 

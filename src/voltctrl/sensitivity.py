@@ -24,7 +24,7 @@ solves also meet, so ``voltctrl validate`` certifies the model the loop
 ran; ``plant_equilibrium`` asks for 1e-12.
 Bus sets come from ``partition_buses``, the case topology's one
 partition; ``BusPartition`` lives in ``netcase`` and is importable from here.
-X's controlled columns, its one slice, are ``SensitivityMatrix.xc``.
+X's controlled columns are ``SensitivityMatrix.xc``, the partition's gather of X.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class SensitivityMatrix:
     @cached_property
     def xc(self) -> np.ndarray:
         """X's M x C controlled columns, each source's own; built on first use."""
-        return self.x[:, self.partition.controlled_in_pq()]
+        return self.partition.gather(self.x)
 
 
 def partition_buses(case: NetworkCase) -> BusPartition:

@@ -337,15 +337,14 @@ class _ClosedLoop:
 
         Called at a window's start and at each accepted state; the step
         from there, retries included, solves the plant by chord iterations
-        with this inverse and takes dv/dq at the controlled buses from its
-        magnitude rows, which it hands to the flow. The linear plant's dv/dq
-        is X's controlled columns, the flow's own.
+        with this inverse, and the flow takes its dv/dq from the partition's
+        gather of the magnitude block, as the linear plant's is X's (``xc``).
         """
         if self.mode is PlantMode.NONLINEAR:
             self.counts["jacobian_inversions"] += 1
             self.inverse = jacobian_inverse(self.case, self.last)
             n_a = len(self.case.topology.non_slack)
-            self.flow.set_plant_sensitivity(self.inverse[n_a:, n_a + self.part.controlled_in_pq()])
+            self.flow.set_plant_sensitivity(self.part.gather(self.inverse[n_a:, n_a:]))
 
     def voltage(self, q: np.ndarray) -> np.ndarray:
         """The plant call: load-bus voltages at controller output q, a chord solve if nonlinear."""

@@ -243,7 +243,8 @@ def enumerate_active_sets(sens, lim, tol=1e-9):
     within ``tol`` and its multipliers nu are at least -``tol``. Exponential
     in the row count, so meant for C <= 3.
     """
-    cpos = sens.partition.controlled_in_pq()
+    pq = list(sens.partition.pq)
+    cpos = [pq.index(b) for b in sens.partition.controlled]
     xc = sens.x[:, cpos]
     m, c = xc.shape
     if c > 3:

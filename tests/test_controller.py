@@ -189,7 +189,7 @@ def _plant_sensitivity(case, xc):
     sol = solve_power_flow(case, nominal_injections(case), tol=1e-12, max_iter=30)
     assert sol.converged
     n_a = len(case.topology.non_slack)
-    gx = jacobian_inverse(case, sol)[n_a:, n_a + case.topology.partition.controlled_in_pq()]
+    gx = case.topology.partition.gather(jacobian_inverse(case, sol)[n_a:, n_a:])
     assert np.max(np.abs(gx - xc)) > 0.1 * np.max(np.abs(xc))
     return gx
 

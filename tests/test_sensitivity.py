@@ -52,12 +52,22 @@ def test_partition_controlled_subset(case14):
     case = case14.with_controllers([4, 9, 14])
     part = partition_buses(case)
     assert part.n_controlled == 3
-    assert list(part.controlled_in_pq()) == [0, 3, 8]
+    assert part.gather(np.arange(9)).tolist() == [0, 3, 8]
     # the controllers' place in the plant: their outputs at load-bus
     # positions 0, 3 and 8 with zeros elsewhere, and X's columns there
     assert part.embed(np.array([0.1, -0.2, 0.3])).tolist() == [0.1, 0, 0, -0.2, 0, 0, 0, 0, 0.3]
     sens = voltage_sensitivity(case.topology.y, part)
     assert np.array_equal(sens.xc, np.column_stack([sens.x[:, 0], sens.x[:, 3], sens.x[:, 8]]))
+    # on both networks with fewer controllers than load buses, gather reads
+    # back what embed scatters, picks the controlled buses out of the load
+    # buses, and reads a stack row by row
+    rng = np.random.default_rng(0)
+    for factor, ids in ((2.8, (9, 10, 13)), (2.5, (4, 9, 14))):
+        part = partition_buses(scale_loads(case14, factor).with_controllers(ids))
+        q, stack = rng.standard_normal(3), rng.standard_normal((5, 9))
+        assert part.gather(part.embed(q)).tobytes() == q.tobytes()
+        assert np.array_equal(part.gather(part.pq), part.controlled)
+        assert part.gather(stack).tobytes() == np.array([part.gather(r) for r in stack]).tobytes()
 
 
 def test_controlled_must_be_load_buses():
@@ -116,7 +126,7 @@ def test_finite_difference_agreement(case14, case30):
         inj = nominal_injections(case)
         base = solve_power_flow(case, inj)
         assert base.converged
-        for col, pq_pos in enumerate(part.controlled_in_pq()):
+        for col, pq_pos in enumerate(part.gather(np.arange(part.n_load))):
             q = inj.q_injection.copy()
             q[pq_pos] += dq
             bumped = solve_power_flow(
@@ -205,7 +215,7 @@ def test_linearized_is_the_written_out_recipe(loaded_with_final_q, at, tol, warm
     inj = nominal_injections(case)
     start = solve_power_flow(case, inj) if warm else None
     full = np.zeros(part.n_load)
-    full[part.controlled_in_pq()] = q
+    full[[list(part.pq).index(b) for b in part.controlled]] = q
     moved = InjectionSet(inj.p_injection, inj.q_injection + full)
     want_sol = solve_power_flow(case, moved, tol=tol, warm_start=start)
     assert want_sol.converged

@@ -45,7 +45,7 @@ from voltctrl.netcase import (
     scale_loads,
     trip_branch,
 )
-from voltctrl.oracle import solve_at, solve_centralized
+from voltctrl.oracle import plant_equilibrium, solve_at, solve_centralized
 from voltctrl.powerflow import nominal_injections, solve_power_flow
 from voltctrl.sensitivity import linearized, partition_buses
 from voltctrl.simulate import (
@@ -651,7 +651,7 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
         for loop, y0, on0, h, y1, _ in accepted:
             c = loop.c
             xc = loop.sens.xc
-            v0 = loop.sens.base_v + xc @ (y0[:c] - loop.sens.base_q[loop.part.controlled_in_pq()])
+            v0 = loop.sens.base_v + xc @ (y0[:c] - loop.part.gather(loop.sens.base_q))
             f0, active0 = written_out_rates(y0, v0, xc, loop.lim, Gains(), on0)
             assert active0[c:].tolist() == on0.tolist()
             exact = y0 + h * full_phi(1, h * written_out_jacobian(xc, Gains(), active0), f0)
@@ -662,7 +662,7 @@ def test_linear_steps_are_exact_on_their_piece(request, monkeypatch, name):
             assert distance < 1e-10
             continue
         y = res.trajectory.states[-1].packed()
-        v = loop.sens.base_v + xc @ (y[:c] - loop.sens.base_q[loop.part.controlled_in_pq()])
+        v = loop.sens.base_v + xc @ (y[:c] - loop.part.gather(loop.sens.base_q))
         _, on = written_out_rates(y, v, xc, loop.lim, Gains(), np.zeros(len(y) - c, bool))
         inverse = np.linalg.inv(written_out_jacobian(xc, Gains(), on)[np.ix_(on, on)])
         assert res.final_residual < tol
@@ -723,7 +723,7 @@ def _record_landings(mp):
 def _written_out_event(loop, row, on, y):
     """Multiplier row's event at packed state y on the linear plant, from the limits."""
     c, xc = loop.c, loop.sens.xc
-    v = loop.sens.base_v + xc @ (y[:c] - loop.sens.base_q[loop.part.controlled_in_pq()])
+    v = loop.sens.base_v + xc @ (y[:c] - loop.part.gather(loop.sens.base_q))
     return y[c + row] if on else -written_out_violation(v, y[:c], loop.lim)[row]
 
 
@@ -2156,7 +2156,9 @@ def test_chained_windows_on_a_network_with_fewer_controllers_than_load_buses(cas
     # and C swapped shows here; the bundled cases have M = C. Each chained
     # window starts at the last row of the one before and settles where the
     # oracle does at its own linearization point: the pre-trip output, or
-    # the hour's first q (measured within 2.1e-6 and 3.5e-6)
+    # the hour's first q (measured within 2.1e-6 and 3.5e-6). On the
+    # nonlinear plant at tol=1e-10 each fault window settles on its own
+    # network's plant equilibrium (3.9e-12 and 2.5e-12 measured)
     case = scale_loads(case14, 2.5).with_controllers([4, 9, 14])
     lim, c = Limits.box(9, 3), 3
     fault = run_fault(case, lim, plant_mode=PlantMode.LINEAR)
@@ -2165,6 +2167,12 @@ def test_chained_windows_on_a_network_with_fewer_controllers_than_load_buses(cas
     assert traj.y[first].tobytes() == traj.y[first - 1].tobytes()
     qp, _, _ = solve_at(trip_branch(case, 4, 5), lim, q=fault.pre_q)
     assert np.max(np.abs(fault.final_q - qp.q_star)) < 1e-5
+    nonlinear = run_fault(case, lim, plant_mode=PlantMode.NONLINEAR, tol=1e-10)
+    assert nonlinear.converged
+    pre, post = nonlinear.windows
+    for w, net in ((pre, case), (post, trip_branch(case, 4, 5))):
+        qp, _ = plant_equilibrium(net, lim)
+        assert np.max(np.abs(w.final_q - qp.q_star)) < 2e-9
     daily = run_daily(case, lim, plant_mode=PlantMode.LINEAR, reset_multipliers=True)
     assert daily.converged and daily.hourly_final_q.shape == (24, c)
     traj = daily.trajectory

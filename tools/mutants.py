@@ -42,9 +42,10 @@ PYTEST = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-pr
 SKIP = {".git", ".hypothesis", "__pycache__", ".pytest_cache"}
 
 SIM, CTRL = "src/voltctrl/simulate.py", "src/voltctrl/controller.py"
-SENS = "src/voltctrl/sensitivity.py"
+SENS, NET = "src/voltctrl/sensitivity.py", "src/voltctrl/netcase.py"
 T_SIM, T_CTRL = "tests/test_simulate.py", "tests/test_controller.py"
 FEWER = f"{T_SIM}::test_per_family_outputs_on_a_network_with_fewer_controllers_than_load_buses"
+CHAINED = f"{T_SIM}::test_chained_windows_on_a_network_with_fewer_controllers_than_load_buses"
 
 
 class Mutant(NamedTuple):
@@ -188,6 +189,17 @@ MUTANTS = (
         "Counter(chord_steps=self.last.iterations)",
         (f"{T_SIM}::test_steps_resume_the_size_an_event_cut_back",),
     ),
+    # the controllers' places among the load buses, read by the one gather
+    Mutant(
+        "plant-dvdq-leading-columns", SIM,
+        "self.part.gather(self.inverse[n_a:, n_a:])", "self.inverse[n_a:, n_a : n_a + self.c]",
+        ("tests/test_oracle.py::test_nonlinear_loop_settles_on_the_plant_equilibrium", CHAINED),
+    ),
+    Mutant(
+        "gather-leading-entries", NET,
+        "a[..., self._positions]", "a[..., : len(self.controlled)]",
+        ("tests/test_sensitivity.py::test_partition_controlled_subset", FEWER, CHAINED),
+    ),
     # the cuts of a row vector into its families, and of a packed row
     Mutant(
         "limits-families-at-m-m+c", CTRL,
@@ -249,8 +261,7 @@ MUTANTS = (
     Mutant(
         "daily-reset-keeps-multipliers", SIM,
         "*map(np.zeros_like, multipliers)", "*multipliers",
-        (f"{T_SIM}::test_chained_windows_on_a_network_with_fewer_controllers_than_load_buses",
-         f"{T_SIM}::test_a_daily_run_keeps_one_window_per_hour"),
+        (CHAINED, f"{T_SIM}::test_a_daily_run_keeps_one_window_per_hour"),
     ),
     # known gaps: each survives the tests it names. The 1e-9 event band is the
     # off-row overshoot above, which the random-network searches do not see;
