@@ -22,9 +22,9 @@ the flow is one boolean mask over the 2M + 2C multiplier rows, those the
 projection leaves on: ``rates`` returns the rates on a piece together with
 that piece and each multiplier row's event, and ``phi`` the phi-function
 products an exponential integrator steps with, phi_k(hJ) r for the
-Jacobian J of one piece. J has the plant's own voltage sensitivity in
-J_mq's lam rows (the nonlinear plant's dv/dq is not X;
-``set_plant_sensitivity`` stores it), and its multiplier rows depend on q
+Jacobian J of one piece. J_mq is the gains times ``rows`` of whichever
+dv/dq the flow holds: X's, until ``set_plant_sensitivity`` stores the
+nonlinear plant's own, which is not X. J's multiplier rows depend on q
 only, so every product comes from one exponential of a 2C-square B,
 not of the (3C + 2M)-square J, taken by one routine over a stack of
 blocks of B and balanced so that its norm is about theirs. B's coupling
@@ -213,7 +213,8 @@ class PackedFlow:
     the q rows are -k_q times the Lagrangian's gradient in q, and each
     multiplier row is its gain times its ``Limits.violation``. Stored are
     the q rows, the multiplier rows' q columns J_mq (the gains times
-    ``rows(xc)``), the limits and the gains. ``rates``
+    ``rows`` of the dv/dq the flow holds, ``xc`` until
+    ``set_plant_sensitivity``), the limits and the gains. ``rates``
     forms the violations once per state: the projection tests them, the
     gains scale what it keeps, and the same vector gives each row's event,
     which tells where a piece of the projection ends. ``phi`` keeps one
@@ -245,16 +246,16 @@ class PackedFlow:
         self._w: tuple | None = None
 
     def set_plant_sensitivity(self, gx: np.ndarray) -> None:
-        """Put the plant's own dv/dq at the controlled buses (M x C) in the lam rows' q block.
+        """Hold the plant's own dv/dq at the controlled buses (M x C) in J_mq.
 
-        That block is +k_lam gx for lam_hi and -k_lam gx for lam_lo; it is
-        ``xc``'s, the linear plant's dv/dq, until this is called. The q rows
-        are the controller's own dynamics and keep ``xc``, so G is no longer
+        J_mq becomes the gains times ``rows`` of gx, the rule ``__init__``
+        applies to ``xc``, the linear plant's dv/dq: +k_lam gx for lam_hi,
+        -k_lam gx for lam_lo and +-k_mu I for the mu rows. The q rows are
+        the controller's own dynamics and keep ``xc``, so G is no longer
         symmetric and ``phi`` takes its dense path from here on. The piece
-        ``phi`` keeps is cleared, since its maps hold the old block.
+        ``phi`` keeps is cleared, since its maps hold the old J_mq.
         """
-        lam = slice(0, 2 * self.m)
-        self._j_mq[lam] = self._gain[lam, None] * np.vstack([gx, -gx])
+        self._j_mq = self._gain[:, None] * rows(gx)
         self._modal = False
         self._piece = None
 
@@ -299,22 +300,19 @@ class PackedFlow:
         For y = y0 + dy, whose rates on the piece's linearization are
         f = f0 + J dy, returns ``event_rates`` of dy, f and J f at that one
         row: the event's change from y0, and its slope and bend (first and
-        second time derivatives) at y. Each is read off the whole
-        matrix-vector products ``event_rates`` and ``jacobian_product``
-        take, so it is theirs bit for bit; J f's q rows are formed only
-        for a row off the piece, whose event reads q.
+        second time derivatives) at y. A row off the piece reads them off
+        those whole products. A row on it, whose event is its multiplier,
+        forms only the entries it reads, each the whole products' bit for
+        bit: every crossing landing, and so every landing the benchmark's
+        runs make, takes this branch at each Halley iterate, where the
+        whole products cost four to five times as much.
         """
         c, j_mq = self.c, self._j_mq
-        q_dy, m_dy = self._q_rows @ dy, j_mq @ dy[:c]
-        f_q = f0[:c] + q_dy
         if on[row]:
+            m_dy, f_q = j_mq @ dy[:c], f0[:c] + self._q_rows @ dy
             return dy[c + row], f0[c + row] + m_dy[row], (j_mq @ f_q)[row]
-        # off the piece the event is minus the violation, whose rates read J f's q rows
-        gain = self._gain[row]
-        change = -m_dy[row] / gain
-        m_dy[~on] = 0.0
-        jf_q = self._q_rows @ (f0 + np.concatenate((q_dy, m_dy)))
-        return change, -(j_mq @ f_q)[row] / gain, -(j_mq @ jf_q)[row] / gain
+        f = f0 + self.jacobian_product(on, dy)
+        return tuple(self.event_rates(z, on)[row] for z in (dy, f, self.jacobian_product(on, f)))
 
     def phi(self, k: int, h: float, on: np.ndarray, r: np.ndarray) -> np.ndarray:
         """phi_k(hJ) r, with J the closed loop's Jacobian on the piece ``on``.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import ROWS, Limits, rows
+from .controller import ROWS, Limits, objective, rows
 from .errors import InfeasibleProblemError, NotContractingError, PlantDivergenceError
 from .netcase import NetworkCase
 from .powerflow import PowerFlowSolution
@@ -75,7 +75,7 @@ def _pack_solution(q: np.ndarray, u: np.ndarray, working: list[int], sens, lim) 
     held = lim.families(np.isin(np.arange(len(nu)), working))
     active = {name: tuple(np.flatnonzero(on).tolist()) for name, on in zip(ROWS, held)}
     return QPSolution(
-        q, *multipliers, active_sets=active, objective_value=float(q @ q),
+        q, *multipliers, active_sets=active, objective_value=objective(q),
         kkt_residual=kkt_residual(q, multipliers, sens, lim),
     )
 

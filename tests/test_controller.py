@@ -216,6 +216,31 @@ def test_flow_jacobian_product_matches_written_out_jacobian(case14):
         assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
 
+@pytest.mark.parametrize("factor, ids", [(3.1, None), (2.8, (9, 10, 13))], ids=["M=C", "M!=C"])
+def test_plant_sensitivity_is_the_rows_of_its_dvdq(case14, factor, ids):
+    # set_plant_sensitivity puts the gains times rows(gx) in J_mq, the rule
+    # the flow applies to xc: its multiplier rows are those of a flow built
+    # on gx bit for bit, the mu rows too, on random pieces. Only the q rows
+    # keep xc. The second network has M = 9 load buses and C = 3 controllers
+    case = scale_loads(case14, factor)
+    if ids is not None:
+        case = case.with_controllers(ids)
+    xc = voltage_sensitivity(build_admittance(case), partition_buses(case)).xc
+    m, c = xc.shape
+    n = 3 * c + 2 * m
+    gx = _plant_sensitivity(case, xc)
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        lim, gains = Limits.box(m, c), Gains(*np.exp(rng.uniform(-2.0, 2.0, 3)))
+        flow, built = PackedFlow(xc, lim, gains), PackedFlow(gx, lim, gains)
+        flow.set_plant_sensitivity(gx)
+        on = rng.random(n - c) < rng.random()
+        f, z = rng.standard_normal(n), rng.standard_normal(n)
+        assert flow.event_rates(f, on).tobytes() == built.event_rates(f, on).tobytes()
+        got, expected = (x.jacobian_product(on, z)[c:] for x in (flow, built))
+        assert got.tobytes() == expected.tobytes()
+
+
 def _count_eigh(monkeypatch) -> list[int]:
     """Count the symmetric eigendecompositions taken from here on: one per modal piece."""
     eigh, calls = np.linalg.eigh, [0]
@@ -431,9 +456,10 @@ def test_phi_rebuilds_its_piece_on_a_new_mask_or_plant_sensitivity(case14):
 
 def test_row_rates_are_the_rows_of_the_whole_products(case14):
     # a landing reads one row's event change, slope and bend; row_rates
-    # forms them for that row alone, and each is the row of event_rates of
-    # dy, of f = f0 + J dy and of J f bit for bit, on the piece and off it,
-    # with the nonlinear plant's dv/dq in the lam rows
+    # reads an off-piece row off the whole products and forms an on-piece
+    # row's for that row alone, and each is the row of event_rates of dy,
+    # of f = f0 + J dy and of J f bit for bit, on the piece and off it,
+    # with the nonlinear plant's dv/dq in J_mq
     case = scale_loads(case14, 3.1)
     part = partition_buses(case)
     xc = voltage_sensitivity(build_admittance(case), part).xc

@@ -294,34 +294,38 @@ def _perturbed_heavy14(case14, seed):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, q_max",
     [
-        pytest.param(lambda c14, c30, s=s: _perturbed_heavy14(c14, s), id=str(s))
+        pytest.param(lambda c14, c30, s=s: _perturbed_heavy14(c14, s), 0.2, id=str(s))
         for s in (0, 1, 28, 35)
     ]
     + [
-        pytest.param(lambda c14, c30, f=f: scale_loads(c30, f), id=f"case30x{f}")
+        pytest.param(lambda c14, c30, f=f: scale_loads(c30, f), 0.2, id=f"case30x{f}")
         for f in (1.5, 2.0)
     ]
     + [
         pytest.param(
             lambda c14, c30, f=f, ids=ids: scale_loads(c14, f).with_controllers(ids),
+            0.2,
             id=f"case14x{f}-at-{'-'.join(map(str, ids))}",
         )
         for f, ids in ((2.8, (9, 10, 13)), (2.5, (4, 9, 14)))
-    ],
+    ]
+    + [pytest.param(lambda c14, c30: scale_loads(c14, 3.1), 0.15, id="case14x3.1-box0.15")],
 )
-def test_nonlinear_loop_settles_on_the_plant_equilibrium(case14, case30, build):
+def test_nonlinear_loop_settles_on_the_plant_equilibrium(case14, case30, build, q_max):
     # the closed loop at tol=1e-10 against the fixed point of the oracle on
     # its own linearization (9.1e-10 worst over case14 seeds 0-41; 9.8e-13
     # and 1.9e-12 on case30 at x1.5 and x2.0, in 10 and 11 iterations). The
-    # last two inputs have M = 9 load buses and C = 3 controllers, so the
-    # plant's dv/dq must be read at the controllers' own columns: 7.4e-12
-    # and 4.0e-12 in 13 and 11 iterations, where the first C columns leave
-    # both runs unconverged at the horizon
+    # x2.8 and x2.5 inputs have M = 9 load buses and C = 3 controllers, so
+    # the plant's dv/dq must be read at the controllers' own columns:
+    # 7.4e-12 and 4.0e-12 in 13 and 11 iterations, where the first C
+    # columns leave both runs unconverged at the horizon. The last input's
+    # box of +-0.15 binds: one mu_hi and two lam_lo are positive at its
+    # equilibrium, so the loop runs on the mu rows of the plant's J_mq
     case = build(case14, case30)
     part = partition_buses(case)
-    lim = Limits.box(part.n_load, part.n_controlled)
+    lim = Limits.box(part.n_load, part.n_controlled, q_lo=-q_max, q_hi=q_max)
     qp, iterations = plant_equilibrium(case, lim)
     assert iterations <= 20
     res = run_static(case, lim, tol=1e-10, plant_mode=PlantMode.NONLINEAR)

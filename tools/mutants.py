@@ -107,6 +107,21 @@ MUTANTS = (
         (f"{T_CTRL}::test_phi_rebuilds_its_piece_on_a_new_mask_or_plant_sensitivity",
          f"{T_SIM}::test_fixed_step_is_third_order"),
     ),
+    # the plant's dv/dq in J_mq, by the rule J_mq = gains * rows(dv/dq); zeroing
+    # the mu rows also ends the binding-box settle input in a step-size underflow
+    Mutant(
+        "plant-rows-sign", CTRL,
+        "rows(gx)", "rows(-gx)",
+        (f"{T_SIM}::test_fixed_step_is_third_order",),
+    ),
+    Mutant(
+        "plant-rows-drop-mu", CTRL,
+        "self._j_mq = self._gain[:, None] * rows(gx)",
+        "self._j_mq = self._gain[:, None] * rows(gx)"
+        " * (np.arange(len(self._gain)) < 2 * self.m)[:, None]",
+        (f"{T_CTRL}::test_plant_sensitivity_is_the_rows_of_its_dvdq",
+         "tests/test_oracle.py::test_nonlinear_loop_settles_on_the_plant_equilibrium"),
+    ),
     Mutant(
         "phi-piece-key-dropped", CTRL,
         "if self._piece is None or self._piece[0] != key:", "if self._piece is None:",
@@ -132,6 +147,11 @@ MUTANTS = (
         "row-rates-1-row-slice", CTRL,
         "return dy[c + row], f0[c + row] + m_dy[row], (j_mq @ f_q)[row]",
         "return dy[c + row], f0[c + row] + m_dy[row], (j_mq[row : row + 1] @ f_q)[0]",
+        (f"{T_CTRL}::test_row_rates_are_the_rows_of_the_whole_products",),
+    ),
+    Mutant(
+        "row-rates-off-piece-bend", CTRL,
+        "(dy, f, self.jacobian_product(on, f))", "(dy, f, f)",
         (f"{T_CTRL}::test_row_rates_are_the_rows_of_the_whole_products",),
     ),
     Mutant(
